@@ -53,35 +53,16 @@ func (n *Node) retryDelay(attempt int) time.Duration {
 type resultRetry struct {
 	n  *Node
 	rq *runningQuery
-	t  *tuple.Tuple
-	// frame, when non-nil, is the encoded rows frame of a BATCHED result
-	// send (t is nil then): the bytes are retained as-is across retries,
-	// and rows records how many result rows they carry.
-	frame   []byte
-	rows    int
+	// b is the batch of result rows in flight. Batches are immutable, so
+	// a retransmission re-frames the same rows; one state (and one
+	// pendingSends unit) covers the message however many rows it has.
+	b       *tuple.Batch
 	attempt int
 	ack     vri.AckFunc // pre-bound onAck, reused across attempts
 	resend  func()      // pre-bound retransmit closure for Schedule
 }
 
-// newResultSend acquires retry state for one result tuple about to be
-// sent to rq's proxy. The caller passes rr.ack to Send.
-func (n *Node) newResultSend(rq *runningQuery, t *tuple.Tuple) *resultRetry {
-	rr := n.popRetry()
-	rr.rq, rr.t, rr.attempt = rq, t, 0
-	n.pendingSends++
-	return rr
-}
-
-// newResultBatchSend acquires retry state for one encoded result batch
-// frame (rows result rows) about to be sent to rq's proxy.
-func (n *Node) newResultBatchSend(rq *runningQuery, frame []byte, rows int) *resultRetry {
-	rr := n.popRetry()
-	rr.rq, rr.frame, rr.rows, rr.attempt = rq, frame, rows, 0
-	n.pendingSends++
-	return rr
-}
-
+// popRetry takes a state from the pool, growing it when empty.
 func (n *Node) popRetry() *resultRetry {
 	if k := len(n.retryPool); k > 0 {
 		rr := n.retryPool[k-1]
@@ -94,12 +75,20 @@ func (n *Node) popRetry() *resultRetry {
 	return rr
 }
 
-// release returns the state to the pool. The tuple, frame, and query
-// references are cleared so pooled entries do not pin finished queries'
-// memory.
+// send frames the retained rows and transmits them to the query's proxy.
+// The node's scratch writer is safe here, on first transmission and from
+// the retry timer alike: both run as node events and Send consumes the
+// bytes synchronously.
+func (rr *resultRetry) send() {
+	n := rr.n
+	n.rt.Send(rr.rq.proxy, vri.PortQuery, n.encodeResultBatch(rr.rq.id, rr.b), rr.ack)
+}
+
+// release returns the state to the pool. The batch and query references
+// are cleared so pooled entries do not pin finished queries' memory.
 func (rr *resultRetry) release() {
 	n := rr.n
-	rr.rq, rr.t, rr.frame, rr.rows = nil, nil, nil, 0
+	rr.rq, rr.b = nil, nil
 	n.pendingSends--
 	n.retryPool = append(n.retryPool, rr)
 }
@@ -129,21 +118,12 @@ func (rr *resultRetry) onAck(ok bool) {
 	n.rt.Schedule(delay, rr.resend)
 }
 
-// retransmit re-encodes the retained tuple (or re-wraps the retained
-// batch frame) and sends it again. The node's scratch writer is safe
-// here: the timer callback runs as a node event and Send consumes the
-// bytes synchronously.
+// retransmit sends the retained rows again, unless the query ended while
+// the backoff ran.
 func (rr *resultRetry) retransmit() {
-	n := rr.n
-	if n.running[rr.rq.id] != rr.rq {
+	if rr.n.running[rr.rq.id] != rr.rq {
 		rr.release()
 		return
 	}
-	if rr.frame != nil {
-		n.rt.Send(rr.rq.proxy, vri.PortQuery,
-			encodeResultBatch(n.scratch, rr.rq.id, n.rt.Addr(), rr.frame), rr.ack)
-		return
-	}
-	n.rt.Send(rr.rq.proxy, vri.PortQuery,
-		encodeResult(n.scratch, rr.rq.id, n.rt.Addr(), rr.t), rr.ack)
+	rr.send()
 }

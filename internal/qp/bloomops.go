@@ -41,7 +41,7 @@ import (
 
 // bloomBuildOp accumulates join keys and publishes the filter.
 type bloomBuildOp struct {
-	lg      *liveGraph
+	c       *chain
 	ns      string
 	keyCols []string
 	filter  *bloom.Filter
@@ -51,22 +51,25 @@ type bloomBuildOp struct {
 	shipped bool
 }
 
-func (lg *liveGraph) newBloomBuild(spec ufl.OpSpec) (*bloomBuildOp, error) {
+func (c *chain) newBloomBuild(spec ufl.OpSpec) (*bloomBuildOp, error) {
 	ns := spec.Arg("ns", "")
 	keyCols := splitList(spec.Arg("key", ""))
 	if ns == "" || len(keyCols) == 0 {
 		return nil, fmt.Errorf("BloomBuild needs ns= and key=")
 	}
+	// The filter's size follows from expected and fp, and opgraphs arrive
+	// from strangers: 2^20 keys at 1e-6 is under 4 MB, where unbounded
+	// values let one small message ask a node for gigabytes.
 	expected, err := strconv.Atoi(spec.Arg("expected", "1024"))
-	if err != nil || expected <= 0 {
-		return nil, fmt.Errorf("BloomBuild expected=: positive integer required")
+	if err != nil || expected <= 0 || expected > 1<<20 {
+		return nil, fmt.Errorf("BloomBuild expected=: integer in [1, 2^20] required")
 	}
 	fp, err := strconv.ParseFloat(spec.Arg("fp", "0.01"), 64)
-	if err != nil {
-		return nil, fmt.Errorf("BloomBuild fp=: %w", err)
+	if err != nil || (fp > 0 && fp < 1e-6) {
+		return nil, fmt.Errorf("BloomBuild fp=: want a rate of at least 1e-6")
 	}
 	return &bloomBuildOp{
-		lg: lg, ns: ns, keyCols: keyCols,
+		c: c, ns: ns, keyCols: keyCols,
 		filter: bloom.New(expected, fp),
 	}, nil
 }
@@ -100,7 +103,7 @@ func (b *bloomBuildOp) Flush(tag exec.Tag) {
 		return
 	}
 	b.shipped = true
-	b.lg.n.dht.Put(b.ns, "filter", b.lg.n.uniquifier(), b.filter.Encode(), b.lg.rq.timeout, nil)
+	b.c.n.dht.Put(b.ns, "filter", b.c.n.uniquifier(), b.filter.Encode(), b.c.rq.timeout, nil)
 }
 
 func (b *bloomBuildOp) Close() {
@@ -113,7 +116,7 @@ func (b *bloomBuildOp) Close() {
 // from the other relation. Tuples arriving before the merged filter is
 // available are buffered; after the fetch they drain through the filter.
 type bloomFilterOp struct {
-	lg      *liveGraph
+	c       *chain
 	ns      string
 	keyCols []string
 	parent  exec.Sink
@@ -134,13 +137,13 @@ type bufTuple struct {
 	t   *tuple.Tuple
 }
 
-func (lg *liveGraph) newBloomFilter(spec ufl.OpSpec) (*bloomFilterOp, error) {
+func (c *chain) newBloomFilter(spec ufl.OpSpec) (*bloomFilterOp, error) {
 	ns := spec.Arg("ns", "")
 	keyCols := splitList(spec.Arg("key", ""))
 	if ns == "" || len(keyCols) == 0 {
 		return nil, fmt.Errorf("BloomFilter needs ns= and key=")
 	}
-	f := &bloomFilterOp{lg: lg, ns: ns, keyCols: keyCols}
+	f := &bloomFilterOp{c: c, ns: ns, keyCols: keyCols}
 	delay := spec.Arg("fetchdelay", "")
 	if delay == "" {
 		return nil, fmt.Errorf("BloomFilter needs fetchdelay= (when the build phase has published)")
@@ -149,7 +152,7 @@ func (lg *liveGraph) newBloomFilter(spec ufl.OpSpec) (*bloomFilterOp, error) {
 	if err != nil {
 		return nil, fmt.Errorf("BloomFilter fetchdelay: %w", err)
 	}
-	lg.timers = append(lg.timers, lg.n.rt.Schedule(d, f.fetch))
+	c.timers = append(c.timers, c.n.rt.Schedule(d, f.fetch))
 	return f, nil
 }
 
@@ -167,7 +170,7 @@ func (f *bloomFilterOp) fetch() {
 	if f.closed {
 		return
 	}
-	f.lg.n.dht.Get(f.ns, "filter", func(objs []overlay.Object, err error) {
+	f.c.n.dht.Get(f.ns, "filter", func(objs []overlay.Object, err error) {
 		if f.closed {
 			return
 		}

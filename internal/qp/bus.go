@@ -8,21 +8,21 @@ import (
 )
 
 // tableBus is the per-node shared table bus: the query-processor side of
-// the multi-tenant newData path. Every live Scan/NewData access method
-// used to register its own DHT subscription and decode arriving objects
-// itself, so a table with Q continuous queries paid Q registry slots and
-// Q decodes per publish. The bus shares both:
+// the multi-tenant newData path. Every open Scan/NewData access method
+// attaches its chain here instead of subscribing to the DHT itself, and
+// the bus shares two things among the attached chains:
 //
 //   - one overlay subscription per distinct access signature — the
-//     (table, only-filter) pair that fully determines delivery semantics;
-//     structurally identical Scan/NewData access methods across queries
-//     (equal ufl signatures) therefore share a single subscription, the
-//     minimal viable form of the multi-query work sharing PIER names as
-//     future work (§3.3.2);
+//     (table, only-filter) pair that fully determines delivery semantics —
+//     so a table read by Q chains costs one registry slot, not Q;
 //   - the decode: the overlay registry decodes once per arrival
 //     (overlay.SubscribeBatches) and the bus fans the SAME *tuple.Batch
-//     out to every attached query, whole — converted operators process
+//     out to every attached chain, whole — converted operators process
 //     it vectorized, the rest receive rows via the PushBatchTo fallback.
+//
+// Queries that are structurally identical beneath their tail go one step
+// further and share the chain itself (subtree.go); the bus then holds one
+// attachment for all of them.
 //
 // Handoff contract: batches crossing the bus are SHARED and READ-ONLY
 // (see the registry contract in internal/overlay/subs.go and the batch
@@ -37,7 +37,7 @@ import (
 type tableBus struct {
 	n       *Node
 	shares  map[busKey]*busShare
-	targets int // live query-level attachments across all shares
+	targets int // live chain attachments across all shares
 }
 
 // busKey is the access signature of a Scan/NewData subscription: the
@@ -47,7 +47,7 @@ type busKey struct {
 	only  string
 }
 
-// busShare is one shared subscription and its attached queries, in
+// busShare is one shared subscription and its attached chains, in
 // attachment order (dispatch order is deterministic, like the registry).
 type busShare struct {
 	bus     *tableBus
@@ -56,12 +56,12 @@ type busShare struct {
 	targets complist.List[*busTarget]
 }
 
-// busTarget is one attachment to a share: a private query graph's access
-// method, or — since subtree sharing — a shared operator chain's (one
-// attachment feeds every query on the chain).
+// busTarget is one attachment to a share: the access method of one chain
+// (instantiate.go). A signature-cached chain's single attachment feeds
+// every query attached to it.
 type busTarget struct {
 	share   *busShare
-	host    opHost
+	c       *chain
 	in      *exec.Input
 	tag     exec.Tag
 	removed bool
@@ -74,11 +74,11 @@ func newTableBus(n *Node) *tableBus {
 	return &tableBus{n: n, shares: make(map[busKey]*busShare)}
 }
 
-// attach subscribes a host's access-method input to the shared table
+// attach subscribes a chain's access-method input to the shared table
 // stream, creating the underlying overlay subscription only for the
 // first attachment of an access signature. The returned cancel is O(1)
 // and idempotent.
-func (b *tableBus) attach(table, only string, h opHost, tag exec.Tag, in *exec.Input) (cancel func()) {
+func (b *tableBus) attach(table, only string, c *chain, tag exec.Tag, in *exec.Input) (cancel func()) {
 	key := busKey{table: table, only: only}
 	sh := b.shares[key]
 	if sh == nil {
@@ -92,7 +92,7 @@ func (b *tableBus) attach(table, only string, h opHost, tag exec.Tag, in *exec.I
 		})
 		b.shares[key] = sh
 	}
-	t := &busTarget{share: sh, host: h, in: in, tag: tag}
+	t := &busTarget{share: sh, c: c, in: in, tag: tag}
 	sh.targets.Add(t)
 	b.targets++
 	return func() { sh.remove(t) }
@@ -100,16 +100,16 @@ func (b *tableBus) attach(table, only string, h opHost, tag exec.Tag, in *exec.I
 
 // dispatch fans one decoded arrival out to every attached chain. The
 // only-filter is evaluated once per share, not once per attachment.
-// chainFeeds counts the deliveries: with subtree sharing, Q same-shape
-// queries ride ONE attachment, so feeds per publish measure the operator
-// executions actually paid — the O(1)-in-Q quantity qstorm reports.
+// chainFeeds counts the deliveries: Q same-shape queries ride ONE
+// attachment, so feeds per publish measure the operator executions
+// actually paid — the O(1)-in-Q quantity qstorm reports.
 func (sh *busShare) dispatch(_ overlay.Object, b *tuple.Batch) {
 	fb := b.FilterTable(sh.key.only)
 	if fb == nil || fb.Len() == 0 {
 		return
 	}
 	sh.targets.Each(func(tg *busTarget) {
-		if tg.host.done() {
+		if tg.c.closed {
 			return
 		}
 		sh.bus.n.chainFeeds++

@@ -2,6 +2,7 @@ package qp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -11,111 +12,145 @@ import (
 	"pier/internal/vri"
 )
 
-// liveGraph is one instantiated opgraph executing at this node: the
-// wired operator instances, the probe tag, and the teardown hooks.
-type liveGraph struct {
-	n    *Node
-	rq   *runningQuery
-	spec ufl.Opgraph
+// A chain is the one thing in this package that owns running operators:
+// the wired instances, the probe tag they execute under, the
+// subscriptions and timers they registered, and their entry on the
+// node's flush wheel. newChain builds and wires every chain; open, flush
+// and close are its whole lifecycle. Bus targets and wheel entries point
+// at a chain, and the network-facing operators (netops.go, bloomops.go)
+// reach the node and their query through the chain they were built in.
+//
+// Most chains belong to one query and hold its whole opgraph. A
+// share-eligible opgraph (subtree.go) splits in two: everything beneath
+// its tail is a chain cached under its structural signature and fed once
+// per publish for every attached query, and each query keeps a private
+// chain holding just its tail, attached to the cached chain's demux.
+type chain struct {
+	n *Node
+	// rq is the query the operators run for. A signature-cached chain
+	// serves many queries and has none — sharePlan admits only operators
+	// that need no query (buildOp refuses the rest).
+	rq *runningQuery
 
-	ops     map[string]exec.Op
+	// roots are the operators nobody in the chain consumes; probes and
+	// flushes start there.
 	roots   []exec.Op
 	tag     exec.Tag
 	cancels []func()
 	timers  []vri.Timer
 	closed  bool
 
-	// sig is the opgraph's structural signature (ufl), tracked for the
-	// node's sharing statistics.
-	sig uint64
-	// wheelEntry is this graph's registration on the node's coalesced
-	// flush wheel (nil when the graph has no flushevery interval, and
-	// always nil on the shared path — the subtree owns the registration).
+	// flushEvery is the shortest flushevery interval among the chain's
+	// operators (0: not continuous); wheelEntry is the registration it
+	// buys on the flush wheel while the chain is open.
+	flushEvery time.Duration
 	wheelEntry *wheelEntry
 
-	flushEvery time.Duration
-
-	// shared/demuxTarget are set when this graph runs on the shared-
-	// subtree path (subtree.go): ops then holds only the private tail,
-	// attached to the shared chain's demux under this graph's tag.
-	shared      *sharedSubtree
-	demuxTarget *exec.DemuxTarget
-	// client is the submitting client id, for the per-client quota ledger.
-	client string
+	// demux and sig are set on signature-cached chains only: the fan-out
+	// to the attached queries' tails, and the chain's key in Node.subtrees.
+	demux *exec.Demux
+	sig   uint64
 }
 
-// opHost implementation (subtree.go): the private-graph flavor.
-func (lg *liveGraph) node() *Node        { return lg.n }
-func (lg *liveGraph) addCancel(c func()) { lg.cancels = append(lg.cancels, c) }
-func (lg *liveGraph) done() bool         { return lg.closed }
+// liveGraph is one query's opgraph at this node: whose it is, and the
+// chains it holds.
+type liveGraph struct {
+	specID string
+	// client is the submitting client id, for the per-client quota ledger.
+	client string
+
+	// own holds the graph's private operators: the whole graph, or just
+	// the tail when the rest is shared.
+	own *chain
+	// feed is the chain whose flush emits this graph's window: own, or
+	// the signature-cached chain own's tail is attached to through att.
+	feed *chain
+	att  *exec.DemuxTarget
+}
 
 // instantiate builds the local dataflow for an opgraph (§3.3.2: "when a
 // node receives an opgraph it creates an instance of each operator in
 // the graph and establishes the dataflow links between the operators").
-// Tags scope operator state per instantiation and never leave the node,
-// so the counter is per-node: a package global would be written from
-// every shard worker under the sharded scheduler.
+// The private chain builds first, so a build error leaves no freshly
+// cached chain without an attachment behind.
 func (n *Node) instantiate(rq *runningQuery, g ufl.Opgraph) (*liveGraph, error) {
-	n.tagCounter++
-	lg := &liveGraph{n: n, rq: rq, spec: g, ops: make(map[string]exec.Op), tag: n.tagCounter}
-	lg.sig = g.Signature(rq.id)
-
-	// Share-eligible graphs take the subtree path: the chain beneath the
-	// tail resolves through the node's signature-keyed cache (one shared
-	// instance, however many queries), and only the tail is private.
-	if tail, topID, ok := sharePlan(&g); ok {
-		if err := n.attachShared(lg, g, tail, topID); err != nil {
+	tailID, topID, shared := sharePlan(&g)
+	own, err := n.newChain(rq, &g, func(id string) bool { return !shared || id == tailID })
+	if err != nil {
+		return nil, err
+	}
+	lg := &liveGraph{specID: g.ID, own: own, feed: own}
+	if shared {
+		if lg.feed, err = n.sharedChain(&g, rq.id, tailID, topID); err != nil {
 			return nil, err
 		}
-		return lg, nil
+		lg.att = lg.feed.demux.Attach(own.tag, fanoutSink{n: n, s: own.roots[0]})
 	}
+	return lg, nil
+}
 
+// newChain instantiates the operators of g that member selects and wires
+// the edges between them; an edge that leaves the selection is the cut
+// where a demux joins two chains. Tags scope operator state per chain
+// and never leave the node, so the counter is per-node: a package global
+// would be written from every shard worker under the sharded scheduler.
+func (n *Node) newChain(rq *runningQuery, g *ufl.Opgraph, member func(opID string) bool) (*chain, error) {
+	n.tagCounter++
+	c := &chain{n: n, rq: rq, tag: n.tagCounter}
+	ops := make(map[string]exec.Op)
 	for _, spec := range g.Ops {
-		op, err := lg.buildOp(spec)
+		if !member(spec.ID) {
+			continue
+		}
+		op, err := c.buildOp(spec)
 		if err != nil {
 			return nil, fmt.Errorf("qp: opgraph %q op %q: %w", g.ID, spec.ID, err)
 		}
-		lg.ops[spec.ID] = op
+		ops[spec.ID] = op
 		if fe := spec.Arg("flushevery", ""); fe != "" {
 			d, err := time.ParseDuration(fe)
 			if err != nil {
 				return nil, fmt.Errorf("qp: opgraph %q op %q: bad flushevery: %w", g.ID, spec.ID, err)
 			}
-			if lg.flushEvery == 0 || d < lg.flushEvery {
-				lg.flushEvery = d
+			if c.flushEvery == 0 || d < c.flushEvery {
+				c.flushEvery = d
 			}
 		}
 	}
 
 	// Wire edges: the consumer adopts the producer as a child on the
 	// given input slot. Producers feeding several consumers must be Tee.
+	// Opgraphs arrive from strangers unvalidated, so an edge naming an
+	// operator the graph never declared is an error, not a nil child.
+	var edges []ufl.Edge
 	fanOut := make(map[string]int)
 	for _, e := range g.Edges {
+		if !member(e.From) || !member(e.To) {
+			continue
+		}
+		if ops[e.From] == nil || ops[e.To] == nil {
+			return nil, fmt.Errorf("qp: opgraph %q: edge %s->%s names an undeclared operator", g.ID, e.From, e.To)
+		}
+		edges = append(edges, e)
 		fanOut[e.From]++
 	}
-	for _, e := range g.Edges {
+	for _, e := range edges {
 		if fanOut[e.From] > 1 && !strings.EqualFold(g.Op(e.From).Kind, "tee") {
 			return nil, fmt.Errorf("qp: opgraph %q: op %q feeds %d consumers; insert a Tee", g.ID, e.From, fanOut[e.From])
 		}
-		if err := attachChild(lg.ops[e.To], e.Slot, lg.ops[e.From]); err != nil {
+		if err := attachChild(ops[e.To], e.Slot, ops[e.From]); err != nil {
 			return nil, fmt.Errorf("qp: opgraph %q: edge %s->%s: %w", g.ID, e.From, e.To, err)
 		}
 	}
-
-	// Roots are operators nobody consumes; probes start there.
-	consumed := make(map[string]bool)
-	for _, e := range g.Edges {
-		consumed[e.From] = true
-	}
 	for _, spec := range g.Ops {
-		if !consumed[spec.ID] {
-			lg.roots = append(lg.roots, lg.ops[spec.ID])
+		if op := ops[spec.ID]; op != nil && fanOut[spec.ID] == 0 {
+			c.roots = append(c.roots, op)
 		}
 	}
-	if len(lg.roots) == 0 {
+	if len(c.roots) == 0 {
 		return nil, fmt.Errorf("qp: opgraph %q has no root operator (cycle?)", g.ID)
 	}
-	return lg, nil
+	return c, nil
 }
 
 // attachChild wires child as an input of parent on the given slot,
@@ -143,82 +178,176 @@ func attachChild(parent exec.Op, slot int, child exec.Op) error {
 	}
 }
 
-// open issues the initial probe on every root and registers on the
-// node's flush wheel for continuous queries: all graphs sharing a
-// flushevery period ride ONE node-level timer instead of arming one
-// each (see wheel.go).
-func (lg *liveGraph) open() {
-	for _, r := range lg.roots {
-		r.Open(lg.tag)
+// open issues the initial probe on every root and, for a continuous
+// chain, registers on the node's flush wheel: all chains sharing a
+// flushevery period ride ONE node-level timer (wheel.go).
+func (c *chain) open() {
+	for _, r := range c.roots {
+		r.Open(c.tag)
 	}
-	if lg.flushEvery > 0 {
-		lg.wheelEntry = lg.n.wheel.add(lg.flushEvery, lg)
+	if c.flushEvery > 0 {
+		c.wheelEntry = c.n.wheel.add(c.flushEvery, c)
 	}
 }
 
 // flush forces stateful operators to emit (timeout- or timer-driven,
-// §3.3.2). On the shared path the chain flushes once under its own tag
-// and the demux emits to EVERY attached tail — the shared-window
-// contract (subtree.go).
-func (lg *liveGraph) flush() {
-	if lg.shared != nil {
-		lg.shared.flush()
-		return
-	}
-	for _, r := range lg.roots {
-		r.Flush(lg.tag)
+// §3.3.2). A signature-cached chain emits through its demux to EVERY
+// attached tail — the shared-window contract (subtree.go).
+func (c *chain) flush() {
+	for _, r := range c.roots {
+		r.Flush(c.tag)
 	}
 }
 
-// close releases operators, cancels subscriptions and timers, detaches
-// from the flush wheel (or the shared chain's demux — the last detach
-// retires the chain), and returns the graph's admission slot.
-func (lg *liveGraph) close() {
-	if lg.closed {
+// close releases the operators, cancels subscriptions and timers, and
+// leaves the flush wheel and the signature cache. A signature-cached
+// chain closes as its demux's OnEmpty, so exactly once, after the last
+// query detached, and outside any in-flight dispatch.
+func (c *chain) close() {
+	if c.closed {
 		return
 	}
-	lg.closed = true
-	lg.n.liveGraphs--
-	lg.n.clientGraphClosed(lg.client)
-	if c := lg.n.sigCounts[lg.sig]; c <= 1 {
-		delete(lg.n.sigCounts, lg.sig)
-	} else {
-		lg.n.sigCounts[lg.sig] = c - 1
+	c.closed = true
+	if c.n.subtrees[c.sig] == c {
+		delete(c.n.subtrees, c.sig)
 	}
-	if lg.wheelEntry != nil {
-		lg.wheelEntry.remove()
+	if c.wheelEntry != nil {
+		c.wheelEntry.remove()
 	}
-	if lg.demuxTarget != nil {
-		lg.demuxTarget.Detach()
+	for _, cancel := range c.cancels {
+		cancel()
 	}
-	for _, c := range lg.cancels {
-		c()
-	}
-	for _, t := range lg.timers {
+	for _, t := range c.timers {
 		t.Cancel()
 	}
-	for _, r := range lg.roots {
+	for _, r := range c.roots {
 		r.Close()
 	}
+	// The result-frame memo exists to serve one demux fan-out; dropping
+	// it with any closing chain means a node whose queries have all ended
+	// pins no emitted window.
+	c.n.resultFrameOf = nil
+	c.n.resultFrame.Reset()
 }
 
-// buildOp constructs one operator instance from its spec. Kind names are
-// case-insensitive. The deterministic, host-agnostic kinds live in
-// buildSharedOp (subtree.go — the same constructors serve shared
-// chains); this switch adds the private-only operators: catch-up scans,
-// the network-facing operators of netops.go, randomized routing, and the
-// per-query tails.
-func (lg *liveGraph) buildOp(spec ufl.OpSpec) (exec.Op, error) {
-	if op, handled, err := buildSharedOp(lg, spec); handled {
-		return op, err
+// flush emits the graph's window; on a signature-cached feed that is the
+// window of every query attached to it.
+func (lg *liveGraph) flush() { lg.feed.flush() }
+
+// close returns the graph's admission slot, detaches from the feed (the
+// last detach closes a signature-cached chain) and closes the private
+// chain.
+func (lg *liveGraph) close() {
+	if lg.own.closed {
+		return
 	}
-	switch strings.ToLower(spec.Kind) {
-	case "scan":
+	n := lg.own.n
+	n.liveGraphs--
+	n.clientGraphClosed(lg.client)
+	if lg.att != nil {
+		lg.att.Detach()
+	}
+	lg.own.close()
+}
+
+// buildOp constructs one operator instance from its spec — the single
+// physical-operator menu. Kind names are case-insensitive.
+func (c *chain) buildOp(spec ufl.OpSpec) (exec.Op, error) {
+	kind := strings.ToLower(spec.Kind)
+	if c.rq == nil && !shareableOpKinds[kind] {
+		// sharePlan vetted every kind; reaching here is a bug, but
+		// degrade to an error instead of a nil query in an operator.
+		return nil, fmt.Errorf("kind %q not shareable", spec.Kind)
+	}
+	switch kind {
+	case "scan", "newdata":
 		table := spec.Arg("table", spec.Arg("ns", ""))
 		if table == "" {
-			return nil, fmt.Errorf("Scan needs table=")
+			return nil, fmt.Errorf("%s needs table=", spec.Kind)
 		}
-		return newScan(lg, table, true, spec.Arg("only", "")), nil
+		return newScan(c, table, kind == "scan", spec.Arg("only", "")), nil
+
+	case "select":
+		pred, err := expr.Parse(spec.Arg("pred", "true"))
+		if err != nil {
+			return nil, err
+		}
+		return exec.NewSelect(pred), nil
+
+	case "project":
+		cols, err := parseProjectCols(spec.Arg("cols", ""))
+		if err != nil {
+			return nil, err
+		}
+		return exec.NewProject(cols...), nil
+
+	case "join":
+		left := splitList(spec.Arg("leftkey", spec.Arg("key", "")))
+		right := splitList(spec.Arg("rightkey", spec.Arg("key", "")))
+		if len(left) == 0 || len(right) == 0 || len(left) != len(right) {
+			return nil, fmt.Errorf("Join needs matching leftkey= and rightkey=")
+		}
+		j := exec.NewSymmetricHashJoin(left, right)
+		if out := spec.Arg("out", ""); out != "" {
+			j.OutTable = out
+		}
+		if spec.Arg("prefix", "true") == "false" {
+			j.PrefixCols = false
+		}
+		return j, nil
+
+	case "groupby":
+		keys := splitList(spec.Arg("keys", ""))
+		aggs, err := ParseAggSpecs(spec.Arg("aggs", ""))
+		if err != nil {
+			return nil, err
+		}
+		gb := exec.NewGroupBy(keys, aggs)
+		if out := spec.Arg("out", ""); out != "" {
+			gb.OutTable = out
+		}
+		return gb, nil
+
+	case "topk":
+		k, err := strconv.Atoi(spec.Arg("k", "10"))
+		if err != nil || k <= 0 {
+			return nil, fmt.Errorf("TopK needs positive k=")
+		}
+		col := spec.Arg("col", "")
+		if col == "" {
+			return nil, fmt.Errorf("TopK needs col=")
+		}
+		tk := exec.NewTopK(k, col)
+		tk.Ascending = spec.Arg("asc", "") == "true"
+		return tk, nil
+
+	case "dupelim":
+		return exec.NewDupElim(splitList(spec.Arg("cols", ""))...), nil
+
+	case "limit":
+		limN, err := strconv.Atoi(spec.Arg("n", ""))
+		if err != nil || limN < 0 {
+			return nil, fmt.Errorf("Limit needs n=")
+		}
+		return exec.NewLimit(limN), nil
+
+	case "union":
+		return exec.NewUnion(), nil
+
+	case "tee":
+		return exec.NewTee(), nil
+
+	case "queue":
+		rt := c.n.rt
+		q := exec.NewQueue(func(fn func()) { rt.Schedule(0, fn) })
+		if b := spec.Arg("batch", ""); b != "" {
+			qn, err := strconv.Atoi(b)
+			if err != nil {
+				return nil, fmt.Errorf("Queue batch=: %w", err)
+			}
+			q.Batch = qn
+		}
+		return q, nil
 
 	case "fetchmatches":
 		ns := spec.Arg("ns", spec.Arg("table", ""))
@@ -226,7 +355,7 @@ func (lg *liveGraph) buildOp(spec ufl.OpSpec) (exec.Op, error) {
 		if ns == "" || len(keyCols) == 0 {
 			return nil, fmt.Errorf("FetchMatches needs ns= and key=")
 		}
-		fm := lg.newFetchMatches(ns, keyCols)
+		fm := &fetchMatchesOp{c: c, ns: ns, keyCols: keyCols, outTable: "join", prefix: true}
 		if out := spec.Arg("out", ""); out != "" {
 			fm.outTable = out
 		}
@@ -239,16 +368,16 @@ func (lg *liveGraph) buildOp(spec ufl.OpSpec) (exec.Op, error) {
 		return fm, nil
 
 	case "hieragg":
-		return lg.newHierAgg(spec)
+		return c.newHierAgg(spec)
 
 	case "bloombuild":
-		return lg.newBloomBuild(spec)
+		return c.newBloomBuild(spec)
 
 	case "bloomfilter":
-		return lg.newBloomFilter(spec)
+		return c.newBloomFilter(spec)
 
 	case "eddy":
-		e := exec.NewEddy(lg.n.rt.Rand())
+		e := exec.NewEddy(c.n.rt.Rand())
 		preds := spec.Arg("preds", "")
 		if preds == "" {
 			return nil, fmt.Errorf("Eddy needs preds='p1; p2; ...'")
@@ -267,13 +396,13 @@ func (lg *liveGraph) buildOp(spec ufl.OpSpec) (exec.Op, error) {
 		return e, nil
 
 	case "put":
-		return lg.buildPut(spec, false)
+		return c.buildPut(spec, false)
 
 	case "send":
-		return lg.buildPut(spec, true)
+		return c.buildPut(spec, true)
 
 	case "result":
-		return lg.newResult(), nil
+		return &resultOp{c: c}, nil
 
 	default:
 		return nil, fmt.Errorf("unknown operator kind %q", spec.Kind)
@@ -281,16 +410,14 @@ func (lg *liveGraph) buildOp(spec ufl.OpSpec) (exec.Op, error) {
 }
 
 // buildPut constructs the rehash operator from its spec.
-func (lg *liveGraph) buildPut(spec ufl.OpSpec, send bool) (exec.Op, error) {
+func (c *chain) buildPut(spec ufl.OpSpec, send bool) (exec.Op, error) {
 	ns := spec.Arg("ns", "")
 	keyCols := splitList(spec.Arg("key", ""))
 	fixed := spec.Arg("fixedkey", "")
 	if ns == "" || (len(keyCols) == 0 && fixed == "") {
 		return nil, fmt.Errorf("%s needs ns= and key= (or fixedkey=)", spec.Kind)
 	}
-	p := lg.newPut(ns, keyCols, send)
-	p.fixedKey = fixed
-	return p, nil
+	return &putOp{c: c, ns: ns, keyCols: keyCols, fixedKey: fixed, send: send}, nil
 }
 
 // splitList parses "a, b, c" into trimmed fields; empty input gives nil.

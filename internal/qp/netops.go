@@ -34,17 +34,17 @@ import (
 // consuming opgraph separates them again by table name.
 //
 // Malformed stored objects are discarded best-effort but COUNTED: the
-// catch-up path increments the node's scanMalformed, the newData path is
-// counted by the overlay registry; both surface in Node.Stats.
-func newScan(h opHost, table string, withScan bool, only string) *exec.Input {
-	n := h.node()
+// catch-up path increments the node's malformedFrames, the newData path
+// is counted by the overlay registry; both surface in Node.Stats.
+func newScan(c *chain, table string, withScan bool, only string) *exec.Input {
+	n := c.n
 	in := exec.NewInput()
 	in.OnOpen = func(tag exec.Tag) {
 		if withScan {
 			n.dht.LocalScan(table, func(o overlay.Object) bool {
 				fb, err := tuple.DecodeFrame(o.Data)
 				if err != nil {
-					n.scanMalformed.Inc()
+					n.malformedFrames.Inc()
 					return true
 				}
 				if fb = fb.FilterTable(only); fb != nil && fb.Len() > 0 {
@@ -53,7 +53,7 @@ func newScan(h opHost, table string, withScan bool, only string) *exec.Input {
 				return true
 			})
 		}
-		h.addCancel(n.bus.attach(table, only, h, tag, in))
+		c.cancels = append(c.cancels, n.bus.attach(table, only, c, tag, in))
 	}
 	return in
 }
@@ -65,7 +65,7 @@ func newScan(h opHost, table string, withScan bool, only string) *exec.Input {
 // control flow between opgraphs. send=true routes the object through the
 // overlay (upcalls at each hop) instead of the two-phase put.
 type putOp struct {
-	lg      *liveGraph
+	c       *chain
 	ns      string
 	keyCols []string
 	// fixedKey, when non-empty, sends every tuple to one DHT name
@@ -78,10 +78,6 @@ type putOp struct {
 	Dropped exec.Discarded
 	// Sent counts tuples shipped.
 	Sent uint64
-}
-
-func (lg *liveGraph) newPut(ns string, keyCols []string, send bool) *putOp {
-	return &putOp{lg: lg, ns: ns, keyCols: keyCols, send: send}
 }
 
 func (p *putOp) SetParent(exec.Sink) {}
@@ -176,9 +172,9 @@ func (p *putOp) PushBatch(tag exec.Tag, b *tuple.Batch) {
 
 // ship routes one payload to its DHT name via send or two-phase put.
 func (p *putOp) ship(key string, data []byte) {
-	lifetime := p.lg.rq.timeout
+	n, lifetime := p.c.n, p.c.rq.timeout
 	if p.send {
-		p.lg.n.dht.Send(p.ns, key, p.lg.n.uniquifier(), data, lifetime)
+		n.dht.Send(p.ns, key, n.uniquifier(), data, lifetime)
 		return
 	}
 	p.putWithRetry(key, data, lifetime, 0)
@@ -190,9 +186,9 @@ func (p *putOp) ship(key string, data []byte) {
 // any soft-state publisher — bounded, jittered from the node's rng, and
 // counted in NodeStats so exhaustion is visible.
 func (p *putOp) putWithRetry(key string, data []byte, lifetime time.Duration, attempt int) {
-	n := p.lg.n
+	n := p.c.n
 	n.dht.Put(p.ns, key, n.uniquifier(), data, lifetime, func(ok bool) {
-		if ok || p.lg.closed {
+		if ok || p.c.closed {
 			return
 		}
 		if attempt >= sendRetryLimit {
@@ -201,7 +197,7 @@ func (p *putOp) putWithRetry(key string, data []byte, lifetime time.Duration, at
 		}
 		n.sendRetries++
 		n.rt.Schedule(n.retryDelay(attempt), func() {
-			if !p.lg.closed {
+			if !p.c.closed {
 				p.putWithRetry(key, data, lifetime, attempt+1)
 			}
 		})
@@ -223,11 +219,9 @@ func (p *putOp) Close() {
 // resultOp forwards finished tuples to the query's proxy node, which
 // delivers them to the client (§3.3.2).
 type resultOp struct {
-	lg    *liveGraph
+	c     *chain
 	child exec.Op
 }
-
-func (lg *liveGraph) newResult() *resultOp { return &resultOp{lg: lg} }
 
 func (r *resultOp) SetParent(exec.Sink) {}
 func (r *resultOp) SetChild(c exec.Op)  { r.child = c; c.SetParent(r) }
@@ -239,14 +233,14 @@ func (r *resultOp) Open(tag exec.Tag) {
 }
 
 func (r *resultOp) Push(_ exec.Tag, t *tuple.Tuple) {
-	r.lg.n.forwardResult(r.lg.rq, t)
+	r.c.n.forwardResult(r.c.rq, tuple.OfTuple(t))
 }
 
-// PushBatch forwards the whole batch as one columnar result frame; the
-// node memoizes the encoding, so Q query tails fanned the same shared
-// window by a demux encode it once (see forwardResultBatch).
+// PushBatch forwards the whole batch as one result frame; the node
+// memoizes the encoding, so Q query tails fanned the same shared window
+// by a demux encode it once (see forwardResult).
 func (r *resultOp) PushBatch(_ exec.Tag, b *tuple.Batch) {
-	r.lg.n.forwardResultBatch(r.lg.rq, b)
+	r.c.n.forwardResult(r.c.rq, b)
 }
 
 func (r *resultOp) Flush(tag exec.Tag) {
@@ -269,7 +263,7 @@ func (r *resultOp) Close() {
 // index pattern: follow the (index-key, tupleID) pair to the base
 // table).
 type fetchMatchesOp struct {
-	lg       *liveGraph
+	c        *chain
 	ns       string
 	keyCols  []string
 	outTable string
@@ -282,10 +276,6 @@ type fetchMatchesOp struct {
 	Fetches uint64
 
 	parent exec.Sink
-}
-
-func (lg *liveGraph) newFetchMatches(ns string, keyCols []string) *fetchMatchesOp {
-	return &fetchMatchesOp{lg: lg, ns: ns, keyCols: keyCols, outTable: "join", prefix: true}
 }
 
 func (f *fetchMatchesOp) SetParent(s exec.Sink) { f.parent = s }
@@ -305,7 +295,7 @@ func (f *fetchMatchesOp) Push(tag exec.Tag, t *tuple.Tuple) {
 	}
 	f.Fetches++
 	outer := t
-	f.lg.n.dht.Get(f.ns, key, func(objs []overlay.Object, err error) {
+	f.c.n.dht.Get(f.ns, key, func(objs []overlay.Object, err error) {
 		if err != nil || f.closed || f.parent == nil {
 			return
 		}
@@ -357,7 +347,7 @@ func (f *fetchMatchesOp) Close() {
 // constant-size partials — which is why it pays off for distributive and
 // algebraic aggregates but not holistic ones.
 type hierAggOp struct {
-	lg      *liveGraph
+	c       *chain
 	ns      string // rendezvous namespace, unique per query+op
 	rootKey string
 	keys    []string
@@ -382,7 +372,7 @@ type hierAggOp struct {
 	Intercepted uint64
 }
 
-func (lg *liveGraph) newHierAgg(spec ufl.OpSpec) (*hierAggOp, error) {
+func (c *chain) newHierAgg(spec ufl.OpSpec) (*hierAggOp, error) {
 	keys := splitList(spec.Arg("keys", ""))
 	aggs, err := ParseAggSpecs(spec.Arg("aggs", ""))
 	if err != nil {
@@ -397,15 +387,15 @@ func (lg *liveGraph) newHierAgg(spec ufl.OpSpec) (*hierAggOp, error) {
 		}
 	}
 	h := &hierAggOp{
-		lg:      lg,
-		ns:      spec.Arg("ns", lg.rq.id+"!"+spec.ID),
+		c:       c,
+		ns:      spec.Arg("ns", c.rq.id+"!"+spec.ID),
 		rootKey: spec.Arg("root", "root"),
 		keys:    keys,
 		aggs:    aggs,
 		local:   exec.NewGroupSet(keys, aggs),
 		pending: exec.NewGroupSet(keys, aggs),
 	}
-	h.sendDelay = lg.rq.timeout / 2
+	h.sendDelay = c.rq.timeout / 2
 	if v := spec.Arg("senddelay", ""); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil {
@@ -433,7 +423,7 @@ func (h *hierAggOp) SetParent(s exec.Sink) { h.parent = s }
 func (h *hierAggOp) SetChild(c exec.Op)    { h.child = c; c.SetParent(h) }
 
 func (h *hierAggOp) isRoot() bool {
-	return h.lg.n.dht.Owns(overlay.HashName(h.ns, h.rootKey))
+	return h.c.n.dht.Owns(overlay.HashName(h.ns, h.rootKey))
 }
 
 func (h *hierAggOp) Open(tag exec.Tag) {
@@ -441,7 +431,7 @@ func (h *hierAggOp) Open(tag exec.Tag) {
 	// Intercept partials routed through this node (§3.3.4: "at the
 	// first hop along the routing path, PIER receives an upcall, and
 	// combines that partial aggregate with its own data").
-	h.lg.n.dht.OnUpcall(h.ns, func(o overlay.Object) bool {
+	h.c.n.dht.OnUpcall(h.ns, func(o overlay.Object) bool {
 		if h.closed {
 			return true // query gone here; let routing continue
 		}
@@ -454,7 +444,7 @@ func (h *hierAggOp) Open(tag exec.Tag) {
 	// The root's own partial never leaves, and partials that reach the
 	// root arrive via the upcall (the owner also upcalls); nothing to
 	// subscribe. Ship the local partial after sendDelay.
-	h.lg.timers = append(h.lg.timers, h.lg.n.rt.Schedule(h.sendDelay, h.shipLocal))
+	h.c.timers = append(h.c.timers, h.c.n.rt.Schedule(h.sendDelay, h.shipLocal))
 	if h.child != nil {
 		h.child.Open(tag)
 	}
@@ -489,7 +479,7 @@ func (h *hierAggOp) scheduleForward() {
 		return
 	}
 	h.fwdTimer = true
-	h.lg.timers = append(h.lg.timers, h.lg.n.rt.Schedule(h.wait, func() {
+	h.c.timers = append(h.c.timers, h.c.n.rt.Schedule(h.wait, func() {
 		h.fwdTimer = false
 		h.forward()
 	}))
@@ -514,8 +504,8 @@ func (h *hierAggOp) forward() {
 // costs nothing extra; the closures are per forwarded partial (flush
 // cadence), never per event.
 func (h *hierAggOp) sendPartial(data []byte, attempt int) {
-	n := h.lg.n
-	n.dht.SendTracked(h.ns, h.rootKey, n.uniquifier(), data, h.lg.rq.timeout,
+	n := h.c.n
+	n.dht.SendTracked(h.ns, h.rootKey, n.uniquifier(), data, h.c.rq.timeout,
 		func(ok bool) {
 			if ok || h.closed {
 				return

@@ -132,15 +132,12 @@ type Node struct {
 	bus *tableBus
 	// wheel coalesces same-period flush timers onto one timer per node.
 	wheel *flushWheel
-	// subtrees is the node-level shared-subtree cache (subtree.go), keyed
-	// by the chain top's structural subtree signature.
-	subtrees map[uint64]*sharedSubtree
+	// subtrees caches the chains queries may share (subtree.go), keyed by
+	// the chain top's structural subtree signature.
+	subtrees map[uint64]*chain
 	// liveGraphs counts opgraphs currently executing — the quantity the
 	// MaxLiveGraphs admission cap bounds.
 	liveGraphs int
-	// sigCounts tracks live graphs by structural signature, the sharing
-	// measure surfaced through Stats.
-	sigCounts map[uint64]int
 	// clientLive counts live graphs per client id — the ledger the
 	// MaxGraphsPerClient quota charges against. Entries are deleted at
 	// zero, so a non-empty map after full teardown is a leak.
@@ -162,12 +159,13 @@ type Node struct {
 	retryPool    []*resultRetry
 	pendingSends int
 
-	// lastResultBatch/lastResultFrame memoize the most recent result
-	// batch's encoded rows frame: the demux fans ONE shared batch to all
-	// attached query tails within one dispatch, so consecutive
-	// forwardResultBatch calls for the same window reuse the encoding.
-	lastResultBatch *tuple.Batch
-	lastResultFrame []byte
+	// resultFrame holds the encoded rows of the batch resultFrameOf, the
+	// last one forwardResult shipped: the demux fans ONE shared batch to
+	// all attached query tails within one dispatch, so consecutive sends
+	// of the same window reuse the encoding. The writer is reused across
+	// windows; a closing chain drops the memo (chain.close).
+	resultFrame   *wire.Writer
+	resultFrameOf *tuple.Batch
 
 	// admitBatch, when non-nil, redirects admit acks into a per-proxy
 	// collection instead of sending them one by one: the batch
@@ -201,10 +199,11 @@ type Node struct {
 	clientQuotaRejects uint64 // refusals under MaxGraphsPerClient
 	sendRetries        uint64 // nack-driven retransmissions (backoff.go)
 	sendExhausted      uint64 // payloads abandoned after the retry budget
-	// scanMalformed counts stored objects dropped by catch-up LocalScans
-	// because their payload failed tuple decode (the newData-path twin
-	// lives in the overlay registry).
-	scanMalformed exec.Discarded
+	// malformedFrames counts tuple frames that failed to decode here:
+	// stored objects dropped by catch-up LocalScans and result messages
+	// dropped at the proxy (the newData-path twin lives in the overlay
+	// registry).
+	malformedFrames exec.Discarded
 }
 
 // runningQuery is the executor-side state of one query at this node.
@@ -246,16 +245,16 @@ type proxyState struct {
 func NewNode(rt vri.Runtime, cfg Config) *Node {
 	cfg.fill()
 	n := &Node{
-		rt:         rt,
-		cfg:        cfg,
-		dht:        overlay.New(rt, cfg.DHT),
-		running:    make(map[string]*runningQuery),
-		proxied:    make(map[string]*proxyState),
-		sigCounts:  make(map[uint64]int),
-		subtrees:   make(map[uint64]*sharedSubtree),
-		clientLive: make(map[string]int),
-		limiter:    newRateLimiter(rt, cfg.MaxQueriesPerMinute),
-		scratch:    wire.NewWriter(256),
+		rt:          rt,
+		cfg:         cfg,
+		dht:         overlay.New(rt, cfg.DHT),
+		running:     make(map[string]*runningQuery),
+		proxied:     make(map[string]*proxyState),
+		subtrees:    make(map[uint64]*chain),
+		clientLive:  make(map[string]int),
+		limiter:     newRateLimiter(rt, cfg.MaxQueriesPerMinute),
+		scratch:     wire.NewWriter(256),
+		resultFrame: wire.NewWriter(256),
 	}
 	n.bus = newTableBus(n)
 	n.wheel = newFlushWheel(n)
@@ -338,10 +337,6 @@ type NodeStats struct {
 	ResultsSent uint64
 	// LiveGraphs is the number of opgraphs currently executing.
 	LiveGraphs int
-	// DistinctSignatures is the number of distinct structural signatures
-	// among the live graphs — LiveGraphs/DistinctSignatures is the
-	// multi-query duplication factor the shared bus exploits.
-	DistinctSignatures int
 	// Subscriptions is the number of live query-level table-bus
 	// attachments (one per open Scan/NewData access method).
 	Subscriptions int
@@ -351,12 +346,12 @@ type NodeStats struct {
 	// Decodes counts newData arrivals decoded — exactly once per
 	// arrival, however many queries consumed it.
 	Decodes uint64
-	// MalformedDrops counts FAILED TUPLE DECODES of stored objects (the
-	// exec.Discarded policy, surfaced): once per arrival on the newData
-	// path, and once per scanning query on the catch-up path (a
-	// malformed object that stays in the store is re-encountered by
-	// every later catch-up scan). Zero means no malformed data met any
-	// query.
+	// MalformedDrops counts FAILED TUPLE DECODES (the exec.Discarded
+	// policy, surfaced): once per arrival on the newData path, once per
+	// scanning query on the catch-up path (a malformed object that stays
+	// in the store is re-encountered by every later catch-up scan), and
+	// once per result message a proxy could not decode. Zero means no
+	// malformed data met any query.
 	MalformedDrops uint64
 	// GraphsRejected counts opgraph DELIVERIES this node refused under
 	// the MaxLiveGraphs admission cap (a redundantly delivered graph
@@ -443,8 +438,8 @@ type NodeStats struct {
 func (n *Node) Stats() NodeStats {
 	ss := n.dht.SubscriptionStats()
 	attachments := 0
-	for _, st := range n.subtrees {
-		attachments += st.demux.Live()
+	for _, c := range n.subtrees {
+		attachments += c.demux.Live()
 	}
 	var clientRejects map[string]uint64
 	if len(n.clientRejects) > 0 {
@@ -457,11 +452,10 @@ func (n *Node) Stats() NodeStats {
 		GraphsExecuted:      n.graphsExecuted,
 		ResultsSent:         n.resultsSent,
 		LiveGraphs:          n.liveGraphs,
-		DistinctSignatures:  len(n.sigCounts),
 		Subscriptions:       n.bus.targets,
 		SharedSubscriptions: len(n.bus.shares),
 		Decodes:             ss.Decodes,
-		MalformedDrops:      ss.Malformed + n.scanMalformed.Count(),
+		MalformedDrops:      ss.Malformed + n.malformedFrames.Count(),
 		GraphsRejected:      n.graphsRejected,
 		RejectAcks:          n.rejectAcks,
 		FlushTimerFires:     n.wheel.fires,
@@ -664,7 +658,7 @@ func (n *Node) acceptGraph(queryID string, deadline time.Time, proxy vri.Addr, c
 	rq := n.running[queryID]
 	if rq != nil {
 		for _, lg := range rq.graphs {
-			if lg.spec.ID == g.ID {
+			if lg.specID == g.ID {
 				return // duplicate dissemination (tree redundancy)
 			}
 		}
@@ -693,14 +687,13 @@ func (n *Node) acceptGraph(queryID string, deadline time.Time, proxy vri.Addr, c
 	rq.graphs = append(rq.graphs, lg)
 	n.graphsExecuted++
 	n.liveGraphs++
-	n.sigCounts[lg.sig]++
 	// First admitted opgraph of the query at this node: ack the
 	// admission so the proxy can count its completeness denominator.
 	if !rq.admitted {
 		rq.admitted = true
 		n.ackAdmit(queryID, proxy)
 	}
-	lg.open()
+	lg.own.open()
 }
 
 // ackAdmit reports to the proxy that this node admitted (at least one
@@ -808,80 +801,61 @@ func (n *Node) finishQuery(rq *runningQuery) {
 	delete(n.running, rq.id)
 }
 
-// forwardResult delivers one result tuple to the query's proxy node, or
-// directly to the client callback when this node is the proxy. The
+// forwardResult ships a batch of finished rows — a whole emitted window,
+// or one streamed row — to the query's proxy node as ONE message, or
+// straight to the client callback when this node is the proxy. The
 // network path is ack-tracked: a nacked send retries on the shared
-// backoff policy (backoff.go) instead of silently losing the row.
-func (n *Node) forwardResult(rq *runningQuery, t *tuple.Tuple) {
-	n.resultsSent++
-	if rq.proxy == n.rt.Addr() {
-		n.deliverResult(rq.id, n.rt.Addr(), t)
-		return
-	}
-	rr := n.newResultSend(rq, t)
-	n.rt.Send(rq.proxy, vri.PortQuery,
-		encodeResult(n.scratch, rq.id, n.rt.Addr(), t), rr.ack)
-}
-
-// forwardResultBatch ships a whole emitted window to rq's proxy as ONE
-// columnar frame instead of len(b) per-tuple frames. The encoded rows
-// frame is memoized per batch pointer: Demux hands the SAME shared batch
-// to every attached query tail within one dispatch, so Q queries sharing
-// a chain encode the window once and pay only the per-destination
-// envelope — the result side costs O(groups + Q), not O(groups × Q).
-func (n *Node) forwardResultBatch(rq *runningQuery, b *tuple.Batch) {
+// backoff policy (backoff.go) instead of silently losing the rows. The
+// batch is shared and read-only, so the retry state retains it as is.
+func (n *Node) forwardResult(rq *runningQuery, b *tuple.Batch) {
 	k := b.Len()
 	if k == 0 {
 		return
 	}
-	if k == 1 {
-		// One row rides the legacy per-tuple frame: cheaper than a
-		// columnar header and it keeps single-group windows on the
-		// pooled tuple retry path.
-		n.forwardResult(rq, b.Row(0))
-		return
-	}
 	n.resultsSent += uint64(k)
 	if rq.proxy == n.rt.Addr() {
-		n.deliverResultBatch(rq.id, n.rt.Addr(), b)
+		n.deliverResult(rq.id, n.rt.Addr(), b)
 		return
 	}
-	frame := n.batchResultFrame(b)
-	rr := n.newResultBatchSend(rq, frame, k)
-	n.rt.Send(rq.proxy, vri.PortQuery,
-		encodeResultBatch(n.scratch, rq.id, n.rt.Addr(), frame), rr.ack)
+	rr := n.popRetry()
+	rr.rq, rr.b, rr.attempt = rq, b, 0
+	n.pendingSends++
+	rr.send()
 }
 
-// batchResultFrame returns b's encoded rows frame, reusing the bytes
-// when the SAME batch was encoded last — consecutive demux tails
-// forwarding one shared window hit this cache. The frame is an owned
-// allocation, not scratch: retry state retains it across async
-// boundaries and every destination's envelope wraps the same slice.
-func (n *Node) batchResultFrame(b *tuple.Batch) []byte {
-	if n.lastResultBatch == b {
-		return n.lastResultFrame
+// encodeResultBatch frames b's rows with the query id and the origin —
+// the executor node they came from, which the proxy counts as a
+// completeness contributor — into the node's scratch writer. The rows
+// are encoded once per batch, not once per message: Demux hands the SAME
+// shared batch to every attached query tail within one dispatch, so Q
+// queries sharing a chain pay only the per-destination envelope — the
+// result side costs O(groups + Q), not O(groups × Q). The frame runs to
+// the end of the message (no length prefix), and a single row ships in
+// the single-tuple encoding, which is itself a frame and 6 bytes under
+// the columnar header.
+func (n *Node) encodeResultBatch(queryID string, b *tuple.Batch) []byte {
+	if n.resultFrameOf != b {
+		n.resultFrame.Reset()
+		if b.Len() == 1 {
+			b.EncodeRowTo(0, n.resultFrame)
+		} else {
+			b.EncodeRowsTo(n.resultFrame, nil)
+		}
+		n.resultFrameOf = b
 	}
-	frame := b.EncodeFrame()
-	n.lastResultBatch, n.lastResultFrame = b, frame
-	return frame
-}
-
-// encodeResultBatch frames one encoded result batch with its query id
-// and origin, mirroring encodeResult.
-func encodeResultBatch(w *wire.Writer, queryID string, origin vri.Addr, frame []byte) []byte {
+	w := n.scratch
 	w.Reset()
 	w.U8(qmResultBatch)
 	w.String(queryID)
-	w.String(string(origin))
-	w.Bytes32(frame)
+	w.String(string(n.rt.Addr()))
+	w.Raw(n.resultFrame.Bytes())
 	return w.Bytes()
 }
 
-// deliverResultBatch is deliverResult over a whole batch: one
-// contributor mark, len(b) result rows, per-row client callbacks — the
-// client boundary stays row-oriented, so collectors observe the same
-// tuple sequence the per-tuple path would deliver.
-func (n *Node) deliverResultBatch(queryID string, origin vri.Addr, b *tuple.Batch) {
+// deliverResult hands a batch of result rows to the local client
+// callback: one contributor mark for origin, len(b) result rows, one
+// callback per row — the client boundary stays row-oriented.
+func (n *Node) deliverResult(queryID string, origin vri.Addr, b *tuple.Batch) {
 	ps := n.proxied[queryID]
 	if ps == nil {
 		return // query finished or unknown; drop
@@ -901,41 +875,9 @@ func (n *Node) deliverResultBatch(queryID string, origin vri.Addr, b *tuple.Batc
 	}
 }
 
-// encodeResult frames one result tuple with its query id and origin —
-// the executor node it came from, which the proxy counts as a
-// completeness contributor.
-func encodeResult(w *wire.Writer, queryID string, origin vri.Addr, t *tuple.Tuple) []byte {
-	w.Reset()
-	w.U8(qmResult)
-	w.String(queryID)
-	w.String(string(origin))
-	t.EncodeTo(w)
-	return w.Bytes()
-}
-
-// deliverResult hands a tuple to the local client callback, recording
-// origin as a contributing node.
-func (n *Node) deliverResult(queryID string, origin vri.Addr, t *tuple.Tuple) {
-	ps := n.proxied[queryID]
-	if ps == nil {
-		return // query finished or unknown; drop
-	}
-	ps.results++
-	if origin != "" {
-		if ps.contributors == nil {
-			ps.contributors = make(map[vri.Addr]struct{})
-		}
-		ps.contributors[origin] = struct{}{}
-	}
-	if ps.onResult != nil {
-		ps.onResult(t)
-	}
-}
-
 // Query-port message kinds.
 const (
 	qmDisseminate = iota + 1
-	qmResult
 	qmTreeBroadcast
 	// qmDisseminateBatch carries a ufl batch frame: several opgraphs'
 	// dissemination records in one distribution-tree broadcast.
@@ -947,9 +889,8 @@ const (
 	// opgraphs), the completeness denominator. Batch-disseminated
 	// queries share one frame per (executor, proxy) pair.
 	qmAdmit
-	// qmResultBatch carries one encoded tuple.Batch frame of result rows
-	// for one query — the batched form of qmResult, one frame per
-	// emitted window per destination instead of one per row.
+	// qmResultBatch carries result rows for one query as one tuple frame
+	// (tuple.DecodeFrame): a whole emitted window, or a single row.
 	qmResultBatch
 )
 
@@ -1028,24 +969,17 @@ func (n *Node) handleMessage(src vri.Addr, payload []byte) {
 	case qmResultBatch:
 		queryID := r.String()
 		origin := vri.Addr(r.String())
-		frame := r.Bytes32()
-		if r.Err() != nil {
-			return
+		var b *tuple.Batch
+		err := r.Err()
+		if err == nil {
+			// The frame is the rest of the message.
+			b, err = tuple.DecodeFrame(payload[len(payload)-r.Remaining():])
 		}
-		b, err := tuple.DecodeFrame(frame)
 		if err != nil {
+			n.malformedFrames.Inc()
 			return
 		}
-		n.deliverResultBatch(queryID, origin, b)
-
-	case qmResult:
-		queryID := r.String()
-		origin := vri.Addr(r.String())
-		t := tuple.DecodeFrom(r)
-		if r.Err() != nil {
-			return
-		}
-		n.deliverResult(queryID, origin, t)
+		n.deliverResult(queryID, origin, b)
 
 	case qmTreeBroadcast:
 		n.trees.handleBroadcast(r)

@@ -74,9 +74,6 @@ func TestBusSharesSubscriptionAcrossQueries(t *testing.T) {
 	if st.SharedSubtrees != 1 || st.SubtreeAttachments != q {
 		t.Fatalf("subtrees=%d attachments=%d, want 1/%d", st.SharedSubtrees, st.SubtreeAttachments, q)
 	}
-	if st.DistinctSignatures != 1 {
-		t.Fatalf("DistinctSignatures = %d, want 1", st.DistinctSignatures)
-	}
 	if got := n.DHT().Subscribers("fw"); got != 1 {
 		t.Fatalf("overlay subscribers = %d, want 1", got)
 	}
@@ -96,7 +93,7 @@ func TestBusSharesSubscriptionAcrossQueries(t *testing.T) {
 		}
 	}
 	st = n.Stats()
-	if st.LiveGraphs != 0 || st.Subscriptions != 0 || st.SharedSubscriptions != 0 || st.DistinctSignatures != 0 ||
+	if st.LiveGraphs != 0 || st.Subscriptions != 0 || st.SharedSubscriptions != 0 ||
 		st.SharedSubtrees != 0 || st.SubtreeAttachments != 0 {
 		t.Fatalf("runtime state leaked after queries ended: %+v", st)
 	}

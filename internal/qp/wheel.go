@@ -7,17 +7,16 @@ import (
 	"pier/internal/vri"
 )
 
-// flushWheel coalesces periodic flush timers for continuous queries.
-// Each liveGraph with a flushevery interval used to arm its own repeating
-// timer, so a node running Q continuous queries dispatched Q timer events
-// per period — pure scheduler overhead that grows linearly with query
-// concurrency. The wheel keeps ONE timer per distinct period per node:
-// every graph sharing a period registers on that period's slot, and a
-// single tick flushes them all in registration order (deterministic under
-// the sharded scheduler, since registration follows the node's event
-// order). The timer event count per period drops from Q·nodes to nodes.
+// flushWheel coalesces the periodic flush timers of continuous queries:
+// ONE repeating timer per distinct flushevery period per node, whatever
+// the number of chains. Every chain with that period registers on the
+// period's slot, and a single tick flushes them all in registration order
+// (deterministic under the sharded scheduler, since registration follows
+// the node's event order) — nodes timer events per period, not
+// chains·nodes. A signature-cached chain holds one entry for all the
+// queries attached to it.
 //
-// Slots are soft state like everything else here: when the last graph of
+// Slots are soft state like everything else here: when the last chain of
 // a period closes, the slot cancels its timer and disappears
 // (complist.List retirement) — opening and closing 10k queries leaves no
 // armed timers behind.
@@ -28,13 +27,6 @@ type flushWheel struct {
 	fires   uint64 // slot timer events dispatched (the coalesced cost)
 	flushes uint64 // registrant flushes those events drove (the work delivered)
 	shed    uint64 // flushes deferred by the per-tick budget (load shedding)
-}
-
-// flusher is a wheel registrant: a private liveGraph or a shared subtree
-// (one entry serves every query attached to the chain).
-type flusher interface {
-	flush()
-	done() bool
 }
 
 type wheelSlot struct {
@@ -51,23 +43,23 @@ type wheelSlot struct {
 
 type wheelEntry struct {
 	slot    *wheelSlot
-	target  flusher
+	target  *chain
 	removed bool
 }
 
-// Dead reports whether the entry's graph detached (complist.Entry).
+// Dead reports whether the entry's chain detached (complist.Entry).
 func (e *wheelEntry) Dead() bool { return e.removed }
 
 func newFlushWheel(n *Node) *flushWheel {
 	return &flushWheel{n: n, slots: make(map[time.Duration]*wheelSlot)}
 }
 
-// add registers a graph for periodic flushing. The first registration of
-// a period arms the slot's timer; later ones ride it (a graph joining an
+// add registers a chain for periodic flushing. The first registration of
+// a period arms the slot's timer; later ones ride it (a chain joining an
 // existing slot sees its first flush at the slot's next tick, which may
 // be sooner than one full period after open — flushes are best-effort
 // emission points, not exact windows).
-func (w *flushWheel) add(period time.Duration, f flusher) *wheelEntry {
+func (w *flushWheel) add(period time.Duration, c *chain) *wheelEntry {
 	sl := w.slots[period]
 	if sl == nil {
 		sl = &wheelSlot{w: w, period: period}
@@ -83,7 +75,7 @@ func (w *flushWheel) add(period time.Duration, f flusher) *wheelEntry {
 		w.slots[period] = sl
 		sl.timer = w.n.rt.Schedule(period, sl.tickFn)
 	}
-	e := &wheelEntry{slot: sl, target: f}
+	e := &wheelEntry{slot: sl, target: c}
 	sl.entries.Add(e)
 	return e
 }
@@ -106,7 +98,7 @@ func (sl *wheelSlot) tick() {
 	if budget <= 0 || live <= budget {
 		sl.next = 0
 		sl.entries.Each(func(e *wheelEntry) {
-			if e.target.done() {
+			if e.target.closed {
 				return
 			}
 			sl.w.flushes++
@@ -116,7 +108,7 @@ func (sl *wheelSlot) tick() {
 		start := sl.next % live
 		pos := 0
 		sl.entries.Each(func(e *wheelEntry) {
-			if e.target.done() {
+			if e.target.closed {
 				return
 			}
 			if (pos-start+live)%live < budget {
@@ -134,7 +126,7 @@ func (sl *wheelSlot) tick() {
 	}
 }
 
-// remove detaches a closing graph; O(1) and idempotent.
+// remove detaches a closing chain; O(1) and idempotent.
 func (e *wheelEntry) remove() {
 	if e.removed {
 		return

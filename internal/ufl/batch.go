@@ -81,6 +81,9 @@ func DecodeBatch(b []byte) ([]BatchEntry, error) {
 		return nil, fmt.Errorf("ufl: batch frame version %d, want %d", v, BatchCodecVersion)
 	}
 	n := int(r.U16())
+	if n > r.Remaining() {
+		return nil, fmt.Errorf("ufl: batch frame claims %d entries in %d bytes", n, r.Remaining())
+	}
 	entries := make([]BatchEntry, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		e := BatchEntry{QueryID: r.String(), Deadline: r.Time(), Proxy: r.String(), Client: r.String()}
@@ -122,6 +125,9 @@ func DecodeAdmitsFrom(r *wire.Reader) ([]string, error) {
 		return nil, fmt.Errorf("ufl: admit frame version %d, want %d", v, BatchCodecVersion)
 	}
 	n := int(r.U16())
+	if n > r.Remaining() {
+		return nil, fmt.Errorf("ufl: admit frame claims %d entries in %d bytes", n, r.Remaining())
+	}
 	ids := make([]string, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		ids = append(ids, r.String())

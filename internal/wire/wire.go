@@ -93,6 +93,10 @@ func (w *Writer) Bytes32(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// Raw appends b with no length prefix: a field that runs to the end of
+// the message, which the receiver delimits by Remaining.
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
 // String appends a length-prefixed UTF-8 string.
 func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))
