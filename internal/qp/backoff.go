@@ -13,8 +13,9 @@ import (
 //
 // The runtime transport is reliable-or-notified: every Send with a
 // non-nil ack either reaches a live destination or reports ack(false).
-// This file turns those nacks into bounded, counted retries. Two rules
-// keep the sharded-determinism contract intact:
+// This file turns those nacks into bounded, counted retries; on the
+// result path one retry state covers a message and its whole id list.
+// Two rules keep the sharded-determinism contract intact:
 //
 //   - jitter comes from the NODE's rng (vri.Runtime.Rand), never from
 //     driver or environment randomness — acks and retry timers run as
@@ -44,18 +45,19 @@ func (n *Node) retryDelay(attempt int) time.Duration {
 		time.Duration(n.rt.Rand().Int63n(int64(sendBackoffBase)))
 }
 
-// resultRetry is the in-flight state of one ack-tracked result send.
-// States are pooled per node and their callback funcs are bound once at
-// allocation, so the happy path (ack true) costs zero allocations per
-// result once the pool has grown to the node's in-flight peak — the
-// retry machinery allocates only on actual nack-driven pool growth,
-// never per event.
+// resultRetry is the in-flight state of one ack-tracked result message:
+// one state, one pendingSends unit, one ack and one backoff schedule,
+// however many rows and query ids the message carries. States are pooled
+// per node and their callback funcs are bound once at allocation, so the
+// happy path (ack true) costs zero allocations per message once the pool
+// has grown to the node's in-flight peak — the retry machinery allocates
+// only on actual nack-driven pool growth, never per event.
 type resultRetry struct {
-	n  *Node
-	rq *runningQuery
+	n     *Node
+	proxy vri.Addr
+	rqs   []*runningQuery // the id list: the queries still served
 	// b is the batch of result rows in flight. Batches are immutable, so
-	// a retransmission re-frames the same rows; one state (and one
-	// pendingSends unit) covers the message however many rows it has.
+	// a retransmission re-frames the same rows.
 	b       *tuple.Batch
 	attempt int
 	ack     vri.AckFunc // pre-bound onAck, reused across attempts
@@ -75,22 +77,41 @@ func (n *Node) popRetry() *resultRetry {
 	return rr
 }
 
-// send frames the retained rows and transmits them to the query's proxy.
-// The node's scratch writer is safe here, on first transmission and from
-// the retry timer alike: both run as node events and Send consumes the
-// bytes synchronously.
+// send frames the retained rows and transmits them to the proxy. The
+// node's scratch writer is safe here, on first transmission and from the
+// retry timer alike: both run as node events and Send consumes the bytes
+// synchronously.
 func (rr *resultRetry) send() {
 	n := rr.n
-	n.rt.Send(rr.rq.proxy, vri.PortQuery, n.encodeResultBatch(rr.rq.id, rr.b), rr.ack)
+	n.rt.Send(rr.proxy, vri.PortQuery, n.encodeResult(rr), rr.ack)
 }
 
 // release returns the state to the pool. The batch and query references
 // are cleared so pooled entries do not pin finished queries' memory.
 func (rr *resultRetry) release() {
 	n := rr.n
-	rr.rq, rr.b = nil, nil
+	clear(rr.rqs)
+	rr.rqs, rr.b = rr.rqs[:0], nil
 	n.pendingSends--
 	n.retryPool = append(n.retryPool, rr)
+}
+
+// dropEnded drops the listed queries that have finished (proxy done,
+// local teardown) — retrying a result nobody waits for only adds traffic
+// — and releases the state when none is left; it reports whether any is.
+func (rr *resultRetry) dropEnded() bool {
+	live := rr.rqs[:0]
+	for _, rq := range rr.rqs {
+		if rr.n.running[rq.id] == rq {
+			live = append(live, rq)
+		}
+	}
+	clear(rr.rqs[len(live):])
+	rr.rqs = live
+	if len(live) == 0 {
+		rr.release()
+	}
+	return len(live) > 0
 }
 
 // onAck consumes the transport's delivery report for the last attempt.
@@ -100,11 +121,7 @@ func (rr *resultRetry) onAck(ok bool) {
 		rr.release()
 		return
 	}
-	// The query may have finished (proxy done, local teardown) while
-	// the nack was in flight; retrying a result nobody is waiting for
-	// only adds traffic.
-	if n.running[rr.rq.id] != rr.rq {
-		rr.release()
+	if !rr.dropEnded() {
 		return
 	}
 	if rr.attempt >= sendRetryLimit {
@@ -118,12 +135,10 @@ func (rr *resultRetry) onAck(ok bool) {
 	n.rt.Schedule(delay, rr.resend)
 }
 
-// retransmit sends the retained rows again, unless the query ended while
-// the backoff ran.
+// retransmit sends the retained rows again to the queries still running
+// after the backoff.
 func (rr *resultRetry) retransmit() {
-	if rr.n.running[rr.rq.id] != rr.rq {
-		rr.release()
-		return
+	if rr.dropEnded() {
+		rr.send()
 	}
-	rr.send()
 }

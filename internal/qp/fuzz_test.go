@@ -64,12 +64,20 @@ opgraph private disseminate broadcast {
 		frame(qmAdmit, func(w *wire.Writer) { ufl.EncodeAdmitsTo(w, []string{"f", "g"}) }),
 		resultMessage("f", tuple.New("r").Set("k", tuple.String("x")).Encode()),
 		resultMessage("f", window.EncodeFrame()),
+		multiResultMessage(2, []string{"f", "g"}, window.EncodeFrame()),
 	} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		f.Add(seed[:len(seed)-1])
 	}
 	f.Add([]byte{})
+	// The id-list form of a result: no ids, a count the bytes cannot carry,
+	// cut inside an id, and a good id list over a cut frame.
+	multi := multiResultMessage(2, []string{"f", "g"}, window.EncodeFrame())
+	f.Add(multiResultMessage(0, nil, window.EncodeFrame()))
+	f.Add([]byte{qmResultMulti, 0xff, 0xff})
+	f.Add(multi[:8])
+	f.Add(multi[:len(multi)-3])
 	// Counts and sizes that outrun the bytes carrying them.
 	f.Add(frame(qmDisseminateBatch, func(w *wire.Writer) { w.Bytes32([]byte{ufl.BatchCodecVersion, 0xff, 0xff}) }))
 	greedy := plan.Graphs[1]

@@ -236,9 +236,9 @@ func (r *resultOp) Push(_ exec.Tag, t *tuple.Tuple) {
 	r.c.n.forwardResult(r.c.rq, tuple.OfTuple(t))
 }
 
-// PushBatch forwards the whole batch as one result frame; the node
-// memoizes the encoding, so Q query tails fanned the same shared window
-// by a demux encode it once (see forwardResult).
+// PushBatch forwards the whole batch as one result frame. Q query tails
+// fanned the same shared window by a demux hand the node the same batch,
+// which it encodes once and sends once per proxy (see forwardResult).
 func (r *resultOp) PushBatch(_ exec.Tag, b *tuple.Batch) {
 	r.c.n.forwardResult(r.c.rq, b)
 }

@@ -160,12 +160,20 @@ type Node struct {
 	pendingSends int
 
 	// resultFrame holds the encoded rows of the batch resultFrameOf, the
-	// last one forwardResult shipped: the demux fans ONE shared batch to
-	// all attached query tails within one dispatch, so consecutive sends
-	// of the same window reuse the encoding. The writer is reused across
-	// windows; a closing chain drops the memo (chain.close).
+	// last one framed into a result message: every message of one fan-out
+	// carries the same window, so it is encoded once. The writer is reused
+	// across windows; a closing chain drops the memo (chain.close).
 	resultFrame   *wire.Writer
 	resultFrameOf *tuple.Batch
+	// open holds the result messages of the fan-out in progress, all
+	// carrying the batch openOf, one per proxy in first-seen (attach)
+	// order, indexed by openAt; fanning is the demux dispatch depth, and
+	// they are sent when it returns to zero (forwardResult). Entries are
+	// reused; between fan-outs they are empty.
+	open    []openResult
+	openOf  *tuple.Batch
+	openAt  map[vri.Addr]int
+	fanning int
 
 	// admitBatch, when non-nil, redirects admit acks into a per-proxy
 	// collection instead of sending them one by one: the batch
@@ -255,6 +263,7 @@ func NewNode(rt vri.Runtime, cfg Config) *Node {
 		limiter:     newRateLimiter(rt, cfg.MaxQueriesPerMinute),
 		scratch:     wire.NewWriter(256),
 		resultFrame: wire.NewWriter(256),
+		openAt:      make(map[vri.Addr]int),
 	}
 	n.bus = newTableBus(n)
 	n.wheel = newFlushWheel(n)
@@ -304,7 +313,13 @@ func (n *Node) Stop() {
 	if !n.started {
 		return
 	}
+	// Finishing sends final windows: in id order, never in map order.
+	rqs := make([]*runningQuery, 0, len(n.running))
 	for _, rq := range n.running {
+		rqs = append(rqs, rq)
+	}
+	sort.Slice(rqs, func(i, j int) bool { return rqs[i].id < rqs[j].id })
+	for _, rq := range rqs {
 		n.finishQuery(rq)
 	}
 	if n.batchTimer != nil {
@@ -710,7 +725,20 @@ func (n *Node) ackAdmit(queryID string, proxy vri.Addr) {
 	n.sendAdmits(proxy, []string{queryID})
 }
 
-// sendAdmits ships one qmAdmit frame carrying ids to proxy, with
+// maxMessageIDs bounds the id list of one result or admit message: phys
+// sends one UDP datagram per message and cannot report one too large, so
+// a list past ~64 KB would be retransmitted to exhaustion, never arrive.
+const maxMessageIDs = 512
+
+// cutIDs splits an id list into the run one message carries and the rest.
+func cutIDs[T any](ids []T) (run, rest []T) {
+	if len(ids) > maxMessageIDs {
+		return ids[:maxMessageIDs], ids[maxMessageIDs:]
+	}
+	return ids, nil
+}
+
+// sendAdmits ships ids to proxy in qmAdmit frames (cutIDs), with
 // loopback delivery for self-proxied queries (the ack still arrives as
 // an event, like the network one — see rejectGraph). The retry closure
 // allocates per admit frame, which is per query per node, never on the
@@ -724,25 +752,27 @@ func (n *Node) sendAdmits(proxy vri.Addr, ids []string) {
 		})
 		return
 	}
-	var try func(attempt int)
-	try = func(attempt int) {
-		w := n.scratch
-		w.Reset()
-		w.U8(qmAdmit)
-		ufl.EncodeAdmitsTo(w, ids)
-		n.rt.Send(proxy, vri.PortQuery, w.Bytes(), func(ok bool) {
-			if ok {
-				return
-			}
-			if attempt >= sendRetryLimit {
-				n.sendExhausted++
-				return
-			}
-			n.sendRetries++
-			n.rt.Schedule(n.retryDelay(attempt), func() { try(attempt + 1) })
-		})
+	for run, rest := cutIDs(ids); len(run) > 0; run, rest = cutIDs(rest) {
+		var try func(attempt int)
+		try = func(attempt int) {
+			w := n.scratch
+			w.Reset()
+			w.U8(qmAdmit)
+			ufl.EncodeAdmitsTo(w, run)
+			n.rt.Send(proxy, vri.PortQuery, w.Bytes(), func(ok bool) {
+				if ok {
+					return
+				}
+				if attempt >= sendRetryLimit {
+					n.sendExhausted++
+					return
+				}
+				n.sendRetries++
+				n.rt.Schedule(n.retryDelay(attempt), func() { try(attempt + 1) })
+			})
+		}
+		try(0)
 	}
-	try(0)
 }
 
 // deliverAdmit records one executor node's admission ack at the proxy.
@@ -801,12 +831,23 @@ func (n *Node) finishQuery(rq *runningQuery) {
 	delete(n.running, rq.id)
 }
 
+// openResult is one proxy's message of the fan-out in progress.
+type openResult struct {
+	proxy vri.Addr
+	rqs   []*runningQuery
+}
+
 // forwardResult ships a batch of finished rows — a whole emitted window,
-// or one streamed row — to the query's proxy node as ONE message, or
-// straight to the client callback when this node is the proxy. The
-// network path is ack-tracked: a nacked send retries on the shared
-// backoff policy (backoff.go) instead of silently losing the rows. The
-// batch is shared and read-only, so the retry state retains it as is.
+// or one streamed row — toward the query's proxy node, or straight to the
+// client callback when this node is the proxy. The network unit is one
+// message per (batch, proxy), not per query: a demux fanning the SAME
+// batch to Q tails calls here Q times, and each call after a proxy's
+// first only adds the query to that proxy's open message. The messages
+// leave when the fan-out unwinds (chain.PushBatch) — at once for a
+// private chain, a fan-out of one — and before a different batch opens
+// any (a callback that published into another chain). Each is
+// ack-tracked: a nacked send retries on the shared backoff policy
+// (backoff.go) instead of silently losing the rows.
 func (n *Node) forwardResult(rq *runningQuery, b *tuple.Batch) {
 	k := b.Len()
 	if k == 0 {
@@ -814,63 +855,113 @@ func (n *Node) forwardResult(rq *runningQuery, b *tuple.Batch) {
 	}
 	n.resultsSent += uint64(k)
 	if rq.proxy == n.rt.Addr() {
-		n.deliverResult(rq.id, n.rt.Addr(), b)
+		n.deliverResult([]*proxyState{n.proxied[rq.id]}, n.rt.Addr(), b)
 		return
 	}
-	rr := n.popRetry()
-	rr.rq, rr.b, rr.attempt = rq, b, 0
-	n.pendingSends++
-	rr.send()
+	if n.openOf != b {
+		n.sendOpenResults()
+		n.openOf = b
+	}
+	i, ok := n.openAt[rq.proxy]
+	if !ok {
+		i = len(n.open)
+		n.openAt[rq.proxy] = i
+		if i < cap(n.open) {
+			n.open = n.open[:i+1] // reuse the entry's id slice
+		} else {
+			n.open = append(n.open, openResult{})
+		}
+		n.open[i].proxy = rq.proxy
+	}
+	n.open[i].rqs = append(n.open[i].rqs, rq)
+	if n.fanning == 0 {
+		n.sendOpenResults()
+	}
 }
 
-// encodeResultBatch frames b's rows with the query id and the origin —
-// the executor node they came from, which the proxy counts as a
-// completeness contributor — into the node's scratch writer. The rows
-// are encoded once per batch, not once per message: Demux hands the SAME
-// shared batch to every attached query tail within one dispatch, so Q
-// queries sharing a chain pay only the per-destination envelope — the
-// result side costs O(groups + Q), not O(groups × Q). The frame runs to
-// the end of the message (no length prefix), and a single row ships in
-// the single-tuple encoding, which is itself a frame and 6 bytes under
-// the columnar header.
-func (n *Node) encodeResultBatch(queryID string, b *tuple.Batch) []byte {
-	if n.resultFrameOf != b {
-		n.resultFrame.Reset()
-		if b.Len() == 1 {
-			b.EncodeRowTo(0, n.resultFrame)
-		} else {
-			b.EncodeRowsTo(n.resultFrame, nil)
+// sendOpenResults sends the open messages in first-seen proxy order, a
+// long id list as several messages over the same frame, each under one
+// pooled retry state and one pendingSends unit, and leaves nothing open.
+func (n *Node) sendOpenResults() {
+	open, b := n.open, n.openOf
+	n.open, n.openOf = n.open[:0], nil
+	clear(n.openAt)
+	for i := range open {
+		o := &open[i]
+		for run, rest := cutIDs(o.rqs); len(run) > 0; run, rest = cutIDs(rest) {
+			rr := n.popRetry()
+			rr.proxy, rr.b, rr.attempt = o.proxy, b, 0
+			rr.rqs = append(rr.rqs, run...)
+			n.pendingSends++
+			rr.send()
 		}
-		n.resultFrameOf = b
+		clear(o.rqs)
+		o.proxy, o.rqs = "", o.rqs[:0]
+	}
+}
+
+// encodeResult frames a result message into the node's scratch writer:
+// the ids of the queries it serves, the origin — the executor node the
+// rows came from, which the proxy counts as a completeness contributor —
+// and ONE tuple frame running to the end of the message, so a shared
+// window costs O(groups + ids) per proxy on the wire. One id spends no
+// byte on the list form; the rows are encoded once per batch, and a
+// single row ships in the single-tuple encoding, which is itself a frame
+// and 6 bytes under the columnar header.
+func (n *Node) encodeResult(rr *resultRetry) []byte {
+	if n.resultFrameOf != rr.b {
+		n.resultFrame.Reset()
+		if rr.b.Len() == 1 {
+			rr.b.EncodeRowTo(0, n.resultFrame)
+		} else {
+			rr.b.EncodeRowsTo(n.resultFrame, nil)
+		}
+		n.resultFrameOf = rr.b
 	}
 	w := n.scratch
 	w.Reset()
-	w.U8(qmResultBatch)
-	w.String(queryID)
+	if len(rr.rqs) == 1 {
+		w.U8(qmResultBatch)
+	} else {
+		w.U8(qmResultMulti)
+		w.U16(uint16(len(rr.rqs)))
+	}
+	for _, rq := range rr.rqs {
+		w.String(rq.id)
+	}
 	w.String(string(n.rt.Addr()))
 	w.Raw(n.resultFrame.Bytes())
 	return w.Bytes()
 }
 
-// deliverResult hands a batch of result rows to the local client
-// callback: one contributor mark for origin, len(b) result rows, one
-// callback per row — the client boundary stays row-oriented.
-func (n *Node) deliverResult(queryID string, origin vri.Addr, b *tuple.Batch) {
-	ps := n.proxied[queryID]
-	if ps == nil {
-		return // query finished or unknown; drop
-	}
+// deliverResult hands a batch of result rows to the client callback of
+// every listed query this node still proxies (nil: finished or unknown).
+// Per query: one contributor mark for origin, len(b) result rows, one
+// callback per row — the client boundary stays row-oriented. The row
+// views are materialised once and shared by the listed queries
+// (immutable, safe to retain).
+func (n *Node) deliverResult(listed []*proxyState, origin vri.Addr, b *tuple.Batch) {
 	k := b.Len()
-	ps.results += uint64(k)
-	if origin != "" {
-		if ps.contributors == nil {
-			ps.contributors = make(map[vri.Addr]struct{})
+	var rows []*tuple.Tuple
+	for _, ps := range listed {
+		if ps == nil {
+			continue
 		}
-		ps.contributors[origin] = struct{}{}
-	}
-	if ps.onResult != nil {
-		for i := 0; i < k; i++ {
-			ps.onResult(b.Row(i))
+		ps.results += uint64(k)
+		if origin != "" {
+			if ps.contributors == nil {
+				ps.contributors = make(map[vri.Addr]struct{})
+			}
+			ps.contributors[origin] = struct{}{}
+		}
+		if ps.onResult == nil {
+			continue
+		}
+		if rows == nil {
+			rows = b.Tuples(make([]*tuple.Tuple, 0, k))
+		}
+		for _, t := range rows {
+			ps.onResult(t)
 		}
 	}
 }
@@ -892,6 +983,9 @@ const (
 	// qmResultBatch carries result rows for one query as one tuple frame
 	// (tuple.DecodeFrame): a whole emitted window, or a single row.
 	qmResultBatch
+	// qmResultMulti is qmResultBatch for two or more queries of one proxy:
+	// a u16 count and that many ids where qmResultBatch has its one.
+	qmResultMulti
 )
 
 func encodeDisseminate(queryID string, deadline time.Time, proxy vri.Addr, client string, g ufl.Opgraph) []byte {
@@ -908,7 +1002,7 @@ func encodeDisseminate(queryID string, deadline time.Time, proxy vri.Addr, clien
 // handleMessage is the query processor's datagram entry point.
 func (n *Node) handleMessage(src vri.Addr, payload []byte) {
 	r := wire.NewReader(payload)
-	switch r.U8() {
+	switch kind := r.U8(); kind {
 	case qmDisseminate:
 		queryID := r.String()
 		deadline := r.Time()
@@ -966,8 +1060,22 @@ func (n *Node) handleMessage(src vri.Addr, payload []byte) {
 			n.deliverAdmit(id)
 		}
 
-	case qmResultBatch:
-		queryID := r.String()
+	case qmResultBatch, qmResultMulti:
+		// Validated whole before the first callback.
+		count := 1
+		if kind == qmResultMulti {
+			count = int(r.U16())
+		}
+		// An id costs at least its 4-byte length prefix, so a count the
+		// bytes cannot carry is refused before it reserves anything.
+		if count == 0 || count > r.Remaining()/4 {
+			n.malformedFrames.Inc()
+			return
+		}
+		listed := make([]*proxyState, count)
+		for i := range listed {
+			listed[i] = n.proxied[string(r.Bytes32())] // no id is copied
+		}
 		origin := vri.Addr(r.String())
 		var b *tuple.Batch
 		err := r.Err()
@@ -979,7 +1087,7 @@ func (n *Node) handleMessage(src vri.Addr, payload []byte) {
 			n.malformedFrames.Inc()
 			return
 		}
-		n.deliverResult(queryID, origin, b)
+		n.deliverResult(listed, origin, b)
 
 	case qmTreeBroadcast:
 		n.trees.handleBroadcast(r)

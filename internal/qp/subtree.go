@@ -25,8 +25,13 @@ import (
 //     query ATTACHES to it.
 //   - The cached chain executes once per publish under its own tag and
 //     ends in an exec.Demux, which fans output to each attached query's
-//     private tail (Result/Put/Send) under that query's own tag —
-//     downstream forwarding cannot tell the difference.
+//     private tail (Result/Put/Send) under that query's own tag — the
+//     tails cannot tell the difference.
+//   - The chain is itself the sink above its top operator: it runs the
+//     demux fan-out and, once that has unwound, sends the result messages
+//     the Result tails opened — ONE per (emitted batch, proxy), listing
+//     that proxy's attached queries, so a shared window also TRAVELS
+//     once per proxy, not once per query (Node.forwardResult).
 //   - Retirement is refcounted through the demux's complist: the last
 //     detaching query closes the chain (wheel entry, bus subscription,
 //     operator state, cache slot) exactly once, OnEmpty-style.
@@ -118,6 +123,23 @@ func (f fanoutSink) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	exec.PushBatchTo(f.s, tag, b)
 }
 
+// PushBatch makes a signature-cached chain the sink above its own top
+// operator: fan the output to the attached tails through the demux, then,
+// the fan-out unwound, send the result messages the tails opened — one
+// per proxy, not one per tail (Node.forwardResult).
+func (c *chain) PushBatch(tag exec.Tag, b *tuple.Batch) {
+	n := c.n
+	n.fanning++
+	c.demux.PushBatch(tag, b)
+	if n.fanning--; n.fanning == 0 {
+		n.sendOpenResults()
+	}
+}
+
+// Push fans a streamed row out as a batch of one, so every tail is
+// handed the same batch and the row, too, travels once per proxy.
+func (c *chain) Push(tag exec.Tag, t *tuple.Tuple) { c.PushBatch(tag, tuple.OfTuple(t)) }
+
 // sharedChain resolves the operators of g beneath its tail to the chain
 // cached under their structural signature, building and opening it for
 // the first query to ask. sharePlan guarantees the top is the only
@@ -134,7 +156,7 @@ func (n *Node) sharedChain(g *ufl.Opgraph, queryID, tailID, topID string) (*chai
 		return nil, err
 	}
 	c.sig, c.demux = sig, &exec.Demux{}
-	c.roots[0].SetParent(c.demux)
+	c.roots[0].SetParent(c)
 	c.demux.OnEmpty(c.close)
 	n.subtrees[sig] = c
 	n.subtreeBuilds++
