@@ -56,9 +56,9 @@ func TestEventThroughputAllocBudget(t *testing.T) {
 // through Select(compiled) → GroupBy per op) at each batch size and
 // fails if allocs divided by rows processed exceed the checked-in
 // per-tuple budget. It also enforces the relative contract — batch=1024
-// must allocate less than 40% of what the row-wise path does per tuple —
-// so the batch path cannot quietly converge back to per-tuple costs
-// while staying under a stale absolute cap.
+// must allocate less than 40% of what batch=1 does per tuple — so the
+// batch path cannot quietly converge back to per-tuple costs while
+// staying under a stale absolute cap.
 func TestExecBatchAllocBudget(t *testing.T) {
 	if os.Getenv("PIER_ALLOC_BUDGET") == "" {
 		t.Skip("set PIER_ALLOC_BUDGET=1 to enforce the allocation budget")
@@ -77,12 +77,9 @@ func TestExecBatchAllocBudget(t *testing.T) {
 		t.Fatal("alloc_budget.json carries no exec_batch_allocs_per_tuple entries")
 	}
 	perTuple := map[string]float64{}
-	for _, size := range []int{0, 1, 64, 1024} {
+	for _, size := range []int{1, 64, 1024} {
 		size := size
-		key := "rowwise"
-		if size > 0 {
-			key = fmt.Sprintf("batch=%d", size)
-		}
+		key := fmt.Sprintf("batch=%d", size)
 		limit, ok := budget.ExecBatchAllocsPerTuple[key]
 		if !ok {
 			t.Errorf("alloc_budget.json has no exec-batch budget for %s", key)
@@ -99,10 +96,10 @@ func TestExecBatchAllocBudget(t *testing.T) {
 				"same change", key, got, limit)
 		}
 	}
-	if row, ok := perTuple["rowwise"]; ok {
-		if batch, ok := perTuple["batch=1024"]; ok && batch > 0.4*row {
-			t.Errorf("batch=1024 allocates %.4f/tuple, more than 40%% of rowwise's %.4f — the "+
-				"vectorized path lost its amortization advantage", batch, row)
+	if one, ok := perTuple["batch=1"]; ok {
+		if batch, ok := perTuple["batch=1024"]; ok && batch > 0.4*one {
+			t.Errorf("batch=1024 allocates %.4f/tuple, more than 40%% of batch=1's %.4f — the "+
+				"vectorized path lost its amortization advantage", batch, one)
 		}
 	}
 }
@@ -201,8 +198,8 @@ func TestSharedSubtreeAllocBudget(t *testing.T) {
 // 8192 rows into a five-agg GroupBy, flushed as ONE columnar batch and
 // fanned through a Demux to Q tails — and fails if allocs divided by
 // rows exceed the checked-in budget. Two relative contracts ride along:
-// batch=1024 must allocate under half of the row-wise path per tuple
-// (the AddBatch/EmitBatch amortization claim), and tails=64 must stay
+// batch=1024 must allocate under half of batch=1 per tuple (the AddBatch
+// amortization claim), and tails=64 must stay
 // within 2x of tails=1 (the single-emission claim — the flushed window
 // is one shared read-only batch however many queries consume it, so
 // emission is O(groups + Q), never O(groups x Q)).
@@ -226,12 +223,9 @@ func TestAggBatchAllocBudget(t *testing.T) {
 	perTuple := map[string]float64{}
 	for _, cfg := range []struct {
 		size, tails int
-	}{{0, 1}, {1024, 1}, {1024, 16}, {1024, 64}} {
+	}{{1, 1}, {1024, 1}, {1024, 16}, {1024, 64}} {
 		cfg := cfg
-		key := "rowwise"
-		if cfg.size > 0 {
-			key = fmt.Sprintf("batch=%d/tails=%d", cfg.size, cfg.tails)
-		}
+		key := fmt.Sprintf("batch=%d/tails=%d", cfg.size, cfg.tails)
 		limit, ok := budget.AggAllocsPerTuple[key]
 		if !ok {
 			t.Errorf("alloc_budget.json has no agg budget for %s", key)
@@ -248,10 +242,10 @@ func TestAggBatchAllocBudget(t *testing.T) {
 				"raise alloc_budget.json in the same change", key, got, limit)
 		}
 	}
-	if row, ok := perTuple["rowwise"]; ok {
-		if batch, ok := perTuple["batch=1024/tails=1"]; ok && batch > 0.5*row {
-			t.Errorf("batch=1024 allocates %.4f/tuple, more than 50%% of rowwise's %.4f — "+
-				"column-at-a-time accumulation lost its amortization advantage", batch, row)
+	if one, ok := perTuple["batch=1/tails=1"]; ok {
+		if batch, ok := perTuple["batch=1024/tails=1"]; ok && batch > 0.5*one {
+			t.Errorf("batch=1024 allocates %.4f/tuple, more than 50%% of batch=1's %.4f — "+
+				"column-at-a-time accumulation lost its amortization advantage", batch, one)
 		}
 	}
 	if one, ok := perTuple["batch=1024/tails=1"]; ok {

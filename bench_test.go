@@ -315,55 +315,51 @@ func BenchmarkSymmetricHashJoin(b *testing.B) {
 	j := exec.NewSymmetricHashJoin([]string{"id"}, []string{"id"})
 	sink := exec.SinkFunc(func(exec.Tag, *tuple.Tuple) {})
 	j.SetParent(sink)
-	rows := make([]*tuple.Tuple, 1024)
+	rows := make([]*tuple.Batch, 1024) // batch=1: one row per push
 	for i := range rows {
-		rows[i] = tuple.New("r").Set("id", tuple.Int(int64(i%128))).Set("v", tuple.Int(int64(i)))
+		rows[i] = tuple.OfTuple(tuple.New("r").Set("id", tuple.Int(int64(i%128))).Set("v", tuple.Int(int64(i))))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tag := exec.Tag(i + 1) // fresh probe per iteration bounds state
-		j.PushLeft(tag, rows[i%len(rows)])
-		j.PushRight(tag, rows[(i+7)%len(rows)])
+		j.PushBatchLeft(tag, rows[i%len(rows)])
+		j.PushBatchRight(tag, rows[(i+7)%len(rows)])
 	}
 }
 
-// BenchmarkGroupSetAdd measures the aggregation inner loop.
+// BenchmarkGroupSetAdd measures the aggregation inner loop at batch=1.
 func BenchmarkGroupSetAdd(b *testing.B) {
 	g := exec.NewGroupSet([]string{"src"}, []exec.AggSpec{
 		{Kind: exec.AggCount, As: "cnt"},
 		{Kind: exec.AggSum, Col: "bytes", As: "total"},
 	})
-	rows := make([]*tuple.Tuple, 64)
+	rows := make([]*tuple.Batch, 64)
 	for i := range rows {
-		rows[i] = tuple.New("fw").
+		rows[i] = tuple.OfTuple(tuple.New("fw").
 			Set("src", tuple.String(fmt.Sprintf("10.0.0.%d", i%16))).
-			Set("bytes", tuple.Int(int64(i)))
+			Set("bytes", tuple.Int(int64(i))))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Add(rows[i%len(rows)])
+		g.AddBatch(rows[i%len(rows)])
 	}
 }
 
 // BenchmarkExecBatchThroughput measures the vectorized operator path:
 // one op pushes a fixed 8192-row dataset through Select(compiled
-// predicate) → GroupBy(count+sum) and flushes. rowwise drives the
-// compatibility Push path (per-tuple Eval with name lookups, per-tuple
-// group keys); batch=N drives PushBatch with pre-built columnar batches.
-// The rows carry the predicate/group columns LAST among eight columns,
-// so the row path pays the honest name-scan cost the batch path
-// amortizes to one column-index resolution per batch. tuples/s is the
+// predicate) → GroupBy(count+sum) and flushes, as pre-built columnar
+// batches of N rows. batch=1 is what a lone row costs on the one edge
+// (per-row column resolution, per-row group keys); larger batches
+// amortize it. The rows carry the predicate/group columns LAST among the
+// filler columns, so batch=1 pays the honest per-row resolution cost a
+// batch amortizes to one column-index resolution. tuples/s is the
 // comparable work metric; the allocation side is gated per tuple by
 // TestExecBatchAllocBudget against alloc_budget.json.
 func BenchmarkExecBatchThroughput(b *testing.B) {
-	for _, size := range []int{0, 1, 64, 1024} {
+	for _, size := range []int{1, 64, 1024} {
 		size := size
-		name := "rowwise"
-		if size > 0 {
-			name = fmt.Sprintf("batch=%d", size)
-		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			runExecBatch(b, size)
 		})
 	}
@@ -374,8 +370,8 @@ const execBatchRows = 8192
 
 // execBatchSchema places the hot columns last among filler columns, the
 // shape of the paper's firewall-log tuples (timestamps, interface ids,
-// flags ahead of the queried fields): the row path re-scans the names
-// for every tuple, the batch path resolves each index once per batch.
+// flags ahead of the queried fields): each index is resolved once per
+// batch, so once per row at batch=1.
 var execBatchSchema = []string{
 	"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11",
 	"severity", "src", "score",
@@ -418,15 +414,10 @@ func buildExecBatchBatches(rows []*tuple.Tuple, size int) []*tuple.Batch {
 }
 
 // runExecBatch is the body shared by BenchmarkExecBatchThroughput and the
-// allocation-budget gate (TestExecBatchAllocBudget). batchSize 0 is the
-// row-wise reference path.
+// allocation-budget gate (TestExecBatchAllocBudget).
 func runExecBatch(b *testing.B, batchSize int) {
 	b.ReportAllocs()
-	rows := buildExecBatchTuples()
-	var batches []*tuple.Batch
-	if batchSize > 0 {
-		batches = buildExecBatchBatches(rows, batchSize)
-	}
+	batches := buildExecBatchBatches(buildExecBatchTuples(), batchSize)
 	sel := exec.NewSelect(expr.MustParse("severity > 2 AND score <= 90"))
 	gb := exec.NewGroupBy([]string{"src"}, []exec.AggSpec{
 		{Kind: exec.AggCount, As: "cnt"},
@@ -438,14 +429,8 @@ func runExecBatch(b *testing.B, batchSize int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tag := exec.Tag(i + 1) // fresh probe per pass bounds group state
-		if batchSize == 0 {
-			for _, t := range rows {
-				sel.Push(tag, t)
-			}
-		} else {
-			for _, bt := range batches {
-				sel.PushBatch(tag, bt)
-			}
+		for _, bt := range batches {
+			sel.PushBatch(tag, bt)
 		}
 		gb.Flush(tag)
 	}
@@ -463,22 +448,18 @@ func runExecBatch(b *testing.B, batchSize int) {
 // GroupBy(count + int sum + float avg + float max + string min keyed by
 // src), flushes the window as ONE columnar batch, and fans that batch
 // through a Demux to Q attached tails — the shape of Q structurally
-// identical continuous aggregates sharing one chain. rowwise drives the
-// per-tuple Push/emit compatibility path; batch=N drives
-// AddBatch/EmitBatch. The tails axis isolates the emission contract:
+// identical continuous aggregates sharing one chain. batch=1 is the
+// per-row cost of AddBatch, batch=1024 the amortized one; both flush
+// through EmitBatch. The tails axis isolates the emission contract:
 // the flushed window is encoded into ONE shared read-only batch however
 // many queries consume it, so cost scales O(groups + Q), not
 // O(groups x Q) — tails=64 must stay within noise of tails=1. Gated per
 // tuple by TestAggBatchAllocBudget against alloc_budget.json.
 func BenchmarkGroupByColumnar(b *testing.B) {
-	for _, size := range []int{0, 1024} {
+	for _, size := range []int{1, 1024} {
 		for _, tails := range []int{1, 16, 64} {
 			size, tails := size, tails
-			name := "rowwise"
-			if size > 0 {
-				name = fmt.Sprintf("batch=%d", size)
-			}
-			b.Run(fmt.Sprintf("%s/tails=%d", name, tails), func(b *testing.B) {
+			b.Run(fmt.Sprintf("batch=%d/tails=%d", size, tails), func(b *testing.B) {
 				runGroupByColumnar(b, size, tails)
 			})
 		}
@@ -490,20 +471,13 @@ func BenchmarkGroupByColumnar(b *testing.B) {
 // aggregation and fan-out cost itself.
 type aggTail struct{ rows int }
 
-func (c *aggTail) Push(_ exec.Tag, _ *tuple.Tuple) { c.rows++ }
-
 func (c *aggTail) PushBatch(_ exec.Tag, b *tuple.Batch) { c.rows += b.Len() }
 
 // runGroupByColumnar is the body shared by BenchmarkGroupByColumnar and
-// the allocation gate (TestAggBatchAllocBudget). batchSize 0 is the
-// row-wise reference path.
+// the allocation gate (TestAggBatchAllocBudget).
 func runGroupByColumnar(b *testing.B, batchSize, tails int) {
 	b.ReportAllocs()
-	rows := buildExecBatchTuples()
-	var batches []*tuple.Batch
-	if batchSize > 0 {
-		batches = buildExecBatchBatches(rows, batchSize)
-	}
+	batches := buildExecBatchBatches(buildExecBatchTuples(), batchSize)
 	gb := exec.NewGroupBy([]string{"src"}, []exec.AggSpec{
 		{Kind: exec.AggCount, As: "cnt"},
 		{Kind: exec.AggSum, Col: "severity", As: "sevsum"},
@@ -521,14 +495,8 @@ func runGroupByColumnar(b *testing.B, batchSize, tails int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tag := exec.Tag(i + 1) // fresh window per pass bounds group state
-		if batchSize == 0 {
-			for _, t := range rows {
-				gb.Push(tag, t)
-			}
-		} else {
-			for _, bt := range batches {
-				gb.PushBatch(tag, bt)
-			}
+		for _, bt := range batches {
+			gb.PushBatch(tag, bt)
 		}
 		gb.Flush(tag)
 	}

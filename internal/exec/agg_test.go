@@ -183,7 +183,7 @@ func TestGroupSetAddEmit(t *testing.T) {
 		{Kind: AggSum, Col: "bytes", As: "total"},
 	})
 	add := func(src string, b int64) {
-		g.Add(tuple.New("fw").Set("src", tuple.String(src)).Set("bytes", tuple.Int(b)))
+		g.AddBatch(tuple.OfTuple(tuple.New("fw").Set("src", tuple.String(src)).Set("bytes", tuple.Int(b))))
 	}
 	add("a", 10)
 	add("b", 5)
@@ -210,7 +210,7 @@ func TestGroupSetMergeEncodedRoundTrip(t *testing.T) {
 	mk := func(rows ...[2]int64) *GroupSet {
 		g := NewGroupSet([]string{"k"}, spec)
 		for _, r := range rows {
-			g.Add(tuple.New("t").Set("k", tuple.Int(r[0])).Set("v", tuple.Int(r[1])))
+			g.AddBatch(tuple.OfTuple(tuple.New("t").Set("k", tuple.Int(r[0])).Set("v", tuple.Int(r[1]))))
 		}
 		return g
 	}
@@ -247,7 +247,7 @@ func TestGroupSetMergeEncodedGarbage(t *testing.T) {
 func TestGroupSetNoKeysGlobalAggregate(t *testing.T) {
 	g := NewGroupSet(nil, []AggSpec{{Kind: AggCount, As: "n"}})
 	for i := 0; i < 5; i++ {
-		g.Add(tuple.New("t").Set("x", tuple.Int(int64(i))))
+		g.AddBatch(tuple.OfTuple(tuple.New("t").Set("x", tuple.Int(int64(i)))))
 	}
 	if g.Len() != 1 {
 		t.Fatalf("global aggregate groups = %d, want 1", g.Len())
@@ -267,9 +267,9 @@ func TestGroupByOperatorFlushEmitsAndResets(t *testing.T) {
 	gb.SetChild(in)
 	gb.Open(1)
 	for i := 0; i < 3; i++ {
-		in.Inject(tuple.New("fw").Set("src", tuple.String("a")))
+		push(in, 0, tuple.New("fw").Set("src", tuple.String("a")))
 	}
-	in.Inject(tuple.New("fw").Set("src", tuple.String("b")))
+	push(in, 0, tuple.New("fw").Set("src", tuple.String("b")))
 	if len(out.tuples) != 0 {
 		t.Fatal("group-by emitted before flush")
 	}
@@ -278,7 +278,7 @@ func TestGroupByOperatorFlushEmitsAndResets(t *testing.T) {
 		t.Fatalf("flush emitted %d, want 2", len(out.tuples))
 	}
 	// After flush the window resets: same input counts again from zero.
-	in.Inject(tuple.New("fw").Set("src", tuple.String("a")))
+	push(in, 0, tuple.New("fw").Set("src", tuple.String("a")))
 	gb.Flush(1)
 	last := out.tuples[len(out.tuples)-1]
 	if v, _ := last.Get("cnt"); v.String() != "1" {
@@ -288,7 +288,7 @@ func TestGroupByOperatorFlushEmitsAndResets(t *testing.T) {
 
 func TestGroupByMissingKeyDiscards(t *testing.T) {
 	gb := NewGroupBy([]string{"src"}, []AggSpec{{Kind: AggCount}})
-	gb.Push(1, tuple.New("fw").Set("other", tuple.Int(1)))
+	push(gb, 1, tuple.New("fw").Set("other", tuple.Int(1)))
 	if gb.Dropped.Count() != 1 {
 		t.Error("tuple without group key must be discarded")
 	}
@@ -299,7 +299,7 @@ func TestTopKKeepsLargest(t *testing.T) {
 	out := &collect{}
 	tk.SetParent(out)
 	for _, v := range []int64{5, 1, 9, 3, 7, 2} {
-		tk.Push(1, tuple.New("t").Set("cnt", tuple.Int(v)))
+		push(tk, 1, tuple.New("t").Set("cnt", tuple.Int(v)))
 	}
 	tk.Flush(1)
 	if len(out.tuples) != 3 {
@@ -319,7 +319,7 @@ func TestTopKAscending(t *testing.T) {
 	out := &collect{}
 	tk.SetParent(out)
 	for _, v := range []int64{5, 1, 9, 3} {
-		tk.Push(1, tuple.New("t").Set("cnt", tuple.Int(v)))
+		push(tk, 1, tuple.New("t").Set("cnt", tuple.Int(v)))
 	}
 	tk.Flush(1)
 	if len(out.tuples) != 2 {
@@ -334,7 +334,7 @@ func TestTopKFewerThanK(t *testing.T) {
 	tk := NewTopK(10, "cnt")
 	out := &collect{}
 	tk.SetParent(out)
-	tk.Push(1, tuple.New("t").Set("cnt", tuple.Int(1)))
+	push(tk, 1, tuple.New("t").Set("cnt", tuple.Int(1)))
 	tk.Flush(1)
 	if len(out.tuples) != 1 {
 		t.Fatalf("emitted %d, want 1", len(out.tuples))
@@ -355,11 +355,11 @@ func TestPropertyGroupSetMergePartitionInvariance(t *testing.T) {
 		cut := int(boundary) % (len(keys) + 1)
 		for i, k := range keys {
 			tp := tuple.New("t").Set("k", tuple.Int(int64(k%8))).Set("v", tuple.Int(int64(k)))
-			central.Add(tp)
+			central.AddBatch(tuple.OfTuple(tp))
 			if i < cut {
-				left.Add(tp)
+				left.AddBatch(tuple.OfTuple(tp))
 			} else {
-				right.Add(tp)
+				right.AddBatch(tuple.OfTuple(tp))
 			}
 		}
 		if err := left.MergeEncoded(right.Encode()); err != nil {

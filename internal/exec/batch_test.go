@@ -9,11 +9,12 @@ import (
 	"pier/internal/tuple"
 )
 
-// The differential harness behind satellite FuzzBatchVsRowEquivalence:
-// every converted operator must produce the identical output tuple
-// sequence whether its input arrives row-at-a-time (Push, the reference
-// path) or as batches (PushBatch, the vectorized path), for any seeded
-// random input and any batch partitioning. Flush behavior must match too.
+// The differential harness behind FuzzBatchVsRowEquivalence: every
+// operator must produce the identical output tuple sequence whether its
+// input arrives as row-backed batches of one (push: the reference branch
+// of each PushBatch) or as batches of any size, columnar or row-backed
+// (the typed kernels), for any seeded random input and any partitioning.
+// Flush behavior must match too.
 
 // genSchema is the uniform column set of generated rows.
 var genSchema = []string{"severity", "src", "score", "mixed"}
@@ -71,21 +72,21 @@ func toBatches(rng *rand.Rand, rows []*tuple.Tuple) []*tuple.Batch {
 }
 
 // runBoth drives two freshly built copies of the same operator graph —
-// one row-wise, one batched — over the same rows and returns both output
-// sequences. mk must return the graph's entry Op and a collector wired as
-// its parent.
+// one a row at a time, one batched — over the same rows and returns both
+// output sequences. mk must return the graph's entry Op and a collector
+// wired as its parent.
 func runBoth(rng *rand.Rand, rows []*tuple.Tuple, mk func() (Op, *collect)) (rowOut, batchOut []string) {
 	rowOp, rowC := mk()
 	rowOp.Open(1)
 	for _, t := range rows {
-		rowOp.Push(1, t)
+		push(rowOp, 1, t)
 	}
 	rowOp.Flush(1)
 
 	batchOp, batchC := mk()
 	batchOp.Open(1)
 	for _, b := range toBatches(rng, rows) {
-		PushBatchTo(batchOp, 1, b)
+		batchOp.PushBatch(1, b)
 	}
 	batchOp.Flush(1)
 	return rowC.strings(), batchC.strings()
@@ -279,6 +280,16 @@ var diffGraphs = []struct {
 		tk.SetParent(c)
 		return tk, c
 	}},
+	{"eddy", func() (Op, *collect) {
+		// Same seed both sides: the lottery draws must come in row order
+		// however the rows were batched.
+		e := NewEddy(rand.New(rand.NewSource(5)))
+		e.AddModule("sev", expr.MustParse("severity > 0"))
+		e.AddModule("mixed", expr.MustParse("mixed >= 2"))
+		c := &collect{}
+		e.SetParent(c)
+		return e, c
+	}},
 }
 
 func TestBatchVsRowEquivalence(t *testing.T) {
@@ -308,10 +319,10 @@ func TestJoinBatchVsRowEquivalence(t *testing.T) {
 
 		jr, cr := mk()
 		for _, t2 := range left {
-			jr.PushLeft(1, t2)
+			jr.PushBatchLeft(1, tuple.OfTuple(t2))
 		}
 		for _, t2 := range right {
-			jr.PushRight(1, t2)
+			jr.PushBatchRight(1, tuple.OfTuple(t2))
 		}
 
 		jb, cb := mk()
@@ -350,7 +361,7 @@ func TestQueueBatchVsRowEquivalence(t *testing.T) {
 				}
 			} else {
 				for _, t2 := range rows {
-					q.Push(1, t2)
+					push(q, 1, t2)
 				}
 			}
 			for len(deferred) > 0 {
@@ -378,7 +389,7 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 	q.SetParent(sink)
 
 	for i := 0; i < 10000; i++ {
-		q.Push(1, row(int64(i)))
+		push(q, 1, row(int64(i)))
 	}
 	if q.Cap() < 10000 {
 		t.Fatalf("burst did not grow the buffer: cap=%d", q.Cap())
@@ -396,7 +407,7 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 	}
 
 	// And the queue still works after shrinking.
-	q.Push(1, row(1))
+	push(q, 1, row(1))
 	for len(deferred) > 0 {
 		fn := deferred[0]
 		deferred = deferred[1:]
@@ -416,7 +427,7 @@ func TestQueueShrinksWhenMostlyDrained(t *testing.T) {
 	sink := &collect{}
 	q.SetParent(sink)
 	for i := 0; i < 4096; i++ {
-		q.Push(1, row(int64(i)))
+		push(q, 1, row(int64(i)))
 	}
 	grown := q.Cap()
 	// Drain most of the way but stop before empty.
@@ -434,8 +445,8 @@ func TestQueueShrinksWhenMostlyDrained(t *testing.T) {
 }
 
 // FuzzBatchVsRowEquivalence fuzzes the full differential harness: any
-// seed and any partitioning must keep the row-wise and batch paths
-// bit-identical across every converted operator graph.
+// seed and any partitioning must keep the reference branch and the batch
+// kernels bit-identical across every operator graph.
 func FuzzBatchVsRowEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(1234), int64(5678))

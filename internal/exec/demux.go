@@ -64,18 +64,11 @@ func (d *Demux) Live() int { return d.targets.Live() }
 // Retired reports whether the last target has detached.
 func (d *Demux) Retired() bool { return d.targets.Retired() }
 
-// Push fans one tuple to every live target under its own tag. The
-// incoming tag is the shared chain's and is deliberately dropped.
-func (d *Demux) Push(_ Tag, t *tuple.Tuple) {
-	d.targets.Each(func(tg *DemuxTarget) {
-		tg.sink.Push(tg.tag, t)
-	})
-}
-
 // PushBatch fans one shared read-only batch to every live target under
-// its own tag.
+// its own tag. The incoming tag is the shared chain's and is deliberately
+// dropped.
 func (d *Demux) PushBatch(_ Tag, b *tuple.Batch) {
 	d.targets.Each(func(tg *DemuxTarget) {
-		PushBatchTo(tg.sink, tg.tag, b)
+		tg.sink.PushBatch(tg.tag, b)
 	})
 }

@@ -14,7 +14,7 @@ func TestDemuxFansOutUnderTargetTags(t *testing.T) {
 	d.Attach(7, a)
 	d.Attach(9, b)
 
-	d.Push(1, row(1))
+	push(d, 1, row(1))
 	batch := tuple.FromTuples([]*tuple.Tuple{row(2), row(3)})
 	d.PushBatch(1, batch)
 
@@ -46,7 +46,7 @@ func TestDemuxRetiresOnLastDetach(t *testing.T) {
 
 	ta.Detach()
 	ta.Detach() // idempotent
-	d.Push(0, row(1))
+	push(d, 0, row(1))
 	if len(a.tuples) != 0 || len(b.tuples) != 1 {
 		t.Fatalf("detached target still fed: a=%d b=%d", len(a.tuples), len(b.tuples))
 	}
@@ -73,11 +73,11 @@ func TestDemuxDetachDuringDispatch(t *testing.T) {
 	ta = d.Attach(1, a)
 	d.Attach(2, b)
 
-	d.Push(0, row(1))
+	push(d, 0, row(1))
 	if len(b.tuples) != 1 {
 		t.Fatalf("mid-dispatch detach starved a later target: got %d", len(b.tuples))
 	}
-	d.Push(0, row(2))
+	push(d, 0, row(2))
 	if len(b.tuples) != 2 {
 		t.Fatalf("second dispatch after detach: got %d, want 2", len(b.tuples))
 	}

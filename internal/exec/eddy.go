@@ -20,7 +20,7 @@ import (
 // visited set by ticket weight, with a floor so every module keeps
 // getting explored as data characteristics drift.
 type Eddy struct {
-	base
+	Base
 	modules []eddyModule
 	rng     *rand.Rand
 	// Emitted and Routed count output tuples and module visits, for
@@ -28,7 +28,6 @@ type Eddy struct {
 	Emitted uint64
 	Routed  uint64
 	Dropped Discarded
-	child   Op
 }
 
 type eddyModule struct {
@@ -49,14 +48,7 @@ func (e *Eddy) AddModule(name string, pred expr.Expr) {
 }
 
 // SetChild wires the input subtree.
-func (e *Eddy) SetChild(c Op) { e.child = c; c.SetParent(e) }
-
-// Open forwards the probe.
-func (e *Eddy) Open(tag Tag) {
-	if e.child != nil {
-		e.child.Open(tag)
-	}
-}
+func (e *Eddy) SetChild(c Op) { e.Adopt(e, c) }
 
 // tickets returns the module's routing weight: modules that drop more get
 // more tickets so they run earlier. The +1 floor keeps exploration alive.
@@ -67,8 +59,21 @@ func (m *eddyModule) tickets() float64 {
 	return 1 + 99*float64(m.dropped)/float64(m.seen)
 }
 
-// Push routes one tuple through all modules in adaptively chosen order.
-func (e *Eddy) Push(tag Tag, t *tuple.Tuple) {
+// PushBatch routes the batch's rows one at a time, in row order (routing
+// is per tuple and every lottery draw moves the shared random stream), and
+// emits each survivor as a batch of one.
+func (e *Eddy) PushBatch(tag Tag, b *tuple.Batch) {
+	for i, n := 0, b.Len(); i < n; i++ {
+		if t := b.Row(i); e.route(t) {
+			e.Emitted++
+			e.Emit(tag, tuple.OfTuple(t))
+		}
+	}
+}
+
+// route sends one tuple through all modules in adaptively chosen order
+// and reports whether it passed every one.
+func (e *Eddy) route(t *tuple.Tuple) bool {
 	remaining := make([]int, len(e.modules))
 	for i := range remaining {
 		remaining[i] = i
@@ -97,17 +102,16 @@ func (e *Eddy) Push(tag Tag, t *tuple.Tuple) {
 		v, ok := m.pred.Eval(t)
 		if !ok {
 			m.dropped++
-			e.Dropped.inc()
-			return
+			e.Dropped.Inc()
+			return false
 		}
 		b, ok := v.AsBool()
 		if !ok || !b {
 			m.dropped++
-			return
+			return false
 		}
 	}
-	e.Emitted++
-	e.emit(tag, t)
+	return true
 }
 
 // ModuleStats reports (seen, dropped) for the named module.
@@ -118,18 +122,4 @@ func (e *Eddy) ModuleStats(name string) (seen, dropped uint64) {
 		}
 	}
 	return 0, 0
-}
-
-// Flush forwards to the child.
-func (e *Eddy) Flush(tag Tag) {
-	if e.child != nil {
-		e.child.Flush(tag)
-	}
-}
-
-// Close forwards to the child.
-func (e *Eddy) Close() {
-	if e.child != nil {
-		e.child.Close()
-	}
 }

@@ -117,49 +117,12 @@ func NewGroupSet(keys []string, aggs []AggSpec) *GroupSet {
 // Len returns the number of groups.
 func (g *GroupSet) Len() int { return len(g.groups) }
 
-// Add folds one raw tuple into its group. Tuples missing a key column are
-// discarded (malformed policy); missing aggregate inputs simply do not
-// contribute to that aggregate.
-func (g *GroupSet) Add(t *tuple.Tuple) bool {
-	key := ""
-	if len(g.Keys) > 0 {
-		k, ok := t.KeyString(g.Keys...)
-		if !ok {
-			return false
-		}
-		key = k
-	}
-	e := g.groups[key]
-	if e == nil {
-		keyTuple := tuple.New(t.Table()).Project() // empty, same table
-		for _, kc := range g.Keys {
-			v, _ := t.Get(kc)
-			keyTuple.Set(kc, v)
-		}
-		e = &groupEntry{key: keyTuple, states: make([]AggState, len(g.Aggs))}
-		for i, a := range g.Aggs {
-			e.states[i] = NewAggState(a.Kind)
-		}
-		g.groups[key] = e
-		g.order = append(g.order, key)
-	}
-	for i, a := range g.Aggs {
-		if a.Col == "" {
-			e.states[i].Add(tuple.Null())
-			continue
-		}
-		if v, ok := t.Get(a.Col); ok {
-			e.states[i].Add(v)
-		}
-	}
-	return true
-}
-
 // AddBatch folds a whole batch into the table, returning how many rows
-// were discarded as malformed (missing key column). Keys are built into a
-// reused scratch buffer and the map is read without allocating; for
-// columnar batches every column reference is resolved once up front.
-// Missing aggregate inputs simply do not contribute, as in Add.
+// were discarded as malformed (missing key column); missing aggregate
+// inputs simply do not contribute to that aggregate. Keys are built into
+// a reused scratch buffer and the map is read without allocating; for
+// columnar batches every column reference is resolved once up front. The
+// row-backed branch is the semantics reference for the typed kernels.
 func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 	n := b.Len()
 	if n == 0 {
@@ -264,7 +227,7 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 		a := g.Aggs[ai]
 		ci := aggIdx[ai]
 		if a.Col != "" && ci < 0 {
-			continue // missing aggregate input contributes nothing (as in Add)
+			continue // missing aggregate input contributes nothing
 		}
 		if g.foldColumn(b, a, ai, ci, slots, touched) {
 			continue
@@ -609,7 +572,7 @@ func (g *GroupSet) EmitBatch(table string) *tuple.Batch {
 		e := g.groups[key]
 		for ki, kc := range g.Keys {
 			// Key columns are always present on key tuples built by
-			// Add/AddBatch; a partial decoded off the wire could lack one,
+			// AddBatch; a partial decoded off the wire could lack one,
 			// in which case the column holds an explicit null.
 			v, _ := e.key.Get(kc)
 			row[ki] = v
@@ -634,15 +597,14 @@ func (g *GroupSet) Reset() {
 // timer (§3.3.2); Flush emits and resets, giving per-window semantics for
 // continuous queries.
 type GroupBy struct {
-	base
+	Base
 	Keys []string
 	Aggs []AggSpec
 	// OutTable names emitted tuples; defaults to "groupby".
 	OutTable string
 	Dropped  Discarded
 
-	sets  map[Tag]*GroupSet
-	child Op
+	sets map[Tag]*GroupSet
 }
 
 // NewGroupBy creates an aggregation operator.
@@ -651,26 +613,7 @@ func NewGroupBy(keys []string, aggs []AggSpec) *GroupBy {
 }
 
 // SetChild wires the child for control propagation.
-func (g *GroupBy) SetChild(c Op) { g.child = c; c.SetParent(g) }
-
-// Open forwards the probe.
-func (g *GroupBy) Open(tag Tag) {
-	if g.child != nil {
-		g.child.Open(tag)
-	}
-}
-
-// Push absorbs one tuple into its group.
-func (g *GroupBy) Push(tag Tag, t *tuple.Tuple) {
-	set := g.sets[tag]
-	if set == nil {
-		set = NewGroupSet(g.Keys, g.Aggs)
-		g.sets[tag] = set
-	}
-	if !set.Add(t) {
-		g.Dropped.inc()
-	}
-}
+func (g *GroupBy) SetChild(c Op) { g.Adopt(g, c) }
 
 // PushBatch absorbs a whole batch into the probe's group table.
 func (g *GroupBy) PushBatch(tag Tag, b *tuple.Batch) {
@@ -679,24 +622,22 @@ func (g *GroupBy) PushBatch(tag Tag, b *tuple.Batch) {
 		set = NewGroupSet(g.Keys, g.Aggs)
 		g.sets[tag] = set
 	}
-	g.Dropped.add(set.AddBatch(b))
+	g.Dropped.Add(set.AddBatch(b))
 }
 
 // Flush emits the accumulated groups downstream and resets the window.
 // The window leaves as one columnar batch so a Demux parent can fan a
 // single emission to every attached query tail.
 func (g *GroupBy) Flush(tag Tag) {
-	if g.child != nil {
-		g.child.Flush(tag)
-	}
+	g.In.Flush(tag)
 	set := g.sets[tag]
 	if set == nil {
 		return
 	}
 	if b := set.EmitBatch(g.OutTable); b != nil {
-		g.emitBatch(tag, b)
+		g.Emit(tag, b)
 	} else {
-		set.Emit(g.OutTable, func(t *tuple.Tuple) { g.emit(tag, t) })
+		set.Emit(g.OutTable, func(t *tuple.Tuple) { g.Emit(tag, tuple.OfTuple(t)) })
 	}
 	delete(g.sets, tag)
 }
@@ -704,16 +645,14 @@ func (g *GroupBy) Flush(tag Tag) {
 // Close drops all state.
 func (g *GroupBy) Close() {
 	g.sets = make(map[Tag]*GroupSet)
-	if g.child != nil {
-		g.child.Close()
-	}
+	g.In.Close()
 }
 
 // TopK retains the K tuples with the greatest (or least) value of a
 // column and emits them in order on Flush. It is the final step of
 // queries like Figure 2's "top ten sources of firewall events".
 type TopK struct {
-	base
+	Base
 	K   int
 	Col string
 	// Ascending selects the K smallest instead of the K largest.
@@ -721,7 +660,6 @@ type TopK struct {
 	Dropped   Discarded
 
 	heaps map[Tag][]topkItem
-	child Op
 }
 
 type topkItem struct {
@@ -735,36 +673,19 @@ func NewTopK(k int, col string) *TopK {
 }
 
 // SetChild wires the child for control propagation.
-func (tk *TopK) SetChild(c Op) { tk.child = c; c.SetParent(tk) }
+func (tk *TopK) SetChild(c Op) { tk.Adopt(tk, c) }
 
-// Open forwards the probe.
-func (tk *TopK) Open(tag Tag) {
-	if tk.child != nil {
-		tk.child.Open(tag)
-	}
-}
-
-// Push considers one tuple for the running top-K.
-func (tk *TopK) Push(tag Tag, t *tuple.Tuple) {
-	v, ok := t.Get(tk.Col)
-	if !ok {
-		tk.Dropped.inc()
-		return
-	}
-	tk.insert(tag, v, t)
-}
-
-// PushBatch considers every row of a batch. Only the column resolution is
-// vectorized: the retained set must match the row path bit for bit, and
-// with a comparator that is partial over mixed-kind values a single
-// end-of-batch sort is NOT equivalent to the row path's sort-per-insert,
-// so each row goes through the same insert helper Push uses.
+// PushBatch considers every row of a batch for the running top-K. Only
+// the column resolution is vectorized: with a comparator that is partial
+// over mixed-kind values a single end-of-batch sort is NOT equivalent to
+// sort-per-insert, and the retained set must not depend on how the rows
+// were batched, so each row goes through insert on its own.
 func (tk *TopK) PushBatch(tag Tag, b *tuple.Batch) {
 	n := b.Len()
 	if b.Columnar() {
 		ci, ok := b.ColIndex(tk.Col)
 		if !ok {
-			tk.Dropped.add(n)
+			tk.Dropped.Add(n)
 			return
 		}
 		for i := 0; i < n; i++ {
@@ -776,14 +697,14 @@ func (tk *TopK) PushBatch(tag Tag, b *tuple.Batch) {
 		t := b.Row(i)
 		v, ok := t.Get(tk.Col)
 		if !ok {
-			tk.Dropped.inc()
+			tk.Dropped.Inc()
 			continue
 		}
 		tk.insert(tag, v, t)
 	}
 }
 
-// insert is the shared per-row ranking step behind Push and PushBatch.
+// insert is the per-row ranking step.
 func (tk *TopK) insert(tag Tag, v tuple.Value, t *tuple.Tuple) {
 	items := append(tk.heaps[tag], topkItem{v: v, t: t})
 	// K is small (10 in Figure 2); sort-and-trim keeps the code simple
@@ -804,13 +725,12 @@ func (tk *TopK) insert(tag Tag, v tuple.Value, t *tuple.Tuple) {
 	tk.heaps[tag] = items
 }
 
-// Flush emits the retained tuples in rank order and resets.
+// Flush emits the retained tuples in rank order, each a batch of one, and
+// resets.
 func (tk *TopK) Flush(tag Tag) {
-	if tk.child != nil {
-		tk.child.Flush(tag)
-	}
+	tk.In.Flush(tag)
 	for _, it := range tk.heaps[tag] {
-		tk.emit(tag, it.t)
+		tk.Emit(tag, tuple.OfTuple(it.t))
 	}
 	delete(tk.heaps, tag)
 }
@@ -818,7 +738,5 @@ func (tk *TopK) Flush(tag Tag) {
 // Close drops all state.
 func (tk *TopK) Close() {
 	tk.heaps = make(map[Tag][]topkItem)
-	if tk.child != nil {
-		tk.child.Close()
-	}
+	tk.In.Close()
 }

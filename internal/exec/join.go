@@ -15,12 +15,12 @@ import (
 // which a previous opgraph rehashed the relations (partitioned
 // parallelism, §3.3.6); locally the operator just sees two child streams.
 //
-// The batch path builds join keys into a reused scratch buffer (column
-// indices resolved once per columnar batch), stores row views in pointer
-// buckets so the map read path never allocates, and collects all join
-// outputs of one input batch into a single fresh output batch.
+// Join keys are built into a reused scratch buffer (column indices
+// resolved once per columnar batch), row views are stored in pointer
+// buckets so the map read path never allocates, and all join outputs of
+// one input batch leave as a single fresh output batch.
 type SymmetricHashJoin struct {
-	base
+	Out
 	// LeftKeys/RightKeys are the equijoin columns for each input.
 	LeftKeys, RightKeys []string
 	// OutTable names emitted join tuples.
@@ -43,19 +43,10 @@ type joinBucket struct {
 	rows []*tuple.Tuple
 }
 
-// joinPort adapts one side of the join to the (Batch)Sink interface, so
-// children wired via SetLeft/SetRight can hand over whole batches.
+// joinPort is the Sink one side's child pushes into.
 type joinPort struct {
 	j     *SymmetricHashJoin
 	right bool
-}
-
-func (p joinPort) Push(tag Tag, t *tuple.Tuple) {
-	if p.right {
-		p.j.pushRight(tag, t)
-	} else {
-		p.j.pushLeft(tag, t)
-	}
 }
 
 func (p joinPort) PushBatch(tag Tag, b *tuple.Batch) {
@@ -90,33 +81,15 @@ func (j *SymmetricHashJoin) Open(tag Tag) {
 	}
 }
 
-// Push routes a direct push (no slot information) to the left input; in
-// wired graphs SetLeft/SetRight intercept pushes per side.
-func (j *SymmetricHashJoin) Push(tag Tag, t *tuple.Tuple) { j.pushLeft(tag, t) }
-
-// PushBatch routes a direct batch (no slot information) to the left input.
+// PushBatch routes a direct batch (no slot information) to the left
+// input; in wired graphs SetLeft/SetRight intercept pushes per side.
 func (j *SymmetricHashJoin) PushBatch(tag Tag, b *tuple.Batch) { j.pushBatch(tag, b, false) }
 
-// PushLeft and PushRight are the two input ports, exported for graphs
-// built by hand or by the UFL loader.
-func (j *SymmetricHashJoin) PushLeft(tag Tag, t *tuple.Tuple) { j.pushLeft(tag, t) }
-
-// PushRight delivers a tuple to the right input port.
-func (j *SymmetricHashJoin) PushRight(tag Tag, t *tuple.Tuple) { j.pushRight(tag, t) }
-
-// PushBatchLeft delivers a batch to the left input port.
+// PushBatchLeft and PushBatchRight are the two input ports, exported for
+// graphs built by hand.
 func (j *SymmetricHashJoin) PushBatchLeft(tag Tag, b *tuple.Batch) { j.pushBatch(tag, b, false) }
 
-// PushBatchRight delivers a batch to the right input port.
 func (j *SymmetricHashJoin) PushBatchRight(tag Tag, b *tuple.Batch) { j.pushBatch(tag, b, true) }
-
-func (j *SymmetricHashJoin) pushLeft(tag Tag, t *tuple.Tuple) {
-	j.insertAndProbe(tag, t, j.LeftKeys, j.leftT, j.rightT, true)
-}
-
-func (j *SymmetricHashJoin) pushRight(tag Tag, t *tuple.Tuple) {
-	j.insertAndProbe(tag, t, j.RightKeys, j.rightT, j.leftT, false)
-}
 
 // sideTables returns the key columns, own table, and opposite table for
 // one input side.
@@ -125,34 +98,6 @@ func (j *SymmetricHashJoin) sideTables(right bool) ([]string, map[Tag]map[string
 		return j.RightKeys, j.rightT, j.leftT
 	}
 	return j.LeftKeys, j.leftT, j.rightT
-}
-
-func (j *SymmetricHashJoin) insertAndProbe(
-	tag Tag, t *tuple.Tuple, keys []string,
-	mine, theirs map[Tag]map[string]*joinBucket, fromLeft bool,
-) {
-	kb, ok := t.AppendKey(j.keyBuf[:0], keys)
-	j.keyBuf = kb[:0]
-	if !ok {
-		j.Dropped.inc()
-		return
-	}
-	m := mine[tag]
-	if m == nil {
-		m = make(map[string]*joinBucket)
-		mine[tag] = m
-	}
-	bkt := m[string(kb)]
-	if bkt == nil {
-		bkt = &joinBucket{}
-		m[string(kb)] = bkt
-	}
-	bkt.rows = append(bkt.rows, t)
-	if other := theirs[tag][string(kb)]; other != nil {
-		for _, match := range other.rows {
-			j.emit(tag, j.joinRow(t, match, fromLeft))
-		}
-	}
 }
 
 // joinRow combines the arriving tuple with one match, preserving
@@ -181,9 +126,7 @@ func (j *SymmetricHashJoin) pushBatch(tag Tag, b *tuple.Batch, right bool) {
 			if !ok {
 				// Key column absent from the uniform schema: every row
 				// malformed.
-				for r := 0; r < n; r++ {
-					j.Dropped.inc()
-				}
+				j.Dropped.Add(n)
 				return
 			}
 			colIdx[i] = ci
@@ -205,7 +148,7 @@ func (j *SymmetricHashJoin) pushBatch(tag Tag, b *tuple.Batch, right bool) {
 			kb, ok = b.Row(i).AppendKey(j.keyBuf[:0], keys)
 			if !ok {
 				j.keyBuf = kb[:0]
-				j.Dropped.inc()
+				j.Dropped.Inc()
 				continue
 			}
 		}
@@ -223,12 +166,8 @@ func (j *SymmetricHashJoin) pushBatch(tag Tag, b *tuple.Batch, right bool) {
 			}
 		}
 	}
-	switch len(j.outs) {
-	case 0:
-	case 1:
-		j.emit(tag, j.outs[0])
-	default:
-		j.emitBatch(tag, tuple.FromTuples(append([]*tuple.Tuple(nil), j.outs...)))
+	if len(j.outs) > 0 {
+		j.Emit(tag, tuple.FromTuples(append([]*tuple.Tuple(nil), j.outs...)))
 	}
 }
 

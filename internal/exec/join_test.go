@@ -20,8 +20,8 @@ func TestSymmetricHashJoinBasicMatch(t *testing.T) {
 	j := NewSymmetricHashJoin([]string{"id"}, []string{"id"})
 	out := &collect{}
 	j.SetParent(out)
-	j.PushLeft(1, rRow(1, "a"))
-	j.PushRight(1, sRow(1, "x"))
+	j.PushBatchLeft(1, tuple.OfTuple(rRow(1, "a")))
+	j.PushBatchRight(1, tuple.OfTuple(sRow(1, "x")))
 	if len(out.tuples) != 1 {
 		t.Fatalf("emitted %d, want 1", len(out.tuples))
 	}
@@ -40,11 +40,11 @@ func TestSymmetricHashJoinNonBlockingEitherOrder(t *testing.T) {
 	j := NewSymmetricHashJoin([]string{"id"}, []string{"id"})
 	out := &collect{}
 	j.SetParent(out)
-	j.PushRight(1, sRow(7, "x")) // right first
+	j.PushBatchRight(1, tuple.OfTuple(sRow(7, "x"))) // right first
 	if len(out.tuples) != 0 {
 		t.Fatal("premature emission")
 	}
-	j.PushLeft(1, rRow(7, "a"))
+	j.PushBatchLeft(1, tuple.OfTuple(rRow(7, "a")))
 	if len(out.tuples) != 1 {
 		t.Fatal("no emission after matching left arrival")
 	}
@@ -54,10 +54,10 @@ func TestSymmetricHashJoinCrossProductPerKey(t *testing.T) {
 	j := NewSymmetricHashJoin([]string{"id"}, []string{"id"})
 	out := &collect{}
 	j.SetParent(out)
-	j.PushLeft(1, rRow(1, "a1"))
-	j.PushLeft(1, rRow(1, "a2"))
-	j.PushRight(1, sRow(1, "x1"))
-	j.PushRight(1, sRow(1, "x2"))
+	j.PushBatchLeft(1, tuple.OfTuple(rRow(1, "a1")))
+	j.PushBatchLeft(1, tuple.OfTuple(rRow(1, "a2")))
+	j.PushBatchRight(1, tuple.OfTuple(sRow(1, "x1")))
+	j.PushBatchRight(1, tuple.OfTuple(sRow(1, "x2")))
 	if len(out.tuples) != 4 {
 		t.Fatalf("emitted %d, want 2x2=4", len(out.tuples))
 	}
@@ -67,8 +67,8 @@ func TestSymmetricHashJoinNoFalseMatches(t *testing.T) {
 	j := NewSymmetricHashJoin([]string{"id"}, []string{"id"})
 	out := &collect{}
 	j.SetParent(out)
-	j.PushLeft(1, rRow(1, "a"))
-	j.PushRight(1, sRow(2, "x"))
+	j.PushBatchLeft(1, tuple.OfTuple(rRow(1, "a")))
+	j.PushBatchRight(1, tuple.OfTuple(sRow(2, "x")))
 	if len(out.tuples) != 0 {
 		t.Fatal("joined non-matching keys")
 	}
@@ -78,7 +78,7 @@ func TestSymmetricHashJoinMalformedDiscarded(t *testing.T) {
 	j := NewSymmetricHashJoin([]string{"id"}, []string{"id"})
 	out := &collect{}
 	j.SetParent(out)
-	j.PushLeft(1, tuple.New("R").Set("other", tuple.Int(1)))
+	j.PushBatchLeft(1, tuple.OfTuple(tuple.New("R").Set("other", tuple.Int(1))))
 	if j.Dropped.Count() != 1 {
 		t.Error("tuple without join key must be discarded")
 	}
@@ -88,8 +88,8 @@ func TestSymmetricHashJoinProbesIsolated(t *testing.T) {
 	j := NewSymmetricHashJoin([]string{"id"}, []string{"id"})
 	out := &collect{}
 	j.SetParent(out)
-	j.PushLeft(1, rRow(1, "a"))
-	j.PushRight(2, sRow(1, "x")) // different probe tag: no match
+	j.PushBatchLeft(1, tuple.OfTuple(rRow(1, "a")))
+	j.PushBatchRight(2, tuple.OfTuple(sRow(1, "x"))) // different probe tag: no match
 	if len(out.tuples) != 0 {
 		t.Fatal("state leaked across probes")
 	}
@@ -102,9 +102,9 @@ func TestSymmetricHashJoinMultiColumnKeys(t *testing.T) {
 	mk := func(table string, a, b int64) *tuple.Tuple {
 		return tuple.New(table).Set("a", tuple.Int(a)).Set("b", tuple.Int(b))
 	}
-	j.PushLeft(1, mk("R", 1, 2))
-	j.PushRight(1, mk("S", 1, 2))
-	j.PushRight(1, mk("S", 1, 3))
+	j.PushBatchLeft(1, tuple.OfTuple(mk("R", 1, 2)))
+	j.PushBatchRight(1, tuple.OfTuple(mk("S", 1, 2)))
+	j.PushBatchRight(1, tuple.OfTuple(mk("S", 1, 3)))
 	if len(out.tuples) != 1 {
 		t.Fatalf("emitted %d, want 1", len(out.tuples))
 	}
@@ -138,10 +138,10 @@ func TestSymmetricHashJoinEquivalentToNestedLoops(t *testing.T) {
 		li, si := 0, 0
 		for li < len(rs) || si < len(ss) {
 			if si >= len(ss) || (li < len(rs) && rng.Intn(2) == 0) {
-				j.PushLeft(1, rs[li])
+				j.PushBatchLeft(1, tuple.OfTuple(rs[li]))
 				li++
 			} else {
-				j.PushRight(1, ss[si])
+				j.PushBatchRight(1, tuple.OfTuple(ss[si]))
 				si++
 			}
 		}
@@ -156,8 +156,8 @@ func TestQueueDefersDelivery(t *testing.T) {
 	q := NewQueue(func(fn func()) { deferred = append(deferred, fn) })
 	out := &collect{}
 	q.SetParent(out)
-	q.Push(1, rRow(1, "a"))
-	q.Push(1, rRow(2, "b"))
+	push(q, 1, rRow(1, "a"))
+	push(q, 1, rRow(2, "b"))
 	if len(out.tuples) != 0 {
 		t.Fatal("queue must not deliver synchronously")
 	}
@@ -177,7 +177,7 @@ func TestQueueBatchYieldsRepeatedly(t *testing.T) {
 	out := &collect{}
 	q.SetParent(out)
 	for i := 0; i < 5; i++ {
-		q.Push(1, rRow(int64(i), "x"))
+		push(q, 1, rRow(int64(i), "x"))
 	}
 	for len(deferred) > 0 {
 		fn := deferred[0]
@@ -194,7 +194,7 @@ func TestQueueCloseDiscards(t *testing.T) {
 	q := NewQueue(func(fn func()) { deferred = append(deferred, fn) })
 	out := &collect{}
 	q.SetParent(out)
-	q.Push(1, rRow(1, "a"))
+	push(q, 1, rRow(1, "a"))
 	q.Close()
 	for _, fn := range deferred {
 		fn()
@@ -211,7 +211,7 @@ func TestEddyAllModulesApplied(t *testing.T) {
 	out := &collect{}
 	e.SetParent(out)
 	for i := int64(-5); i < 15; i++ {
-		e.Push(1, tuple.New("t").Set("id", tuple.Int(i)))
+		push(e, 1, tuple.New("t").Set("id", tuple.Int(i)))
 	}
 	// Only ids 1..9 pass both predicates.
 	if len(out.tuples) != 9 {
@@ -229,7 +229,7 @@ func TestEddyAdaptsTowardSelectiveModule(t *testing.T) {
 	e.SetParent(&collect{})
 	const n = 5000
 	for i := int64(0); i < n; i++ {
-		e.Push(1, tuple.New("t").Set("id", tuple.Int(i%1000)))
+		push(e, 1, tuple.New("t").Set("id", tuple.Int(i%1000)))
 	}
 	selSeen, _ := e.ModuleStats("selective")
 	permSeen, _ := e.ModuleStats("permissive")
@@ -248,7 +248,7 @@ func TestEddyMalformedCountsAsDrop(t *testing.T) {
 	e.AddModule("m", expr.MustParse("ghost = 1"))
 	out := &collect{}
 	e.SetParent(out)
-	e.Push(1, rRow(1, "a"))
+	push(e, 1, rRow(1, "a"))
 	if len(out.tuples) != 0 || e.Dropped.Count() != 1 {
 		t.Error("malformed tuple must be dropped and counted")
 	}

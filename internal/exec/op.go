@@ -5,10 +5,10 @@
 // PIER's event-driven core prohibits handlers from blocking, so the
 // classic pull iterator model is unusable. Instead control flows DOWN the
 // operator tree as probe requests (like iterator open), and data flows UP
-// via push: each operator calls its parent with a tuple as an argument
-// until the tuple is dropped (selection), absorbed into operator state
-// (join, group-by), or parked in an explicit Queue operator that yields
-// back to the scheduler. Every probe carries an arbitrary Tag so nested
+// via push: each operator calls its parent with a batch of tuples as the
+// argument until a tuple is dropped (selection), absorbed into operator
+// state (join, group-by), or parked in an explicit Queue operator that
+// yields back to the scheduler. Every probe carries an arbitrary Tag so nested
 // probes can be arbitrarily reordered while operators still match data to
 // stored state — the non-blocking substitute for the iterator model's
 // single outstanding get-next (§3.3.5).
@@ -17,19 +17,26 @@
 // Matches joins, hierarchical aggregation) are assembled in package qp;
 // this package is purely node-local.
 //
-// # Vectorized execution and the batch ownership contract
+// # One edge, and the batch ownership contract
 //
-// Data flows between operators as *tuple.Batch values: converted
-// operators implement BatchSink and process whole batches (column
-// indices resolved once, predicates compiled to vectorized loops, group
-// keys built without allocation); Push remains as the row-wise
-// compatibility path, and PushBatchTo bridges to sinks that only
-// implement Sink by materializing rows.
+// There is one data edge: a child calls its parent's PushBatch with a
+// *tuple.Batch. Operators process whole batches (column indices resolved
+// once, predicates compiled to vectorized loops, group keys built without
+// allocation); a lone row — a TopK rank, a join match, a fetched index
+// entry — crosses an edge as a batch of one (tuple.OfTuple). Every
+// PushBatch keeps a row-backed branch (!b.Columnar(): Pred.Eval,
+// Row(i).AppendKey, AggState.Add in row order) beside its typed-kernel
+// branch; the row-backed branch is the semantics reference, and
+// TestBatchVsRowEquivalence and FuzzBatchVsRowEquivalence hold the kernels
+// to it by feeding one copy of an operator row-backed batches of one and
+// the other a random columnar/row-backed partitioning of the same rows.
+// Rows are unrolled in exactly one place, SinkFunc, the row-oriented
+// client boundary.
 //
 // A batch handed downstream is governed by the same rules as a shared
 // dispatched tuple (internal/overlay/subs.go):
 //
-//   - A *tuple.Batch received from Push/PushBatch is SHARED — a Tee or
+//   - A *tuple.Batch received from PushBatch is SHARED — a Tee or
 //     the table bus hands the SAME batch to every consumer — and
 //     READ-ONLY. No operator may mutate its values, its selection, or a
 //     row view obtained from it.
@@ -62,11 +69,12 @@ import (
 // tuple so state can be matched even when probes are reordered.
 type Tag uint64
 
-// Sink receives pushed tuples; parents implement Sink for their children.
+// Sink receives pushed batches; parents implement Sink for their children.
 type Sink interface {
-	// Push delivers one tuple produced under the given probe tag. Push
-	// must not block; long work must be broken up via a Queue operator.
-	Push(tag Tag, t *tuple.Tuple)
+	// PushBatch delivers one shared read-only batch produced under the
+	// given probe tag (see the ownership contract above). PushBatch must
+	// not block; long work must be broken up via a Queue operator.
+	PushBatch(tag Tag, b *tuple.Batch)
 }
 
 // Op is one dataflow operator instance in an opgraph.
@@ -88,55 +96,71 @@ type Op interface {
 	Close()
 }
 
-// BatchSink is the vectorized extension of Sink: converted operators
-// accept whole tuple batches, subject to the batch ownership contract in
-// the package docs. Sinks that do not implement it receive rows via
-// PushBatchTo's materializing fallback.
-type BatchSink interface {
-	Sink
-	// PushBatch delivers one shared read-only batch produced under the
-	// given probe tag. Like Push, it must not block.
-	PushBatch(tag Tag, b *tuple.Batch)
-}
-
-// PushBatchTo delivers a batch to any sink: batch-native sinks receive
-// it whole; row-only sinks receive each row in order.
-func PushBatchTo(s Sink, tag Tag, b *tuple.Batch) {
-	if bs, ok := s.(BatchSink); ok {
-		bs.PushBatch(tag, b)
-		return
-	}
-	for i, n := 0, b.Len(); i < n; i++ {
-		s.Push(tag, b.Row(i))
-	}
-}
-
-// SinkFunc adapts a function to the Sink interface.
+// SinkFunc adapts a row callback to the Sink interface: the one place a
+// batch is unrolled into rows, for terminals at the row-oriented client
+// boundary.
 type SinkFunc func(tag Tag, t *tuple.Tuple)
 
-// Push invokes the function.
-func (f SinkFunc) Push(tag Tag, t *tuple.Tuple) { f(tag, t) }
+// PushBatch invokes the function once per row, in order.
+func (f SinkFunc) PushBatch(tag Tag, b *tuple.Batch) {
+	for i, n := 0, b.Len(); i < n; i++ {
+		f(tag, b.Row(i))
+	}
+}
 
-// base provides the common parent wiring; operators embed it.
-type base struct {
+// Out is the output half of an operator's wiring: the parent its batches
+// go to. Operators with one output embed it.
+type Out struct {
 	parent Sink
 }
 
 // SetParent records the downstream sink.
-func (b *base) SetParent(s Sink) { b.parent = s }
+func (o *Out) SetParent(s Sink) { o.parent = s }
 
-// emit pushes t to the parent if one is wired.
-func (b *base) emit(tag Tag, t *tuple.Tuple) {
-	if b.parent != nil {
-		b.parent.Push(tag, t)
+// Emit pushes a batch to the parent if one is wired.
+func (o *Out) Emit(tag Tag, batch *tuple.Batch) {
+	if o.parent != nil {
+		o.parent.PushBatch(tag, batch)
 	}
 }
 
-// emitBatch pushes a batch to the parent if one is wired.
-func (b *base) emitBatch(tag Tag, batch *tuple.Batch) {
-	if b.parent != nil {
-		PushBatchTo(b.parent, tag, batch)
+// In is the input half: the child that control calls go down to, and the
+// default Open/Flush/Close that only forward. Operators with one input
+// embed it, define SetChild (Adopt needs the operator itself) and the
+// lifecycle methods that do something of their own, calling the embedded
+// one to forward.
+type In struct {
+	child Op
+}
+
+// Adopt wires c as the child of self, the operator embedding i.
+func (i *In) Adopt(self Sink, c Op) { i.child = c; c.SetParent(self) }
+
+// Open forwards the probe to the child.
+func (i *In) Open(tag Tag) {
+	if i.child != nil {
+		i.child.Open(tag)
 	}
+}
+
+// Flush forwards to the child.
+func (i *In) Flush(tag Tag) {
+	if i.child != nil {
+		i.child.Flush(tag)
+	}
+}
+
+// Close forwards to the child.
+func (i *In) Close() {
+	if i.child != nil {
+		i.child.Close()
+	}
+}
+
+// Base is both halves: what a one-input, one-output operator embeds.
+type Base struct {
+	Out
+	In
 }
 
 // Discarded counts tuples dropped under the best-effort ("malformed
@@ -145,20 +169,11 @@ type Discarded struct {
 	n uint64
 }
 
-func (d *Discarded) inc() { d.n++ }
-
-// Inc records one discarded tuple; exported for operators implemented
-// outside this package (the query processor's network operators).
+// Inc records one discarded tuple.
 func (d *Discarded) Inc() { d.n++ }
 
-func (d *Discarded) add(k int) {
-	if k > 0 {
-		d.n += uint64(k)
-	}
-}
-
-// Add records k discarded tuples at once — the batch-path counterpart of
-// Inc, so operators discarding a whole batch do not loop per unit.
+// Add records k discarded tuples at once, so operators discarding a whole
+// batch do not loop per unit.
 func (d *Discarded) Add(k int) {
 	if k > 0 {
 		d.n += uint64(k)

@@ -8,11 +8,12 @@ import (
 
 // Input is the generic access-method endpoint: external code (a DHT scan,
 // a newData subscription, a file reader, a workload generator) injects
-// tuples by calling Push, and they flow up the opgraph. It corresponds to
-// the paper's access methods, which convert a source's native format into
-// PIER tuples and inject them into the dataflow (§3.3.1).
+// batches by calling PushBatch, and they flow up the opgraph. It
+// corresponds to the paper's access methods, which convert a source's
+// native format into PIER tuples and inject them into the dataflow
+// (§3.3.1).
 type Input struct {
-	base
+	Out
 	opened bool
 	tag    Tag
 	// OnOpen, if set, runs when the first probe arrives — access methods
@@ -38,24 +39,15 @@ func (i *Input) Open(tag Tag) {
 	}
 }
 
-// Push injects one tuple from the external source under the most recent
-// probe tag (sources push with the tag they were opened with).
-func (i *Input) Push(_ Tag, t *tuple.Tuple) {
-	if i.opened {
-		i.emit(i.tag, t)
-	}
-}
-
 // PushBatch injects a shared read-only batch from the external source
-// (the table bus and the catch-up scan hand decoded frames here).
+// (the table bus and the catch-up scan hand decoded frames here) under
+// the most recent probe tag: sources push with the tag they were opened
+// with.
 func (i *Input) PushBatch(_ Tag, b *tuple.Batch) {
 	if i.opened {
-		i.emitBatch(i.tag, b)
+		i.Emit(i.tag, b)
 	}
 }
-
-// Inject is a convenience for external code that has no tag of its own.
-func (i *Input) Inject(t *tuple.Tuple) { i.Push(0, t) }
 
 // Flush does nothing: an input holds no tuples.
 func (i *Input) Flush(Tag) {}
@@ -72,11 +64,10 @@ func (i *Input) Close() { i.opened = false }
 // view. Either way the output is a selection view over the input batch:
 // the shared input is never mutated.
 type Select struct {
-	base
+	Base
 	Pred expr.Expr
 	// Dropped counts tuples discarded as malformed (not merely filtered).
 	Dropped Discarded
-	child   Op
 
 	// compiled is the vectorized predicate, built lazily on the first
 	// batch (Pred must not change after execution starts).
@@ -91,31 +82,7 @@ type Select struct {
 func NewSelect(pred expr.Expr) *Select { return &Select{Pred: pred} }
 
 // SetChild wires the child for control propagation.
-func (s *Select) SetChild(c Op) { s.child = c; c.SetParent(s) }
-
-// Open forwards the probe to the child.
-func (s *Select) Open(tag Tag) {
-	if s.child != nil {
-		s.child.Open(tag)
-	}
-}
-
-// Push applies the predicate row-wise (the compatibility path).
-func (s *Select) Push(tag Tag, t *tuple.Tuple) {
-	v, ok := s.Pred.Eval(t)
-	if !ok {
-		s.Dropped.inc()
-		return
-	}
-	b, ok := v.AsBool()
-	if !ok {
-		s.Dropped.inc()
-		return
-	}
-	if b {
-		s.emit(tag, t)
-	}
-}
+func (s *Select) SetChild(c Op) { s.Adopt(s, c) }
 
 // PushBatch applies the predicate to a whole batch, emitting a selection
 // view of the passing rows. All-pass batches are forwarded unchanged and
@@ -141,7 +108,7 @@ func (s *Select) PushBatch(tag Tag, b *tuple.Batch) {
 			case expr.RowPass:
 				s.keep = append(s.keep, int32(i))
 			case expr.RowMalformed:
-				s.Dropped.inc()
+				s.Dropped.Inc()
 			}
 		}
 	} else {
@@ -149,12 +116,12 @@ func (s *Select) PushBatch(tag Tag, b *tuple.Batch) {
 			b.RowInto(i, &s.scratch)
 			v, ok := s.Pred.Eval(&s.scratch)
 			if !ok {
-				s.Dropped.inc()
+				s.Dropped.Inc()
 				continue
 			}
 			bv, ok := v.AsBool()
 			if !ok {
-				s.Dropped.inc()
+				s.Dropped.Inc()
 				continue
 			}
 			if bv {
@@ -165,25 +132,11 @@ func (s *Select) PushBatch(tag Tag, b *tuple.Batch) {
 	switch len(s.keep) {
 	case 0:
 	case n:
-		s.emitBatch(tag, b)
+		s.Emit(tag, b)
 	default:
 		// The derived view retains its selection, so hand over a fresh
 		// slice rather than the reused scratch.
-		s.emitBatch(tag, b.SelectLogical(append([]int32(nil), s.keep...)))
-	}
-}
-
-// Flush forwards to the child.
-func (s *Select) Flush(tag Tag) {
-	if s.child != nil {
-		s.child.Flush(tag)
-	}
-}
-
-// Close forwards to the child.
-func (s *Select) Close() {
-	if s.child != nil {
-		s.child.Close()
+		s.Emit(tag, b.SelectLogical(append([]int32(nil), s.keep...)))
 	}
 }
 
@@ -196,10 +149,9 @@ type ProjectCol struct {
 // Project evaluates expressions into a fresh tuple. A tuple for which any
 // projection expression is malformed is discarded.
 type Project struct {
-	base
+	Base
 	Cols    []ProjectCol
 	Dropped Discarded
-	child   Op
 
 	names   []string // output schema, built once
 	rowVals []tuple.Value
@@ -210,28 +162,7 @@ type Project struct {
 func NewProject(cols ...ProjectCol) *Project { return &Project{Cols: cols} }
 
 // SetChild wires the child for control propagation.
-func (p *Project) SetChild(c Op) { p.child = c; c.SetParent(p) }
-
-// Open forwards the probe.
-func (p *Project) Open(tag Tag) {
-	if p.child != nil {
-		p.child.Open(tag)
-	}
-}
-
-// Push evaluates every projection column.
-func (p *Project) Push(tag Tag, t *tuple.Tuple) {
-	out := tuple.New(t.Table())
-	for _, c := range p.Cols {
-		v, ok := c.E.Eval(t)
-		if !ok {
-			p.Dropped.inc()
-			return
-		}
-		out.Set(c.Name, v)
-	}
-	p.emit(tag, out)
-}
+func (p *Project) SetChild(c Op) { p.Adopt(p, c) }
 
 // PushBatch evaluates the projection over a whole batch into one fresh
 // columnar output batch (the projection's schema is uniform by
@@ -242,8 +173,8 @@ func (p *Project) PushBatch(tag Tag, b *tuple.Batch) {
 		return
 	}
 	if !b.Columnar() {
-		// Row-backed batches may mix table names; keep the per-row
-		// output table of the compatibility path.
+		// Row-backed batches may mix table names: each output row keeps
+		// its input row's table.
 		var outs []*tuple.Tuple
 		for i := 0; i < n; i++ {
 			t := b.Row(i)
@@ -252,7 +183,7 @@ func (p *Project) PushBatch(tag Tag, b *tuple.Batch) {
 			for _, c := range p.Cols {
 				v, vok := c.E.Eval(t)
 				if !vok {
-					p.Dropped.inc()
+					p.Dropped.Inc()
 					ok = false
 					break
 				}
@@ -263,7 +194,7 @@ func (p *Project) PushBatch(tag Tag, b *tuple.Batch) {
 			}
 		}
 		if len(outs) > 0 {
-			p.emitBatch(tag, tuple.FromTuples(outs))
+			p.Emit(tag, tuple.FromTuples(outs))
 		}
 		return
 	}
@@ -285,7 +216,7 @@ rows:
 		for c := range p.Cols {
 			v, ok := p.Cols[c].E.Eval(&p.scratch)
 			if !ok {
-				p.Dropped.inc()
+				p.Dropped.Inc()
 				continue rows
 			}
 			row[c] = v
@@ -294,21 +225,7 @@ rows:
 		emitted++
 	}
 	if emitted > 0 {
-		p.emitBatch(tag, out)
-	}
-}
-
-// Flush forwards to the child.
-func (p *Project) Flush(tag Tag) {
-	if p.child != nil {
-		p.child.Flush(tag)
-	}
-}
-
-// Close forwards to the child.
-func (p *Project) Close() {
-	if p.child != nil {
-		p.child.Close()
+		p.Emit(tag, out)
 	}
 }
 
@@ -316,8 +233,8 @@ func (p *Project) Close() {
 // is how one dataflow feeds both, say, a local result handler and a
 // network put.
 type Tee struct {
+	In
 	parents []Sink
-	child   Op
 }
 
 // NewTee creates an empty tee; add outputs with AddParent.
@@ -330,48 +247,20 @@ func (t *Tee) SetParent(s Sink) { t.parents = append(t.parents, s) }
 func (t *Tee) AddParent(s Sink) { t.parents = append(t.parents, s) }
 
 // SetChild wires the child for control propagation.
-func (t *Tee) SetChild(c Op) { t.child = c; c.SetParent(t) }
-
-// Open forwards the probe.
-func (t *Tee) Open(tag Tag) {
-	if t.child != nil {
-		t.child.Open(tag)
-	}
-}
-
-// Push replicates to every parent.
-func (t *Tee) Push(tag Tag, tp *tuple.Tuple) {
-	for _, p := range t.parents {
-		p.Push(tag, tp)
-	}
-}
+func (t *Tee) SetChild(c Op) { t.Adopt(t, c) }
 
 // PushBatch replicates the SAME shared batch to every parent (read-only
 // by contract, so no copies are needed).
 func (t *Tee) PushBatch(tag Tag, b *tuple.Batch) {
 	for _, p := range t.parents {
-		PushBatchTo(p, tag, b)
-	}
-}
-
-// Flush forwards to the child.
-func (t *Tee) Flush(tag Tag) {
-	if t.child != nil {
-		t.child.Flush(tag)
-	}
-}
-
-// Close forwards to the child.
-func (t *Tee) Close() {
-	if t.child != nil {
-		t.child.Close()
+		p.PushBatch(tag, b)
 	}
 }
 
 // Union merges several children into one output stream. No order
 // guarantees — PIER uses no distributed sort-based algorithms (§2.1.3).
 type Union struct {
-	base
+	Out
 	children []Op
 }
 
@@ -388,11 +277,8 @@ func (u *Union) Open(tag Tag) {
 	}
 }
 
-// Push forwards any child's tuple upstream.
-func (u *Union) Push(tag Tag, t *tuple.Tuple) { u.emit(tag, t) }
-
 // PushBatch forwards any child's batch upstream.
-func (u *Union) PushBatch(tag Tag, b *tuple.Batch) { u.emitBatch(tag, b) }
+func (u *Union) PushBatch(tag Tag, b *tuple.Batch) { u.Emit(tag, b) }
 
 // Flush forwards to all children.
 func (u *Union) Flush(tag Tag) {
@@ -411,13 +297,12 @@ func (u *Union) Close() {
 // DupElim suppresses duplicate tuples within a probe, keyed by the full
 // encoded tuple (or by a chosen column subset).
 type DupElim struct {
-	base
+	Base
 	// KeyCols, when non-empty, restricts the duplicate key to these
 	// columns; otherwise the whole tuple is the key.
 	KeyCols []string
 	Dropped Discarded
 	seen    map[Tag]map[string]struct{}
-	child   Op
 
 	keyBuf []byte
 	keep   []int32
@@ -430,39 +315,7 @@ func NewDupElim(keyCols ...string) *DupElim {
 }
 
 // SetChild wires the child for control propagation.
-func (d *DupElim) SetChild(c Op) { d.child = c; c.SetParent(d) }
-
-// Open forwards the probe.
-func (d *DupElim) Open(tag Tag) {
-	if d.child != nil {
-		d.child.Open(tag)
-	}
-}
-
-// Push suppresses previously seen tuples.
-func (d *DupElim) Push(tag Tag, t *tuple.Tuple) {
-	var key string
-	if len(d.KeyCols) > 0 {
-		k, ok := t.KeyString(d.KeyCols...)
-		if !ok {
-			d.Dropped.inc()
-			return
-		}
-		key = k
-	} else {
-		key = string(t.Encode())
-	}
-	set := d.seen[tag]
-	if set == nil {
-		set = make(map[string]struct{})
-		d.seen[tag] = set
-	}
-	if _, dup := set[key]; dup {
-		return
-	}
-	set[key] = struct{}{}
-	d.emit(tag, t)
-}
+func (d *DupElim) SetChild(c Op) { d.Adopt(d, c) }
 
 // PushBatch suppresses duplicates across a whole batch, emitting a
 // selection view of the first-seen rows. Keys are built into a reused
@@ -486,7 +339,7 @@ func (d *DupElim) PushBatch(tag Tag, b *tuple.Batch) {
 			if !ok {
 				// Column absent from the uniform schema: every row is
 				// malformed for this key.
-				d.Dropped.add(n)
+				d.Dropped.Add(n)
 				return
 			}
 			colIdx[i] = ci
@@ -502,7 +355,7 @@ func (d *DupElim) PushBatch(tag Tag, b *tuple.Batch) {
 		case len(d.KeyCols) > 0:
 			kb, ok := b.Row(i).AppendKey(d.keyBuf[:0], d.KeyCols)
 			if !ok {
-				d.Dropped.inc()
+				d.Dropped.Inc()
 				continue
 			}
 			d.keyBuf = kb
@@ -521,56 +374,30 @@ func (d *DupElim) PushBatch(tag Tag, b *tuple.Batch) {
 	switch len(d.keep) {
 	case 0:
 	case n:
-		d.emitBatch(tag, b)
+		d.Emit(tag, b)
 	default:
-		d.emitBatch(tag, b.SelectLogical(append([]int32(nil), d.keep...)))
-	}
-}
-
-// Flush forwards to the child.
-func (d *DupElim) Flush(tag Tag) {
-	if d.child != nil {
-		d.child.Flush(tag)
+		d.Emit(tag, b.SelectLogical(append([]int32(nil), d.keep...)))
 	}
 }
 
 // Close drops all state.
 func (d *DupElim) Close() {
 	d.seen = make(map[Tag]map[string]struct{})
-	if d.child != nil {
-		d.child.Close()
-	}
+	d.In.Close()
 }
 
 // Limit passes at most N tuples per probe.
 type Limit struct {
-	base
+	Base
 	N     int
 	count map[Tag]int
-	child Op
 }
 
 // NewLimit creates a limit operator.
 func NewLimit(n int) *Limit { return &Limit{N: n, count: make(map[Tag]int)} }
 
 // SetChild wires the child for control propagation.
-func (l *Limit) SetChild(c Op) { l.child = c; c.SetParent(l) }
-
-// Open forwards the probe.
-func (l *Limit) Open(tag Tag) {
-	if l.child != nil {
-		l.child.Open(tag)
-	}
-}
-
-// Push forwards until the per-probe quota is reached.
-func (l *Limit) Push(tag Tag, t *tuple.Tuple) {
-	if l.count[tag] >= l.N {
-		return
-	}
-	l.count[tag]++
-	l.emit(tag, t)
-}
+func (l *Limit) SetChild(c Op) { l.Adopt(l, c) }
 
 // PushBatch forwards a prefix of the batch up to the per-probe quota.
 func (l *Limit) PushBatch(tag Tag, b *tuple.Batch) {
@@ -581,80 +408,15 @@ func (l *Limit) PushBatch(tag Tag, b *tuple.Batch) {
 	n := b.Len()
 	if n <= rem {
 		l.count[tag] += n
-		l.emitBatch(tag, b)
+		l.Emit(tag, b)
 		return
 	}
 	l.count[tag] += rem
-	l.emitBatch(tag, b.Prefix(rem))
-}
-
-// Flush forwards to the child.
-func (l *Limit) Flush(tag Tag) {
-	if l.child != nil {
-		l.child.Flush(tag)
-	}
+	l.Emit(tag, b.Prefix(rem))
 }
 
 // Close drops counters.
 func (l *Limit) Close() {
 	l.count = make(map[Tag]int)
-	if l.child != nil {
-		l.child.Close()
-	}
-}
-
-// Result is the terminal result handler: it hands finished tuples to
-// application code (on the proxy node, the handler forwards them to the
-// client connection).
-type Result struct {
-	Fn    func(tag Tag, t *tuple.Tuple)
-	child Op
-}
-
-// NewResult creates a result handler around fn.
-func NewResult(fn func(tag Tag, t *tuple.Tuple)) *Result { return &Result{Fn: fn} }
-
-// SetParent is a no-op: Result is always a root.
-func (r *Result) SetParent(Sink) {}
-
-// SetChild wires the child for control propagation.
-func (r *Result) SetChild(c Op) { r.child = c; c.SetParent(r) }
-
-// Open forwards the probe.
-func (r *Result) Open(tag Tag) {
-	if r.child != nil {
-		r.child.Open(tag)
-	}
-}
-
-// Push invokes the application callback.
-func (r *Result) Push(tag Tag, t *tuple.Tuple) {
-	if r.Fn != nil {
-		r.Fn(tag, t)
-	}
-}
-
-// PushBatch invokes the application callback once per row — the handler
-// boundary is row-oriented (client delivery is per result tuple).
-func (r *Result) PushBatch(tag Tag, b *tuple.Batch) {
-	if r.Fn == nil {
-		return
-	}
-	for i, n := 0, b.Len(); i < n; i++ {
-		r.Fn(tag, b.Row(i))
-	}
-}
-
-// Flush forwards to the child.
-func (r *Result) Flush(tag Tag) {
-	if r.child != nil {
-		r.child.Flush(tag)
-	}
-}
-
-// Close forwards to the child.
-func (r *Result) Close() {
-	if r.child != nil {
-		r.child.Close()
-	}
+	l.In.Close()
 }

@@ -8,16 +8,22 @@ import (
 	"pier/internal/tuple"
 )
 
-// collect gathers tuples emitted by an operator chain.
+// collect gathers the rows an operator chain emits, with each row's tag.
 type collect struct {
 	tuples []*tuple.Tuple
 	tags   []Tag
 }
 
-func (c *collect) Push(tag Tag, t *tuple.Tuple) {
-	c.tuples = append(c.tuples, t)
-	c.tags = append(c.tags, tag)
+func (c *collect) PushBatch(tag Tag, b *tuple.Batch) {
+	for i, n := 0, b.Len(); i < n; i++ {
+		c.tuples = append(c.tuples, b.Row(i))
+		c.tags = append(c.tags, tag)
+	}
 }
+
+// push hands s one row the way a lone row enters any edge: a row-backed
+// batch of one, which takes each operator's reference branch.
+func push(s Sink, tag Tag, t *tuple.Tuple) { s.PushBatch(tag, tuple.OfTuple(t)) }
 
 func (c *collect) strings() []string {
 	out := make([]string, len(c.tuples))
@@ -43,10 +49,10 @@ func TestSelectFiltersAndDiscardsMalformed(t *testing.T) {
 	sel.SetChild(in)
 	sel.Open(1)
 
-	in.Inject(row(5))
-	in.Inject(row(15))
-	in.Inject(tuple.New("t").Set("other", tuple.Int(99))) // malformed: no c0
-	in.Inject(row(20))
+	push(in, 0, row(5))
+	push(in, 0, row(15))
+	push(in, 0, tuple.New("t").Set("other", tuple.Int(99))) // malformed: no c0
+	push(in, 0, row(20))
 
 	if len(out.tuples) != 2 {
 		t.Fatalf("emitted %d, want 2: %v", len(out.tuples), out.strings())
@@ -63,7 +69,7 @@ func TestSelectPropagatesTag(t *testing.T) {
 	in := NewInput()
 	sel.SetChild(in)
 	sel.Open(42)
-	in.Inject(row(1))
+	push(in, 0, row(1))
 	if len(out.tags) != 1 || out.tags[0] != 42 {
 		t.Fatalf("tags = %v, want [42]", out.tags)
 	}
@@ -79,7 +85,7 @@ func TestProjectComputesExpressions(t *testing.T) {
 	in := NewInput()
 	p.SetChild(in)
 	p.Open(1)
-	in.Inject(row(21))
+	push(in, 0, row(21))
 	if len(out.tuples) != 1 {
 		t.Fatal("no output")
 	}
@@ -98,7 +104,7 @@ func TestProjectDiscardsMalformed(t *testing.T) {
 	in := NewInput()
 	p.SetChild(in)
 	p.Open(1)
-	in.Inject(row(1))
+	push(in, 0, row(1))
 	if len(out.tuples) != 0 || p.Dropped.Count() != 1 {
 		t.Errorf("emitted=%d dropped=%d", len(out.tuples), p.Dropped.Count())
 	}
@@ -112,7 +118,7 @@ func TestTeeReplicates(t *testing.T) {
 	in := NewInput()
 	tee.SetChild(in)
 	tee.Open(1)
-	in.Inject(row(7))
+	push(in, 0, row(7))
 	if len(a.tuples) != 1 || len(b.tuples) != 1 {
 		t.Fatalf("a=%d b=%d, want 1 each", len(a.tuples), len(b.tuples))
 	}
@@ -126,9 +132,9 @@ func TestUnionMergesChildren(t *testing.T) {
 	out := &collect{}
 	u.SetParent(out)
 	u.Open(1)
-	in1.Inject(row(1))
-	in2.Inject(row(2))
-	in1.Inject(row(3))
+	push(in1, 0, row(1))
+	push(in2, 0, row(2))
+	push(in1, 0, row(3))
 	if len(out.tuples) != 3 {
 		t.Fatalf("union emitted %d, want 3", len(out.tuples))
 	}
@@ -141,10 +147,10 @@ func TestDupElimWholeTuple(t *testing.T) {
 	in := NewInput()
 	d.SetChild(in)
 	d.Open(1)
-	in.Inject(row(1))
-	in.Inject(row(1))
-	in.Inject(row(2))
-	in.Inject(row(1))
+	push(in, 0, row(1))
+	push(in, 0, row(1))
+	push(in, 0, row(2))
+	push(in, 0, row(1))
 	if len(out.tuples) != 2 {
 		t.Fatalf("emitted %d, want 2", len(out.tuples))
 	}
@@ -157,9 +163,9 @@ func TestDupElimByColumnSubset(t *testing.T) {
 	in := NewInput()
 	d.SetChild(in)
 	d.Open(1)
-	in.Inject(row(1, 10))
-	in.Inject(row(1, 20)) // same c0, different c1: still a dup
-	in.Inject(row(2, 10))
+	push(in, 0, row(1, 10))
+	push(in, 0, row(1, 20)) // same c0, different c1: still a dup
+	push(in, 0, row(2, 10))
 	if len(out.tuples) != 2 {
 		t.Fatalf("emitted %d, want 2", len(out.tuples))
 	}
@@ -169,8 +175,8 @@ func TestDupElimPerProbeIsolation(t *testing.T) {
 	d := NewDupElim()
 	out := &collect{}
 	d.SetParent(out)
-	d.Push(1, row(5))
-	d.Push(2, row(5)) // different probe: not a duplicate
+	push(d, 1, row(5))
+	push(d, 2, row(5)) // different probe: not a duplicate
 	if len(out.tuples) != 2 {
 		t.Fatalf("emitted %d, want 2 (probes are independent)", len(out.tuples))
 	}
@@ -181,25 +187,13 @@ func TestLimitCapsPerProbe(t *testing.T) {
 	out := &collect{}
 	l.SetParent(out)
 	for i := 0; i < 5; i++ {
-		l.Push(1, row(int64(i)))
+		push(l, 1, row(int64(i)))
 	}
 	for i := 0; i < 5; i++ {
-		l.Push(2, row(int64(i)))
+		push(l, 2, row(int64(i)))
 	}
 	if len(out.tuples) != 4 {
 		t.Fatalf("emitted %d, want 2 per probe * 2 probes", len(out.tuples))
-	}
-}
-
-func TestResultInvokesCallback(t *testing.T) {
-	var got []*tuple.Tuple
-	r := NewResult(func(_ Tag, t *tuple.Tuple) { got = append(got, t) })
-	in := NewInput()
-	r.SetChild(in)
-	r.Open(9)
-	in.Inject(row(1))
-	if len(got) != 1 {
-		t.Fatal("result callback not invoked")
 	}
 }
 
@@ -207,12 +201,12 @@ func TestInputIgnoresDataBeforeOpen(t *testing.T) {
 	in := NewInput()
 	out := &collect{}
 	in.SetParent(out)
-	in.Inject(row(1)) // no probe yet
+	push(in, 0, row(1)) // no probe yet
 	if len(out.tuples) != 0 {
 		t.Fatal("input forwarded data before any probe")
 	}
 	in.Open(1)
-	in.Inject(row(2))
+	push(in, 0, row(2))
 	if len(out.tuples) != 1 {
 		t.Fatal("input did not forward after probe")
 	}
@@ -229,8 +223,8 @@ func TestInputOnOpenFires(t *testing.T) {
 }
 
 func TestChainOpenPropagatesToSource(t *testing.T) {
-	// Result -> Select -> Project -> Input: one Open at the root must
-	// reach the access method.
+	// Select -> Project -> Input: one Open at the root must reach the
+	// access method.
 	in := NewInput()
 	opened := false
 	in.OnOpen = func(Tag) { opened = true }
@@ -238,9 +232,7 @@ func TestChainOpenPropagatesToSource(t *testing.T) {
 	p.SetChild(in)
 	s := NewSelect(expr.TruePredicate)
 	s.SetChild(p)
-	r := NewResult(nil)
-	r.SetChild(s)
-	r.Open(1)
+	s.Open(1)
 	if !opened {
 		t.Fatal("probe did not propagate to the access method")
 	}

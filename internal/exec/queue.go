@@ -12,9 +12,11 @@ import (
 //
 // Batches are buffered whole (retention is allowed by the batch ownership
 // contract) and never split: one drain forwards complete batches until
-// the tuple budget is spent.
+// the tuple budget is spent. Flush does not bypass the yield discipline:
+// it only forwards to the child, and buffered tuples still arrive via
+// their scheduled drain event.
 type Queue struct {
-	base
+	Base
 	// Defer registers fn to run as a fresh scheduler event (typically
 	// rt.Schedule(0, fn)). Required.
 	Defer func(fn func())
@@ -27,12 +29,10 @@ type Queue struct {
 	pending   int // buffered tuples (batch entries count their rows)
 	scheduled bool
 	closed    bool
-	child     Op
 }
 
 type queued struct {
 	tag Tag
-	t   *tuple.Tuple
 	b   *tuple.Batch
 }
 
@@ -46,36 +46,16 @@ const queueShrinkCap = 64
 func NewQueue(deferFn func(func())) *Queue { return &Queue{Defer: deferFn} }
 
 // SetChild wires the child for control propagation.
-func (q *Queue) SetChild(c Op) { q.child = c; c.SetParent(q) }
+func (q *Queue) SetChild(c Op) { q.Adopt(q, c) }
 
-// Open forwards the probe.
-func (q *Queue) Open(tag Tag) {
-	if q.child != nil {
-		q.child.Open(tag)
-	}
-}
-
-// Push buffers the tuple and schedules a drain event if none is pending.
-func (q *Queue) Push(tag Tag, t *tuple.Tuple) {
-	if q.closed {
-		return
-	}
-	q.buf = append(q.buf, queued{tag: tag, t: t})
-	q.pending++
-	q.wake()
-}
-
-// PushBatch buffers the whole shared batch as one entry.
+// PushBatch buffers the whole shared batch as one entry and schedules a
+// drain event if none is pending.
 func (q *Queue) PushBatch(tag Tag, b *tuple.Batch) {
 	if q.closed || b.Len() == 0 {
 		return
 	}
 	q.buf = append(q.buf, queued{tag: tag, b: b})
 	q.pending += b.Len()
-	q.wake()
-}
-
-func (q *Queue) wake() {
 	if !q.scheduled {
 		q.scheduled = true
 		q.Defer(q.drain)
@@ -95,11 +75,7 @@ func (q *Queue) drain() {
 	if q.Batch > 0 {
 		took, rows := 0, 0
 		for took < n && rows < q.Batch {
-			if e := q.buf[took]; e.b != nil {
-				rows += e.b.Len()
-			} else {
-				rows++
-			}
+			rows += q.buf[took].b.Len()
 			took++
 		}
 		n = took
@@ -107,13 +83,8 @@ func (q *Queue) drain() {
 	batch := q.buf[:n]
 	q.buf = q.buf[n:]
 	for i, item := range batch {
-		if item.b != nil {
-			q.pending -= item.b.Len()
-			q.emitBatch(item.tag, item.b)
-		} else {
-			q.pending--
-			q.emit(item.tag, item.t)
-		}
+		q.pending -= item.b.Len()
+		q.Emit(item.tag, item.b)
 		// Drop the drained entry's references: the backing array may live
 		// on under q.buf.
 		batch[i] = queued{}
@@ -150,20 +121,10 @@ func (q *Queue) Pending() int { return q.pending }
 // Cap reports the buffer's current capacity in entries, for shrink tests.
 func (q *Queue) Cap() int { return cap(q.buf) }
 
-// Flush forwards to the child. Buffered tuples still arrive via their
-// scheduled drain event; Flush does not bypass the yield discipline.
-func (q *Queue) Flush(tag Tag) {
-	if q.child != nil {
-		q.child.Flush(tag)
-	}
-}
-
 // Close discards buffered tuples.
 func (q *Queue) Close() {
 	q.closed = true
 	q.buf = nil
 	q.pending = 0
-	if q.child != nil {
-		q.child.Close()
-	}
+	q.In.Close()
 }

@@ -22,15 +22,16 @@ import (
 //   - Decode-once batch handoff: an arriving object's payload is decoded
 //     into a *tuple.Batch at most once per arrival (tuple.DecodeFrame
 //     accepts multi-row frames and legacy single-tuple encodings alike),
-//     and the SAME batch is handed to every batch subscriber; tuple
-//     subscribers receive the batch's rows one by one. The handoff is
-//     read-only by contract (see below); per-subscriber decoding made
-//     the dispatch cost of a publish O(subscribers × decode) instead of
+//     and the SAME batch is handed to every batch subscriber — there are
+//     raw subscribers and batch subscribers, no per-row ones; a consumer
+//     that wants rows unrolls the batch itself. The handoff is read-only
+//     by contract (see below); per-subscriber decoding made the dispatch
+//     cost of a publish O(subscribers × decode) instead of
 //     O(decode + subscribers).
 //
 // Ownership/handoff contract (the registry-side companion of the PR 4
 // payload rules in messages.go): the Object, the decoded batch, and the
-// tuples handed to a subscriber are SHARED — every other subscriber of
+// row views taken from it are SHARED — every other subscriber of
 // the namespace receives the same values, and the store retains the
 // Object's bytes. Subscribers must treat all of them as read-only; a
 // dataflow that needs a mutated variant builds a new tuple or batch
@@ -58,7 +59,6 @@ type Subscription struct {
 	ns   *nsSubs
 	reg  *subRegistry
 	fn   func(Object)
-	tfn  func(Object, *tuple.Tuple)
 	bfn  func(Object, *tuple.Batch)
 	dead bool
 }
@@ -122,7 +122,6 @@ func (r *subRegistry) dispatch(obj Object) {
 	}
 	r.dispatches++
 	var b *tuple.Batch
-	var rows []*tuple.Tuple // columnar row views, materialized at most once
 	decoded := false
 	ns.list.Each(func(s *Subscription) {
 		if s.fn != nil {
@@ -139,24 +138,8 @@ func (r *subRegistry) dispatch(obj Object) {
 				b = bb
 			}
 		}
-		if b == nil {
-			return
-		}
-		if s.bfn != nil {
+		if b != nil {
 			s.bfn(obj, b)
-			return
-		}
-		if b.Columnar() {
-			if rows == nil {
-				rows = b.Tuples(nil)
-			}
-			for _, t := range rows {
-				s.tfn(obj, t)
-			}
-			return
-		}
-		for i, n := 0, b.Len(); i < n; i++ {
-			s.tfn(obj, b.Row(i))
 		}
 	})
 }
@@ -181,12 +164,10 @@ type SubscriptionStats struct {
 	// Dispatches counts arrivals delivered into a subscribed namespace.
 	Dispatches uint64
 	// Decodes counts frame decodes performed — at most one per arrival,
-	// shared by every tuple and batch subscriber (the decode-once
-	// contract).
+	// shared by every batch subscriber (the decode-once contract).
 	Decodes uint64
-	// Malformed counts arrivals whose payload failed frame decode; tuple
-	// and batch subscribers never see those objects (raw subscribers
-	// still do).
+	// Malformed counts arrivals whose payload failed frame decode; batch
+	// subscribers never see those objects (raw subscribers still do).
 	Malformed uint64
 }
 
@@ -197,20 +178,12 @@ func (d *DHT) Subscribe(namespace string, fn func(Object)) *Subscription {
 	return d.subs.add(namespace, &Subscription{fn: fn})
 }
 
-// SubscribeTuples registers fn to receive every new tuple in namespace:
-// one call per row of the arriving frame. The decode happens at most
-// ONCE per arriving object no matter how many tuple or batch subscribers
-// the namespace has; all of them see the same shared, read-only data
-// (see the handoff contract above). Objects whose payload does not
-// decode are counted in SubscriptionStats.Malformed and not delivered.
-func (d *DHT) SubscribeTuples(namespace string, fn func(Object, *tuple.Tuple)) *Subscription {
-	return d.subs.add(namespace, &Subscription{tfn: fn})
-}
-
 // SubscribeBatches registers fn to receive every new object in namespace
-// decoded as a whole *tuple.Batch — the vectorized form of
-// SubscribeTuples, sharing the same decode-once contract: one frame
-// decode per arrival, one shared read-only batch to every subscriber.
+// decoded as a whole *tuple.Batch. The decode happens at most ONCE per
+// arriving object no matter how many batch subscribers the namespace has;
+// all of them see the same shared, read-only batch (see the handoff
+// contract above). Objects whose payload does not decode are counted in
+// SubscriptionStats.Malformed and not delivered.
 func (d *DHT) SubscribeBatches(namespace string, fn func(Object, *tuple.Batch)) *Subscription {
 	return d.subs.add(namespace, &Subscription{bfn: fn})
 }

@@ -127,7 +127,7 @@ func TestResubscribeDuringLocalScan(t *testing.T) {
 	d.LocalScan("t", func(Object) bool {
 		scanned++
 		if sub == nil {
-			sub = d.SubscribeTuples("t", func(Object, *tuple.Tuple) { arrivals++ })
+			sub = d.SubscribeBatches("t", func(_ Object, b *tuple.Batch) { arrivals += b.Len() })
 		}
 		return true
 	})
@@ -144,14 +144,14 @@ func TestResubscribeDuringLocalScan(t *testing.T) {
 	}
 }
 
-// TestDecodeOnceSharedTuple: many tuple subscribers, one decode, and all
-// of them receive the identical *tuple.Tuple.
-func TestDecodeOnceSharedTuple(t *testing.T) {
+// TestDecodeOnceSharedBatch: many batch subscribers, one decode, and all
+// of them receive the identical *tuple.Batch.
+func TestDecodeOnceSharedBatch(t *testing.T) {
 	d := soloDHT(t)
 	const subs = 32
-	var got []*tuple.Tuple
+	var got []*tuple.Batch
 	for i := 0; i < subs; i++ {
-		d.SubscribeTuples("fw", func(_ Object, tt *tuple.Tuple) { got = append(got, tt) })
+		d.SubscribeBatches("fw", func(_ Object, b *tuple.Batch) { got = append(got, b) })
 	}
 	enc := tuple.New("fw").Set("src", tuple.String("10.0.0.1")).Encode()
 	d.PutLocal("fw", "k", "s", enc, time.Minute)
@@ -161,7 +161,7 @@ func TestDecodeOnceSharedTuple(t *testing.T) {
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i] != got[0] {
-			t.Fatal("subscribers received different tuple instances; decode-once broken")
+			t.Fatal("subscribers received different batch instances; decode-once broken")
 		}
 	}
 	st := d.SubscriptionStats()
@@ -170,13 +170,13 @@ func TestDecodeOnceSharedTuple(t *testing.T) {
 	}
 }
 
-// TestMalformedObjectCountedAndSkipped: a payload that fails tuple decode
-// is counted once, skipped by tuple subscribers, and still delivered raw.
+// TestMalformedObjectCountedAndSkipped: a payload that fails frame decode
+// is counted once, skipped by batch subscribers, and still delivered raw.
 func TestMalformedObjectCountedAndSkipped(t *testing.T) {
 	d := soloDHT(t)
 	tupleSeen, rawSeen := 0, 0
-	d.SubscribeTuples("fw", func(Object, *tuple.Tuple) { tupleSeen++ })
-	d.SubscribeTuples("fw", func(Object, *tuple.Tuple) { tupleSeen++ })
+	d.SubscribeBatches("fw", func(_ Object, b *tuple.Batch) { tupleSeen += b.Len() })
+	d.SubscribeBatches("fw", func(_ Object, b *tuple.Batch) { tupleSeen += b.Len() })
 	d.Subscribe("fw", func(Object) { rawSeen++ })
 
 	d.PutLocal("fw", "k", "bad", []byte{0xff, 0x01}, time.Minute)

@@ -135,3 +135,29 @@ opgraph gp disseminate broadcast {
 		}
 	}
 }
+
+// TestBloomFilterCountsMalformedFilter: a hostile object stored under the
+// filter name is counted, once, and skipped; with no filter left to merge
+// the operator still fails open and every row passes.
+func TestBloomFilterCountsMalformedFilter(t *testing.T) {
+	env, nodes := cluster(t, 73, 4)
+	for i := int64(0); i < 10; i++ {
+		nodes[0].PublishLocal("rr", tuple.New("rr").Set("id", tuple.Int(i)), time.Hour)
+	}
+	nodes[1].DHT().Put("bad.f", "filter", "hostile", []byte{0xff, 0x01}, time.Hour, nil)
+	env.Run(5 * time.Second)
+	before := malformedDrops(nodes)
+	results := runQuery(t, env, nodes, 0, ufl.MustParse(`
+query bfbad timeout 10s
+opgraph gp disseminate local {
+    scan = Scan(table='rr')
+    bf   = BloomFilter(ns='bad.f', key='id', fetchdelay='3s')
+    out  = Result()
+    bf <- scan
+    out <- bf
+}
+`))
+	if got := malformedDrops(nodes) - before; len(results) != 10 || got != 1 {
+		t.Fatalf("rows=%d MalformedDrops +%d, want all 10 rows and exactly 1 drop", len(results), got)
+	}
+}

@@ -41,11 +41,11 @@ import (
 
 // bloomBuildOp accumulates join keys and publishes the filter.
 type bloomBuildOp struct {
+	exec.In
 	c       *chain
 	ns      string
 	keyCols []string
 	filter  *bloom.Filter
-	child   exec.Op
 	// Dropped counts tuples lacking the key columns.
 	Dropped exec.Discarded
 	shipped bool
@@ -75,30 +75,27 @@ func (c *chain) newBloomBuild(spec ufl.OpSpec) (*bloomBuildOp, error) {
 }
 
 func (b *bloomBuildOp) SetParent(exec.Sink) {}
-func (b *bloomBuildOp) SetChild(c exec.Op)  { b.child = c; c.SetParent(b) }
+func (b *bloomBuildOp) SetChild(c exec.Op)  { b.Adopt(b, c) }
 
-func (b *bloomBuildOp) Open(tag exec.Tag) {
-	if b.child != nil {
-		b.child.Open(tag)
+// PushBatch folds every row's join key into the filter.
+func (b *bloomBuildOp) PushBatch(_ exec.Tag, rows *tuple.Batch) {
+	var t tuple.Tuple // scratch view: only the key string is kept
+	for i, n := 0, rows.Len(); i < n; i++ {
+		rows.RowInto(i, &t)
+		key, ok := t.KeyString(b.keyCols...)
+		if !ok {
+			b.Dropped.Inc()
+			continue
+		}
+		b.filter.AddString(key)
 	}
-}
-
-func (b *bloomBuildOp) Push(_ exec.Tag, t *tuple.Tuple) {
-	key, ok := t.KeyString(b.keyCols...)
-	if !ok {
-		b.Dropped.Inc()
-		return
-	}
-	b.filter.AddString(key)
 }
 
 // Flush publishes this node's filter into the rendezvous name. All
 // nodes' filters share the DHT key "filter" and differ by suffix, so one
 // Get retrieves them all for merging.
 func (b *bloomBuildOp) Flush(tag exec.Tag) {
-	if b.child != nil {
-		b.child.Flush(tag)
-	}
+	b.In.Flush(tag)
 	if b.shipped {
 		return
 	}
@@ -106,21 +103,14 @@ func (b *bloomBuildOp) Flush(tag exec.Tag) {
 	b.c.n.dht.Put(b.ns, "filter", b.c.n.uniquifier(), b.filter.Encode(), b.c.rq.timeout, nil)
 }
 
-func (b *bloomBuildOp) Close() {
-	if b.child != nil {
-		b.child.Close()
-	}
-}
-
 // bloomFilterOp suppresses tuples whose join key is definitely absent
 // from the other relation. Tuples arriving before the merged filter is
 // available are buffered; after the fetch they drain through the filter.
 type bloomFilterOp struct {
+	exec.Base
 	c       *chain
 	ns      string
 	keyCols []string
-	parent  exec.Sink
-	child   exec.Op
 
 	filter  *bloom.Filter
 	fetched bool
@@ -156,16 +146,11 @@ func (c *chain) newBloomFilter(spec ufl.OpSpec) (*bloomFilterOp, error) {
 	return f, nil
 }
 
-func (f *bloomFilterOp) SetParent(s exec.Sink) { f.parent = s }
-func (f *bloomFilterOp) SetChild(c exec.Op)    { f.child = c; c.SetParent(f) }
+func (f *bloomFilterOp) SetChild(c exec.Op) { f.Adopt(f, c) }
 
-func (f *bloomFilterOp) Open(tag exec.Tag) {
-	if f.child != nil {
-		f.child.Open(tag)
-	}
-}
-
-// fetch retrieves and merges every node's published filter.
+// fetch retrieves and merges every node's published filter. A stored
+// object that fails to decode is counted (NodeStats.MalformedDrops) and
+// skipped.
 func (f *bloomFilterOp) fetch() {
 	if f.closed {
 		return
@@ -179,6 +164,7 @@ func (f *bloomFilterOp) fetch() {
 			for _, o := range objs {
 				bf, derr := bloom.Decode(o.Data)
 				if derr != nil {
+					f.c.n.malformedFrames.Inc()
 					continue
 				}
 				if merged == nil {
@@ -216,24 +202,23 @@ func (f *bloomFilterOp) forward(filter *bloom.Filter, tag exec.Tag, t *tuple.Tup
 		return
 	}
 	f.Passed++
-	if f.parent != nil {
-		f.parent.Push(tag, t)
-	}
+	f.Emit(tag, tuple.OfTuple(t))
 }
 
-func (f *bloomFilterOp) Push(tag exec.Tag, t *tuple.Tuple) {
-	if !f.fetched {
-		// Filter not fetched yet: hold the tuple.
-		f.buf = append(f.buf, bufTuple{tag, t})
-		return
+// PushBatch takes the batch's rows one at a time, in row order: held
+// until the filter is fetched, then forwarded through it.
+func (f *bloomFilterOp) PushBatch(tag exec.Tag, b *tuple.Batch) {
+	for i, n := 0, b.Len(); i < n; i++ {
+		if !f.fetched {
+			f.buf = append(f.buf, bufTuple{tag, b.Row(i)})
+			continue
+		}
+		f.forward(f.filter, tag, b.Row(i))
 	}
-	f.forward(f.filter, tag, t)
 }
 
 func (f *bloomFilterOp) Flush(tag exec.Tag) {
-	if f.child != nil {
-		f.child.Flush(tag)
-	}
+	f.In.Flush(tag)
 	// At query end, anything still buffered fails open.
 	if !f.fetched {
 		f.fetched = true
@@ -244,7 +229,5 @@ func (f *bloomFilterOp) Flush(tag exec.Tag) {
 func (f *bloomFilterOp) Close() {
 	f.closed = true
 	f.buf = nil
-	if f.child != nil {
-		f.child.Close()
-	}
+	f.In.Close()
 }

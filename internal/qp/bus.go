@@ -17,8 +17,7 @@ import (
 //     so a table read by Q chains costs one registry slot, not Q;
 //   - the decode: the overlay registry decodes once per arrival
 //     (overlay.SubscribeBatches) and the bus fans the SAME *tuple.Batch
-//     out to every attached chain, whole — converted operators process
-//     it vectorized, the rest receive rows via the PushBatchTo fallback.
+//     out to every attached chain, whole (exec's one edge: PushBatch).
 //
 // Queries that are structurally identical beneath their tail go one step
 // further and share the chain itself (subtree.go); the bus then holds one

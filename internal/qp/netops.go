@@ -2,7 +2,6 @@ package qp
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"pier/internal/exec"
@@ -65,6 +64,7 @@ func newScan(c *chain, table string, withScan bool, only string) *exec.Input {
 // control flow between opgraphs. send=true routes the object through the
 // overlay (upcalls at each hop) instead of the two-phase put.
 type putOp struct {
+	exec.In
 	c       *chain
 	ns      string
 	keyCols []string
@@ -73,7 +73,6 @@ type putOp struct {
 	// rendezvous site" pattern of naive multi-phase aggregation.
 	fixedKey string
 	send     bool
-	child    exec.Op
 	// Dropped counts tuples lacking the partitioning columns.
 	Dropped exec.Discarded
 	// Sent counts tuples shipped.
@@ -81,39 +80,29 @@ type putOp struct {
 }
 
 func (p *putOp) SetParent(exec.Sink) {}
-func (p *putOp) SetChild(c exec.Op)  { p.child = c; c.SetParent(p) }
-
-func (p *putOp) Open(tag exec.Tag) {
-	if p.child != nil {
-		p.child.Open(tag)
-	}
-}
-
-func (p *putOp) Push(_ exec.Tag, t *tuple.Tuple) {
-	key := p.fixedKey
-	if key == "" {
-		k, ok := t.KeyString(p.keyCols...)
-		if !ok {
-			p.Dropped.Inc()
-			return
-		}
-		key = k
-	}
-	p.Sent++
-	p.ship(key, t.Encode())
-}
+func (p *putOp) SetChild(c exec.Op)  { p.Adopt(p, c) }
 
 // PushBatch rehashes a whole batch: rows sharing a partitioning key are
 // grouped (first-seen key order, preserving in-key row order) and each
 // group ships as ONE multi-row frame — the messages-per-publish win of
-// the exchange. Single rows keep the legacy single-tuple encoding.
-func (p *putOp) PushBatch(tag exec.Tag, b *tuple.Batch) {
+// the exchange. A lone row keeps the legacy single-tuple encoding.
+func (p *putOp) PushBatch(_ exec.Tag, b *tuple.Batch) {
 	n := b.Len()
 	if n == 0 {
 		return
 	}
 	if n == 1 {
-		p.Push(tag, b.Row(0))
+		t, key := b.Row(0), p.fixedKey
+		if key == "" {
+			k, ok := t.KeyString(p.keyCols...)
+			if !ok {
+				p.Dropped.Inc()
+				return
+			}
+			key = k
+		}
+		p.Sent++
+		p.ship(key, t.Encode())
 		return
 	}
 	if p.fixedKey != "" {
@@ -204,55 +193,21 @@ func (p *putOp) putWithRetry(key string, data []byte, lifetime time.Duration, at
 	})
 }
 
-func (p *putOp) Flush(tag exec.Tag) {
-	if p.child != nil {
-		p.child.Flush(tag)
-	}
-}
-
-func (p *putOp) Close() {
-	if p.child != nil {
-		p.child.Close()
-	}
-}
-
 // resultOp forwards finished tuples to the query's proxy node, which
 // delivers them to the client (§3.3.2).
 type resultOp struct {
-	c     *chain
-	child exec.Op
+	exec.In
+	c *chain
 }
 
 func (r *resultOp) SetParent(exec.Sink) {}
-func (r *resultOp) SetChild(c exec.Op)  { r.child = c; c.SetParent(r) }
-
-func (r *resultOp) Open(tag exec.Tag) {
-	if r.child != nil {
-		r.child.Open(tag)
-	}
-}
-
-func (r *resultOp) Push(_ exec.Tag, t *tuple.Tuple) {
-	r.c.n.forwardResult(r.c.rq, tuple.OfTuple(t))
-}
+func (r *resultOp) SetChild(c exec.Op)  { r.Adopt(r, c) }
 
 // PushBatch forwards the whole batch as one result frame. Q query tails
 // fanned the same shared window by a demux hand the node the same batch,
 // which it encodes once and sends once per proxy (see forwardResult).
 func (r *resultOp) PushBatch(_ exec.Tag, b *tuple.Batch) {
 	r.c.n.forwardResult(r.c.rq, b)
-}
-
-func (r *resultOp) Flush(tag exec.Tag) {
-	if r.child != nil {
-		r.child.Flush(tag)
-	}
-}
-
-func (r *resultOp) Close() {
-	if r.child != nil {
-		r.child.Close()
-	}
 }
 
 // fetchMatchesOp is the Fetch Matches join of Mackert & Lohman as used by
@@ -263,78 +218,59 @@ func (r *resultOp) Close() {
 // index pattern: follow the (index-key, tupleID) pair to the base
 // table).
 type fetchMatchesOp struct {
+	exec.Base
 	c        *chain
 	ns       string
 	keyCols  []string
 	outTable string
 	prefix   bool
 	semiJoin bool
-	child    exec.Op
 	closed   bool
 	Dropped  exec.Discarded
 	// Fetches counts index probes issued.
 	Fetches uint64
-
-	parent exec.Sink
 }
 
-func (f *fetchMatchesOp) SetParent(s exec.Sink) { f.parent = s }
-func (f *fetchMatchesOp) SetChild(c exec.Op)    { f.child = c; c.SetParent(f) }
-
-func (f *fetchMatchesOp) Open(tag exec.Tag) {
-	if f.child != nil {
-		f.child.Open(tag)
-	}
-}
-
-func (f *fetchMatchesOp) Push(tag exec.Tag, t *tuple.Tuple) {
-	key, ok := t.KeyString(f.keyCols...)
-	if !ok {
-		f.Dropped.Inc()
-		return
-	}
-	f.Fetches++
-	outer := t
-	f.c.n.dht.Get(f.ns, key, func(objs []overlay.Object, err error) {
-		if err != nil || f.closed || f.parent == nil {
-			return
-		}
-		for _, o := range objs {
-			fb, derr := tuple.DecodeFrame(o.Data)
-			if derr != nil {
-				continue
-			}
-			for i, n := 0, fb.Len(); i < n; i++ {
-				inner := fb.Row(i)
-				if f.semiJoin {
-					f.parent.Push(tag, inner)
-				} else {
-					f.parent.Push(tag, tuple.Join(f.outTable, outer, inner, f.prefix))
-				}
-			}
-		}
-	})
-}
+func (f *fetchMatchesOp) SetChild(c exec.Op) { f.Adopt(f, c) }
 
 // PushBatch probes the index once per row — each probe is an independent
-// DHT get, so there is nothing to vectorize beyond the key build.
+// DHT get, so there is nothing to vectorize beyond the key build — and
+// emits every match as a batch of one. A stored object that fails to
+// decode is counted (NodeStats.MalformedDrops) and skipped.
 func (f *fetchMatchesOp) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	for i, n := 0, b.Len(); i < n; i++ {
-		f.Push(tag, b.Row(i))
-	}
-}
-
-func (f *fetchMatchesOp) Flush(tag exec.Tag) {
-	if f.child != nil {
-		f.child.Flush(tag)
+		outer := b.Row(i)
+		key, ok := outer.KeyString(f.keyCols...)
+		if !ok {
+			f.Dropped.Inc()
+			continue
+		}
+		f.Fetches++
+		f.c.n.dht.Get(f.ns, key, func(objs []overlay.Object, err error) {
+			if err != nil || f.closed {
+				return
+			}
+			for _, o := range objs {
+				fb, derr := tuple.DecodeFrame(o.Data)
+				if derr != nil {
+					f.c.n.malformedFrames.Inc()
+					continue
+				}
+				for r, rows := 0, fb.Len(); r < rows; r++ {
+					out := fb.Row(r)
+					if !f.semiJoin {
+						out = tuple.Join(f.outTable, outer, out, f.prefix)
+					}
+					f.Emit(tag, tuple.OfTuple(out))
+				}
+			}
+		})
 	}
 }
 
 func (f *fetchMatchesOp) Close() {
 	f.closed = true
-	if f.child != nil {
-		f.child.Close()
-	}
+	f.In.Close()
 }
 
 // hierAggOp implements hierarchical aggregation (§3.3.4): instead of
@@ -347,6 +283,7 @@ func (f *fetchMatchesOp) Close() {
 // constant-size partials — which is why it pays off for distributive and
 // algebraic aggregates but not holistic ones.
 type hierAggOp struct {
+	exec.Base
 	c       *chain
 	ns      string // rendezvous namespace, unique per query+op
 	rootKey string
@@ -362,8 +299,6 @@ type hierAggOp struct {
 	merged   bool           // local already folded into pending
 	fwdTimer bool
 
-	child  exec.Op
-	parent exec.Sink
 	tag    exec.Tag
 	closed bool
 	// Forwarded counts partials this node sent up the tree.
@@ -377,14 +312,6 @@ func (c *chain) newHierAgg(spec ufl.OpSpec) (*hierAggOp, error) {
 	aggs, err := ParseAggSpecs(spec.Arg("aggs", ""))
 	if err != nil {
 		return nil, err
-	}
-	for _, a := range aggs {
-		if a.Kind.Holistic() {
-			// Allowed but worth flagging in code: holistic aggregates
-			// gain nothing from the hierarchy (§3.3.4); state still
-			// merges correctly.
-			_ = a
-		}
 	}
 	h := &hierAggOp{
 		c:       c,
@@ -411,16 +338,10 @@ func (c *chain) newHierAgg(spec ufl.OpSpec) (*hierAggOp, error) {
 		}
 		h.wait = d
 	}
-	if v := spec.Arg("k", ""); v != "" { // reserved for future use
-		if _, err := strconv.Atoi(v); err != nil {
-			return nil, fmt.Errorf("HierAgg k: %w", err)
-		}
-	}
 	return h, nil
 }
 
-func (h *hierAggOp) SetParent(s exec.Sink) { h.parent = s }
-func (h *hierAggOp) SetChild(c exec.Op)    { h.child = c; c.SetParent(h) }
+func (h *hierAggOp) SetChild(c exec.Op) { h.Adopt(h, c) }
 
 func (h *hierAggOp) isRoot() bool {
 	return h.c.n.dht.Owns(overlay.HashName(h.ns, h.rootKey))
@@ -445,14 +366,7 @@ func (h *hierAggOp) Open(tag exec.Tag) {
 	// root arrive via the upcall (the owner also upcalls); nothing to
 	// subscribe. Ship the local partial after sendDelay.
 	h.c.timers = append(h.c.timers, h.c.n.rt.Schedule(h.sendDelay, h.shipLocal))
-	if h.child != nil {
-		h.child.Open(tag)
-	}
-}
-
-// Push folds a raw tuple into the local partial aggregate.
-func (h *hierAggOp) Push(_ exec.Tag, t *tuple.Tuple) {
-	h.local.Add(t)
+	h.In.Open(tag)
 }
 
 // PushBatch folds a whole batch into the local partial aggregate.
@@ -526,23 +440,19 @@ func (h *hierAggOp) sendPartial(data []byte, attempt int) {
 // Flush: at the root, emit the final aggregate downstream; elsewhere,
 // make a last-gasp forward of anything still pending.
 func (h *hierAggOp) Flush(tag exec.Tag) {
-	if h.child != nil {
-		h.child.Flush(tag)
-	}
+	h.In.Flush(tag)
 	if !h.merged {
 		h.merged = true
 		h.pending.Merge(h.local)
 		h.local = exec.NewGroupSet(h.keys, h.aggs)
 	}
 	if h.isRoot() {
-		if h.parent != nil {
-			// The final aggregate leaves as one columnar batch so the
-			// downstream result path ships one frame per destination.
-			if b := h.pending.EmitBatch("hieragg"); b != nil {
-				exec.PushBatchTo(h.parent, tag, b)
-			} else {
-				h.pending.Emit("hieragg", func(t *tuple.Tuple) { h.parent.Push(tag, t) })
-			}
+		// The final aggregate leaves as one columnar batch so the
+		// downstream result path ships one frame per destination.
+		if b := h.pending.EmitBatch("hieragg"); b != nil {
+			h.Emit(tag, b)
+		} else {
+			h.pending.Emit("hieragg", func(t *tuple.Tuple) { h.Emit(tag, tuple.OfTuple(t)) })
 		}
 		h.pending = exec.NewGroupSet(h.keys, h.aggs)
 		return
@@ -552,7 +462,5 @@ func (h *hierAggOp) Flush(tag exec.Tag) {
 
 func (h *hierAggOp) Close() {
 	h.closed = true
-	if h.child != nil {
-		h.child.Close()
-	}
+	h.In.Close()
 }

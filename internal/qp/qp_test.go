@@ -354,6 +354,41 @@ opgraph g disseminate broadcast {
 	}
 }
 
+// malformedDrops sums NodeStats.MalformedDrops over the cluster.
+func malformedDrops(nodes []*Node) (sum uint64) {
+	for _, n := range nodes {
+		sum += n.Stats().MalformedDrops
+	}
+	return sum
+}
+
+// TestFetchMatchesCountsMalformedInner: a hostile object stored under a
+// probed index name is counted, once, and skipped; the well-formed object
+// beside it still joins.
+func TestFetchMatchesCountsMalformedInner(t *testing.T) {
+	env, nodes := cluster(t, 40, 8)
+	user := tuple.New("users").Set("id", tuple.Int(3)).Set("name", tuple.String("user-3"))
+	nodes[1].Publish("users", []string{"id"}, user, time.Hour, nil)
+	key, _ := user.KeyString("id")
+	nodes[2].DHT().Put("users", key, "hostile", []byte{0xff, 0x01}, time.Hour, nil)
+	env.Run(5 * time.Second)
+	nodes[6].PublishLocal("orders", tuple.New("orders").Set("uid", tuple.Int(3)), time.Hour)
+	before := malformedDrops(nodes)
+	results := runQuery(t, env, nodes, 0, ufl.MustParse(`
+query fmbad timeout 10s
+opgraph g disseminate broadcast {
+    scan = Scan(table='orders')
+    fm   = FetchMatches(ns='users', key='uid')
+    out  = Result()
+    fm <- scan
+    out <- fm
+}
+`))
+	if got := malformedDrops(nodes) - before; len(results) != 1 || got != 1 {
+		t.Fatalf("rows=%d MalformedDrops +%d, want 1 row and exactly 1 drop", len(results), got)
+	}
+}
+
 func TestSymmetricHashJoinViaRehash(t *testing.T) {
 	// The full distributed equijoin: both relations are rehashed on the
 	// join key into rendezvous namespaces (partitioned parallelism,

@@ -113,20 +113,17 @@ type fanoutSink struct {
 	s exec.Sink
 }
 
-func (f fanoutSink) Push(tag exec.Tag, t *tuple.Tuple) {
-	f.n.sharedFanout++
-	f.s.Push(tag, t)
-}
-
 func (f fanoutSink) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	f.n.sharedFanout++
-	exec.PushBatchTo(f.s, tag, b)
+	f.s.PushBatch(tag, b)
 }
 
 // PushBatch makes a signature-cached chain the sink above its own top
 // operator: fan the output to the attached tails through the demux, then,
 // the fan-out unwound, send the result messages the tails opened — one
-// per proxy, not one per tail (Node.forwardResult).
+// per proxy, not one per tail (Node.forwardResult). A streamed row arrives
+// as a batch of one, so every tail is handed the same batch and the row,
+// too, travels once per proxy.
 func (c *chain) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	n := c.n
 	n.fanning++
@@ -135,10 +132,6 @@ func (c *chain) PushBatch(tag exec.Tag, b *tuple.Batch) {
 		n.sendOpenResults()
 	}
 }
-
-// Push fans a streamed row out as a batch of one, so every tail is
-// handed the same batch and the row, too, travels once per proxy.
-func (c *chain) Push(tag exec.Tag, t *tuple.Tuple) { c.PushBatch(tag, tuple.OfTuple(t)) }
 
 // sharedChain resolves the operators of g beneath its tail to the chain
 // cached under their structural signature, building and opening it for
