@@ -25,7 +25,13 @@ func TestPierEndToEnd(t *testing.T) {
 		t.Skip("e2e binary test skipped in -short mode")
 	}
 	bin := filepath.Join(t.TempDir(), "pier")
-	build := exec.Command("go", "build", "-o", bin, ".")
+	args := []string{"build", "-o", bin, "."}
+	if raceEnabled {
+		// Under `go test -race` the nodes are race-checked too: they exit
+		// with raceExitCode if the detector reported anything (startNode).
+		args = []string{"build", "-race", "-o", bin, "."}
+	}
+	build := exec.Command("go", args...)
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -39,8 +45,13 @@ func TestPierEndToEnd(t *testing.T) {
 	member.expect(t, `^joined the overlay via (\S+)$`, 20*time.Second)
 	member.expect(t, `^published (5) demo tuples$`, 10*time.Second)
 
-	// Give the soft-state publishes a moment to land in the DHT.
-	time.Sleep(2 * time.Second)
+	// Wait out one soft-state period. A node announces its membership of
+	// the dissemination tree only from a timer armed at Start with a delay
+	// drawn from [0, TreeRefresh) (qp's distTrees.start), not on join, so
+	// until then the bootstrap — the tree root about half the time — may
+	// have no child to broadcast the query to and the client sees 0 rows.
+	// TreeRefresh defaults to 5s.
+	time.Sleep(6 * time.Second)
 
 	// Client mode: query through the bootstrap node as proxy.
 	client := exec.Command(bin,
@@ -64,6 +75,10 @@ func TestPierEndToEnd(t *testing.T) {
 		t.Fatalf("client results do not mention the demo table:\n%s", text)
 	}
 }
+
+// raceExitCode is what a -race binary exits with when the detector
+// reported a race during the run.
+const raceExitCode = 66
 
 // nodeProc wraps a long-running pier server process whose stdout is
 // consumed line by line.
@@ -93,10 +108,14 @@ func startNode(t *testing.T, bin string, args ...string) *nodeProc {
 	}()
 	t.Cleanup(func() {
 		_ = cmd.Process.Signal(os.Interrupt)
+		var state *os.ProcessState
 		done := make(chan struct{})
-		go func() { _, _ = cmd.Process.Wait(); close(done) }()
+		go func() { state, _ = cmd.Process.Wait(); close(done) }()
 		select {
 		case <-done:
+			if state != nil && state.ExitCode() == raceExitCode {
+				t.Errorf("pier %v: the race detector reported a data race (see stderr)", args)
+			}
 		case <-time.After(5 * time.Second):
 			_ = cmd.Process.Kill()
 		}

@@ -56,29 +56,37 @@ func runNode(bind, join string, demo int) {
 		fatal(err)
 	}
 	defer rt.Close()
+	// All program logic runs on the runtime's scheduler goroutine (§3.1.2):
+	// the node's timers and message handlers already do, so everything this
+	// goroutine asks of the node goes through onLoop.
 	node := qp.NewNode(rt, qp.Config{})
-	if err := node.Start(); err != nil {
-		fatal(err)
-	}
-	if err := node.ServeClients(); err != nil {
-		fatal(err)
+	var startErr error
+	onLoop(rt, func() {
+		if startErr = node.Start(); startErr == nil {
+			startErr = node.ServeClients()
+		}
+	})
+	if startErr != nil {
+		fatal(startErr)
 	}
 	fmt.Printf("pier node on %s\n", node.Addr())
 
 	if join != "" {
 		ok := make(chan error, 1)
-		node.Join(vri.Addr(join), func(err error) { ok <- err })
+		onLoop(rt, func() { node.Join(vri.Addr(join), func(err error) { ok <- err }) })
 		if err := <-ok; err != nil {
 			fatal(fmt.Errorf("join %s: %w", join, err))
 		}
 		fmt.Printf("joined the overlay via %s\n", join)
 	}
-	for i := 0; i < demo; i++ {
-		node.PublishLocal("demo", tuple.New("demo").
-			Set("node", tuple.String(string(node.Addr()))).
-			Set("seq", tuple.Int(int64(i))), time.Hour)
-	}
 	if demo > 0 {
+		onLoop(rt, func() {
+			for i := 0; i < demo; i++ {
+				node.PublishLocal("demo", tuple.New("demo").
+					Set("node", tuple.String(string(node.Addr()))).
+					Set("seq", tuple.Int(int64(i))), time.Hour)
+			}
+		})
 		fmt.Printf("published %d demo tuples\n", demo)
 	}
 
@@ -86,7 +94,14 @@ func runNode(bind, join string, demo int) {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	fmt.Println("\nshutting down")
-	node.Stop()
+	onLoop(rt, node.Stop)
+}
+
+// onLoop runs fn on the runtime's scheduler goroutine and waits for it.
+func onLoop(rt vri.Runtime, fn func()) {
+	done := make(chan struct{})
+	rt.Schedule(0, func() { fn(); close(done) })
+	<-done
 }
 
 func runClient(proxy, query string, wait time.Duration) {

@@ -120,6 +120,9 @@ func (d *DHT) Owns(id ID) bool { return d.router.isOwner(id) }
 // forwarded, for instrumentation.
 func (d *DHT) RouterStats() (routed, hops uint64) { return d.router.stats() }
 
+// MalformedMessages reports how many datagrams failed to decode and were dropped.
+func (d *DHT) MalformedMessages() uint64 { return d.router.malformed }
+
 // FingerCount reports how many distinct long-range routing entries this
 // node currently holds — a convergence diagnostic for deployment
 // harnesses.
@@ -341,13 +344,26 @@ func (d *DHT) deliverRouted(m *routedMsg) {
 func (d *DHT) handleMessage(src vri.Addr, payload []byte) {
 	// Every peer heard from is a candidate routing-table entry.
 	d.router.learnPeer(src)
+	if !d.dispatch(src, payload) {
+		d.router.malformed++
+	}
+	// Any datagram from the predecessor — the one that just made it so
+	// included — shows it alive.
+	if src == d.router.pred.addr {
+		d.router.predHeard = d.rt.Now()
+	}
+}
+
+// dispatch decodes one datagram and acts on it. It reports false, having
+// changed no ring or store state, if the datagram does not decode.
+func (d *DHT) dispatch(src vri.Addr, payload []byte) bool {
 	r := wire.NewReader(payload)
 	kind := r.U8()
 	switch kind {
 	case mkRouted:
 		m, err := decodeRouted(r)
 		if err != nil {
-			return
+			return false
 		}
 		d.router.route(m)
 
@@ -356,7 +372,7 @@ func (d *DHT) handleMessage(src vri.Addr, payload []byte) {
 		owner := vri.Addr(r.String())
 		ownerID := ID(r.U64())
 		if r.Err() != nil {
-			return
+			return false
 		}
 		d.router.learnPeer(owner)
 		if p := d.router.takePending(reqID); p != nil && p.onLookup != nil {
@@ -367,19 +383,22 @@ func (d *DHT) handleMessage(src vri.Addr, payload []byte) {
 		reqID := r.U64()
 		ns, key := r.String(), r.String()
 		if r.Err() != nil {
-			return
+			return false
 		}
 		d.rt.Send(src, vri.PortOverlay, encodeGetResp(d.router.scratch, reqID, d.store.get(ns, key)), nil)
 
 	case mkGetResp:
 		reqID := r.U64()
-		n := r.U32()
+		n := int(r.U32())
+		if n > r.Remaining()/minObjectBytes {
+			return false // a count the bytes cannot carry
+		}
 		objs := make([]Object, 0, n)
-		for i := uint32(0); i < n && r.Err() == nil; i++ {
+		for i := 0; i < n; i++ {
 			objs = append(objs, readObject(r))
 		}
 		if r.Err() != nil {
-			return
+			return false
 		}
 		if p := d.router.takePending(reqID); p != nil && p.onGet != nil {
 			p.onGet(objs, nil)
@@ -388,7 +407,7 @@ func (d *DHT) handleMessage(src vri.Addr, payload []byte) {
 	case mkPut:
 		obj := readObject(r)
 		if r.Err() != nil {
-			return
+			return false
 		}
 		d.storeLocal(obj)
 
@@ -397,7 +416,7 @@ func (d *DHT) handleMessage(src vri.Addr, payload []byte) {
 		ns, key, suffix := r.String(), r.String(), r.String()
 		lifetime := r.Duration()
 		if r.Err() != nil {
-			return
+			return false
 		}
 		ok := d.store.renew(ns, key, suffix, lifetime)
 		d.rt.Send(src, vri.PortOverlay, encodeRenewResp(d.router.scratch, reqID, ok), nil)
@@ -406,61 +425,65 @@ func (d *DHT) handleMessage(src vri.Addr, payload []byte) {
 		reqID := r.U64()
 		ok := r.Bool()
 		if r.Err() != nil {
-			return
+			return false
 		}
 		if p := d.router.takePending(reqID); p != nil && p.onRenew != nil {
 			p.onRenew(ok, nil)
 		}
 
 	case mkStabilizeReq:
-		reqID := r.U64()
+		reqID, have := r.U64(), r.U64()
 		if r.Err() != nil {
-			return
+			return false
 		}
-		d.rt.Send(src, vri.PortOverlay,
-			encodeStabilizeResp(d.router.scratch, reqID, d.router.pred.addr, d.router.succs, d.router.fingerSample(16)), nil)
+		// The request is the requester's notify, so the answer already names
+		// it as predecessor where it qualifies; it goes out in full unless
+		// the requester holds exactly these bytes (have == 0: it holds none).
+		d.router.onNotify(src)
+		msg := encodeStabilizeResp(d.router.scratch, reqID, d.router.pred.addr, d.router.succs, d.router.fingerSample(16))
+		if have != 0 && have == bodyHash(msg[stabBodyOff:]) {
+			msg = encodeReqID(d.router.scratch, mkStabilizeSame, reqID)
+		}
+		d.rt.Send(src, vri.PortOverlay, msg, nil)
 
-	case mkStabilizeResp:
+	case mkStabilizeResp, mkStabilizeSame:
 		reqID := r.U64()
-		pred := vri.Addr(r.String())
-		n := r.U16()
-		succs := make([]vri.Addr, 0, n)
-		for i := uint16(0); i < n && r.Err() == nil; i++ {
-			succs = append(succs, vri.Addr(r.String()))
-		}
-		nf := r.U16()
-		fingers := make([]vri.Addr, 0, nf)
-		for i := uint16(0); i < nf && r.Err() == nil; i++ {
-			fingers = append(fingers, vri.Addr(r.String()))
-		}
 		if r.Err() != nil {
-			return
+			return false
+		}
+		var full []byte
+		if kind == mkStabilizeResp {
+			full = payload[stabBodyOff:]
 		}
 		if p := d.router.takePending(reqID); p != nil && p.onStab != nil {
-			p.onStab(pred, succs, fingers, nil)
+			return p.onStab(full, nil)
 		}
 
 	case mkNotify:
 		addr := vri.Addr(r.String())
 		if r.Err() != nil {
-			return
+			return false
 		}
 		d.router.onNotify(addr)
 
 	case mkPing:
 		reqID := r.U64()
 		if r.Err() != nil {
-			return
+			return false
 		}
-		d.rt.Send(src, vri.PortOverlay, encodePong(d.router.scratch, reqID), nil)
+		d.rt.Send(src, vri.PortOverlay, encodeReqID(d.router.scratch, mkPong, reqID), nil)
 
 	case mkPong:
 		reqID := r.U64()
 		if r.Err() != nil {
-			return
+			return false
 		}
 		if p := d.router.takePending(reqID); p != nil && p.onPong != nil {
 			p.onPong(nil)
 		}
+
+	default:
+		return false
 	}
+	return true
 }

@@ -14,10 +14,17 @@ import (
 // and runs stabilization until the ring converges.
 func ring(t *testing.T, env *sim.Env, n int) []*DHT {
 	t.Helper()
+	return ringOn(t, env, n, func(nd *sim.Node) vri.Runtime { return nd })
+}
+
+// ringOn is ring with every node's runtime passed through wrap first, so
+// a test can observe what the overlay sends, receives and schedules.
+func ringOn(t *testing.T, env *sim.Env, n int, wrap func(*sim.Node) vri.Runtime) []*DHT {
+	t.Helper()
 	nodes := env.SpawnN("node", n)
 	dhts := make([]*DHT, n)
 	for i, nd := range nodes {
-		dhts[i] = New(nd, Config{})
+		dhts[i] = New(wrap(nd), Config{})
 		if err := dhts[i].Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,21 @@
 // periodic stabilization). PIER is agnostic to the actual DHT algorithm
 // (§3.2.4); Chord supplies the three properties PIER relies on — naming,
 // forward-progress multi-hop routing, and churn-tolerant maintenance.
+//
+// Maintenance is three jittered tickers per node — stabilise, fix one
+// finger, check the predecessor — and a tick with nothing to say sends
+// nothing. Every tick fires and draws its jitter whatever it sends, so a
+// node's timer schedule and random stream do not depend on ring state.
+// A finger whose start lies in (self, successor] is the successor, set
+// without a lookup. A stabilise request names the answer it already holds
+// (by content hash, per successor address) and an unchanged answer comes
+// back as nine bytes, re-applied from the retained copy; the request is
+// also the requester's notify and its heartbeat, so mkNotify goes only to
+// a successor just adopted and mkPing only to a predecessor silent for
+// CheckPredInterval. Failure detection: a dead successor is dropped when
+// the stabilise request nacks, within 1.25 × StabilizeInterval + the ack
+// timeout; a dead predecessor is cleared when its probe nacks, within
+// 2.25 × CheckPredInterval + the ack timeout. Wire shapes: messages.go.
 package overlay
 
 import (

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"hash/fnv"
 	"time"
 
 	"pier/internal/vri"
@@ -8,7 +9,26 @@ import (
 )
 
 // Wire protocol for the overlay, carried on vri.PortOverlay. Every
-// datagram starts with a one-byte message kind.
+// datagram starts with a one-byte message kind; there are 13.
+//
+// The stabilise exchange has three shapes. In all of them the request is
+// mkStabilizeReq{reqID, have}: have is the FNV-1a-64 of the last full
+// answer BODY — everything after reqID: predecessor, successor list,
+// finger sample — the requester received from that address, 0 when it
+// holds none. The responder first takes the request as the requester's
+// notify, then builds its body as always and hashes it.
+//
+//   - Steady state, 17 + 9 bytes: the hashes agree and the answer is
+//     mkStabilizeSame{reqID}. The requester re-applies the body it
+//     retained, so the round's state transition is the one the full answer
+//     would have caused.
+//   - Something changed, or the requester holds no body from this address
+//     (first round, new successor, restored from a checkpoint): the answer
+//     is mkStabilizeResp{reqID, body}, which the requester applies and
+//     retains. Content-addressed, so there is no version to bump and a
+//     restarted node at an old address cannot alias.
+//   - The answer moved the requester's successor: mkNotify follows, to the
+//     new successor, which would otherwise wait a round for its request.
 //
 // Encoding is allocation-free on the steady state: every encode function
 // takes a caller-owned scratch wire.Writer (the router's, reused for the
@@ -19,6 +39,10 @@ import (
 // other encode runs, and never retained in a callback or struct. Code
 // that must keep encoded bytes across an asynchronous boundary (none in
 // this package today) must use its own Writer instead of the scratch.
+//
+// Decoding trusts no count: an element count is checked against what the
+// remaining bytes can hold before anything is allocated, and a datagram
+// that fails to decode is dropped and counted (DHT.MalformedMessages).
 const (
 	// mkRouted is a multi-hop message making forward progress toward the
 	// owner of a target identifier (§3.2.2). It wraps either a DHT send
@@ -38,11 +62,12 @@ const (
 	mkRenewReq
 	mkRenewResp
 	// Ring maintenance.
-	mkStabilizeReq  // ask a successor for its predecessor + successor list
-	mkStabilizeResp //
+	mkStabilizeReq  // ask the successor for its predecessor, successor list and finger sample
+	mkStabilizeResp // the full answer
 	mkNotify        // tell a node it may be our successor's predecessor
-	mkPing          // liveness probe
+	mkPing          // liveness probe of a predecessor gone silent
 	mkPong          //
+	mkStabilizeSame // the answer is byte for byte the one the requester holds
 )
 
 // Routed inner kinds.
@@ -109,6 +134,9 @@ func appendObject(w *wire.Writer, o Object) {
 	w.Bytes32(o.Data)
 	w.Duration(o.Lifetime)
 }
+
+// minObjectBytes: four length prefixes and the lifetime.
+const minObjectBytes = 4*4 + 8
 
 func readObject(r *wire.Reader) Object {
 	var o Object
@@ -208,12 +236,16 @@ func encodeRenewResp(w *wire.Writer, reqID uint64, ok bool) []byte {
 	return w.Bytes()
 }
 
-func encodeStabilizeReq(w *wire.Writer, reqID uint64) []byte {
+func encodeStabilizeReq(w *wire.Writer, reqID, have uint64) []byte {
 	w.Reset()
 	w.U8(mkStabilizeReq)
 	w.U64(reqID)
+	w.U64(have)
 	return w.Bytes()
 }
+
+// stabBodyOff is where a stabilise answer's body starts: after kind and reqID.
+const stabBodyOff = 9
 
 func encodeStabilizeResp(w *wire.Writer, reqID uint64, pred vri.Addr, succs []nodeRef, fingers []vri.Addr) []byte {
 	w.Reset()
@@ -231,6 +263,28 @@ func encodeStabilizeResp(w *wire.Writer, reqID uint64, pred vri.Addr, succs []no
 	return w.Bytes()
 }
 
+// bodyHash is FNV-1a-64 over a stabilise answer body — what `have` carries.
+func bodyHash(body []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(body)
+	return h.Sum64()
+}
+
+// readAddrs reads a u16-counted address list. An address is at least its
+// 4-byte length prefix, so a count the remaining bytes cannot hold is
+// refused before anything is allocated.
+func readAddrs(r *wire.Reader) (addrs []vri.Addr, ok bool) {
+	n := int(r.U16())
+	if n > r.Remaining()/4 {
+		return nil, false
+	}
+	addrs = make([]vri.Addr, 0, n)
+	for i := 0; i < n; i++ {
+		addrs = append(addrs, vri.Addr(r.String()))
+	}
+	return addrs, r.Err() == nil
+}
+
 func encodeNotify(w *wire.Writer, addr vri.Addr) []byte {
 	w.Reset()
 	w.U8(mkNotify)
@@ -238,16 +292,11 @@ func encodeNotify(w *wire.Writer, addr vri.Addr) []byte {
 	return w.Bytes()
 }
 
-func encodePing(w *wire.Writer, reqID uint64) []byte {
+// encodeReqID encodes the kinds that are a request id and nothing else:
+// mkPing, mkPong, mkStabilizeSame.
+func encodeReqID(w *wire.Writer, kind uint8, reqID uint64) []byte {
 	w.Reset()
-	w.U8(mkPing)
-	w.U64(reqID)
-	return w.Bytes()
-}
-
-func encodePong(w *wire.Writer, reqID uint64) []byte {
-	w.Reset()
-	w.U8(mkPong)
+	w.U8(kind)
 	w.U64(reqID)
 	return w.Bytes()
 }

@@ -27,17 +27,17 @@ type RouterConfig struct {
 	// FixFingerInterval is the period at which one finger entry is
 	// refreshed. Default 250ms.
 	FixFingerInterval time.Duration
-	// CheckPredInterval is the period of predecessor liveness probes.
-	// Default 1s.
+	// CheckPredInterval is the period of the predecessor liveness check,
+	// and the silence after which the check sends a probe. Default 1s.
 	CheckPredInterval time.Duration
 	// SuccessorListLen is the resilience depth of the successor list.
 	// Default 4.
 	SuccessorListLen int
 	// RequestTimeout bounds lookups, pings and stabilize exchanges.
-	// Default 3s.
+	// Default 10s.
 	RequestTimeout time.Duration
 	// MaxHops bounds multi-hop routing to break cycles under churn.
-	// Default 64.
+	// Default 200.
 	MaxHops int
 }
 
@@ -74,6 +74,13 @@ type router struct {
 	succs   []nodeRef // succs[0] is the immediate successor; never empty once started
 	fingers [64]nodeRef
 	nextFix int
+	// predHeard is when the current predecessor was last heard from.
+	predHeard time.Time
+	// stabBody is the body of the last full stabilise answer and stabFrom
+	// the address it came from: what an mkStabilizeSame from that address
+	// re-applies. Not checkpointed — a restored node sends have = 0.
+	stabBody []byte
+	stabFrom vri.Addr
 
 	// deliver is invoked when this node is the owner of a routed
 	// message's target.
@@ -95,21 +102,23 @@ type router struct {
 	// ring maintenance allocates no payload bytes on the sender side.
 	scratch *wire.Writer
 
-	timers  []vri.Timer
+	timers  [3]vri.Timer // the pending tick of each maintenance ticker
 	stopped bool
 
 	// hopCount accumulates routing hops for observability.
-	hopCount uint64
-	routed   uint64
+	hopCount  uint64
+	routed    uint64
+	malformed uint64 // datagrams dropped because they did not decode
 }
 
 type pendingReq struct {
 	onLookup func(owner nodeRef, err error)
-	onStab   func(pred vri.Addr, succs, fingers []vri.Addr, err error)
-	onPong   func(err error)
-	onRenew  func(ok bool, err error)
-	onGet    func(objs []Object, err error)
-	timer    vri.Timer
+	// onStab takes an answer's body, nil for mkStabilizeSame; false: malformed.
+	onStab  func(full []byte, err error) (ok bool)
+	onPong  func(err error)
+	onRenew func(ok bool, err error)
+	onGet   func(objs []Object, err error)
+	timer   vri.Timer
 }
 
 func newRouter(rt vri.Runtime, cfg RouterConfig) *router {
@@ -125,38 +134,25 @@ func newRouter(rt vri.Runtime, cfg RouterConfig) *router {
 	return r
 }
 
-// start begins periodic ring maintenance.
+// start begins periodic ring maintenance: three tickers, each re-armed by
+// its own pre-bound closure after a jittered period.
 func (r *router) start() {
-	jitter := func(d time.Duration) time.Duration {
-		return d + time.Duration(r.rt.Rand().Int63n(int64(d/4+1)))
-	}
-	var stabilize, fixFingers, checkPred func()
-	stabilize = func() {
-		if r.stopped {
-			return
+	tick := func(slot int, every time.Duration, work func()) {
+		var arm, fire func()
+		arm = func() {
+			r.timers[slot] = r.rt.Schedule(every+time.Duration(r.rt.Rand().Int63n(int64(every/4+1))), fire)
 		}
-		r.stabilize()
-		r.timers = append(r.timers, r.rt.Schedule(jitter(r.cfg.StabilizeInterval), stabilize))
-	}
-	fixFingers = func() {
-		if r.stopped {
-			return
+		fire = func() {
+			if !r.stopped {
+				work()
+				arm()
+			}
 		}
-		r.fixNextFinger()
-		r.timers = append(r.timers, r.rt.Schedule(jitter(r.cfg.FixFingerInterval), fixFingers))
+		arm()
 	}
-	checkPred = func() {
-		if r.stopped {
-			return
-		}
-		r.checkPredecessor()
-		r.timers = append(r.timers, r.rt.Schedule(jitter(r.cfg.CheckPredInterval), checkPred))
-	}
-	r.timers = append(r.timers,
-		r.rt.Schedule(jitter(r.cfg.StabilizeInterval), stabilize),
-		r.rt.Schedule(jitter(r.cfg.FixFingerInterval), fixFingers),
-		r.rt.Schedule(jitter(r.cfg.CheckPredInterval), checkPred),
-	)
+	tick(0, r.cfg.StabilizeInterval, r.stabilize)
+	tick(1, r.cfg.FixFingerInterval, r.fixNextFinger)
+	tick(2, r.cfg.CheckPredInterval, r.checkPredecessor)
 }
 
 func (r *router) stop() {
@@ -164,7 +160,6 @@ func (r *router) stop() {
 	for _, t := range r.timers {
 		t.Cancel()
 	}
-	r.timers = nil
 }
 
 // join bootstraps into an existing ring via any live member: look up our
@@ -373,7 +368,7 @@ func (r *router) failPending(id uint64) {
 	case p.onLookup != nil:
 		p.onLookup(nodeRef{}, err)
 	case p.onStab != nil:
-		p.onStab("", nil, nil, err)
+		p.onStab(nil, err)
 	case p.onPong != nil:
 		p.onPong(err)
 	case p.onRenew != nil:
@@ -383,7 +378,9 @@ func (r *router) failPending(id uint64) {
 	}
 }
 
-// stabilize runs one round of Chord's successor-consistency protocol.
+// stabilize runs one round of Chord's successor-consistency protocol. The
+// request is also this node's notify and heartbeat to its successor, and
+// names the answer it holds so an unchanged one comes back as nine bytes.
 func (r *router) stabilize() {
 	succ := r.successor()
 	if succ.addr == r.self.addr {
@@ -394,40 +391,71 @@ func (r *router) stabilize() {
 		}
 		return
 	}
-	reqID := r.newPending(&pendingReq{onStab: func(predAddr vri.Addr, succAddrs []vri.Addr, fingerAddrs []vri.Addr, err error) {
-		if err != nil {
+	var have uint64
+	if r.stabFrom == succ.addr {
+		have = bodyHash(r.stabBody)
+	}
+	reqID := r.newPending(&pendingReq{onStab: func(full []byte, err error) bool {
+		switch {
+		case err != nil:
 			r.dropPeer(succ.addr)
-			return
-		}
-		// Finger gossip: the successor's long-range pointers seed ours,
-		// so routing-table knowledge spreads exponentially instead of
-		// waiting on lookups that are slow precisely when fingers are
-		// missing.
-		for _, a := range fingerAddrs {
-			r.learnPeer(a)
-		}
-		if predAddr != "" {
-			x := ref(predAddr)
-			if BetweenOpen(x.id, r.self.id, r.successor().id) {
-				r.succs = append([]nodeRef{x}, r.succs...)
+		case full != nil:
+			if !r.applyStabilize(full) {
+				return false
 			}
+			r.stabFrom, r.stabBody = succ.addr, append(r.stabBody[:0], full...)
+		case r.stabFrom == succ.addr: // else "same" as a body since replaced: the next round asks afresh
+			r.applyStabilize(r.stabBody)
 		}
-		// Adopt the successor's list, shifted by one.
-		list := []nodeRef{r.successor()}
-		for _, a := range succAddrs {
-			if a != r.self.addr {
-				list = append(list, ref(a))
-			}
-		}
-		r.succs = list
-		r.trimSuccs()
-		r.sendTo(r.successor().addr, encodeNotify(r.scratch, r.self.addr), nil)
+		return true
 	}})
-	r.sendTo(succ.addr, encodeStabilizeReq(r.scratch, reqID), func(ok bool) {
+	r.sendTo(succ.addr, encodeStabilizeReq(r.scratch, reqID, have), func(ok bool) {
 		if !ok {
 			r.failPending(reqID)
 		}
 	})
+}
+
+// applyStabilize performs the state transition of one stabilise answer,
+// given its body — off the wire, or the retained copy an mkStabilizeSame
+// stands for (re-applying matters: dropPeer may have emptied a finger slot
+// since). It reports false, changing nothing, if the body does not decode.
+func (r *router) applyStabilize(body []byte) bool {
+	rd := wire.NewReader(body)
+	predAddr := vri.Addr(rd.String())
+	succAddrs, okSuccs := readAddrs(rd)
+	fingerAddrs, okFingers := readAddrs(rd)
+	if !okSuccs || !okFingers {
+		return false
+	}
+	was := r.successor().addr
+	// Finger gossip: the successor's long-range pointers seed ours,
+	// so routing-table knowledge spreads exponentially instead of
+	// waiting on lookups that are slow precisely when fingers are
+	// missing.
+	for _, a := range fingerAddrs {
+		r.learnPeer(a)
+	}
+	if predAddr != "" {
+		x := ref(predAddr)
+		if BetweenOpen(x.id, r.self.id, r.successor().id) {
+			r.succs = append([]nodeRef{x}, r.succs...)
+		}
+	}
+	// Adopt the successor's list, shifted by one.
+	list := []nodeRef{r.successor()}
+	for _, a := range succAddrs {
+		if a != r.self.addr {
+			list = append(list, ref(a))
+		}
+	}
+	r.succs = list
+	r.trimSuccs()
+	// A new successor would wait a round for the request that notifies it.
+	if now := r.successor().addr; now != was {
+		r.sendTo(now, encodeNotify(r.scratch, r.self.addr), nil)
+	}
+	return true
 }
 
 // learnPeer opportunistically places a node heard from into the finger
@@ -461,6 +489,13 @@ func (r *router) fixNextFinger() {
 	i := r.nextFix
 	r.nextFix = (r.nextFix + 1) % len(r.fingers)
 	target := ID(uint64(r.self.id) + 1<<uint(i))
+	// Chord's finger[i] = successor short-cut: the successor owns a start in
+	// (self, successor], which is what route's `final` rule would have a
+	// lookup fetch. A dead successor is still found by stabilise's nack.
+	if succ := r.successor(); succ.addr != r.self.addr && Between(target, r.self.id, succ.id) {
+		r.fingers[i] = succ
+		return
+	}
 	r.lookup(target, func(owner nodeRef, err error) {
 		// A singleton resolves every lookup to itself; storing self
 		// would permanently occupy the slot and blind future routing
@@ -471,10 +506,11 @@ func (r *router) fixNextFinger() {
 	})
 }
 
-// checkPredecessor probes the predecessor and forgets it on timeout, so a
-// new predecessor can be adopted via notify.
+// checkPredecessor probes a predecessor silent for a whole check interval
+// (a live one's stabilise requests are its heartbeat) and forgets it on
+// timeout, so a new one can be adopted via notify.
 func (r *router) checkPredecessor() {
-	if !r.pred.valid() {
+	if !r.pred.valid() || r.rt.Now().Sub(r.predHeard) < r.cfg.CheckPredInterval {
 		return
 	}
 	pred := r.pred
@@ -483,14 +519,15 @@ func (r *router) checkPredecessor() {
 			r.pred = nodeRef{}
 		}
 	}})
-	r.sendTo(pred.addr, encodePing(r.scratch, reqID), func(ok bool) {
+	r.sendTo(pred.addr, encodeReqID(r.scratch, mkPing, reqID), func(ok bool) {
 		if !ok {
 			r.failPending(reqID)
 		}
 	})
 }
 
-// onNotify handles a peer's claim to be our predecessor.
+// onNotify handles a peer's claim to be our predecessor: an mkNotify, or
+// the stabilise request it sends us every round.
 func (r *router) onNotify(addr vri.Addr) {
 	n := ref(addr)
 	if n.addr == r.self.addr {
