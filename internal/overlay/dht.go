@@ -295,6 +295,19 @@ func (d *DHT) LocalScan(namespace string, fn func(Object) bool) {
 	d.store.scan(namespace, fn)
 }
 
+// LocalGet invokes fn for every live object stored at this node under
+// (namespace, key), until fn returns false (Table 2: get, served at the
+// owner). Objects come in suffix order — the order LocalScan visits the
+// key's objects in — so a reader of one key sees the same sequence from
+// either.
+func (d *DHT) LocalGet(namespace, key string, fn func(Object) bool) {
+	for _, o := range d.store.get(namespace, key) {
+		if !fn(o) {
+			return
+		}
+	}
+}
+
 // LocalCount returns the number of live local objects in namespace.
 func (d *DHT) LocalCount(namespace string) int { return d.store.count(namespace) }
 

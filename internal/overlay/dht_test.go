@@ -451,3 +451,53 @@ func TestStopReleasesPort(t *testing.T) {
 		t.Fatalf("restart after Stop: %v", err)
 	}
 }
+
+// TestLocalGetVisitsWhatLocalScanVisitsUnderTheKey: LocalGet(ns, k) is
+// LocalScan(ns) restricted to o.Key == k — same objects, same order, same
+// strict expiry rule — which is what lets a keyed read stand in for a
+// filtered scan.
+func TestLocalGetVisitsWhatLocalScanVisitsUnderTheKey(t *testing.T) {
+	env := sim.NewEnv(sim.Options{Seed: 21})
+	// No sweep inside the test: expired objects stay in the store, so it
+	// is the reads' own expiry rule that hides them.
+	d := New(env.Spawn("solo"), Config{SweepInterval: time.Hour})
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const check = 5 * time.Second
+	lifetimes := []time.Duration{check - time.Second, check, check + time.Nanosecond, time.Hour}
+	keys := []string{"a", "b", "", "a\x1fb"}
+	for ki, k := range keys {
+		for i, life := range lifetimes {
+			// Suffixes stored out of order, lifetimes rotated per key.
+			d.PutLocal("t", k, fmt.Sprintf("s%d", (i+ki)%len(lifetimes)), []byte{byte(ki), byte(i)}, life)
+		}
+		d.PutLocal("other", k, "s", []byte("x"), time.Hour)
+	}
+	env.Run(check) // an object that lives exactly `check` is dead now
+
+	name := func(o Object) string {
+		return fmt.Sprintf("%s/%q/%s=%v", o.Namespace, o.Key, o.Suffix, o.Data)
+	}
+	for _, k := range append(keys, "absent") {
+		var got, want []string
+		d.LocalGet("t", k, func(o Object) bool { got = append(got, name(o)); return true })
+		d.LocalScan("t", func(o Object) bool {
+			if o.Key == k {
+				want = append(want, name(o))
+			}
+			return true
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("key %q: LocalGet visited %v, LocalScan %v", k, got, want)
+		}
+		if wantLive := 2; k != "absent" && len(got) != wantLive {
+			t.Errorf("key %q: %d live objects at the expiry instant, want %d (lifetimes > %v)", k, len(got), wantLive, check)
+		}
+	}
+	visits := 0
+	d.LocalGet("t", "a", func(Object) bool { visits++; return false })
+	if visits != 1 {
+		t.Errorf("LocalGet visited %d objects after fn returned false, want 1", visits)
+	}
+}

@@ -13,8 +13,9 @@ import (
 // the bus shares two things among the attached chains:
 //
 //   - one overlay subscription per distinct access signature — the
-//     (table, only-filter) pair that fully determines delivery semantics —
-//     so a table read by Q chains costs one registry slot, not Q;
+//     (table, only-filter, object key) triple that fully determines
+//     delivery semantics — so a table read by Q chains costs one registry
+//     slot, not Q;
 //   - the decode: the overlay registry decodes once per arrival
 //     (overlay.SubscribeBatches) and the bus fans the SAME *tuple.Batch
 //     out to every attached chain, whole (exec's one edge: PushBatch).
@@ -40,10 +41,13 @@ type tableBus struct {
 }
 
 // busKey is the access signature of a Scan/NewData subscription: the
-// fields that determine exactly which tuples a subscriber receives.
+// fields that determine exactly which tuples a subscriber receives. key,
+// when non-empty, is the object key of a keyed read (newScan): the share
+// receives only arrivals stored under (table, key).
 type busKey struct {
 	table string
 	only  string
+	key   string
 }
 
 // busShare is one shared subscription and its attached chains, in
@@ -77,17 +81,22 @@ func newTableBus(n *Node) *tableBus {
 // stream, creating the underlying overlay subscription only for the
 // first attachment of an access signature. The returned cancel is O(1)
 // and idempotent.
-func (b *tableBus) attach(table, only string, c *chain, tag exec.Tag, in *exec.Input) (cancel func()) {
-	key := busKey{table: table, only: only}
+func (b *tableBus) attach(table, only, objKey string, c *chain, tag exec.Tag, in *exec.Input) (cancel func()) {
+	key := busKey{table: table, only: only, key: objKey}
 	sh := b.shares[key]
 	if sh == nil {
 		sh = &busShare{bus: b, key: key}
 		sh.sub = b.n.dht.SubscribeBatches(table, sh.dispatch)
 		// Retire the share (cancelling the overlay subscription — no
-		// leak) when the last query detaches.
+		// leak) when the last query detaches. A Go map never shrinks, and
+		// keyed lookups open and retire a share per key, so a map that
+		// empties is replaced rather than kept at its high-water size.
 		sh.targets.OnEmpty(func() {
 			sh.sub.Cancel()
 			delete(b.shares, sh.key)
+			if len(b.shares) == 0 {
+				b.shares = make(map[busKey]*busShare)
+			}
 		})
 		b.shares[key] = sh
 	}
@@ -97,12 +106,17 @@ func (b *tableBus) attach(table, only string, c *chain, tag exec.Tag, in *exec.I
 	return func() { sh.remove(t) }
 }
 
-// dispatch fans one decoded arrival out to every attached chain. The
-// only-filter is evaluated once per share, not once per attachment.
-// chainFeeds counts the deliveries: Q same-shape queries ride ONE
-// attachment, so feeds per publish measure the operator executions
-// actually paid — the O(1)-in-Q quantity qstorm reports.
-func (sh *busShare) dispatch(_ overlay.Object, b *tuple.Batch) {
+// dispatch fans one decoded arrival out to every attached chain. A keyed
+// share returns at once on an arrival under another key — one string
+// compare per live lookup key, not a Select evaluation through each
+// lookup's chain. The only-filter is evaluated once per share, not once
+// per attachment. chainFeeds counts the deliveries: Q same-shape queries
+// ride ONE attachment, so feeds per publish measure the operator
+// executions actually paid — the O(1)-in-Q quantity qstorm reports.
+func (sh *busShare) dispatch(o overlay.Object, b *tuple.Batch) {
+	if sh.key.key != "" && o.Key != sh.key.key {
+		return
+	}
 	fb := b.FilterTable(sh.key.only)
 	if fb == nil || fb.Len() == 0 {
 		return

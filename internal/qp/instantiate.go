@@ -102,7 +102,7 @@ func (n *Node) newChain(rq *runningQuery, g *ufl.Opgraph, member func(opID strin
 		if !member(spec.ID) {
 			continue
 		}
-		op, err := c.buildOp(spec)
+		op, err := c.buildOp(spec, g.Dissem)
 		if err != nil {
 			return nil, fmt.Errorf("qp: opgraph %q op %q: %w", g.ID, spec.ID, err)
 		}
@@ -251,8 +251,9 @@ func (lg *liveGraph) close() {
 }
 
 // buildOp constructs one operator instance from its spec — the single
-// physical-operator menu. Kind names are case-insensitive.
-func (c *chain) buildOp(spec ufl.OpSpec) (exec.Op, error) {
+// physical-operator menu. Kind names are case-insensitive. d is how the
+// spec's opgraph was disseminated.
+func (c *chain) buildOp(spec ufl.OpSpec, d ufl.Dissemination) (exec.Op, error) {
 	kind := strings.ToLower(spec.Kind)
 	if c.rq == nil && !shareableOpKinds[kind] {
 		// sharePlan vetted every kind; reaching here is a bug, but
@@ -265,7 +266,15 @@ func (c *chain) buildOp(spec ufl.OpSpec) (exec.Op, error) {
 		if table == "" {
 			return nil, fmt.Errorf("%s needs table=", spec.Kind)
 		}
-		return newScan(c, table, kind == "scan", spec.Arg("only", "")), nil
+		// An equality-disseminated graph is about (Namespace, Key): it was
+		// routed to that name's owner, so its read of Namespace is that
+		// name's objects — the DHT's get, not an lscan (§3.3.3, Table 2).
+		// Any other table, and an empty key, read the whole partition.
+		key := ""
+		if d.Mode == ufl.DissemEquality && table == d.Namespace {
+			key = d.Key
+		}
+		return newScan(c, table, kind == "scan", spec.Arg("only", ""), key), nil
 
 	case "select":
 		pred, err := expr.Parse(spec.Arg("pred", "true"))

@@ -25,6 +25,14 @@ import (
 // shared read-only tuples). withScan=false gives the pure NewData
 // variant used for rendezvous namespaces where history is not wanted.
 //
+// key, when non-empty, makes the read keyed — the index lookup of §3.3.3
+// (buildOp decides when): catch-up is the DHT's get of (table, key) at
+// this node instead of an lscan of the node's whole partition, and the
+// bus share receives only arrivals stored under that key. get returns a
+// key's objects in suffix order, which is the order the scan visits them
+// in, so a keyed read emits what the scan would have emitted for that
+// key, in the same order; the cost is the key's matches, not the store.
+//
 // only, when non-empty, keeps just tuples whose self-described table
 // name matches. A join's rehash phase ships both relations into ONE
 // rendezvous namespace (so equal join keys land on the same node —
@@ -35,12 +43,13 @@ import (
 // Malformed stored objects are discarded best-effort but COUNTED: the
 // catch-up path increments the node's malformedFrames, the newData path
 // is counted by the overlay registry; both surface in Node.Stats.
-func newScan(c *chain, table string, withScan bool, only string) *exec.Input {
+func newScan(c *chain, table string, withScan bool, only, key string) *exec.Input {
 	n := c.n
 	in := exec.NewInput()
 	in.OnOpen = func(tag exec.Tag) {
 		if withScan {
-			n.dht.LocalScan(table, func(o overlay.Object) bool {
+			catchUp := func(o overlay.Object) bool {
+				n.catchUpObjects++
 				fb, err := tuple.DecodeFrame(o.Data)
 				if err != nil {
 					n.malformedFrames.Inc()
@@ -50,9 +59,14 @@ func newScan(c *chain, table string, withScan bool, only string) *exec.Input {
 					in.PushBatch(tag, fb)
 				}
 				return true
-			})
+			}
+			if key != "" {
+				n.dht.LocalGet(table, key, catchUp)
+			} else {
+				n.dht.LocalScan(table, catchUp)
+			}
 		}
-		c.cancels = append(c.cancels, n.bus.attach(table, only, c, tag, in))
+		c.cancels = append(c.cancels, n.bus.attach(table, only, key, c, tag, in))
 	}
 	return in
 }

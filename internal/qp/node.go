@@ -204,6 +204,7 @@ type Node struct {
 	subtreeHits        uint64 // attachments resolved to an existing chain
 	sharedFanout       uint64 // demux deliveries to per-query tails
 	chainFeeds         uint64 // bus deliveries into operator chains (bus.go)
+	catchUpObjects     uint64 // stored objects catch-up reads decoded (netops.go)
 	clientQuotaRejects uint64 // refusals under MaxGraphsPerClient
 	sendRetries        uint64 // nack-driven retransmissions (backoff.go)
 	sendExhausted      uint64 // payloads abandoned after the retry budget
@@ -410,6 +411,11 @@ type NodeStats struct {
 	// DISTINCT chain per publish, so this staying flat in Q is the
 	// sharing proof.
 	ChainFeeds uint64
+	// CatchUpObjects counts stored objects that catch-up reads handed to
+	// the frame decoder: a keyed read (an index lookup) moves it by the
+	// key's matches, a whole-partition scan by everything the node holds
+	// of the table.
+	CatchUpObjects uint64
 	// ClientQuotaRejects counts refusals under the per-client graph
 	// quota (a subset of GraphsRejected); ClientRejects breaks them down
 	// by client id (nil when there were none).
@@ -484,6 +490,7 @@ func (n *Node) Stats() NodeStats {
 		SubtreeHits:         n.subtreeHits,
 		SharedExecFanout:    n.sharedFanout,
 		ChainFeeds:          n.chainFeeds,
+		CatchUpObjects:      n.catchUpObjects,
 		ClientQuotaRejects:  n.clientQuotaRejects,
 		ClientRejects:       clientRejects,
 		TrackedClients:      len(n.clientLive),

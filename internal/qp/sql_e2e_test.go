@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pier/internal/overlay"
 	"pier/internal/sqlfront"
 	"pier/internal/tuple"
 )
@@ -125,5 +126,48 @@ func TestSQLEndToEndEqualityDissemination(t *testing.T) {
 	}
 	if executed != 1 {
 		t.Errorf("ran on %d nodes, want 1", executed)
+	}
+}
+
+// TestSQLEndToEndDisjunctionOnIndexedColumn: a disjunction over the
+// partitioning column has no single owner. It used to be routed to the
+// owner of the key "x' OR name = 'y" (the WHERE text split at its first
+// '=') and answered with whatever that one node held.
+func TestSQLEndToEndDisjunctionOnIndexedColumn(t *testing.T) {
+	env, nodes := cluster(t, 85, 8)
+	ownerOf := func(name string) int {
+		for i, n := range nodes {
+			if n.DHT().Owns(overlay.HashName("files", "s"+name)) {
+				return i
+			}
+		}
+		t.Fatalf("nobody owns %q", name)
+		return -1
+	}
+	// Two names stored at different nodes: no single node can answer.
+	a, b := "f0", ""
+	for i := 1; b == ""; i++ {
+		if name := fmt.Sprintf("f%d", i); ownerOf(name) != ownerOf(a) {
+			b = name
+		}
+	}
+	for _, name := range []string{a, b, "other"} {
+		nodes[1].Publish("files", []string{"name"},
+			tuple.New("files").Set("name", tuple.String(name)), time.Hour, nil)
+	}
+	env.Run(5 * time.Second)
+	q, err := sqlfront.Run("sqlor",
+		fmt.Sprintf("SELECT name FROM files WHERE name = '%s' OR name = '%s' TIMEOUT 10s", a, b),
+		sqlfront.Options{TableIndexes: map[string][]string{"files": {"name"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, r := range runQuery(t, env, nodes, 0, q) {
+		name, _ := r.Get("name")
+		got[name.String()]++
+	}
+	if len(got) != 2 || got[a] != 1 || got[b] != 1 {
+		t.Fatalf("disjunction returned %v, want %s and %s once each", got, a, b)
 	}
 }

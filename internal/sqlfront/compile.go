@@ -5,6 +5,8 @@ import (
 	"strings"
 	"time"
 
+	"pier/internal/expr"
+	"pier/internal/tuple"
 	"pier/internal/ufl"
 )
 
@@ -66,45 +68,61 @@ func hasAggregates(st *Statement) bool {
 	return false
 }
 
-// equalityKey detects "col = 'literal'" (the whole WHERE) on a declared
-// partitioning column, enabling equality dissemination.
+// equalityKey looks among the top-level AND conjuncts of the WHERE
+// predicate for an equality between the table's declared partitioning
+// column and a string or integer literal, in either operand order; the
+// literal's KeyString is the DHT key such a tuple was published under.
+// The predicate is parsed with expr.Parse — the grammar the plan's Select
+// parses the same text with — so what routes a query and what filters it
+// cannot disagree. The other conjuncts only narrow the answer at the
+// key's owner; OR, NOT, != and ranges have no single owner and broadcast.
 func equalityKey(st *Statement, opts Options) (ns, key string, ok bool) {
 	idx := opts.TableIndexes[st.From[0]]
 	if len(idx) != 1 || st.Where == "" {
 		return "", "", false
 	}
-	parts := strings.SplitN(st.Where, "=", 2)
-	if len(parts) != 2 {
+	pred, err := expr.Parse(st.Where)
+	if err != nil {
 		return "", "", false
 	}
-	col := strings.TrimSpace(parts[0])
-	lit := strings.TrimSpace(parts[1])
-	if col != idx[0] {
-		return "", "", false
-	}
-	if len(lit) >= 2 && lit[0] == '\'' && lit[len(lit)-1] == '\'' {
-		// KeyString canonical form for a string value: 's' + contents.
-		return st.From[0], "s" + strings.ReplaceAll(lit[1:len(lit)-1], "''", "'"), true
-	}
-	if i, err := parseIntLit(lit); err == nil {
-		return st.From[0], "i" + i, true
-	}
-	return "", "", false
+	key, ok = conjunctKey(pred, idx[0])
+	return st.From[0], key, ok
 }
 
-func parseIntLit(s string) (string, error) {
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			if i == 0 && s[i] == '-' {
-				continue
+func conjunctKey(e expr.Expr, col string) (key string, ok bool) {
+	switch e := e.(type) {
+	case expr.And:
+		if key, ok = conjunctKey(e.L, col); ok {
+			return key, true
+		}
+		return conjunctKey(e.R, col)
+	case expr.Cmp:
+		if e.Op != expr.EQ {
+			return "", false
+		}
+		for _, side := range [2][2]expr.Expr{{e.L, e.R}, {e.R, e.L}} {
+			if c, isCol := side[0].(expr.Col); isCol && c.Name == col {
+				if v, isLit := literal(side[1]); isLit {
+					return v.KeyString(), true
+				}
 			}
-			return "", fmt.Errorf("not an int")
 		}
 	}
-	if s == "" || s == "-" {
-		return "", fmt.Errorf("not an int")
+	return "", false
+}
+
+// literal reports the string or integer constant e denotes; -7 parses as
+// Neg(Const) and is folded.
+func literal(e expr.Expr) (v tuple.Value, ok bool) {
+	switch e := e.(type) {
+	case expr.Const:
+		v = e.Val
+	case expr.Neg:
+		if _, isConst := e.E.(expr.Const); isConst {
+			v, _ = e.Eval(nil)
+		}
 	}
-	return s, nil
+	return v, v.Kind() == tuple.KindString || v.Kind() == tuple.KindInt
 }
 
 // compileScan handles SELECT cols FROM t [WHERE ...] [ORDER BY/LIMIT].

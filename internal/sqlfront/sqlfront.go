@@ -20,10 +20,15 @@
 // others):
 //
 //   - Plain selection/projection → one broadcast opgraph over the table.
-//   - WHERE key = 'literal' on a column the application declared as the
-//     table's partitioning key (Options.TableIndexes — the paper's
-//     workaround of baking catalog knowledge into application logic,
-//     §4.2.1) → equality dissemination to the owning node only.
+//   - A WHERE whose top-level AND conjuncts include key = literal (or
+//     literal = key; a string or an integer) on the column the
+//     application declared as the table's partitioning key
+//     (Options.TableIndexes — the paper's workaround of baking catalog
+//     knowledge into application logic, §4.2.1) → equality dissemination
+//     to the owner of that key only, where the scan reads that key; the
+//     whole predicate still filters there. The predicate is read with
+//     the grammar the Select operator uses. OR, NOT, != and ranges on
+//     the key name no single owner and broadcast.
 //   - GROUP BY → two-phase aggregation: per-node partials, rehashed to a
 //     single rendezvous, finalized there (with AVG decomposed into
 //     SUM/COUNT).

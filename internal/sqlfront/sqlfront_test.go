@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pier/internal/expr"
 	"pier/internal/ufl"
 )
 
@@ -282,5 +283,66 @@ func TestCompiledPlansShareStructuralSignatures(t *testing.T) {
 	}
 	if qa.Graphs[0].Signature(qa.ID) == qc.Graphs[0].Signature(qc.ID) {
 		t.Error("structurally different plans share a signature")
+	}
+}
+
+// TestEqualityKeyShapes: the index is used exactly when a top-level AND
+// conjunct equates the partitioning column with a string or integer
+// literal; every other predicate has no single owner and broadcasts.
+func TestEqualityKeyShapes(t *testing.T) {
+	opts := Options{TableIndexes: map[string][]string{"kv": {"k"}}}
+	cases := []struct {
+		where string
+		key   string // "" = broadcast
+	}{
+		{"k = 'x'", "sx"},
+		{"'x' = k", "sx"},
+		{"k = 'it''s'", "sit's"},
+		{"k = 7", "i7"},
+		{"k = -7", "i-7"},
+		{"7 = k", "i7"},
+		{"k = 'x' AND v > 3", "sx"},
+		{"v > 3 AND k = 'x'", "sx"},
+		{"v > 3 AND (k = 'x' AND w = 1)", "sx"},
+		{"k = 'x' AND v = 'y'", "sx"},
+		{"v = 'y' AND k = 'x' AND w != 2", "sx"},
+		{"k = 'x' OR k = 'y'", ""},
+		{"k = 'x' OR v = 1", ""},
+		{"(k = 'x' OR k = 'y') AND v > 3", ""},
+		{"v > 3 AND (k = 'x' OR k = 'y')", ""},
+		{"NOT k = 'x'", ""},
+		{"NOT (k = 'x' AND v = 1)", ""},
+		{"k != 'x'", ""},
+		{"k > 'x'", ""},
+		{"k >= 3 AND k <= 5", ""},
+		{"k = 1.5", ""},
+		{"k = v", ""},
+		{"k = -v", ""},
+		{"k = 3 + 4", ""},
+		{"v = 'x'", ""},
+		{"lower(k) = 'x'", ""},
+	}
+	for _, tc := range cases {
+		q, err := Run("q", "SELECT k, v FROM kv WHERE "+tc.where, opts)
+		if err != nil {
+			t.Errorf("WHERE %s: %v", tc.where, err)
+			continue
+		}
+		g := q.Graphs[0]
+		// However it routes, the plan filters on the whole predicate.
+		got, err := expr.Parse(g.Op("where").Arg("pred", ""))
+		if want, _ := expr.Parse(tc.where); err != nil || got.String() != want.String() {
+			t.Errorf("WHERE %s: Select filters on %v (%v), want %v", tc.where, got, err, want)
+		}
+		d := g.Dissem
+		if tc.key == "" {
+			if d.Mode != ufl.DissemBroadcast {
+				t.Errorf("WHERE %s: dissem = %+v, want broadcast", tc.where, d)
+			}
+			continue
+		}
+		if d.Mode != ufl.DissemEquality || d.Namespace != "kv" || d.Key != tc.key {
+			t.Errorf("WHERE %s: dissem = %+v, want equality kv %q", tc.where, d, tc.key)
+		}
 	}
 }

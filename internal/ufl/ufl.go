@@ -51,7 +51,12 @@ const (
 	// DissemLocal runs the opgraph only on the proxy node.
 	DissemLocal = "local"
 	// DissemEquality routes the opgraph to the node(s) owning a DHT name
-	// — the equality-predicate index (§3.3.3).
+	// — the equality-predicate index (§3.3.3). The graph is about
+	// (Namespace, Key): it runs at that name's owner, and there its
+	// Scan/NewData of Namespace reads that name — the objects stored
+	// under Key, not the node's whole partition of the table. A scan of
+	// any other table, and every scan when Key is empty, reads the whole
+	// partition, as under the other two modes.
 	DissemEquality = "equality"
 )
 
