@@ -47,15 +47,25 @@ func genMixed(rng *rand.Rand) tuple.Value {
 }
 
 // toBatches partitions rows into batches of random sizes, randomly
-// columnar or row-backed (both must behave identically).
+// columnar, row-backed, or batches of one joined by tuple.Concat — the
+// shape the table bus releases held arrivals in (all must behave
+// identically).
 func toBatches(rng *rand.Rand, rows []*tuple.Tuple) []*tuple.Batch {
 	var out []*tuple.Batch
 	for len(rows) > 0 {
 		n := 1 + rng.Intn(len(rows))
 		chunk := rows[:n]
 		rows = rows[n:]
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
 			out = append(out, tuple.FromTuples(chunk))
+			continue
+		case 1:
+			ones := make([]*tuple.Batch, len(chunk))
+			for i, t := range chunk {
+				ones[i] = tuple.OfTuple(t)
+			}
+			out = append(out, tuple.Concat(ones))
 			continue
 		}
 		cb := tuple.NewColumnarBatch("fwlogs", genSchema, n)

@@ -13,6 +13,12 @@
 // stored state — the non-blocking substitute for the iterator model's
 // single outstanding get-next (§3.3.5).
 //
+// Flush travels the same way as a probe: an operator forwards it to its
+// child before it emits. An access method (Input) may therefore hold
+// arrivals and deliver them when a flush reaches it (Input.OnFlush) — for
+// an operator that emits only at its flush the rows, their order and the
+// emission instant are what immediate delivery would give.
+//
 // Operators needing network services (DHT scans, rehash/put, Fetch
 // Matches joins, hierarchical aggregation) are assembled in package qp;
 // this package is purely node-local.
@@ -135,6 +141,9 @@ type In struct {
 
 // Adopt wires c as the child of self, the operator embedding i.
 func (i *In) Adopt(self Sink, c Op) { i.child = c; c.SetParent(self) }
+
+// Child returns the wired child, or nil.
+func (i *In) Child() Op { return i.child }
 
 // Open forwards the probe to the child.
 func (i *In) Open(tag Tag) {

@@ -11,7 +11,8 @@ import (
 // batches by calling PushBatch, and they flow up the opgraph. It
 // corresponds to the paper's access methods, which convert a source's
 // native format into PIER tuples and inject them into the dataflow
-// (§3.3.1).
+// (§3.3.1). A source may also hold arrivals back and push them when a flush reaches
+// the input (OnFlush; see the package doc for why that is safe).
 type Input struct {
 	Out
 	opened bool
@@ -19,6 +20,9 @@ type Input struct {
 	// OnOpen, if set, runs when the first probe arrives — access methods
 	// use it to register callbacks or start their source.
 	OnOpen func(tag Tag)
+	// OnFlush, if set, runs when a flush reaches the input — a source
+	// holding arrivals pushes them here.
+	OnFlush func(tag Tag)
 }
 
 // NewInput creates an access-method endpoint.
@@ -49,8 +53,13 @@ func (i *Input) PushBatch(_ Tag, b *tuple.Batch) {
 	}
 }
 
-// Flush does nothing: an input holds no tuples.
-func (i *Input) Flush(Tag) {}
+// Flush runs OnFlush, so a source holding arrivals delivers them before
+// the operators above emit.
+func (i *Input) Flush(tag Tag) {
+	if i.OnFlush != nil {
+		i.OnFlush(tag)
+	}
+}
 
 // Close marks the input closed.
 func (i *Input) Close() { i.opened = false }

@@ -230,11 +230,13 @@ type QStormResult struct {
 	CompletenessMeasured              int
 	// Leaked* must all be 0 after every query has torn down — the
 	// 10k-queries-no-leak property at scenario scale, extended to shared
-	// chains, their attachments, the per-client quota ledger, and the
-	// ack-tracked send machinery (every retry state released).
+	// chains, their attachments, the per-client quota ledger, the
+	// ack-tracked send machinery (every retry state released), and the
+	// arrivals the table bus holds for window-gated chains.
 	LeakedSubscriptions, LeakedGraphs int
 	LeakedSubtrees, LeakedAttachments int
 	LeakedClients, LeakedPendingSends int
+	LeakedHeldRows                    int
 	// Events / Msgs are simulator-wide totals for the determinism diff.
 	Events, Msgs uint64
 }
@@ -285,7 +287,7 @@ func (r QStormResult) Render() string {
 			quota+
 			"reliability: send-retries=%d send-exhausted=%d tree-repairs=%d tree-reinjects=%d tree-rejoins=%d\n"+
 			completeness+
-			"teardown leaks: subscriptions=%d graphs=%d subtrees=%d attachments=%d clients=%d pending-sends=%d\n"+
+			"teardown leaks: subscriptions=%d graphs=%d subtrees=%d attachments=%d clients=%d pending-sends=%d held-rows=%d\n"+
 			"traffic: events=%d msgs=%d\n",
 		r.Nodes, r.Queries, r.Submitted, r.Completed, r.ResultRows,
 		r.Publishes, r.Decodes, r.DecodeBaseline, ratio(r.DecodeBaseline, r.Decodes),
@@ -296,7 +298,7 @@ func (r QStormResult) Render() string {
 		r.PeakLiveGraphs, r.PeakSubscriptions, r.PeakSharedSubs, r.PeakSharedSubtrees, r.PeakAttachments,
 		r.Rejected, r.RejectAcks, r.QuotaRejects, r.Malformed,
 		r.SendRetries, r.SendExhausted, r.TreeRepairs, r.TreeReinjects, r.TreeRejoins,
-		r.LeakedSubscriptions, r.LeakedGraphs, r.LeakedSubtrees, r.LeakedAttachments, r.LeakedClients, r.LeakedPendingSends,
+		r.LeakedSubscriptions, r.LeakedGraphs, r.LeakedSubtrees, r.LeakedAttachments, r.LeakedClients, r.LeakedPendingSends, r.LeakedHeldRows,
 		r.Events, r.Msgs)
 }
 
@@ -456,6 +458,7 @@ func RunQStorm(cfg QStormConfig) QStormResult {
 		res.LeakedAttachments += st.SubtreeAttachments
 		res.LeakedClients += st.TrackedClients
 		res.LeakedPendingSends += st.PendingSends
+		res.LeakedHeldRows += st.HeldRows
 	}
 	// The per-subscriber-decode counterfactual: every publish decoded
 	// once per query-level subscriber on the publishing node. Each node

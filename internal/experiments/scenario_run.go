@@ -520,7 +520,7 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 	// node's counters are frozen mid-flight by design (Fail models a
 	// crash, not a shutdown), so only survivors owe clean teardown.
 	leakSubs, leakGraphs, leakSlots, liveCount := 0, 0, 0, 0
-	leakSubtrees, leakAttach, leakClients, leakPending := 0, 0, 0, 0
+	leakSubtrees, leakAttach, leakClients, leakPending, leakHeld := 0, 0, 0, 0, 0
 	var malformed, quotaRejects uint64
 	var sendRetries, sendExhausted, treeRepairs, treeReinjects, treeRejoins uint64
 	clientRejects := map[string]uint64{}
@@ -534,6 +534,7 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 		leakAttach += st.SubtreeAttachments
 		leakClients += st.TrackedClients
 		leakPending += st.PendingSends
+		leakHeld += st.HeldRows
 		malformed += st.MalformedDrops
 		quotaRejects += st.ClientQuotaRejects
 		sendRetries += st.SendRetries
@@ -638,10 +639,14 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 		check("malformed-seen", malformed > 0, fmt.Sprintf("malformed-drops=%d", malformed))
 	}
 	if a.NoLeaks {
+		detail := fmt.Sprintf("subscriptions=%d graphs=%d wheel-slots=%d subtrees=%d attachments=%d clients=%d pending-sends=%d",
+			leakSubs, leakGraphs, leakSlots, leakSubtrees, leakAttach, leakClients, leakPending)
+		if leakHeld != 0 {
+			detail += fmt.Sprintf(" held-rows=%d", leakHeld)
+		}
 		check("no-leaks", leakSubs == 0 && leakGraphs == 0 && leakSlots == 0 &&
-			leakSubtrees == 0 && leakAttach == 0 && leakClients == 0 && leakPending == 0,
-			fmt.Sprintf("subscriptions=%d graphs=%d wheel-slots=%d subtrees=%d attachments=%d clients=%d pending-sends=%d",
-				leakSubs, leakGraphs, leakSlots, leakSubtrees, leakAttach, leakClients, leakPending))
+			leakSubtrees == 0 && leakAttach == 0 && leakClients == 0 && leakPending == 0 && leakHeld == 0,
+			detail)
 	}
 	if passed {
 		fmt.Fprintf(&b, "RESULT: PASS\n")

@@ -356,6 +356,30 @@ func TestTreeRepairScenarioShardedMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestQStormMixedScenarioShardedMatchesSequential runs the checked-in
+// qstorm-mixed scenario — eight distinct-shape window queries, so every
+// node's table bus holds arrivals for eight gated chains and releases
+// them at each flush, with a mid-run kill and respawn — and diffs the
+// report between schedulers.
+func TestQStormMixedScenarioShardedMatchesSequential(t *testing.T) {
+	src, err := os.ReadFile("../../scenarios/qstorm-mixed.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseScenario(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := RunScenario(spec, 0)
+	par := RunScenario(spec, 8)
+	if seq.Report != par.Report {
+		t.Fatalf("qstorm-mixed report diverged:\nseq:\n%s\npar:\n%s", seq.Report, par.Report)
+	}
+	if !seq.Passed {
+		t.Fatalf("qstorm-mixed scenario failed:\n%s", seq.Report)
+	}
+}
+
 // TestQStormAggScenarioShardedMatchesSequential runs the checked-in
 // qstorm-agg scenario — 500 shared-shape continuous aggregations whose
 // window flushes travel the columnar EmitBatch → demux → batched-result

@@ -143,14 +143,46 @@ func (n *Node) newChain(rq *runningQuery, g *ufl.Opgraph, member func(opID strin
 		}
 	}
 	for _, spec := range g.Ops {
-		if op := ops[spec.ID]; op != nil && fanOut[spec.ID] == 0 {
+		op := ops[spec.ID]
+		if op != nil && fanOut[spec.ID] == 0 {
 			c.roots = append(c.roots, op)
+		}
+		if s, ok := op.(*scanOp); ok {
+			s.gated = windowGated(g, edges, spec.ID)
 		}
 	}
 	if len(c.roots) == 0 {
 		return nil, fmt.Errorf("qp: opgraph %q has no root operator (cycle?)", g.ID)
 	}
 	return c, nil
+}
+
+// windowGated reports whether the access method id is window-gated: its
+// only path up the chain's wired edges reaches a GroupBy through Select
+// and Project alone, so nothing it delivers leaves the chain before that
+// GroupBy flushes (bus.go holds such a chain's arrivals). Each step
+// consumes an edge, so a cycle cannot loop; the walk allocates nothing.
+func windowGated(g *ufl.Opgraph, edges []ufl.Edge, id string) bool {
+	for range edges {
+		next, outs := "", 0
+		for _, e := range edges {
+			if e.From == id {
+				next, outs = e.To, outs+1
+			}
+		}
+		if outs != 1 {
+			return false
+		}
+		switch kind := g.Op(next).Kind; {
+		case strings.EqualFold(kind, "groupby"):
+			return true
+		case strings.EqualFold(kind, "select"), strings.EqualFold(kind, "project"):
+			id = next
+		default:
+			return false
+		}
+	}
+	return false
 }
 
 // attachChild wires child as an input of parent on the given slot,

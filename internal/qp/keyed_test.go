@@ -74,7 +74,7 @@ func assertNoLeaks(t *testing.T, n *Node) {
 	t.Helper()
 	st := n.Stats()
 	if leaked := st.LiveGraphs + st.Subscriptions + st.SharedSubscriptions + st.SharedSubtrees +
-		st.SubtreeAttachments + st.WheelSlots + st.PendingSends + st.TrackedClients; leaked != 0 {
+		st.SubtreeAttachments + st.WheelSlots + st.PendingSends + st.TrackedClients + st.HeldRows; leaked != 0 {
 		t.Errorf("leaked after the deadline: %+v", st)
 	}
 }

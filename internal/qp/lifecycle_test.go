@@ -128,7 +128,7 @@ func runLifecycle(t *testing.T, workers int) map[string][]string {
 					sh.name, i, flushes, fires, sh.chains)
 			}
 			if leaked := st.LiveGraphs + st.Subscriptions + st.SharedSubscriptions + st.SharedSubtrees +
-				st.SubtreeAttachments + st.WheelSlots + st.PendingSends + st.TrackedClients; leaked != 0 {
+				st.SubtreeAttachments + st.WheelSlots + st.PendingSends + st.TrackedClients + st.HeldRows; leaked != 0 {
 				t.Errorf("%s node %d leaked after the deadline: %+v", sh.name, i, st)
 			}
 		}

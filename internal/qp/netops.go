@@ -43,9 +43,13 @@ import (
 // Malformed stored objects are discarded best-effort but COUNTED: the
 // catch-up path increments the node's malformedFrames, the newData path
 // is counted by the overlay registry; both surface in Node.Stats.
-func newScan(c *chain, table string, withScan bool, only, key string) *exec.Input {
+//
+// The catch-up runs before the bus attachment, so a window-gated scan
+// (bus.go) delivers its stored rows before any arrival the bus holds.
+func newScan(c *chain, table string, withScan bool, only, key string) *scanOp {
 	n := c.n
-	in := exec.NewInput()
+	s := &scanOp{}
+	in := &s.Input
 	in.OnOpen = func(tag exec.Tag) {
 		if withScan {
 			catchUp := func(o overlay.Object) bool {
@@ -66,9 +70,17 @@ func newScan(c *chain, table string, withScan bool, only, key string) *exec.Inpu
 				n.dht.LocalScan(table, catchUp)
 			}
 		}
-		c.cancels = append(c.cancels, n.bus.attach(table, only, key, c, tag, in))
+		c.cancels = append(c.cancels, n.bus.attach(table, only, key, c, tag, in, s.gated))
 	}
-	return in
+	return s
+}
+
+// scanOp is the access method newScan builds: the input arrivals enter
+// by, and whether it is window-gated (bus.go), which newChain decides
+// once the chain is wired.
+type scanOp struct {
+	exec.Input
+	gated bool
 }
 
 // putOp rehashes each input tuple into a DHT namespace keyed by the

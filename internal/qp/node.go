@@ -203,7 +203,8 @@ type Node struct {
 	subtreeBuilds      uint64 // shared chains built (cache misses)
 	subtreeHits        uint64 // attachments resolved to an existing chain
 	sharedFanout       uint64 // demux deliveries to per-query tails
-	chainFeeds         uint64 // bus deliveries into operator chains (bus.go)
+	chainFeeds         uint64 // arrivals delivered into operator chains (bus.go)
+	chainPushes        uint64 // bus PushBatch calls into operator chains (bus.go)
 	catchUpObjects     uint64 // stored objects catch-up reads decoded (netops.go)
 	clientQuotaRejects uint64 // refusals under MaxGraphsPerClient
 	sendRetries        uint64 // nack-driven retransmissions (backoff.go)
@@ -405,12 +406,18 @@ type NodeStats struct {
 	// per-query tails: the work that became O(1)-per-publish fan-out
 	// instead of per-query operator execution.
 	SharedExecFanout uint64
-	// ChainFeeds counts bus deliveries into operator chains — the
-	// operator executions actually paid per publish. Private execution
+	// ChainFeeds counts arrivals the bus delivered into operator chains —
+	// the operator executions actually paid per publish. Private execution
 	// pays one feed per query per publish; shared execution pays one per
 	// DISTINCT chain per publish, so this staying flat in Q is the
 	// sharing proof.
 	ChainFeeds uint64
+	// ChainPushes counts the bus's PushBatch calls into chains: one per
+	// chain per arrival, or per release where a share holds (bus.go).
+	ChainPushes uint64
+	// HeldRows is the arrival rows the bus holds for window-gated chains;
+	// nonzero after teardown is a leak.
+	HeldRows int
 	// CatchUpObjects counts stored objects that catch-up reads handed to
 	// the frame decoder: a keyed read (an index lookup) moves it by the
 	// key's matches, a whole-partition scan by everything the node holds
@@ -462,6 +469,10 @@ func (n *Node) Stats() NodeStats {
 	for _, c := range n.subtrees {
 		attachments += c.demux.Live()
 	}
+	held := 0
+	for _, sh := range n.bus.shares {
+		held += sh.heldRows
+	}
 	var clientRejects map[string]uint64
 	if len(n.clientRejects) > 0 {
 		clientRejects = make(map[string]uint64, len(n.clientRejects))
@@ -490,6 +501,8 @@ func (n *Node) Stats() NodeStats {
 		SubtreeHits:         n.subtreeHits,
 		SharedExecFanout:    n.sharedFanout,
 		ChainFeeds:          n.chainFeeds,
+		ChainPushes:         n.chainPushes,
+		HeldRows:            held,
 		CatchUpObjects:      n.catchUpObjects,
 		ClientQuotaRejects:  n.clientQuotaRejects,
 		ClientRejects:       clientRejects,

@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"fmt"
+	"slices"
 
 	"pier/internal/wire"
 )
@@ -105,6 +106,47 @@ func FromTuples(rows []*Tuple) *Batch {
 // behind every converted operator's single-tuple Push.
 func OfTuple(t *Tuple) *Batch {
 	return &Batch{table: t.table, rows: []*Tuple{t}, n: 1}
+}
+
+// Concat joins the selected rows of bs, in order, into one fresh batch.
+// When every row carries one table and one column list (compared name by
+// name) the result is columnar, its kinds folded per column exactly as
+// AppendRow folds them; any other mix is row-backed (FromTuples). A
+// single input is returned as is. The inputs are not modified.
+func Concat(bs []*Batch) *Batch {
+	if len(bs) == 1 {
+		return bs[0]
+	}
+	var table string
+	var names []string
+	var row Tuple
+	total, uniform := 0, true
+	for _, b := range bs {
+		for i := 0; i < b.Len() && uniform; i++ {
+			b.RowInto(i, &row)
+			if total+i == 0 {
+				table, names = row.table, row.names
+			} else {
+				uniform = row.table == table && slices.Equal(row.names, names)
+			}
+		}
+		total += b.Len()
+	}
+	if !uniform || len(names) == 0 {
+		rows := make([]*Tuple, 0, total)
+		for _, b := range bs {
+			rows = b.Tuples(rows)
+		}
+		return FromTuples(rows)
+	}
+	out := NewColumnarBatch(table, names, total)
+	for _, b := range bs {
+		for i, n := 0, b.Len(); i < n; i++ {
+			b.RowInto(i, &row)
+			out.AppendRow(row.vals)
+		}
+	}
+	return out
 }
 
 // Len returns the number of selected rows.

@@ -282,3 +282,86 @@ func TestBatchFrameRoundTripRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestConcat pins the one place held arrivals become a batch: rows in
+// order, columnar exactly when every row shares one table and column
+// list, kinds folded as AppendRow folds them, and row-backed otherwise.
+func TestConcat(t *testing.T) {
+	fw := func(sev Value) *Tuple {
+		return New("fwlogs").Set("src", String("h")).Set("dstport", Int(22)).Set("severity", sev)
+	}
+	noPort := New("fwlogs").Set("src", String("h")).Set("severity", Int(1))
+	reordered := New("fwlogs").Set("dstport", Int(22)).Set("src", String("h")).Set("severity", Int(1))
+	other := New("alerts").Set("src", String("h")).Set("dstport", Int(22)).Set("severity", Int(1))
+	cols := NewColumnarBatch("fwlogs", []string{"src", "dstport", "severity"}, 4)
+	for i := int64(0); i < 4; i++ {
+		cols.AppendRow([]Value{String("c"), Int(80 + i), Int(i)})
+	}
+	ones := func(ts ...*Tuple) []*Batch {
+		out := make([]*Batch, len(ts))
+		for i, t := range ts {
+			out[i] = OfTuple(t)
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		in       []*Batch
+		columnar bool
+		// sevKind is the folded kind of severity (columnar results only);
+		// mixed means ColKind reports !ok.
+		sevKind Kind
+		mixed   bool
+	}{
+		{"batches of one", ones(fw(Int(1)), fw(Int(2)), fw(Int(3))), true, KindInt, false},
+		{"selections", []*Batch{cols.SelectLogical([]int32{1, 3}), cols.Prefix(1), OfTuple(fw(Int(9)))}, true, KindInt, false},
+		{"empty inputs skipped", []*Batch{cols.Prefix(0), OfTuple(fw(Int(9))), FromTuples(nil)}, true, KindInt, false},
+		{"mixed kinds", ones(fw(Int(1)), fw(Float(2.5)), fw(String("hi")), fw(Int(4))), true, 0, true},
+		{"null then int", ones(fw(Null()), fw(Int(4))), true, 0, true},
+		{"missing column", ones(fw(Int(1)), noPort, fw(Int(3))), false, 0, false},
+		{"column order", ones(fw(Int(1)), reordered), false, 0, false},
+		{"table mismatch", ones(fw(Int(1)), other), false, 0, false},
+		{"columnar then mismatch", []*Batch{cols, OfTuple(other)}, false, 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []string
+			for _, b := range tc.in {
+				for i := 0; i < b.Len(); i++ {
+					want = append(want, b.Row(i).String())
+				}
+			}
+			got := Concat(tc.in)
+			if got.Len() != len(want) {
+				t.Fatalf("%d rows, want %d", got.Len(), len(want))
+			}
+			for i, w := range want {
+				if s := got.Row(i).String(); s != w {
+					t.Errorf("row %d: %s, want %s", i, s, w)
+				}
+			}
+			if got.Columnar() != tc.columnar {
+				t.Fatalf("columnar = %v, want %v", got.Columnar(), tc.columnar)
+			}
+			if !tc.columnar {
+				return
+			}
+			ci, _ := got.ColIndex("severity")
+			k, ok := got.ColKind(ci)
+			if ok == tc.mixed || (ok && k != tc.sevKind) {
+				t.Errorf("severity kind %v (uniform %v), want %v (mixed %v)", k, ok, tc.sevKind, tc.mixed)
+			}
+			if si, _ := got.ColIndex("src"); !tc.mixed {
+				if k, ok := got.ColKind(si); !ok || k != KindString {
+					t.Errorf("src kind %v (uniform %v), want string", k, ok)
+				}
+			}
+		})
+	}
+	if one := OfTuple(noPort); Concat([]*Batch{one}) != one {
+		t.Errorf("a single input must be returned as is")
+	}
+	if got := Concat(ones(fw(Int(1)), other)); got.Table() != "" {
+		t.Errorf("a table mismatch gave table %q, want the mixed-table \"\"", got.Table())
+	}
+}
