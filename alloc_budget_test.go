@@ -193,6 +193,39 @@ func TestSharedSubtreeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRingMaintenanceAllocBudget gates the overlay's steady state: it runs
+// the BenchmarkRingMaintenanceSteadyState body — one virtual second of a
+// converged 64-node ring with nothing to do but maintain itself — and fails
+// if allocs/op exceeds the checked-in budget, so re-parsing an unchanged
+// stabilise answer, or any other per-tick cost that follows state size
+// rather than change, cannot creep back in unseen.
+func TestRingMaintenanceAllocBudget(t *testing.T) {
+	if os.Getenv("PIER_ALLOC_BUDGET") == "" {
+		t.Skip("set PIER_ALLOC_BUDGET=1 to enforce the allocation budget")
+	}
+	raw, err := os.ReadFile("alloc_budget.json")
+	if err != nil {
+		t.Fatalf("reading budget file: %v", err)
+	}
+	var budget struct {
+		RingMaintenanceAllocsPerOp int64 `json:"ring_maintenance_allocs_per_op"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatalf("parsing alloc_budget.json: %v", err)
+	}
+	if budget.RingMaintenanceAllocsPerOp == 0 {
+		t.Fatal("alloc_budget.json carries no ring_maintenance_allocs_per_op entry")
+	}
+	res := testing.Benchmark(runRingMaintenance)
+	got, limit := res.AllocsPerOp(), budget.RingMaintenanceAllocsPerOp
+	t.Logf("%d allocs/op (budget %d), %d B/op, %s", got, limit, res.AllocedBytesPerOp(), res.String())
+	if got > limit {
+		t.Errorf("%d allocs/op exceeds the checked-in budget of %d — ring maintenance allocates more per "+
+			"virtual second than it did; if intentional, justify it and raise alloc_budget.json in the same change",
+			got, limit)
+	}
+}
+
 // TestAggBatchAllocBudget gates the column-at-a-time aggregation path
 // per tuple accumulated: it runs the BenchmarkGroupByColumnar body —
 // 8192 rows into a five-agg GroupBy, flushed as ONE columnar batch and

@@ -562,6 +562,48 @@ func BenchmarkDHTPutGet(b *testing.B) {
 	}
 }
 
+// BenchmarkRingMaintenanceSteadyState measures what a converged ring spends
+// keeping itself alive: 64 overlay nodes, no queries, no data; one op is one
+// virtual second of every node's stabilise, fix-finger, predecessor-check
+// and sweep ticks. TestRingMaintenanceAllocBudget gates its allocs/op
+// against the ring_maintenance_allocs_per_op entry of alloc_budget.json.
+func BenchmarkRingMaintenanceSteadyState(b *testing.B) { runRingMaintenance(b) }
+
+// runRingMaintenance is the body shared by the benchmark above and the
+// allocation-budget regression test.
+func runRingMaintenance(b *testing.B) {
+	const nodes = 64
+	b.ReportAllocs()
+	env := sim.NewEnv(sim.Options{Seed: 1})
+	dhts := make([]*overlay.DHT, nodes)
+	for i, nd := range env.SpawnN("n", nodes) {
+		dhts[i] = overlay.New(nd, overlay.Config{})
+		if err := dhts[i].Start(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 1; i < nodes; i++ {
+		dhts[i].Join(dhts[0].Addr(), nil)
+		env.Run(2 * time.Second)
+	}
+	env.Run(2 * time.Minute) // every finger slot comes round several times
+	for _, d := range dhts {
+		if d.Predecessor() == "" || d.FingerCount() == 0 {
+			b.Fatalf("%s did not converge: predecessor %q, %d fingers", d.Addr(), d.Predecessor(), d.FingerCount())
+		}
+	}
+	start, _, _ := env.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Run(time.Second)
+	}
+	b.StopTimer()
+	ev, _, _ := env.Stats()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(ev-start)/secs, "events/s")
+	}
+}
+
 // BenchmarkSimulatorEventThroughput measures raw discrete-event
 // dispatch: how many simulator events per wall second the Simulation
 // Environment sustains — the capacity bound on "thousands of virtual

@@ -126,7 +126,15 @@ func (d *DHT) MalformedMessages() uint64 { return d.router.malformed }
 // FingerCount reports how many distinct long-range routing entries this
 // node currently holds — a convergence diagnostic for deployment
 // harnesses.
-func (d *DHT) FingerCount() int { return len(d.router.fingerSample(64)) }
+func (d *DHT) FingerCount() int {
+	r, n := d.router, 0
+	for i, f := range r.fingers {
+		if !r.slotOpen(f) && !holds(r.fingers[:i], f) {
+			n++
+		}
+	}
+	return n
+}
 
 // Checkpoint serializes this node's overlay state — ring position
 // (predecessor, successor list, fingers) and the soft-state object store

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pier/internal/sim"
-	"pier/internal/vri"
 	"pier/internal/wire"
 )
 
@@ -34,7 +33,7 @@ func FuzzOverlayHandleMessage(f *testing.F) {
 	nw := func() *wire.Writer { return wire.NewWriter(64) }
 	obj := Object{Namespace: "ns", Key: "k", Suffix: "s", Data: []byte("payload"), Lifetime: time.Minute}
 	succs := []nodeRef{ref("node-1"), ref("node-2")}
-	full := encodeStabilizeResp(nw(), stabReq, "node-2", succs, []vri.Addr{"node-1"})
+	full := encodeStabilizeResp(nw(), stabReq, "node-2", succs, []nodeRef{ref("node-1")})
 	for _, seed := range [][]byte{
 		encodeRouted(nw(), &routedMsg{target: 7, origin: "node-1", hops: 9, inner: riSend, obj: obj}),
 		encodeRouted(nw(), &routedMsg{target: 7, origin: "stranger", hops: 9, inner: riLookup, reqID: 1}),
@@ -106,6 +105,9 @@ func FuzzOverlayHandleMessage(f *testing.F) {
 		for _, x := range dhts {
 			if n := len(x.router.pending); n != 0 {
 				t.Fatalf("%s still has %d requests pending after RequestTimeout", x.Addr(), n)
+			}
+			if got, want := x.router.open, openSlots(x.router); got != want {
+				t.Fatalf("%s counts %d open finger slots, a recount says %d", x.Addr(), got, want)
 			}
 		}
 	})

@@ -25,6 +25,15 @@
 // the stabilise request nacks, within 1.25 × StabilizeInterval + the ack
 // timeout; a dead predecessor is cleared when its probe nacks, within
 // 2.25 × CheckPredInterval + the ack timeout. Wire shapes: messages.go.
+//
+// A tick's CPU, like its bytes, follows change rather than state size. A
+// full answer is decoded once, and a "same" re-applies the decoded refs
+// without parsing or hashing; learnPeer hashes a heard address only while
+// some finger slot is open (router.open, kept by setFinger, the only writer
+// of the table); the store's sweep walks only once now reaches nextExpiry,
+// a lower bound on every stored expiry. Under churn or continuous expiry
+// each rule falls back to the full work plus one comparison, and what is
+// sent, scheduled or drawn from the rng never depends on which ran.
 package overlay
 
 import (

@@ -329,9 +329,9 @@ func TestRetainedBodyIsPerSuccessorAddress(t *testing.T) {
 	dhts, probes := probedRing(t, env, 4)
 	x, xp, r := dhts[0], probes[0], dhts[0].router
 	s, other := r.succs[0], r.succs[1]
-	if r.stabFrom != s.addr || xp.stabDst != s.addr || xp.stabHave == 0 || xp.stabHave != bodyHash(r.stabBody) {
+	if r.stabFrom != s.addr || xp.stabDst != s.addr || xp.stabHave == 0 || xp.stabHave != r.stab.hash {
 		t.Fatalf("a converged node names its successor's body: retained from %q, asked %q with have %x, body hashes to %x",
-			r.stabFrom, xp.stabDst, xp.stabHave, bodyHash(r.stabBody))
+			r.stabFrom, xp.stabDst, xp.stabHave, r.stab.hash)
 	}
 
 	// Asked of another node, the retained body is not named.
@@ -346,8 +346,8 @@ func TestRetainedBodyIsPerSuccessorAddress(t *testing.T) {
 	// A "same" from S arriving after the retained body was replaced — a
 	// late full answer from a former successor does that — applies nothing.
 	r.stabilize()
-	ghosts := encodeStabilizeResp(wire.NewWriter(64), 0, "", []nodeRef{ref("ghost-1"), ref("ghost-2")}, nil)[stabBodyOff:]
-	r.stabFrom, r.stabBody = "ghost-0", ghosts
+	ghosts, _ := decodeStabilize(encodeStabilizeResp(wire.NewWriter(64), 0, "", []nodeRef{ref("ghost-1"), ref("ghost-2")}, nil)[stabBodyOff:])
+	r.stabFrom, r.stab = "ghost-0", ghosts
 	before := succAddrs(x)
 	x.handleMessage(s.addr, encodeReqID(wire.NewWriter(16), mkStabilizeSame, r.reqSeq))
 	if got := succAddrs(x); fmt.Sprint(got) != fmt.Sprint(before) {

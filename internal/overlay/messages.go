@@ -19,13 +19,13 @@ import (
 // notify, then builds its body as always and hashes it.
 //
 //   - Steady state, 17 + 9 bytes: the hashes agree and the answer is
-//     mkStabilizeSame{reqID}. The requester re-applies the body it
-//     retained, so the round's state transition is the one the full answer
-//     would have caused.
+//     mkStabilizeSame{reqID}. The requester re-applies the answer it
+//     retained, decoded on receipt (stabAnswer), so the round's state
+//     transition is the one the full answer would have caused.
 //   - Something changed, or the requester holds no body from this address
 //     (first round, new successor, restored from a checkpoint): the answer
-//     is mkStabilizeResp{reqID, body}, which the requester applies and
-//     retains. Content-addressed, so there is no version to bump and a
+//     is mkStabilizeResp{reqID, body}, which the requester decodes, applies
+//     and retains. Content-addressed, so there is no version to bump and a
 //     restarted node at an old address cannot alias.
 //   - The answer moved the requester's successor: mkNotify follows, to the
 //     new successor, which would otherwise wait a round for its request.
@@ -247,7 +247,7 @@ func encodeStabilizeReq(w *wire.Writer, reqID, have uint64) []byte {
 // stabBodyOff is where a stabilise answer's body starts: after kind and reqID.
 const stabBodyOff = 9
 
-func encodeStabilizeResp(w *wire.Writer, reqID uint64, pred vri.Addr, succs []nodeRef, fingers []vri.Addr) []byte {
+func encodeStabilizeResp(w *wire.Writer, reqID uint64, pred vri.Addr, succs, fingers []nodeRef) []byte {
 	w.Reset()
 	w.U8(mkStabilizeResp)
 	w.U64(reqID)
@@ -258,7 +258,7 @@ func encodeStabilizeResp(w *wire.Writer, reqID uint64, pred vri.Addr, succs []no
 	}
 	w.U16(uint16(len(fingers)))
 	for _, f := range fingers {
-		w.String(string(f))
+		w.String(string(f.addr))
 	}
 	return w.Bytes()
 }
@@ -270,19 +270,43 @@ func bodyHash(body []byte) uint64 {
 	return h.Sum64()
 }
 
-// readAddrs reads a u16-counted address list. An address is at least its
+// stabAnswer is a stabilise answer body decoded once, on receipt, with its
+// identifiers derived: what an mkStabilizeSame re-applies without parsing
+// or hashing anything again.
+type stabAnswer struct {
+	hash    uint64 // bodyHash of the body: what `have` names
+	pred    nodeRef
+	succs   []nodeRef
+	fingers []nodeRef
+}
+
+// decodeStabilize decodes a stabilise answer body; ok is false, and a not
+// to be used, if it does not decode.
+func decodeStabilize(body []byte) (a stabAnswer, ok bool) {
+	r := wire.NewReader(body)
+	if pred := vri.Addr(r.String()); pred != "" {
+		a.pred = ref(pred)
+	}
+	var okSuccs, okFingers bool
+	a.succs, okSuccs = readRefs(r)
+	a.fingers, okFingers = readRefs(r)
+	a.hash = bodyHash(body)
+	return a, okSuccs && okFingers
+}
+
+// readRefs reads a u16-counted address list. An address is at least its
 // 4-byte length prefix, so a count the remaining bytes cannot hold is
 // refused before anything is allocated.
-func readAddrs(r *wire.Reader) (addrs []vri.Addr, ok bool) {
+func readRefs(r *wire.Reader) (refs []nodeRef, ok bool) {
 	n := int(r.U16())
 	if n > r.Remaining()/4 {
 		return nil, false
 	}
-	addrs = make([]vri.Addr, 0, n)
-	for i := 0; i < n; i++ {
-		addrs = append(addrs, vri.Addr(r.String()))
+	refs = make([]nodeRef, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		refs = append(refs, ref(vri.Addr(r.String())))
 	}
-	return addrs, r.Err() == nil
+	return refs, r.Err() == nil
 }
 
 func encodeNotify(w *wire.Writer, addr vri.Addr) []byte {

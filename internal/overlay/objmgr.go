@@ -21,6 +21,11 @@ type objectManager struct {
 
 	// tables: namespace → key → suffix → stored object.
 	tables map[string]map[string]map[string]*storedObject
+	// nextExpiry is a lower bound on every stored expiry (zero: the store
+	// is empty): until then a sweep would find nothing to discard, so it
+	// does not walk. put, renew and restore lower it; a walk recomputes it.
+	nextExpiry time.Time
+	walks      int // sweeps that walked the store
 
 	sweepEvery time.Duration
 	sweepTimer vri.Timer
@@ -76,6 +81,11 @@ func (m *objectManager) clampLifetime(d time.Duration) time.Duration {
 
 // put stores (or overwrites) an object under its full three-part name.
 func (m *objectManager) put(o Object) {
+	m.insert(o, m.rt.Now().Add(m.clampLifetime(o.Lifetime)))
+}
+
+// insert stores (or overwrites) o to expire at expires.
+func (m *objectManager) insert(o Object, expires time.Time) {
 	keys := m.tables[o.Namespace]
 	if keys == nil {
 		keys = make(map[string]map[string]*storedObject)
@@ -86,8 +96,15 @@ func (m *objectManager) put(o Object) {
 		sfx = make(map[string]*storedObject)
 		keys[o.Key] = sfx
 	}
-	life := m.clampLifetime(o.Lifetime)
-	sfx[o.Suffix] = &storedObject{obj: o, expires: m.rt.Now().Add(life)}
+	sfx[o.Suffix] = &storedObject{obj: o, expires: expires}
+	m.noteExpiry(expires)
+}
+
+// noteExpiry keeps nextExpiry a lower bound as an object comes to expire at t.
+func (m *objectManager) noteExpiry(t time.Time) {
+	if m.nextExpiry.IsZero() || t.Before(m.nextExpiry) {
+		m.nextExpiry = t
+	}
 }
 
 // get returns all live objects stored under (namespace, key), one per
@@ -122,6 +139,7 @@ func (m *objectManager) renew(ns, key, suffix string, lifetime time.Duration) bo
 		return false
 	}
 	so.expires = m.rt.Now().Add(m.clampLifetime(lifetime))
+	m.noteExpiry(so.expires) // a renewal for less than the remaining life shortens it
 	return true
 }
 
@@ -217,31 +235,29 @@ func (m *objectManager) restore(r *wire.Reader, now time.Time) error {
 		if r.Err() != nil {
 			break
 		}
-		if remaining <= 0 {
-			continue
+		if remaining > 0 {
+			m.insert(o, now.Add(remaining))
 		}
-		keys := m.tables[o.Namespace]
-		if keys == nil {
-			keys = make(map[string]map[string]*storedObject)
-			m.tables[o.Namespace] = keys
-		}
-		sfx := keys[o.Key]
-		if sfx == nil {
-			sfx = make(map[string]*storedObject)
-			keys[o.Key] = sfx
-		}
-		sfx[o.Suffix] = &storedObject{obj: o, expires: now.Add(remaining)}
 	}
 	return r.Err()
 }
 
-// sweep discards expired objects and empty index levels.
+// sweep discards expired objects and empty index levels. Before nextExpiry
+// nothing has expired, so it returns without walking; reads never depend on
+// when it walks, because they skip expired objects themselves.
 func (m *objectManager) sweep(now time.Time) {
+	if m.nextExpiry.IsZero() || now.Before(m.nextExpiry) {
+		return
+	}
+	m.walks++
+	m.nextExpiry = time.Time{}
 	for ns, keys := range m.tables {
 		for key, sfx := range keys {
 			for suffix, so := range sfx {
 				if !so.expires.After(now) {
 					delete(sfx, suffix)
+				} else {
+					m.noteExpiry(so.expires)
 				}
 			}
 			if len(sfx) == 0 {

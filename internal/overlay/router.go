@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"math/bits"
 	"time"
 
 	"pier/internal/vri"
@@ -73,13 +74,15 @@ type router struct {
 	pred    nodeRef
 	succs   []nodeRef // succs[0] is the immediate successor; never empty once started
 	fingers [64]nodeRef
+	open    int       // slots learnPeer could fill, kept by setFinger
+	sample  []nodeRef // fingerSample's result, reused
 	nextFix int
 	// predHeard is when the current predecessor was last heard from.
 	predHeard time.Time
-	// stabBody is the body of the last full stabilise answer and stabFrom
-	// the address it came from: what an mkStabilizeSame from that address
+	// stab is the last full stabilise answer, decoded, and stabFrom the
+	// address it came from: what an mkStabilizeSame from that address
 	// re-applies. Not checkpointed — a restored node sends have = 0.
-	stabBody []byte
+	stab     stabAnswer
 	stabFrom vri.Addr
 
 	// deliver is invoked when this node is the owner of a routed
@@ -131,6 +134,7 @@ func newRouter(rt vri.Runtime, cfg RouterConfig) *router {
 		scratch: wire.NewWriter(256),
 	}
 	r.succs = []nodeRef{r.self} // alone in the ring: own successor
+	r.open = len(r.fingers)
 	return r
 }
 
@@ -393,19 +397,21 @@ func (r *router) stabilize() {
 	}
 	var have uint64
 	if r.stabFrom == succ.addr {
-		have = bodyHash(r.stabBody)
+		have = r.stab.hash
 	}
 	reqID := r.newPending(&pendingReq{onStab: func(full []byte, err error) bool {
 		switch {
 		case err != nil:
 			r.dropPeer(succ.addr)
 		case full != nil:
-			if !r.applyStabilize(full) {
+			a, ok := decodeStabilize(full)
+			if !ok {
 				return false
 			}
-			r.stabFrom, r.stabBody = succ.addr, append(r.stabBody[:0], full...)
+			r.applyStabilize(&a)
+			r.stabFrom, r.stab = succ.addr, a
 		case r.stabFrom == succ.addr: // else "same" as a body since replaced: the next round asks afresh
-			r.applyStabilize(r.stabBody)
+			r.applyStabilize(&r.stab)
 		}
 		return true
 	}})
@@ -416,37 +422,27 @@ func (r *router) stabilize() {
 	})
 }
 
-// applyStabilize performs the state transition of one stabilise answer,
-// given its body — off the wire, or the retained copy an mkStabilizeSame
-// stands for (re-applying matters: dropPeer may have emptied a finger slot
-// since). It reports false, changing nothing, if the body does not decode.
-func (r *router) applyStabilize(body []byte) bool {
-	rd := wire.NewReader(body)
-	predAddr := vri.Addr(rd.String())
-	succAddrs, okSuccs := readAddrs(rd)
-	fingerAddrs, okFingers := readAddrs(rd)
-	if !okSuccs || !okFingers {
-		return false
-	}
+// applyStabilize performs the state transition of one decoded stabilise
+// answer — just off the wire, or the retained one an mkStabilizeSame stands
+// for (re-applying matters: dropPeer may have emptied a finger slot since).
+func (r *router) applyStabilize(a *stabAnswer) {
 	was := r.successor().addr
 	// Finger gossip: the successor's long-range pointers seed ours,
 	// so routing-table knowledge spreads exponentially instead of
 	// waiting on lookups that are slow precisely when fingers are
 	// missing.
-	for _, a := range fingerAddrs {
-		r.learnPeer(a)
+	for _, f := range a.fingers {
+		r.learnRef(f)
 	}
-	if predAddr != "" {
-		x := ref(predAddr)
-		if BetweenOpen(x.id, r.self.id, r.successor().id) {
-			r.succs = append([]nodeRef{x}, r.succs...)
-		}
+	if a.pred.valid() && BetweenOpen(a.pred.id, r.self.id, r.successor().id) {
+		r.succs = append([]nodeRef{a.pred}, r.succs...)
 	}
-	// Adopt the successor's list, shifted by one.
-	list := []nodeRef{r.successor()}
-	for _, a := range succAddrs {
-		if a != r.self.addr {
-			list = append(list, ref(a))
+	// Adopt the successor's list, shifted by one, in r.succs's own array
+	// (nothing else holds it, and a.succs never shares it).
+	list := r.succs[:1]
+	for _, s := range a.succs {
+		if s.addr != r.self.addr {
+			list = append(list, s)
 		}
 	}
 	r.succs = list
@@ -455,7 +451,6 @@ func (r *router) applyStabilize(body []byte) bool {
 	if now := r.successor().addr; now != was {
 		r.sendTo(now, encodeNotify(r.scratch, r.self.addr), nil)
 	}
-	return true
 }
 
 // learnPeer opportunistically places a node heard from into the finger
@@ -463,25 +458,41 @@ func (r *router) applyStabilize(body []byte) bool {
 // this, a node whose early lookups time out can livelock: empty fingers
 // force long successor walks, which exceed the request timeout, so the
 // finger-repair lookups themselves keep failing. Learning from ambient
-// traffic (as Bamboo does) breaks the cycle.
+// traffic (as Bamboo does) breaks the cycle. With no slot open nothing can
+// change, so the address is not hashed.
 func (r *router) learnPeer(addr vri.Addr) {
-	if addr == "" || addr == r.self.addr {
-		return
+	if r.open > 0 && addr != "" && addr != r.self.addr {
+		r.learnRef(ref(addr))
 	}
-	n := ref(addr)
+}
+
+// learnRef is learnPeer for a peer whose identifier is already derived.
+func (r *router) learnRef(n nodeRef) {
 	d := Distance(r.self.id, n.id)
-	if d == 0 {
+	if r.open == 0 || !n.valid() || n.addr == r.self.addr || d == 0 {
 		return
 	}
-	i := 63
-	for ; i > 0; i-- {
-		if d&(1<<uint(i)) != 0 {
-			break
-		}
+	if i := bits.Len64(d) - 1; r.slotOpen(r.fingers[i]) {
+		r.setFinger(i, n)
 	}
-	if !r.fingers[i].valid() || r.fingers[i].addr == r.self.addr {
-		r.fingers[i] = n
+}
+
+// slotOpen reports whether a finger slot holding f is one learnPeer fills:
+// empty, or holding this node itself.
+func (r *router) slotOpen(f nodeRef) bool {
+	return !f.valid() || f.id == r.self.id && f.addr == r.self.addr
+}
+
+// setFinger is the only writer of r.fingers; it keeps r.open counting the
+// open slots.
+func (r *router) setFinger(i int, n nodeRef) {
+	if r.slotOpen(r.fingers[i]) {
+		r.open--
 	}
+	if r.slotOpen(n) {
+		r.open++
+	}
+	r.fingers[i] = n
 }
 
 // fixNextFinger refreshes one finger-table entry per invocation.
@@ -493,7 +504,7 @@ func (r *router) fixNextFinger() {
 	// (self, successor], which is what route's `final` rule would have a
 	// lookup fetch. A dead successor is still found by stabilise's nack.
 	if succ := r.successor(); succ.addr != r.self.addr && Between(target, r.self.id, succ.id) {
-		r.fingers[i] = succ
+		r.setFinger(i, succ)
 		return
 	}
 	r.lookup(target, func(owner nodeRef, err error) {
@@ -501,7 +512,7 @@ func (r *router) fixNextFinger() {
 		// would permanently occupy the slot and blind future routing
 		// (learnPeer only fills empty slots). Only real peers qualify.
 		if err == nil && owner.valid() && owner.addr != r.self.addr {
-			r.fingers[i] = owner
+			r.setFinger(i, owner)
 		}
 	})
 }
@@ -529,9 +540,12 @@ func (r *router) checkPredecessor() {
 // onNotify handles a peer's claim to be our predecessor: an mkNotify, or
 // the stabilise request it sends us every round.
 func (r *router) onNotify(addr vri.Addr) {
-	n := ref(addr)
-	if n.addr == r.self.addr {
+	if addr == r.self.addr {
 		return
+	}
+	n := r.pred // a live predecessor's every request names it again
+	if !n.valid() || n.addr != addr {
+		n = ref(addr)
 	}
 	if !r.pred.valid() || BetweenOpen(n.id, r.pred.id, r.self.id) {
 		r.pred = n
@@ -542,22 +556,33 @@ func (r *router) onNotify(addr vri.Addr) {
 	}
 }
 
-// fingerSample returns the valid finger addresses (deduplicated) for
-// stabilization gossip, capped to keep maintenance messages small.
-func (r *router) fingerSample(max int) []vri.Addr {
-	seen := make(map[vri.Addr]bool)
-	var out []vri.Addr
+// fingerSample returns the valid fingers (deduplicated) for stabilization
+// gossip, capped to keep maintenance messages small. The slice is the
+// router's own, overwritten by the next call.
+func (r *router) fingerSample(max int) []nodeRef {
+	out := r.sample[:0]
 	for _, f := range r.fingers {
-		if !f.valid() || f.addr == r.self.addr || seen[f.addr] {
+		if r.slotOpen(f) || holds(out, f) {
 			continue
 		}
-		seen[f.addr] = true
-		out = append(out, f.addr)
+		out = append(out, f)
 		if len(out) >= max {
 			break
 		}
 	}
+	r.sample = out
 	return out
+}
+
+// holds reports whether refs contains n. A table holds a few distinct peers
+// many times over, so a linear scan comparing identifiers first beats a set.
+func holds(refs []nodeRef, n nodeRef) bool {
+	for _, x := range refs {
+		if x.id == n.id && x.addr == n.addr {
+			return true
+		}
+	}
+	return false
 }
 
 // dropPeer removes a dead node from all routing state.
@@ -580,7 +605,7 @@ func (r *router) dropPeer(addr vri.Addr) {
 	}
 	for i, f := range r.fingers {
 		if f.addr == addr {
-			r.fingers[i] = nodeRef{}
+			r.setFinger(i, nodeRef{})
 		}
 	}
 	// Tell the layer above: a peer believed dead is exactly the signal
@@ -670,7 +695,9 @@ func (r *router) restore(rd *wire.Reader) error {
 		r.succs = succs
 		r.trimSuccs()
 	}
-	r.fingers = fingers
+	for i, f := range fingers {
+		r.setFinger(i, f)
+	}
 	r.nextFix = int(next) % len(r.fingers)
 	return nil
 }
