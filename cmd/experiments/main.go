@@ -20,6 +20,14 @@
 //	experiments -scenario scenarios/partition-heal.yaml -workers 4
 //	experiments -scenario scenarios/churn-burst.yaml
 //
+// Scenarios are also the way to drive many coexisting continuous queries
+// (§3.3.2): the scenarios/qstorm-*.yaml files run hundreds of them, and
+// every report carries a "sharing:" line with the cluster's decodes,
+// chain feeds, subtree builds and hits, shared fan-out, flush-wheel fires
+// and chain flushes, and dissemination frames and graphs.
+//
+//	experiments -scenario scenarios/qstorm-shared.yaml
+//
 // Every figure and ablation accepts -workers K: the harnesses follow
 // the sharded scheduler's collector discipline, so results are
 // bit-identical to -workers 0 at the same seed while wall-clock scales
@@ -67,13 +75,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	fig := fs.Int("fig", 0, "figure to reproduce (1 or 2)")
 	scenario := fs.String("scenario", "", "run a declarative scenario file (YAML subset; see scenarios/) and enforce its assertions")
-	ablation := fs.String("ablation", "", "ablation to run (joins|hieragg|churn|softstate|dissemination|churnagg|qstorm|all)")
+	ablation := fs.String("ablation", "", "ablation to run (joins|hieragg|churn|softstate|dissemination|churnagg|all); many coexisting queries run as scenarios (-scenario scenarios/qstorm-*.yaml)")
 	nodes := fs.Int("nodes", 0, "override deployment size")
-	queries := fs.Int("queries", 0, "override query count (figure 1 / qstorm concurrency)")
-	shapes := fs.Int("shapes", 0, "qstorm: number of distinct operator-chain shapes across the queries (default 1 = all share one chain per node)")
-	clients := fs.Int("clients", 0, "qstorm: number of client identities the queries are spread across (default 1)")
-	quota := fs.Int("quota", 0, "qstorm: per-client live-graph quota on every node (0 = unlimited); overflow submissions are refused with acked rejects")
-	trees := fs.Int("trees", 0, "qstorm: redundant dissemination trees per node (default 1; >1 forces a cold cluster build)")
+	queries := fs.Int("queries", 0, "override figure 1's query count")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	workers := fs.Int("workers", 0, "simulator worker shards (0 = sequential scheduler; results are identical for any count)")
 	ckptSave := fs.String("checkpoint-save", "", "after building the cluster, save the converged ring to this file")
@@ -253,21 +257,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, experiments.RunDissemination(experiments.DisseminationConfig{
 				Workers: *workers, Warm: warm, Seed: *seed,
 			}).Render())
-		case "qstorm":
-			fmt.Fprintln(stdout, "=== Scale: concurrent-query storm (multi-tenant query runtime) ===")
-			start := time.Now()
-			res := experiments.RunQStorm(experiments.QStormConfig{
-				Nodes: *nodes, Queries: *queries, Shapes: *shapes, Clients: *clients,
-				MaxGraphsPerClient: *quota, Trees: *trees, Workers: *workers, Warm: warm, Seed: *seed,
-			})
-			wall := time.Since(start)
-			fmt.Fprint(stdout, res.Render())
-			// Wall-clock-derived rates go to stderr so stdout stays
-			// bit-comparable across worker counts (the determinism
-			// contract every harness holds).
-			if secs := wall.Seconds(); secs > 0 {
-				fmt.Fprintf(stderr, "qstorm wall %v, %.0f events/s\n", wall.Round(time.Millisecond), float64(res.Events)/secs)
-			}
 		case "churnagg":
 			if *ckptSave != "" || *ckptLoad != "" {
 				fmt.Fprintln(stderr, "note: churnagg builds no DHT ring; checkpoint flags ignored")

@@ -80,7 +80,7 @@ type WorkloadSpec struct {
 	Kind string
 
 	// continuous-agg: Queries concurrent continuous counts over the
-	// fwlogs stream (qstorm-style), flushing every FlushEvery, fed by
+	// fwlogs stream (continuousAggPlan), flushing every FlushEvery, fed by
 	// per-node publishers emitting EventsPerNode events drawn from
 	// Sources source IPs over the scenario duration (0 events-per-node
 	// arms no publishers — the entry rides another entry's stream).

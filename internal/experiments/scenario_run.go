@@ -13,6 +13,7 @@ import (
 	"pier/internal/sim"
 	"pier/internal/sqlfront"
 	"pier/internal/tuple"
+	"pier/internal/ufl"
 	"pier/internal/vri"
 	"pier/internal/workload"
 )
@@ -200,12 +201,12 @@ func (r *scenarioRun) armWorkload(wl WorkloadSpec, peers []*gnutella.Peer, mix *
 	env, spec := r.env, r.spec
 	switch wl.Kind {
 	case "continuous-agg":
-		// qstorm-style: Q continuous counts over fwlogs (wl.Shapes
-		// structural variants under wl.Clients client identities),
-		// submitted at wl.Start (one dissemination batch per proxy —
-		// a delayed entry is a mid-run burst against already-shared
-		// chains), publishers armed with a lead so every graph is live
-		// before the first event lands.
+		// Q continuous counts over fwlogs (wl.Shapes structural
+		// variants under wl.Clients client identities), submitted at
+		// wl.Start (one dissemination batch per proxy — a delayed entry
+		// is a mid-run burst against already-shared chains), publishers
+		// armed with a lead so every graph is live before the first
+		// event lands.
 		const lead = 2 * time.Second
 		wl := wl
 		submit := func() {
@@ -237,7 +238,7 @@ func (r *scenarioRun) armWorkload(wl WorkloadSpec, peers []*gnutella.Peer, mix *
 			}
 			interval := window / time.Duration(wl.EventsPerNode)
 			for i, n := range r.nodes {
-				p := &qstormPublisher{
+				p := &firewallPublisher{
 					n:        n,
 					gen:      workload.NewFirewallGen(spec.Seed+100+int64(i), wl.Sources, 1.2),
 					interval: interval,
@@ -304,6 +305,56 @@ func (r *scenarioRun) armWorkload(wl WorkloadSpec, peers []*gnutella.Peer, mix *
 				}
 			})
 		})
+	}
+}
+
+// continuousAggPlan renders one continuous count over the fwlogs
+// stream, the plan every continuous-agg query runs; the report's
+// "sharing:" line counts what the runtime shares across them. Shape 0 is
+// the plain count; shape s > 0 inserts a Select whose predicate constant
+// differs per shape — structurally distinct (distinct subtree
+// signatures) while still passing every event (ports top out at 3389),
+// so result completeness is shape-independent.
+func continuousAggPlan(name string, shape int, flushEvery, timeout time.Duration) *ufl.Query {
+	sel, wire := "", "    agg <- src\n"
+	if shape > 0 {
+		sel = fmt.Sprintf("    sel = Select(pred='dstport <= %d')\n", 4000+shape)
+		wire = "    sel <- src\n    agg <- sel\n"
+	}
+	return ufl.MustParse(fmt.Sprintf(`
+query %s timeout %s
+opgraph g disseminate broadcast {
+    src = NewData(table='fwlogs')
+%s    agg = GroupBy(aggs='count(*) as cnt', flushevery='%s')
+    out = Result()
+%s    out <- agg
+}
+`, name, timeout, sel, flushEvery, wire))
+}
+
+// firewallPublisher is one node's event source: a pre-bound tick that
+// publishes firewall events from the node's OWN generator (driver-shared
+// state would break the sharded discipline) until its quota is spent.
+type firewallPublisher struct {
+	n        *qp.Node
+	gen      *workload.FirewallGen
+	interval time.Duration
+	left     int
+	tickFn   func()
+}
+
+func (p *firewallPublisher) tick() {
+	if p.left <= 0 {
+		return
+	}
+	p.left--
+	ev := p.gen.Next(p.n.Runtime().Now())
+	p.n.PublishLocal("fwlogs", tuple.New("fwlogs").
+		Set("src", tuple.String(ev.Src)).
+		Set("dstport", tuple.Int(int64(ev.DstPort))).
+		Set("severity", tuple.Int(int64(ev.Severity))), 4*time.Hour)
+	if p.left > 0 {
+		p.n.Runtime().Schedule(p.interval, p.tickFn)
 	}
 }
 
@@ -521,8 +572,9 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 	// crash, not a shutdown), so only survivors owe clean teardown.
 	leakSubs, leakGraphs, leakSlots, liveCount := 0, 0, 0, 0
 	leakSubtrees, leakAttach, leakClients, leakPending, leakHeld := 0, 0, 0, 0, 0
-	var malformed, quotaRejects uint64
+	var malformed, quotaRejects, rejected, rejectAcks uint64
 	var sendRetries, sendExhausted, treeRepairs, treeReinjects, treeRejoins uint64
+	var sh qp.NodeStats // the §3.3.2 sharing counters, summed
 	clientRejects := map[string]uint64{}
 	for _, a := range r.liveQP() {
 		st := r.addrToQP[a].Stats()
@@ -537,6 +589,17 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 		leakHeld += st.HeldRows
 		malformed += st.MalformedDrops
 		quotaRejects += st.ClientQuotaRejects
+		rejected += st.GraphsRejected
+		rejectAcks += st.RejectAcks
+		sh.Decodes += st.Decodes
+		sh.ChainFeeds += st.ChainFeeds
+		sh.SubtreeBuilds += st.SubtreeBuilds
+		sh.SubtreeHits += st.SubtreeHits
+		sh.SharedExecFanout += st.SharedExecFanout
+		sh.FlushTimerFires += st.FlushTimerFires
+		sh.GraphFlushes += st.GraphFlushes
+		sh.BatchFrames += st.BatchFrames
+		sh.BatchedGraphs += st.BatchedGraphs
 		sendRetries += st.SendRetries
 		sendExhausted += st.SendExhausted
 		treeRepairs += st.TreeRepairs
@@ -551,6 +614,9 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 		liveCount, malformed, leakSubs, leakGraphs, leakSlots, leakSubtrees, leakAttach, leakClients, leakPending)
 	fmt.Fprintf(&b, "reliability: send-retries=%d send-exhausted=%d tree-repairs=%d tree-reinjects=%d tree-rejoins=%d\n",
 		sendRetries, sendExhausted, treeRepairs, treeReinjects, treeRejoins)
+	fmt.Fprintf(&b, "sharing: decodes=%d chain-feeds=%d subtree-builds=%d subtree-hits=%d shared-fanout=%d flush-fires=%d chain-flushes=%d dissem-frames=%d dissem-graphs=%d\n",
+		sh.Decodes, sh.ChainFeeds, sh.SubtreeBuilds, sh.SubtreeHits, sh.SharedExecFanout,
+		sh.FlushTimerFires, sh.GraphFlushes, sh.BatchFrames, sh.BatchedGraphs)
 	if len(clientRejects) > 0 {
 		cs := make([]string, 0, len(clientRejects))
 		for c := range clientRejects {
@@ -561,7 +627,8 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 		for _, c := range cs {
 			parts = append(parts, fmt.Sprintf("%s=%d", c, clientRejects[c]))
 		}
-		fmt.Fprintf(&b, "quota rejects: total=%d by client: %s\n", quotaRejects, strings.Join(parts, " "))
+		fmt.Fprintf(&b, "quota rejects: total=%d rejected=%d reject-acks=%d by client: %s\n",
+			quotaRejects, rejected, rejectAcks, strings.Join(parts, " "))
 	}
 	fmt.Fprintf(&b, "traffic: events=%d msgs=%d\n", events, msgs)
 

@@ -137,8 +137,15 @@ func TestParseScenarioErrors(t *testing.T) {
 // TestCheckedInScenariosParse keeps the shipped scenario artifacts valid
 // as the spec evolves; the CI scenario-smoke lane actually runs them.
 func TestCheckedInScenariosParse(t *testing.T) {
-	for _, name := range []string{"partition-heal.yaml", "churn-burst.yaml", "qstorm-agg.yaml"} {
-		src, err := os.ReadFile(filepath.Join("..", "..", "scenarios", name))
+	names, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) < 7 {
+		t.Fatalf("found %d scenario files, want at least 7: %v", len(names), names)
+	}
+	for _, name := range names {
+		src, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -148,111 +149,131 @@ func TestDisseminationShardedMatchesSequential(t *testing.T) {
 	}
 }
 
+// runStormScenario runs a continuous-agg storm spec at workers 0 and 8,
+// requires byte-identical reports and a passing run, and returns the
+// counters of the report's "cluster after teardown:", "sharing:" and
+// "quota rejects:" lines by key.
+func runStormScenario(t *testing.T, src string) (string, map[string]uint64) {
+	t.Helper()
+	spec, err := ParseScenario(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := RunScenario(spec, 0)
+	par := RunScenario(spec, 8)
+	if seq.Report != par.Report {
+		t.Fatalf("%s report diverged:\nseq:\n%s\npar:\n%s", spec.Name, seq.Report, par.Report)
+	}
+	if !seq.Passed {
+		t.Fatalf("%s scenario failed:\n%s", spec.Name, seq.Report)
+	}
+	counters := map[string]uint64{}
+	for _, line := range strings.Split(seq.Report, "\n") {
+		if !strings.HasPrefix(line, "cluster after teardown: ") &&
+			!strings.HasPrefix(line, "sharing: ") && !strings.HasPrefix(line, "quota rejects: ") {
+			continue
+		}
+		for _, field := range strings.Fields(line) {
+			k, v, ok := strings.Cut(field, "=")
+			if !ok {
+				continue
+			}
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("unparsable counter %q in %q", field, line)
+			}
+			counters[k] = n
+		}
+	}
+	return seq.Report, counters
+}
+
+// TestQStormShardedMatchesSequential: twelve same-shape continuous counts
+// on ten nodes. Besides the workers 0 vs 8 diff, the sharing line must
+// show the §3.3.2 invariants exactly: one decode and one chain feed per
+// publish however many queries read it, one subtree build per node with
+// every other attachment a cache hit, and one chain flush per wheel fire.
 func TestQStormShardedMatchesSequential(t *testing.T) {
-	cfg := QStormConfig{
-		Nodes: 10, Queries: 12, FlushEvery: 4 * time.Second,
-		Duration: 12 * time.Second, EventsPerNode: 10, Sources: 24,
-		Seed: 209,
+	const nodes, queries, events = 10, 12, 10
+	report, c := runStormScenario(t, `
+name: storm-same-shape
+seed: 209
+nodes: 10
+duration: 15s
+teardown: 12s
+workload:
+  - kind: continuous-agg
+    queries: 12
+    flush-every: 4s
+    events-per-node: 10
+    sources: 24
+assert:
+  min-result-rows: 1
+  all-queries-done: true
+  no-leaks: true
+`)
+	if c["malformed-drops"] != 0 {
+		t.Fatalf("storm saw malformed drops:\n%s", report)
 	}
-	cfg.Workers = 0
-	seq := RunQStorm(cfg)
-	cfg.Workers = 8
-	par := RunQStorm(cfg)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("qstorm diverged:\nseq: %+v\npar: %+v", seq, par)
+	publishes := uint64(nodes * events)
+	if c["decodes"] != publishes || c["chain-feeds"] != publishes {
+		t.Fatalf("decode/execute-once violated: decodes=%d chain-feeds=%d for %d publishes:\n%s",
+			c["decodes"], c["chain-feeds"], publishes, report)
 	}
-	if seq.Completed != cfg.Queries || seq.ResultRows == 0 {
-		t.Fatalf("degenerate run: %+v", seq)
+	if c["subtree-builds"] != nodes || c["subtree-hits"] != nodes*(queries-1) {
+		t.Fatalf("subtree cache off: builds=%d hits=%d, want %d/%d:\n%s",
+			c["subtree-builds"], c["subtree-hits"], nodes, nodes*(queries-1), report)
 	}
-	if seq.Malformed != 0 {
-		t.Fatalf("qstorm saw malformed drops: %+v", seq)
+	if c["flush-fires"] == 0 || c["chain-flushes"] != c["flush-fires"] {
+		t.Fatalf("flush-once violated: fires=%d drove %d chain flushes, want 1 per fire:\n%s",
+			c["flush-fires"], c["chain-flushes"], report)
 	}
-	if seq.LeakedSubscriptions != 0 || seq.LeakedGraphs != 0 {
-		t.Fatalf("qstorm leaked runtime state: %+v", seq)
-	}
-	// The multi-tenant invariants at small scale: decode work, operator
-	// execution, and flush work must be ~Q-fold below their per-query
-	// baselines.
-	if seq.Decodes != seq.Publishes {
-		t.Fatalf("decode-once violated: %d decodes for %d publishes", seq.Decodes, seq.Publishes)
-	}
-	if seq.DecodeBaseline != seq.Publishes*uint64(cfg.Queries) {
-		t.Fatalf("baseline accounting off: %+v", seq)
-	}
-	// Subtree sharing: the Q same-shape queries resolve to ONE chain per
-	// node (one build, Q-1 hits), each publish executes exactly one
-	// chain, and the wheel flushes chains, not queries. (Before PR 8
-	// this asserted ChainFlushes == fires × Q — one flush per query per
-	// tick; the shared chain makes flush work O(1) in Q by design.)
-	if seq.SubtreeBuilds != uint64(cfg.Nodes) || seq.SubtreeHits != uint64(cfg.Nodes*(cfg.Queries-1)) {
-		t.Fatalf("subtree cache off: builds=%d hits=%d, want %d/%d",
-			seq.SubtreeBuilds, seq.SubtreeHits, cfg.Nodes, cfg.Nodes*(cfg.Queries-1))
-	}
-	if seq.ChainFeeds != seq.Publishes {
-		t.Fatalf("execute-once violated: %d chain feeds for %d publishes", seq.ChainFeeds, seq.Publishes)
-	}
-	if seq.ChainFeedBaseline != seq.Publishes*uint64(cfg.Queries) {
-		t.Fatalf("chain-feed baseline off: %+v", seq)
-	}
-	if seq.ChainFlushes != seq.FlushTimerFires {
-		t.Fatalf("flush sharing off: fires=%d drove %d chain flushes, want 1 per fire", seq.FlushTimerFires, seq.ChainFlushes)
-	}
-	if seq.FlushBaseline != seq.FlushTimerFires*uint64(cfg.Queries) {
-		t.Fatalf("flush baseline off: fires=%d baseline=%d", seq.FlushTimerFires, seq.FlushBaseline)
-	}
-	if seq.SharedExecFanout == 0 {
-		t.Fatal("no result rows flowed through shared chains")
-	}
-	if seq.LeakedSubtrees != 0 || seq.LeakedAttachments != 0 || seq.LeakedClients != 0 {
-		t.Fatalf("qstorm leaked sharing state: %+v", seq)
+	if c["shared-fanout"] == 0 {
+		t.Fatalf("no result rows flowed through shared chains:\n%s", report)
 	}
 }
 
-// TestQStormSharedMixedShapesMatchesSequential locks in the shared-
-// subtree storm under heterogeneous load: several structurally distinct
-// shapes, several client identities, and a per-client quota tight
-// enough to refuse part of the population. Output must stay
-// bit-identical across schedulers AND the quota refusals must be
-// explicit, per-client, and leak-free.
+// TestQStormSharedMixedShapesMatchesSequential: the shared-subtree storm
+// under heterogeneous load — three structurally distinct shapes, three
+// client identities, and a per-client quota tight enough to refuse part
+// of the population. The refusals must be explicit (acked), per client,
+// exactly counted, and leak-free.
 func TestQStormSharedMixedShapesMatchesSequential(t *testing.T) {
-	cfg := QStormConfig{
-		Nodes: 10, Queries: 18, Shapes: 3, Clients: 3,
-		MaxGraphsPerClient: 4,
-		FlushEvery:         4 * time.Second,
-		Duration:           12 * time.Second, EventsPerNode: 10, Sources: 24,
-		Seed: 210,
-	}
-	cfg.Workers = 0
-	seq := RunQStorm(cfg)
-	cfg.Workers = 8
-	par := RunQStorm(cfg)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("mixed-shape qstorm diverged:\nseq: %+v\npar: %+v", seq, par)
-	}
-	// 3 shapes → 3 chains per node; every query beyond the first of its
-	// shape on a node hits the cache.
-	if seq.PeakSharedSubtrees != cfg.Nodes*cfg.Shapes {
-		t.Fatalf("PeakSharedSubtrees = %d, want %d", seq.PeakSharedSubtrees, cfg.Nodes*cfg.Shapes)
+	const nodes, shapes, clients = 10, 3, 3
+	report, c := runStormScenario(t, `
+name: storm-mixed-shapes
+seed: 210
+nodes: 10
+duration: 15s
+teardown: 12s
+max-graphs-per-client: 4
+workload:
+  - kind: continuous-agg
+    queries: 18
+    shapes: 3
+    client: tenant
+    clients: 3
+    flush-every: 4s
+    events-per-node: 10
+    sources: 24
+assert:
+  min-result-rows: 1
+  all-queries-done: true
+  no-leaks: true
+`)
+	if c["subtree-builds"] != nodes*shapes {
+		t.Fatalf("subtree-builds = %d, want %d (one chain per shape per node):\n%s",
+			c["subtree-builds"], nodes*shapes, report)
 	}
 	// 18 queries / 3 clients = 6 each against a quota of 4: every node
-	// refuses 2 per client, and the refusals are attributed.
-	if seq.QuotaRejects == 0 || len(seq.ClientRejects) != cfg.Clients {
-		t.Fatalf("quota did not fire per client: %+v", seq)
+	// refuses 2 per client, and every refusal is acked.
+	want := uint64(nodes * clients * 2)
+	if c["total"] != want || c["rejected"] != want || c["reject-acks"] != want {
+		t.Fatalf("quota rejects total=%d rejected=%d reject-acks=%d, want %d each:\n%s",
+			c["total"], c["rejected"], c["reject-acks"], want, report)
 	}
-	wantQuota := uint64(cfg.Nodes * cfg.Clients * 2)
-	if seq.QuotaRejects != wantQuota {
-		t.Fatalf("QuotaRejects = %d, want %d", seq.QuotaRejects, wantQuota)
-	}
-	if seq.RejectAcks != seq.Rejected || seq.Rejected != seq.QuotaRejects {
-		t.Fatalf("quota refusals not acked: %+v", seq)
-	}
-	// Admitted queries still complete and produce rows.
-	if seq.Completed != cfg.Queries || seq.ResultRows == 0 {
-		t.Fatalf("admitted queries incomplete: %+v", seq)
-	}
-	if seq.LeakedSubscriptions != 0 || seq.LeakedGraphs != 0 ||
-		seq.LeakedSubtrees != 0 || seq.LeakedAttachments != 0 || seq.LeakedClients != 0 {
-		t.Fatalf("mixed-shape storm leaked: %+v", seq)
+	if !strings.Contains(report, "by client: tenant-0=20 tenant-1=20 tenant-2=20") {
+		t.Fatalf("refusals not attributed per client:\n%s", report)
 	}
 }
 

@@ -143,7 +143,8 @@ func (b *tableBus) attach(table, only, objKey string, c *chain, tag exec.Tag, in
 // not a Select evaluation through each lookup's chain. The only-filter is
 // evaluated once per share, not once per attachment. Q same-shape queries
 // ride ONE attachment, so chainFeeds per publish measure the operator
-// executions actually paid — the O(1)-in-Q quantity qstorm reports.
+// executions actually paid — the O(1)-in-Q quantity a scenario report's
+// "sharing:" line prints as chain-feeds.
 func (sh *busShare) dispatch(o overlay.Object, b *tuple.Batch) {
 	if sh.key.key != "" && o.Key != sh.key.key {
 		return

@@ -76,11 +76,6 @@ type Config struct {
 	// Unattributed graphs (empty client id) are exempt, so anonymous
 	// traffic does not collapse into one shared bucket. 0 disables.
 	MaxGraphsPerClient int
-	// MaxFlushesPerTick bounds the registrant flushes one flush-wheel
-	// tick may drive; excess registrants are deferred to later ticks
-	// round-robin and counted as shed (wheel.go load shedding). 0
-	// disables the budget.
-	MaxFlushesPerTick int
 	// DissemBatchWindow is how long a proxy holds broadcast opgraph
 	// dissemination so queries submitted close together ride ONE
 	// distribution-tree frame (the ufl batch codec) instead of paying a
@@ -283,10 +278,6 @@ func (n *Node) SetMaxLiveGraphs(max int) { n.cfg.MaxLiveGraphs = max }
 // driver-context discipline as SetMaxLiveGraphs). 0 disables it.
 func (n *Node) SetMaxGraphsPerClient(max int) { n.cfg.MaxGraphsPerClient = max }
 
-// SetMaxFlushesPerTick adjusts the flush-wheel shedding budget at
-// runtime. 0 disables shedding (every registrant flushes every tick).
-func (n *Node) SetMaxFlushesPerTick(max int) { n.cfg.MaxFlushesPerTick = max }
-
 // Start brings up the overlay, binds the query port, and begins
 // distribution-tree maintenance.
 func (n *Node) Start() error {
@@ -431,8 +422,6 @@ type NodeStats struct {
 	// TrackedClients is the number of client ids with live graphs (the
 	// quota ledger's population — nonzero after full teardown is a leak).
 	TrackedClients int
-	// FlushesShed counts wheel flushes deferred by MaxFlushesPerTick.
-	FlushesShed uint64
 	// SendRetries counts nack-driven retransmissions on the reliable
 	// send paths (result forwarding, hierarchical-agg partials, rehash
 	// puts, admit acks); SendExhausted counts payloads abandoned after
@@ -507,7 +496,6 @@ func (n *Node) Stats() NodeStats {
 		ClientQuotaRejects:  n.clientQuotaRejects,
 		ClientRejects:       clientRejects,
 		TrackedClients:      len(n.clientLive),
-		FlushesShed:         n.wheel.shed,
 		SendRetries:         n.sendRetries,
 		SendExhausted:       n.sendExhausted,
 		PendingSends:        n.pendingSends,

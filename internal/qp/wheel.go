@@ -26,7 +26,6 @@ type flushWheel struct {
 
 	fires   uint64 // slot timer events dispatched (the coalesced cost)
 	flushes uint64 // registrant flushes those events drove (the work delivered)
-	shed    uint64 // flushes deferred by the per-tick budget (load shedding)
 }
 
 type wheelSlot struct {
@@ -35,10 +34,6 @@ type wheelSlot struct {
 	entries complist.List[*wheelEntry]
 	timer   vri.Timer
 	tickFn  func() // pre-bound so rearming allocates nothing (PR 4 idiom)
-	// next is the round-robin resume ordinal for budgeted ticks: when the
-	// per-tick flush budget sheds registrants, the next tick starts where
-	// this one stopped so every registrant still flushes eventually.
-	next int
 }
 
 type wheelEntry struct {
@@ -81,46 +76,15 @@ func (w *flushWheel) add(period time.Duration, c *chain) *wheelEntry {
 }
 
 // tick flushes the slot's live registrants, then rearms — unless the
-// slot emptied (everything closed, possibly during this very tick).
-//
-// When MaxFlushesPerTick is set and the slot holds more live registrants
-// than the budget, the tick flushes only a budget's worth and DEFERS the
-// rest to later ticks, resuming round-robin where it stopped — the
-// load-shedding analog of a wall-clock wheel overrun, made deterministic:
-// under extreme concurrency each registrant flushes every
-// ceil(live/budget) periods instead of the node stalling inside one tick.
-// Shed flushes are counted (Stats.FlushesShed) so degradation is visible,
-// never silent.
+// slot emptied (everything closed, possibly during this very tick). A
+// chain closed by an earlier registrant's flush is skipped: chain.close
+// removes its entry, and Each never hands over a dead one.
 func (sl *wheelSlot) tick() {
 	sl.w.fires++
-	budget := sl.w.n.cfg.MaxFlushesPerTick
-	live := sl.entries.Live()
-	if budget <= 0 || live <= budget {
-		sl.next = 0
-		sl.entries.Each(func(e *wheelEntry) {
-			if e.target.closed {
-				return
-			}
-			sl.w.flushes++
-			e.target.flush()
-		})
-	} else {
-		start := sl.next % live
-		pos := 0
-		sl.entries.Each(func(e *wheelEntry) {
-			if e.target.closed {
-				return
-			}
-			if (pos-start+live)%live < budget {
-				sl.w.flushes++
-				e.target.flush()
-			} else {
-				sl.w.shed++
-			}
-			pos++
-		})
-		sl.next = (start + budget) % live
-	}
+	sl.entries.Each(func(e *wheelEntry) {
+		sl.w.flushes++
+		e.target.flush()
+	})
 	if !sl.entries.Retired() {
 		sl.timer = sl.w.n.rt.Schedule(sl.period, sl.tickFn)
 	}
