@@ -43,8 +43,7 @@
 // restores of the same checkpoint at a fixed seed) but is not a
 // continuation of the saving run; the build/restore phase wall clock is
 // reported on stderr. churnagg builds no DHT ring and ignores both
-// flags. The checkpoint file is read from disk once: the flag probe and
-// the restore share the same loaded bytes.
+// flags.
 //
 // Profiling: -cpuprofile and -memprofile write pprof profiles of the
 // run, so scale-run hotspots can be captured without editing code:
@@ -130,22 +129,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Checkpoint flags are validated up front, so a typoed path fails in
 	// milliseconds with a clean message instead of panicking — in the
 	// save case after minutes of cluster building. The loaded handle is
-	// kept and handed to the harness, so the checkpoint file is read
-	// from disk once, not once to probe and again to restore.
+	// the harness's only way to warm-start, so the checkpoint file is
+	// read from disk once, not once to probe and again to restore.
 	var ckpt *experiments.CheckpointFile
 	if *ckptLoad != "" {
-		c, err := experiments.OpenCheckpointFile(*ckptLoad)
-		if err != nil {
+		var err error
+		if ckpt, err = experiments.OpenCheckpointFile(*ckptLoad); err != nil {
 			fmt.Fprintf(stderr, "checkpoint-load: %v\n", err)
 			return 2
 		}
-		ckpt = c
 		if *fig != 0 {
 			if *nodes == 0 {
-				*nodes = c.NodeCount // adopt the checkpoint's deployment size
-			} else if *nodes != c.NodeCount {
+				*nodes = ckpt.NodeCount // adopt the checkpoint's deployment size
+			} else if *nodes != ckpt.NodeCount {
 				fmt.Fprintf(stderr, "checkpoint-load: %s holds %d nodes but -nodes %d was given\n",
-					*ckptLoad, c.NodeCount, *nodes)
+					*ckptLoad, ckpt.NodeCount, *nodes)
 				return 2
 			}
 		}
@@ -163,11 +161,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// build/restore wall clock goes to stderr so stdout stays bit-
 	// comparable between runs (the warm-start determinism contract).
 	var buildWall time.Duration
-	warm := experiments.WarmStart{SavePath: *ckptSave, LoadPath: *ckptLoad, Loaded: ckpt, BuildWall: &buildWall}
+	warm := experiments.WarmStart{SavePath: *ckptSave, Loaded: ckpt, BuildWall: &buildWall}
 	reportBuild := func() {
 		if buildWall > 0 {
 			phase := "build"
-			if *ckptLoad != "" {
+			if ckpt != nil {
 				phase = "restore"
 			}
 			fmt.Fprintf(stderr, "cluster %s phase wall clock: %v\n", phase, buildWall.Round(time.Millisecond))

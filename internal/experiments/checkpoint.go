@@ -43,13 +43,10 @@ const checkpointMagic = "PIERCKPT"
 // WarmStart carries the checkpoint knobs every BuildCluster-based
 // harness config embeds. The zero value is a plain cold build.
 type WarmStart struct {
-	// LoadPath, when non-empty, restores the cluster from this
-	// checkpoint file instead of building it.
-	LoadPath string
-	// Loaded, when non-nil, restores from an already-loaded checkpoint
-	// and takes precedence over LoadPath. The CLI probes the file at
-	// flag-validation time and hands the same bytes here, so the file is
-	// read from disk exactly once per process.
+	// Loaded, when non-nil, restores the cluster from this checkpoint
+	// (OpenCheckpointFile) instead of building it. The CLI opens the file
+	// at flag-validation time and hands the same bytes here, so the file
+	// is read from disk exactly once per process.
 	Loaded *CheckpointFile
 	// SavePath, when non-empty, saves the converged cluster to this file
 	// after a cold build. Harnesses that build several identical
@@ -199,28 +196,6 @@ func RestoreCheckpoint(data []byte, env *sim.Env) ([]*qp.Node, error) {
 	return nodes, nil
 }
 
-// PeekCheckpoint reads only a checkpoint file's header, reporting the
-// node count and the virtual instant it was saved. Callers that will
-// also restore should use OpenCheckpointFile instead and keep the
-// handle, paying for the disk read once.
-func PeekCheckpoint(path string) (nodes int, savedAt time.Time, err error) {
-	c, err := OpenCheckpointFile(path)
-	if err != nil {
-		return 0, time.Time{}, err
-	}
-	return c.NodeCount, c.SavedAt, nil
-}
-
-// RestoreCheckpointFile warm-starts a cluster from the checkpoint at
-// path.
-func RestoreCheckpointFile(path string, env *sim.Env) ([]*qp.Node, error) {
-	c, err := OpenCheckpointFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return c.Restore(env)
-}
-
 // buildOrRestore is the cluster entry point every figure/ablation
 // harness uses: a cold BuildCluster (optionally saving the converged
 // ring) or a warm restore, with the phase's wall clock accumulated into
@@ -232,22 +207,14 @@ func buildOrRestore(env *sim.Env, n int, prefix string, ws WarmStart) []*qp.Node
 			*ws.BuildWall += time.Since(start)
 		}
 	}()
-	if ws.Loaded != nil || ws.LoadPath != "" {
-		ckpt := ws.Loaded
-		if ckpt == nil {
-			c, err := OpenCheckpointFile(ws.LoadPath)
-			if err != nil {
-				panic(err)
-			}
-			ckpt = c
-		}
-		nodes, err := ckpt.Restore(env)
+	if ws.Loaded != nil {
+		nodes, err := ws.Loaded.Restore(env)
 		if err != nil {
 			panic(err)
 		}
 		if len(nodes) != n {
-			panic(fmt.Sprintf("checkpoint: %s holds %d nodes, harness configured for %d — pass a matching node count",
-				ws.LoadPath, len(nodes), n))
+			panic(fmt.Sprintf("checkpoint holds %d nodes, harness configured for %d — pass a matching node count",
+				len(nodes), n))
 		}
 		return nodes
 	}

@@ -26,6 +26,17 @@ func buildAndSave(t *testing.T, n int, seed int64) string {
 	return path
 }
 
+// openCheckpoint opens the checkpoint at path, the one way a harness
+// warm-starts (WarmStart.Loaded).
+func openCheckpoint(t *testing.T, path string) *CheckpointFile {
+	t.Helper()
+	ckpt, err := OpenCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ckpt
+}
+
 // TestWarmStartRingInvariants is the acceptance gate for restore: a
 // checkpoint of a converged ring must come back — at workers=0 AND
 // workers=8 — with every node holding a predecessor and a non-self
@@ -33,12 +44,12 @@ func buildAndSave(t *testing.T, n int, seed int64) string {
 // ownership.
 func TestWarmStartRingInvariants(t *testing.T) {
 	const n = 24
-	path := buildAndSave(t, n, 301)
+	ckpt := openCheckpoint(t, buildAndSave(t, n, 301))
 
 	for _, workers := range []int{0, 8} {
 		env := sim.NewEnv(sim.Options{Seed: 301})
 		env.SetWorkers(workers)
-		nodes, err := RestoreCheckpointFile(path, env)
+		nodes, err := ckpt.Restore(env)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -92,10 +103,10 @@ func TestWarmStartRingInvariants(t *testing.T) {
 // restores at a fixed seed, and across worker counts.
 func TestWarmStartFigure2Deterministic(t *testing.T) {
 	const n = 24
-	path := buildAndSave(t, n, 303)
+	ckpt := openCheckpoint(t, buildAndSave(t, n, 303))
 	run := func(workers int) Figure2Result {
 		cfg := Figure2Config{Nodes: n, EventsPerNode: 8, Sources: 40, Seed: 303, Workers: workers}
-		cfg.Warm.LoadPath = path
+		cfg.Warm.Loaded = ckpt
 		return RunFigure2(cfg)
 	}
 	first := run(0)
@@ -120,7 +131,7 @@ func TestWarmStartSaveLoadBytesStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := sim.NewEnv(sim.Options{Seed: 305})
-	nodes, err := RestoreCheckpointFile(path, env)
+	nodes, err := openCheckpoint(t, path).Restore(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,24 +193,12 @@ opgraph g disseminate local {
 }
 
 // TestOpenCheckpointFileReadsOnce covers the read-once handle: the
-// header probe and any number of restores come out of one disk read,
-// and every restore of the same handle is bit-equivalent to restoring
-// the file directly.
+// header probe and any number of restores come out of one disk read.
 func TestOpenCheckpointFileReadsOnce(t *testing.T) {
 	path := buildAndSave(t, 8, 311)
-	ckpt, err := OpenCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckpt := openCheckpoint(t, path)
 	if ckpt.NodeCount != 8 {
 		t.Fatalf("NodeCount = %d, want 8", ckpt.NodeCount)
-	}
-	pn, pAt, err := PeekCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pn != ckpt.NodeCount || !pAt.Equal(ckpt.SavedAt) {
-		t.Fatalf("PeekCheckpoint (%d, %v) disagrees with handle (%d, %v)", pn, pAt, ckpt.NodeCount, ckpt.SavedAt)
 	}
 
 	// The file on disk can vanish after Open: restores use the retained
@@ -221,10 +220,10 @@ func TestOpenCheckpointFileReadsOnce(t *testing.T) {
 		}
 	}
 
-	// buildOrRestore prefers the loaded handle over the (now dangling)
-	// path, so the CLI's probe-then-run flow cannot re-read the file.
+	// buildOrRestore restores from the loaded handle, so the CLI's
+	// probe-then-run flow cannot re-read the (now deleted) file.
 	env := sim.NewEnv(sim.Options{Seed: 311})
-	nodes := buildOrRestore(env, 8, "n", WarmStart{LoadPath: path, Loaded: ckpt})
+	nodes := buildOrRestore(env, 8, "n", WarmStart{Loaded: ckpt})
 	if len(nodes) != 8 {
 		t.Fatalf("buildOrRestore via Loaded: %d nodes, want 8", len(nodes))
 	}

@@ -188,16 +188,7 @@ type Figure1Config struct {
 	Nodes int
 	// Queries per series; the paper replayed real Gnutella queries.
 	Queries int
-	// GnutellaTTL bounds flooding. The classic TTL of 7 covers a real
-	// million-node network only fractionally; at simulation scale the
-	// TTL is scaled down so the flood horizon covers a comparable
-	// fraction of the network (see EXPERIMENTS.md).
-	GnutellaTTL int
-	// GnutellaDegree is the random-graph degree.
-	GnutellaDegree int
-	// QueryTimeout declares a query missed if no result arrived.
-	QueryTimeout time.Duration
-	Catalog      workload.CatalogConfig
+	Catalog workload.CatalogConfig
 	// Workers selects the scheduler: 0 = sequential Main Scheduler,
 	// k >= 1 = sharded across k workers (identical results for any k).
 	Workers int
@@ -213,15 +204,6 @@ func (c *Figure1Config) fill() {
 	if c.Queries <= 0 {
 		c.Queries = 200
 	}
-	if c.GnutellaTTL <= 0 {
-		c.GnutellaTTL = 2
-	}
-	if c.GnutellaDegree <= 0 {
-		c.GnutellaDegree = 3
-	}
-	if c.QueryTimeout <= 0 {
-		c.QueryTimeout = 30 * time.Second
-	}
 	if c.Catalog.NumFiles == 0 {
 		c.Catalog = workload.CatalogConfig{
 			NumFiles:    300,
@@ -233,6 +215,18 @@ func (c *Figure1Config) fill() {
 		}
 	}
 }
+
+const (
+	// fig1GnutellaTTL bounds flooding. The classic TTL of 7 covers a real
+	// million-node network only fractionally; at simulation scale the TTL
+	// is scaled down so the flood horizon covers a comparable fraction of
+	// the network.
+	fig1GnutellaTTL = 2
+	// fig1GnutellaDegree is the random-graph degree.
+	fig1GnutellaDegree = 3
+	// fig1QueryTimeout declares a query missed if no result arrived.
+	fig1QueryTimeout = 30 * time.Second
+)
 
 // Figure1Result carries the three CDF series of the figure.
 type Figure1Result struct {
@@ -280,13 +274,13 @@ func RunFigure1(cfg Figure1Config) Figure1Result {
 	// Gnutella peers co-located on the same simulated hosts.
 	peers := make([]*gnutella.Peer, len(nodes))
 	for i, n := range nodes {
-		p, err := gnutella.NewPeer(n.Runtime(), gnutella.Config{DefaultTTL: cfg.GnutellaTTL})
+		p, err := gnutella.NewPeer(n.Runtime(), gnutella.Config{DefaultTTL: fig1GnutellaTTL})
 		if err != nil {
 			panic(err)
 		}
 		peers[i] = p
 	}
-	gnutella.WireRandomGraph(peers, cfg.GnutellaDegree, rng)
+	gnutella.WireRandomGraph(peers, fig1GnutellaDegree, rng)
 
 	// Content placement: each file is shared by Replicas distinct nodes;
 	// Gnutella indexes it locally, PIER publishes (keyword → file) into
@@ -339,7 +333,7 @@ func RunFigure1(cfg Figure1Config) Figure1Result {
 					slot.at = originRT.Now()
 				}
 			})
-			runUntil(env, cfg.QueryTimeout, func() bool { return slot.got })
+			runUntil(env, fig1QueryTimeout, func() bool { return slot.got })
 			origin.Cancel(id)
 			if slot.got {
 				rec.Record(slot.at.Sub(start))
@@ -361,7 +355,7 @@ func RunFigure1(cfg Figure1Config) Figure1Result {
 		kw := keywords[1] // the file's unique keyword: the hard lookup
 		origin := nodes[rng.Intn(len(nodes))]
 		plan, err := sqlfront.Run(fmt.Sprintf("fig1-%d", q),
-			fmt.Sprintf("SELECT file, host FROM fileindex WHERE keyword = '%s' TIMEOUT %s", kw, cfg.QueryTimeout),
+			fmt.Sprintf("SELECT file, host FROM fileindex WHERE keyword = '%s' TIMEOUT %s", kw, fig1QueryTimeout),
 			opts)
 		if err != nil {
 			panic(err)
@@ -371,7 +365,7 @@ func RunFigure1(cfg Figure1Config) Figure1Result {
 		if err != nil {
 			panic(err)
 		}
-		runUntil(env, cfg.QueryTimeout, func() bool { return rs.Len() > 0 })
+		runUntil(env, fig1QueryTimeout, func() bool { return rs.Len() > 0 })
 		if at, ok := rs.FirstAt(); ok {
 			res.PierRare.Record(at.Sub(start))
 		} else {

@@ -772,6 +772,10 @@ func decodeWorkload(v *yval) (WorkloadSpec, error) {
 			f.durField("timeout", &w.Timeout),
 			f.intField("keys", &w.Keys),
 		)
+		if err == nil && w.Keys < 1 {
+			// Lookups pick key i*7 mod keys.
+			err = decodeErr{f.v.m["keys"].line, "lookups needs keys >= 1"}
+		}
 	case "gnutella-flood":
 		w.Count, w.At, w.TTL, w.Degree, w.Timeout = 12, 5*time.Second, 3, 3, 10*time.Second
 		err = firstErr(

@@ -126,11 +126,15 @@ func TestParseScenarioErrors(t *testing.T) {
 		"recovered needs heal":  "name: x\nnodes: 4\nduration: 5s\nassert:\n  recovered-rows: 1\n",
 		"partition needs first": "name: x\nnodes: 4\nduration: 5s\nevents:\n  - at: 1s\n    action: partition\n",
 		"kill needs count":      "name: x\nnodes: 4\nduration: 5s\nevents:\n  - at: 1s\n    action: kill\n",
+		"lookups need keys":     "name: x\nnodes: 4\nduration: 5s\nworkload:\n  - kind: lookups\n    keys: 0\n",
 	}
 	for name, src := range cases {
 		if _, err := ParseScenario(src); err == nil {
 			t.Errorf("%s: parse accepted invalid scenario", name)
 		}
+	}
+	if _, err := ParseScenario(cases["lookups need keys"]); err == nil || !strings.HasPrefix(err.Error(), "line 6:") {
+		t.Errorf("keys: 0 error %v does not name line 6", err)
 	}
 }
 

@@ -35,18 +35,16 @@ const (
 type Config struct {
 	// DefaultTTL bounds flooding depth. Gnutella's classic default is 7.
 	DefaultTTL int
-	// MaxResultsPerPeer caps hits one peer returns per query.
-	MaxResultsPerPeer int
 }
 
 func (c *Config) fill() {
 	if c.DefaultTTL <= 0 {
 		c.DefaultTTL = 7
 	}
-	if c.MaxResultsPerPeer <= 0 {
-		c.MaxResultsPerPeer = 50
-	}
 }
+
+// maxResultsPerPeer caps hits one peer returns per query.
+const maxResultsPerPeer = 50
 
 // Hit is one search result.
 type Hit struct {
@@ -168,8 +166,8 @@ func (p *Peer) match(keywords []string) []string {
 		}
 	}
 	sort.Strings(out)
-	if len(out) > p.cfg.MaxResultsPerPeer {
-		out = out[:p.cfg.MaxResultsPerPeer]
+	if len(out) > maxResultsPerPeer {
+		out = out[:maxResultsPerPeer]
 	}
 	return out
 }

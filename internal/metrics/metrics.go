@@ -106,33 +106,3 @@ func RenderCDFTable(grid []time.Duration, series map[string]*LatencyRecorder, or
 	}
 	return sb.String()
 }
-
-// Tally is a labelled counter set, used for bandwidth and message
-// accounting in the ablation benches.
-type Tally struct {
-	counts map[string]uint64
-	order  []string
-}
-
-// NewTally creates an empty tally.
-func NewTally() *Tally { return &Tally{counts: make(map[string]uint64)} }
-
-// Add increments a label.
-func (t *Tally) Add(label string, n uint64) {
-	if _, ok := t.counts[label]; !ok {
-		t.order = append(t.order, label)
-	}
-	t.counts[label] += n
-}
-
-// Get returns a label's count.
-func (t *Tally) Get(label string) uint64 { return t.counts[label] }
-
-// String renders the tally in insertion order.
-func (t *Tally) String() string {
-	var sb strings.Builder
-	for _, label := range t.order {
-		fmt.Fprintf(&sb, "%-30s %12d\n", label, t.counts[label])
-	}
-	return sb.String()
-}

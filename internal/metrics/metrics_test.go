@@ -127,21 +127,3 @@ func TestRenderCDFTable(t *testing.T) {
 		t.Errorf("gnutella series should plateau at 50%%:\n%s", out)
 	}
 }
-
-func TestTally(t *testing.T) {
-	ta := NewTally()
-	ta.Add("msgs", 10)
-	ta.Add("bytes", 100)
-	ta.Add("msgs", 5)
-	if ta.Get("msgs") != 15 {
-		t.Errorf("msgs = %d", ta.Get("msgs"))
-	}
-	out := ta.String()
-	if !strings.Contains(out, "msgs") || !strings.Contains(out, "15") {
-		t.Errorf("render: %s", out)
-	}
-	// Insertion order preserved.
-	if strings.Index(out, "msgs") > strings.Index(out, "bytes") {
-		t.Error("order not preserved")
-	}
-}

@@ -230,7 +230,7 @@ func (d *DHT) SendTracked(namespace, key, suffix string, data []byte, lifetime t
 	m := &routedMsg{
 		target: HashName(namespace, key),
 		origin: d.rt.Addr(),
-		hops:   uint8(d.router.cfg.MaxHops),
+		hops:   maxHops,
 		inner:  riSend,
 		obj:    Object{Namespace: namespace, Key: key, Suffix: suffix, Data: data, Lifetime: lifetime},
 		done:   ack,

@@ -16,7 +16,7 @@ import (
 // seeds are one well-formed datagram of each of the 13 kinds, truncations
 // of each, and the two hostile counts TestHostileCounts names. Each input
 // goes to a member of a 3-node ring twice — from a ring member's address
-// and from a stranger's — then the ring runs past RequestTimeout so every
+// and from a stranger's — then the ring runs past requestTimeout so every
 // timer the input armed fires, and is stopped.
 func FuzzOverlayHandleMessage(f *testing.F) {
 	// The fuzzed node's outstanding requests are numbered from here, clear
@@ -88,12 +88,12 @@ func FuzzOverlayHandleMessage(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		d.handleMessage(dhts[1].Addr(), data)
 		d.handleMessage("stranger", data)
-		env.Run(d.router.cfg.RequestTimeout + 2*time.Second)
+		env.Run(requestTimeout + 2*time.Second)
 		for _, x := range dhts {
 			x.Stop()
 		}
 		// What was in flight when the tickers stopped times out too.
-		env.Run(d.router.cfg.RequestTimeout + 2*time.Second)
+		env.Run(requestTimeout + 2*time.Second)
 		runtime.ReadMemStats(&after)
 
 		// The constant is what 24 virtual seconds of a 3-node ring allocate
@@ -104,7 +104,7 @@ func FuzzOverlayHandleMessage(f *testing.F) {
 		}
 		for _, x := range dhts {
 			if n := len(x.router.pending); n != 0 {
-				t.Fatalf("%s still has %d requests pending after RequestTimeout", x.Addr(), n)
+				t.Fatalf("%s still has %d requests pending after requestTimeout", x.Addr(), n)
 			}
 			if got, want := x.router.open, openSlots(x.router); got != want {
 				t.Fatalf("%s counts %d open finger slots, a recount says %d", x.Addr(), got, want)

@@ -243,7 +243,7 @@ func TestStabilizeChangeTravelsInFull(t *testing.T) {
 		t.Helper()
 		want := []vri.Addr{succ.Addr()}
 		for _, a := range succAddrs(succ) {
-			if a != x.Addr() && len(want) < x.router.cfg.SuccessorListLen {
+			if a != x.Addr() && len(want) < successorListLen {
 				want = append(want, a)
 			}
 		}

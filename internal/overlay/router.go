@@ -31,16 +31,17 @@ type RouterConfig struct {
 	// CheckPredInterval is the period of the predecessor liveness check,
 	// and the silence after which the check sends a probe. Default 1s.
 	CheckPredInterval time.Duration
-	// SuccessorListLen is the resilience depth of the successor list.
-	// Default 4.
-	SuccessorListLen int
-	// RequestTimeout bounds lookups, pings and stabilize exchanges.
-	// Default 10s.
-	RequestTimeout time.Duration
-	// MaxHops bounds multi-hop routing to break cycles under churn.
-	// Default 200.
-	MaxHops int
 }
+
+const (
+	// successorListLen is the resilience depth of the successor list.
+	successorListLen = 4
+	// requestTimeout bounds lookups, pings and stabilize exchanges.
+	requestTimeout = 10 * time.Second
+	// maxHops bounds multi-hop routing to break cycles under churn. It is
+	// the hop budget's wire byte, so it cannot exceed 255.
+	maxHops uint8 = 200
+)
 
 func (c *RouterConfig) fill() {
 	if c.StabilizeInterval <= 0 {
@@ -51,15 +52,6 @@ func (c *RouterConfig) fill() {
 	}
 	if c.CheckPredInterval <= 0 {
 		c.CheckPredInterval = time.Second
-	}
-	if c.SuccessorListLen <= 0 {
-		c.SuccessorListLen = 4
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 200
 	}
 }
 
@@ -172,7 +164,7 @@ func (r *router) join(bootstrap vri.Addr, done func(error)) {
 	m := &routedMsg{
 		target: r.self.id,
 		origin: r.self.addr,
-		hops:   uint8(r.cfg.MaxHops),
+		hops:   maxHops,
 		inner:  riLookup,
 	}
 	m.reqID = r.newPending(&pendingReq{onLookup: func(owner nodeRef, err error) {
@@ -334,7 +326,7 @@ func (r *router) lookup(id ID, done func(owner nodeRef, err error)) {
 	m := &routedMsg{
 		target: id,
 		origin: r.self.addr,
-		hops:   uint8(r.cfg.MaxHops),
+		hops:   maxHops,
 		inner:  riLookup,
 	}
 	m.reqID = r.newPending(&pendingReq{onLookup: done})
@@ -346,7 +338,7 @@ func (r *router) newPending(p *pendingReq) uint64 {
 	r.reqSeq++
 	id := r.reqSeq
 	r.pending[id] = p
-	p.timer = r.rt.Schedule(r.cfg.RequestTimeout, func() { r.failPending(id) })
+	p.timer = r.rt.Schedule(requestTimeout, func() { r.failPending(id) })
 	return id
 }
 
@@ -627,8 +619,8 @@ func (r *router) trimSuccs() {
 		}
 	}
 	r.succs = out
-	if len(r.succs) > r.cfg.SuccessorListLen {
-		r.succs = r.succs[:r.cfg.SuccessorListLen]
+	if len(r.succs) > successorListLen {
+		r.succs = r.succs[:successorListLen]
 	}
 	if len(r.succs) == 0 {
 		r.succs = []nodeRef{r.self}

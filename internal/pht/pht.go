@@ -91,9 +91,10 @@ type Config struct {
 	// Lifetime is the soft-state lifetime for items and node markers;
 	// the index's publisher must renew or re-insert. Default 10m.
 	Lifetime time.Duration
-	// MaxDepth bounds trie depth. Default (and maximum) 64.
-	MaxDepth int
 }
+
+// maxDepth bounds trie depth: a key has 64 bits.
+const maxDepth = 64
 
 // PHT is a client handle for one distributed prefix hash tree. Any node
 // in the overlay can instantiate a handle on the same Index and see the
@@ -117,9 +118,6 @@ func New(dht *overlay.DHT, cfg Config) *PHT {
 	}
 	if cfg.Lifetime <= 0 {
 		cfg.Lifetime = 10 * time.Minute
-	}
-	if cfg.MaxDepth <= 0 || cfg.MaxDepth > 64 {
-		cfg.MaxDepth = 64
 	}
 	return &PHT{dht: dht, cfg: cfg}
 }
@@ -177,7 +175,6 @@ func (p *PHT) readNode(label string, done func(node, error)) {
 // the bracket — one probe for a shallow trie, O(log depth) in general,
 // the PHT paper's lookup strategy.
 func (p *PHT) findLeaf(key Key, done func(depth int, leaf node, err error)) {
-	max := p.cfg.MaxDepth
 	var binSearch func(lo, hi int)
 	binSearch = func(lo, hi int) {
 		if lo >= hi {
@@ -199,8 +196,8 @@ func (p *PHT) findLeaf(key Key, done func(depth int, leaf node, err error)) {
 	}
 	var gallop func(lo, d, step int)
 	gallop = func(lo, d, step int) {
-		if d >= max {
-			binSearch(lo, max)
+		if d >= maxDepth {
+			binSearch(lo, maxDepth)
 			return
 		}
 		p.readNode(key.prefix(d), func(n node, err error) {
@@ -243,7 +240,7 @@ func (p *PHT) Insert(key Key, suffix string, data []byte, done func(error)) {
 			}
 			items := append(leaf.items, Item{Key: key, Suffix: suffix, Data: data})
 			items = dedupItems(items)
-			if len(items) <= p.cfg.Bucket || depth >= p.cfg.MaxDepth {
+			if len(items) <= p.cfg.Bucket || depth >= maxDepth {
 				done(nil)
 				return
 			}
@@ -261,7 +258,7 @@ func (p *PHT) split(items []Item, depth int, done func(error)) {
 	// Find the divergence depth D: first bit index >= depth where the
 	// items disagree.
 	d := depth
-	for d < p.cfg.MaxDepth {
+	for d < maxDepth {
 		b := items[0].Key.bit(d)
 		diverges := false
 		for _, it := range items[1:] {
@@ -275,7 +272,7 @@ func (p *PHT) split(items []Item, depth int, done func(error)) {
 		}
 		d++
 	}
-	if d >= p.cfg.MaxDepth {
+	if d >= maxDepth {
 		// Identical keys to full depth: the leaf just overflows; the
 		// bucket bound is best-effort.
 		done(nil)
@@ -342,7 +339,7 @@ func (p *PHT) placeGroup(items []Item, depth int, done func(error)) {
 			}
 			pending--
 			if pending == 0 {
-				if firstErr != nil || len(items) <= p.cfg.Bucket || depth >= p.cfg.MaxDepth {
+				if firstErr != nil || len(items) <= p.cfg.Bucket || depth >= maxDepth {
 					done(firstErr)
 					return
 				}
@@ -426,7 +423,7 @@ func (p *PHT) Range(lo, hi Key, done func([]Item, error)) {
 					out = append(out, it)
 				}
 			}
-			if n.internal && len(label) < p.cfg.MaxDepth {
+			if n.internal && len(label) < maxDepth {
 				mid := min + (max-min)/2
 				pending += 2
 				visit(label+"0", min, mid)
@@ -462,7 +459,7 @@ func (p *PHT) Stats(done func(leaves, internals, items int, err error)) {
 				return
 			}
 			items += len(n.items)
-			if n.internal && len(label) < p.cfg.MaxDepth {
+			if n.internal && len(label) < maxDepth {
 				internals++
 				pending += 2
 				visit(label + "0")

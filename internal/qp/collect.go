@@ -33,7 +33,7 @@ type ResultSet struct {
 
 // SubmitCollect runs a query with this node as the proxy, collecting
 // results into the returned ResultSet instead of invoking a callback.
-// clientID attributes the query for rate limiting, as in Submit.
+// clientID attributes the query for the per-client quota, as in Submit.
 func (n *Node) SubmitCollect(q *ufl.Query, clientID string) (*ResultSet, error) {
 	rs := &ResultSet{}
 	err := n.Submit(q, clientID, func(t *tuple.Tuple) {

@@ -67,7 +67,7 @@ func TestTreeSeenEntriesExpire(t *testing.T) {
 	}
 	// One full TTL past the last broadcast, plus refresh rounds so every
 	// node's sweep has run.
-	env.Run(nodes[0].cfg.TreeChildTTL + 3*nodes[0].cfg.TreeRefresh)
+	env.Run(nodes[0].trees.childTTL() + 3*nodes[0].cfg.TreeRefresh)
 	for i, n := range nodes {
 		if got := n.Stats().TreeSeenEntries; got != baseline[i] {
 			t.Fatalf("node %d holds %d seen entries after TTL, want baseline %d (leak)", i, got, baseline[i])
@@ -164,7 +164,7 @@ opgraph g disseminate broadcast {
 // opgraph and the repair counters show the nack path did the work.
 func TestTreeRepairAfterInteriorKill(t *testing.T) {
 	env, nodes := cluster(t, 64, 10)
-	rootID := overlay.HashName(treeNS, nodes[0].cfg.TreeRootKey)
+	rootID := overlay.HashName(treeNS, treeRootKey)
 	victim := -1
 	for i := 2; i < len(nodes); i++ {
 		if nodes[i].TreeChildren() > 0 && !nodes[i].dht.Owns(rootID) {

@@ -1,6 +1,7 @@
 package qp
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -12,14 +13,13 @@ import (
 	"pier/internal/wire"
 )
 
-// FuzzHandleMessage: a PIER node executes opgraphs and accepts results
-// sent by strangers, so whatever arrives on the query port must neither
-// panic nor make the node allocate out of proportion to the message — a
-// count field is not a licence to reserve memory. The seeds are one valid
-// frame of every message kind, and truncations of each.
-func FuzzHandleMessage(f *testing.F) {
-	deadline := time.Unix(0, 0).Add(30 * time.Second) // the simulator's clock starts at the epoch
-	plan := ufl.MustParse(`
+// fuzzDeadline is the seeds' query deadline: the simulator's clock starts
+// at the epoch.
+var fuzzDeadline = time.Unix(0, 0).Add(30 * time.Second)
+
+// fuzzPlan is the seeds' query: a shareable and a private broadcast graph.
+func fuzzPlan() *ufl.Query {
+	return ufl.MustParse(`
 query f timeout 30s
 opgraph shared disseminate broadcast {
     src = NewData(table='fw')
@@ -42,21 +42,34 @@ opgraph private disseminate broadcast {
     out <- agg
 }
 `)
-	var entries []ufl.BatchEntry
-	for _, g := range plan.Graphs {
-		entries = append(entries, ufl.BatchEntry{QueryID: "f", Deadline: deadline, Proxy: "proxy", Client: "c", Graph: g})
-	}
-	frame := func(kind uint8, body func(w *wire.Writer)) []byte {
-		w := wire.NewWriter(256)
-		w.U8(kind)
-		body(w)
-		return w.Bytes()
-	}
-	dissem := encodeDisseminate("f", deadline, "proxy", "c", plan.Graphs[1])
+}
+
+// frame builds a query-port message of kind with body.
+func frame(kind uint8, body func(w *wire.Writer)) []byte {
+	w := wire.NewWriter(256)
+	w.U8(kind)
+	body(w)
+	return w.Bytes()
+}
+
+// testWindow is a two-row columnar result window.
+func testWindow() *tuple.Batch {
 	window := tuple.NewColumnarBatch("r", []string{"k", "v"}, 2)
 	window.AppendRow([]tuple.Value{tuple.String("x"), tuple.Int(1)})
 	window.AppendRow([]tuple.Value{tuple.String("y"), tuple.Float(2.5)})
-	for _, seed := range [][]byte{
+	return window
+}
+
+// handleMessageSeeds is one valid frame of every query-port message kind.
+func handleMessageSeeds() [][]byte {
+	plan := fuzzPlan()
+	var entries []ufl.BatchEntry
+	for _, g := range plan.Graphs {
+		entries = append(entries, ufl.BatchEntry{QueryID: "f", Deadline: fuzzDeadline, Proxy: "proxy", Client: "c", Graph: g})
+	}
+	dissem := encodeDisseminate("f", fuzzDeadline, "proxy", "c", plan.Graphs[1])
+	window := testWindow()
+	return [][]byte{
 		dissem,
 		frame(qmDisseminateBatch, func(w *wire.Writer) { w.Bytes32(ufl.EncodeBatch(entries)) }),
 		encodeTreeBroadcast(wire.NewWriter(256), 0, "fwd", "exec", dissem),
@@ -65,7 +78,55 @@ opgraph private disseminate broadcast {
 		resultMessage("f", tuple.New("r").Set("k", tuple.String("x")).Encode()),
 		resultMessage("f", window.EncodeFrame()),
 		multiResultMessage(2, []string{"f", "g"}, window.EncodeFrame()),
-	} {
+	}
+}
+
+// fuzzNode starts a lone node proxying query f for result, admit and
+// reject frames to land on.
+func fuzzNode(t *testing.T) (*sim.Env, *Node) {
+	env := sim.NewEnv(sim.Options{Seed: 1})
+	n := NewNode(env.Spawn("fuzz"), Config{})
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	q := ufl.MustParse("query f timeout 30s\nopgraph g disseminate local {\n    src = NewData(table='none')\n}\n")
+	if err := n.Submit(q, "c", func(*tuple.Tuple) {}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return env, n
+}
+
+// TestMalformedQueryMessagesCounted: a query-port datagram of any kind
+// that fails to decode is counted once in MalformedDrops, and one that
+// decodes is not.
+func TestMalformedQueryMessagesCounted(t *testing.T) {
+	check := func(name string, data []byte, want uint64) {
+		t.Helper()
+		env, n := fuzzNode(t)
+		before := n.Stats().MalformedDrops
+		n.handleMessage(vri.Addr("peer"), data)
+		env.Run(2 * time.Second)
+		if got := n.Stats().MalformedDrops - before; got != want {
+			t.Errorf("%s (kind %d, %d bytes): MalformedDrops moved by %d, want %d", name, data[0], len(data), got, want)
+		}
+		n.Stop()
+	}
+	for i, seed := range handleMessageSeeds() {
+		check(fmt.Sprintf("seed %d whole", i), seed, 0)
+		check(fmt.Sprintf("seed %d cut in half", i), seed[:len(seed)/2], 1)
+	}
+	check("unknown kind", []byte{0xee, 1, 2, 3}, 1)
+}
+
+// FuzzHandleMessage: a PIER node executes opgraphs and accepts results
+// sent by strangers, so whatever arrives on the query port must neither
+// panic nor make the node allocate out of proportion to the message — a
+// count field is not a licence to reserve memory. The seeds are one valid
+// frame of every message kind, and truncations of each.
+func FuzzHandleMessage(f *testing.F) {
+	plan := fuzzPlan()
+	window := testWindow()
+	for _, seed := range handleMessageSeeds() {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		f.Add(seed[:len(seed)-1])
@@ -83,19 +144,10 @@ opgraph private disseminate broadcast {
 	greedy := plan.Graphs[1]
 	greedy.Ops = append([]ufl.OpSpec(nil), greedy.Ops...)
 	greedy.Ops[3].Args = map[string]string{"ns": "f.bf", "key": "src", "expected": "2000000000"}
-	f.Add(encodeDisseminate("f", deadline, "proxy", "c", greedy))
+	f.Add(encodeDisseminate("f", fuzzDeadline, "proxy", "c", greedy))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env := sim.NewEnv(sim.Options{Seed: 1})
-		n := NewNode(env.Spawn("fuzz"), Config{})
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		// A proxied query for result, admit and reject frames to land on.
-		q := ufl.MustParse("query f timeout 30s\nopgraph g disseminate local {\n    src = NewData(table='none')\n}\n")
-		if err := n.Submit(q, "c", func(*tuple.Tuple) {}, nil); err != nil {
-			t.Fatal(err)
-		}
+		env, n := fuzzNode(t)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		n.handleMessage(vri.Addr("peer"), data)

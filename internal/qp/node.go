@@ -38,30 +38,18 @@ import (
 type Config struct {
 	// DHT configures the overlay underneath the query processor.
 	DHT overlay.Config
-	// TreeRootKey names the well-known root identifier of the query
-	// distribution tree, hard-coded across the deployment (§3.3.3).
-	TreeRootKey string
-	// TreeRefresh is the soft-state refresh period for tree membership.
-	// Default 5s.
+	// TreeRefresh is the soft-state refresh period for tree membership; a
+	// recorded child survives 3×TreeRefresh without refresh. Default 5s.
 	TreeRefresh time.Duration
-	// TreeChildTTL is how long a recorded child survives without
-	// refresh. Default 3×TreeRefresh.
-	TreeChildTTL time.Duration
 	// NumTrees is how many redundant distribution trees to maintain,
 	// the paper's §3.3.3 reliability knob: each tree gets a distinct
-	// root key (TreeRootKey, TreeRootKey#1, …) and therefore a distinct
+	// root key (treeRootKey, treeRootKey#1, …) and therefore a distinct
 	// shape, and every broadcast travels once per tree under one shared
 	// execution id, so a failure that severs one tree's subtree is
 	// covered by the others. Deliveries are deduped by the node-level
 	// seen set; execution cost is unchanged, dissemination traffic
 	// scales with NumTrees. Default 1; values above 8 are clamped.
 	NumTrees int
-	// DoneGrace is how long after a query's timeout the proxy waits for
-	// straggler results before reporting completion. Default 2s.
-	DoneGrace time.Duration
-	// MaxQueriesPerMinute rate-limits query admission per client id
-	// (§4.1.2); 0 disables limiting.
-	MaxQueriesPerMinute int
 	// MaxLiveGraphs caps the opgraphs concurrently executing at this
 	// node (admission control for multi-query overload): an arriving
 	// opgraph beyond the cap is refused and an explicit reject ack goes
@@ -76,22 +64,11 @@ type Config struct {
 	// Unattributed graphs (empty client id) are exempt, so anonymous
 	// traffic does not collapse into one shared bucket. 0 disables.
 	MaxGraphsPerClient int
-	// DissemBatchWindow is how long a proxy holds broadcast opgraph
-	// dissemination so queries submitted close together ride ONE
-	// distribution-tree frame (the ufl batch codec) instead of paying a
-	// full tree broadcast each. Default 10ms.
-	DissemBatchWindow time.Duration
 }
 
 func (c *Config) fill() {
-	if c.TreeRootKey == "" {
-		c.TreeRootKey = "!pier-tree-root"
-	}
 	if c.TreeRefresh <= 0 {
 		c.TreeRefresh = 5 * time.Second
-	}
-	if c.TreeChildTTL <= 0 {
-		c.TreeChildTTL = 3 * c.TreeRefresh
 	}
 	if c.NumTrees <= 0 {
 		c.NumTrees = 1
@@ -99,13 +76,18 @@ func (c *Config) fill() {
 	if c.NumTrees > maxTrees {
 		c.NumTrees = maxTrees
 	}
-	if c.DoneGrace <= 0 {
-		c.DoneGrace = 2 * time.Second
-	}
-	if c.DissemBatchWindow <= 0 {
-		c.DissemBatchWindow = 10 * time.Millisecond
-	}
 }
+
+const (
+	// doneGrace is how long after a query's timeout the proxy waits for
+	// straggler results before reporting completion.
+	doneGrace = 2 * time.Second
+	// dissemBatchWindow is how long a proxy holds broadcast opgraph
+	// dissemination so queries submitted close together ride ONE
+	// distribution-tree frame (the ufl batch codec) instead of paying a
+	// full tree broadcast each.
+	dissemBatchWindow = 10 * time.Millisecond
+)
 
 // Node is one PIER participant: overlay member, query executor, and
 // potential proxy for clients.
@@ -141,12 +123,10 @@ type Node struct {
 	clientRejects map[string]uint64
 
 	// Proxy-side dissemination batching: broadcast opgraphs submitted
-	// within DissemBatchWindow accumulate here and ride one tree frame.
+	// within dissemBatchWindow accumulate here and ride one tree frame.
 	pendingBatch []ufl.BatchEntry
 	batchTimer   vri.Timer
 	batchFn      func() // pre-bound flush closure
-
-	limiter *rateLimiter
 
 	// retryPool recycles resultRetry states (backoff.go); pendingSends
 	// is the number currently in flight (awaiting an ack or a retry
@@ -204,9 +184,9 @@ type Node struct {
 	clientQuotaRejects uint64 // refusals under MaxGraphsPerClient
 	sendRetries        uint64 // nack-driven retransmissions (backoff.go)
 	sendExhausted      uint64 // payloads abandoned after the retry budget
-	// malformedFrames counts tuple frames that failed to decode here:
-	// stored objects dropped by catch-up LocalScans and result messages
-	// dropped at the proxy (the newData-path twin lives in the overlay
+	// malformedFrames counts what failed to decode here: stored objects
+	// dropped by catch-up LocalScans and query-port datagrams, result
+	// messages included (the newData-path twin lives in the overlay
 	// registry).
 	malformedFrames exec.Discarded
 }
@@ -257,7 +237,6 @@ func NewNode(rt vri.Runtime, cfg Config) *Node {
 		proxied:     make(map[string]*proxyState),
 		subtrees:    make(map[uint64]*chain),
 		clientLive:  make(map[string]int),
-		limiter:     newRateLimiter(rt, cfg.MaxQueriesPerMinute),
 		scratch:     wire.NewWriter(256),
 		resultFrame: wire.NewWriter(256),
 		openAt:      make(map[vri.Addr]int),
@@ -354,12 +333,13 @@ type NodeStats struct {
 	// Decodes counts newData arrivals decoded — exactly once per
 	// arrival, however many queries consumed it.
 	Decodes uint64
-	// MalformedDrops counts FAILED TUPLE DECODES (the exec.Discarded
-	// policy, surfaced): once per arrival on the newData path, once per
-	// scanning query on the catch-up path (a malformed object that stays
-	// in the store is re-encountered by every later catch-up scan), and
-	// once per result message a proxy could not decode. Zero means no
-	// malformed data met any query.
+	// MalformedDrops counts tuple frames and query-port datagrams this
+	// node could not decode (the exec.Discarded policy, surfaced): once
+	// per arrival on the newData path, once per scanning query on the
+	// catch-up path (a malformed object that stays in the store is
+	// re-encountered by every later catch-up scan), and once per
+	// query-port datagram of any kind, unknown kinds included. Zero means
+	// no malformed data met this node.
 	MalformedDrops uint64
 	// GraphsRejected counts opgraph DELIVERIES this node refused under
 	// the MaxLiveGraphs admission cap (a redundantly delivered graph
@@ -542,7 +522,7 @@ func (n *Node) PublishLocal(table string, t *tuple.Tuple, lifetime time.Duration
 // Submit runs a query with this node as the proxy (§3.3.2): the query is
 // validated, its opgraphs are disseminated, and results stream to
 // onResult until the timeout, after which onDone fires. clientID
-// attributes the query for rate limiting; empty means unattributed.
+// attributes the query for the per-client quota; empty means unattributed.
 func (n *Node) Submit(q *ufl.Query, clientID string, onResult func(*tuple.Tuple), onDone func()) error {
 	if !n.started {
 		return fmt.Errorf("qp: node not started")
@@ -553,12 +533,9 @@ func (n *Node) Submit(q *ufl.Query, clientID string, onResult func(*tuple.Tuple)
 	if _, dup := n.proxied[q.ID]; dup {
 		return fmt.Errorf("qp: query id %q already in flight", q.ID)
 	}
-	if !n.limiter.admit(clientID) {
-		return fmt.Errorf("qp: client %q exceeds rate limit", clientID)
-	}
 	ps := &proxyState{id: q.ID, onResult: onResult, onDone: onDone}
 	n.proxied[q.ID] = ps
-	ps.timer = n.rt.Schedule(q.Timeout+n.cfg.DoneGrace, func() {
+	ps.timer = n.rt.Schedule(q.Timeout+doneGrace, func() {
 		delete(n.proxied, q.ID)
 		if ps.onFinal != nil {
 			ps.onFinal(int(ps.admits), len(ps.contributors))
@@ -581,7 +558,7 @@ func (n *Node) Submit(q *ufl.Query, clientID string, onResult func(*tuple.Tuple)
 
 // disseminate routes one opgraph to the nodes that must run it (§3.3.3).
 // Broadcast opgraphs do not travel immediately: they join the proxy's
-// dissemination batch, and every graph enqueued within DissemBatchWindow
+// dissemination batch, and every graph enqueued within dissemBatchWindow
 // rides ONE distribution-tree frame — a storm of Q near-simultaneous
 // query submissions costs one tree broadcast per proxy per window
 // instead of Q.
@@ -603,7 +580,7 @@ func (n *Node) disseminate(q *ufl.Query, deadline time.Time, client string, g uf
 		// past the deadline). The margin is a few windows, not one, so a
 		// query just over the window still gets useful propagation time
 		// — batching only ever trades latency it can spare.
-		if deadline.Sub(n.rt.Now()) <= 4*n.cfg.DissemBatchWindow {
+		if deadline.Sub(n.rt.Now()) <= 4*dissemBatchWindow {
 			if n.batchTimer != nil {
 				n.batchTimer.Cancel()
 			}
@@ -611,7 +588,7 @@ func (n *Node) disseminate(q *ufl.Query, deadline time.Time, client string, g uf
 			return
 		}
 		if n.batchTimer == nil {
-			n.batchTimer = n.rt.Schedule(n.cfg.DissemBatchWindow, n.batchFn)
+			n.batchTimer = n.rt.Schedule(dissemBatchWindow, n.batchFn)
 		}
 	case ufl.DissemEquality:
 		payload := encodeDisseminate(q.ID, deadline, n.rt.Addr(), client, g)
@@ -1007,8 +984,18 @@ func encodeDisseminate(queryID string, deadline time.Time, proxy vri.Addr, clien
 	return w.Bytes()
 }
 
-// handleMessage is the query processor's datagram entry point.
+// handleMessage is the query processor's datagram entry point. A datagram
+// it cannot decode — any kind, or an unknown kind — is dropped and counted
+// once in MalformedDrops.
 func (n *Node) handleMessage(src vri.Addr, payload []byte) {
+	if !n.dispatchMessage(payload) {
+		n.malformedFrames.Inc()
+	}
+}
+
+// dispatchMessage decodes and acts on one query-port datagram, reporting
+// false when it could not be decoded.
+func (n *Node) dispatchMessage(payload []byte) bool {
 	r := wire.NewReader(payload)
 	switch kind := r.U8(); kind {
 	case qmDisseminate:
@@ -1018,18 +1005,18 @@ func (n *Node) handleMessage(src vri.Addr, payload []byte) {
 		client := r.String()
 		graphBytes := r.Bytes32()
 		if r.Err() != nil {
-			return
+			return false
 		}
 		g, err := ufl.DecodeGraph(graphBytes)
 		if err != nil {
-			return
+			return false
 		}
 		n.acceptGraph(queryID, deadline, proxy, client, *g)
 
 	case qmDisseminateBatch:
 		entries, err := ufl.DecodeBatch(r.Bytes32())
 		if r.Err() != nil || err != nil {
-			return
+			return false
 		}
 		// Collect this frame's admit acks so they ride one qmAdmit frame
 		// per proxy back — the batch-codec economy, in reverse.
@@ -1055,14 +1042,14 @@ func (n *Node) handleMessage(src vri.Addr, payload []byte) {
 	case qmReject:
 		queryID := r.String()
 		if r.Err() != nil {
-			return
+			return false
 		}
 		n.deliverReject(queryID)
 
 	case qmAdmit:
 		ids, err := ufl.DecodeAdmitsFrom(r)
 		if r.Err() != nil || err != nil {
-			return
+			return false
 		}
 		for _, id := range ids {
 			n.deliverAdmit(id)
@@ -1077,8 +1064,7 @@ func (n *Node) handleMessage(src vri.Addr, payload []byte) {
 		// An id costs at least its 4-byte length prefix, so a count the
 		// bytes cannot carry is refused before it reserves anything.
 		if count == 0 || count > r.Remaining()/4 {
-			n.malformedFrames.Inc()
-			return
+			return false
 		}
 		listed := make([]*proxyState, count)
 		for i := range listed {
@@ -1092,12 +1078,15 @@ func (n *Node) handleMessage(src vri.Addr, payload []byte) {
 			b, err = tuple.DecodeFrame(payload[len(payload)-r.Remaining():])
 		}
 		if err != nil {
-			n.malformedFrames.Inc()
-			return
+			return false
 		}
 		n.deliverResult(listed, origin, b)
 
 	case qmTreeBroadcast:
-		n.trees.handleBroadcast(r)
+		return n.trees.handleBroadcast(r)
+
+	default:
+		return false
 	}
+	return true
 }

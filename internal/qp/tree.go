@@ -92,10 +92,14 @@ const treeNS = "!qp-tree"
 // additional tree falls fast while dissemination traffic grows linearly.
 const maxTrees = 8
 
-// seenTTL returns how long broadcast-dedup entries live. TreeChildTTL
-// comfortably outlasts in-flight propagation plus repair re-injection
-// delays, and reuses a knob operators already reason about.
-func (ts *distTrees) seenTTL() time.Duration { return ts.n.cfg.TreeChildTTL }
+// treeRootKey names the well-known root identifier of the query
+// distribution tree, hard-coded across the deployment (§3.3.3).
+const treeRootKey = "!pier-tree-root"
+
+// childTTL is how long a recorded child survives without refresh: three
+// refresh periods. Broadcast-dedup entries live as long, which comfortably
+// outlasts in-flight propagation plus repair re-injection delays.
+func (ts *distTrees) childTTL() time.Duration { return 3 * ts.n.cfg.TreeRefresh }
 
 func newDistTrees(n *Node) *distTrees {
 	ts := &distTrees{
@@ -105,9 +109,9 @@ func newDistTrees(n *Node) *distTrees {
 	}
 	ts.trees = make([]*distTree, n.cfg.NumTrees)
 	for i := range ts.trees {
-		rootKey := n.cfg.TreeRootKey
+		rootKey := treeRootKey
 		if i > 0 {
-			rootKey = fmt.Sprintf("%s#%d", n.cfg.TreeRootKey, i)
+			rootKey = fmt.Sprintf("%s#%d", treeRootKey, i)
 		}
 		ts.trees[i] = &distTree{
 			ts:       ts,
@@ -132,7 +136,7 @@ func (ts *distTrees) start() {
 		idx := int(obj.Data[0])
 		child := vri.Addr(obj.Data[1:])
 		if idx < len(ts.trees) && child != "" && child != n.rt.Addr() {
-			ts.trees[idx].children[child] = n.rt.Now().Add(n.cfg.TreeChildTTL)
+			ts.trees[idx].children[child] = n.rt.Now().Add(ts.childTTL())
 		}
 		return false // drop: the join message never travels further
 	})
@@ -176,7 +180,7 @@ func (t *distTree) announce() {
 	data := make([]byte, 0, 1+len(n.rt.Addr()))
 	data = append(data, byte(t.idx))
 	data = append(data, n.rt.Addr()...)
-	n.dht.SendTracked(treeNS, t.rootKey, string(n.rt.Addr()), data, n.cfg.TreeChildTTL,
+	n.dht.SendTracked(treeNS, t.rootKey, string(n.rt.Addr()), data, ts.childTTL(),
 		func(ok bool) {
 			if !ok {
 				t.rejoin()
@@ -372,15 +376,16 @@ func encodeTreeBroadcast(w *wire.Writer, idx int, fwdID, execID string, payload 
 
 // handleBroadcast processes a tree-broadcast frame: execute locally
 // (once across trees) and forward to this tree's children.
-func (ts *distTrees) handleBroadcast(r *wire.Reader) {
+func (ts *distTrees) handleBroadcast(r *wire.Reader) bool {
 	idx := int(r.U8())
 	fwdID := r.String()
 	execID := r.String()
 	payload := append([]byte(nil), r.Bytes32()...)
 	if r.Err() != nil || idx >= len(ts.trees) {
-		return
+		return false
 	}
 	ts.trees[idx].deliver(fwdID, execID, payload)
+	return true
 }
 
 func (t *distTree) deliver(fwdID, execID string, payload []byte) {
@@ -390,7 +395,7 @@ func (t *distTree) deliver(fwdID, execID string, payload []byte) {
 	if _, dup := ts.seenFwd[fwdID]; dup {
 		return
 	}
-	ts.seenFwd[fwdID] = now.Add(ts.seenTTL())
+	ts.seenFwd[fwdID] = now.Add(ts.childTTL())
 	// Forward down the tree first (latency), then execute locally. Every
 	// Send consumes the bytes synchronously and nothing re-encodes
 	// between the sends, so the node's scratch writer is safe here — the
@@ -407,7 +412,7 @@ func (t *distTree) deliver(fwdID, execID string, payload []byte) {
 		})
 	}
 	if _, dup := ts.seenExec[execID]; !dup {
-		ts.seenExec[execID] = now.Add(ts.seenTTL())
+		ts.seenExec[execID] = now.Add(ts.childTTL())
 		ts.broadcasts++
 		// The payload is itself a PortQuery message (qmDisseminate).
 		n.handleMessage(n.rt.Addr(), payload)
@@ -416,7 +421,7 @@ func (t *distTree) deliver(fwdID, execID string, payload []byte) {
 
 // childNacked is the repair path: the transport reported a broadcast
 // forward undeliverable. Drop the child now — its TTL would otherwise
-// keep absorbing payloads for up to TreeChildTTL — and re-route the
+// keep absorbing payloads for up to childTTL — and re-route the
 // pending payload toward the root after a jittered beat, so the child's
 // orphaned subtree (which re-attaches on its own dead-parent signal)
 // receives what it missed.

@@ -17,14 +17,13 @@
 // packet per application message), with pluggable topology and
 // congestion models. Matching the paper, the simulator does not drop
 // messages by default (loss can be enabled) but does simulate complete
-// node failures.
+// node failures. Virtual time starts at the Unix epoch.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -95,7 +94,8 @@ func (ev *event) before(other *event) bool {
 	return ev.seq < other.seq
 }
 
-// Options configure an Env.
+// Options configure an Env; the zero value of each field selects its
+// default.
 type Options struct {
 	// Seed drives all randomness in the environment, making runs
 	// reproducible. Node random streams derive from it.
@@ -115,15 +115,12 @@ type Options struct {
 	LossRate float64
 	// AckTimeout is how long the transport waits before reporting a
 	// failed delivery (dead destination or lost message) to the sender.
+	// Default 2s.
 	AckTimeout time.Duration
-	// Start is the virtual time origin. Defaults to Unix epoch.
-	Start time.Time
-	// Trace, if non-nil, receives a line per interesting event. Under
-	// the sharded scheduler trace lines from different shards interleave
-	// in wall-clock order, so trace OUTPUT ordering is excluded from the
-	// determinism guarantee (simulation results remain bit-identical).
-	Trace func(string)
 }
+
+// epoch is the virtual time origin of every Env: the Unix epoch.
+var epoch = time.Unix(0, 0).UTC()
 
 func (o *Options) fill() {
 	if o.Topology == nil {
@@ -134,9 +131,6 @@ func (o *Options) fill() {
 	}
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 2 * time.Second
-	}
-	if o.Start.IsZero() {
-		o.Start = time.Unix(0, 0).UTC()
 	}
 }
 
@@ -179,8 +173,6 @@ type Env struct {
 	// scheduler and all driver/coordinator-context scheduling. Shards
 	// own their own pools (single-writer, lock-free).
 	pool pool
-
-	traceMu sync.Mutex
 }
 
 // NodeTraffic is one node's cumulative message accounting.
@@ -194,7 +186,7 @@ func NewEnv(opts Options) *Env {
 	opts.fill()
 	return &Env{
 		opts:    opts,
-		now:     opts.Start,
+		now:     epoch,
 		nodes:   make(map[vri.Addr]*Node),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		perNode: make(map[vri.Addr]*NodeTraffic),
@@ -655,7 +647,6 @@ func (e *Env) Fail(addr vri.Addr) {
 	n.conns = nil
 	n.handlers = make(map[vri.Port]vri.MessageHandler)
 	n.streams = make(map[vri.Port]vri.StreamHandler)
-	e.trace(e.now, "FAIL %s", addr)
 }
 
 // Alive reports whether the node exists and has not failed.
@@ -679,14 +670,6 @@ func (e *Env) LiveAddrs() []vri.Addr {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func (e *Env) trace(at time.Time, format string, args ...any) {
-	if e.opts.Trace != nil {
-		e.traceMu.Lock()
-		e.opts.Trace(fmt.Sprintf("%s "+format, append([]any{at.Format("15:04:05.000")}, args...)...))
-		e.traceMu.Unlock()
-	}
 }
 
 // deliver routes a datagram through the network model. It computes the

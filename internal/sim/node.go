@@ -93,11 +93,6 @@ func (n *Node) Send(dst vri.Addr, dstPort vri.Port, payload []byte, ack vri.AckF
 	n.env.deliver(n, dst, dstPort, payload, ack)
 }
 
-// Logf emits a trace line attributed to this node and virtual time.
-func (n *Node) Logf(format string, args ...any) {
-	n.env.trace(n.timeNow(), "[%s] "+format, append([]any{n.addr}, args...)...)
-}
-
 // ListenStream registers a TCP-style accept handler for port.
 func (n *Node) ListenStream(port vri.Port, h vri.StreamHandler) error {
 	if _, ok := n.streams[port]; ok {

@@ -13,12 +13,9 @@ import (
 // Compile turns a parsed statement into a UFL query plan using the naive
 // optimizer's rules (see package doc). queryID must be unique in flight.
 func Compile(queryID string, st *Statement, opts Options) (*ufl.Query, error) {
-	if opts.DefaultTimeout <= 0 {
-		opts.DefaultTimeout = 30 * time.Second
-	}
 	timeout := st.Timeout
 	if timeout <= 0 {
-		timeout = opts.DefaultTimeout
+		timeout = defaultTimeout
 	}
 	q := &ufl.Query{ID: queryID, Timeout: timeout}
 
@@ -172,16 +169,11 @@ func compileScan(q *ufl.Query, st *Statement, opts Options) error {
 }
 
 // compileAggregate builds the two-phase aggregation plan: broadcast
-// partials → one rendezvous → finalize (+ optional ORDER BY/LIMIT).
+// partials → one rendezvous → finalize (+ optional ORDER BY/LIMIT). The
+// partials flush every quarter of the query timeout, at least every second.
 func compileAggregate(q *ufl.Query, st *Statement, opts Options) error {
 	partialNS := q.ID + ".partial"
-	partialEvery := opts.PartialEvery
-	if partialEvery <= 0 {
-		partialEvery = q.Timeout / 4
-		if partialEvery < time.Second {
-			partialEvery = time.Second
-		}
-	}
+	partialEvery := max(q.Timeout/4, time.Second)
 
 	// Build the partial and final aggregate lists. AVG decomposes into
 	// SUM + COUNT partials recombined by a final projection.

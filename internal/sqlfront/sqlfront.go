@@ -56,12 +56,10 @@ type Options struct {
 	// key (the attributes it was published under). Enables equality
 	// dissemination.
 	TableIndexes map[string][]string
-	// DefaultTimeout bounds queries with no TIMEOUT clause. Default 30s.
-	DefaultTimeout time.Duration
-	// PartialEvery is the flush period of first-phase aggregation; zero
-	// derives it from the query timeout.
-	PartialEvery time.Duration
 }
+
+// defaultTimeout bounds queries with no TIMEOUT clause.
+const defaultTimeout = 30 * time.Second
 
 // Statement is a parsed SELECT.
 type Statement struct {

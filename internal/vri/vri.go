@@ -140,9 +140,3 @@ type StreamRuntime interface {
 	// be written immediately; h receives data and errors.
 	Connect(dst Addr, dstPort Port, h StreamHandler) (Conn, error)
 }
-
-// Logger is an optional interface for runtimes that expose structured
-// debug logging attributed to virtual time and node identity.
-type Logger interface {
-	Logf(format string, args ...any)
-}
