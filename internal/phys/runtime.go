@@ -125,6 +125,12 @@ func New(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("phys: resolve %q: %w", cfg.Bind, err)
 	}
+	if laddr.IP == nil || laddr.IP.IsUnspecified() {
+		// The node's address is the bound one, and peers learn it from
+		// the datagrams they receive, so a wildcard would be advertised
+		// as-is and the ring would never form.
+		return nil, fmt.Errorf("phys: bind %q is a wildcard address peers cannot reach; bind a reachable address such as 127.0.0.1:7000 or this host's IP", cfg.Bind)
+	}
 	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
 		return nil, fmt.Errorf("phys: listen: %w", err)

@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -220,4 +221,20 @@ func (h *collectHandler) HandleError(_ vri.Conn, err error) {
 	h.mu.Lock()
 	h.errs = append(h.errs, err)
 	h.mu.Unlock()
+}
+
+// TestNewRefusesWildcardBind: a wildcard bind would become the node's
+// advertised address, which no peer can reach, so New refuses it before
+// opening a socket and says what to bind instead.
+func TestNewRefusesWildcardBind(t *testing.T) {
+	for _, bind := range []string{":7000", "0.0.0.0:7000", "[::]:7000", ":0"} {
+		rt, err := New(Config{Bind: bind})
+		if err == nil {
+			rt.Close()
+			t.Fatalf("New(Bind: %q) succeeded with address %s", bind, rt.Addr())
+		}
+		if !strings.Contains(err.Error(), "bind a reachable address") {
+			t.Fatalf("New(Bind: %q): %v, want the reachable-address hint", bind, err)
+		}
+	}
 }

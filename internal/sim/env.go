@@ -17,11 +17,15 @@
 // packet per application message), with pluggable topology and
 // congestion models. Matching the paper, the simulator does not drop
 // messages by default (loss can be enabled) but does simulate complete
-// node failures. Virtual time starts at the Unix epoch.
+// node failures. Virtual time starts at the Unix epoch. Inside the
+// package it is int64 nanoseconds from that epoch; a time.Time is built
+// only where time leaves the package: Env.Now, Node.Now, SetNow's
+// argument, and the congestion model's Departure and Prune calls.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -50,25 +54,20 @@ const (
 	evAck
 )
 
-// event is one entry in a scheduler's priority queue. Dispatch order is
-// the total order (at, src, seq): src is the scheduling source's node id
-// (0 for environment-level sources) and seq a per-source counter, so the
-// order is deterministic and — in sharded mode — independent of how many
-// workers raced to enqueue.
+// event is the body of one scheduled occurrence. Its dispatch key (at,
+// src, seq) is not here: it lives in the queue slot that carries the
+// event (see heap.go), which is all the ordering code ever reads, and
+// travels with it through outboxes and mode migrations.
 //
 // Events are pooled (see pool.go): after dispatch or discard the popping
 // context recycles the struct, so no reference to an *event may be
 // retained past dispatch except through a timerHandle, which carries the
 // generation it was issued for and goes inert once the event recycles.
 type event struct {
-	at        time.Time
-	src       uint64
-	seq       uint64
 	node      *Node // nil for environment-level events
 	kind      eventKind
 	cancelled bool
-	ackOK     bool     // evAck: the outcome to report
-	port      vri.Port // evDeliver: destination port
+	ackOK     bool // evAck: the outcome to report
 
 	// gen counts recycles. A timerHandle snapshots it at Schedule time
 	// and cancels only while it still matches, so a handle kept past the
@@ -77,21 +76,12 @@ type event struct {
 	// check-then-act safe and for why the counter is atomic.
 	gen atomic.Uint32
 
-	next    *event // pool free-list link
-	fn      func() // evFunc: the closure to run
-	from    *Node  // evDeliver: the sender
-	payload []byte // evDeliver: pooled message bytes, recycled with the event
+	port    vri.Port // evDeliver: destination port
+	next    *event   // pool free-list link
+	fn      func()   // evFunc: the closure to run
+	from    *Node    // evDeliver: the sender
+	payload []byte   // evDeliver: pooled message bytes, recycled with the event
 	ack     vri.AckFunc
-}
-
-func (ev *event) before(other *event) bool {
-	if !ev.at.Equal(other.at) {
-		return ev.at.Before(other.at)
-	}
-	if ev.src != other.src {
-		return ev.src < other.src
-	}
-	return ev.seq < other.seq
 }
 
 // Options configure an Env; the zero value of each field selects its
@@ -119,8 +109,9 @@ type Options struct {
 	AckTimeout time.Duration
 }
 
-// epoch is the virtual time origin of every Env: the Unix epoch.
-var epoch = time.Unix(0, 0).UTC()
+// vtime converts virtual nanoseconds to the instant the package hands
+// out.
+func vtime(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
 func (o *Options) fill() {
 	if o.Topology == nil {
@@ -138,7 +129,7 @@ func (o *Options) fill() {
 // demultiplexer, and network model.
 type Env struct {
 	opts   Options
-	now    time.Time
+	now    int64  // virtual ns
 	seq    uint64 // environment-source event counter
 	queue  eventHeap
 	nodes  map[vri.Addr]*Node
@@ -186,7 +177,6 @@ func NewEnv(opts Options) *Env {
 	opts.fill()
 	return &Env{
 		opts:    opts,
-		now:     epoch,
 		nodes:   make(map[vri.Addr]*Node),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		perNode: make(map[vri.Addr]*NodeTraffic),
@@ -196,7 +186,7 @@ func NewEnv(opts Options) *Env {
 // Now returns the current virtual time. Inside a node's event handler
 // under the sharded scheduler, use the node's Now instead: the
 // environment clock only advances at window barriers there.
-func (e *Env) Now() time.Time { return e.now }
+func (e *Env) Now() time.Time { return vtime(e.now) }
 
 // Rand returns the environment-level random source (used by workload
 // generators and churn injection; nodes have their own streams). It must
@@ -210,8 +200,13 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 // spawned afterwards start with the rebased clock. It may only be
 // called on an empty environment — before any Spawn, with no events
 // pending — because existing node clocks and event timestamps are not
-// rewritten.
+// rewritten. t must lie within the int64-nanosecond range of the clock,
+// about 292 years either side of the Unix epoch.
 func (e *Env) SetNow(t time.Time) {
+	if t.Before(vtime(math.MinInt64)) || t.After(vtime(math.MaxInt64)) {
+		panic(fmt.Sprintf("sim: SetNow(%v) outside the virtual clock's range [%v, %v]",
+			t, vtime(math.MinInt64), vtime(math.MaxInt64)))
+	}
 	if !e.AtBarrier() {
 		panic("sim: SetNow called from inside a sharded window")
 	}
@@ -228,7 +223,7 @@ func (e *Env) SetNow(t time.Time) {
 			}
 		}
 	}
-	e.now = t
+	e.now = t.UnixNano()
 }
 
 // AtBarrier reports whether the environment is at a driver barrier: the
@@ -262,14 +257,15 @@ func (e *Env) Traffic(addr vri.Addr) NodeTraffic {
 
 // newEvent draws an event from the scheduling context's pool and stamps
 // the deterministic dispatch key (at, src, seq) on behalf of source src
-// (nil = environment) targeting target (nil = environment). The caller
-// fills the kind-specific body and hands the event to enqueue. The
-// source determines the tie-break key, the pool, and — in sharded mode —
-// which shard's structures the event is routed through. Both scheduler
-// modes key events identically, so their dispatch orders (and therefore
-// all simulation results) coincide exactly.
-func (e *Env) newEvent(src *Node, at time.Time, target *Node) *event {
-	var base time.Time
+// (nil = environment) targeting target (nil = environment) into the slot
+// it returns. The caller fills the kind-specific body of s.ev and hands
+// the slot to enqueue. The source determines the tie-break key, the
+// pool, and — in sharded mode — which shard's structures the event is
+// routed through. Both scheduler modes key events identically, so their
+// dispatch orders (and therefore all simulation results) coincide
+// exactly.
+func (e *Env) newEvent(src *Node, at int64, target *Node) slot {
+	var base int64
 	var ev *event
 	if p := e.par; p != nil && p.inWindow && src != nil {
 		// Worker context: the source's clock and the source shard's pool,
@@ -280,73 +276,69 @@ func (e *Env) newEvent(src *Node, at time.Time, target *Node) *event {
 		base = e.now
 		ev = e.pool.getEvent()
 	}
-	if at.Before(base) {
-		at = base
-	}
-	ev.at = at
 	ev.node = target
+	s := slot{at: max(at, base), ev: ev}
 	if src != nil {
 		src.srcSeq++
-		ev.src, ev.seq = src.id, src.srcSeq
+		s.src, s.seq = src.id, src.srcSeq
 	} else {
 		e.seq++
-		ev.src, ev.seq = 0, e.seq
+		s.seq = e.seq
 	}
-	return ev
+	return s
 }
 
-// enqueue routes a stamped event into the right queue: the sequential
+// enqueue routes a stamped slot into the right queue: the sequential
 // heap, the owning shard's heap, or — during a sharded window — the
 // sender shard's outbox lane for cross-shard and environment targets.
-// src must be the same source the event was stamped with.
-func (e *Env) enqueue(src *Node, ev *event) {
+// src must be the same source the slot was stamped with.
+func (e *Env) enqueue(src *Node, s slot) {
 	p := e.par
 	if p == nil {
-		e.queue.push(ev)
+		e.queue.push(s)
 		return
 	}
+	target := s.ev.node
 	if p.inWindow && src != nil {
 		sh := p.shards[src.shard]
 		switch {
-		case ev.node == nil:
-			sh.outEnv = append(sh.outEnv, ev)
-		case ev.node.shard == sh.id:
-			sh.heap.push(ev)
+		case target == nil:
+			sh.outEnv = append(sh.outEnv, s)
+		case target.shard == sh.id:
+			sh.heap.push(s)
 		default:
-			sh.out[ev.node.shard] = append(sh.out[ev.node.shard], ev)
+			sh.out[target.shard] = append(sh.out[target.shard], s)
 		}
 		return
 	}
 	// Coordinator context: workers are parked, every heap is safe.
-	if ev.node != nil {
-		p.shards[ev.node.shard].heap.push(ev)
+	if target != nil {
+		p.shards[target.shard].heap.push(s)
 	} else {
-		e.queue.push(ev)
+		e.queue.push(s)
 	}
 }
 
 // scheduleFrom enqueues fn to run at time at on behalf of target,
 // attributed to scheduling source src. It is the closure-bodied (evFunc)
 // event constructor; the delivery hot path builds typed events directly.
-func (e *Env) scheduleFrom(src *Node, at time.Time, target *Node, fn func()) *event {
-	ev := e.newEvent(src, at, target)
-	ev.kind = evFunc
-	ev.fn = fn
-	e.enqueue(src, ev)
-	return ev
+func (e *Env) scheduleFrom(src *Node, at int64, target *Node, fn func()) *event {
+	s := e.newEvent(src, at, target)
+	s.ev.kind = evFunc
+	s.ev.fn = fn
+	e.enqueue(src, s)
+	return s.ev
 }
 
 // scheduleAfter is scheduleFrom with a delay relative to the source's
 // current clock (the node's own event time inside a sharded window, the
 // environment clock otherwise).
 func (e *Env) scheduleAfter(src *Node, delay time.Duration, target *Node, fn func()) *event {
-	var base time.Time
-	if p := e.par; p != nil && p.inWindow && src != nil {
-		base = src.now
-	} else {
-		base = e.now
+	base := e.now
+	if src != nil {
+		base = src.timeNow()
 	}
-	return e.scheduleFrom(src, base.Add(delay), target, fn)
+	return e.scheduleFrom(src, base+int64(delay), target, fn)
 }
 
 // timerAfter wraps scheduleAfter in a generation-pinned handle. It
@@ -394,10 +386,10 @@ func (e *Env) runDeliver(ev *event) {
 			ov, _ := nv.link(dst.addr, ev.from.addr)
 			back += ov.extraLatency
 		}
-		ae := e.newEvent(dst, dst.timeNow().Add(back), ev.from)
-		ae.kind = evAck
-		ae.ack = ev.ack
-		ae.ackOK = true
+		ae := e.newEvent(dst, dst.timeNow()+int64(back), ev.from)
+		ae.ev.kind = evAck
+		ae.ev.ack = ev.ack
+		ae.ev.ackOK = true
 		e.enqueue(dst, ae)
 	}
 }
@@ -415,17 +407,18 @@ func (e *Env) runDeliver(ev *event) {
 // dead node's events pop in the same (at, src, seq) total order at any
 // worker count, so the stamp — and therefore the whole simulation —
 // stays bit-identical. Callers invoke this on every discarded
-// dead-destination event before recycling it; non-delivery kinds and
-// ackless sends are no-ops.
-func (e *Env) nackDroppedDeliver(ev *event) {
+// dead-destination slot before recycling its event; non-delivery kinds
+// and ackless sends are no-ops.
+func (e *Env) nackDroppedDeliver(s slot) {
+	ev := s.ev
 	if ev.kind != evDeliver || ev.ack == nil {
 		return
 	}
 	dst := ev.node
-	ae := e.newEvent(dst, ev.at.Add(e.opts.AckTimeout), ev.from)
-	ae.kind = evAck
-	ae.ack = ev.ack
-	ae.ackOK = false
+	ae := e.newEvent(dst, s.at+int64(e.opts.AckTimeout), ev.from)
+	ae.ev.kind = evAck
+	ae.ev.ack = ev.ack
+	ae.ev.ackOK = false
 	e.enqueue(dst, ae)
 }
 
@@ -439,7 +432,7 @@ func (e *Env) Schedule(delay time.Duration, fn func()) vri.Timer {
 	if e.par != nil && e.par.inWindow {
 		panic("sim: Env.Schedule called from a node event under the sharded scheduler; use Node.Schedule")
 	}
-	ev := e.scheduleFrom(nil, e.now.Add(delay), nil, fn)
+	ev := e.scheduleFrom(nil, e.now+int64(delay), nil, fn)
 	return timerHandle{ev, ev.gen.Load()}
 }
 
@@ -483,21 +476,22 @@ func (e *Env) Step() bool {
 		panic("sim: Step requires the sequential scheduler; call SetWorkers(0) first")
 	}
 	for len(e.queue) > 0 {
-		ev := e.queue.pop()
+		s := e.queue.pop()
+		ev := s.ev
 		if ev.cancelled {
 			e.pool.putEvent(ev)
 			continue
 		}
-		e.now = ev.at
+		e.now = s.at
 		if ev.node != nil {
 			if !ev.node.alive {
 				// Events for failed nodes are discarded — but an in-flight
 				// delivery still owes its sender the failure ack.
-				e.nackDroppedDeliver(ev)
+				e.nackDroppedDeliver(s)
 				e.pool.putEvent(ev)
 				continue
 			}
-			ev.node.now = ev.at
+			ev.node.now = s.at
 		}
 		e.events++
 		e.dispatch(ev)
@@ -510,12 +504,13 @@ func (e *Env) Step() bool {
 // Run dispatches events until the queue is empty or virtual time would
 // exceed the given duration from the current time.
 func (e *Env) Run(d time.Duration) {
-	e.RunUntil(e.now.Add(d))
+	e.RunUntil(vtime(e.now + int64(d)))
 }
 
 // RunUntil dispatches events until the queue is empty or the next event
 // is after deadline; virtual time ends at deadline.
-func (e *Env) RunUntil(deadline time.Time) {
+func (e *Env) RunUntil(t time.Time) {
+	deadline := t.UnixNano()
 	if e.par != nil {
 		e.par.run(e, deadline, false)
 		return
@@ -527,14 +522,13 @@ func (e *Env) RunUntil(deadline time.Time) {
 		// with at <= deadline would let an event PAST the deadline run
 		// and drag the clock beyond it — a boundary overrun the sharded
 		// scheduler (correctly) never makes.
-		next := e.queue[0]
-		if next.cancelled || (next.node != nil && !next.node.alive) {
-			ev := e.queue.pop()
-			e.nackDroppedDeliver(ev)
+		next := &e.queue[0]
+		if ev := next.ev; ev.cancelled || (ev.node != nil && !ev.node.alive) {
+			e.nackDroppedDeliver(e.queue.pop())
 			e.pool.putEvent(ev)
 			continue
 		}
-		if next.at.After(deadline) {
+		if next.at > deadline {
 			break
 		}
 		e.Step()
@@ -542,9 +536,7 @@ func (e *Env) RunUntil(deadline time.Time) {
 			e.pruneCongestion(e.now)
 		}
 	}
-	if e.now.Before(deadline) {
-		e.now = deadline
-	}
+	e.now = max(e.now, deadline)
 	e.pruneCongestion(e.now)
 }
 
@@ -552,7 +544,7 @@ func (e *Env) RunUntil(deadline time.Time) {
 // tests that want quiescence.
 func (e *Env) Drain() {
 	if e.par != nil {
-		e.par.run(e, time.Time{}, true)
+		e.par.run(e, 0, true)
 		return
 	}
 	for e.Step() {
@@ -570,9 +562,9 @@ const pruneEvery = 1 << 16
 // qualifies (schedules clamp to it); the sharded engine passes the
 // minimum pending event time across shards instead, since a shard's
 // clock may trail the environment clock by up to one lookahead window.
-func (e *Env) pruneCongestion(before time.Time) {
+func (e *Env) pruneCongestion(before int64) {
 	if p, ok := e.opts.Congestion.(Prunable); ok {
-		p.Prune(before)
+		p.Prune(vtime(before))
 	}
 }
 
@@ -696,9 +688,8 @@ func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte,
 	src.traf.MsgsOut++
 	src.traf.BytesOut += uint64(len(payload))
 	size := len(payload) + 48 // crude header overhead
-	departure := e.opts.Congestion.Departure(now, src.addr, dst, size)
-	latency := e.opts.Topology.Latency(src.addr, dst)
-	arrival := departure.Add(latency)
+	departure := e.opts.Congestion.Departure(vtime(now), src.addr, dst, size).UnixNano()
+	arrival := departure + int64(e.opts.Topology.Latency(src.addr, dst))
 
 	var lost bool
 	if e.opts.LossRate > 0 {
@@ -714,7 +705,7 @@ func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte,
 	if nv := e.net; nv != nil {
 		ov, cut := nv.link(src.addr, dst)
 		blocked = cut
-		arrival = arrival.Add(ov.extraLatency)
+		arrival += int64(ov.extraLatency)
 		if !lost && ov.loss > 0 {
 			// Same stream, after the base draw: the draw count per send
 			// is a deterministic function of the override table, which
@@ -725,15 +716,16 @@ func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte,
 	dstNode := e.nodes[dst]
 	if lost || blocked || dstNode == nil || !dstNode.alive {
 		if ack != nil {
-			ev := e.newEvent(src, now.Add(e.opts.AckTimeout), src)
-			ev.kind = evAck
-			ev.ack = ack
-			ev.ackOK = false
-			e.enqueue(src, ev)
+			s := e.newEvent(src, now+int64(e.opts.AckTimeout), src)
+			s.ev.kind = evAck
+			s.ev.ack = ack
+			s.ev.ackOK = false
+			e.enqueue(src, s)
 		}
 		return
 	}
-	ev := e.newEvent(src, arrival, dstNode)
+	s := e.newEvent(src, arrival, dstNode)
+	ev := s.ev
 	ev.kind = evDeliver
 	ev.from = src
 	ev.port = dstPort
@@ -741,7 +733,7 @@ func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte,
 	buf := pl.getBuf(len(payload))
 	copy(buf, payload)
 	ev.payload = buf
-	e.enqueue(src, ev)
+	e.enqueue(src, s)
 }
 
 func fnvHash(s string) uint64 {

@@ -9,44 +9,43 @@ import (
 
 // refHeap is the reference implementation the concrete 4-ary heap must
 // match: the previous container/heap-backed queue, ordered by the same
-// event.before total order. Because (at, src, seq) is a strict total
+// slot.before total order. Because (at, src, seq) is a strict total
 // order, any correct min-heap pops the unique minimum at every step, so
 // the two implementations must produce identical pop sequences.
-type refHeap []*event
+type refHeap []slot
 
 func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].before(h[j]) }
+func (h refHeap) Less(i, j int) bool { return h[i].before(&h[j]) }
 func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(*event)) }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(slot)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	s := old[n-1]
+	old[n-1] = slot{}
 	*h = old[:n-1]
-	return ev
+	return s
 }
 
-// genEvent builds an event with a unique (src, seq) key. Times are drawn
-// from a small set so same-instant ties are common and the srcID/srcSeq
-// tie-break actually decides order; a slice of the events is flagged
-// cancelled, which must not affect heap order (skipping cancelled events
-// is scheduler logic, above the heap).
-func genEvent(rng *rand.Rand, seqs map[uint64]uint64) *event {
+// genEvent builds a slot with a unique (src, seq) key and its own event.
+// Times are drawn from a small set so same-instant ties are common and
+// the srcID/srcSeq tie-break actually decides order; a slice of the
+// events is flagged cancelled, which must not affect heap order (skipping
+// cancelled events is scheduler logic, above the heap).
+func genEvent(rng *rand.Rand, seqs map[uint64]uint64) slot {
 	src := uint64(rng.Intn(5)) // few sources → frequent src ties too
 	seqs[src]++
-	ev := &event{
-		at:        time.Unix(0, int64(rng.Intn(8))*int64(time.Millisecond)).UTC(),
-		src:       src,
-		seq:       seqs[src],
-		cancelled: rng.Intn(4) == 0,
+	return slot{
+		at:  int64(rng.Intn(8)) * int64(time.Millisecond),
+		src: src,
+		seq: seqs[src],
+		ev:  &event{cancelled: rng.Intn(4) == 0},
 	}
-	return ev
 }
 
 // TestEventHeapMatchesReference drives random interleavings of pushes
-// and pops through both heaps and requires pointer-identical pop
-// sequences, across many seeds.
+// and pops through both heaps and requires identical pop sequences (key
+// and event pointer), across many seeds.
 func TestEventHeapMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -60,7 +59,7 @@ func TestEventHeapMatchesReference(t *testing.T) {
 				heap.Push(&want, ev)
 			} else {
 				g := got.pop()
-				w := heap.Pop(&want).(*event)
+				w := heap.Pop(&want).(slot)
 				if g != w {
 					t.Fatalf("seed %d op %d: pop mismatch: got (at=%v src=%d seq=%d), want (at=%v src=%d seq=%d)",
 						seed, op, g.at, g.src, g.seq, w.at, w.src, w.seq)
@@ -70,7 +69,7 @@ func TestEventHeapMatchesReference(t *testing.T) {
 		// Drain: the full remaining order must match too.
 		for len(want) > 0 {
 			g := got.pop()
-			w := heap.Pop(&want).(*event)
+			w := heap.Pop(&want).(slot)
 			if g != w {
 				t.Fatalf("seed %d drain: pop mismatch: got seq %d, want seq %d", seed, g.seq, w.seq)
 			}
@@ -86,7 +85,7 @@ func TestEventHeapMatchesReference(t *testing.T) {
 func TestEventHeapReinit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	seqs := make(map[uint64]uint64)
-	var batch []*event
+	var batch []slot
 	for i := 0; i < 500; i++ {
 		batch = append(batch, genEvent(rng, seqs))
 	}
@@ -98,7 +97,7 @@ func TestEventHeapReinit(t *testing.T) {
 	}
 	for len(want) > 0 {
 		g := got.pop()
-		w := heap.Pop(&want).(*event)
+		w := heap.Pop(&want).(slot)
 		if g != w {
 			t.Fatalf("pop mismatch after reinit: got seq %d, want seq %d", g.seq, w.seq)
 		}
@@ -122,7 +121,7 @@ func FuzzEventHeapMatchesReference(f *testing.F) {
 		for _, b := range ops {
 			if b&3 == 0 && len(want) > 0 {
 				g := got.pop()
-				w := heap.Pop(&want).(*event)
+				w := heap.Pop(&want).(slot)
 				if g != w {
 					t.Fatalf("pop mismatch: got (at=%v src=%d seq=%d), want (at=%v src=%d seq=%d)",
 						g.at, g.src, g.seq, w.at, w.src, w.seq)
@@ -131,16 +130,17 @@ func FuzzEventHeapMatchesReference(f *testing.F) {
 			}
 			src := uint64(b >> 6)
 			seqs[src]++
-			ev := &event{
-				at:  time.Unix(0, int64(b>>2&15)*int64(time.Millisecond)).UTC(),
+			s := slot{
+				at:  int64(b>>2&15) * int64(time.Millisecond),
 				src: src,
 				seq: seqs[src],
+				ev:  &event{},
 			}
-			got.push(ev)
-			heap.Push(&want, ev)
+			got.push(s)
+			heap.Push(&want, s)
 		}
 		for len(want) > 0 {
-			if got.pop() != heap.Pop(&want).(*event) {
+			if got.pop() != heap.Pop(&want).(slot) {
 				t.Fatal("drain mismatch")
 			}
 		}

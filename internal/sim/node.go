@@ -23,8 +23,9 @@ type Node struct {
 	shard int
 	alive bool
 	// now is the node's logical clock: the timestamp of the event it is
-	// currently dispatching. Only the owning shard worker touches it.
-	now time.Time
+	// currently dispatching, in virtual ns. Only the owning shard worker
+	// touches it.
+	now int64
 	// srcSeq counts events this node has scheduled, giving every event a
 	// per-source sequence number that is deterministic regardless of
 	// worker count.
@@ -43,11 +44,11 @@ func (n *Node) Addr() vri.Addr { return n.addr }
 
 // Now returns the virtual time as observed by this node: the timestamp
 // of the event being dispatched, exact in both scheduler modes.
-func (n *Node) Now() time.Time { return n.timeNow() }
+func (n *Node) Now() time.Time { return vtime(n.timeNow()) }
 
 // timeNow is the node's clock source: its own event timestamp while a
 // sharded window is executing, the environment clock otherwise.
-func (n *Node) timeNow() time.Time {
+func (n *Node) timeNow() int64 {
 	if p := n.env.par; p != nil && p.inWindow {
 		return n.now
 	}
@@ -119,21 +120,21 @@ func (n *Node) Connect(dst vri.Addr, dstPort vri.Port, h vri.StreamHandler) (vri
 	n.conns = append(n.conns, local)
 	e := n.env
 	lat := e.opts.Topology.Latency(n.addr, dst)
-	e.scheduleFrom(n, n.timeNow().Add(lat), nil, func() {
+	e.scheduleFrom(n, n.timeNow()+int64(lat), nil, func() {
 		if !n.alive {
 			return // initiator died during the handshake
 		}
-		hsNow := e.now
+		at := e.now + int64(lat)
 		peer := e.nodes[dst]
 		if peer == nil || !peer.alive {
-			e.scheduleFrom(nil, hsNow.Add(lat), n, func() {
+			e.scheduleFrom(nil, at, n, func() {
 				local.fail(fmt.Errorf("sim: connect %s: unreachable", dst))
 			})
 			return
 		}
 		ph := peer.streams[dstPort]
 		if ph == nil {
-			e.scheduleFrom(nil, hsNow.Add(lat), n, func() {
+			e.scheduleFrom(nil, at, n, func() {
 				local.fail(fmt.Errorf("sim: connect %s port %d: refused", dst, dstPort))
 			})
 			return
@@ -141,10 +142,10 @@ func (n *Node) Connect(dst vri.Addr, dstPort vri.Port, h vri.StreamHandler) (vri
 		remote := &simConn{node: peer, peerAddr: n.addr, handler: ph, peer: local}
 		peer.conns = append(peer.conns, remote)
 		// Accept runs as an event on the peer node.
-		e.scheduleFrom(nil, hsNow.Add(lat), peer, func() { ph.HandleConn(remote) })
+		e.scheduleFrom(nil, at, peer, func() { ph.HandleConn(remote) })
 		// The initiator links up and flushes writes buffered during the
 		// handshake, in order.
-		e.scheduleFrom(nil, hsNow.Add(lat), n, func() {
+		e.scheduleFrom(nil, at, n, func() {
 			local.peer = remote
 			pending := local.pending
 			local.pending = nil
@@ -191,7 +192,7 @@ func (c *simConn) transmit(p []byte) {
 	e := c.node.env
 	lat := e.opts.Topology.Latency(c.node.addr, c.peerAddr)
 	peer := c.peer
-	e.scheduleFrom(c.node, c.node.timeNow().Add(lat), peer.node, func() {
+	e.scheduleFrom(c.node, c.node.timeNow()+int64(lat), peer.node, func() {
 		if peer.closed || !peer.node.alive {
 			return
 		}
@@ -207,7 +208,7 @@ func (c *simConn) Close() {
 	if p := c.peer; p != nil && !p.closed {
 		e := c.node.env
 		lat := e.opts.Topology.Latency(c.node.addr, c.peerAddr)
-		e.scheduleFrom(c.node, c.node.timeNow().Add(lat), p.node, func() {
+		e.scheduleFrom(c.node, c.node.timeNow()+int64(lat), p.node, func() {
 			p.fail(fmt.Errorf("sim: connection closed by peer"))
 		})
 	}
@@ -232,7 +233,7 @@ func (c *simConn) failPeer() {
 	if p := c.peer; p != nil && !p.closed {
 		e := c.node.env
 		lat := e.opts.Topology.Latency(c.node.addr, c.peerAddr)
-		e.scheduleFrom(c.node, e.now.Add(lat), p.node, func() {
+		e.scheduleFrom(c.node, e.now+int64(lat), p.node, func() {
 			p.fail(fmt.Errorf("sim: peer failed"))
 		})
 	}

@@ -27,8 +27,8 @@ type pool struct {
 }
 
 // getEvent returns a recycled event, or a fresh one if the free list is
-// empty. All non-key fields are zero; the caller stamps the dispatch key
-// and kind-specific body.
+// empty. Every field but gen is zero; the caller stamps the target and
+// kind-specific body (the dispatch key goes in the queue slot).
 func (p *pool) getEvent() *event {
 	ev := p.freeEv
 	if ev == nil {

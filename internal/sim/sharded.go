@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"time"
+	"math"
 )
 
 // This file implements the sharded Main Scheduler (opt-in via
@@ -32,7 +32,7 @@ import (
 // K=8; TestShardedDeterminismAcrossWorkerCounts locks this in.
 type parEngine struct {
 	k         int
-	lookahead time.Duration
+	lookahead int64 // virtual ns
 	shards    []*shard
 
 	// inWindow is true while shard workers are dispatching a window. It
@@ -48,10 +48,10 @@ type parEngine struct {
 type shard struct {
 	id   int
 	heap eventHeap
-	// out[d] buffers events targeting shard d; outEnv buffers
-	// environment-level events. Merged at window barriers.
-	out    [][]*event
-	outEnv []*event
+	// out[d] buffers slots targeting shard d; outEnv buffers
+	// environment-level ones. Merged at window barriers.
+	out    [][]slot
+	outEnv []slot
 
 	// pool recycles events and payload buffers. Touched only by this
 	// shard's worker while a window executes (allocation for events this
@@ -60,7 +60,7 @@ type shard struct {
 	pool pool
 
 	events, msgs, bytes uint64
-	lastAt              time.Time
+	lastAt              int64 // virtual ns of the last dispatch
 }
 
 // SetWorkers selects the scheduler. k <= 0 restores the default
@@ -77,8 +77,8 @@ func (e *Env) SetWorkers(k int) {
 	if e.par != nil && e.par.inWindow {
 		panic("sim: SetWorkers called during a run")
 	}
-	// Collect every pending event from the current structures.
-	var pending []*event
+	// Collect every pending slot from the current structures.
+	var pending []slot
 	pending = append(pending, e.queue...)
 	e.queue = nil
 	if e.par != nil {
@@ -109,19 +109,19 @@ func (e *Env) SetWorkers(k int) {
 		panic(fmt.Sprintf("sim: SetWorkers(%d) needs AckTimeout >= the topology's MinLatency lookahead (%v), got %v",
 			k, la, e.opts.AckTimeout))
 	}
-	p := &parEngine{k: k, lookahead: la, shards: make([]*shard, k)}
+	p := &parEngine{k: k, lookahead: int64(la), shards: make([]*shard, k)}
 	for i := range p.shards {
-		p.shards[i] = &shard{id: i, out: make([][]*event, k)}
+		p.shards[i] = &shard{id: i, out: make([][]slot, k), lastAt: math.MinInt64}
 	}
 	for _, n := range e.nodes {
 		n.shard = int((n.id - 1) % uint64(k))
 	}
 	e.par = p
-	for _, ev := range pending {
-		if ev.node != nil {
-			p.shards[ev.node.shard].heap.push(ev)
+	for _, s := range pending {
+		if n := s.ev.node; n != nil {
+			p.shards[n.shard].heap.push(s)
 		} else {
-			e.queue.push(ev)
+			e.queue.push(s)
 		}
 	}
 }
@@ -142,13 +142,10 @@ func (e *Env) Workers() int {
 
 // dispatchWindow pops and runs this shard's events with at < end,
 // recycling each into the shard's pool after dispatch or discard.
-func (sh *shard) dispatchWindow(e *Env, end time.Time) {
-	for len(sh.heap) > 0 {
-		top := sh.heap[0]
-		if !top.at.Before(end) {
-			break
-		}
-		sh.heap.pop()
+func (sh *shard) dispatchWindow(e *Env, end int64) {
+	for len(sh.heap) > 0 && sh.heap[0].at < end {
+		s := sh.heap.pop()
+		top := s.ev
 		if top.cancelled {
 			sh.pool.putEvent(top)
 			continue
@@ -159,12 +156,12 @@ func (sh *shard) dispatchWindow(e *Env, end time.Time) {
 			// failure ack. The nack lands >= AckTimeout ahead, and
 			// SetWorkers requires AckTimeout >= the lookahead, so a
 			// cross-shard nack never lands inside the current window.
-			e.nackDroppedDeliver(top)
+			e.nackDroppedDeliver(s)
 			sh.pool.putEvent(top)
 			continue
 		}
-		n.now = top.at
-		sh.lastAt = top.at
+		n.now = s.at
+		sh.lastAt = s.at
 		sh.events++
 		e.dispatch(top)
 		sh.pool.putEvent(top)
@@ -178,44 +175,47 @@ func (sh *shard) dispatchWindow(e *Env, end time.Time) {
 func (sh *shard) mergeInbound(shards []*shard) {
 	for _, from := range shards {
 		lane := from.out[sh.id]
-		for _, ev := range lane {
-			sh.heap.push(ev)
+		for _, s := range lane {
+			sh.heap.push(s)
 		}
 		from.out[sh.id] = lane[:0]
 	}
 }
 
 // peekMin returns the earliest pending event time across shard heaps.
-func (p *parEngine) peekMin() (time.Time, bool) {
-	var best time.Time
-	ok := false
+func (p *parEngine) peekMin() (int64, bool) {
+	best, ok := int64(0), false
 	for _, sh := range p.shards {
 		if len(sh.heap) == 0 {
 			continue
 		}
-		at := sh.heap[0].at
-		if !ok || at.Before(best) {
+		if at := sh.heap[0].at; !ok || at < best {
 			best, ok = at, true
 		}
 	}
 	return best, ok
 }
 
+// mergePhase is the barrier value that tells shard workers to merge
+// their inbound lanes instead of dispatching a window. No window ends
+// there: every window ends after the pending instant it starts from.
+const mergePhase = math.MinInt64
+
 // run is the sharded counterpart of RunUntil (drain == false) and Drain
 // (drain == true). The coordinator alternates between running due
 // environment-level events (alone, at barriers) and releasing the shard
 // workers for one conservative window.
-func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
-	var starts []chan time.Time
+func (p *parEngine) run(e *Env, deadline int64, drain bool) {
+	var starts []chan int64
 	var done chan struct{}
 	if p.k > 1 {
-		starts = make([]chan time.Time, p.k)
+		starts = make([]chan int64, p.k)
 		done = make(chan struct{}, p.k)
 		for i := 0; i < p.k; i++ {
-			starts[i] = make(chan time.Time)
-			go func(sh *shard, start <-chan time.Time) {
+			starts[i] = make(chan int64)
+			go func(sh *shard, start <-chan int64) {
 				for end := range start {
-					if end.IsZero() { // merge phase
+					if end == mergePhase {
 						sh.mergeInbound(p.shards)
 					} else {
 						sh.dispatchWindow(e, end)
@@ -230,9 +230,9 @@ func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
 			}
 		}()
 	}
-	barrier := func(end time.Time) {
+	barrier := func(end int64) {
 		if p.k == 1 {
-			if end.IsZero() {
+			if end == mergePhase {
 				p.shards[0].mergeInbound(p.shards)
 			} else {
 				p.shards[0].dispatchWindow(e, end)
@@ -250,7 +250,7 @@ func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
 	windows := uint64(0)
 	for {
 		nmin, okN := p.peekMin()
-		var gmin time.Time
+		var gmin int64
 		okG := len(e.queue) > 0
 		if okG {
 			gmin = e.queue[0].at
@@ -265,68 +265,63 @@ func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
 		windows++
 		if windows%512 == 0 {
 			min := nmin
-			if !okN || (okG && gmin.Before(min)) {
+			if !okN || (okG && gmin < min) {
 				min = gmin
 			}
 			e.pruneCongestion(min)
 		}
 		// Environment-level events run first on ties: their source id 0
 		// sorts below every node id, matching the sequential order.
-		if okG && (!okN || !nmin.Before(gmin)) {
-			if !drain && gmin.After(deadline) {
+		if okG && (!okN || nmin >= gmin) {
+			if !drain && gmin > deadline {
 				break
 			}
-			ev := e.queue.pop()
+			s := e.queue.pop()
+			ev := s.ev
 			if ev.cancelled {
 				e.pool.putEvent(ev)
 				continue
 			}
-			if ev.at.After(e.now) {
-				e.now = ev.at
-			}
+			e.now = max(e.now, s.at)
 			if ev.node != nil {
 				if !ev.node.alive {
-					e.nackDroppedDeliver(ev)
+					e.nackDroppedDeliver(s)
 					e.pool.putEvent(ev)
 					continue
 				}
-				ev.node.now = ev.at
+				ev.node.now = s.at
 			}
 			e.events++
 			e.dispatch(ev)
 			e.pool.putEvent(ev)
 			continue
 		}
-		if !drain && nmin.After(deadline) {
+		if !drain && nmin > deadline {
 			break
 		}
-		end := nmin.Add(p.lookahead)
-		if okG && gmin.Before(end) {
+		end := nmin + p.lookahead
+		if okG && gmin < end {
 			end = gmin
 		}
-		if !drain {
-			if max := deadline.Add(time.Nanosecond); max.Before(end) {
-				end = max
-			}
+		if !drain && deadline < end-1 {
+			end = deadline + 1 // the deadline instant is inside the run
 		}
 		p.inWindow = true
 		barrier(end)
 		p.inWindow = false
-		barrier(time.Time{}) // merge inbound lanes in parallel
+		barrier(mergePhase) // merge inbound lanes in parallel
 		// Environment-level events created inside the window, and the
 		// clock: both are coordinator work.
 		for _, sh := range p.shards {
-			for _, ev := range sh.outEnv {
-				e.queue.push(ev)
+			for _, s := range sh.outEnv {
+				e.queue.push(s)
 			}
 			sh.outEnv = sh.outEnv[:0]
-			if sh.lastAt.After(e.now) {
-				e.now = sh.lastAt
-			}
+			e.now = max(e.now, sh.lastAt)
 		}
 	}
-	if !drain && e.now.Before(deadline) {
-		e.now = deadline
+	if !drain {
+		e.now = max(e.now, deadline)
 	}
 	// Exit sweep at e.now, exactly like the sequential scheduler: the
 	// minimum PENDING time is strictly later here (the loop exits when
