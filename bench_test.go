@@ -76,11 +76,12 @@ func BenchmarkFigure2Top10FirewallSources(b *testing.B) {
 }
 
 // BenchmarkFigure2Sharded runs the Figure 2 pipeline — cluster build,
-// log load, two-phase aggregation — at a 1000-node scale across
-// scheduler modes: workers=0 is the sequential Main Scheduler baseline,
-// workers=8 the sharded scheduler. Results are bit-identical between
-// the two (TestFigure2ShardedMatchesSequential); this bench records the
-// wall-clock and events/s ratio, the BENCH_0002.json numbers.
+// log load, two-phase aggregation — at a 1000-node scale on one inline
+// scheduler shard (workers=0) and on eight worker shards. Results are
+// bit-identical between the two (TestFigure2ShardedMatchesSequential);
+// this bench records the wall-clock and events/s ratio, the
+// BENCH_0002.json numbers (measured when workers=0 still ran a separate
+// sequential event loop).
 func BenchmarkFigure2Sharded(b *testing.B) {
 	for _, workers := range []int{0, 8} {
 		workers := workers
@@ -608,8 +609,8 @@ func runRingMaintenance(b *testing.B) {
 // dispatch: how many simulator events per wall second the Simulation
 // Environment sustains — the capacity bound on "thousands of virtual
 // nodes on a single physical machine" (§3.1.4) — across worker-shard
-// counts of the sharded Main Scheduler (workers=1 is the windowed
-// scheduler on one shard: the parallel-speedup baseline).
+// counts of the Main Scheduler (workers=1 is one shard dispatched
+// inline, as at workers=0: the parallel-speedup baseline).
 //
 // The workload is a self-sustaining message storm: every node rearms a
 // timer each 25 ms of virtual time and sends one 200-byte message to a

@@ -29,7 +29,7 @@
 //	experiments -scenario scenarios/qstorm-shared.yaml
 //
 // Every figure and ablation accepts -workers K: the harnesses follow
-// the sharded scheduler's collector discipline, so results are
+// the scheduler's sharded-safe collector discipline, so results are
 // bit-identical to -workers 0 at the same seed while wall-clock scales
 // with cores.
 //
@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nodes := fs.Int("nodes", 0, "override deployment size")
 	queries := fs.Int("queries", 0, "override figure 1's query count")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	workers := fs.Int("workers", 0, "simulator worker shards (0 = sequential scheduler; results are identical for any count)")
+	workers := fs.Int("workers", 0, "simulator worker shards (0 or 1 = one shard on the calling goroutine; results are identical for any count)")
 	ckptSave := fs.String("checkpoint-save", "", "after building the cluster, save the converged ring to this file")
 	ckptLoad := fs.String("checkpoint-load", "", "warm-start the cluster from this checkpoint file instead of building (pass -nodes matching the checkpoint)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")

@@ -30,7 +30,7 @@ func main() {
 		n := n
 		var feed func()
 		feed = func() {
-			ev := gen.Next(env.Now())
+			ev := gen.Next(n.Runtime().Now())
 			n.PublishLocal("fwlogs", tuple.New("fwlogs").
 				Set("src", tuple.String(ev.Src)).
 				Set("severity", tuple.Int(int64(ev.Severity))),

@@ -32,7 +32,8 @@ type JoinStrategiesConfig struct {
 	OuterSize, InnerSize int
 	// MatchFraction is the fraction of R tuples with a join partner.
 	MatchFraction float64
-	// Workers selects the scheduler (0 = sequential).
+	// Workers is the scheduler's worker shard count (0 or 1 = one inline
+	// shard; identical results for any count).
 	Workers int
 	// Warm selects the cluster warm-start path (checkpoint save/load).
 	Warm WarmStart
@@ -204,7 +205,8 @@ type HierAggConfig struct {
 	Nodes         int
 	TuplesPerNode int
 	Groups        int
-	// Workers selects the scheduler (0 = sequential).
+	// Workers is the scheduler's worker shard count (0 or 1 = one inline
+	// shard; identical results for any count).
 	Workers int
 	// Warm selects the cluster warm-start path (checkpoint save/load).
 	Warm WarmStart
@@ -360,7 +362,8 @@ type ChurnConfig struct {
 	Duration time.Duration
 	// Lookups is the number of probes measured under churn.
 	Lookups int
-	// Workers selects the scheduler (0 = sequential).
+	// Workers is the scheduler's worker shard count (0 or 1 = one inline
+	// shard; identical results for any count).
 	Workers int
 	// Warm selects the cluster warm-start path (checkpoint save/load).
 	Warm WarmStart
@@ -526,7 +529,8 @@ type SoftStateConfig struct {
 	Horizon time.Duration
 	// Objects published per run.
 	Objects int
-	// Workers selects the scheduler (0 = sequential).
+	// Workers is the scheduler's worker shard count (0 or 1 = one inline
+	// shard; identical results for any count).
 	Workers int
 	// Warm selects the cluster warm-start path (checkpoint save/load).
 	Warm WarmStart
@@ -680,7 +684,8 @@ func RunSoftState(cfg SoftStateConfig) SoftStateResult {
 // DisseminationConfig parameterizes the dissemination comparison.
 type DisseminationConfig struct {
 	Nodes int
-	// Workers selects the scheduler (0 = sequential).
+	// Workers is the scheduler's worker shard count (0 or 1 = one inline
+	// shard; identical results for any count).
 	Workers int
 	// Warm selects the cluster warm-start path (checkpoint save/load).
 	Warm WarmStart

@@ -8,6 +8,7 @@ import (
 
 	"pier/internal/qp"
 	"pier/internal/sim"
+	"pier/internal/vri"
 	"pier/internal/wire"
 )
 
@@ -180,6 +181,9 @@ func RestoreCheckpoint(data []byte, env *sim.Env) ([]*qp.Node, error) {
 		blob := r.Bytes32()
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("checkpoint: corrupt node record %d: %w", i, err)
+		}
+		if env.Node(vri.Addr(name)) != nil {
+			return nil, fmt.Errorf("checkpoint: corrupt node record %d: node %q repeats", i, name)
 		}
 		n := qp.NewNode(env.Spawn(name), cfg)
 		if err := n.Start(); err != nil {

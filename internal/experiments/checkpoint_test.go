@@ -11,6 +11,7 @@ import (
 	"pier/internal/qp"
 	"pier/internal/sim"
 	"pier/internal/vri"
+	"pier/internal/wire"
 )
 
 // buildAndSave cold-builds an n-node cluster at seed and saves its
@@ -144,8 +145,9 @@ func TestWarmStartSaveLoadBytesStable(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsCorruptInput: bad magic and truncated records
-// must error out, never install partial state.
+// TestCheckpointRejectsCorruptInput: bad magic, truncated records and a
+// roster that repeats a node must error out, never panic or install
+// partial state.
 func TestCheckpointRejectsCorruptInput(t *testing.T) {
 	path := buildAndSave(t, 8, 307)
 	data, err := os.ReadFile(path)
@@ -158,12 +160,31 @@ func TestCheckpointRejectsCorruptInput(t *testing.T) {
 	for i := 22; i < 26; i++ {
 		hugeCount[i] = 0xff
 	}
+	// Record 1 overwritten by a copy of record 0: the count still
+	// matches, only the name repeats.
+	r := wire.NewReader(data)
+	if _, _, err := readCheckpointHeader(r); err != nil {
+		t.Fatal(err)
+	}
+	var ends [3]int
+	ends[0] = len(data) - r.Remaining()
+	for i := 1; i <= 2; i++ {
+		_ = r.String()
+		r.Bytes32()
+		ends[i] = len(data) - r.Remaining()
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	repeated := append(append([]byte(nil), data[:ends[1]]...), data[ends[0]:ends[1]]...)
+	repeated = append(repeated, data[ends[2]:]...)
 	cases := map[string][]byte{
 		"bad magic":        append([]byte("XXXX"), data[4:]...),
 		"truncated":        data[:len(data)-7],
 		"empty":            {},
 		"trailing garbage": append(append([]byte(nil), data...), 0xde, 0xad),
 		"huge count":       hugeCount,
+		"repeated node":    repeated,
 	}
 	for name, corrupt := range cases {
 		env := sim.NewEnv(sim.Options{Seed: 307})

@@ -28,8 +28,9 @@ import (
 type ChurnAggConfig struct {
 	// Nodes is the initial tree size. Defaults to 10000.
 	Nodes int
-	// Workers selects the scheduler: 0 = sequential Main Scheduler,
-	// k >= 1 = sharded across k workers (identical results for any k).
+	// Workers is the scheduler's worker shard count: 0 or 1 = one shard
+	// on the calling goroutine, k > 1 = k worker goroutines (identical
+	// results for any k).
 	Workers int
 	// Fanout is the aggregation-tree arity. Defaults to 32.
 	Fanout int

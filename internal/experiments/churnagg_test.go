@@ -41,9 +41,9 @@ func TestChurnAggDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnAggShardedMatchesSequential locks in the stronger property
-// that the windowed scheduler reproduces the sequential scheduler's
-// outcome for this workload exactly.
+// TestChurnAggShardedMatchesSequential locks in that four worker shards
+// reproduce the default single inline shard's outcome for this workload
+// exactly.
 func TestChurnAggShardedMatchesSequential(t *testing.T) {
 	cfg := ChurnAggConfig{
 		Nodes:          600,
@@ -59,7 +59,7 @@ func TestChurnAggShardedMatchesSequential(t *testing.T) {
 	cfg.Workers = 4
 	par := RunChurnAgg(cfg)
 	if !sameOutcome(seq, par) {
-		t.Fatalf("sequential and sharded outcomes diverged:\nseq: %+v\npar: %+v", seq, par)
+		t.Fatalf("workers=0 and workers=4 outcomes diverged:\nworkers=0: %+v\nworkers=4: %+v", seq, par)
 	}
 }
 

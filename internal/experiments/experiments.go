@@ -189,8 +189,9 @@ type Figure1Config struct {
 	// Queries per series; the paper replayed real Gnutella queries.
 	Queries int
 	Catalog workload.CatalogConfig
-	// Workers selects the scheduler: 0 = sequential Main Scheduler,
-	// k >= 1 = sharded across k workers (identical results for any k).
+	// Workers is the scheduler's worker shard count: 0 or 1 = one shard
+	// on the calling goroutine, k > 1 = k worker goroutines (identical
+	// results for any k).
 	Workers int
 	// Warm selects the cluster warm-start path (checkpoint save/load).
 	Warm WarmStart
@@ -395,8 +396,9 @@ type Figure2Config struct {
 	Sources int
 	// K is the report size (10 in the figure).
 	K int
-	// Workers selects the scheduler: 0 = sequential Main Scheduler,
-	// k >= 1 = sharded across k workers (identical results for any k).
+	// Workers is the scheduler's worker shard count: 0 or 1 = one shard
+	// on the calling goroutine, k > 1 = k worker goroutines (identical
+	// results for any k).
 	Workers int
 	// Warm selects the cluster warm-start path (checkpoint save/load).
 	Warm WarmStart

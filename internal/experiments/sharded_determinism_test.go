@@ -13,8 +13,8 @@ import (
 
 // These tests lock in the tentpole property of the harness port: every
 // BuildCluster-based figure and ablation harness produces bit-identical
-// results on the sequential Main Scheduler (workers=0) and the sharded
-// scheduler at eight workers, for the same seed — mirroring
+// results on one inline scheduler shard (workers=0) and on eight worker
+// shards, for the same seed — mirroring
 // TestShardedMatchesSequential in internal/sim and the churnagg tests.
 // reflect.DeepEqual covers unexported state too (e.g. the latency
 // recorders' full sample series), so any scheduler-dependent divergence
@@ -280,7 +280,7 @@ assert:
 // TestScenarioShardedMatchesSequentialWithLoss drives the full scenario
 // stack — environment-level LossRate, a healing partition, a lossy link
 // override, and a kill — and requires the byte-for-byte report to match
-// between the sequential and sharded schedulers. This is the regression
+// between workers=0 and workers=8. This is the regression
 // net for the loss-determinism contract: every loss draw (base rate and
 // per-link override) comes from the sender's stream, so the verdict of
 // each coin flip is independent of which shard pops the delivery.
@@ -307,8 +307,8 @@ func TestScenarioShardedMatchesSequentialWithLoss(t *testing.T) {
 // fraction of result sends, admit acks, and tree forwards nack and
 // re-enter the backoff path, whose jitter draws come from each node's
 // OWN rng. The report — including the reliability counters themselves —
-// must stay byte-identical between the sequential and eight-worker
-// schedulers, proving no retry timer or jitter draw depends on which
+// must stay byte-identical between one inline shard and eight worker
+// shards, proving no retry timer or jitter draw depends on which
 // shard observed the nack.
 func TestRetryDeterminismUnderHeavyLoss(t *testing.T) {
 	spec, err := ParseScenario(`

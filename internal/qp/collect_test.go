@@ -67,7 +67,7 @@ func collectTop(t *testing.T, seed int64, workers int) ([][2]string, time.Durati
 }
 
 // TestSubmitCollect checks the collector against the callback API on the
-// sequential scheduler: same rows, completion flag set, and a plausible
+// default single scheduler shard: same rows, completion flag set, and a plausible
 // first-result timestamp.
 func TestSubmitCollect(t *testing.T) {
 	rows, firstLat, done := collectTop(t, 310, 0)
@@ -84,8 +84,8 @@ func TestSubmitCollect(t *testing.T) {
 
 // TestSubmitCollectShardedMatchesSequential is the property the type
 // exists for: the drained result set (content, order, first-result
-// timing) is bit-identical between the sequential scheduler and the
-// sharded scheduler at the same seed.
+// timing) is bit-identical between one inline scheduler shard and four
+// worker shards at the same seed.
 func TestSubmitCollectShardedMatchesSequential(t *testing.T) {
 	seqRows, seqLat, seqDone := collectTop(t, 311, 0)
 	parRows, parLat, parDone := collectTop(t, 311, 4)
@@ -93,7 +93,7 @@ func TestSubmitCollectShardedMatchesSequential(t *testing.T) {
 		t.Fatalf("done: seq=%v par=%v", seqDone, parDone)
 	}
 	if !reflect.DeepEqual(seqRows, parRows) || seqLat != parLat {
-		t.Fatalf("sequential vs sharded diverged:\nseq: %v @ %v\npar: %v @ %v",
+		t.Fatalf("workers=0 vs workers=4 diverged:\nseq: %v @ %v\npar: %v @ %v",
 			seqRows, seqLat, parRows, parLat)
 	}
 	if len(seqRows) == 0 {

@@ -116,7 +116,7 @@ func TestFairQueuePrunesDrainedSources(t *testing.T) {
 }
 
 // TestEnvPrunesCongestionState drives a real simulation with many
-// one-shot senders through both scheduler modes and asserts the
+// one-shot senders at one and four worker shards and asserts the
 // environment's periodic sweeps keep the FIFO model's per-link map from
 // retaining every source that ever transmitted.
 func TestEnvPrunesCongestionState(t *testing.T) {
@@ -142,8 +142,8 @@ func TestEnvPrunesCongestionState(t *testing.T) {
 
 // TestFIFOQueueDeterministicAcrossWorkerCounts locks in that sharding
 // the congestion state does not change simulation results: a message
-// storm through a congested link yields bit-identical traffic stats for
-// the sequential and sharded schedulers.
+// storm through a congested link yields bit-identical traffic stats on
+// one inline shard and on eight worker shards.
 func TestFIFOQueueDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) (uint64, uint64, time.Time) {
 		env := NewEnv(Options{Seed: 11, Congestion: &FIFOQueue{}})
@@ -176,8 +176,8 @@ func TestFIFOQueueDeterministicAcrossWorkerCounts(t *testing.T) {
 		// must not prune that still-busy link: a between-run Departure
 		// carries now = env.Now() (= the deadline), which is earlier than
 		// the minimum pending event time at exit — pruning by the latter
-		// would let the sharded mode forget backlog the sequential mode
-		// remembers, and the bulk node's next departure would diverge.
+		// would forget backlog the link still holds, and the bulk node's
+		// next departure would come too early.
 		bulk := nodes[1]
 		bulk.Schedule(10*time.Second-5*time.Millisecond, func() {
 			bulk.Send(nodes[9].Addr(), vri.PortQuery, make([]byte, 50_000), nil)
@@ -199,7 +199,7 @@ func TestFIFOQueueDeterministicAcrossWorkerCounts(t *testing.T) {
 	m0, b0, a0 := run(0)
 	m8, b8, a8 := run(8)
 	if m0 != m8 || b0 != b8 || !a0.Equal(a8) {
-		t.Fatalf("sequential vs sharded diverged: msgs %d/%d bytes %d/%d last-arrival %v/%v",
+		t.Fatalf("workers=0 vs workers=8 diverged: msgs %d/%d bytes %d/%d last-arrival %v/%v",
 			m0, m8, b0, b8, a0, a8)
 	}
 	if m0 == 0 {

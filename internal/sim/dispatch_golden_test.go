@@ -187,10 +187,11 @@ func dispatchOrderRun(workers int) (digest uint64, counts map[string]int) {
 }
 
 // TestDispatchOrderGolden pins the scheduler's dispatch order, instants
-// and keys to a digest fixed before virtual time became integer
-// nanoseconds, under the sequential engine and the sharded one.
+// and keys to a digest fixed while a separate sequential event loop still
+// existed beside the windowed engine, so it is a reference that does not
+// depend on the engine, at one inline shard and on worker shards.
 func TestDispatchOrderGolden(t *testing.T) {
-	for _, workers := range []int{0, 1, 2} {
+	for _, workers := range []int{0, 1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			got, counts := dispatchOrderRun(workers)
 			for _, c := range []string{"acked", "nacked", "cancelled", "to-dead", "delivered"} {

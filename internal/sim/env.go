@@ -4,14 +4,14 @@
 // and network interface, while executing the same program code as the
 // Physical Runtime Environment.
 //
-// By default one Main Scheduler and one priority queue serve all nodes;
-// events are annotated with the virtual node that must handle them and
-// demultiplexed on dispatch. For large deployments the scheduler can be
-// sharded across worker goroutines with SetWorkers (see sharded.go): the
-// node population is partitioned into per-shard event heaps that advance
-// in conservative time windows bounded by the topology's minimum
-// latency. Both modes are deterministic for a given seed, and the
-// sharded mode produces identical results for any worker count.
+// One Main Scheduler serves all nodes; events are annotated with the
+// virtual node that must handle them and demultiplexed on dispatch. The
+// scheduler advances in conservative time windows bounded by the
+// topology's minimum latency, over per-shard event heaps (see
+// sharded.go). By default one shard dispatches inline on the calling
+// goroutine; SetWorkers spreads the node population across worker
+// goroutines for large deployments. Runs are deterministic for a given
+// seed and identical for any worker count.
 //
 // The network is simulated at message-level granularity (one simulated
 // packet per application message), with pluggable topology and
@@ -57,7 +57,7 @@ const (
 // event is the body of one scheduled occurrence. Its dispatch key (at,
 // src, seq) is not here: it lives in the queue slot that carries the
 // event (see heap.go), which is all the ordering code ever reads, and
-// travels with it through outboxes and mode migrations.
+// travels with it through outboxes and SetWorkers migrations.
 //
 // Events are pooled (see pool.go): after dispatch or discard the popping
 // context recycles the struct, so no reference to an *event may be
@@ -105,7 +105,7 @@ type Options struct {
 	LossRate float64
 	// AckTimeout is how long the transport waits before reporting a
 	// failed delivery (dead destination or lost message) to the sender.
-	// Default 2s.
+	// Default 2s; it may not be below the topology's MinLatency.
 	AckTimeout time.Duration
 }
 
@@ -128,20 +128,16 @@ func (o *Options) fill() {
 // Env is the Simulation Environment: virtual clock, Main Scheduler, node
 // demultiplexer, and network model.
 type Env struct {
-	opts   Options
-	now    int64  // virtual ns
-	seq    uint64 // environment-source event counter
-	queue  eventHeap
+	opts Options
+	// now is the environment clock in virtual ns. It advances only at
+	// window barriers, so only driver code may read it; a node's handler
+	// reads its own clock (Node.Now).
+	now    int64
+	seq    uint64    // environment-source event counter
+	queue  eventHeap // environment-level events; node events live in shards
 	nodes  map[vri.Addr]*Node
 	nextID uint64
 	rng    *rand.Rand
-
-	// Cumulative counters for events executed, messages sent, and
-	// payload bytes sent in environment context. In sharded mode each
-	// shard keeps its own counters; Stats sums them.
-	events uint64
-	msgs   uint64
-	bytes  uint64
 
 	// perNode tallies traffic per node for in/out-bandwidth analyses
 	// (e.g. the hierarchical-aggregation ablation measures root
@@ -149,8 +145,8 @@ type Env struct {
 	// only ever read the map.
 	perNode map[vri.Addr]*NodeTraffic
 
-	// par is non-nil when the sharded scheduler is selected via
-	// SetWorkers. See sharded.go.
+	// par is the Main Scheduler's windowed engine (sharded.go); SetWorkers
+	// replaces it.
 	par *parEngine
 
 	// net holds driver-installed network condition overrides (partitions,
@@ -159,11 +155,6 @@ type Env struct {
 	// Mutated only at driver barriers, read by shard workers during
 	// windows (the barrier handoff orders the accesses). See overrides.go.
 	net *netOverrides
-
-	// pool recycles events and payload buffers for the sequential
-	// scheduler and all driver/coordinator-context scheduling. Shards
-	// own their own pools (single-writer, lock-free).
-	pool pool
 }
 
 // NodeTraffic is one node's cumulative message accounting.
@@ -172,20 +163,38 @@ type NodeTraffic struct {
 	BytesIn, BytesOut uint64
 }
 
-// NewEnv creates a simulation environment.
+// NewEnv creates a simulation environment with one scheduler shard. It
+// panics if the topology's MinLatency is not positive (the lookahead
+// window would be empty) or AckTimeout is below it.
 func NewEnv(opts Options) *Env {
 	opts.fill()
+	la := opts.Topology.MinLatency()
+	if la <= 0 {
+		panic(fmt.Sprintf("sim: NewEnv needs a topology with positive MinLatency, got %v", la))
+	}
+	if opts.AckTimeout < la {
+		// Every cross-shard event must land >= one lookahead ahead of the
+		// window that creates it. Message arrivals satisfy this through
+		// the topology (latency >= MinLatency); failure nacks for
+		// in-flight deliveries (nackDroppedDeliver) land AckTimeout
+		// ahead, so an ack timeout below the minimum latency would let a
+		// nack land inside an already-dispatched window.
+		panic(fmt.Sprintf("sim: NewEnv needs AckTimeout >= the topology's MinLatency lookahead (%v), got %v",
+			la, opts.AckTimeout))
+	}
 	return &Env{
 		opts:    opts,
 		nodes:   make(map[vri.Addr]*Node),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		perNode: make(map[vri.Addr]*NodeTraffic),
+		par:     newParEngine(1, int64(la)),
 	}
 }
 
-// Now returns the current virtual time. Inside a node's event handler
-// under the sharded scheduler, use the node's Now instead: the
-// environment clock only advances at window barriers there.
+// Now returns the environment clock: the virtual time of the last window
+// barrier, exact for driver code between runs and inside
+// environment-level events. Inside a node's event handler use the
+// node's Now instead: the environment clock only advances at barriers.
 func (e *Env) Now() time.Time { return vtime(e.now) }
 
 // Rand returns the environment-level random source (used by workload
@@ -208,7 +217,7 @@ func (e *Env) SetNow(t time.Time) {
 			t, vtime(math.MinInt64), vtime(math.MaxInt64)))
 	}
 	if !e.AtBarrier() {
-		panic("sim: SetNow called from inside a sharded window")
+		panic("sim: SetNow called from inside a window")
 	}
 	if len(e.nodes) != 0 {
 		panic("sim: SetNow after Spawn; rebase the clock before populating the environment")
@@ -216,32 +225,26 @@ func (e *Env) SetNow(t time.Time) {
 	if len(e.queue) != 0 {
 		panic("sim: SetNow with pending events")
 	}
-	if e.par != nil {
-		for _, sh := range e.par.shards {
-			if len(sh.heap) != 0 {
-				panic("sim: SetNow with pending events")
-			}
+	for _, sh := range e.par.shards {
+		if len(sh.heap) != 0 {
+			panic("sim: SetNow with pending events")
 		}
 	}
 	e.now = t.UnixNano()
 }
 
-// AtBarrier reports whether the environment is at a driver barrier: the
-// sequential scheduler between dispatches, or the sharded scheduler with
-// every worker parked (no window executing). Driver-only operations —
+// AtBarrier reports whether the environment is at a driver barrier: no
+// window executing, every shard parked. Driver-only operations —
 // checkpointing node state, Spawn, Fail, Env.Schedule — require it.
-func (e *Env) AtBarrier() bool { return e.par == nil || !e.par.inWindow }
+func (e *Env) AtBarrier() bool { return !e.par.inWindow }
 
 // Stats reports cumulative counters: events dispatched, messages sent,
 // payload bytes sent.
 func (e *Env) Stats() (events, msgs, bytes uint64) {
-	events, msgs, bytes = e.events, e.msgs, e.bytes
-	if e.par != nil {
-		for _, sh := range e.par.shards {
-			events += sh.events
-			msgs += sh.msgs
-			bytes += sh.bytes
-		}
+	for _, sh := range e.par.shards {
+		events += sh.events
+		msgs += sh.msgs
+		bytes += sh.bytes
 	}
 	return events, msgs, bytes
 }
@@ -255,49 +258,39 @@ func (e *Env) Traffic(addr vri.Addr) NodeTraffic {
 	return NodeTraffic{}
 }
 
-// newEvent draws an event from the scheduling context's pool and stamps
-// the deterministic dispatch key (at, src, seq) on behalf of source src
-// (nil = environment) targeting target (nil = environment) into the slot
-// it returns. The caller fills the kind-specific body of s.ev and hands
-// the slot to enqueue. The source determines the tie-break key, the
-// pool, and — in sharded mode — which shard's structures the event is
-// routed through. Both scheduler modes key events identically, so their
-// dispatch orders (and therefore all simulation results) coincide
-// exactly.
+// newEvent draws an event from the source's shard pool (shard 0's for
+// the environment) and stamps the deterministic dispatch key (at, src,
+// seq) on behalf of source src (nil = environment) targeting target
+// (nil = environment) into the slot it returns. The caller fills the
+// kind-specific body of s.ev and hands the slot to enqueue.
 func (e *Env) newEvent(src *Node, at int64, target *Node) slot {
-	var base int64
-	var ev *event
-	if p := e.par; p != nil && p.inWindow && src != nil {
-		// Worker context: the source's clock and the source shard's pool,
-		// both owned by the calling worker.
-		base = src.now
-		ev = e.par.shards[src.shard].pool.getEvent()
-	} else {
-		base = e.now
-		ev = e.pool.getEvent()
-	}
-	ev.node = target
-	s := slot{at: max(at, base), ev: ev}
+	var s slot
+	base, sh := e.now, e.par.shards[0]
 	if src != nil {
+		sh = e.par.shards[src.shard]
+		if e.par.inWindow {
+			// Worker context: the source's clock, owned by the calling
+			// worker like its shard's pool.
+			base = src.now
+		}
 		src.srcSeq++
 		s.src, s.seq = src.id, src.srcSeq
 	} else {
 		e.seq++
 		s.seq = e.seq
 	}
+	s.at = max(at, base)
+	s.ev = sh.pool.getEvent()
+	s.ev.node = target
 	return s
 }
 
-// enqueue routes a stamped slot into the right queue: the sequential
-// heap, the owning shard's heap, or — during a sharded window — the
-// sender shard's outbox lane for cross-shard and environment targets.
-// src must be the same source the slot was stamped with.
+// enqueue routes a stamped slot into the right queue: the environment
+// heap, the owning shard's heap, or — during a window — the sender
+// shard's outbox lane for cross-shard and environment targets. src must
+// be the same source the slot was stamped with.
 func (e *Env) enqueue(src *Node, s slot) {
 	p := e.par
-	if p == nil {
-		e.queue.push(s)
-		return
-	}
 	target := s.ev.node
 	if p.inWindow && src != nil {
 		sh := p.shards[src.shard]
@@ -331,7 +324,7 @@ func (e *Env) scheduleFrom(src *Node, at int64, target *Node, fn func()) *event 
 }
 
 // scheduleAfter is scheduleFrom with a delay relative to the source's
-// current clock (the node's own event time inside a sharded window, the
+// current clock (the node's own event time inside a window, the
 // environment clock otherwise).
 func (e *Env) scheduleAfter(src *Node, delay time.Duration, target *Node, fn func()) *event {
 	base := e.now
@@ -402,11 +395,10 @@ func (e *Env) runDeliver(ev *event) {
 // forever. The failure ack fires at the sender AckTimeout after the
 // message's would-be arrival, mirroring the send-time nack delay, and
 // is stamped from the DEAD destination's event stream: the popping
-// context owns that node's srcSeq counter and pool in both scheduler
-// modes (the sender's stream may be racing on another shard), and the
-// dead node's events pop in the same (at, src, seq) total order at any
-// worker count, so the stamp — and therefore the whole simulation —
-// stays bit-identical. Callers invoke this on every discarded
+// context owns that node's srcSeq counter and pool (the sender's stream
+// may be racing on another shard), and the dead node's events pop in
+// the same (at, src, seq) total order at any worker count, so the stamp
+// — and therefore the whole simulation — stays bit-identical. Callers invoke this on every discarded
 // dead-destination slot before recycling its event; non-delivery kinds
 // and ackless sends are no-ops.
 func (e *Env) nackDroppedDeliver(s slot) {
@@ -424,13 +416,12 @@ func (e *Env) nackDroppedDeliver(s slot) {
 
 // Schedule enqueues an environment-level event after delay. It is used by
 // drivers (workload generators, churn scripts) that are not themselves
-// virtual nodes. Under the sharded scheduler such events run alone at
-// window barriers and may therefore touch cross-node driver state; they
-// must not be scheduled from inside node event handlers there (use the
-// node's Schedule for that).
+// virtual nodes. Such events run alone at window barriers and may
+// therefore touch cross-node driver state; they must not be scheduled
+// from inside node event handlers (use the node's Schedule for that).
 func (e *Env) Schedule(delay time.Duration, fn func()) vri.Timer {
-	if e.par != nil && e.par.inWindow {
-		panic("sim: Env.Schedule called from a node event under the sharded scheduler; use Node.Schedule")
+	if e.par.inWindow {
+		panic("sim: Env.Schedule called from a node event; use Node.Schedule")
 	}
 	ev := e.scheduleFrom(nil, e.now+int64(delay), nil, fn)
 	return timerHandle{ev, ev.gen.Load()}
@@ -468,39 +459,6 @@ func (t timerHandle) Cancel() {
 	}
 }
 
-// Step dispatches the single next event, advancing virtual time. It
-// returns false when the queue is empty. Step requires the sequential
-// scheduler (the default); use Run or Drain with the sharded one.
-func (e *Env) Step() bool {
-	if e.par != nil {
-		panic("sim: Step requires the sequential scheduler; call SetWorkers(0) first")
-	}
-	for len(e.queue) > 0 {
-		s := e.queue.pop()
-		ev := s.ev
-		if ev.cancelled {
-			e.pool.putEvent(ev)
-			continue
-		}
-		e.now = s.at
-		if ev.node != nil {
-			if !ev.node.alive {
-				// Events for failed nodes are discarded — but an in-flight
-				// delivery still owes its sender the failure ack.
-				e.nackDroppedDeliver(s)
-				e.pool.putEvent(ev)
-				continue
-			}
-			ev.node.now = s.at
-		}
-		e.events++
-		e.dispatch(ev)
-		e.pool.putEvent(ev)
-		return true
-	}
-	return false
-}
-
 // Run dispatches events until the queue is empty or virtual time would
 // exceed the given duration from the current time.
 func (e *Env) Run(d time.Duration) {
@@ -509,59 +467,16 @@ func (e *Env) Run(d time.Duration) {
 
 // RunUntil dispatches events until the queue is empty or the next event
 // is after deadline; virtual time ends at deadline.
-func (e *Env) RunUntil(t time.Time) {
-	deadline := t.UnixNano()
-	if e.par != nil {
-		e.par.run(e, deadline, false)
-		return
-	}
-	for len(e.queue) > 0 {
-		// Peek without popping. Cancelled events and events for failed
-		// nodes are discarded here rather than left to Step: Step skips
-		// them and dispatches the next live event, so a skippable head
-		// with at <= deadline would let an event PAST the deadline run
-		// and drag the clock beyond it — a boundary overrun the sharded
-		// scheduler (correctly) never makes.
-		next := &e.queue[0]
-		if ev := next.ev; ev.cancelled || (ev.node != nil && !ev.node.alive) {
-			e.nackDroppedDeliver(e.queue.pop())
-			e.pool.putEvent(ev)
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		e.Step()
-		if e.events%pruneEvery == 0 {
-			e.pruneCongestion(e.now)
-		}
-	}
-	e.now = max(e.now, deadline)
-	e.pruneCongestion(e.now)
-}
+func (e *Env) RunUntil(t time.Time) { e.par.run(e, t.UnixNano(), false) }
 
 // Drain dispatches every remaining event regardless of time. Useful in
 // tests that want quiescence.
-func (e *Env) Drain() {
-	if e.par != nil {
-		e.par.run(e, 0, true)
-		return
-	}
-	for e.Step() {
-	}
-	e.pruneCongestion(e.now)
-}
-
-// pruneEvery is how many dispatched events may pass between congestion
-// garbage-collection sweeps during a long uninterrupted run.
-const pruneEvery = 1 << 16
+func (e *Env) Drain() { e.par.run(e, 0, true) }
 
 // pruneCongestion garbage-collects drained per-link congestion state.
 // It must only be called from driver context, with `before` no later
-// than any pending or future event time. In sequential mode e.now
-// qualifies (schedules clamp to it); the sharded engine passes the
-// minimum pending event time across shards instead, since a shard's
-// clock may trail the environment clock by up to one lookahead window.
+// than any pending or future event time: the minimum pending event time
+// across shards, or e.now at the end of a run (schedules clamp to it).
 func (e *Env) pruneCongestion(before int64) {
 	if p, ok := e.opts.Congestion.(Prunable); ok {
 		p.Prune(vtime(before))
@@ -569,12 +484,12 @@ func (e *Env) pruneCongestion(before int64) {
 }
 
 // Spawn creates a live virtual node with the given name and returns its
-// runtime. Names must be unique among live and failed nodes. Under the
-// sharded scheduler, Spawn may only be called from driver code (between
-// runs or inside environment-level events), never from node handlers.
+// runtime. Names must be unique among live and failed nodes. Spawn may
+// only be called from driver code (between runs or inside
+// environment-level events), never from node handlers.
 func (e *Env) Spawn(name string) *Node {
-	if e.par != nil && e.par.inWindow {
-		panic("sim: Spawn called from a node event under the sharded scheduler")
+	if e.par.inWindow {
+		panic("sim: Spawn called from a node event")
 	}
 	addr := vri.Addr(name)
 	if _, ok := e.nodes[addr]; ok {
@@ -592,9 +507,7 @@ func (e *Env) Spawn(name string) *Node {
 		rng:      rand.New(rand.NewSource(e.opts.Seed ^ int64(fnvHash(name)))),
 		traf:     &NodeTraffic{},
 	}
-	if e.par != nil {
-		n.shard = int((n.id - 1) % uint64(e.par.k))
-	}
+	n.shard = e.par.shardOf(n.id)
 	e.nodes[addr] = n
 	e.perNode[addr] = n.traf
 	e.opts.Topology.Register(addr)
@@ -622,11 +535,11 @@ func (e *Env) Node(addr vri.Addr) *Node {
 // revives (respawns use fresh names). The transport contract survives
 // the failure — a message already in flight to the dying node nacks its
 // sender AckTimeout after the would-be arrival (nackDroppedDeliver),
-// exactly as a send to an already-dead node nacks at send time. Under
-// the sharded scheduler, Fail may only be called from driver code.
+// exactly as a send to an already-dead node nacks at send time. Fail may
+// only be called from driver code.
 func (e *Env) Fail(addr vri.Addr) {
-	if e.par != nil && e.par.inWindow {
-		panic("sim: Fail called from a node event under the sharded scheduler")
+	if e.par.inWindow {
+		panic("sim: Fail called from a node event")
 	}
 	n := e.nodes[addr]
 	if n == nil || !n.alive {
@@ -674,17 +587,9 @@ func (e *Env) LiveAddrs() []vri.Addr {
 // senders may immediately reuse their encode buffers.
 func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte, ack vri.AckFunc) {
 	now := src.timeNow()
-	var pl *pool
-	if e.par != nil && e.par.inWindow {
-		sh := e.par.shards[src.shard]
-		sh.msgs++
-		sh.bytes += uint64(len(payload))
-		pl = &sh.pool
-	} else {
-		e.msgs++
-		e.bytes += uint64(len(payload))
-		pl = &e.pool
-	}
+	sh := e.par.shards[src.shard]
+	sh.msgs++
+	sh.bytes += uint64(len(payload))
 	src.traf.MsgsOut++
 	src.traf.BytesOut += uint64(len(payload))
 	size := len(payload) + 48 // crude header overhead
@@ -693,12 +598,10 @@ func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte,
 
 	var lost bool
 	if e.opts.LossRate > 0 {
-		// Always the sender's stream. The environment stream is not just
-		// unsafe under sharded workers — drawing from it SEQUENTIALLY
-		// while drawing from src.rng under workers meant any LossRate>0
-		// run violated the workers=0 ≡ workers=8 contract (the draw
-		// sequences diverged). The per-sender stream is consumed in the
-		// sender's own deterministic event order in both modes.
+		// Always the sender's stream: the environment stream is unsafe
+		// under workers, and its draw order would depend on how shards
+		// interleave. The per-sender stream is consumed in the sender's
+		// own deterministic event order at any worker count.
 		lost = src.rng.Float64() < e.opts.LossRate
 	}
 	blocked := false
@@ -730,7 +633,7 @@ func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte,
 	ev.from = src
 	ev.port = dstPort
 	ev.ack = ack
-	buf := pl.getBuf(len(payload))
+	buf := sh.pool.getBuf(len(payload))
 	copy(buf, payload)
 	ev.payload = buf
 	e.enqueue(src, s)

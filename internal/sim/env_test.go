@@ -14,8 +14,7 @@ func TestVirtualClockAdvancesWithEvents(t *testing.T) {
 	var fired []time.Duration
 	start := env.Now()
 	for _, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
-		d := d
-		n.Schedule(d, func() { fired = append(fired, env.Now().Sub(start)); _ = d })
+		n.Schedule(d, func() { fired = append(fired, n.Now().Sub(start)) })
 	}
 	env.Run(time.Second)
 	if len(fired) != 3 {
@@ -195,7 +194,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		for _, n := range nodes {
 			n := n
 			_ = n.Listen(vri.PortQuery, func(src vri.Addr, p []byte) {
-				log += fmt.Sprintf("%s<-%s:%s@%d;", n.Addr(), src, p, env.Now().UnixNano())
+				log += fmt.Sprintf("%s<-%s:%s@%d;", n.Addr(), src, p, n.Now().UnixNano())
 			})
 		}
 		for i, n := range nodes {

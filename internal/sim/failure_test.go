@@ -23,7 +23,7 @@ func fixedStar(access time.Duration) *Star {
 // violating the reliable-or-notified contract that the send-time path
 // honors for destinations that are dead at Send. The nack must fire
 // exactly once, report failure, and arrive AckTimeout after the
-// message's would-be arrival, under both schedulers.
+// message's would-be arrival, inline and on worker shards.
 func TestFailInFlightAckNotified(t *testing.T) {
 	const (
 		access  = 50 * time.Millisecond // latency a->b = 100ms exactly
@@ -65,11 +65,10 @@ func TestFailInFlightAckNotified(t *testing.T) {
 	}
 }
 
-// TestFailInFlightAckNotifiedSequentialDeadline covers the sequential
-// scheduler's second discard site: RunUntil discards a dead-node head
-// event even when it lies past the deadline (the deadline-overrun fix),
-// and that early discard must still produce the nack at the right
-// virtual time.
+// TestFailInFlightAckNotifiedSequentialDeadline covers a run that ends
+// between the failure and the would-be arrival: the dead-node delivery
+// stays pending past the deadline, is discarded by a later window, and
+// must still produce the nack at arrival + AckTimeout, not early.
 func TestFailInFlightAckNotifiedSequentialDeadline(t *testing.T) {
 	env := NewEnv(Options{Seed: 1, Topology: fixedStar(50 * time.Millisecond), AckTimeout: 500 * time.Millisecond})
 	a := env.Spawn("a")
@@ -78,9 +77,9 @@ func TestFailInFlightAckNotifiedSequentialDeadline(t *testing.T) {
 	a.Send("b", vri.PortQuery, []byte("x"), func(ok bool) { nacked = !ok })
 	env.Run(20 * time.Millisecond)
 	env.Fail("b")
-	// This run ends before the would-be arrival (100ms); the in-flight
-	// event is the queue head and is discarded at the peek. The nack
-	// must still be scheduled for arrival+AckTimeout, not fire early.
+	// This run ends before the would-be arrival (100ms), with the
+	// in-flight event for the dead node at the head of its shard. The
+	// nack must be scheduled for arrival+AckTimeout, not fire early.
 	env.Run(50 * time.Millisecond)
 	if nacked {
 		t.Fatal("nack fired before arrival + AckTimeout elapsed")
@@ -97,9 +96,7 @@ func TestFailInFlightAckNotifiedSequentialDeadline(t *testing.T) {
 // integrity check.
 func failureStorm(workers int, lossRate float64, seed int64) (shardedOutcome, *Env) {
 	env := NewEnv(Options{Seed: seed, LossRate: lossRate})
-	if workers > 0 {
-		env.SetWorkers(workers)
-	}
+	env.SetWorkers(workers)
 	const nodes = 20
 	ns := env.SpawnN("n", nodes)
 	logs := make([]string, nodes)
@@ -146,16 +143,16 @@ func failureStorm(workers int, lossRate float64, seed int64) (shardedOutcome, *E
 }
 
 // TestShardedLossDeterminism is the regression test for the
-// loss-determinism bug: deliver used to draw message loss from the
-// environment rng sequentially but from the sender's rng under sharded
-// workers, so any LossRate > 0 run violated the workers=0 ≡ workers=K
-// contract. Both draws now come from the sender's stream.
+// loss-determinism bug: deliver once drew message loss from the
+// environment rng on one scheduler and from the sender's rng on
+// another, so any LossRate > 0 run violated the workers=0 ≡ workers=K
+// contract. Every draw now comes from the sender's stream.
 func TestShardedLossDeterminism(t *testing.T) {
 	base, _ := failureStorm(0, 0.3, 99)
 	for _, k := range []int{1, 4, 8} {
 		got, _ := failureStorm(k, 0.3, 99)
 		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("LossRate>0 run diverged at workers=%d:\nseq: %+v\npar: %+v", k, base, got)
+			t.Fatalf("LossRate>0 run diverged at workers=%d:\nworkers=0: %+v\nworkers=%d: %+v", k, base, k, got)
 		}
 	}
 	if base.Nacked == 0 || base.Acked == 0 {
@@ -198,18 +195,15 @@ func poolIntegrity(t *testing.T, label string, p *pool, seenEv map[*event]string
 // TestFailInFlightPoolUncorrupted locks in the event/payload lifecycle
 // across node failure: discarding in-flight events for dead nodes (and
 // scheduling their failure nacks) must recycle every pooled event and
-// payload buffer exactly once, under both schedulers.
+// payload buffer exactly once, inline and on worker shards.
 func TestFailInFlightPoolUncorrupted(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			_, env := failureStorm(workers, 0.2, 7)
 			seenEv := make(map[*event]string)
 			seenBuf := make(map[string]string)
-			poolIntegrity(t, "env", &env.pool, seenEv, seenBuf)
-			if env.par != nil {
-				for _, sh := range env.par.shards {
-					poolIntegrity(t, fmt.Sprintf("shard%d", sh.id), &sh.pool, seenEv, seenBuf)
-				}
+			for _, sh := range env.par.shards {
+				poolIntegrity(t, fmt.Sprintf("shard%d", sh.id), &sh.pool, seenEv, seenBuf)
 			}
 			if len(seenEv) == 0 {
 				t.Fatal("no recycled events found; storm did not exercise the pool")

@@ -5,8 +5,8 @@ package sim
 // so ordering a queue never dereferences an event: at is virtual
 // nanoseconds on the env's clock, src the scheduling source's node id (0
 // for environment-level sources) and seq a per-source counter. The order
-// (at, src, seq) is strict and total, deterministic, and — in sharded
-// mode — independent of how many workers raced to enqueue.
+// (at, src, seq) is strict and total, deterministic, and independent of
+// how many workers raced to enqueue.
 type slot struct {
 	at       int64
 	src, seq uint64
@@ -88,7 +88,8 @@ func (q eventHeap) siftDown(i int, s slot) {
 }
 
 // reinit heapifies q in place, used when a batch of pending slots is
-// adopted wholesale (SetWorkers migrating between scheduler modes).
+// adopted wholesale (SetWorkers migrating pending events between
+// shards).
 func (q eventHeap) reinit() {
 	if len(q) < 2 {
 		return

@@ -9,10 +9,9 @@ import (
 )
 
 // Node is one virtual node's binding of the Virtual Runtime Interface.
-// All of its events run on the environment's Main Scheduler — or, under
-// the sharded scheduler, on the single worker that owns its shard — so
-// per-node execution is always sequential and in event order. Node
-// implements vri.StreamRuntime.
+// All of its events run on the single worker that owns its shard of the
+// Main Scheduler, so per-node execution is always sequential and in
+// event order. Node implements vri.StreamRuntime.
 type Node struct {
 	env  *Env
 	addr vri.Addr
@@ -43,13 +42,13 @@ var _ vri.StreamRuntime = (*Node)(nil)
 func (n *Node) Addr() vri.Addr { return n.addr }
 
 // Now returns the virtual time as observed by this node: the timestamp
-// of the event being dispatched, exact in both scheduler modes.
+// of the event being dispatched, exact at any worker count.
 func (n *Node) Now() time.Time { return vtime(n.timeNow()) }
 
 // timeNow is the node's clock source: its own event timestamp while a
-// sharded window is executing, the environment clock otherwise.
+// window is executing, the environment clock otherwise.
 func (n *Node) timeNow() int64 {
-	if p := n.env.par; p != nil && p.inWindow {
+	if n.env.par.inWindow {
 		return n.now
 	}
 	return n.env.now
@@ -109,8 +108,8 @@ func (n *Node) ReleaseStream(port vri.Port) { delete(n.streams, port) }
 // Connect opens a simulated TCP connection to (dst, dstPort). Connection
 // setup costs one round trip of propagation latency: the SYN reaches the
 // peer after one-way latency, where an environment-level handshake event
-// links the endpoints (at a window barrier under the sharded scheduler,
-// so it may touch both), and each side observes the established — or
+// links the endpoints (at a window barrier, so it may touch both), and
+// each side observes the established — or
 // refused — connection a full RTT after Connect.
 func (n *Node) Connect(dst vri.Addr, dstPort vri.Port, h vri.StreamHandler) (vri.Conn, error) {
 	if !n.alive {
@@ -162,7 +161,7 @@ func (n *Node) Connect(dst vri.Addr, dstPort vri.Port, h vri.StreamHandler) (vri
 // per-source sequence tie-break preserves FIFO for equal arrival times.
 // Each endpoint's mutable state is touched only by its own node's
 // events (plus environment-level handshake/failure events, which run at
-// barriers under the sharded scheduler).
+// barriers).
 type simConn struct {
 	node     *Node
 	peer     *simConn
@@ -224,7 +223,7 @@ func (c *simConn) fail(err error) {
 
 // failPeer is invoked when this endpoint's node dies: the remote side
 // observes a connection error after one propagation delay. It runs in
-// driver context (Env.Fail), never inside a sharded window.
+// driver context (Env.Fail), never inside a window.
 func (c *simConn) failPeer() {
 	if c.closed {
 		return // the peer was already notified when this side closed

@@ -29,7 +29,7 @@ import (
 //     bit-identical at any worker count.
 //   - Extra latency is additive and must be >= 0: the topology's
 //     MinLatency stays a valid lower bound, which is what keeps the
-//     sharded scheduler's conservative lookahead sound under overrides.
+//     scheduler's conservative lookahead sound under overrides.
 //   - Installing or clearing an override changes the sender rng draw
 //     sequence from that barrier on (draw count per send depends on the
 //     override table). That is deterministic — the table only changes at

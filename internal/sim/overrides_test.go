@@ -149,12 +149,10 @@ func TestOverrideValidation(t *testing.T) {
 
 // overrideStorm is failureStorm plus a mid-run partition (healed later)
 // and a lossy, slow link installed at a driver barrier — the override
-// code paths the scenario runner exercises, under both schedulers.
+// code paths the scenario runner exercises, at the given worker count.
 func overrideStorm(workers int, seed int64) shardedOutcome {
 	env := NewEnv(Options{Seed: seed, LossRate: 0.05})
-	if workers > 0 {
-		env.SetWorkers(workers)
-	}
+	env.SetWorkers(workers)
 	const nodes = 16
 	ns := env.SpawnN("n", nodes)
 	logs := make([]string, nodes)

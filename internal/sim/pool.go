@@ -1,21 +1,20 @@
 package sim
 
 // pool recycles event structs and message payload buffers for one
-// scheduler context. Ownership is single-writer by construction, so no
-// locking is needed anywhere:
+// scheduler shard. Ownership is single-writer by construction, so no
+// locking is needed anywhere: each shard's pool is touched only by its
+// worker goroutine while a window executes, and by the coordinator
+// between windows, with every worker parked.
 //
-//   - The Env owns one pool, used by the sequential scheduler and by all
-//     driver/coordinator-context scheduling (workers parked).
-//   - Each shard owns one pool, touched only by its worker goroutine
-//     while a window executes.
-//
-// Allocation happens in the *scheduling* context (the source's shard, or
-// the driver), recycling in the *dispatching* context (the target's
-// shard, or the driver). Events therefore migrate between pools — a
+// Allocation happens in the *scheduling* context (the source node's
+// shard; shard 0 for environment-sourced events), recycling in the
+// *dispatching* context (the target's shard; shard 0 for
+// environment-level events). At one shard every event therefore returns
+// to the pool it came from. With more, events migrate between pools — a
 // cross-shard message is allocated from the sender's free list and
 // recycled into the receiver's — which is fine: a pool is a cache, not
 // an accounting domain, and the population of each free list converges
-// to that context's steady-state event backlog.
+// to that shard's steady-state event backlog.
 type pool struct {
 	// freeEv is an intrusive LIFO free list threaded through event.next.
 	freeEv *event

@@ -42,7 +42,7 @@ func TestTimerCancelAfterFireIsInert(t *testing.T) {
 }
 
 // TestEventPoolReusesEvents checks that the scheduler actually recycles:
-// a sustained schedule/dispatch loop on the sequential scheduler must
+// a sustained schedule/dispatch loop on the default single shard must
 // reuse pooled event structs rather than growing the free list without
 // bound (the free list is LIFO, so steady-state traffic touches the same
 // few structs).
@@ -63,8 +63,9 @@ func TestEventPoolReusesEvents(t *testing.T) {
 	tick = func() {}
 	env.Drain()
 
+	pl := &env.par.shards[0].pool
 	free := 0
-	for ev := env.pool.freeEv; ev != nil; ev = ev.next {
+	for ev := pl.freeEv; ev != nil; ev = ev.next {
 		free++
 	}
 	// ~1000 timer + ~1000 delivery dispatches ran; without recycling the
@@ -78,7 +79,7 @@ func TestEventPoolReusesEvents(t *testing.T) {
 	if free > 256 {
 		t.Fatalf("free list holds %d events after a steady 2-node loop; recycling is not reusing structs", free)
 	}
-	if len(env.pool.bufs) == 0 {
+	if len(pl.bufs) == 0 {
 		t.Fatal("payload buffer pool empty after message traffic: buffers are not being recycled")
 	}
 }

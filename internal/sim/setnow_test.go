@@ -53,8 +53,8 @@ func TestSetNowRefusesPendingEvents(t *testing.T) {
 	env.SetNow(time.Unix(1, 0))
 }
 
-// SetNow must also work (and guard) under the sharded scheduler, where
-// pending events live in per-shard heaps.
+// SetNow must also work (and guard) on worker shards, where pending
+// events live in several per-shard heaps.
 func TestSetNowSharded(t *testing.T) {
 	env := NewEnv(Options{Seed: 1})
 	env.SetWorkers(4)

@@ -1,16 +1,14 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// This file implements the sharded Main Scheduler (opt-in via
-// Env.SetWorkers). The design is a conservative parallel discrete-event
-// simulation:
+// This file implements the Main Scheduler, a conservative parallel
+// discrete-event simulation:
 //
 //   - Virtual nodes are partitioned across K shards, each with its own
-//     event heap, executed by one worker goroutine per shard.
+//     event heap. With K == 1 (the default) the one shard dispatches
+//     inline on the calling goroutine; with K > 1 one worker goroutine
+//     per shard executes its windows.
 //   - Execution proceeds in time windows [T, T+L), where the lookahead L
 //     is the topology's minimum inter-node latency. Within a window every
 //     shard dispatches its own events independently: any event one node
@@ -43,8 +41,10 @@ type parEngine struct {
 
 // shard is one partition of the node population: an event heap owned by
 // a single worker goroutine, per-destination-shard outboxes for events
-// created during a window, and shard-local counters folded into Env
-// statistics on demand.
+// created during a window, and shard-local counters that Env.Stats sums.
+// Between windows, with every worker parked, the coordinator may touch
+// any shard: it pushes driver events into their target's heap, and
+// shard 0's pool and counters also serve environment-level events.
 type shard struct {
 	id   int
 	heap eventHeap
@@ -59,86 +59,59 @@ type shard struct {
 	// dispatches), so it is lock-free by ownership.
 	pool pool
 
+	// events, msgs and bytes count dispatches, sends and payload bytes
+	// by this shard's nodes; shard 0's also count environment-level
+	// dispatches and the totals of the engine a SetWorkers replaced.
 	events, msgs, bytes uint64
 	lastAt              int64 // virtual ns of the last dispatch
 }
 
-// SetWorkers selects the scheduler. k <= 0 restores the default
-// sequential Main Scheduler. k >= 1 enables the sharded scheduler with k
-// worker shards; k == 1 runs the same windowed algorithm inline, so a
-// single-worker run is bit-identical to any other worker count. Pending
-// events and nodes are migrated, so SetWorkers may be called before or
-// after Spawn, but not from inside a run.
-//
-// The sharded scheduler requires a topology whose MinLatency is
-// positive: the lookahead window would otherwise be empty and no
-// parallel progress possible.
-func (e *Env) SetWorkers(k int) {
-	if e.par != nil && e.par.inWindow {
-		panic("sim: SetWorkers called during a run")
-	}
-	// Collect every pending slot from the current structures.
-	var pending []slot
-	pending = append(pending, e.queue...)
-	e.queue = nil
-	if e.par != nil {
-		for _, sh := range e.par.shards {
-			pending = append(pending, sh.heap...)
-			e.events += sh.events
-			e.msgs += sh.msgs
-			e.bytes += sh.bytes
-		}
-		e.par = nil
-	}
-	if k <= 0 {
-		e.queue = pending
-		e.queue.reinit()
-		return
-	}
-	la := e.opts.Topology.MinLatency()
-	if la <= 0 {
-		panic(fmt.Sprintf("sim: SetWorkers(%d) needs a topology with positive MinLatency, got %v", k, la))
-	}
-	if e.opts.AckTimeout < la {
-		// Every cross-shard event must land >= one lookahead ahead of the
-		// window that creates it. Message arrivals satisfy this through
-		// the topology (latency >= MinLatency); failure nacks for
-		// in-flight deliveries (nackDroppedDeliver) land AckTimeout
-		// ahead, so an ack timeout below the minimum latency would let a
-		// nack land inside an already-dispatched window.
-		panic(fmt.Sprintf("sim: SetWorkers(%d) needs AckTimeout >= the topology's MinLatency lookahead (%v), got %v",
-			k, la, e.opts.AckTimeout))
-	}
-	p := &parEngine{k: k, lookahead: int64(la), shards: make([]*shard, k)}
+// newParEngine builds an engine of k empty shards.
+func newParEngine(k int, lookahead int64) *parEngine {
+	p := &parEngine{k: k, lookahead: lookahead, shards: make([]*shard, k)}
 	for i := range p.shards {
 		p.shards[i] = &shard{id: i, out: make([][]slot, k), lastAt: math.MinInt64}
 	}
-	for _, n := range e.nodes {
-		n.shard = int((n.id - 1) % uint64(k))
+	return p
+}
+
+// shardOf maps a node id to the shard that owns it.
+func (p *parEngine) shardOf(id uint64) int { return int((id - 1) % uint64(p.k)) }
+
+// SetWorkers sets how many worker shards run the Main Scheduler. k <= 1
+// selects the default single shard, dispatched inline on the calling
+// goroutine; k > 1 runs k shards on k worker goroutines. The dispatch
+// loop is the same at every k, so results are bit-identical for any
+// worker count. Pending events and nodes are migrated, so SetWorkers may
+// be called before or after Spawn, but not from inside a run.
+func (e *Env) SetWorkers(k int) {
+	if e.par.inWindow {
+		panic("sim: SetWorkers called during a run")
 	}
-	e.par = p
-	for _, s := range pending {
-		if n := s.ev.node; n != nil {
-			p.shards[n.shard].heap.push(s)
-		} else {
-			e.queue.push(s)
+	k = max(k, 1)
+	old := e.par
+	p := newParEngine(k, old.lookahead)
+	p.shards[0].events, p.shards[0].msgs, p.shards[0].bytes = e.Stats()
+	for _, sh := range old.shards {
+		for _, s := range sh.heap {
+			dst := p.shards[p.shardOf(s.ev.node.id)]
+			dst.heap = append(dst.heap, s)
 		}
 	}
-}
-
-// Workers reports the configured worker count (0 = sequential default).
-func (e *Env) Workers() int {
-	if e.par == nil {
-		return 0
+	for _, sh := range p.shards {
+		sh.heap.reinit()
 	}
-	return e.par.k
+	for _, n := range e.nodes {
+		n.shard = p.shardOf(n.id)
+	}
+	e.par = p
 }
 
-// Event routing in sharded mode lives in Env.newEvent/Env.enqueue
-// (env.go): during a window a worker stamps events from its own nodes
-// (clock base src.now, the shard's pool) and routes cross-shard targets
-// through outbox lanes; in coordinator context workers are parked and
-// every heap is safe to push directly.
+// Event routing lives in Env.newEvent/Env.enqueue (env.go): during a
+// window a worker stamps events from its own nodes (clock base src.now,
+// the shard's pool) and routes cross-shard targets through outbox lanes;
+// in coordinator context workers are parked and every heap is safe to
+// push directly.
 
 // dispatchWindow pops and runs this shard's events with at < end,
 // recycling each into the shard's pool after dispatch or discard.
@@ -154,7 +127,7 @@ func (sh *shard) dispatchWindow(e *Env, end int64) {
 		if !n.alive {
 			// Discarded in-flight deliveries still owe the sender a
 			// failure ack. The nack lands >= AckTimeout ahead, and
-			// SetWorkers requires AckTimeout >= the lookahead, so a
+			// NewEnv requires AckTimeout >= the lookahead, so a
 			// cross-shard nack never lands inside the current window.
 			e.nackDroppedDeliver(s)
 			sh.pool.putEvent(top)
@@ -201,10 +174,10 @@ func (p *parEngine) peekMin() (int64, bool) {
 // there: every window ends after the pending instant it starts from.
 const mergePhase = math.MinInt64
 
-// run is the sharded counterpart of RunUntil (drain == false) and Drain
-// (drain == true). The coordinator alternates between running due
-// environment-level events (alone, at barriers) and releasing the shard
-// workers for one conservative window.
+// run implements RunUntil (drain == false) and Drain (drain == true).
+// The coordinator alternates between running due environment-level
+// events (alone, at barriers) and releasing the shard workers for one
+// conservative window.
 func (p *parEngine) run(e *Env, deadline int64, drain bool) {
 	var starts []chan int64
 	var done chan struct{}
@@ -271,29 +244,21 @@ func (p *parEngine) run(e *Env, deadline int64, drain bool) {
 			e.pruneCongestion(min)
 		}
 		// Environment-level events run first on ties: their source id 0
-		// sorts below every node id, matching the sequential order.
+		// sorts below every node id, as in the (at, src, seq) order.
 		if okG && (!okN || nmin >= gmin) {
 			if !drain && gmin > deadline {
 				break
 			}
+			// Only environment-targeted events live in e.queue: enqueue
+			// routes every node target to its shard. They count and
+			// recycle in shard 0, whose worker is parked.
 			s := e.queue.pop()
-			ev := s.ev
-			if ev.cancelled {
-				e.pool.putEvent(ev)
-				continue
+			if !s.ev.cancelled {
+				e.now = max(e.now, s.at)
+				p.shards[0].events++
+				e.dispatch(s.ev)
 			}
-			e.now = max(e.now, s.at)
-			if ev.node != nil {
-				if !ev.node.alive {
-					e.nackDroppedDeliver(s)
-					e.pool.putEvent(ev)
-					continue
-				}
-				ev.node.now = s.at
-			}
-			e.events++
-			e.dispatch(ev)
-			e.pool.putEvent(ev)
+			p.shards[0].pool.putEvent(s.ev)
 			continue
 		}
 		if !drain && nmin > deadline {
@@ -323,11 +288,10 @@ func (p *parEngine) run(e *Env, deadline int64, drain bool) {
 	if !drain {
 		e.now = max(e.now, deadline)
 	}
-	// Exit sweep at e.now, exactly like the sequential scheduler: the
-	// minimum PENDING time is strictly later here (the loop exits when
-	// the next event is past the deadline), but between runs the driver
-	// can initiate sends whose Departure carries now = e.now — backlog
-	// with a busy horizon in (e.now, minPending] is still live, and
-	// pruning it would diverge from the sequential scheduler.
+	// Exit sweep at e.now, not at the minimum pending time: that is
+	// strictly later here (the loop exits when the next event is past the
+	// deadline), but between runs the driver can initiate sends whose
+	// Departure carries now = e.now — backlog with a busy horizon in
+	// (e.now, minPending] is still live and must survive the sweep.
 	e.pruneCongestion(e.now)
 }

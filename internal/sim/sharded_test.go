@@ -25,9 +25,7 @@ type shardedOutcome struct {
 // self-sends, node failure, and respawn, under the given worker count.
 func runStorm(workers, nodes int, seed int64) shardedOutcome {
 	env := NewEnv(Options{Seed: seed})
-	if workers > 0 {
-		env.SetWorkers(workers)
-	}
+	env.SetWorkers(workers)
 	ns := env.SpawnN("n", nodes)
 	logs := make([]string, nodes)
 	var acked, nacked int
@@ -77,8 +75,8 @@ func runStorm(workers, nodes int, seed int64) shardedOutcome {
 }
 
 // TestShardedDeterminismAcrossWorkerCounts is the core guarantee of the
-// sharded scheduler: the same seed produces bit-identical results no
-// matter how many workers execute the windows.
+// scheduler: the same seed produces bit-identical results no matter how
+// many workers execute the windows.
 func TestShardedDeterminismAcrossWorkerCounts(t *testing.T) {
 	base := runStorm(1, 24, 42)
 	for _, k := range []int{2, 3, 8} {
@@ -89,23 +87,21 @@ func TestShardedDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSequential checks the stronger property that for
-// message-passing workloads the windowed scheduler reproduces the
-// sequential scheduler's results exactly: cross-node interactions all
-// travel through latency >= the lookahead, so window-batched dispatch
-// observes the same per-node event sequences.
+// TestShardedMatchesSequential checks that the default (workers=0, one
+// inline shard) reproduces a four-worker run exactly: cross-node
+// interactions all travel through latency >= the lookahead, so
+// window-batched dispatch observes the same per-node event sequences.
 func TestShardedMatchesSequential(t *testing.T) {
-	seq := runStorm(0, 24, 42)
-	shard := runStorm(4, 24, 42)
-	if !reflect.DeepEqual(seq, shard) {
-		t.Fatalf("sharded run diverged from sequential:\nseq=%+v\nshard=%+v", seq, shard)
+	one := runStorm(0, 24, 42)
+	four := runStorm(4, 24, 42)
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("workers=4 diverged from workers=0:\nworkers=0: %+v\nworkers=4: %+v", one, four)
 	}
 }
 
-// TestShardedMatchesSequentialOnTies pins the tie-break unification:
-// same-instant events from different sources dispatch in the same order
-// under both schedulers (by source id, not by insertion order), even
-// when the insertion order is reversed.
+// TestShardedMatchesSequentialOnTies pins the tie-break: same-instant
+// events from different sources dispatch by source id, not by insertion
+// order, at any worker count, even when the insertion order is reversed.
 func TestShardedMatchesSequentialOnTies(t *testing.T) {
 	// A fixed-latency topology makes the two arrivals truly simultaneous;
 	// the higher-id sender schedules first, so insertion order and id
@@ -115,9 +111,7 @@ func TestShardedMatchesSequentialOnTies(t *testing.T) {
 			Seed:     11,
 			Topology: NewStar(StarConfig{MinAccess: 10 * time.Millisecond, MaxAccess: 10 * time.Millisecond}),
 		})
-		if workers > 0 {
-			env.SetWorkers(workers)
-		}
+		env.SetWorkers(workers)
 		ns := env.SpawnN("n", 3)
 		log := ""
 		_ = ns[0].Listen(vri.PortQuery, func(src vri.Addr, _ []byte) { log += string(src) + ";" })
@@ -126,12 +120,12 @@ func TestShardedMatchesSequentialOnTies(t *testing.T) {
 		env.Run(time.Second)
 		return log
 	}
-	seq, shard := mk(0), mk(4)
-	if seq != shard {
-		t.Fatalf("same-instant arrivals ordered differently: sequential %q, sharded %q", seq, shard)
+	one, four := mk(0), mk(4)
+	if one != four {
+		t.Fatalf("same-instant arrivals ordered differently: workers=0 %q, workers=4 %q", one, four)
 	}
-	if seq != "n-1;n-2;" {
-		t.Fatalf("tie order %q, want source-id order n-1;n-2;", seq)
+	if one != "n-1;n-2;" {
+		t.Fatalf("tie order %q, want source-id order n-1;n-2;", one)
 	}
 }
 
@@ -182,8 +176,8 @@ func TestShardedStreamsWork(t *testing.T) {
 	}
 }
 
-// TestShardedRunUntilClock checks RunUntil clock semantics match the
-// sequential scheduler: the clock lands exactly on the deadline.
+// TestShardedRunUntilClock checks RunUntil clock semantics on worker
+// shards: the clock lands exactly on the deadline.
 func TestShardedRunUntilClock(t *testing.T) {
 	env := NewEnv(Options{Seed: 1})
 	env.SetWorkers(2)
@@ -200,8 +194,8 @@ func TestShardedRunUntilClock(t *testing.T) {
 	}
 }
 
-// TestShardedEventAtDeadlineRuns mirrors the sequential rule that
-// RunUntil dispatches events scheduled exactly at the deadline.
+// TestShardedEventAtDeadlineRuns checks that RunUntil dispatches events
+// scheduled exactly at the deadline.
 func TestShardedEventAtDeadlineRuns(t *testing.T) {
 	env := NewEnv(Options{Seed: 1})
 	env.SetWorkers(2)
@@ -215,7 +209,7 @@ func TestShardedEventAtDeadlineRuns(t *testing.T) {
 }
 
 // TestShardedTimerCancel checks cancellation from node and driver
-// context under the sharded scheduler.
+// context on worker shards.
 func TestShardedTimerCancel(t *testing.T) {
 	env := NewEnv(Options{Seed: 1})
 	env.SetWorkers(2)
@@ -243,12 +237,12 @@ func TestShardedGuardsDriverOnlyCalls(t *testing.T) {
 	})
 	env.Run(time.Second)
 	if recovered == nil {
-		t.Fatal("Env.Schedule from a node event did not panic under the sharded scheduler")
+		t.Fatal("Env.Schedule from a node event did not panic")
 	}
 }
 
-// TestSetWorkersMigratesPendingEvents schedules before switching modes
-// in both directions and checks nothing is lost.
+// TestSetWorkersMigratesPendingEvents schedules before changing the
+// worker count up and back down and checks nothing is lost.
 func TestSetWorkersMigratesPendingEvents(t *testing.T) {
 	env := NewEnv(Options{Seed: 1})
 	n := env.Spawn("a")
@@ -262,20 +256,28 @@ func TestSetWorkersMigratesPendingEvents(t *testing.T) {
 	env.SetWorkers(0)
 	env.Drain()
 	if count != 6 {
-		t.Fatalf("dispatched %d events across mode switches, want 6", count)
+		t.Fatalf("dispatched %d events across worker-count changes, want 6", count)
 	}
 }
 
-// TestSetWorkersRequiresLookahead documents the safety requirement: a
-// topology without a positive minimum latency cannot be sharded.
+// TestSetWorkersRequiresLookahead documents the safety requirement: the
+// windowed scheduler needs a topology with a positive minimum latency
+// and an ack timeout no shorter than it, at any worker count, so NewEnv
+// refuses either before a worker count is chosen.
 func TestSetWorkersRequiresLookahead(t *testing.T) {
-	env := NewEnv(Options{Topology: zeroLatencyTopology{}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetWorkers accepted a zero-lookahead topology")
-		}
-	}()
-	env.SetWorkers(2)
+	for _, opts := range []Options{
+		{Topology: zeroLatencyTopology{}},
+		{AckTimeout: time.Millisecond}, // the default Star's MinLatency is 40ms
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewEnv accepted %+v", opts)
+				}
+			}()
+			NewEnv(opts)
+		}()
+	}
 }
 
 type zeroLatencyTopology struct{}
@@ -302,8 +304,8 @@ func TestShardedSelfSendWithinWindow(t *testing.T) {
 	}
 }
 
-// TestShardedTrafficAccounting checks per-node counters survive the
-// sharded path (single-writer fields, pre-created records).
+// TestShardedTrafficAccounting checks per-node counters on worker shards
+// (single-writer fields, pre-created records).
 func TestShardedTrafficAccounting(t *testing.T) {
 	env := NewEnv(Options{Seed: 1})
 	env.SetWorkers(3)

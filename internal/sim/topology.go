@@ -19,10 +19,10 @@ type Topology interface {
 	// Latency returns one-way propagation delay from a to b. Latency to
 	// self is zero. Implementations must be deterministic for a given
 	// seed and registration order, and safe for concurrent calls (the
-	// sharded scheduler queries latency from every worker).
+	// scheduler queries latency from every worker shard).
 	Latency(a, b vri.Addr) time.Duration
 	// MinLatency returns a positive lower bound on Latency(a, b) for
-	// any two distinct registered nodes. The sharded scheduler uses it
+	// any two distinct registered nodes. The scheduler uses it
 	// as the conservative lookahead: no node can affect another sooner
 	// than this bound, so events within one lookahead window are safe
 	// to dispatch in parallel.
