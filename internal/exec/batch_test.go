@@ -81,11 +81,14 @@ func toBatches(rng *rand.Rand, rows []*tuple.Tuple) []*tuple.Batch {
 	return out
 }
 
-// runBoth drives two freshly built copies of the same operator graph —
-// one a row at a time, one batched — over the same rows and returns both
-// output sequences. mk must return the graph's entry Op and a collector
-// wired as its parent.
-func runBoth(rng *rand.Rand, rows []*tuple.Tuple, mk func() (Op, *collect)) (rowOut, batchOut []string) {
+// runBoth drives three freshly built copies of the same operator graph —
+// one a row at a time, two batched — over the same rows and returns the
+// row output and both batched outputs. The batched copies take every
+// batch back to back, the way the table bus hands one batch to every
+// chain on a node, so the second copy finds the batch's group slots
+// already resolved in the pooled scratch. mk must return the graph's
+// entry Op and a collector wired as its parent.
+func runBoth(rng *rand.Rand, rows []*tuple.Tuple, mk func() (Op, *collect)) (rowOut, batchOut, sharedOut []string) {
 	rowOp, rowC := mk()
 	rowOp.Open(1)
 	for _, t := range rows {
@@ -94,12 +97,16 @@ func runBoth(rng *rand.Rand, rows []*tuple.Tuple, mk func() (Op, *collect)) (row
 	rowOp.Flush(1)
 
 	batchOp, batchC := mk()
+	sharedOp, sharedC := mk()
 	batchOp.Open(1)
+	sharedOp.Open(1)
 	for _, b := range toBatches(rng, rows) {
 		batchOp.PushBatch(1, b)
+		sharedOp.PushBatch(1, b)
 	}
 	batchOp.Flush(1)
-	return rowC.strings(), batchC.strings()
+	sharedOp.Flush(1)
+	return rowC.strings(), batchC.strings(), sharedC.strings()
 }
 
 func diffCheck(t *testing.T, name string, rowOut, batchOut []string) {
@@ -307,8 +314,9 @@ func TestBatchVsRowEquivalence(t *testing.T) {
 		for seed := int64(0); seed < 8; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			rows := genRows(rng, 1+rng.Intn(120))
-			rowOut, batchOut := runBoth(rng, rows, tc.mk)
+			rowOut, batchOut, sharedOut := runBoth(rng, rows, tc.mk)
 			diffCheck(t, fmt.Sprintf("%s/seed=%d", tc.name, seed), rowOut, batchOut)
+			diffCheck(t, fmt.Sprintf("%s/seed=%d/shared", tc.name, seed), rowOut, sharedOut)
 		}
 	}
 }
@@ -455,8 +463,9 @@ func TestQueueShrinksWhenMostlyDrained(t *testing.T) {
 }
 
 // FuzzBatchVsRowEquivalence fuzzes the full differential harness: any
-// seed and any partitioning must keep the reference branch and the batch
-// kernels bit-identical across every operator graph.
+// seed and any partitioning must keep the reference branch, the batch
+// kernels and a second graph fed the same batches bit-identical across
+// every operator graph.
 func FuzzBatchVsRowEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(1234), int64(5678))
@@ -466,8 +475,9 @@ func FuzzBatchVsRowEquivalence(f *testing.F) {
 		rows := genRows(dataRng, 1+dataRng.Intn(150))
 		for _, tc := range diffGraphs {
 			rng := rand.New(rand.NewSource(splitSeed))
-			rowOut, batchOut := runBoth(rng, rows, tc.mk)
+			rowOut, batchOut, sharedOut := runBoth(rng, rows, tc.mk)
 			diffCheck(t, tc.name, rowOut, batchOut)
+			diffCheck(t, tc.name+"/shared", rowOut, sharedOut)
 		}
 	})
 }

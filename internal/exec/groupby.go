@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pier/internal/tuple"
@@ -35,29 +36,19 @@ func (a AggSpec) OutName() string {
 // the query processor's hierarchical aggregation (§3.3.4) uses GroupSets
 // directly, shipping encoded partials up the aggregation tree and merging
 // them hop by hop.
+//
+// A GroupSet holds only its groups, their order and the epoch stamp.
+// Everything AddBatch works in — column indices, key buffers, slots,
+// accumulators — is per-call scratch from the package pool (see the
+// package doc), taken at the start of the call and returned before it
+// ends, never retained.
 type GroupSet struct {
 	Keys []string
 	Aggs []AggSpec
 
 	groups map[string]*groupEntry
 	order  []string // insertion order, for deterministic emission
-
-	// keyBuf is the reused scratch the batch path builds group keys into;
-	// the bytes must match KeyString exactly (partials merge across nodes
-	// keyed by these strings).
-	keyBuf []byte
-
-	// Columnar-batch scratch, reused across AddBatch calls: the key arena
-	// holds every row's group key back to back (keyOffs delimits them),
-	// slots maps each row to its dense index in touched (the groups this
-	// batch hits, first-touch order), and acc holds the typed accumulator
-	// arrays the fold kernels run over.
-	keyArena []byte
-	keyOffs  []int32
-	slots    []int32
-	touched  []*groupEntry
-	epoch    uint32
-	acc      aggScratch
+	epoch  uint32
 }
 
 type groupEntry struct {
@@ -67,46 +58,6 @@ type groupEntry struct {
 	// so slot resolution is one comparison per repeat row, no map probe.
 	epoch uint32
 	slot  int32
-}
-
-// aggScratch is the reusable dense accumulator storage behind the typed
-// fold kernels. Arrays are resized per batch to the touched-group count
-// and fully loaded from the per-group states before each kernel runs, so
-// stale contents never leak between batches or specs.
-type aggScratch struct {
-	i  []int64
-	f  []float64
-	s  []string
-	b1 []bool
-	b2 []bool
-}
-
-func growI64(buf []int64, n int) []int64 {
-	if cap(buf) < n {
-		return make([]int64, n)
-	}
-	return buf[:n]
-}
-
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growStr(buf []string, n int) []string {
-	if cap(buf) < n {
-		return make([]string, n)
-	}
-	return buf[:n]
-}
-
-func growBool(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	return buf[:n]
 }
 
 // NewGroupSet creates an empty aggregation table.
@@ -120,19 +71,21 @@ func (g *GroupSet) Len() int { return len(g.groups) }
 // AddBatch folds a whole batch into the table, returning how many rows
 // were discarded as malformed (missing key column); missing aggregate
 // inputs simply do not contribute to that aggregate. Keys are built into
-// a reused scratch buffer and the map is read without allocating; for
-// columnar batches every column reference is resolved once up front. The
-// row-backed branch is the semantics reference for the typed kernels.
+// scratch and the map is read without allocating; for columnar batches
+// every column reference is resolved once up front. The row-backed
+// branch is the semantics reference for the typed kernels.
 func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 	n := b.Len()
 	if n == 0 {
 		return 0
 	}
+	sc := getScratch()
+	defer sc.release()
 	if !b.Columnar() {
 		for i := 0; i < n; i++ {
 			t := b.Row(i)
-			kb, ok := t.AppendKey(g.keyBuf[:0], g.Keys)
-			g.keyBuf = kb[:0]
+			kb, ok := t.AppendKey(sc.keyBuf[:0], g.Keys)
+			sc.keyBuf = kb[:0]
 			if !ok {
 				malformed++
 				continue
@@ -157,42 +110,35 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 		}
 		return malformed
 	}
-	keyIdx := make([]int, len(g.Keys))
-	for i, kc := range g.Keys {
+	keyIdx := sc.keyIdx[:0]
+	for _, kc := range g.Keys {
 		ci, ok := b.ColIndex(kc)
 		if !ok {
 			// Key column absent from the uniform schema: every row is
 			// malformed.
 			return n
 		}
-		keyIdx[i] = ci
+		keyIdx = append(keyIdx, ci)
 	}
-	aggIdx := make([]int, len(g.Aggs))
-	for i, a := range g.Aggs {
-		aggIdx[i] = -1
-		if a.Col == "" {
-			continue
+	aggIdx := sc.aggIdx[:0]
+	for _, a := range g.Aggs {
+		ci, ok := b.ColIndex(a.Col)
+		if a.Col == "" || !ok {
+			ci = -1
 		}
-		if ci, ok := b.ColIndex(a.Col); ok {
-			aggIdx[i] = ci
-		}
+		aggIdx = append(aggIdx, ci)
 	}
+	sc.keyIdx, sc.aggIdx = keyIdx, aggIdx
 
-	// Phase 1 — resolve a group slot for every row. Keys for the whole
-	// batch are built into the reused arena first; a row whose key bytes
-	// equal the previous row's reuses its entry outright, so runs of
-	// equal keys cost one map probe. Key columns are resolved by index,
-	// so no columnar row can be malformed past the schema check above.
-	g.epoch++
-	arena := g.keyArena[:0]
-	offs := append(g.keyOffs[:0], 0)
-	for i := 0; i < n; i++ {
-		arena = b.AppendRowKey(arena, i, keyIdx)
-		offs = append(offs, int32(len(arena)))
-	}
-	g.keyArena, g.keyOffs = arena, offs
-	slots := g.slots[:0]
-	touched := g.touched[:0]
+	// Phase 1 — resolve a group slot for every row. Slots number groups
+	// in first-appearance order, so they depend only on the batch and the
+	// key columns: when the scratch already resolved this batch (the bus
+	// hands one batch to every chain on a node), only the distinct keys
+	// are probed. Otherwise keys for the whole batch are built into the
+	// arena; a row whose key bytes equal the previous row's reuses its
+	// entry outright, so runs of equal keys cost one map probe. Key
+	// columns are resolved by index, so no columnar row can be malformed
+	// past the schema check above.
 	row := 0
 	mkKey := func() *tuple.Tuple {
 		keyTuple := tuple.New(b.Table())
@@ -201,23 +147,43 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 		}
 		return keyTuple
 	}
-	var prev *groupEntry
-	for i := 0; i < n; i++ {
-		kb := arena[offs[i]:offs[i+1]]
-		e := prev
-		if i == 0 || !bytes.Equal(kb, arena[offs[i-1]:offs[i]]) {
-			row = i
-			e = g.lookupOrCreate(kb, mkKey)
+	touched := sc.touched[:0]
+	if sc.memo == b && sc.memoLen == n && slices.Equal(sc.memoIdx, keyIdx) {
+		for _, r := range sc.firsts {
+			row = int(r)
+			touched = append(touched, g.lookupOrCreate(sc.keyArena[sc.keyOffs[r]:sc.keyOffs[r+1]], mkKey))
 		}
-		prev = e
-		if e.epoch != g.epoch {
-			e.epoch = g.epoch
-			e.slot = int32(len(touched))
-			touched = append(touched, e)
+	} else {
+		g.epoch++
+		arena := sc.keyArena[:0]
+		offs := append(sc.keyOffs[:0], 0)
+		for i := 0; i < n; i++ {
+			arena = b.AppendRowKey(arena, i, keyIdx)
+			offs = append(offs, int32(len(arena)))
 		}
-		slots = append(slots, e.slot)
+		slots, firsts := sc.slots[:0], sc.firsts[:0]
+		var prev *groupEntry
+		for i := 0; i < n; i++ {
+			kb := arena[offs[i]:offs[i+1]]
+			e := prev
+			if i == 0 || !bytes.Equal(kb, arena[offs[i-1]:offs[i]]) {
+				row = i
+				e = g.lookupOrCreate(kb, mkKey)
+			}
+			prev = e
+			if e.epoch != g.epoch {
+				e.epoch = g.epoch
+				e.slot = int32(len(touched))
+				touched = append(touched, e)
+				firsts = append(firsts, int32(i))
+			}
+			slots = append(slots, e.slot)
+		}
+		sc.keyArena, sc.keyOffs, sc.slots, sc.firsts = arena, offs, slots, firsts
+		sc.memo, sc.memoLen, sc.memoIdx = b, n, append(sc.memoIdx[:0], keyIdx...)
 	}
-	g.slots, g.touched = slots, touched
+	sc.touched = touched
+	slots := sc.slots
 
 	// Phase 2 — fold each aggregate column with a typed kernel when its
 	// kind is uniform and every touched state is kernel-compatible;
@@ -229,7 +195,7 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 		if a.Col != "" && ci < 0 {
 			continue // missing aggregate input contributes nothing
 		}
-		if g.foldColumn(b, a, ai, ci, slots, touched) {
+		if foldColumn(&sc.acc, b, a, ai, ci, slots, touched) {
 			continue
 		}
 		for i := range slots {
@@ -251,14 +217,14 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 // from the touched states, folded in row order, and stored back, which
 // keeps results bit-identical to per-row AggState.Add — including
 // sumState's int/float promotion and Compare's NaN/mixed-kind ordering.
-func (g *GroupSet) foldColumn(b *tuple.Batch, a AggSpec, ai, ci int, slots []int32, touched []*groupEntry) bool {
+func foldColumn(buf *aggScratch, b *tuple.Batch, a AggSpec, ai, ci int, slots []int32, touched []*groupEntry) bool {
 	nt := len(touched)
 	switch a.Kind {
 	case AggCount:
 		// countState ignores its input, so count(*) and count(col) over a
 		// present column both reduce to one increment per row.
-		cnt := growI64(g.acc.i, nt)
-		g.acc.i = cnt
+		cnt := grow(buf.i, nt)
+		buf.i = cnt
 		for ti, e := range touched {
 			cnt[ti] = e.states[ai].(*countState).n
 		}
@@ -277,9 +243,9 @@ func (g *GroupSet) foldColumn(b *tuple.Batch, a AggSpec, ai, ci int, slots []int
 		}
 		switch k {
 		case tuple.KindInt:
-			acc := growI64(g.acc.i, nt)
-			any := growBool(g.acc.b1, nt)
-			g.acc.i, g.acc.b1 = acc, any
+			acc := grow(buf.i, nt)
+			any := grow(buf.b1, nt)
+			buf.i, buf.b1 = acc, any
 			for ti, e := range touched {
 				st := e.states[ai].(*sumState)
 				acc[ti], any[ti] = st.i, st.any
@@ -293,11 +259,11 @@ func (g *GroupSet) foldColumn(b *tuple.Batch, a AggSpec, ai, ci int, slots []int
 			}
 			return true
 		case tuple.KindFloat:
-			accI := growI64(g.acc.i, nt)
-			accF := growF64(g.acc.f, nt)
-			isF := growBool(g.acc.b1, nt)
-			any := growBool(g.acc.b2, nt)
-			g.acc.i, g.acc.f, g.acc.b1, g.acc.b2 = accI, accF, isF, any
+			accI := grow(buf.i, nt)
+			accF := grow(buf.f, nt)
+			isF := grow(buf.b1, nt)
+			any := grow(buf.b2, nt)
+			buf.i, buf.f, buf.b1, buf.b2 = accI, accF, isF, any
 			for ti, e := range touched {
 				st := e.states[ai].(*sumState)
 				accI[ti], accF[ti], isF[ti], any[ti] = st.i, st.f, st.isFloat, st.any
@@ -337,9 +303,9 @@ func (g *GroupSet) foldColumn(b *tuple.Batch, a AggSpec, ai, ci int, slots []int
 					return false
 				}
 			}
-			best := growI64(g.acc.i, nt)
-			any := growBool(g.acc.b1, nt)
-			g.acc.i, g.acc.b1 = best, any
+			best := grow(buf.i, nt)
+			any := grow(buf.b1, nt)
+			buf.i, buf.b1 = best, any
 			for ti, e := range touched {
 				st := e.states[ai].(*minMaxState)
 				any[ti] = st.any
@@ -364,9 +330,9 @@ func (g *GroupSet) foldColumn(b *tuple.Batch, a AggSpec, ai, ci int, slots []int
 					return false
 				}
 			}
-			best := growF64(g.acc.f, nt)
-			any := growBool(g.acc.b1, nt)
-			g.acc.f, g.acc.b1 = best, any
+			best := grow(buf.f, nt)
+			any := grow(buf.b1, nt)
+			buf.f, buf.b1 = best, any
 			for ti, e := range touched {
 				st := e.states[ai].(*minMaxState)
 				any[ti] = st.any
@@ -391,9 +357,9 @@ func (g *GroupSet) foldColumn(b *tuple.Batch, a AggSpec, ai, ci int, slots []int
 					return false
 				}
 			}
-			best := growStr(g.acc.s, nt)
-			any := growBool(g.acc.b1, nt)
-			g.acc.s, g.acc.b1 = best, any
+			best := grow(buf.s, nt)
+			any := grow(buf.b1, nt)
+			buf.s, buf.b1 = best, any
 			for ti, e := range touched {
 				st := e.states[ai].(*minMaxState)
 				any[ti] = st.any
@@ -425,9 +391,9 @@ func (g *GroupSet) foldColumn(b *tuple.Batch, a AggSpec, ai, ci int, slots []int
 		if k != tuple.KindInt && k != tuple.KindFloat {
 			return true // AsFloat fails on every row: no-op
 		}
-		sum := growF64(g.acc.f, nt)
-		cnt := growI64(g.acc.i, nt)
-		g.acc.f, g.acc.i = sum, cnt
+		sum := grow(buf.f, nt)
+		cnt := grow(buf.i, nt)
+		buf.f, buf.i = sum, cnt
 		for ti, e := range touched {
 			st := e.states[ai].(*avgState)
 			sum[ti], cnt[ti] = st.sum, st.n
@@ -583,12 +549,6 @@ func (g *GroupSet) EmitBatch(table string) *tuple.Batch {
 		out.AppendRow(row)
 	}
 	return out
-}
-
-// Reset clears all groups.
-func (g *GroupSet) Reset() {
-	g.groups = make(map[string]*groupEntry)
-	g.order = nil
 }
 
 // GroupBy is the aggregation operator: it absorbs input tuples into

@@ -31,9 +31,6 @@ type SymmetricHashJoin struct {
 
 	left, right   Op
 	leftT, rightT map[Tag]map[string]*joinBucket
-
-	keyBuf []byte
-	outs   []*tuple.Tuple
 }
 
 // joinBucket holds one key's resident tuples. The map stores pointers so
@@ -118,19 +115,22 @@ func (j *SymmetricHashJoin) pushBatch(tag Tag, b *tuple.Batch, right bool) {
 		return
 	}
 	keys, mineT, theirsT := j.sideTables(right)
+	sc := getScratch()
 	var colIdx []int
 	if b.Columnar() {
-		colIdx = make([]int, len(keys))
-		for i, c := range keys {
+		colIdx = sc.keyIdx[:0]
+		for _, c := range keys {
 			ci, ok := b.ColIndex(c)
 			if !ok {
 				// Key column absent from the uniform schema: every row
 				// malformed.
+				sc.release()
 				j.Dropped.Add(n)
 				return
 			}
-			colIdx[i] = ci
+			colIdx = append(colIdx, ci)
 		}
+		sc.keyIdx = colIdx
 	}
 	m := mineT[tag]
 	if m == nil {
@@ -138,21 +138,21 @@ func (j *SymmetricHashJoin) pushBatch(tag Tag, b *tuple.Batch, right bool) {
 		mineT[tag] = m
 	}
 	theirs := theirsT[tag]
-	j.outs = j.outs[:0]
+	outs := sc.outs[:0]
 	for i := 0; i < n; i++ {
 		var kb []byte
-		if colIdx != nil {
-			kb = b.AppendRowKey(j.keyBuf[:0], i, colIdx)
+		if b.Columnar() {
+			kb = b.AppendRowKey(sc.keyBuf[:0], i, colIdx)
 		} else {
 			var ok bool
-			kb, ok = b.Row(i).AppendKey(j.keyBuf[:0], keys)
+			kb, ok = b.Row(i).AppendKey(sc.keyBuf[:0], keys)
 			if !ok {
-				j.keyBuf = kb[:0]
+				sc.keyBuf = kb[:0]
 				j.Dropped.Inc()
 				continue
 			}
 		}
-		j.keyBuf = kb[:0]
+		sc.keyBuf = kb[:0]
 		t := b.Row(i)
 		bkt := m[string(kb)]
 		if bkt == nil {
@@ -162,12 +162,18 @@ func (j *SymmetricHashJoin) pushBatch(tag Tag, b *tuple.Batch, right bool) {
 		bkt.rows = append(bkt.rows, t)
 		if other := theirs[string(kb)]; other != nil {
 			for _, match := range other.rows {
-				j.outs = append(j.outs, j.joinRow(t, match, !right))
+				outs = append(outs, j.joinRow(t, match, !right))
 			}
 		}
 	}
-	if len(j.outs) > 0 {
-		j.Emit(tag, tuple.FromTuples(append([]*tuple.Tuple(nil), j.outs...)))
+	var out *tuple.Batch
+	if len(outs) > 0 {
+		out = tuple.FromTuples(append([]*tuple.Tuple(nil), outs...))
+	}
+	sc.outs = outs
+	sc.release()
+	if out != nil {
+		j.Emit(tag, out)
 	}
 }
 

@@ -64,6 +64,17 @@
 //     retransmissions. The emitting operator must therefore never
 //     reuse or mutate the batch after pushing it; emission scratch is
 //     limited to the value slice consumed by AppendRow.
+//
+// # Per-call scratch
+//
+// An operator instance keeps no scratch between calls. Column indices,
+// key buffers, group slots, accumulators, predicate verdicts and row views
+// live in one pooled scratch value (scratch.go): a call takes it from the
+// pool, and returns it before it emits or returns, and never retains it.
+// The scratch also remembers the last columnar batch it grouped; because
+// batches are read-only, the same batch pointer, length and key columns
+// mean the same group slots, so a batch fanned to many GroupBys is keyed
+// once.
 package exec
 
 import (

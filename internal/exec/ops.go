@@ -3,7 +3,6 @@ package exec
 import (
 	"pier/internal/expr"
 	"pier/internal/tuple"
-	"pier/internal/wire"
 )
 
 // Input is the generic access-method endpoint: external code (a DHT scan,
@@ -82,9 +81,6 @@ type Select struct {
 	// batch (Pred must not change after execution starts).
 	compiled     expr.BatchPred
 	compiledInit bool
-	res          []int8
-	keep         []int32
-	scratch      tuple.Tuple
 }
 
 // NewSelect creates a selection with the given predicate.
@@ -105,25 +101,24 @@ func (s *Select) PushBatch(tag Tag, b *tuple.Batch) {
 		s.compiledInit = true
 		s.compiled = expr.CompilePred(s.Pred)
 	}
-	s.keep = s.keep[:0]
+	sc := getScratch()
+	keep := sc.keep[:0]
 	if s.compiled != nil && b.Columnar() {
-		if cap(s.res) < n {
-			s.res = make([]int8, n)
-		}
-		res := s.res[:n]
+		res := grow(sc.res, n)
+		sc.res = res
 		s.compiled(b, res)
 		for i, r := range res {
 			switch r {
 			case expr.RowPass:
-				s.keep = append(s.keep, int32(i))
+				keep = append(keep, int32(i))
 			case expr.RowMalformed:
 				s.Dropped.Inc()
 			}
 		}
 	} else {
 		for i := 0; i < n; i++ {
-			b.RowInto(i, &s.scratch)
-			v, ok := s.Pred.Eval(&s.scratch)
+			b.RowInto(i, &sc.row)
+			v, ok := s.Pred.Eval(&sc.row)
 			if !ok {
 				s.Dropped.Inc()
 				continue
@@ -134,18 +129,15 @@ func (s *Select) PushBatch(tag Tag, b *tuple.Batch) {
 				continue
 			}
 			if bv {
-				s.keep = append(s.keep, int32(i))
+				keep = append(keep, int32(i))
 			}
 		}
 	}
-	switch len(s.keep) {
-	case 0:
-	case n:
-		s.Emit(tag, b)
-	default:
-		// The derived view retains its selection, so hand over a fresh
-		// slice rather than the reused scratch.
-		s.Emit(tag, b.SelectLogical(append([]int32(nil), s.keep...)))
+	sc.keep = keep
+	out := view(b, keep)
+	sc.release()
+	if out != nil {
+		s.Emit(tag, out)
 	}
 }
 
@@ -162,9 +154,7 @@ type Project struct {
 	Cols    []ProjectCol
 	Dropped Discarded
 
-	names   []string // output schema, built once
-	rowVals []tuple.Value
-	scratch tuple.Tuple
+	names []string // output schema, built once
 }
 
 // NewProject creates a projection.
@@ -214,16 +204,15 @@ func (p *Project) PushBatch(tag Tag, b *tuple.Batch) {
 		}
 	}
 	out := tuple.NewColumnarBatch(b.Table(), p.names, n)
-	if cap(p.rowVals) < len(p.Cols) {
-		p.rowVals = make([]tuple.Value, len(p.Cols))
-	}
-	row := p.rowVals[:len(p.Cols)]
+	sc := getScratch()
+	row := grow(sc.rowVals, len(p.Cols))
+	sc.rowVals = row
 	emitted := 0
 rows:
 	for i := 0; i < n; i++ {
-		b.RowInto(i, &p.scratch)
+		b.RowInto(i, &sc.row)
 		for c := range p.Cols {
-			v, ok := p.Cols[c].E.Eval(&p.scratch)
+			v, ok := p.Cols[c].E.Eval(&sc.row)
 			if !ok {
 				p.Dropped.Inc()
 				continue rows
@@ -233,6 +222,7 @@ rows:
 		out.AppendRow(row)
 		emitted++
 	}
+	sc.release()
 	if emitted > 0 {
 		p.Emit(tag, out)
 	}
@@ -312,10 +302,6 @@ type DupElim struct {
 	KeyCols []string
 	Dropped Discarded
 	seen    map[Tag]map[string]struct{}
-
-	keyBuf []byte
-	keep   []int32
-	enc    wire.Writer
 }
 
 // NewDupElim creates a duplicate-eliminator over whole tuples.
@@ -340,52 +326,54 @@ func (d *DupElim) PushBatch(tag Tag, b *tuple.Batch) {
 		set = make(map[string]struct{})
 		d.seen[tag] = set
 	}
+	sc := getScratch()
 	var colIdx []int
 	if len(d.KeyCols) > 0 && b.Columnar() {
-		colIdx = make([]int, len(d.KeyCols))
-		for i, c := range d.KeyCols {
+		colIdx = sc.keyIdx[:0]
+		for _, c := range d.KeyCols {
 			ci, ok := b.ColIndex(c)
 			if !ok {
 				// Column absent from the uniform schema: every row is
 				// malformed for this key.
+				sc.release()
 				d.Dropped.Add(n)
 				return
 			}
-			colIdx[i] = ci
+			colIdx = append(colIdx, ci)
 		}
+		sc.keyIdx = colIdx
 	}
-	d.keep = d.keep[:0]
+	keep := sc.keep[:0]
 	for i := 0; i < n; i++ {
 		var key []byte
 		switch {
 		case colIdx != nil:
-			d.keyBuf = b.AppendRowKey(d.keyBuf[:0], i, colIdx)
-			key = d.keyBuf
+			sc.keyBuf = b.AppendRowKey(sc.keyBuf[:0], i, colIdx)
+			key = sc.keyBuf
 		case len(d.KeyCols) > 0:
-			kb, ok := b.Row(i).AppendKey(d.keyBuf[:0], d.KeyCols)
+			kb, ok := b.Row(i).AppendKey(sc.keyBuf[:0], d.KeyCols)
 			if !ok {
 				d.Dropped.Inc()
 				continue
 			}
-			d.keyBuf = kb
-			key = d.keyBuf
+			sc.keyBuf = kb
+			key = sc.keyBuf
 		default:
-			d.enc.Reset()
-			b.EncodeRowTo(i, &d.enc)
-			key = d.enc.Bytes()
+			sc.enc.Reset()
+			b.EncodeRowTo(i, &sc.enc)
+			key = sc.enc.Bytes()
 		}
 		if _, dup := set[string(key)]; dup {
 			continue
 		}
 		set[string(key)] = struct{}{}
-		d.keep = append(d.keep, int32(i))
+		keep = append(keep, int32(i))
 	}
-	switch len(d.keep) {
-	case 0:
-	case n:
-		d.Emit(tag, b)
-	default:
-		d.Emit(tag, b.SelectLogical(append([]int32(nil), d.keep...)))
+	sc.keep = keep
+	out := view(b, keep)
+	sc.release()
+	if out != nil {
+		d.Emit(tag, out)
 	}
 }
 
