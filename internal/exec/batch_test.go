@@ -151,18 +151,6 @@ var diffGraphs = []struct {
 		p.SetParent(c)
 		return p, c
 	}},
-	{"dupelim-keyed", func() (Op, *collect) {
-		d := NewDupElim("src")
-		c := &collect{}
-		d.SetParent(c)
-		return d, c
-	}},
-	{"dupelim-whole", func() (Op, *collect) {
-		d := NewDupElim()
-		c := &collect{}
-		d.SetParent(c)
-		return d, c
-	}},
 	{"limit", func() (Op, *collect) {
 		l := NewLimit(7)
 		c := &collect{}
@@ -297,16 +285,6 @@ var diffGraphs = []struct {
 		tk.SetParent(c)
 		return tk, c
 	}},
-	{"eddy", func() (Op, *collect) {
-		// Same seed both sides: the lottery draws must come in row order
-		// however the rows were batched.
-		e := NewEddy(rand.New(rand.NewSource(5)))
-		e.AddModule("sev", expr.MustParse("severity > 0"))
-		e.AddModule("mixed", expr.MustParse("mixed >= 2"))
-		c := &collect{}
-		e.SetParent(c)
-		return e, c
-	}},
 }
 
 func TestBatchVsRowEquivalence(t *testing.T) {
@@ -357,108 +335,6 @@ func TestJoinBatchVsRowEquivalence(t *testing.T) {
 		if lr != lb || rr != rb {
 			t.Fatalf("seed %d: state size diverged: row (%d,%d) batch (%d,%d)", seed, lr, rr, lb, rb)
 		}
-	}
-}
-
-// The queue must preserve order and flush behavior when buffering whole
-// batches, draining through its deferred-event discipline.
-func TestQueueBatchVsRowEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		rows := genRows(rng, 1+rng.Intn(80))
-
-		run := func(batched bool) []string {
-			var deferred []func()
-			q := NewQueue(func(fn func()) { deferred = append(deferred, fn) })
-			q.Batch = 1 + rng.Intn(10)
-			c := &collect{}
-			q.SetParent(c)
-			if batched {
-				for _, b := range toBatches(rng, rows) {
-					q.PushBatch(1, b)
-				}
-			} else {
-				for _, t2 := range rows {
-					push(q, 1, t2)
-				}
-			}
-			for len(deferred) > 0 {
-				fn := deferred[0]
-				deferred = deferred[1:]
-				fn()
-			}
-			if q.Pending() != 0 {
-				t.Fatalf("seed %d: %d tuples still pending after full drain", seed, q.Pending())
-			}
-			return c.strings()
-		}
-
-		diffCheck(t, fmt.Sprintf("queue/seed=%d", seed), run(false), run(true))
-	}
-}
-
-// Satellite regression: after a burst drains, the queue's buffer must
-// return to baseline instead of pinning its high-water backing array
-// (the rateLimiter aged-entry fix, applied to the drain path).
-func TestQueueShrinksAfterBurst(t *testing.T) {
-	var deferred []func()
-	q := NewQueue(func(fn func()) { deferred = append(deferred, fn) })
-	sink := &collect{}
-	q.SetParent(sink)
-
-	for i := 0; i < 10000; i++ {
-		push(q, 1, row(int64(i)))
-	}
-	if q.Cap() < 10000 {
-		t.Fatalf("burst did not grow the buffer: cap=%d", q.Cap())
-	}
-	for len(deferred) > 0 {
-		fn := deferred[0]
-		deferred = deferred[1:]
-		fn()
-	}
-	if len(sink.tuples) != 10000 {
-		t.Fatalf("drained %d of 10000", len(sink.tuples))
-	}
-	if q.Cap() > queueShrinkCap {
-		t.Fatalf("buffer capacity %d did not return to baseline (<= %d) after burst", q.Cap(), queueShrinkCap)
-	}
-
-	// And the queue still works after shrinking.
-	push(q, 1, row(1))
-	for len(deferred) > 0 {
-		fn := deferred[0]
-		deferred = deferred[1:]
-		fn()
-	}
-	if len(sink.tuples) != 10001 {
-		t.Fatalf("post-shrink push lost: %d", len(sink.tuples))
-	}
-}
-
-// A partially drained oversized buffer (bounded Batch per drain) must
-// also shed capacity once mostly empty.
-func TestQueueShrinksWhenMostlyDrained(t *testing.T) {
-	var deferred []func()
-	q := NewQueue(func(fn func()) { deferred = append(deferred, fn) })
-	q.Batch = 512
-	sink := &collect{}
-	q.SetParent(sink)
-	for i := 0; i < 4096; i++ {
-		push(q, 1, row(int64(i)))
-	}
-	grown := q.Cap()
-	// Drain most of the way but stop before empty.
-	for len(deferred) > 0 && q.Pending() > 512 {
-		fn := deferred[0]
-		deferred = deferred[1:]
-		fn()
-	}
-	if q.Pending() == 0 {
-		t.Fatalf("test drained fully; want a partial state")
-	}
-	if q.Cap() >= grown {
-		t.Fatalf("mostly drained buffer kept cap %d (was %d)", q.Cap(), grown)
 	}
 }
 

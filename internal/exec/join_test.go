@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"pier/internal/expr"
 	"pier/internal/tuple"
 )
 
@@ -148,108 +147,5 @@ func TestSymmetricHashJoinEquivalentToNestedLoops(t *testing.T) {
 		if len(out.tuples) != want {
 			t.Fatalf("trial %d: emitted %d, nested-loops says %d", trial, len(out.tuples), want)
 		}
-	}
-}
-
-func TestQueueDefersDelivery(t *testing.T) {
-	var deferred []func()
-	q := NewQueue(func(fn func()) { deferred = append(deferred, fn) })
-	out := &collect{}
-	q.SetParent(out)
-	push(q, 1, rRow(1, "a"))
-	push(q, 1, rRow(2, "b"))
-	if len(out.tuples) != 0 {
-		t.Fatal("queue must not deliver synchronously")
-	}
-	if len(deferred) != 1 {
-		t.Fatalf("scheduled %d drain events, want 1 (coalesced)", len(deferred))
-	}
-	deferred[0]()
-	if len(out.tuples) != 2 {
-		t.Fatalf("after drain: %d, want 2", len(out.tuples))
-	}
-}
-
-func TestQueueBatchYieldsRepeatedly(t *testing.T) {
-	var deferred []func()
-	q := NewQueue(func(fn func()) { deferred = append(deferred, fn) })
-	q.Batch = 2
-	out := &collect{}
-	q.SetParent(out)
-	for i := 0; i < 5; i++ {
-		push(q, 1, rRow(int64(i), "x"))
-	}
-	for len(deferred) > 0 {
-		fn := deferred[0]
-		deferred = deferred[1:]
-		fn()
-	}
-	if len(out.tuples) != 5 {
-		t.Fatalf("drained %d, want 5", len(out.tuples))
-	}
-}
-
-func TestQueueCloseDiscards(t *testing.T) {
-	var deferred []func()
-	q := NewQueue(func(fn func()) { deferred = append(deferred, fn) })
-	out := &collect{}
-	q.SetParent(out)
-	push(q, 1, rRow(1, "a"))
-	q.Close()
-	for _, fn := range deferred {
-		fn()
-	}
-	if len(out.tuples) != 0 {
-		t.Fatal("closed queue delivered tuples")
-	}
-}
-
-func TestEddyAllModulesApplied(t *testing.T) {
-	e := NewEddy(rand.New(rand.NewSource(1)))
-	e.AddModule("m1", expr.MustParse("id > 0"))
-	e.AddModule("m2", expr.MustParse("id < 10"))
-	out := &collect{}
-	e.SetParent(out)
-	for i := int64(-5); i < 15; i++ {
-		push(e, 1, tuple.New("t").Set("id", tuple.Int(i)))
-	}
-	// Only ids 1..9 pass both predicates.
-	if len(out.tuples) != 9 {
-		t.Fatalf("emitted %d, want 9", len(out.tuples))
-	}
-}
-
-func TestEddyAdaptsTowardSelectiveModule(t *testing.T) {
-	// One module drops ~99% of tuples, the other none. After warm-up the
-	// lottery should route most tuples to the selective module first, so
-	// the permissive module sees far fewer than 2x the tuples.
-	e := NewEddy(rand.New(rand.NewSource(7)))
-	e.AddModule("selective", expr.MustParse("id = 12345"))
-	e.AddModule("permissive", expr.MustParse("id >= 0"))
-	e.SetParent(&collect{})
-	const n = 5000
-	for i := int64(0); i < n; i++ {
-		push(e, 1, tuple.New("t").Set("id", tuple.Int(i%1000)))
-	}
-	selSeen, _ := e.ModuleStats("selective")
-	permSeen, _ := e.ModuleStats("permissive")
-	if selSeen < n*9/10 {
-		t.Errorf("selective module saw %d of %d; should be visited for almost every tuple", selSeen, n)
-	}
-	// If routing never adapted, permissive would see ~n/2 + (tuples that
-	// passed selective) ≈ n/2. Adaptation pushes it well below n/2.
-	if permSeen > n/2 {
-		t.Errorf("permissive module saw %d tuples; lottery failed to favor the selective module (want < %d)", permSeen, n/2)
-	}
-}
-
-func TestEddyMalformedCountsAsDrop(t *testing.T) {
-	e := NewEddy(rand.New(rand.NewSource(1)))
-	e.AddModule("m", expr.MustParse("ghost = 1"))
-	out := &collect{}
-	e.SetParent(out)
-	push(e, 1, rRow(1, "a"))
-	if len(out.tuples) != 0 || e.Dropped.Count() != 1 {
-		t.Error("malformed tuple must be dropped and counted")
 	}
 }

@@ -7,11 +7,13 @@
 // operator tree as probe requests (like iterator open), and data flows UP
 // via push: each operator calls its parent with a batch of tuples as the
 // argument until a tuple is dropped (selection), absorbed into operator
-// state (join, group-by), or parked in an explicit Queue operator that
-// yields back to the scheduler. Every probe carries an arbitrary Tag so nested
-// probes can be arbitrarily reordered while operators still match data to
-// stored state — the non-blocking substitute for the iterator model's
-// single outstanding get-next (§3.3.5).
+// state (join, group-by), or handed out of the node (package qp). A push
+// runs to completion inside the event that delivered it; rows that must
+// wait are operator state, emitted by a later flush or timer. Every probe
+// carries an arbitrary Tag so nested probes can be arbitrarily reordered
+// while operators still match data to stored state — the non-blocking
+// substitute for the iterator model's single outstanding get-next
+// (§3.3.5).
 //
 // Flush travels the same way as a probe: an operator forwards it to its
 // child before it emits. An access method (Input) may therefore hold
@@ -47,8 +49,7 @@
 //     READ-ONLY. No operator may mutate its values, its selection, or a
 //     row view obtained from it.
 //   - RETAINING a batch or a Row(i) view past the call is allowed (both
-//     are immutable under the contract): Queue buffers batches, join
-//     state holds row views. Column slices never escape except through
+//     are immutable under the contract): join state holds row views. Column slices never escape except through
 //     row views, which cap their slices so an erroneous append cannot
 //     write into shared storage.
 //   - An operator that needs a VARIANT builds a new batch: filtering
@@ -90,7 +91,8 @@ type Tag uint64
 type Sink interface {
 	// PushBatch delivers one shared read-only batch produced under the
 	// given probe tag (see the ownership contract above). PushBatch must
-	// not block; long work must be broken up via a Queue operator.
+	// not block: it runs to completion inside the event that delivered
+	// the batch.
 	PushBatch(tag Tag, b *tuple.Batch)
 }
 

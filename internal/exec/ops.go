@@ -228,9 +228,8 @@ rows:
 	}
 }
 
-// Tee replicates its input to several parents (the inverse of Union). It
-// is how one dataflow feeds both, say, a local result handler and a
-// network put.
+// Tee replicates its input to several parents. It is how one dataflow
+// feeds both, say, a local result handler and a network put.
 type Tee struct {
 	In
 	parents []Sink
@@ -254,133 +253,6 @@ func (t *Tee) PushBatch(tag Tag, b *tuple.Batch) {
 	for _, p := range t.parents {
 		p.PushBatch(tag, b)
 	}
-}
-
-// Union merges several children into one output stream. No order
-// guarantees — PIER uses no distributed sort-based algorithms (§2.1.3).
-type Union struct {
-	Out
-	children []Op
-}
-
-// NewUnion creates an empty union; attach children with AddChild.
-func NewUnion() *Union { return &Union{} }
-
-// AddChild wires one more input.
-func (u *Union) AddChild(c Op) { u.children = append(u.children, c); c.SetParent(u) }
-
-// Open forwards the probe to every child.
-func (u *Union) Open(tag Tag) {
-	for _, c := range u.children {
-		c.Open(tag)
-	}
-}
-
-// PushBatch forwards any child's batch upstream.
-func (u *Union) PushBatch(tag Tag, b *tuple.Batch) { u.Emit(tag, b) }
-
-// Flush forwards to all children.
-func (u *Union) Flush(tag Tag) {
-	for _, c := range u.children {
-		c.Flush(tag)
-	}
-}
-
-// Close forwards to all children.
-func (u *Union) Close() {
-	for _, c := range u.children {
-		c.Close()
-	}
-}
-
-// DupElim suppresses duplicate tuples within a probe, keyed by the full
-// encoded tuple (or by a chosen column subset).
-type DupElim struct {
-	Base
-	// KeyCols, when non-empty, restricts the duplicate key to these
-	// columns; otherwise the whole tuple is the key.
-	KeyCols []string
-	Dropped Discarded
-	seen    map[Tag]map[string]struct{}
-}
-
-// NewDupElim creates a duplicate-eliminator over whole tuples.
-func NewDupElim(keyCols ...string) *DupElim {
-	return &DupElim{KeyCols: keyCols, seen: make(map[Tag]map[string]struct{})}
-}
-
-// SetChild wires the child for control propagation.
-func (d *DupElim) SetChild(c Op) { d.Adopt(d, c) }
-
-// PushBatch suppresses duplicates across a whole batch, emitting a
-// selection view of the first-seen rows. Keys are built into a reused
-// scratch buffer; the map lookup converts without allocating, and the
-// key string is only materialized when a new entry is inserted.
-func (d *DupElim) PushBatch(tag Tag, b *tuple.Batch) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	set := d.seen[tag]
-	if set == nil {
-		set = make(map[string]struct{})
-		d.seen[tag] = set
-	}
-	sc := getScratch()
-	var colIdx []int
-	if len(d.KeyCols) > 0 && b.Columnar() {
-		colIdx = sc.keyIdx[:0]
-		for _, c := range d.KeyCols {
-			ci, ok := b.ColIndex(c)
-			if !ok {
-				// Column absent from the uniform schema: every row is
-				// malformed for this key.
-				sc.release()
-				d.Dropped.Add(n)
-				return
-			}
-			colIdx = append(colIdx, ci)
-		}
-		sc.keyIdx = colIdx
-	}
-	keep := sc.keep[:0]
-	for i := 0; i < n; i++ {
-		var key []byte
-		switch {
-		case colIdx != nil:
-			sc.keyBuf = b.AppendRowKey(sc.keyBuf[:0], i, colIdx)
-			key = sc.keyBuf
-		case len(d.KeyCols) > 0:
-			kb, ok := b.Row(i).AppendKey(sc.keyBuf[:0], d.KeyCols)
-			if !ok {
-				d.Dropped.Inc()
-				continue
-			}
-			sc.keyBuf = kb
-			key = sc.keyBuf
-		default:
-			sc.enc.Reset()
-			b.EncodeRowTo(i, &sc.enc)
-			key = sc.enc.Bytes()
-		}
-		if _, dup := set[string(key)]; dup {
-			continue
-		}
-		set[string(key)] = struct{}{}
-		keep = append(keep, int32(i))
-	}
-	sc.keep = keep
-	out := view(b, keep)
-	sc.release()
-	if out != nil {
-		d.Emit(tag, out)
-	}
-}
-
-// Close drops all state.
-func (d *DupElim) Close() {
-	d.seen = make(map[Tag]map[string]struct{})
-	d.In.Close()
 }
 
 // Limit passes at most N tuples per probe.

@@ -124,64 +124,6 @@ func TestTeeReplicates(t *testing.T) {
 	}
 }
 
-func TestUnionMergesChildren(t *testing.T) {
-	u := NewUnion()
-	in1, in2 := NewInput(), NewInput()
-	u.AddChild(in1)
-	u.AddChild(in2)
-	out := &collect{}
-	u.SetParent(out)
-	u.Open(1)
-	push(in1, 0, row(1))
-	push(in2, 0, row(2))
-	push(in1, 0, row(3))
-	if len(out.tuples) != 3 {
-		t.Fatalf("union emitted %d, want 3", len(out.tuples))
-	}
-}
-
-func TestDupElimWholeTuple(t *testing.T) {
-	d := NewDupElim()
-	out := &collect{}
-	d.SetParent(out)
-	in := NewInput()
-	d.SetChild(in)
-	d.Open(1)
-	push(in, 0, row(1))
-	push(in, 0, row(1))
-	push(in, 0, row(2))
-	push(in, 0, row(1))
-	if len(out.tuples) != 2 {
-		t.Fatalf("emitted %d, want 2", len(out.tuples))
-	}
-}
-
-func TestDupElimByColumnSubset(t *testing.T) {
-	d := NewDupElim("c0")
-	out := &collect{}
-	d.SetParent(out)
-	in := NewInput()
-	d.SetChild(in)
-	d.Open(1)
-	push(in, 0, row(1, 10))
-	push(in, 0, row(1, 20)) // same c0, different c1: still a dup
-	push(in, 0, row(2, 10))
-	if len(out.tuples) != 2 {
-		t.Fatalf("emitted %d, want 2", len(out.tuples))
-	}
-}
-
-func TestDupElimPerProbeIsolation(t *testing.T) {
-	d := NewDupElim()
-	out := &collect{}
-	d.SetParent(out)
-	push(d, 1, row(5))
-	push(d, 2, row(5)) // different probe: not a duplicate
-	if len(out.tuples) != 2 {
-		t.Fatalf("emitted %d, want 2 (probes are independent)", len(out.tuples))
-	}
-}
-
 func TestLimitCapsPerProbe(t *testing.T) {
 	l := NewLimit(2)
 	out := &collect{}

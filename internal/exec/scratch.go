@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"pier/internal/tuple"
-	"pier/internal/wire"
 )
 
 // scratch is the working memory of one operator call. A call takes one
@@ -12,16 +11,14 @@ import (
 // takes its own), so no operator instance keeps scratch between calls and
 // a chain idle between windows pins none.
 type scratch struct {
-	// Filters (Select, DupElim): per-row verdicts, the surviving rows.
+	// Select: per-row verdicts, the surviving rows.
 	res  []int8
 	keep []int32
-	// Row-at-a-time evaluation: a row view, a projected value row, key
-	// and encoding buffers, and the join's output rows. Valid only inside
-	// the call.
+	// Row-at-a-time evaluation: a row view, a projected value row, a key
+	// buffer, and the join's output rows. Valid only inside the call.
 	row     tuple.Tuple
 	rowVals []tuple.Value
 	keyBuf  []byte
-	enc     wire.Writer
 	outs    []*tuple.Tuple
 	// GroupSet.AddBatch: resolved column indices, every row's key back to
 	// back in keyArena (keyOffs delimits them; the bytes match KeyString,

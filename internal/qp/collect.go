@@ -84,10 +84,11 @@ func (rs *ResultSet) Completeness() (float64, bool) {
 	return float64(rs.contributed) / float64(denom), true
 }
 
-// Rejects returns how many admission-control refusal acks the proxy
-// received for this query — one per refused opgraph delivery (a
-// redundant tree delivery to a saturated node can be refused more than
-// once; see qp.NodeStats.GraphsRejected). Driver context only.
+// Rejects returns how many refusal acks the proxy received for this
+// query — one per refused opgraph delivery, whether the executor was
+// saturated or could not build the graph (a redundant tree delivery can
+// be refused more than once; see qp.NodeStats.GraphsRejected). Driver
+// context only.
 func (rs *ResultSet) Rejects() int { return rs.rejects }
 
 // Rows returns the results collected so far, in arrival order. Driver

@@ -13,7 +13,7 @@ import (
 
 // emissionPlans are the plans whose operators hand their parent lone rows
 // — TopK's flush (through a shared chain's demux), FetchMatches' get
-// callback, the eddy, and a Bloom join (filter forward, rehash put, the
+// callback, and a Bloom join (filter forward, rehash put, the
 // join's single-output case). Each row is one batch of one on the edge, so
 // each is one result message or one put object; coarsening any of them
 // moves these counts.
@@ -47,17 +47,6 @@ opgraph g disseminate broadcast {
     out  = Result()
     fm <- scan
     out <- fm
-}`}},
-	{"eddy", "", []string{`
-query ed timeout 8s
-opgraph g disseminate broadcast {
-    scan = Scan(table='em.e')
-    ed   = Eddy(preds='a >= 10; b = 0')
-    sel  = Select(pred='a < 19')
-    out  = Result()
-    ed <- scan
-    sel <- ed
-    out <- sel
 }`}},
 	{"bloomjoin", "em.x", []string{`
 query bj timeout 25s
@@ -102,9 +91,6 @@ func runEmission(t *testing.T, workers int) map[string]emissionCounts {
 	env, nodes, taps := tapCluster(t, 53, 6, workers)
 	local := func(table string, i int64, tp *tuple.Tuple) {
 		nodes[int(i)%len(nodes)].PublishLocal(table, tp, time.Hour)
-	}
-	for i := int64(0); i < 20; i++ {
-		local("em.e", i, tuple.New("e").Set("a", tuple.Int(i)).Set("b", tuple.Int(i%5)))
 	}
 	for i := int64(0); i < 5; i++ {
 		local("em.s", i, tuple.New("s").Set("id", tuple.Int(i)).Set("sv", tuple.Int(1000+i)))
@@ -175,7 +161,6 @@ func runEmission(t *testing.T, workers int) map[string]emissionCounts {
 var emissionAtParent = map[string]emissionCounts{
 	"topk":         {Msgs: 10, Bytes: 530, Rows: 8571167773552642522},
 	"fetchmatches": {Msgs: 3, Bytes: 282, Rows: 5173770603659912482},
-	"eddy":         {Msgs: 2, Bytes: 104, Rows: 10509723658360682118},
 	"bloomjoin":    {Msgs: 8, Bytes: 744, Puts: 15, PutBytes: 555, Rows: 1828737987605290435},
 }
 

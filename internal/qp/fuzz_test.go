@@ -81,6 +81,15 @@ func handleMessageSeeds() [][]byte {
 	}
 }
 
+// disseminateWith is the dissemination frame of plan's private graph with
+// its op i replaced by one of kind with args.
+func disseminateWith(plan *ufl.Query, i int, kind string, args map[string]string) []byte {
+	g := plan.Graphs[1]
+	g.Ops = append([]ufl.OpSpec(nil), g.Ops...)
+	g.Ops[i] = ufl.OpSpec{ID: g.Ops[i].ID, Kind: kind, Args: args}
+	return encodeDisseminate("f", fuzzDeadline, "proxy", "c", g)
+}
+
 // fuzzNode starts a lone node proxying query f for result, admit and
 // reject frames to land on.
 func fuzzNode(t *testing.T) (*sim.Env, *Node) {
@@ -141,17 +150,20 @@ func FuzzHandleMessage(f *testing.F) {
 	f.Add(multi[:len(multi)-3])
 	// Counts and sizes that outrun the bytes carrying them.
 	f.Add(frame(qmDisseminateBatch, func(w *wire.Writer) { w.Bytes32([]byte{ufl.BatchCodecVersion, 0xff, 0xff}) }))
-	greedy := plan.Graphs[1]
-	greedy.Ops = append([]ufl.OpSpec(nil), greedy.Ops...)
-	greedy.Ops[3].Args = map[string]string{"ns": "f.bf", "key": "src", "expected": "2000000000"}
-	f.Add(encodeDisseminate("f", fuzzDeadline, "proxy", "c", greedy))
+	f.Add(disseminateWith(plan, 3, "BloomBuild", map[string]string{"ns": "f.bf", "key": "src", "expected": "2000000000"}))
+	// Graphs no node can build, refused through the reject path: kinds
+	// outside buildOp's menu, and a known kind with a bad argument.
+	for _, kind := range []string{"Eddy", "DupElim", "Union", "Queue"} {
+		f.Add(disseminateWith(plan, 2, kind, nil))
+	}
+	f.Add(disseminateWith(plan, 2, "TopK", map[string]string{"k": "0", "col": "src"}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, n := fuzzNode(t)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		n.handleMessage(vri.Addr("peer"), data)
-		env.Run(2 * time.Second) // timers the message armed: wheel ticks, partial shipping, queues
+		env.Run(2 * time.Second) // timers the message armed: wheel ticks, partial shipping
 		n.Stop()                 // flush and close whatever it instantiated
 		runtime.ReadMemStats(&after)
 		// The constant covers what a u16 count can reserve before the

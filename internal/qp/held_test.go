@@ -249,13 +249,13 @@ func TestWindowGatedRule(t *testing.T) {
     j.right <- r
     agg <- j
     out <- agg`, []bool{false, false}},
-		{"dupelim", `
+		{"limit", `
     src = Scan(table='%[1]s')
-    d = DupElim(cols='k')
+    lim = Limit(n=5)
     agg = GroupBy(keys='k', aggs='count(*) as cnt')
     out = Result()
-    d <- src
-    agg <- d
+    lim <- src
+    agg <- lim
     out <- agg`, []bool{false}},
 		{"tee", `
     src = Scan(table='%[1]s')
@@ -267,16 +267,6 @@ func TestWindowGatedRule(t *testing.T) {
     agg <- tee
     ra <- agg
     rb <- tee`, []bool{false}},
-		{"union", `
-    a = Scan(table='%[1]s')
-    b = Scan(table='%[1]s')
-    u = Union()
-    agg = GroupBy(keys='k', aggs='count(*) as cnt')
-    out = Result()
-    u <- a
-    u <- b
-    agg <- u
-    out <- agg`, []bool{false, false}},
 		{"hieragg", `
     src = Scan(table='%[1]s')
     agg = HierAgg(keys='k', aggs='count(*) as cnt')

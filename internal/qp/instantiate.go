@@ -199,9 +199,6 @@ func attachChild(parent exec.Op, slot int, child exec.Op) error {
 			return fmt.Errorf("join has slots 0 and 1, got %d", slot)
 		}
 		return nil
-	case *exec.Union:
-		p.AddChild(child)
-		return nil
 	case interface{ SetChild(exec.Op) }:
 		p.SetChild(child)
 		return nil
@@ -283,8 +280,10 @@ func (lg *liveGraph) close() {
 }
 
 // buildOp constructs one operator instance from its spec — the single
-// physical-operator menu. Kind names are case-insensitive. d is how the
-// spec's opgraph was disseminated.
+// physical-operator menu, which holds exactly the kinds some planner
+// emits. Kind names are case-insensitive. d is how the spec's opgraph was
+// disseminated. An unknown kind or a bad argument is an error, and the
+// node refuses the graph (acceptGraph).
 func (c *chain) buildOp(spec ufl.OpSpec, d ufl.Dissemination) (exec.Op, error) {
 	kind := strings.ToLower(spec.Kind)
 	if c.rq == nil && !shareableOpKinds[kind] {
@@ -362,9 +361,6 @@ func (c *chain) buildOp(spec ufl.OpSpec, d ufl.Dissemination) (exec.Op, error) {
 		tk.Ascending = spec.Arg("asc", "") == "true"
 		return tk, nil
 
-	case "dupelim":
-		return exec.NewDupElim(splitList(spec.Arg("cols", ""))...), nil
-
 	case "limit":
 		limN, err := strconv.Atoi(spec.Arg("n", ""))
 		if err != nil || limN < 0 {
@@ -372,23 +368,8 @@ func (c *chain) buildOp(spec ufl.OpSpec, d ufl.Dissemination) (exec.Op, error) {
 		}
 		return exec.NewLimit(limN), nil
 
-	case "union":
-		return exec.NewUnion(), nil
-
 	case "tee":
 		return exec.NewTee(), nil
-
-	case "queue":
-		rt := c.n.rt
-		q := exec.NewQueue(func(fn func()) { rt.Schedule(0, fn) })
-		if b := spec.Arg("batch", ""); b != "" {
-			qn, err := strconv.Atoi(b)
-			if err != nil {
-				return nil, fmt.Errorf("Queue batch=: %w", err)
-			}
-			q.Batch = qn
-		}
-		return q, nil
 
 	case "fetchmatches":
 		ns := spec.Arg("ns", spec.Arg("table", ""))
@@ -416,25 +397,6 @@ func (c *chain) buildOp(spec ufl.OpSpec, d ufl.Dissemination) (exec.Op, error) {
 
 	case "bloomfilter":
 		return c.newBloomFilter(spec)
-
-	case "eddy":
-		e := exec.NewEddy(c.n.rt.Rand())
-		preds := spec.Arg("preds", "")
-		if preds == "" {
-			return nil, fmt.Errorf("Eddy needs preds='p1; p2; ...'")
-		}
-		for i, src := range strings.Split(preds, ";") {
-			src = strings.TrimSpace(src)
-			if src == "" {
-				continue
-			}
-			p, err := expr.Parse(src)
-			if err != nil {
-				return nil, fmt.Errorf("Eddy module %d: %w", i, err)
-			}
-			e.AddModule(fmt.Sprintf("m%d", i), p)
-		}
-		return e, nil
 
 	case "put":
 		return c.buildPut(spec, false)

@@ -170,7 +170,7 @@ type Node struct {
 	// Stats.
 	graphsExecuted uint64
 	resultsSent    uint64
-	graphsRejected uint64 // executor side: opgraphs refused by the caps
+	graphsRejected uint64 // executor side: opgraphs refused (caps, unbuildable)
 	rejectAcks     uint64 // proxy side: reject acks received
 	batchFrames    uint64 // dissemination batch frames this proxy sent
 	batchedGraphs  uint64 // opgraphs carried inside those frames
@@ -211,7 +211,7 @@ type proxyState struct {
 	onDone   func()
 	timer    vri.Timer
 	results  uint64
-	// onReject, if set, runs once per admission-reject ack received for
+	// onReject, if set, runs once per reject ack received for
 	// this query, so callers can tell a partially-admitted query from a
 	// fully-running one.
 	onReject func()
@@ -341,13 +341,15 @@ type NodeStats struct {
 	// query-port datagram of any kind, unknown kinds included. Zero means
 	// no malformed data met this node.
 	MalformedDrops uint64
-	// GraphsRejected counts opgraph DELIVERIES this node refused under
-	// the MaxLiveGraphs admission cap (a redundantly delivered graph
-	// can be refused more than once; rejection keeps no per-graph
-	// memory by design — a shedding node must not grow state).
+	// GraphsRejected counts opgraph DELIVERIES this node refused: under
+	// the MaxLiveGraphs admission cap or the per-client quota, or because
+	// the graph could not be built (an unknown operator kind, a bad
+	// argument). A redundantly delivered graph can be refused more than
+	// once; rejection keeps no per-graph memory by design — a shedding
+	// node must not grow state.
 	GraphsRejected uint64
-	// RejectAcks counts admission-reject acks received while proxying
-	// (one per refused delivery, see GraphsRejected).
+	// RejectAcks counts reject acks received while proxying (one per
+	// refused delivery, see GraphsRejected).
 	RejectAcks uint64
 	// FlushTimerFires counts coalesced flush-wheel timer events;
 	// GraphFlushes counts the graph flushes they drove. Without the
@@ -649,7 +651,9 @@ func (n *Node) flushDissemBatch() {
 // cap refuses any graph past saturation, and the per-client
 // MaxGraphsPerClient quota refuses one client's flood while other
 // clients keep executing — both with an explicit reject ack to the
-// proxy, so degradation is bounded and visible instead of collapse.
+// proxy, so degradation is bounded and visible instead of collapse. A
+// graph that cannot be built (no catalog vets it before it arrives) is
+// refused the same way.
 func (n *Node) acceptGraph(queryID string, deadline time.Time, proxy vri.Addr, client string, g ufl.Opgraph) {
 	remaining := deadline.Sub(n.rt.Now())
 	if remaining <= 0 {
@@ -671,15 +675,19 @@ func (n *Node) acceptGraph(queryID string, deadline time.Time, proxy vri.Addr, c
 		n.rejectGraph(queryID, proxy)
 		return
 	}
-	if rq == nil {
+	fresh := rq == nil
+	if fresh {
 		rq = &runningQuery{id: queryID, proxy: proxy, timeout: remaining}
 		n.running[queryID] = rq
 		rq.timer = n.rt.Schedule(remaining, func() { n.finishQuery(rq) })
 	}
 	lg, err := n.instantiate(rq, g)
 	if err != nil {
-		// No catalog means errors surface only here; the graph is
-		// skipped on this node (best-effort).
+		if fresh { // like the caps above, a refusal leaves no state
+			rq.timer.Cancel()
+			delete(n.running, queryID)
+		}
+		n.rejectGraph(queryID, proxy)
 		return
 	}
 	lg.client = client
@@ -767,13 +775,14 @@ func (n *Node) deliverAdmit(queryID string) {
 	}
 }
 
-// rejectGraph refuses an opgraph delivery under admission control and
-// acks the refusal to the proxy explicitly, so overload is visible end
-// to end. Deliberately stateless: accepted graphs dedup redundant tree
-// deliveries via rq.graphs, but a node at its cap must not grow a
-// rejected-set either — so a redundant delivery of a refused graph is
-// refused (and acked) again. Counters therefore count refusals, not
-// distinct refusing nodes.
+// rejectGraph refuses an opgraph delivery — under admission control, or
+// because it cannot be built — and acks the refusal to the proxy
+// explicitly, so overload and bad plans are visible end to end.
+// Deliberately stateless: accepted graphs dedup redundant tree
+// deliveries via rq.graphs, but a refusing node must not grow a
+// rejected-set — so a redundant delivery of a refused graph is refused
+// (and acked) again. Counters therefore count refusals, not distinct
+// refusing nodes.
 func (n *Node) rejectGraph(queryID string, proxy vri.Addr) {
 	n.graphsRejected++
 	if proxy == n.rt.Addr() {
@@ -790,7 +799,7 @@ func (n *Node) rejectGraph(queryID string, proxy vri.Addr) {
 	n.rt.Send(proxy, vri.PortQuery, w.Bytes(), nil)
 }
 
-// deliverReject records an admission-reject ack at the proxy.
+// deliverReject records a reject ack at the proxy.
 func (n *Node) deliverReject(queryID string) {
 	n.rejectAcks++
 	if ps := n.proxied[queryID]; ps != nil && ps.onReject != nil {
@@ -958,7 +967,8 @@ const (
 	// qmDisseminateBatch carries a ufl batch frame: several opgraphs'
 	// dissemination records in one distribution-tree broadcast.
 	qmDisseminateBatch
-	// qmReject is the admission-control refusal ack, executor → proxy.
+	// qmReject is the refusal ack, executor → proxy: the graph hit an
+	// admission cap or could not be built.
 	qmReject
 	// qmAdmit is the admission ack, executor → proxy: a list of query
 	// ids this node admitted (one entry per query, however many

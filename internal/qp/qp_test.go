@@ -526,25 +526,71 @@ opgraph g disseminate broadcast {
 	}
 }
 
-func TestEddyInDistributedPlan(t *testing.T) {
-	env, nodes := cluster(t, 47, 4)
-	for i := int64(0); i < 20; i++ {
-		nodes[int(i)%len(nodes)].PublishLocal("e", tuple.New("e").
-			Set("a", tuple.Int(i)).Set("b", tuple.Int(i%5)), time.Hour)
+// TestUnbuildableGraphRefused: a graph naming an operator kind buildOp
+// does not know, or one with a bad argument, is refused by every executor
+// through the reject path — counted, acked to the proxy, and leaving no
+// query state behind — instead of being skipped unseen.
+func TestUnbuildableGraphRefused(t *testing.T) {
+	cases := []struct{ name, body string }{
+		{"eddy", `
+    op  = Eddy(preds='a >= 10; b = 0')
+    op <- scan`},
+		{"dupelim", `
+    op  = DupElim(cols='b')
+    op <- scan`},
+		{"union", `
+    two = Scan(table='e')
+    op  = Union()
+    op <- scan
+    op <- two`},
+		{"queue", `
+    op  = Queue(batch='4')
+    op <- scan`},
+		{"topk-k0", `
+    op  = TopK(k=0, col='a')
+    op <- scan`},
 	}
-	q := ufl.MustParse(`
-query eddy timeout 8s
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env, nodes := cluster(t, 47, 4)
+			for i := int64(0); i < 20; i++ {
+				nodes[int(i)%len(nodes)].PublishLocal("e", tuple.New("e").
+					Set("a", tuple.Int(i)).Set("b", tuple.Int(i%5)), time.Hour)
+			}
+			q := ufl.MustParse(fmt.Sprintf(`
+query bad timeout 8s
 opgraph g disseminate broadcast {
-    scan = Scan(table='e')
-    ed   = Eddy(preds='a >= 10; b = 0')
+    scan = Scan(table='e')%s
     out  = Result()
-    ed <- scan
-    out <- ed
+    out <- op
 }
-`)
-	results := runQuery(t, env, nodes, 0, q)
-	// a in 10..19 and a%5 == 0 → 10, 15.
-	if len(results) != 2 {
-		t.Fatalf("eddy plan returned %d rows, want 2", len(results))
+`, tc.body))
+			rs, err := nodes[0].SubmitCollect(q, "c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.Run(2 * time.Second)
+			for i, n := range nodes {
+				if len(n.running) != 0 {
+					t.Errorf("node %d holds %d running queries after refusing", i, len(n.running))
+				}
+			}
+			env.Run(q.Timeout + 10*time.Second)
+			if !rs.Done() {
+				t.Fatal("query did not complete")
+			}
+			var rejected, acks uint64
+			live := 0
+			for _, n := range nodes {
+				st := n.Stats()
+				rejected += st.GraphsRejected
+				acks += st.RejectAcks
+				live += st.LiveGraphs
+			}
+			if rs.Len() != 0 || rs.Rejects() != 4 || rejected != 4 || acks != 4 || live != 0 {
+				t.Errorf("rows=%d rejects=%d GraphsRejected=%d RejectAcks=%d live=%d, want 0 4 4 4 0",
+					rs.Len(), rs.Rejects(), rejected, acks, live)
+			}
+		})
 	}
 }

@@ -42,20 +42,20 @@ import (
 // no history is replayed, but in-window accumulation is shared), and any
 // attached query's flush (wheel tick or its own timeout) emits the
 // window to ALL attached tails. Graphs whose semantics cannot share a
-// window — catch-up Scans, per-query rendezvous (HierAgg, FetchMatches;
-// Put destinations are fine: they're tails), randomized routing (Eddy) —
-// are excluded by sharePlan.
+// window — catch-up Scans and per-query rendezvous (HierAgg, FetchMatches;
+// Put destinations are fine: they're tails) — are excluded by sharePlan.
 
 // shareableOpKinds are the operator kinds that may live inside a
 // signature-cached chain: deterministic, node-local (or bus-fed), and
-// keyed purely by their spec. Excluded on purpose: scan (catch-up replays history, which
-// a late attacher must not receive), eddy (randomized routing order),
-// hieragg (per-query rendezvous namespace and timers), fetchmatches and
-// the bloom operators (per-probe DHT state), and the tails themselves.
+// keyed purely by their spec. Excluded on purpose: scan (catch-up replays
+// history, which a late attacher must not receive), hieragg (per-query
+// rendezvous namespace and timers), fetchmatches and the bloom operators
+// (per-probe DHT state), and the tails themselves. A kind buildOp does not
+// know is not shareable either, so its graph takes the private path and
+// fails to build there.
 var shareableOpKinds = map[string]bool{
 	"newdata": true, "select": true, "project": true, "join": true,
-	"groupby": true, "dupelim": true, "limit": true, "topk": true,
-	"union": true, "tee": true, "queue": true,
+	"groupby": true, "limit": true, "topk": true, "tee": true,
 }
 
 // sharePlan decides share-eligibility for an opgraph: exactly one tail

@@ -37,8 +37,7 @@
 //     matches co-located partitions with a symmetric hash join.
 //
 // There is no cost model, no join reordering, no adaptive anything —
-// that is §4.2's open research, prototyped separately by the Eddy
-// operator.
+// that is §4.2's open research, and this tree does not attempt it.
 package sqlfront
 
 import (

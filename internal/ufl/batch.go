@@ -214,8 +214,8 @@ func (g *Opgraph) Signature(queryID string) uint64 {
 // Normalization rules match Signature exactly — token-anchored query-id
 // replacement, lowercased kinds, sorted args — so a signature is stable
 // across op renames and query-id-embedding argument values. Input edges
-// fold in declaration order with their slots, so slot wiring and (for
-// order-sensitive ops like Union) child order are part of the identity.
+// fold in declaration order with their slots, so slot wiring and child
+// order are part of the identity.
 // Cycles (which Validate does not forbid) fold a fixed marker instead of
 // recursing forever.
 func (g *Opgraph) SubtreeSignatures(queryID string) map[string]uint64 {

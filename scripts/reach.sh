@@ -4,20 +4,23 @@
 #
 # Builds cmd/experiments, examples/quickstart and the reference benchmark
 # with statement coverage over every pier package, then runs into one
-# GOCOVERDIR: the checked-in scenarios at -workers 0 and 4, the
-# quickstart, and one second of each benchmark workload. It prints the
-# functions left at 0.0%, grouped by package. It is a report, not a gate:
-# it exits 0 whatever it finds, and non-zero only when a build fails.
+# GOCOVERDIR: the checked-in scenarios at -workers 0 and 4, every
+# ablation, Figures 1 and 2 (the latter at 60 nodes, once saving a ring
+# checkpoint and once loading it), the churnagg ablation at 2000 nodes,
+# the quickstart, and one second of each benchmark workload. So a
+# function the report lists at 0.0% is one nothing the tree ships
+# executes. It is a report, not a gate: it exits 0 whatever it finds, and
+# non-zero only when a build fails.
 #
 #   scripts/reach.sh [OUTDIR [EXTRA...]]
 #
 # OUTDIR (default .reach) receives the binaries, the raw coverage data
-# (cov/), func.txt (every function's statement coverage, from
+# (cov/), the ring checkpoint (ring.ckpt), func.txt (every function's statement coverage, from
 # `go tool covdata func`) and unreached.txt (the printed report). Each
 # EXTRA is one more argument list for cmd/experiments, run under the same
-# coverage, so a harness can be compared against the scenarios:
+# coverage:
 #
-#   scripts/reach.sh .reach '-ablation churnagg -nodes 2000'
+#   scripts/reach.sh .reach '-ablation churnagg -nodes 10000 -workers 2'
 #
 # The benchmark is run as a program with its result files written under
 # OUTDIR; nothing under benchmark/ is touched.
@@ -40,15 +43,21 @@ run() {
 	echo "reach: $*" >&2
 	"$@" > /dev/null 2>&1 || echo "reach: exit $? from: $*" >&2
 }
+exp="$out/bin/experiments"
 for s in scenarios/*.yaml; do
 	for w in 0 4; do
-		run "$out/bin/experiments" -scenario "$s" -workers "$w"
+		run "$exp" -scenario "$s" -workers "$w"
 	done
 done
+run "$exp" -ablation all
+run "$exp" -fig 1
+run "$exp" -fig 2 -nodes 60 -checkpoint-save "$out/ring.ckpt"
+run "$exp" -fig 2 -nodes 60 -checkpoint-load "$out/ring.ckpt"
+run "$exp" -ablation churnagg -nodes 2000
 for extra in "$@"; do
 	# Word splitting is the point: EXTRA is one argument list.
 	# shellcheck disable=SC2086
-	run "$out/bin/experiments" $extra
+	run "$exp" $extra
 done
 run "$out/bin/quickstart"
 for wl in netmon_shared netmon_mixed filesearch phys_loopback; do
