@@ -18,7 +18,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,42 +105,6 @@ func BenchmarkFigure2Sharded(b *testing.B) {
 	}
 }
 
-// BenchmarkCongestionDepartureParallel drives the queuing congestion
-// models from concurrent goroutines with distinct sources — the access
-// pattern of the sharded scheduler, where each worker calls Departure
-// for the sources it owns. The per-source state is striped, so
-// throughput should scale with -cpu instead of serializing on a global
-// mutex (compare -cpu 1 vs -cpu 8).
-func BenchmarkCongestionDepartureParallel(b *testing.B) {
-	models := map[string]func() sim.CongestionModel{
-		"fifo": func() sim.CongestionModel { return &sim.FIFOQueue{} },
-		"fair": func() sim.CongestionModel { return &sim.FairQueue{} },
-	}
-	for name, mk := range models {
-		name, mk := name, mk
-		b.Run(name, func(b *testing.B) {
-			m := mk()
-			var gid int32
-			start := time.Unix(0, 0).UTC()
-			b.RunParallel(func(pb *testing.PB) {
-				// One simulated source per goroutine: matches the sharded
-				// scheduler's source-affinity (a source's sends always come
-				// from the worker that owns it).
-				id := atomic.AddInt32(&gid, 1)
-				src := vri.Addr(fmt.Sprintf("src-%d", id))
-				dsts := [4]vri.Addr{"d0", "d1", "d2", "d3"}
-				now := start
-				i := 0
-				for pb.Next() {
-					m.Departure(now, src, dsts[i%len(dsts)], 1200)
-					i++
-					now = now.Add(time.Millisecond)
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkAblationJoinStrategies compares symmetric-hash rehash, Fetch
 // Matches, and Bloom-filtered rehash on one workload (§3.3.4, [32]).
 func BenchmarkAblationJoinStrategies(b *testing.B) {
@@ -220,45 +183,6 @@ func BenchmarkAblationQueryDissemination(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.BroadcastMsgs), "broadcast-msgs")
 		b.ReportMetric(float64(res.EqualityMsgs), "equality-msgs")
-	}
-}
-
-// BenchmarkAblationCongestionModels exercises the simulator's three
-// congestion models (§3.1.4) on a contended access link and reports how
-// long a 100-message burst takes to drain under each.
-func BenchmarkAblationCongestionModels(b *testing.B) {
-	models := map[string]func() sim.CongestionModel{
-		"none": func() sim.CongestionModel { return sim.NoCongestion{} },
-		"fifo": func() sim.CongestionModel { return &sim.FIFOQueue{BytesPerSecond: 125_000} },
-		"fair": func() sim.CongestionModel { return &sim.FairQueue{BytesPerSecond: 125_000} },
-	}
-	for name, mk := range models {
-		name, mk := name, mk
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				env := sim.NewEnv(sim.Options{Seed: int64(i), Congestion: mk()})
-				a := env.Spawn("a")
-				dsts := env.SpawnN("d", 4)
-				received := 0
-				start := env.Now()
-				last := start
-				for _, d := range dsts {
-					_ = d.Listen(vri.PortQuery, func(vri.Addr, []byte) {
-						received++
-						last = env.Now()
-					})
-				}
-				payload := make([]byte, 1200)
-				for m := 0; m < 100; m++ {
-					a.Send(dsts[m%len(dsts)].Addr(), vri.PortQuery, payload, nil)
-				}
-				env.Run(time.Minute)
-				if received != 100 {
-					b.Fatalf("delivered %d/100", received)
-				}
-				b.ReportMetric(last.Sub(start).Seconds(), "burst-drain-s")
-			}
-		})
 	}
 }
 

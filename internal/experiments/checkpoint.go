@@ -24,9 +24,9 @@ import (
 // otherwise). It captures per-node warm state only — ring pointers,
 // soft-state objects with expiries rebased to remaining durations,
 // distribution-tree children — plus the roster (spawn order) and the
-// virtual clock. In-flight messages, pending overlay requests, node
-// random-stream positions, and congestion backlog are NOT captured;
-// like a simultaneous whole-ring partition, soft state re-issues them.
+// virtual clock. In-flight messages, pending overlay requests, and node
+// random-stream positions are NOT captured; like a simultaneous
+// whole-ring partition, soft state re-issues them.
 // Restore therefore is not a bitwise continuation of the saved run, but
 // it IS deterministic: restoring the same file into environments with
 // the same seed yields bit-identical simulations at any worker count.

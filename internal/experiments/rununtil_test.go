@@ -10,8 +10,8 @@ import (
 // TestRunUntilRespectsNonMultipleDeadline is the regression test for the
 // harness-level deadline overshoot: runUntil advanced in fixed 500 ms
 // steps, so a max that was not a multiple overran by up to one step —
-// the same boundary bug as the scheduler-level RunUntil overrun fixed in
-// the congestion PR, one layer up.
+// the same boundary bug as a scheduler-level RunUntil overrun, one layer
+// up.
 func TestRunUntilRespectsNonMultipleDeadline(t *testing.T) {
 	env := sim.NewEnv(sim.Options{Seed: 1})
 	start := env.Now()

@@ -353,22 +353,7 @@ assert:
 // bit-identical between schedulers and must show the nack-repair
 // counters firing.
 func TestTreeRepairScenarioShardedMatchesSequential(t *testing.T) {
-	src, err := os.ReadFile("../../scenarios/tree-repair.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := ParseScenario(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := RunScenario(spec, 0)
-	par := RunScenario(spec, 8)
-	if seq.Report != par.Report {
-		t.Fatalf("tree-repair report diverged:\nseq:\n%s\npar:\n%s", seq.Report, par.Report)
-	}
-	if !seq.Passed {
-		t.Fatalf("tree-repair scenario failed:\n%s", seq.Report)
-	}
+	seq := runCheckedInScenario(t, "tree-repair")
 	if strings.Contains(seq.Report, "tree-repairs=0 ") {
 		t.Fatalf("kill did not drive nack repair:\n%s", seq.Report)
 	}
@@ -383,22 +368,7 @@ func TestTreeRepairScenarioShardedMatchesSequential(t *testing.T) {
 // them at each flush, with a mid-run kill and respawn — and diffs the
 // report between schedulers.
 func TestQStormMixedScenarioShardedMatchesSequential(t *testing.T) {
-	src, err := os.ReadFile("../../scenarios/qstorm-mixed.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := ParseScenario(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := RunScenario(spec, 0)
-	par := RunScenario(spec, 8)
-	if seq.Report != par.Report {
-		t.Fatalf("qstorm-mixed report diverged:\nseq:\n%s\npar:\n%s", seq.Report, par.Report)
-	}
-	if !seq.Passed {
-		t.Fatalf("qstorm-mixed scenario failed:\n%s", seq.Report)
-	}
+	runCheckedInScenario(t, "qstorm-mixed")
 }
 
 // TestQStormAggScenarioShardedMatchesSequential runs the checked-in
@@ -409,7 +379,34 @@ func TestQStormMixedScenarioShardedMatchesSequential(t *testing.T) {
 // batched result frames must not introduce worker-count-dependent
 // ordering: the report is bit-identical between schedulers.
 func TestQStormAggScenarioShardedMatchesSequential(t *testing.T) {
-	src, err := os.ReadFile("../../scenarios/qstorm-agg.yaml")
+	seq := runCheckedInScenario(t, "qstorm-agg")
+	if !strings.Contains(seq.Report, "assert recovered-rows >= 50: PASS") {
+		t.Fatalf("post-respawn recovery assertion missing or failing:\n%s", seq.Report)
+	}
+	if !strings.Contains(seq.Report, "assert no-leaks: PASS") {
+		t.Fatalf("leak assertion missing or failing:\n%s", seq.Report)
+	}
+}
+
+// TestTransitStubScenarioShardedMatchesSequential runs the checked-in
+// transit-stub scenario — the transit-stub topology under 2% message
+// loss, with an aggregation, lookups and a Gnutella flood side by side —
+// and diffs the report between schedulers. Loss draws come from each
+// sender's own stream, so the lossy transit-stub run must not depend on
+// the worker count either.
+func TestTransitStubScenarioShardedMatchesSequential(t *testing.T) {
+	seq := runCheckedInScenario(t, "transit-stub")
+	if !strings.Contains(seq.Report, "topology=transit-stub") {
+		t.Fatalf("scenario did not run on the transit-stub topology:\n%s", seq.Report)
+	}
+}
+
+// runCheckedInScenario runs scenarios/<name>.yaml at workers 0 and 8,
+// fails the test unless the two reports are identical and the scenario
+// passed, and returns the workers-0 outcome.
+func runCheckedInScenario(t *testing.T, name string) ScenarioOutcome {
+	t.Helper()
+	src, err := os.ReadFile("../../scenarios/" + name + ".yaml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,15 +417,10 @@ func TestQStormAggScenarioShardedMatchesSequential(t *testing.T) {
 	seq := RunScenario(spec, 0)
 	par := RunScenario(spec, 8)
 	if seq.Report != par.Report {
-		t.Fatalf("qstorm-agg report diverged:\nseq:\n%s\npar:\n%s", seq.Report, par.Report)
+		t.Fatalf("%s report diverged:\nseq:\n%s\npar:\n%s", name, seq.Report, par.Report)
 	}
 	if !seq.Passed {
-		t.Fatalf("qstorm-agg scenario failed:\n%s", seq.Report)
+		t.Fatalf("%s scenario failed:\n%s", name, seq.Report)
 	}
-	if !strings.Contains(seq.Report, "assert recovered-rows >= 50: PASS") {
-		t.Fatalf("post-respawn recovery assertion missing or failing:\n%s", seq.Report)
-	}
-	if !strings.Contains(seq.Report, "assert no-leaks: PASS") {
-		t.Fatalf("leak assertion missing or failing:\n%s", seq.Report)
-	}
+	return seq
 }

@@ -114,16 +114,19 @@ func TestReplicatedContentFoundFaster(t *testing.T) {
 	}
 	peers[33].Share("rare.mp3", []string{"rareword"})
 
-	start := env.Now()
+	// Hits arrive in peers[0]'s handlers, so they read its clock: the
+	// environment clock only advances at window barriers.
+	originRT := peers[0].rt
+	start := originRT.Now()
 	var popLatency, rareLatency time.Duration
 	peers[0].Search([]string{"popular"}, func(Hit) {
 		if popLatency == 0 {
-			popLatency = env.Now().Sub(start)
+			popLatency = originRT.Now().Sub(start)
 		}
 	})
 	peers[0].Search([]string{"rareword"}, func(Hit) {
 		if rareLatency == 0 {
-			rareLatency = env.Now().Sub(start)
+			rareLatency = originRT.Now().Sub(start)
 		}
 	})
 	env.Run(30 * time.Second)
@@ -143,8 +146,9 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		env, peers := buildNetwork(t, 7, 12, 3)
 		peers[9].Share("x.mp3", []string{"x"})
 		var log string
+		originRT := peers[0].rt
 		peers[0].Search([]string{"x"}, func(h Hit) {
-			log += fmt.Sprintf("%s@%d;", h.File, env.Now().UnixNano())
+			log += fmt.Sprintf("%s@%d;", h.File, originRT.Now().UnixNano())
 		})
 		env.Run(10 * time.Second)
 		return log

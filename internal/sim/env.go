@@ -14,13 +14,14 @@
 // seed and identical for any worker count.
 //
 // The network is simulated at message-level granularity (one simulated
-// packet per application message), with pluggable topology and
-// congestion models. Matching the paper, the simulator does not drop
-// messages by default (loss can be enabled) but does simulate complete
-// node failures. Virtual time starts at the Unix epoch. Inside the
-// package it is int64 nanoseconds from that epoch; a time.Time is built
-// only where time leaves the package: Env.Now, Node.Now, SetNow's
-// argument, and the congestion model's Departure and Prune calls.
+// packet per application message). A message arrives after the
+// topology's pairwise latency plus any driver-installed link override;
+// the Topology is the one network extension point. Matching the paper,
+// the simulator does not drop messages by default (loss can be enabled)
+// but does simulate complete node failures. Virtual time starts at the
+// Unix epoch. Inside the package it is int64 nanoseconds from that
+// epoch; a time.Time is built only where time crosses the package edge:
+// Env.Now, Node.Now, and the arguments of SetNow and RunUntil.
 package sim
 
 import (
@@ -84,8 +85,8 @@ type event struct {
 	ack     vri.AckFunc
 }
 
-// Options configure an Env; the zero value of each field selects its
-// default.
+// Options configure an Env: the seed, the topology, uniform loss and the
+// ack timeout. The zero value of each field selects its default.
 type Options struct {
 	// Seed drives all randomness in the environment, making runs
 	// reproducible. Node random streams derive from it.
@@ -93,9 +94,6 @@ type Options struct {
 	// Topology supplies pairwise latency. Defaults to a Star topology
 	// with 20–60 ms access latency.
 	Topology Topology
-	// Congestion schedules message departures on access links. Defaults
-	// to NoCongestion.
-	Congestion CongestionModel
 	// LossRate drops each message independently with this probability.
 	// The paper's simulator delivers all messages; this defaults to 0.
 	// The loss decision always draws from the sender's random stream —
@@ -117,9 +115,6 @@ func (o *Options) fill() {
 	if o.Topology == nil {
 		o.Topology = NewStar(StarConfig{MinAccess: 20 * time.Millisecond, MaxAccess: 60 * time.Millisecond, Seed: o.Seed})
 	}
-	if o.Congestion == nil {
-		o.Congestion = NoCongestion{}
-	}
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 2 * time.Second
 	}
@@ -138,12 +133,6 @@ type Env struct {
 	nodes  map[vri.Addr]*Node
 	nextID uint64
 	rng    *rand.Rand
-
-	// perNode tallies traffic per node for in/out-bandwidth analyses
-	// (e.g. the hierarchical-aggregation ablation measures root
-	// in-bandwidth). Entries are created at Spawn so sharded workers
-	// only ever read the map.
-	perNode map[vri.Addr]*NodeTraffic
 
 	// par is the Main Scheduler's windowed engine (sharded.go); SetWorkers
 	// replaces it.
@@ -183,11 +172,10 @@ func NewEnv(opts Options) *Env {
 			la, opts.AckTimeout))
 	}
 	return &Env{
-		opts:    opts,
-		nodes:   make(map[vri.Addr]*Node),
-		rng:     rand.New(rand.NewSource(opts.Seed)),
-		perNode: make(map[vri.Addr]*NodeTraffic),
-		par:     newParEngine(1, int64(la)),
+		opts:  opts,
+		nodes: make(map[vri.Addr]*Node),
+		rng:   rand.New(rand.NewSource(opts.Seed)),
+		par:   newParEngine(1, int64(la)),
 	}
 }
 
@@ -249,11 +237,11 @@ func (e *Env) Stats() (events, msgs, bytes uint64) {
 	return events, msgs, bytes
 }
 
-// Traffic returns the cumulative per-node traffic counters for addr
-// (zero-valued if the node never communicated).
+// Traffic returns the cumulative traffic counters of the node at addr,
+// failed or alive (zero-valued if no such node was spawned).
 func (e *Env) Traffic(addr vri.Addr) NodeTraffic {
-	if t := e.perNode[addr]; t != nil {
-		return *t
+	if n := e.nodes[addr]; n != nil {
+		return *n.traf
 	}
 	return NodeTraffic{}
 }
@@ -473,16 +461,6 @@ func (e *Env) RunUntil(t time.Time) { e.par.run(e, t.UnixNano(), false) }
 // tests that want quiescence.
 func (e *Env) Drain() { e.par.run(e, 0, true) }
 
-// pruneCongestion garbage-collects drained per-link congestion state.
-// It must only be called from driver context, with `before` no later
-// than any pending or future event time: the minimum pending event time
-// across shards, or e.now at the end of a run (schedules clamp to it).
-func (e *Env) pruneCongestion(before int64) {
-	if p, ok := e.opts.Congestion.(Prunable); ok {
-		p.Prune(vtime(before))
-	}
-}
-
 // Spawn creates a live virtual node with the given name and returns its
 // runtime. Names must be unique among live and failed nodes. Spawn may
 // only be called from driver code (between runs or inside
@@ -509,7 +487,6 @@ func (e *Env) Spawn(name string) *Node {
 	}
 	n.shard = e.par.shardOf(n.id)
 	e.nodes[addr] = n
-	e.perNode[addr] = n.traf
 	e.opts.Topology.Register(addr)
 	return n
 }
@@ -577,14 +554,15 @@ func (e *Env) LiveAddrs() []vri.Addr {
 	return out
 }
 
-// deliver routes a datagram through the network model. It computes the
-// departure time from the congestion model, adds propagation latency from
-// the topology, and schedules a typed receive event on the destination
-// (or a typed failure-ack on the source). It always executes in src's
-// context: on src's shard worker during a window, or in driver context
-// otherwise. The caller's payload slice is consumed synchronously — the
-// bytes are copied into a pooled buffer before deliver returns — so
-// senders may immediately reuse their encode buffers.
+// deliver routes a datagram through the network model. The arrival time
+// is the send time plus the topology's latency plus any link override's
+// extra latency; deliver schedules a typed receive event on the
+// destination (or a typed failure-ack on the source). It always executes
+// in src's context: on src's shard worker during a window, or in driver
+// context otherwise. The caller's payload slice is consumed
+// synchronously — the bytes are copied into a pooled buffer before
+// deliver returns — so senders may immediately reuse their encode
+// buffers.
 func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte, ack vri.AckFunc) {
 	now := src.timeNow()
 	sh := e.par.shards[src.shard]
@@ -592,9 +570,7 @@ func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte,
 	sh.bytes += uint64(len(payload))
 	src.traf.MsgsOut++
 	src.traf.BytesOut += uint64(len(payload))
-	size := len(payload) + 48 // crude header overhead
-	departure := e.opts.Congestion.Departure(vtime(now), src.addr, dst, size).UnixNano()
-	arrival := departure + int64(e.opts.Topology.Latency(src.addr, dst))
+	arrival := now + int64(e.opts.Topology.Latency(src.addr, dst))
 
 	var lost bool
 	if e.opts.LossRate > 0 {

@@ -118,4 +118,11 @@ func TestDeliveryAckAndLossTypedEvents(t *testing.T) {
 	if ok, present := acks["dead"]; !present || ok {
 		t.Fatalf("acks = %v, want dead-destination send acked false after AckTimeout", acks)
 	}
+	// A failed node's counters still answer, frozen at the failure.
+	if got := env.Traffic(b.Addr()); got != bt {
+		t.Fatalf("failed node traffic = %+v, want %+v", got, bt)
+	}
+	if got := env.Traffic("never-spawned"); got != (NodeTraffic{}) {
+		t.Fatalf("unknown node traffic = %+v, want zero", got)
+	}
 }

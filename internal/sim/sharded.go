@@ -220,7 +220,6 @@ func (p *parEngine) run(e *Env, deadline int64, drain bool) {
 		}
 	}
 
-	windows := uint64(0)
 	for {
 		nmin, okN := p.peekMin()
 		var gmin int64
@@ -230,18 +229,6 @@ func (p *parEngine) run(e *Env, deadline int64, drain bool) {
 		}
 		if !okN && !okG {
 			break
-		}
-		// Periodic congestion GC, from coordinator context. The sweep
-		// threshold is the minimum pending event time: every future
-		// Departure call inside this run carries a `now` at or after it,
-		// so entries that drained before it can never matter again.
-		windows++
-		if windows%512 == 0 {
-			min := nmin
-			if !okN || (okG && gmin < min) {
-				min = gmin
-			}
-			e.pruneCongestion(min)
 		}
 		// Environment-level events run first on ties: their source id 0
 		// sorts below every node id, as in the (at, src, seq) order.
@@ -288,10 +275,4 @@ func (p *parEngine) run(e *Env, deadline int64, drain bool) {
 	if !drain {
 		e.now = max(e.now, deadline)
 	}
-	// Exit sweep at e.now, not at the minimum pending time: that is
-	// strictly later here (the loop exits when the next event is past the
-	// deadline), but between runs the driver can initiate sends whose
-	// Departure carries now = e.now — backlog with a busy horizon in
-	// (e.now, minPending] is still live and must survive the sweep.
-	e.pruneCongestion(e.now)
 }
