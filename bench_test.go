@@ -173,19 +173,6 @@ func BenchmarkAblationSoftStateLifetime(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationQueryDissemination compares broadcast-tree reach and
-// cost against equality-index dissemination (§3.3.3).
-func BenchmarkAblationQueryDissemination(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunDissemination(experiments.DisseminationConfig{Nodes: 64, Seed: int64(7000 + i)})
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-		b.ReportMetric(float64(res.BroadcastMsgs), "broadcast-msgs")
-		b.ReportMetric(float64(res.EqualityMsgs), "equality-msgs")
-	}
-}
-
 // --- Microbenchmarks on the hot paths -------------------------------
 
 // BenchmarkTupleEncodeDecode measures the self-describing tuple codec.

@@ -10,8 +10,6 @@
 //	experiments -ablation hieragg
 //	experiments -ablation churn
 //	experiments -ablation softstate
-//	experiments -ablation dissemination
-//	experiments -ablation churnagg -workers 8   # 10k-node churn+aggregation scale run
 //	experiments -ablation all
 //
 // Declarative scenarios (failure injection + assertions) run from YAML
@@ -28,8 +26,9 @@
 //
 //	experiments -scenario scenarios/qstorm-shared.yaml
 //
-// Every figure and ablation accepts -workers K: the harnesses follow
-// the scheduler's sharded-safe collector discipline, so results are
+// Every figure and ablation accepts -nodes N, overriding its own
+// default deployment size, and -workers K: the harnesses follow the
+// scheduler's sharded-safe collector discipline, so results are
 // bit-identical to -workers 0 at the same seed while wall-clock scales
 // with cores.
 //
@@ -42,8 +41,8 @@
 // A warm-started run is deterministic (bit-identical stdout across
 // restores of the same checkpoint at a fixed seed) but is not a
 // continuation of the saving run; the build/restore phase wall clock is
-// reported on stderr. churnagg builds no DHT ring and ignores both
-// flags.
+// reported on stderr. Ablations warm-start the same way. Without -nodes,
+// a loaded run adopts the checkpoint's node count.
 //
 // Profiling: -cpuprofile and -memprofile write pprof profiles of the
 // run, so scale-run hotspots can be captured without editing code:
@@ -74,13 +73,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	fig := fs.Int("fig", 0, "figure to reproduce (1 or 2)")
 	scenario := fs.String("scenario", "", "run a declarative scenario file (YAML subset; see scenarios/) and enforce its assertions")
-	ablation := fs.String("ablation", "", "ablation to run (joins|hieragg|churn|softstate|dissemination|churnagg|all); many coexisting queries run as scenarios (-scenario scenarios/qstorm-*.yaml)")
+	ablation := fs.String("ablation", "", "ablation to run (joins|hieragg|churn|softstate|all); many coexisting queries run as scenarios (-scenario scenarios/qstorm-*.yaml)")
 	nodes := fs.Int("nodes", 0, "override deployment size")
-	queries := fs.Int("queries", 0, "override figure 1's query count")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	workers := fs.Int("workers", 0, "simulator worker shards (0 or 1 = one shard on the calling goroutine; results are identical for any count)")
 	ckptSave := fs.String("checkpoint-save", "", "after building the cluster, save the converged ring to this file")
-	ckptLoad := fs.String("checkpoint-load", "", "warm-start the cluster from this checkpoint file instead of building (pass -nodes matching the checkpoint)")
+	ckptLoad := fs.String("checkpoint-load", "", "warm-start the cluster from this checkpoint file instead of building (-nodes defaults to the checkpoint's size)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -138,14 +136,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "checkpoint-load: %v\n", err)
 			return 2
 		}
-		if *fig != 0 {
-			if *nodes == 0 {
-				*nodes = ckpt.NodeCount // adopt the checkpoint's deployment size
-			} else if *nodes != ckpt.NodeCount {
-				fmt.Fprintf(stderr, "checkpoint-load: %s holds %d nodes but -nodes %d was given\n",
-					*ckptLoad, ckpt.NodeCount, *nodes)
-				return 2
-			}
+		if *nodes == 0 {
+			*nodes = ckpt.NodeCount // adopt the checkpoint's deployment size
+		} else if *nodes != ckpt.NodeCount {
+			fmt.Fprintf(stderr, "checkpoint-load: %s holds %d nodes but -nodes %d was given\n",
+				*ckptLoad, ckpt.NodeCount, *nodes)
+			return 2
 		}
 	}
 	if *ckptSave != "" {
@@ -201,7 +197,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ran = true
 		fmt.Fprintln(stdout, "=== Figure 1: CDF of first-result latency (PIER vs Gnutella) ===")
 		res := experiments.RunFigure1(experiments.Figure1Config{
-			Nodes: *nodes, Queries: *queries, Workers: *workers, Warm: warm, Seed: *seed,
+			Nodes: *nodes, Workers: *workers, Warm: warm, Seed: *seed,
 		})
 		fmt.Fprint(stdout, res.Render())
 		ph, pm := res.PierRare.Count()
@@ -231,37 +227,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case "joins":
 			fmt.Fprintln(stdout, "=== Ablation §3.3.4: join strategies ===")
 			fmt.Fprint(stdout, experiments.RunJoinStrategies(experiments.JoinStrategiesConfig{
-				Workers: *workers, Warm: warm, Seed: *seed,
+				Nodes: *nodes, Workers: *workers, Warm: warm, Seed: *seed,
 			}).Render())
 		case "hieragg":
 			fmt.Fprintln(stdout, "=== Ablation §3.3.4: hierarchical vs direct aggregation ===")
 			fmt.Fprint(stdout, experiments.RunHierAgg(experiments.HierAggConfig{
-				Workers: *workers, Warm: warm, Seed: *seed,
+				Nodes: *nodes, Workers: *workers, Warm: warm, Seed: *seed,
 			}).Render())
 		case "churn":
 			fmt.Fprintln(stdout, "=== Ablation §3.2.2: lookups under churn ===")
 			for _, session := range []time.Duration{5 * time.Minute, 2 * time.Minute, time.Minute} {
 				fmt.Fprint(stdout, experiments.RunChurn(experiments.ChurnConfig{
-					MeanSession: session, Workers: *workers, Warm: warm, Seed: *seed,
+					Nodes: *nodes, MeanSession: session, Workers: *workers, Warm: warm, Seed: *seed,
 				}).Render())
 			}
 		case "softstate":
 			fmt.Fprintln(stdout, "=== Ablation §3.2.3: soft-state lifetime trade-off ===")
 			fmt.Fprint(stdout, experiments.RunSoftState(experiments.SoftStateConfig{
-				Workers: *workers, Warm: warm, Seed: *seed,
-			}).Render())
-		case "dissemination":
-			fmt.Fprintln(stdout, "=== Ablation §3.3.3: dissemination strategies ===")
-			fmt.Fprint(stdout, experiments.RunDissemination(experiments.DisseminationConfig{
-				Workers: *workers, Warm: warm, Seed: *seed,
-			}).Render())
-		case "churnagg":
-			if *ckptSave != "" || *ckptLoad != "" {
-				fmt.Fprintln(stderr, "note: churnagg builds no DHT ring; checkpoint flags ignored")
-			}
-			fmt.Fprintln(stdout, "=== Scale: 10k-node churn + hierarchical aggregation (sharded scheduler) ===")
-			fmt.Fprint(stdout, experiments.RunChurnAgg(experiments.ChurnAggConfig{
-				Nodes: *nodes, Workers: *workers, Seed: *seed,
+				Nodes: *nodes, Workers: *workers, Warm: warm, Seed: *seed,
 			}).Render())
 		default:
 			fmt.Fprintf(stderr, "unknown ablation %q\n", name)
@@ -273,7 +256,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *ablation {
 	case "":
 	case "all":
-		for _, name := range []string{"joins", "hieragg", "churn", "softstate", "dissemination"} {
+		for _, name := range []string{"joins", "hieragg", "churn", "softstate"} {
 			runAblation(name)
 		}
 	default:

@@ -114,10 +114,19 @@ func TestCheckpointFlagValidation(t *testing.T) {
 	}
 
 	// Omitting -nodes with -checkpoint-load adopts the checkpoint's
-	// deployment size instead of the figure's paper-scale default.
-	var wout, werr bytes.Buffer
-	if code := run([]string{"-fig", "2", "-seed", "7", "-checkpoint-load", ckpt}, &wout, &werr); code != 0 {
-		t.Fatalf("adopting warm run = %d; stderr: %s", code, werr.String())
+	// deployment size instead of the harness's default, for an ablation
+	// as for a figure.
+	for _, args := range [][]string{
+		{"-fig", "2", "-seed", "7", "-checkpoint-load", ckpt},
+		{"-ablation", "hieragg", "-seed", "7", "-checkpoint-load", ckpt},
+	} {
+		var wout, werr bytes.Buffer
+		if code := run(args, &wout, &werr); code != 0 {
+			t.Fatalf("adopting warm run %v = %d; stderr: %s", args, code, werr.String())
+		}
+		if !strings.Contains(werr.String(), "restore phase wall clock") {
+			t.Errorf("adopting warm run %v did not restore: %q", args, werr.String())
+		}
 	}
 }
 

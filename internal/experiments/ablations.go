@@ -433,7 +433,7 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		return addrs
 	}
-	churn := workload.NewChurn(cfg.Seed+5, cfg.MeanSession, 10*time.Second)
+	churn := workload.NewChurn(cfg.Seed+5, cfg.MeanSession)
 	rng := env.Rand()
 	killed, added := 0, 0
 	spawned := 0
@@ -674,78 +674,5 @@ func RunSoftState(cfg SoftStateConfig) SoftStateResult {
 			AvailabilityPercent: float64(available) / float64(samples) * 100,
 		})
 	}
-	return res
-}
-
-// ---------------------------------------------------------------------
-// §3.3.3 — dissemination strategies: nodes touched and messages spent.
-// ---------------------------------------------------------------------
-
-// DisseminationConfig parameterizes the dissemination comparison.
-type DisseminationConfig struct {
-	Nodes int
-	// Workers is the scheduler's worker shard count (0 or 1 = one inline
-	// shard; identical results for any count).
-	Workers int
-	// Warm selects the cluster warm-start path (checkpoint save/load).
-	Warm WarmStart
-	Seed int64
-}
-
-// DisseminationResult compares broadcast against equality dissemination.
-type DisseminationResult struct {
-	Nodes                       int
-	BroadcastExec, EqualityExec int
-	BroadcastMsgs, EqualityMsgs uint64
-}
-
-// Render prints the comparison.
-func (r DisseminationResult) Render() string {
-	return fmt.Sprintf("nodes=%d\nbroadcast: executed on %d nodes, %d msgs\nequality:  executed on %d nodes, %d msgs\n",
-		r.Nodes, r.BroadcastExec, r.BroadcastMsgs, r.EqualityExec, r.EqualityMsgs)
-}
-
-// RunDissemination submits a broadcast query and an equality query to
-// identical clusters and counts reach and cost.
-func RunDissemination(cfg DisseminationConfig) DisseminationResult {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 64
-	}
-	res := DisseminationResult{Nodes: cfg.Nodes}
-
-	run := func(queryText string) (int, uint64) {
-		env := sim.NewEnv(sim.Options{Seed: cfg.Seed})
-		env.SetWorkers(cfg.Workers)
-		nodes := buildOrRestore(env, cfg.Nodes, "n", cfg.Warm)
-		nodes[3].Publish("t", []string{"k"},
-			tuple.New("t").Set("k", tuple.String("x")).Set("v", tuple.Int(1)), 4*time.Hour, nil)
-		env.Run(5 * time.Second)
-		_, m0, _ := env.Stats()
-		// nil callbacks: this harness measures reach and cost, not rows,
-		// and a Submit that touches no driver state is already sharded-safe.
-		if err := nodes[0].Submit(queryMustParse(queryText), "ablation", nil, nil); err != nil {
-			panic(err)
-		}
-		env.Run(15 * time.Second)
-		_, m1, _ := env.Stats()
-		executed := 0
-		for _, n := range nodes {
-			executed += int(n.Stats().GraphsExecuted)
-		}
-		return executed, m1 - m0
-	}
-
-	res.BroadcastExec, res.BroadcastMsgs = run(`
-query d timeout 10s
-opgraph g disseminate broadcast {
-    scan = Scan(table='t')
-}
-`)
-	res.EqualityExec, res.EqualityMsgs = run(`
-query d timeout 10s
-opgraph g disseminate equality 't' 'sx' {
-    scan = Scan(table='t')
-}
-`)
 	return res
 }

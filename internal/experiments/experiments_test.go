@@ -167,16 +167,3 @@ func TestSoftStateTradeoff(t *testing.T) {
 		t.Errorf("short lifetime renews %d not above long %d", short.RenewsSent, long.RenewsSent)
 	}
 }
-
-func TestDisseminationReachAndCost(t *testing.T) {
-	res := RunDissemination(DisseminationConfig{Nodes: 24, Seed: 108})
-	if res.BroadcastExec != 24 {
-		t.Errorf("broadcast reached %d of 24 nodes", res.BroadcastExec)
-	}
-	if res.EqualityExec != 1 {
-		t.Errorf("equality reached %d nodes, want 1", res.EqualityExec)
-	}
-	if res.EqualityMsgs >= res.BroadcastMsgs {
-		t.Errorf("equality msgs %d not below broadcast %d", res.EqualityMsgs, res.BroadcastMsgs)
-	}
-}

@@ -14,8 +14,8 @@ import (
 // These tests lock in the tentpole property of the harness port: every
 // BuildCluster-based figure and ablation harness produces bit-identical
 // results on one inline scheduler shard (workers=0) and on eight worker
-// shards, for the same seed — mirroring
-// TestShardedMatchesSequential in internal/sim and the churnagg tests.
+// shards, for the same seed — mirroring TestShardedMatchesSequential
+// and TestDispatchOrderGolden in internal/sim.
 // reflect.DeepEqual covers unexported state too (e.g. the latency
 // recorders' full sample series), so any scheduler-dependent divergence
 // — a stray env clock read inside a node event, a map-order message
@@ -132,20 +132,6 @@ func TestSoftStateShardedMatchesSequential(t *testing.T) {
 		if o.RenewsSent == 0 {
 			t.Fatalf("degenerate run: no renews at %v", o.Lifetime)
 		}
-	}
-}
-
-func TestDisseminationShardedMatchesSequential(t *testing.T) {
-	cfg := DisseminationConfig{Nodes: 16, Seed: 208}
-	cfg.Workers = 0
-	seq := RunDissemination(cfg)
-	cfg.Workers = 8
-	par := RunDissemination(cfg)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("dissemination diverged:\nseq: %+v\npar: %+v", seq, par)
-	}
-	if seq.BroadcastExec == 0 {
-		t.Fatal("degenerate run: broadcast reached nobody")
 	}
 }
 

@@ -322,15 +322,15 @@ func (n Neg) Eval(t *tuple.Tuple) (tuple.Value, bool) {
 
 func (n Neg) String() string { return fmt.Sprintf("(-%s)", n.E) }
 
-// Func applies a registered scalar function to argument expressions.
+// Func applies a built-in scalar function to argument expressions.
 type Func struct {
 	Name string
 	Args []Expr
 }
 
-// Eval evaluates the arguments and applies the function. An unregistered
-// function name makes every tuple malformed (there is no catalog to
-// reject the query earlier).
+// Eval evaluates the arguments and applies the function. Parse refuses
+// an unknown name; a Func built with one by hand makes every tuple
+// malformed.
 func (f Func) Eval(t *tuple.Tuple) (tuple.Value, bool) {
 	fn := builtins[strings.ToLower(f.Name)]
 	if fn == nil {
@@ -355,12 +355,13 @@ func (f Func) String() string {
 	return fmt.Sprintf("%s(%s)", f.Name, strings.Join(parts, ", "))
 }
 
-// ScalarFunc is the signature of a registered scalar function.
+// ScalarFunc is the signature of a built-in scalar function.
 type ScalarFunc func(args []tuple.Value) (tuple.Value, bool)
 
-// builtins is the scalar function registry. PIER supports extensibility
-// through abstract data types (§3.3.1); here extensibility is a Go-level
-// registry extended via RegisterFunc.
+// builtins is the fixed scalar function catalog. PIER supports
+// extensibility through abstract data types (§3.3.1); here a new function
+// is a new entry in this map. It is read-only at run time, so sharded
+// workers may evaluate a Func concurrently.
 var builtins = map[string]ScalarFunc{
 	"length": func(a []tuple.Value) (tuple.Value, bool) {
 		if len(a) != 1 {
@@ -443,12 +444,6 @@ func stringFunc(f func(string) string) ScalarFunc {
 		}
 		return tuple.String(f(s)), true
 	}
-}
-
-// RegisterFunc adds or replaces a scalar function available to all
-// queries. Names are case-insensitive.
-func RegisterFunc(name string, fn ScalarFunc) {
-	builtins[strings.ToLower(name)] = fn
 }
 
 // TruePredicate is an expression that accepts every tuple; used for

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -192,28 +193,17 @@ func TestFunctions(t *testing.T) {
 	}
 }
 
+// TestUnknownFunctionIsMalformed: a call naming no built-in function is
+// refused at parse time, not accepted and then evaluated as malformed on
+// every row. Function names are case-insensitive.
 func TestUnknownFunctionIsMalformed(t *testing.T) {
-	e := MustParse("nosuchfn(a)")
-	if _, ok := e.Eval(row()); ok {
-		t.Error("unknown function must mark tuples malformed")
-	}
-}
-
-func TestRegisterFunc(t *testing.T) {
-	RegisterFunc("triple", func(a []tuple.Value) (tuple.Value, bool) {
-		i, ok := a[0].AsInt()
-		if !ok {
-			return tuple.Value{}, false
+	for _, src := range []string{"nosuchfn(a)", "nosuchfn(a) = 1", "a > 1 AND triple(a) = 15"} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "unknown function") {
+			t.Errorf("Parse(%q) err = %v, want unknown function", src, err)
 		}
-		return tuple.Int(3 * i), true
-	})
-	e := MustParse("triple(a)")
-	v, ok := e.Eval(row())
-	if !ok {
-		t.Fatal("malformed")
 	}
-	if i, _ := v.AsInt(); i != 15 {
-		t.Errorf("triple(5) = %v", v)
+	if _, err := Parse("UPPER(name) = 'ALICE'"); err != nil {
+		t.Errorf("Parse(UPPER(...)): %v", err)
 	}
 }
 

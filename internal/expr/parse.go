@@ -22,8 +22,10 @@ import (
 //	prim  := NUMBER | 'string' | TRUE | FALSE | NULL
 //	       | ident '(' args ')' | ident('.'ident)* | '(' expr ')'
 //
-// Keywords are case-insensitive; identifiers are case-sensitive column
-// names and may be dotted (qualified) as produced by joins.
+// Keywords and function names are case-insensitive; identifiers are
+// case-sensitive column names and may be dotted (qualified) as produced
+// by joins. A call must name a built-in function: an unknown name is a
+// parse error, so a plan that calls one is refused before it runs.
 func Parse(src string) (Expr, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -329,6 +331,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return Const{Val: tuple.Null()}, nil
 		}
 		if p.acceptOp("(") {
+			if builtins[strings.ToLower(t.text)] == nil {
+				return nil, fmt.Errorf("expr: unknown function %q at %d", t.text, t.pos)
+			}
 			var args []Expr
 			if !p.acceptOp(")") {
 				for {

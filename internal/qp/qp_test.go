@@ -250,35 +250,58 @@ opgraph g disseminate broadcast {
 	}
 }
 
+// TestEqualityDisseminationReachesOnlyOwner: an equality-disseminated
+// graph runs only at the owner of its key, and over the query phase it
+// costs fewer messages and bytes than the broadcast form of the same
+// plan on an identical cluster, for the same one-row answer (§3.3.3).
 func TestEqualityDisseminationReachesOnlyOwner(t *testing.T) {
-	env, nodes := cluster(t, 38, 8)
-	// Publish a keyed table; the equality query goes only to the owner
-	// of key "target".
-	nodes[1].Publish("items", []string{"name"},
-		tuple.New("items").Set("name", tuple.String("target")).Set("v", tuple.Int(9)),
-		time.Hour, nil)
-	env.Run(5 * time.Second)
-	q := ufl.MustParse(`
+	type outcome struct {
+		rows, executed int
+		msgs, bytes    uint64
+	}
+	run := func(dissem string) outcome {
+		env, nodes := cluster(t, 38, 8)
+		// Publish a keyed table; the equality query goes only to the
+		// owner of key "target".
+		nodes[1].Publish("items", []string{"name"},
+			tuple.New("items").Set("name", tuple.String("target")).Set("v", tuple.Int(9)),
+			time.Hour, nil)
+		env.Run(5 * time.Second)
+		q := ufl.MustParse(fmt.Sprintf(`
 query eq timeout 8s
-opgraph g disseminate equality 'items' 'starget' {
+opgraph g disseminate %s {
     scan = Scan(table='items')
     sel  = Select(pred='name = ''target''')
     out  = Result()
     sel <- scan
     out <- sel
 }
-`)
-	results := runQuery(t, env, nodes, 0, q)
-	if len(results) != 1 {
-		t.Fatalf("equality query returned %d tuples, want 1", len(results))
+`, dissem))
+		_, m0, b0 := env.Stats()
+		results := runQuery(t, env, nodes, 0, q)
+		_, m1, b1 := env.Stats()
+		o := outcome{rows: len(results), msgs: m1 - m0, bytes: b1 - b0}
+		for _, n := range nodes {
+			o.executed += int(n.Stats().GraphsExecuted)
+		}
+		return o
 	}
-	executed := 0
-	for _, n := range nodes {
-		executed += int(n.Stats().GraphsExecuted)
+	eq := run(`equality 'items' 'starget'`)
+	if eq.rows != 1 {
+		t.Fatalf("equality query returned %d tuples, want 1", eq.rows)
 	}
-	if executed != 1 {
-		t.Errorf("opgraph ran on %d nodes, want 1 (only the key's owner)", executed)
+	if eq.executed != 1 {
+		t.Errorf("opgraph ran on %d nodes, want 1 (only the key's owner)", eq.executed)
 	}
+	bc := run("broadcast")
+	if bc.rows != 1 || bc.executed != 8 {
+		t.Fatalf("broadcast query returned %d tuples from %d nodes, want 1 from 8", bc.rows, bc.executed)
+	}
+	if eq.msgs >= bc.msgs || eq.bytes >= bc.bytes {
+		t.Errorf("equality cost %d msgs / %d bytes, broadcast %d / %d: equality must cost less",
+			eq.msgs, eq.bytes, bc.msgs, bc.bytes)
+	}
+	t.Logf("query phase: equality %d msgs / %d bytes, broadcast %d / %d", eq.msgs, eq.bytes, bc.msgs, bc.bytes)
 }
 
 func TestHierarchicalAggregationCountsEverything(t *testing.T) {
@@ -548,6 +571,9 @@ func TestUnbuildableGraphRefused(t *testing.T) {
     op <- scan`},
 		{"topk-k0", `
     op  = TopK(k=0, col='a')
+    op <- scan`},
+		{"unknown-func", `
+    op  = Select(pred='nosuchfn(a) = 1')
     op <- scan`},
 	}
 	for _, tc := range cases {

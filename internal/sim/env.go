@@ -531,12 +531,6 @@ func (e *Env) Fail(addr vri.Addr) {
 	n.streams = make(map[vri.Port]vri.StreamHandler)
 }
 
-// Alive reports whether the node exists and has not failed.
-func (e *Env) Alive(addr vri.Addr) bool {
-	n := e.nodes[addr]
-	return n != nil && n.alive
-}
-
 // LiveAddrs returns the addresses of all live nodes in sorted order.
 // The canonical order is part of the contract: drivers sample failure
 // targets and workload origins from this slice, and any iteration whose

@@ -57,7 +57,8 @@ func (n *Node) timeNow() int64 {
 // Rand returns the node's deterministic random stream.
 func (n *Node) Rand() *rand.Rand { return n.rng }
 
-// Alive reports whether the node has not failed.
+// Alive reports whether the node has not failed. No harness calls it; it
+// stays because TestDispatchOrderGolden needs it to choose acked sends.
 func (n *Node) Alive() bool { return n.alive }
 
 // Schedule enqueues fn on the scheduler after delay, attributed to this

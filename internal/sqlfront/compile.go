@@ -18,6 +18,16 @@ func Compile(queryID string, st *Statement, opts Options) (*ufl.Query, error) {
 		timeout = defaultTimeout
 	}
 	q := &ufl.Query{ID: queryID, Timeout: timeout}
+	// Every executor parses the WHERE text again in its Select, and would
+	// refuse the graph; a predicate that does not parse (an unknown
+	// function, say) is refused here instead, before anything is sent.
+	var where expr.Expr
+	if st.Where != "" {
+		var err error
+		if where, err = expr.Parse(st.Where); err != nil {
+			return nil, fmt.Errorf("sql: WHERE: %w", err)
+		}
+	}
 
 	switch {
 	case len(st.From) == 2:
@@ -35,7 +45,7 @@ func Compile(queryID string, st *Statement, opts Options) (*ufl.Query, error) {
 			if err := compileAggregate(q, st, opts); err != nil {
 				return nil, err
 			}
-		} else if err := compileScan(q, st, opts); err != nil {
+		} else if err := compileScan(q, st, where, opts); err != nil {
 			return nil, err
 		}
 	default:
@@ -69,20 +79,17 @@ func hasAggregates(st *Statement) bool {
 // predicate for an equality between the table's declared partitioning
 // column and a string or integer literal, in either operand order; the
 // literal's KeyString is the DHT key such a tuple was published under.
-// The predicate is parsed with expr.Parse — the grammar the plan's Select
-// parses the same text with — so what routes a query and what filters it
-// cannot disagree. The other conjuncts only narrow the answer at the
-// key's owner; OR, NOT, != and ranges have no single owner and broadcast.
-func equalityKey(st *Statement, opts Options) (ns, key string, ok bool) {
+// where is the WHERE text parsed with expr.Parse (nil for none) — the
+// grammar the plan's Select parses the same text with — so what routes a
+// query and what filters it cannot disagree. The other conjuncts only
+// narrow the answer at the key's owner; OR, NOT, != and ranges have no
+// single owner and broadcast.
+func equalityKey(st *Statement, where expr.Expr, opts Options) (ns, key string, ok bool) {
 	idx := opts.TableIndexes[st.From[0]]
-	if len(idx) != 1 || st.Where == "" {
+	if len(idx) != 1 || where == nil {
 		return "", "", false
 	}
-	pred, err := expr.Parse(st.Where)
-	if err != nil {
-		return "", "", false
-	}
-	key, ok = conjunctKey(pred, idx[0])
+	key, ok = conjunctKey(where, idx[0])
 	return st.From[0], key, ok
 }
 
@@ -123,9 +130,9 @@ func literal(e expr.Expr) (v tuple.Value, ok bool) {
 }
 
 // compileScan handles SELECT cols FROM t [WHERE ...] [ORDER BY/LIMIT].
-func compileScan(q *ufl.Query, st *Statement, opts Options) error {
+func compileScan(q *ufl.Query, st *Statement, where expr.Expr, opts Options) error {
 	g := ufl.Opgraph{ID: q.ID + ".scan"}
-	if ns, key, ok := equalityKey(st, opts); ok {
+	if ns, key, ok := equalityKey(st, where, opts); ok {
 		g.Dissem = ufl.Dissemination{Mode: ufl.DissemEquality, Namespace: ns, Key: key}
 	} else {
 		g.Dissem = ufl.Dissemination{Mode: ufl.DissemBroadcast}

@@ -213,6 +213,7 @@ func TestCompileRejectsUnsupported(t *testing.T) {
 		"SELECT COUNT(*) AS n FROM a, b WHERE a.x = b.x", // join + agg
 		"SELECT COUNTDISTINCT(v) AS n FROM t GROUP BY k", // holistic
 		"SELECT v FROM t ORDER BY v DESC LIMIT 3",        // order w/o group
+		"SELECT v FROM t WHERE nosuchfn(v) = 1",          // unknown function
 	}
 	for _, sql := range cases {
 		if _, err := Run("qx", sql, Options{}); err == nil {

@@ -264,29 +264,21 @@ func (g *FirewallGen) Next(at time.Time) FirewallEvent {
 func (g *FirewallGen) Source(rank int) string { return g.sources[rank-1] }
 
 // Churn models node session behavior: exponentially distributed session
-// (up) and downtime durations, the standard churn model from the Bamboo
-// "Handling Churn in a DHT" study PIER builds on.
+// (up) durations, the standard churn model from the Bamboo "Handling
+// Churn in a DHT" study PIER builds on. A departed node is replaced at
+// once by a fresh one, so the model draws no downtime.
 type Churn struct {
 	rng *rand.Rand
-	// MeanSession and MeanDowntime parameterize the exponentials.
-	MeanSession, MeanDowntime time.Duration
+	// MeanSession parameterizes the exponential.
+	MeanSession time.Duration
 }
 
 // NewChurn creates a churn model.
-func NewChurn(seed int64, meanSession, meanDowntime time.Duration) *Churn {
-	return &Churn{
-		rng:          rand.New(rand.NewSource(seed)),
-		MeanSession:  meanSession,
-		MeanDowntime: meanDowntime,
-	}
+func NewChurn(seed int64, meanSession time.Duration) *Churn {
+	return &Churn{rng: rand.New(rand.NewSource(seed)), MeanSession: meanSession}
 }
 
 // NextSession draws one session length.
 func (c *Churn) NextSession() time.Duration {
 	return time.Duration(c.rng.ExpFloat64() * float64(c.MeanSession))
-}
-
-// NextDowntime draws one downtime length.
-func (c *Churn) NextDowntime() time.Duration {
-	return time.Duration(c.rng.ExpFloat64() * float64(c.MeanDowntime))
 }

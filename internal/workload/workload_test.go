@@ -119,24 +119,18 @@ func TestFirewallEventFieldsPopulated(t *testing.T) {
 }
 
 func TestChurnDistributions(t *testing.T) {
-	c := NewChurn(9, time.Minute, 10*time.Second)
-	var sessSum, downSum time.Duration
+	c := NewChurn(9, time.Minute)
+	var sessSum time.Duration
 	const n = 2000
 	for i := 0; i < n; i++ {
 		s := c.NextSession()
-		d := c.NextDowntime()
-		if s < 0 || d < 0 {
+		if s < 0 {
 			t.Fatal("negative duration")
 		}
 		sessSum += s
-		downSum += d
 	}
 	meanSess := sessSum / n
 	if meanSess < 45*time.Second || meanSess > 80*time.Second {
 		t.Errorf("mean session %v, want ~1m", meanSess)
-	}
-	meanDown := downSum / n
-	if meanDown < 7*time.Second || meanDown > 14*time.Second {
-		t.Errorf("mean downtime %v, want ~10s", meanDown)
 	}
 }
