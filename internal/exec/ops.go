@@ -104,7 +104,7 @@ func (s *Select) PushBatch(tag Tag, b *tuple.Batch) {
 	sc := getScratch()
 	keep := sc.keep[:0]
 	if s.compiled != nil && b.Columnar() {
-		res := grow(sc.res, n)
+		res := grow(sc.res, 2*n)[:n] // n spare: expr.BatchPred's scratch
 		sc.res = res
 		s.compiled(b, res)
 		for i, r := range res {

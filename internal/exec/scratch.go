@@ -11,7 +11,8 @@ import (
 // takes its own), so no operator instance keeps scratch between calls and
 // a chain idle between windows pins none.
 type scratch struct {
-	// Select: per-row verdicts, the surviving rows.
+	// Select: per-row verdicts (with as much spare capacity, the
+	// predicate's And/Or scratch), the surviving rows.
 	res  []int8
 	keep []int32
 	// Row-at-a-time evaluation: a row view, a projected value row, a key

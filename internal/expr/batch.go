@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"sync"
+
 	"pier/internal/tuple"
 )
 
@@ -28,8 +30,12 @@ const (
 
 // BatchPred evaluates a predicate over every selected row of a columnar
 // batch, writing one tri-state per row into out (len out == b.Len()).
-// A BatchPred carries internal scratch buffers and is NOT safe for
-// concurrent use; each operator instance compiles its own.
+// And and Or evaluate their right side into out's spare capacity,
+// out[len(out):cap(out)], which a call may overwrite, or into a pooled
+// buffer when that is shorter than len(out): a caller holding a pooled
+// buffer already (exec.Select) leaves len(out) spare and skips the pool.
+// A BatchPred keeps no buffers between calls, so it is safe for
+// concurrent use on distinct outs.
 type BatchPred func(b *tuple.Batch, out []int8)
 
 // CompilePred compiles e into a vectorized predicate, or returns nil
@@ -70,33 +76,33 @@ func CompilePred(e Expr) BatchPred {
 		if l == nil || r == nil {
 			return nil
 		}
-		var scratch []int8
 		return func(b *tuple.Batch, out []int8) {
 			l(b, out)
-			scratch = resize(scratch, len(out))
-			r(b, scratch)
+			rv, pooled := spare(out)
+			r(b, rv)
 			for i, lv := range out {
 				// Short-circuit: false left decides, malformed left poisons.
 				if lv == RowPass {
-					out[i] = scratch[i]
+					out[i] = rv[i]
 				}
 			}
+			putSpare(pooled)
 		}
 	case Or:
 		l, r := CompilePred(n.L), CompilePred(n.R)
 		if l == nil || r == nil {
 			return nil
 		}
-		var scratch []int8
 		return func(b *tuple.Batch, out []int8) {
 			l(b, out)
-			scratch = resize(scratch, len(out))
-			r(b, scratch)
+			rv, pooled := spare(out)
+			r(b, rv)
 			for i, lv := range out {
 				if lv == RowFail {
-					out[i] = scratch[i]
+					out[i] = rv[i]
 				}
 			}
+			putSpare(pooled)
 		}
 	case Not:
 		inner := CompilePred(n.E)
@@ -233,9 +239,28 @@ func fill(out []int8, code int8) {
 	}
 }
 
-func resize(s []int8, n int) []int8 {
-	if cap(s) < n {
-		return make([]int8, n)
+// spareBufs backs spare when out has too little spare capacity.
+var spareBufs = sync.Pool{New: func() any { return new([]int8) }}
+
+// spare returns len(out) int8s of scratch for the right side of an And
+// or Or: out[len:2len] when out's capacity allows, keeping the rest of
+// the capacity for the right side's own And/Or, else a pooled buffer,
+// returned in pooled for putSpare.
+func spare(out []int8) (sc []int8, pooled *[]int8) {
+	n := len(out)
+	if cap(out)-n >= n {
+		return out[n : 2*n], nil
 	}
-	return s[:n]
+	pooled = spareBufs.Get().(*[]int8)
+	if cap(*pooled) < n {
+		*pooled = make([]int8, n)
+	}
+	return (*pooled)[:n], pooled
+}
+
+// putSpare returns a buffer spare took from the pool.
+func putSpare(pooled *[]int8) {
+	if pooled != nil {
+		spareBufs.Put(pooled)
+	}
 }

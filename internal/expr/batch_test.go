@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"pier/internal/tuple"
@@ -92,6 +93,16 @@ var predCases = []struct {
 		},
 		R: Not{E: Cmp{Op: EQ, L: Col{Name: "s"}, R: Const{Val: tuple.String("v1")}}},
 	}},
+	{"right-nested", And{
+		L: Cmp{Op: NE, L: Col{Name: "a"}, R: Const{Val: tuple.Int(3)}},
+		R: Or{
+			L: Cmp{Op: EQ, L: Col{Name: "s"}, R: Const{Val: tuple.String("v0")}},
+			R: And{
+				L: Col{Name: "flag"},
+				R: Cmp{Op: GE, L: Col{Name: "a"}, R: Col{Name: "b"}},
+			},
+		},
+	}},
 }
 
 // The compiled batch predicate must agree with row-wise Eval on every row,
@@ -115,6 +126,54 @@ func TestCompilePredMatchesEval(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// And/Or scratch comes from out's spare capacity when it has len(out) of
+// it (nested right sides stack further into it) and from a pool when not;
+// either way the verdicts are Eval's whatever the spare bytes held. One
+// BatchPred keeps no buffers, so goroutines may share it.
+func TestCompilePredScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range predCases {
+		bp := CompilePred(tc.e)
+		b := randPredBatch(rng, 1+rng.Intn(40))
+		n := b.Len()
+		want := make([]int8, n)
+		for i := range want {
+			want[i] = evalCode(tc.e, b.Row(i))
+		}
+		for _, spare := range []int{0, n - 1, n, 3 * n} {
+			buf := make([]int8, n+spare)
+			for i := range buf {
+				buf[i] = int8(rng.Intn(256) - 128)
+			}
+			out := buf[:n]
+			bp(b, out)
+			for i := range want {
+				if out[i] != want[i] {
+					t.Fatalf("%s, %d spare: row %d compiled=%d eval=%d", tc.name, spare, i, out[i], want[i])
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < 50; k++ {
+					out := make([]int8, n, n+n*(g%3))
+					bp(b, out)
+					for i := range want {
+						if out[i] != want[i] {
+							t.Errorf("%s, goroutine %d: row %d compiled=%d eval=%d", tc.name, g, i, out[i], want[i])
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }
 

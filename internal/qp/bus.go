@@ -38,7 +38,10 @@ import (
 // before its window emits, so every message and latency is unchanged.
 // Two, because one held entry pays only when it replaces several
 // per-chain feeds: a lone gated chain would trade its group state for a
-// window of held rows. chainFeeds counts arrivals delivered per chain
+// window of held rows. A holding share with no live ungated attachment
+// (ungated == 0) has nothing to feed at once, so an arrival there is one
+// append to held: dispatch skips the walk over its attachments, which
+// would skip every one. chainFeeds counts arrivals delivered per chain
 // however they were batched; chainPushes counts PushBatch calls.
 //
 // Handoff contract: batches crossing the bus are SHARED and READ-ONLY
@@ -73,13 +76,15 @@ type busKey struct {
 
 // busShare is one shared subscription and its attached chains, in
 // attachment order (dispatch order is deterministic, like the registry),
-// and the arrivals held for its gated attachments.
+// and the arrivals held for its gated attachments. gated and ungated
+// count its live attachments of each kind.
 type busShare struct {
 	bus      *tableBus
 	key      busKey
 	sub      *overlay.Subscription
 	targets  complist.List[*busTarget]
 	gated    int
+	ungated  int
 	held     []*tuple.Batch
 	heldRows int
 }
@@ -131,6 +136,8 @@ func (b *tableBus) attach(table, only, objKey string, c *chain, tag exec.Tag, in
 		sh.release()
 		sh.gated++
 		in.OnFlush = func(exec.Tag) { sh.release() }
+	} else {
+		sh.ungated++
 	}
 	sh.targets.Add(t)
 	b.targets++
@@ -158,11 +165,13 @@ func (sh *busShare) dispatch(o overlay.Object, b *tuple.Batch) {
 		sh.held = append(sh.held, fb)
 		sh.heldRows += fb.Len()
 	}
-	sh.targets.Each(func(tg *busTarget) {
-		if !tg.c.closed && !(hold && tg.gated) {
-			sh.feed(tg, fb, 1)
-		}
-	})
+	if !hold || sh.ungated > 0 {
+		sh.targets.Each(func(tg *busTarget) {
+			if !tg.c.closed && !(hold && tg.gated) {
+				sh.feed(tg, fb, 1)
+			}
+		})
+	}
 	if sh.heldRows >= maxHeldRows {
 		sh.release()
 	}
@@ -198,10 +207,10 @@ func (sh *busShare) remove(t *busTarget) {
 	}
 	t.removed = true
 	sh.bus.targets--
-	if t.gated {
-		if sh.gated--; sh.gated < 2 {
-			sh.release()
-		}
+	if !t.gated {
+		sh.ungated--
+	} else if sh.gated--; sh.gated < 2 {
+		sh.release()
 	}
 	sh.targets.NoteDead()
 }

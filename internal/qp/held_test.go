@@ -433,6 +433,107 @@ opgraph g disseminate local {
 	})
 }
 
+// ungatedTap is an ungated attachment wired straight onto the bus, with
+// a sink recording the dstport of every row it is fed.
+type ungatedTap struct {
+	c      *chain
+	got    []int64
+	cancel func()
+}
+
+func attachTap(n *Node, table string, onRow func(*ungatedTap)) *ungatedTap {
+	tp := &ungatedTap{c: &chain{n: n}}
+	in := exec.NewInput()
+	in.SetParent(exec.SinkFunc(func(_ exec.Tag, r *tuple.Tuple) {
+		v, _ := r.Get("dstport")
+		p, _ := v.AsInt()
+		tp.got = append(tp.got, p)
+		if onRow != nil {
+			onRow(tp)
+		}
+	}))
+	in.Open(1)
+	tp.cancel = n.bus.attach(table, "", "", tp.c, 1, in, false)
+	return tp
+}
+
+// TestUngatedJoinAndLeaveWhileHolding: two gated attachments keep a share
+// holding while ungated ones join and leave mid-window — one detaching
+// itself from inside its own dispatch, one whose chain closed before it
+// detached. The share walks its attachments only while one ungated
+// attachment is live; each ungated attachment is fed each arrival once,
+// at once; the gated ones are fed every arrival at release; ChainFeeds
+// counts exactly those deliveries.
+func TestUngatedJoinAndLeaveWhileHolding(t *testing.T) {
+	env, n := soloNode(t, 345)
+	a := collect(t, n, windowPlan("qa", "ev", "true", "", 10*time.Second))
+	b := collect(t, n, windowPlan("qb", "ev", "dstport >= 0", "", 10*time.Second))
+	env.Run(100 * time.Millisecond)
+	sh := heldShare(n, "ev")
+	before := n.Stats().ChainFeeds
+
+	var taps []*ungatedTap
+	sent := 0
+	// publish sends k arrivals, checks every tap was fed exactly the
+	// arrivals it was live and open for, and the ungated count against
+	// the live attachments.
+	publish := func(k int, want ...[]int64) {
+		t.Helper()
+		heldPublish(n, "ev", sent, k)
+		sent += k
+		var fed uint64
+		for i, tp := range taps {
+			if !reflect.DeepEqual(tp.got, want[i]) {
+				t.Fatalf("after %d arrivals tap %d was fed %v, want %v", sent, i, tp.got, want[i])
+			}
+			fed += uint64(len(tp.got))
+		}
+		live := 0
+		sh.targets.Each(func(tg *busTarget) {
+			if !tg.gated {
+				live++
+			}
+		})
+		st := n.Stats()
+		if sh.gated != 2 || sh.ungated != live || st.HeldRows != sent || st.ChainFeeds-before != fed {
+			t.Fatalf("after %d arrivals: gated %d, ungated %d (live %d), %d rows held, %d feeds; want 2, %d, %d, %d",
+				sent, sh.gated, sh.ungated, live, st.HeldRows, st.ChainFeeds-before, live, sent, fed)
+		}
+	}
+	publish(2)
+	taps = append(taps, attachTap(n, "ev", nil))
+	publish(2, []int64{2, 3})
+	// The second tap detaches from inside its second dispatch.
+	taps = append(taps, attachTap(n, "ev", func(tp *ungatedTap) {
+		if len(tp.got) == 2 {
+			tp.cancel()
+		}
+	}))
+	publish(3, []int64{2, 3, 4, 5, 6}, []int64{4, 5})
+	// The third tap's chain closes while it is still attached.
+	taps = append(taps, attachTap(n, "ev", nil))
+	publish(1, []int64{2, 3, 4, 5, 6, 7}, []int64{4, 5}, []int64{7})
+	taps[2].c.closed = true
+	publish(2, []int64{2, 3, 4, 5, 6, 7, 8, 9}, []int64{4, 5}, []int64{7})
+	taps[0].cancel()
+	publish(1, []int64{2, 3, 4, 5, 6, 7, 8, 9}, []int64{4, 5}, []int64{7})
+	taps[2].cancel()
+	if sh.ungated != 0 {
+		t.Fatalf("%d ungated attachments counted after every tap left", sh.ungated)
+	}
+	publish(2, []int64{2, 3, 4, 5, 6, 7, 8, 9}, []int64{4, 5}, []int64{7})
+
+	fed := n.Stats().ChainFeeds - before
+	env.Run(15 * time.Second)
+	if got := n.Stats().ChainFeeds - before - fed; got != uint64(2*sent) {
+		t.Errorf("the release fed %d arrivals, want %d: every held arrival to both gated chains", got, 2*sent)
+	}
+	if ca, cb := countOf(a.Rows()), countOf(b.Rows()); ca != int64(sent) || cb != int64(sent) {
+		t.Errorf("gated chains counted %d and %d rows, want %d each", ca, cb, sent)
+	}
+	assertNoLeaks(t, n)
+}
+
 // collect submits plan at n and returns its result set.
 func collect(t *testing.T, n *Node, plan *ufl.Query) *ResultSet {
 	t.Helper()

@@ -62,7 +62,7 @@ func (b *Batch) FoldSumFloat64Col(c int, slots []int32, accI []int64, accF []flo
 			accF[s] = float64(accI[s])
 			isFloat[s] = true
 		}
-		accF[s] += vals[b.phys(i)*stride+c].f
+		accF[s] += vals[b.phys(i)*stride+c].float()
 		any[s] = true
 	}
 	return true
@@ -108,7 +108,7 @@ func (b *Batch) FoldMinMaxFloat64Col(c int, min bool, slots []int32, best []floa
 	vals := b.vals
 	for i := range slots {
 		s := slots[i]
-		v := vals[b.phys(i)*stride+c].f
+		v := vals[b.phys(i)*stride+c].float()
 		if !any[s] {
 			best[s], any[s] = v, true
 			continue
@@ -166,7 +166,7 @@ func (b *Batch) FoldAvgCol(c int, slots []int32, sum []float64, cnt []int64) boo
 	}
 	for i := range slots {
 		s := slots[i]
-		sum[s] += vals[b.phys(i)*stride+c].f
+		sum[s] += vals[b.phys(i)*stride+c].float()
 		cnt[s]++
 	}
 	return true

@@ -344,14 +344,14 @@ func (b *Batch) CmpKernel(li int, lc Value, ri int, rc Value, tbl *[3]int8, out 
 				if v := &vals[p+li]; lInt {
 					a = float64(v.i)
 				} else {
-					a = v.f
+					a = v.float()
 				}
 			}
 			if ri >= 0 {
 				if v := &vals[p+ri]; rInt {
 					z = float64(v.i)
 				} else {
-					z = v.f
+					z = v.float()
 				}
 			}
 			out[i] = tbl[cmpOrdered(a, z)+1]
@@ -551,36 +551,22 @@ func (v Value) encodeTo(w *wire.Writer) {
 	w.U8(uint8(v.kind))
 	switch v.kind {
 	case KindNull:
-	case KindBool, KindInt, KindTime:
+	case KindBool, KindInt, KindTime, KindFloat:
 		w.I64(v.i)
-	case KindFloat:
-		w.F64(v.f)
-	case KindString:
+	case KindString, KindBytes:
 		w.String(v.s)
-	case KindBytes:
-		w.Bytes32(v.b)
 	}
 }
 
-// decodeValue reads one kind byte and payload; unknown kinds decode as
-// null (best-effort self-description, matching DecodeFrom).
+// decodeValue reads one kind byte and payload. An unknown kind — self-
+// description from a newer or foreign node — decodes as null rather than
+// failing the tuple (best effort).
 func decodeValue(r *wire.Reader) Value {
-	kind := Kind(r.U8())
-	switch kind {
-	case KindNull:
-		return Null()
-	case KindBool:
-		return Value{kind: KindBool, i: r.I64()}
-	case KindInt:
-		return Int(r.I64())
-	case KindTime:
-		return Value{kind: KindTime, i: r.I64()}
-	case KindFloat:
-		return Float(r.F64())
-	case KindString:
-		return String(r.String())
-	case KindBytes:
-		return Bytes(append([]byte(nil), r.Bytes32()...))
+	switch kind := Kind(r.U8()); kind {
+	case KindBool, KindInt, KindTime, KindFloat:
+		return Value{kind: kind, i: r.I64()}
+	case KindString, KindBytes:
+		return Value{kind: kind, s: r.String()}
 	default:
 		return Null()
 	}

@@ -201,31 +201,8 @@ func DecodeFrom(r *wire.Reader) *Tuple {
 	t := &Tuple{table: r.String()}
 	n := int(r.U16())
 	for i := 0; i < n && r.Err() == nil; i++ {
-		name := r.String()
-		kind := Kind(r.U8())
-		var v Value
-		switch kind {
-		case KindNull:
-			v = Null()
-		case KindBool:
-			v = Value{kind: KindBool, i: r.I64()}
-		case KindInt:
-			v = Int(r.I64())
-		case KindTime:
-			v = Value{kind: KindTime, i: r.I64()}
-		case KindFloat:
-			v = Float(r.F64())
-		case KindString:
-			v = String(r.String())
-		case KindBytes:
-			v = Bytes(append([]byte(nil), r.Bytes32()...))
-		default:
-			// Unknown kind: self-description from a newer/foreign node.
-			// Best effort: treat as null rather than failing the tuple.
-			v = Null()
-		}
-		t.names = append(t.names, name)
-		t.vals = append(t.vals, v)
+		t.names = append(t.names, r.String())
+		t.vals = append(t.vals, decodeValue(r))
 	}
 	return t
 }

@@ -5,10 +5,15 @@
 // comparison or function accesses a value; operators apply a best-effort
 // policy and discard tuples whose fields are missing or of incompatible
 // type (§3.3.4 "malformed tuples").
+//
+// A Value is 32 bytes with one pointer word (see Value): batches store
+// rows × columns of them, so their size is what every decode, copy and
+// collector scan of a batch pays per column.
 package tuple
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -53,12 +58,16 @@ func (k Kind) String() string {
 
 // Value is one column value: a tagged union of the supported types. The
 // zero Value is Null.
+//
+// Layout: a kind tag, one 64-bit word and one string header — 32 bytes,
+// one pointer word, half of a struct with a field per kind. Every
+// fixed-width kind shares the word (a float as its IEEE-754 bits, so
+// -0.0 and NaN payloads survive every path), and both variable-width
+// kinds share the string (a bytes payload is an immutable copy).
 type Value struct {
 	kind Kind
-	i    int64 // bool (0/1), int, time (unix nanos)
-	f    float64
-	s    string // string payload
-	b    []byte // bytes payload
+	i    int64  // bool (0/1), int, time (unix nanos), float (math.Float64bits)
+	s    string // string or bytes payload
 }
 
 // Null returns the null value.
@@ -77,14 +86,13 @@ func Bool(v bool) Value {
 func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // Float wraps a float64.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // String wraps a string.
 func String(v string) Value { return Value{kind: KindString, s: v} }
 
-// Bytes wraps a byte string. The Value aliases v; callers that reuse
-// buffers must copy first.
-func Bytes(v []byte) Value { return Value{kind: KindBytes, b: v} }
+// Bytes wraps a copy of a byte string.
+func Bytes(v []byte) Value { return Value{kind: KindBytes, s: string(v)} }
 
 // Time wraps a timestamp (nanosecond precision, UTC).
 func Time(v time.Time) Value { return Value{kind: KindTime, i: v.UnixNano()} }
@@ -115,7 +123,7 @@ func (v Value) AsInt() (int64, bool) {
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	case KindInt:
 		return float64(v.i), true
 	default:
@@ -131,12 +139,12 @@ func (v Value) AsString() (string, bool) {
 	return v.s, true
 }
 
-// AsBytes extracts a byte string; ok is false for other kinds.
+// AsBytes extracts a copy of a byte string; ok is false for other kinds.
 func (v Value) AsBytes() ([]byte, bool) {
 	if v.kind != KindBytes {
 		return nil, false
 	}
-	return v.b, true
+	return []byte(v.s), true
 }
 
 // AsTime extracts a timestamp; ok is false for other kinds.
@@ -146,6 +154,9 @@ func (v Value) AsTime() (time.Time, bool) {
 	}
 	return time.Unix(0, v.i).UTC(), true
 }
+
+// float reads a KindFloat value's payload.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // numeric reports whether the value participates in numeric comparison.
 func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -169,10 +180,8 @@ func Compare(a, b Value) (int, bool) {
 	switch a.kind {
 	case KindBool, KindTime:
 		return cmpOrdered(a.i, b.i), true
-	case KindString:
+	case KindString, KindBytes: // string order is byte order
 		return cmpOrdered(a.s, b.s), true
-	case KindBytes:
-		return cmpBytes(a.b, b.b), true
 	default:
 		return 0, false
 	}
@@ -187,22 +196,6 @@ func cmpOrdered[T int64 | float64 | string](a, b T) int {
 	default:
 		return 0
 	}
-}
-
-func cmpBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return cmpOrdered(int64(len(a)), int64(len(b)))
 }
 
 // Equal reports value equality; values of incomparable kinds are unequal.
@@ -226,11 +219,11 @@ func (v Value) KeyString() string {
 	case KindInt:
 		return "i" + strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return "f" + strconv.FormatFloat(v.f, 'x', -1, 64)
+		return "f" + strconv.FormatFloat(v.float(), 'x', -1, 64)
 	case KindString:
 		return "s" + v.s
 	case KindBytes:
-		return "y" + string(v.b)
+		return "y" + v.s
 	case KindTime:
 		return "t" + strconv.FormatInt(v.i, 10)
 	default:
@@ -255,11 +248,11 @@ func (v Value) AppendKey(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(append(dst, 'i'), v.i, 10)
 	case KindFloat:
-		return strconv.AppendFloat(append(dst, 'f'), v.f, 'x', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), v.float(), 'x', -1, 64)
 	case KindString:
 		return append(append(dst, 's'), v.s...)
 	case KindBytes:
-		return append(append(dst, 'y'), v.b...)
+		return append(append(dst, 'y'), v.s...)
 	case KindTime:
 		return strconv.AppendInt(append(dst, 't'), v.i, 10)
 	default:
@@ -280,11 +273,11 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBytes:
-		return fmt.Sprintf("%x", v.b)
+		return fmt.Sprintf("%x", v.s)
 	case KindTime:
 		return time.Unix(0, v.i).UTC().Format(time.RFC3339Nano)
 	default:
