@@ -105,39 +105,6 @@ func BenchmarkFigure2Sharded(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationJoinStrategies compares symmetric-hash rehash, Fetch
-// Matches, and Bloom-filtered rehash on one workload (§3.3.4, [32]).
-func BenchmarkAblationJoinStrategies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunJoinStrategies(experiments.JoinStrategiesConfig{
-			Nodes: 16, OuterSize: 800, InnerSize: 40, MatchFraction: 0.05,
-			Seed: int64(3000 + i),
-		})
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-		for _, o := range res.Outcomes {
-			b.ReportMetric(float64(o.Bytes), o.Strategy+"-bytes")
-		}
-	}
-}
-
-// BenchmarkAblationHierarchicalAggregation measures in-bandwidth at the
-// aggregation point with and without in-network merging (§3.3.4).
-func BenchmarkAblationHierarchicalAggregation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunHierAgg(experiments.HierAggConfig{
-			Nodes: 64, TuplesPerNode: 20, Groups: 4, Seed: int64(4000 + i),
-		})
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-		for _, o := range res.Outcomes {
-			b.ReportMetric(float64(o.RootMsgsIn), o.Strategy+"-root-msgs")
-		}
-	}
-}
-
 // BenchmarkAblationChurn measures lookup success under increasing churn
 // (§3.2.2): shorter mean sessions mean harsher membership turnover.
 func BenchmarkAblationChurn(b *testing.B) {

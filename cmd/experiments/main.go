@@ -6,8 +6,6 @@
 //	experiments -fig 1               # Figure 1 CDFs (paper scale: 50 nodes)
 //	experiments -fig 2               # Figure 2 top-10 (paper scale: 350 nodes)
 //	experiments -fig 2 -nodes 10000 -workers 8   # Internet scale on the sharded scheduler
-//	experiments -ablation joins
-//	experiments -ablation hieragg
 //	experiments -ablation churn
 //	experiments -ablation softstate
 //	experiments -ablation all
@@ -17,6 +15,14 @@
 //
 //	experiments -scenario scenarios/partition-heal.yaml -workers 4
 //	experiments -scenario scenarios/churn-burst.yaml
+//
+// §3.3.4's ablations are scenarios, one per strategy, each checking its
+// answer against ground truth and reporting the traffic the strategy is
+// judged by:
+//
+//	experiments -scenario scenarios/hieragg-direct.yaml
+//	experiments -scenario scenarios/hieragg-hierarchical.yaml
+//	experiments -scenario scenarios/join-bloom-rehash.yaml
 //
 // Scenarios are also the way to drive many coexisting continuous queries
 // (§3.3.2): the scenarios/qstorm-*.yaml files run hundreds of them, and
@@ -73,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	fig := fs.Int("fig", 0, "figure to reproduce (1 or 2)")
 	scenario := fs.String("scenario", "", "run a declarative scenario file (YAML subset; see scenarios/) and enforce its assertions")
-	ablation := fs.String("ablation", "", "ablation to run (joins|hieragg|churn|softstate|all); many coexisting queries run as scenarios (-scenario scenarios/qstorm-*.yaml)")
+	ablation := fs.String("ablation", "", "ablation to run (churn|softstate|all); §3.3.4's aggregation and join ablations and many coexisting queries run as scenarios (-scenario scenarios/hieragg-*.yaml, join-*.yaml, qstorm-*.yaml)")
 	nodes := fs.Int("nodes", 0, "override deployment size")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	workers := fs.Int("workers", 0, "simulator worker shards (0 or 1 = one shard on the calling goroutine; results are identical for any count)")
@@ -224,16 +230,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runAblation := func(name string) {
 		ran = true
 		switch name {
-		case "joins":
-			fmt.Fprintln(stdout, "=== Ablation §3.3.4: join strategies ===")
-			fmt.Fprint(stdout, experiments.RunJoinStrategies(experiments.JoinStrategiesConfig{
-				Nodes: *nodes, Workers: *workers, Warm: warm, Seed: *seed,
-			}).Render())
-		case "hieragg":
-			fmt.Fprintln(stdout, "=== Ablation §3.3.4: hierarchical vs direct aggregation ===")
-			fmt.Fprint(stdout, experiments.RunHierAgg(experiments.HierAggConfig{
-				Nodes: *nodes, Workers: *workers, Warm: warm, Seed: *seed,
-			}).Render())
 		case "churn":
 			fmt.Fprintln(stdout, "=== Ablation §3.2.2: lookups under churn ===")
 			for _, session := range []time.Duration{5 * time.Minute, 2 * time.Minute, time.Minute} {
@@ -256,7 +252,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *ablation {
 	case "":
 	case "all":
-		for _, name := range []string{"joins", "hieragg", "churn", "softstate"} {
+		for _, name := range []string{"churn", "softstate"} {
 			runAblation(name)
 		}
 	default:

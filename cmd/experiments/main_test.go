@@ -118,7 +118,7 @@ func TestCheckpointFlagValidation(t *testing.T) {
 	// as for a figure.
 	for _, args := range [][]string{
 		{"-fig", "2", "-seed", "7", "-checkpoint-load", ckpt},
-		{"-ablation", "hieragg", "-seed", "7", "-checkpoint-load", ckpt},
+		{"-ablation", "softstate", "-seed", "7", "-checkpoint-load", ckpt},
 	} {
 		var wout, werr bytes.Buffer
 		if code := run(args, &wout, &werr); code != 0 {

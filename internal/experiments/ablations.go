@@ -8,8 +8,6 @@ import (
 	"pier/internal/overlay"
 	"pier/internal/qp"
 	"pier/internal/sim"
-	"pier/internal/tuple"
-	"pier/internal/ufl"
 	"pier/internal/vri"
 	"pier/internal/workload"
 )
@@ -18,323 +16,9 @@ import (
 // returns a small report struct with a Render method so the bench and
 // the CLI print the same rows. Like the figure harnesses, every ablation
 // takes a Workers knob and follows the sharded-safe collector
-// discipline, so results are identical for any worker count.
-
-// ---------------------------------------------------------------------
-// §3.3.4 — join strategies (symmetric-hash rehash vs Fetch Matches vs
-// Bloom-filtered rehash), the trade-off space of [32].
-// ---------------------------------------------------------------------
-
-// JoinStrategiesConfig parameterizes the join comparison.
-type JoinStrategiesConfig struct {
-	Nodes int
-	// OuterSize and InnerSize are |R| and |S|.
-	OuterSize, InnerSize int
-	// MatchFraction is the fraction of R tuples with a join partner.
-	MatchFraction float64
-	// Workers is the scheduler's worker shard count (0 or 1 = one inline
-	// shard; identical results for any count).
-	Workers int
-	// Warm selects the cluster warm-start path (checkpoint save/load).
-	Warm WarmStart
-	Seed int64
-}
-
-func (c *JoinStrategiesConfig) fill() {
-	if c.Nodes <= 0 {
-		c.Nodes = 16
-	}
-	if c.OuterSize <= 0 {
-		c.OuterSize = 400
-	}
-	if c.InnerSize <= 0 {
-		c.InnerSize = 40
-	}
-	if c.MatchFraction <= 0 {
-		c.MatchFraction = 0.1
-	}
-}
-
-// JoinStrategyOutcome is one strategy's cost and result.
-type JoinStrategyOutcome struct {
-	Strategy string
-	Results  int
-	Msgs     uint64
-	Bytes    uint64
-}
-
-// JoinStrategiesResult collects all strategies.
-type JoinStrategiesResult struct{ Outcomes []JoinStrategyOutcome }
-
-// Render prints the comparison table.
-func (r JoinStrategiesResult) Render() string {
-	out := fmt.Sprintf("%-22s %8s %10s %12s\n", "strategy", "results", "messages", "bytes")
-	for _, o := range r.Outcomes {
-		out += fmt.Sprintf("%-22s %8d %10d %12d\n", o.Strategy, o.Results, o.Msgs, o.Bytes)
-	}
-	return out
-}
-
-// RunJoinStrategies runs R ⋈ S under each strategy on an identical
-// cluster and data placement, measuring messages and bytes during the
-// query phase.
-func RunJoinStrategies(cfg JoinStrategiesConfig) JoinStrategiesResult {
-	cfg.fill()
-	var res JoinStrategiesResult
-	strategies := []struct {
-		name string
-		plan func(timeout time.Duration) *ufl.Query
-	}{
-		{"symmetric-hash", func(timeout time.Duration) *ufl.Query {
-			return queryMustParse(fmt.Sprintf(`
-query j timeout %s
-opgraph gr disseminate broadcast {
-    scan = Scan(table='r')
-    put  = Put(ns='j.x', key='id')
-    put <- scan
-}
-opgraph gs disseminate broadcast {
-    scan = Scan(table='s')
-    put  = Put(ns='j.x', key='id')
-    put <- scan
-}
-opgraph gj disseminate broadcast {
-    l = Scan(table='j.x', only='r')
-    r = Scan(table='j.x', only='s')
-    j = Join(leftkey='id', rightkey='id')
-    o = Result()
-    j.left <- l
-    j.right <- r
-    o <- j
-}
-`, timeout))
-		}},
-		{"fetch-matches", func(timeout time.Duration) *ufl.Query {
-			// S is already published as a hash index on id; each R tuple
-			// probes it — the distributed index join.
-			return queryMustParse(fmt.Sprintf(`
-query j timeout %s
-opgraph g disseminate broadcast {
-    scan = Scan(table='r')
-    fm   = FetchMatches(ns='sindex', key='id')
-    o    = Result()
-    fm <- scan
-    o <- fm
-}
-`, timeout))
-		}},
-		{"bloom-rehash", func(timeout time.Duration) *ufl.Query {
-			return queryMustParse(fmt.Sprintf(`
-query j timeout %s
-opgraph gb disseminate broadcast {
-    scan = Scan(table='s')
-    tee  = Tee()
-    bb   = BloomBuild(ns='j.bf', key='id', expected=64, flushevery='3s')
-    sput = Put(ns='j.x', key='id')
-    tee <- scan
-    bb <- tee
-    sput <- tee
-}
-opgraph gp disseminate broadcast {
-    scan = Scan(table='r')
-    bf   = BloomFilter(ns='j.bf', key='id', fetchdelay='7s')
-    put  = Put(ns='j.x', key='id')
-    bf <- scan
-    put <- bf
-}
-opgraph gj disseminate broadcast {
-    l = Scan(table='j.x', only='r')
-    r = Scan(table='j.x', only='s')
-    j = Join(leftkey='id', rightkey='id')
-    o = Result()
-    j.left <- l
-    j.right <- r
-    o <- j
-}
-`, timeout))
-		}},
-	}
-
-	for _, s := range strategies {
-		env := sim.NewEnv(sim.Options{Seed: cfg.Seed})
-		env.SetWorkers(cfg.Workers)
-		nodes := buildOrRestore(env, cfg.Nodes, "n", cfg.Warm)
-		// Inner relation S: ids 0..InnerSize-1, published as an index
-		// for fetch-matches and stored locally for the rehash plans.
-		for i := 0; i < cfg.InnerSize; i++ {
-			n := nodes[i%len(nodes)]
-			tp := tuple.New("s").Set("id", tuple.Int(int64(i))).Set("sv", tuple.Int(int64(i)))
-			n.PublishLocal("s", tp, 4*time.Hour)
-			n.Publish("sindex", []string{"id"}, tp, 4*time.Hour, nil)
-		}
-		// Outer relation R: MatchFraction of tuples join.
-		matching := int(float64(cfg.OuterSize) * cfg.MatchFraction)
-		for i := 0; i < cfg.OuterSize; i++ {
-			id := int64(1_000_000 + i)
-			if i < matching {
-				id = int64(i % cfg.InnerSize)
-			}
-			nodes[i%len(nodes)].PublishLocal("r", tuple.New("r").
-				Set("id", tuple.Int(id)).Set("rv", tuple.Int(int64(i))), 4*time.Hour)
-		}
-		env.Run(20 * time.Second)
-
-		_, msgs0, bytes0 := env.Stats()
-		timeout := 25 * time.Second
-		rs, err := nodes[0].SubmitCollect(s.plan(timeout), "ablation")
-		if err != nil {
-			panic(err)
-		}
-		env.Run(timeout + 10*time.Second)
-		_, msgs1, bytes1 := env.Stats()
-		res.Outcomes = append(res.Outcomes, JoinStrategyOutcome{
-			Strategy: s.name, Results: rs.Len(),
-			Msgs: msgs1 - msgs0, Bytes: bytes1 - bytes0,
-		})
-	}
-	return res
-}
-
-// ---------------------------------------------------------------------
-// §3.3.4 — hierarchical aggregation vs direct (one-site) aggregation:
-// in-bandwidth at the aggregation point.
-// ---------------------------------------------------------------------
-
-// HierAggConfig parameterizes the aggregation comparison.
-type HierAggConfig struct {
-	Nodes         int
-	TuplesPerNode int
-	Groups        int
-	// Workers is the scheduler's worker shard count (0 or 1 = one inline
-	// shard; identical results for any count).
-	Workers int
-	// Warm selects the cluster warm-start path (checkpoint save/load).
-	Warm WarmStart
-	Seed int64
-}
-
-func (c *HierAggConfig) fill() {
-	if c.Nodes <= 0 {
-		c.Nodes = 64
-	}
-	if c.TuplesPerNode <= 0 {
-		c.TuplesPerNode = 20
-	}
-	if c.Groups <= 0 {
-		c.Groups = 4
-	}
-}
-
-// HierAggOutcome is one strategy's cost.
-type HierAggOutcome struct {
-	Strategy string
-	// RootMsgsIn/RootBytesIn are the in-bandwidth of the aggregation
-	// point — the quantity hierarchical aggregation exists to reduce.
-	// Bytes are the load-bearing measure: batched result shipping packs
-	// a whole window into one frame, so message counts no longer scale
-	// with group count on either strategy.
-	RootMsgsIn  uint64
-	RootBytesIn uint64
-	// Correct reports whether the produced counts match ground truth.
-	Correct bool
-}
-
-// HierAggResult collects both strategies.
-type HierAggResult struct{ Outcomes []HierAggOutcome }
-
-// Render prints the comparison.
-func (r HierAggResult) Render() string {
-	out := fmt.Sprintf("%-14s %14s %14s %9s\n", "strategy", "root msgs in", "root bytes in", "correct")
-	for _, o := range r.Outcomes {
-		out += fmt.Sprintf("%-14s %14d %14d %9v\n", o.Strategy, o.RootMsgsIn, o.RootBytesIn, o.Correct)
-	}
-	return out
-}
-
-// RunHierAgg compares shipping every node's partial straight to one
-// rendezvous site against the tree-merged hierarchical plan.
-func RunHierAgg(cfg HierAggConfig) HierAggResult {
-	cfg.fill()
-	var res HierAggResult
-	for _, strategy := range []string{"direct", "hierarchical"} {
-		env := sim.NewEnv(sim.Options{Seed: cfg.Seed})
-		env.SetWorkers(cfg.Workers)
-		nodes := buildOrRestore(env, cfg.Nodes, "n", cfg.Warm)
-		truth := map[string]int64{}
-		for ni, n := range nodes {
-			for tI := 0; tI < cfg.TuplesPerNode; tI++ {
-				g := fmt.Sprintf("g%d", (ni+tI)%cfg.Groups)
-				truth[g]++
-				n.PublishLocal("vals", tuple.New("vals").Set("k", tuple.String(g)), 4*time.Hour)
-			}
-		}
-		env.Run(10 * time.Second)
-
-		var plan *ufl.Query
-		var rootAddr vri.Addr
-		if strategy == "direct" {
-			plan = queryMustParse(`
-query agg timeout 20s
-opgraph g1 disseminate broadcast {
-    scan = Scan(table='vals')
-    agg  = GroupBy(keys='k', aggs='count(*) as cnt', flushevery='6s')
-    ship = Put(ns='agg.partial', fixedkey='all')
-    agg <- scan
-    ship <- agg
-}
-opgraph g2 disseminate equality 'agg.partial' 'all' {
-    recv  = Scan(table='agg.partial')
-    final = GroupBy(keys='k', aggs='sum(cnt) as cnt')
-    out   = Result()
-    final <- recv
-    out <- final
-}
-`)
-			rootAddr = ownerOf(nodes, "agg.partial", "all")
-		} else {
-			plan = queryMustParse(`
-query agg timeout 20s
-opgraph g disseminate broadcast {
-    scan = Scan(table='vals')
-    agg  = HierAgg(ns='agg.tree', keys='k', aggs='count(*) as cnt', senddelay='5s', wait='250ms')
-    out  = Result()
-    agg <- scan
-    out <- agg
-}
-`)
-			rootAddr = ownerOf(nodes, "agg.tree", "root")
-		}
-
-		before := env.Traffic(rootAddr)
-		rs, err := nodes[1].SubmitCollect(plan, "ablation")
-		if err != nil {
-			panic(err)
-		}
-		env.Run(35 * time.Second)
-		after := env.Traffic(rootAddr)
-
-		got := map[string]int64{}
-		for _, t := range rs.Rows() {
-			k, _ := t.Get("k")
-			c, _ := t.Get("cnt")
-			ci, _ := c.AsInt()
-			got[k.String()] += ci
-		}
-		correct := len(got) == len(truth)
-		for k, v := range truth {
-			if got[k] != v {
-				correct = false
-			}
-		}
-		res.Outcomes = append(res.Outcomes, HierAggOutcome{
-			Strategy:    strategy,
-			RootMsgsIn:  after.MsgsIn - before.MsgsIn,
-			RootBytesIn: after.BytesIn - before.BytesIn,
-			Correct:     correct,
-		})
-	}
-	return res
-}
+// discipline, so results are identical for any worker count. §3.3.4's
+// two ablations, hierarchical aggregation and the join strategies, are
+// scenario workloads (hier-agg and join in scenario_run.go).
 
 // ownerOf finds the cluster node owning a DHT name.
 func ownerOf(nodes []*qp.Node, ns, key string) vri.Addr {
@@ -346,7 +30,7 @@ func ownerOf(nodes []*qp.Node, ns, key string) vri.Addr {
 			best, bestDist = n, d
 		}
 	}
-	return addrOf(best)
+	return best.Addr()
 }
 
 // ---------------------------------------------------------------------

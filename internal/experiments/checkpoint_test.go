@@ -10,6 +10,7 @@ import (
 
 	"pier/internal/qp"
 	"pier/internal/sim"
+	"pier/internal/ufl"
 	"pier/internal/vri"
 	"pier/internal/wire"
 )
@@ -199,7 +200,7 @@ func TestCheckpointRejectsCorruptInput(t *testing.T) {
 func TestCheckpointRequiresQuiescentNodes(t *testing.T) {
 	env := sim.NewEnv(sim.Options{Seed: 309})
 	nodes := BuildCluster(env, 8, "n")
-	if _, err := nodes[0].SubmitCollect(queryMustParse(`
+	if _, err := nodes[0].SubmitCollect(ufl.MustParse(`
 query q timeout 20s
 opgraph g disseminate local {
     scan = Scan(table='t')

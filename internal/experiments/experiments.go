@@ -40,8 +40,6 @@ import (
 	"pier/internal/sim"
 	"pier/internal/sqlfront"
 	"pier/internal/tuple"
-	"pier/internal/ufl"
-	"pier/internal/vri"
 	"pier/internal/workload"
 )
 
@@ -539,16 +537,3 @@ func runUntil(env *sim.Env, max time.Duration, cond func() bool) {
 		env.Run(d)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// queryMustParse builds UFL for the ablations.
-func queryMustParse(text string) *ufl.Query { return ufl.MustParse(text) }
-
-// addrOf is a tiny helper for ablation reporting.
-func addrOf(n *qp.Node) vri.Addr { return n.Addr() }

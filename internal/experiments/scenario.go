@@ -76,7 +76,8 @@ type NetworkSpec struct {
 
 // WorkloadSpec is one entry of the workload mix.
 type WorkloadSpec struct {
-	// Kind is "continuous-agg", "lookups", or "gnutella-flood".
+	// Kind is "continuous-agg", "lookups", "gnutella-flood", "hier-agg"
+	// or "join".
 	Kind string
 
 	// continuous-agg: Queries concurrent continuous counts over the
@@ -113,6 +114,13 @@ type WorkloadSpec struct {
 	At     time.Duration
 	TTL    int
 	Degree int
+
+	// hier-agg and join: the §3.3.4 ablations. Each seeds a fixed
+	// fixture before the horizon, submits one plan at its start and
+	// counts that plan's traffic over the horizon. Strategy picks the
+	// plan: hier-agg's direct or hierarchical, join's symmetric-hash,
+	// fetch-matches or bloom-rehash (ablationPlans).
+	Strategy string
 }
 
 // EventSpec is one entry of the timed failure-injection script.
@@ -189,6 +197,10 @@ type AssertSpec struct {
 	// MalformedSeen: at least one malformed drop was counted (the flood
 	// actually met a query's decode path).
 	MalformedSeen bool
+	// Answers: "exact" requires every hier-agg and join workload's
+	// answer to equal the ground truth its fixture fixes (requires such
+	// a workload).
+	Answers string
 }
 
 // ---------------------------------------------------------------------
@@ -691,10 +703,19 @@ func ParseScenario(src string) (ScenarioSpec, error) {
 	if spec.Assert.MinQuotaRejects != nil && spec.MaxGraphsPerClient <= 0 {
 		return spec, fmt.Errorf("assert min-quota-rejects requires max-graphs-per-client")
 	}
+	fixtures := map[string]int{}
 	for _, wl := range spec.Workloads {
 		if wl.Kind == "continuous-agg" && wl.Start >= spec.Duration {
 			return spec, fmt.Errorf("continuous-agg start %v falls outside the scenario duration %v", wl.Start, spec.Duration)
 		}
+		if ablationPlans[wl.Kind] != nil {
+			if fixtures[wl.Kind]++; fixtures[wl.Kind] > 1 {
+				return spec, fmt.Errorf("at most one %s workload per scenario (its fixture is seeded once)", wl.Kind)
+			}
+		}
+	}
+	if spec.Assert.Answers != "" && len(fixtures) == 0 {
+		return spec, fmt.Errorf("assert answers requires a hier-agg or join workload")
 	}
 	return spec, nil
 }
@@ -785,6 +806,16 @@ func decodeWorkload(v *yval) (WorkloadSpec, error) {
 			f.intField("degree", &w.Degree),
 			f.durField("timeout", &w.Timeout),
 		)
+	case "hier-agg", "join":
+		err = f.strField("strategy", &w.Strategy)
+		if plans := ablationPlans[w.Kind]; err == nil && plans[w.Strategy] == "" {
+			names := make([]string, 0, len(plans))
+			for name := range plans {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			err = decodeErr{v.line, fmt.Sprintf("%s needs strategy %s, got %q", w.Kind, strings.Join(names, "|"), w.Strategy)}
+		}
 	case "":
 		return w, decodeErr{v.line, "workload entry needs a kind"}
 	default:
@@ -874,8 +905,12 @@ func decodeAssert(v *yval) (AssertSpec, error) {
 		f.boolField("all-queries-done", &a.AllQueriesDone),
 		f.boolField("no-leaks", &a.NoLeaks),
 		f.boolField("malformed-seen", &a.MalformedSeen),
+		f.strField("answers", &a.Answers),
 	); err != nil {
 		return a, err
+	}
+	if a.Answers != "" && a.Answers != "exact" {
+		return a, decodeErr{f.v.m["answers"].line, fmt.Sprintf("answers must be exact, got %q", a.Answers)}
 	}
 	if v := f.get("lookup-completeness"); v != nil {
 		x, err := v.asFloat()

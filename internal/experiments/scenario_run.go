@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -72,6 +73,10 @@ type scenarioRun struct {
 	lookRec *metrics.LatencyRecorder
 
 	gnuSlots []*gnuSlot
+
+	// truth is each seeded fixture's ground truth, by workload kind.
+	truth     map[string]map[string]int64
+	ablations []*ablationRun
 }
 
 func (r *scenarioRun) tl(format string, args ...any) {
@@ -129,6 +134,7 @@ func RunScenario(spec ScenarioSpec, workers int) ScenarioOutcome {
 		addrToQP: make(map[vri.Addr]*qp.Node, len(nodes)),
 		rng:      rand.New(rand.NewSource(spec.Seed + 21)),
 		lookRec:  &metrics.LatencyRecorder{},
+		truth:    map[string]map[string]int64{},
 	}
 	for _, n := range nodes {
 		r.addrToQP[n.Addr()] = n
@@ -138,7 +144,7 @@ func RunScenario(spec ScenarioSpec, workers int) ScenarioOutcome {
 	}
 
 	// Workload fixtures that must exist before the clock starts: the
-	// lookup key table and the gnutella catalog.
+	// lookup key table, the gnutella catalog and the §3.3.4 tables.
 	var peers []*gnutella.Peer
 	var mix *workload.QueryMix
 	needsSettle := false
@@ -175,6 +181,9 @@ func RunScenario(spec ScenarioSpec, workers int) ScenarioOutcome {
 			}
 			mix = workload.NewQueryMix(cat, spec.Seed+37)
 			needsSettle = true
+		case "hier-agg", "join":
+			r.truth[wl.Kind] = seedFixture(wl.Kind, nodes)
+			needsSettle = true
 		}
 	}
 	if needsSettle {
@@ -192,6 +201,10 @@ func RunScenario(spec ScenarioSpec, workers int) ScenarioOutcome {
 	}
 
 	env.Run(spec.Duration)
+	for _, a := range r.ablations {
+		msgs, bytes := a.traffic(env)
+		a.msgs, a.bytes = msgs-a.msgs, bytes-a.bytes
+	}
 	env.Run(spec.Teardown)
 	return r.evaluate()
 }
@@ -268,6 +281,22 @@ func (r *scenarioRun) armWorkload(wl WorkloadSpec, peers []*gnutella.Peer, mix *
 				r.lookups = append(r.lookups, &scenLookup{rs: rs, submitted: env.Now()})
 			})
 		}
+	case "hier-agg", "join":
+		a := &ablationRun{wl: wl}
+		origin := r.nodes[0]
+		switch wl.Strategy {
+		case "direct":
+			a.root, origin = ownerOf(r.nodes, "agg.partial", "all"), r.nodes[1]
+		case "hierarchical":
+			a.root, origin = ownerOf(r.nodes, "agg.tree", "root"), r.nodes[1]
+		}
+		a.msgs, a.bytes = a.traffic(env)
+		rs, err := origin.SubmitCollect(ufl.MustParse(ablationPlans[wl.Kind][wl.Strategy]), "scenario")
+		if err != nil {
+			panic(err)
+		}
+		a.rs = rs
+		r.ablations = append(r.ablations, a)
 	case "gnutella-flood":
 		wl := wl
 		env.Schedule(wl.At, func() {
@@ -566,6 +595,21 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 	if len(r.gnuSlots) > 0 {
 		fmt.Fprintf(&b, "  gnutella-flood: searches=%d hits=%d\n", len(r.gnuSlots), gnuHits)
 	}
+	exact := 0
+	for _, a := range r.ablations {
+		line := fmt.Sprintf("  %s: strategy=%s rows=%d", a.wl.Kind, a.wl.Strategy, a.rs.Len())
+		if a.wl.Kind == "hier-agg" {
+			line += fmt.Sprintf(" root-msgs-in=%d root-bytes-in=%d", a.msgs, a.bytes)
+		} else {
+			line += fmt.Sprintf(" msgs=%d bytes=%d", a.msgs, a.bytes)
+		}
+		verdict := "wrong"
+		if maps.Equal(a.answer(), r.truth[a.wl.Kind]) {
+			verdict = "exact"
+			exact++
+		}
+		fmt.Fprintf(&b, "%s answer=%s\n", line, verdict)
+	}
 
 	// Cluster state after teardown, over LIVE nodes only: a failed
 	// node's counters are frozen mid-flight by design (Fail models a
@@ -705,6 +749,10 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 	if a.MalformedSeen {
 		check("malformed-seen", malformed > 0, fmt.Sprintf("malformed-drops=%d", malformed))
 	}
+	if a.Answers == "exact" {
+		check("answers exact", exact == len(r.ablations),
+			fmt.Sprintf("%d/%d answers match the ground truth", exact, len(r.ablations)))
+	}
 	if a.NoLeaks {
 		detail := fmt.Sprintf("subscriptions=%d graphs=%d wheel-slots=%d subtrees=%d attachments=%d clients=%d pending-sends=%d",
 			leakSubs, leakGraphs, leakSlots, leakSubtrees, leakAttach, leakClients, leakPending)
@@ -721,4 +769,200 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 		fmt.Fprintf(&b, "RESULT: FAIL\n")
 	}
 	return ScenarioOutcome{Report: b.String(), Passed: passed}
+}
+
+// ---------------------------------------------------------------------
+// §3.3.4 ablations: hier-agg and join workloads
+// ---------------------------------------------------------------------
+
+// ablationRun is one hier-agg or join workload: its query, and the
+// traffic it is measured by, counted over the horizon.
+type ablationRun struct {
+	wl WorkloadSpec
+	rs *qp.ResultSet
+	// root is hier-agg's aggregation point: the owner of the name every
+	// partial converges on.
+	root vri.Addr
+	// msgs and bytes hold the counters at the horizon start, then the
+	// difference over the horizon.
+	msgs, bytes uint64
+}
+
+// traffic reads what the workload is measured by: in-traffic at the
+// aggregation point for hier-agg, the cluster's traffic for join.
+func (a *ablationRun) traffic(env *sim.Env) (msgs, bytes uint64) {
+	if a.wl.Kind == "hier-agg" {
+		t := env.Traffic(a.root)
+		return t.MsgsIn, t.BytesIn
+	}
+	_, msgs, bytes = env.Stats()
+	return msgs, bytes
+}
+
+// answer folds the collected rows into the shape of seedFixture's
+// ground truth: the count per group for hier-agg, the count of each
+// joined row for join.
+func (a *ablationRun) answer() map[string]int64 {
+	got := map[string]int64{}
+	for _, t := range a.rs.Rows() {
+		if a.wl.Kind == "hier-agg" {
+			k, _ := t.Get("k")
+			c, _ := t.Get("cnt")
+			n, _ := c.AsInt()
+			got[k.String()] += n
+			continue
+		}
+		cols := make([]string, 0, 4)
+		for _, col := range []string{"r.id", "r.rv", "s.id", "s.sv"} {
+			v, _ := t.Get(col)
+			cols = append(cols, col+"="+v.String())
+		}
+		got[strings.Join(cols, " ")]++
+	}
+	return got
+}
+
+// Sizes of the §3.3.4 fixtures.
+const (
+	hierAggRowsPerNode = 20 // vals rows per node, over hierAggGroups keys
+	hierAggGroups      = 4
+	joinInner          = 40             // |S|: table s, also published as the sindex index
+	joinOuter          = 400            // |R|: table r
+	joinMatching       = joinOuter / 10 // R rows whose id has a partner in S
+)
+
+// seedFixture stores a hier-agg or join workload's fixture on the ring
+// and returns its ground truth.
+func seedFixture(kind string, nodes []*qp.Node) map[string]int64 {
+	truth := map[string]int64{}
+	if kind == "hier-agg" {
+		for ni, n := range nodes {
+			for t := 0; t < hierAggRowsPerNode; t++ {
+				g := fmt.Sprintf("g%d", (ni+t)%hierAggGroups)
+				truth[g]++
+				n.PublishLocal("vals", tuple.New("vals").Set("k", tuple.String(g)), 4*time.Hour)
+			}
+		}
+		return truth
+	}
+	for i := 0; i < joinInner; i++ {
+		n := nodes[i%len(nodes)]
+		tp := tuple.New("s").Set("id", tuple.Int(int64(i))).Set("sv", tuple.Int(int64(i)))
+		n.PublishLocal("s", tp, 4*time.Hour)
+		n.Publish("sindex", []string{"id"}, tp, 4*time.Hour, nil)
+	}
+	for i := 0; i < joinOuter; i++ {
+		id := int64(1_000_000 + i)
+		if i < joinMatching {
+			id = int64(i % joinInner)
+			truth[fmt.Sprintf("r.id=%d r.rv=%d s.id=%d s.sv=%d", id, i, id, id)]++
+		}
+		nodes[i%len(nodes)].PublishLocal("r", tuple.New("r").
+			Set("id", tuple.Int(id)).Set("rv", tuple.Int(int64(i))), 4*time.Hour)
+	}
+	return truth
+}
+
+// ablationPlans is the plan each §3.3.4 workload submits at the horizon
+// start, by kind and strategy.
+var ablationPlans = map[string]map[string]string{
+	"hier-agg": {
+		// Every node ships its partial straight to one rendezvous site.
+		"direct": `
+query agg timeout 20s
+opgraph g1 disseminate broadcast {
+    scan = Scan(table='vals')
+    agg  = GroupBy(keys='k', aggs='count(*) as cnt', flushevery='6s')
+    ship = Put(ns='agg.partial', fixedkey='all')
+    agg <- scan
+    ship <- agg
+}
+opgraph g2 disseminate equality 'agg.partial' 'all' {
+    recv  = Scan(table='agg.partial')
+    final = GroupBy(keys='k', aggs='sum(cnt) as cnt')
+    out   = Result()
+    final <- recv
+    out <- final
+}
+`,
+		// Partials merge en route up a tree toward the root.
+		"hierarchical": `
+query agg timeout 20s
+opgraph g disseminate broadcast {
+    scan = Scan(table='vals')
+    agg  = HierAgg(ns='agg.tree', keys='k', aggs='count(*) as cnt', senddelay='5s', wait='250ms')
+    out  = Result()
+    agg <- scan
+    out <- agg
+}
+`,
+	},
+	"join": {
+		// Both relations rehash into j.x, where a symmetric hash join
+		// meets them.
+		"symmetric-hash": `
+query j timeout 25s
+opgraph gr disseminate broadcast {
+    scan = Scan(table='r')
+    put  = Put(ns='j.x', key='id')
+    put <- scan
+}
+opgraph gs disseminate broadcast {
+    scan = Scan(table='s')
+    put  = Put(ns='j.x', key='id')
+    put <- scan
+}
+opgraph gj disseminate broadcast {
+    l = Scan(table='j.x', only='r')
+    r = Scan(table='j.x', only='s')
+    j = Join(leftkey='id', rightkey='id')
+    o = Result()
+    j.left <- l
+    j.right <- r
+    o <- j
+}
+`,
+		// Each R row probes S's sindex hash index: the distributed index
+		// join.
+		"fetch-matches": `
+query j timeout 25s
+opgraph g disseminate broadcast {
+    scan = Scan(table='r')
+    fm   = FetchMatches(ns='sindex', key='id')
+    o    = Result()
+    fm <- scan
+    o <- fm
+}
+`,
+		// S rehashes and publishes a Bloom filter of its ids; R rehashes
+		// only the rows the filter admits.
+		"bloom-rehash": `
+query j timeout 25s
+opgraph gb disseminate broadcast {
+    scan = Scan(table='s')
+    tee  = Tee()
+    bb   = BloomBuild(ns='j.bf', key='id', expected=64, flushevery='3s')
+    sput = Put(ns='j.x', key='id')
+    tee <- scan
+    bb <- tee
+    sput <- tee
+}
+opgraph gp disseminate broadcast {
+    scan = Scan(table='r')
+    bf   = BloomFilter(ns='j.bf', key='id', fetchdelay='7s')
+    put  = Put(ns='j.x', key='id')
+    bf <- scan
+    put <- bf
+}
+opgraph gj disseminate broadcast {
+    l = Scan(table='j.x', only='r')
+    r = Scan(table='j.x', only='s')
+    j = Join(leftkey='id', rightkey='id')
+    o = Result()
+    j.left <- l
+    j.right <- r
+    o <- j
+}
+`,
+	},
 }

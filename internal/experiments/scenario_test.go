@@ -127,6 +127,11 @@ func TestParseScenarioErrors(t *testing.T) {
 		"partition needs first": "name: x\nnodes: 4\nduration: 5s\nevents:\n  - at: 1s\n    action: partition\n",
 		"kill needs count":      "name: x\nnodes: 4\nduration: 5s\nevents:\n  - at: 1s\n    action: kill\n",
 		"lookups need keys":     "name: x\nnodes: 4\nduration: 5s\nworkload:\n  - kind: lookups\n    keys: 0\n",
+		"unknown strategy":      "name: x\nnodes: 4\nduration: 5s\nworkload:\n  - kind: join\n    strategy: nested-loops\n",
+		"missing strategy":      "name: x\nnodes: 4\nduration: 5s\nworkload:\n  - kind: hier-agg\n",
+		"fixture seeded twice":  "name: x\nnodes: 4\nduration: 5s\nworkload:\n  - kind: hier-agg\n    strategy: direct\n  - kind: hier-agg\n    strategy: hierarchical\n",
+		"answers not exact":     "name: x\nnodes: 4\nduration: 5s\nworkload:\n  - kind: join\n    strategy: fetch-matches\nassert:\n  answers: close\n",
+		"answers need a truth":  "name: x\nnodes: 4\nduration: 5s\nworkload:\n  - kind: lookups\nassert:\n  answers: exact\n",
 	}
 	for name, src := range cases {
 		if _, err := ParseScenario(src); err == nil {
@@ -139,7 +144,8 @@ func TestParseScenarioErrors(t *testing.T) {
 }
 
 // TestCheckedInScenariosParse keeps the shipped scenario artifacts valid
-// as the spec evolves; the CI scenario-smoke lane actually runs them.
+// as the spec evolves; TestCheckedInScenariosMatchGoldens and the CI
+// scenario-smoke lane run them.
 func TestCheckedInScenariosParse(t *testing.T) {
 	names, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
 	if err != nil {

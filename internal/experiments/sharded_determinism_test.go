@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,9 +24,10 @@ import (
 // — a stray env clock read inside a node event, a map-order message
 // sequence, driver state mutated from a node callback — fails the diff.
 //
-// Configurations are scaled down so the whole file stays tractable on
-// one CPU; the paper-scale runs live in bench_test.go and the CI smoke
-// lane.
+// Harness configurations are scaled down so the whole file stays
+// tractable on one CPU; the paper-scale runs live in bench_test.go and
+// the CI smoke lane. Checked-in scenarios run as checked in, the 128-node
+// hieragg pair included, since their goldens are what CI diffs.
 
 func TestFigure1ShardedMatchesSequential(t *testing.T) {
 	cfg := Figure1Config{
@@ -59,40 +63,6 @@ func TestFigure2ShardedMatchesSequential(t *testing.T) {
 	}
 	if len(seq.Got) == 0 || seq.Events == 0 {
 		t.Fatalf("degenerate run: %+v", seq)
-	}
-}
-
-func TestJoinStrategiesShardedMatchesSequential(t *testing.T) {
-	cfg := JoinStrategiesConfig{
-		Nodes: 8, OuterSize: 120, InnerSize: 12, MatchFraction: 0.1, Seed: 204,
-	}
-	cfg.Workers = 0
-	seq := RunJoinStrategies(cfg)
-	cfg.Workers = 8
-	par := RunJoinStrategies(cfg)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("join strategies diverged:\nseq: %+v\npar: %+v", seq, par)
-	}
-	for _, o := range seq.Outcomes {
-		if o.Results == 0 {
-			t.Fatalf("degenerate run: %s found nothing", o.Strategy)
-		}
-	}
-}
-
-func TestHierAggShardedMatchesSequential(t *testing.T) {
-	cfg := HierAggConfig{Nodes: 16, TuplesPerNode: 6, Groups: 3, Seed: 205}
-	cfg.Workers = 0
-	seq := RunHierAgg(cfg)
-	cfg.Workers = 8
-	par := RunHierAgg(cfg)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("hieragg diverged:\nseq: %+v\npar: %+v", seq, par)
-	}
-	for _, o := range seq.Outcomes {
-		if !o.Correct {
-			t.Fatalf("degenerate run: %s incorrect", o.Strategy)
-		}
 	}
 }
 
@@ -332,81 +302,171 @@ assert:
 	}
 }
 
-// TestTreeRepairScenarioShardedMatchesSequential runs the checked-in
-// tree-repair scenario — redundant trees, interior kills, respawns,
-// completeness assertions — from its YAML source, so the CI smoke lane
-// and this determinism diff exercise the same spec. The report must be
-// bit-identical between schedulers and must show the nack-repair
-// counters firing.
+// TestCheckedInScenariosMatchGoldens runs every checked-in scenario at
+// workers 0 and 8. Both reports must be equal, must PASS, and must equal
+// scenarios/golden/<name>.txt byte for byte: the report is exactly what
+// `cmd/experiments -scenario` prints on stdout, and scripts/goldens.sh
+// writes the goldens. A scenario with no golden fails. The tests below
+// read what their scenarios must show from the same memoized runs.
+func TestCheckedInScenariosMatchGoldens(t *testing.T) {
+	paths, err := filepath.Glob("../../scenarios/*.yaml")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenarios found: %v", err)
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".yaml")
+		t.Run(name, func(t *testing.T) { checkedInReport(t, name) })
+	}
+}
+
+// TestTreeRepairScenarioShardedMatchesSequential: the checked-in
+// tree-repair scenario (redundant trees, interior kills, respawns) must
+// show the nack-repair counters firing and completeness holding.
 func TestTreeRepairScenarioShardedMatchesSequential(t *testing.T) {
-	seq := runCheckedInScenario(t, "tree-repair")
-	if strings.Contains(seq.Report, "tree-repairs=0 ") {
-		t.Fatalf("kill did not drive nack repair:\n%s", seq.Report)
+	report := checkedInReport(t, "tree-repair")
+	if strings.Contains(report, "tree-repairs=0 ") {
+		t.Fatalf("kill did not drive nack repair:\n%s", report)
 	}
-	if !strings.Contains(seq.Report, "assert min-completeness >= 0.90: PASS") {
-		t.Fatalf("completeness assertion missing or failing:\n%s", seq.Report)
+	if !strings.Contains(report, "assert min-completeness >= 0.90: PASS") {
+		t.Fatalf("completeness assertion missing or failing:\n%s", report)
 	}
 }
 
-// TestQStormMixedScenarioShardedMatchesSequential runs the checked-in
-// qstorm-mixed scenario — eight distinct-shape window queries, so every
-// node's table bus holds arrivals for eight gated chains and releases
-// them at each flush, with a mid-run kill and respawn — and diffs the
-// report between schedulers.
+// TestQStormMixedScenarioShardedMatchesSequential: the checked-in
+// qstorm-mixed scenario (eight distinct-shape window queries with a
+// mid-run kill and respawn) is bit-identical between schedulers.
 func TestQStormMixedScenarioShardedMatchesSequential(t *testing.T) {
-	runCheckedInScenario(t, "qstorm-mixed")
+	checkedInReport(t, "qstorm-mixed")
 }
 
-// TestQStormAggScenarioShardedMatchesSequential runs the checked-in
-// qstorm-agg scenario — 500 shared-shape continuous aggregations whose
-// window flushes travel the columnar EmitBatch → demux → batched-result
-// path, with a mid-run kill and respawn — from its YAML source, so the
-// CI smoke lane and this determinism diff exercise the same spec. The
-// batched result frames must not introduce worker-count-dependent
-// ordering: the report is bit-identical between schedulers.
+// TestQStormAggScenarioShardedMatchesSequential: the checked-in
+// qstorm-agg scenario's batched result frames introduce no
+// worker-count-dependent ordering, and its queries recover after the
+// respawn without leaking state.
 func TestQStormAggScenarioShardedMatchesSequential(t *testing.T) {
-	seq := runCheckedInScenario(t, "qstorm-agg")
-	if !strings.Contains(seq.Report, "assert recovered-rows >= 50: PASS") {
-		t.Fatalf("post-respawn recovery assertion missing or failing:\n%s", seq.Report)
+	report := checkedInReport(t, "qstorm-agg")
+	if !strings.Contains(report, "assert recovered-rows >= 50: PASS") {
+		t.Fatalf("post-respawn recovery assertion missing or failing:\n%s", report)
 	}
-	if !strings.Contains(seq.Report, "assert no-leaks: PASS") {
-		t.Fatalf("leak assertion missing or failing:\n%s", seq.Report)
+	if !strings.Contains(report, "assert no-leaks: PASS") {
+		t.Fatalf("leak assertion missing or failing:\n%s", report)
 	}
 }
 
-// TestTransitStubScenarioShardedMatchesSequential runs the checked-in
-// transit-stub scenario — the transit-stub topology under 2% message
-// loss, with an aggregation, lookups and a Gnutella flood side by side —
-// and diffs the report between schedulers. Loss draws come from each
-// sender's own stream, so the lossy transit-stub run must not depend on
-// the worker count either.
+// TestTransitStubScenarioShardedMatchesSequential: the checked-in
+// transit-stub scenario runs on the transit-stub topology under loss,
+// and loss draws do not depend on the worker count.
 func TestTransitStubScenarioShardedMatchesSequential(t *testing.T) {
-	seq := runCheckedInScenario(t, "transit-stub")
-	if !strings.Contains(seq.Report, "topology=transit-stub") {
-		t.Fatalf("scenario did not run on the transit-stub topology:\n%s", seq.Report)
+	report := checkedInReport(t, "transit-stub")
+	if !strings.Contains(report, "topology=transit-stub") {
+		t.Fatalf("scenario did not run on the transit-stub topology:\n%s", report)
 	}
 }
 
-// runCheckedInScenario runs scenarios/<name>.yaml at workers 0 and 8,
-// fails the test unless the two reports are identical and the scenario
-// passed, and returns the workers-0 outcome.
-func runCheckedInScenario(t *testing.T, name string) ScenarioOutcome {
+// TestHierAggShardedMatchesSequential: both hier-agg scenarios are
+// bit-identical between schedulers and their answers are exact.
+func TestHierAggShardedMatchesSequential(t *testing.T) {
+	for _, name := range []string{"hieragg-direct", "hieragg-hierarchical"} {
+		if report := checkedInReport(t, name); !strings.Contains(report, "answer=exact") {
+			t.Errorf("%s answer not exact:\n%s", name, report)
+		}
+	}
+}
+
+// TestHierAggReducesRootInBandwidth is §3.3.4's first bandwidth
+// argument: at 128 nodes the hierarchical plan's root takes fewer bytes
+// in than the direct plan's rendezvous site.
+func TestHierAggReducesRootInBandwidth(t *testing.T) {
+	direct := reportField(t, "hieragg-direct", "hier-agg", "root-bytes-in")
+	if hier := reportField(t, "hieragg-hierarchical", "hier-agg", "root-bytes-in"); hier >= direct {
+		t.Errorf("hierarchical root-bytes-in %d not below direct %d", hier, direct)
+	}
+}
+
+// TestJoinStrategiesShardedMatchesSequential: the three join scenarios
+// are bit-identical between schedulers and each finds matches.
+func TestJoinStrategiesShardedMatchesSequential(t *testing.T) {
+	for _, name := range joinScenarios {
+		if rows := reportField(t, name, "join", "rows"); rows == 0 {
+			t.Errorf("degenerate run: %s found nothing", name)
+		}
+	}
+}
+
+// TestJoinStrategiesAgreeOnResults is §3.3.4's second bandwidth
+// argument: all three strategies return the same 40 rows, and
+// Bloom-filtered rehash ships fewer bytes than symmetric-hash rehash.
+func TestJoinStrategiesAgreeOnResults(t *testing.T) {
+	// Each join answer already equals the ground truth (answers exact),
+	// so the same row count means the same rows.
+	for _, name := range joinScenarios {
+		if rows := reportField(t, name, "join", "rows"); rows != joinMatching {
+			t.Errorf("%s returned %d rows, want %d", name, rows, joinMatching)
+		}
+	}
+	plain := reportField(t, "join-symmetric-hash", "join", "bytes")
+	if bloomed := reportField(t, "join-bloom-rehash", "join", "bytes"); bloomed >= plain {
+		t.Errorf("bloom-rehash bytes %d not below symmetric-hash bytes %d", bloomed, plain)
+	}
+}
+
+var joinScenarios = []string{"join-symmetric-hash", "join-fetch-matches", "join-bloom-rehash"}
+
+// checkedInRuns memoizes checkedInReport per scenario name, so the tests
+// that read one scenario's report share a single pair of runs.
+var checkedInRuns = map[string]struct{ report, failure string }{}
+
+// checkedInReport runs scenarios/<name>.yaml at workers 0 and 8 and
+// returns the report. It fails the test unless the two reports are
+// equal, the scenario passed, and the report equals its golden.
+func checkedInReport(t *testing.T, name string) string {
 	t.Helper()
+	run, ok := checkedInRuns[name]
+	if !ok {
+		run.report, run.failure = runCheckedIn(name)
+		checkedInRuns[name] = run
+	}
+	if run.failure != "" {
+		t.Fatalf("%s: %s", name, run.failure)
+	}
+	return run.report
+}
+
+func runCheckedIn(name string) (report, failure string) {
+	golden, err := os.ReadFile("../../scenarios/golden/" + name + ".txt")
+	if err != nil {
+		return "", fmt.Sprintf("no golden (write it with scripts/goldens.sh): %v", err)
+	}
 	src, err := os.ReadFile("../../scenarios/" + name + ".yaml")
 	if err != nil {
-		t.Fatal(err)
+		return "", err.Error()
 	}
 	spec, err := ParseScenario(string(src))
 	if err != nil {
-		t.Fatal(err)
+		return "", err.Error()
 	}
 	seq := RunScenario(spec, 0)
 	par := RunScenario(spec, 8)
-	if seq.Report != par.Report {
-		t.Fatalf("%s report diverged:\nseq:\n%s\npar:\n%s", name, seq.Report, par.Report)
+	switch {
+	case seq.Report != par.Report:
+		return "", fmt.Sprintf("report diverged:\nseq:\n%s\npar:\n%s", seq.Report, par.Report)
+	case !seq.Passed:
+		return "", fmt.Sprintf("scenario failed:\n%s", seq.Report)
+	case seq.Report != string(golden):
+		return "", fmt.Sprintf("report differs from its golden:\ngot:\n%s\ngolden:\n%s", seq.Report, golden)
 	}
-	if !seq.Passed {
-		t.Fatalf("%s scenario failed:\n%s", name, seq.Report)
+	return seq.Report, ""
+}
+
+// reportField reads key=<n> from the workload line of a checked-in
+// scenario's report.
+func reportField(t *testing.T, name, workload, key string) int {
+	t.Helper()
+	report := checkedInReport(t, name)
+	m := regexp.MustCompile(`(?m)^  ` + workload + `: .* ` + key + `=(\d+)`).FindStringSubmatch(report)
+	if m == nil {
+		t.Fatalf("%s reports no %s %s:\n%s", name, workload, key, report)
 	}
-	return seq
+	n, _ := strconv.Atoi(m[1])
+	return n
 }

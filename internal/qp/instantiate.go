@@ -399,10 +399,13 @@ func (c *chain) buildOp(spec ufl.OpSpec, d ufl.Dissemination) (exec.Op, error) {
 		return c.newBloomFilter(spec)
 
 	case "put":
-		return c.buildPut(spec, false)
-
-	case "send":
-		return c.buildPut(spec, true)
+		ns := spec.Arg("ns", "")
+		keyCols := splitList(spec.Arg("key", ""))
+		fixed := spec.Arg("fixedkey", "")
+		if ns == "" || (len(keyCols) == 0 && fixed == "") {
+			return nil, fmt.Errorf("Put needs ns= and key= (or fixedkey=)")
+		}
+		return &putOp{c: c, ns: ns, keyCols: keyCols, fixedKey: fixed}, nil
 
 	case "result":
 		return &resultOp{c: c}, nil
@@ -410,17 +413,6 @@ func (c *chain) buildOp(spec ufl.OpSpec, d ufl.Dissemination) (exec.Op, error) {
 	default:
 		return nil, fmt.Errorf("unknown operator kind %q", spec.Kind)
 	}
-}
-
-// buildPut constructs the rehash operator from its spec.
-func (c *chain) buildPut(spec ufl.OpSpec, send bool) (exec.Op, error) {
-	ns := spec.Arg("ns", "")
-	keyCols := splitList(spec.Arg("key", ""))
-	fixed := spec.Arg("fixedkey", "")
-	if ns == "" || (len(keyCols) == 0 && fixed == "") {
-		return nil, fmt.Errorf("%s needs ns= and key= (or fixedkey=)", spec.Kind)
-	}
-	return &putOp{c: c, ns: ns, keyCols: keyCols, fixedKey: fixed, send: send}, nil
 }
 
 // splitList parses "a, b, c" into trimmed fields; empty input gives nil.

@@ -87,8 +87,7 @@ type scanOp struct {
 // given columns — PIER's distributed Exchange (§3.3.6 "partitioned
 // parallelism"): it repartitions tuples by value across the whole
 // system, with the DHT providing the network queue and the separation of
-// control flow between opgraphs. send=true routes the object through the
-// overlay (upcalls at each hop) instead of the two-phase put.
+// control flow between opgraphs.
 type putOp struct {
 	exec.In
 	c       *chain
@@ -98,7 +97,6 @@ type putOp struct {
 	// instead of partitioning by column value — the "all partials to one
 	// rendezvous site" pattern of naive multi-phase aggregation.
 	fixedKey string
-	send     bool
 	// Dropped counts tuples lacking the partitioning columns.
 	Dropped exec.Discarded
 	// Sent counts tuples shipped.
@@ -128,14 +126,14 @@ func (p *putOp) PushBatch(_ exec.Tag, b *tuple.Batch) {
 			key = k
 		}
 		p.Sent++
-		p.ship(key, t.Encode())
+		p.putWithRetry(key, t.Encode(), 0)
 		return
 	}
 	if p.fixedKey != "" {
 		p.Sent += uint64(n)
 		w := wire.NewWriter(64 + 32*n)
 		b.EncodeRowsTo(w, nil)
-		p.ship(p.fixedKey, w.Bytes())
+		p.putWithRetry(p.fixedKey, w.Bytes(), 0)
 		return
 	}
 	var colIdx []int
@@ -177,32 +175,23 @@ func (p *putOp) PushBatch(_ exec.Tag, b *tuple.Batch) {
 	for _, key := range order {
 		idx := groups[key]
 		p.Sent += uint64(len(idx))
-		// Fresh buffer per frame: Put/Send retain the payload across
-		// async routing (and the retry path re-sends it).
+		// Fresh buffer per frame: Put retains the payload across async
+		// routing (and the retry path re-sends it).
 		w := wire.NewWriter(64 + 32*len(idx))
 		b.EncodeRowsTo(w, idx)
-		p.ship(key, w.Bytes())
+		p.putWithRetry(key, w.Bytes(), 0)
 	}
 }
 
-// ship routes one payload to its DHT name via send or two-phase put.
-func (p *putOp) ship(key string, data []byte) {
-	n, lifetime := p.c.n, p.c.rq.timeout
-	if p.send {
-		n.dht.Send(p.ns, key, n.uniquifier(), data, lifetime)
-		return
-	}
-	p.putWithRetry(key, data, lifetime, 0)
-}
-
-// putWithRetry re-issues a failed put on the shared backoff policy
+// putWithRetry puts one payload under its DHT name for the query's
+// lifetime and re-issues a failed put on the shared backoff policy
 // (backoff.go): lookups time out under routing churn and a lost partial
 // silently corrupts downstream aggregates, so the exchange retries like
 // any soft-state publisher — bounded, jittered from the node's rng, and
 // counted in NodeStats so exhaustion is visible.
-func (p *putOp) putWithRetry(key string, data []byte, lifetime time.Duration, attempt int) {
+func (p *putOp) putWithRetry(key string, data []byte, attempt int) {
 	n := p.c.n
-	n.dht.Put(p.ns, key, n.uniquifier(), data, lifetime, func(ok bool) {
+	n.dht.Put(p.ns, key, n.uniquifier(), data, p.c.rq.timeout, func(ok bool) {
 		if ok || p.c.closed {
 			return
 		}
@@ -213,7 +202,7 @@ func (p *putOp) putWithRetry(key string, data []byte, lifetime time.Duration, at
 		n.sendRetries++
 		n.rt.Schedule(n.retryDelay(attempt), func() {
 			if !p.c.closed {
-				p.putWithRetry(key, data, lifetime, attempt+1)
+				p.putWithRetry(key, data, attempt+1)
 			}
 		})
 	})

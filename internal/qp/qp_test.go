@@ -569,6 +569,9 @@ func TestUnbuildableGraphRefused(t *testing.T) {
 		{"queue", `
     op  = Queue(batch='4')
     op <- scan`},
+		{"send", `
+    op  = Send(ns='x', key='a')
+    op <- scan`},
 		{"topk-k0", `
     op  = TopK(k=0, col='a')
     op <- scan`},

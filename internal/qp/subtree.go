@@ -25,7 +25,7 @@ import (
 //     query ATTACHES to it.
 //   - The cached chain executes once per publish under its own tag and
 //     ends in an exec.Demux, which fans output to each attached query's
-//     private tail (Result/Put/Send) under that query's own tag — the
+//     private tail (Result/Put) under that query's own tag — the
 //     tails cannot tell the difference.
 //   - The chain is itself the sink above its top operator: it runs the
 //     demux fan-out and, once that has unwound, sends the result messages
@@ -59,7 +59,7 @@ var shareableOpKinds = map[string]bool{
 }
 
 // sharePlan decides share-eligibility for an opgraph: exactly one tail
-// (Result/Put/Send) consuming exactly one input chain, every chain
+// (Result/Put) consuming exactly one input chain, every chain
 // operator of a shareable kind. It returns the ids of the tail and of the
 // chain's top operator (the tail's single producer).
 func sharePlan(g *ufl.Opgraph) (tailID, topID string, ok bool) {
@@ -79,7 +79,7 @@ func sharePlan(g *ufl.Opgraph) (tailID, topID string, ok bool) {
 		return "", "", false
 	}
 	switch strings.ToLower(tail.Kind) {
-	case "result", "put", "send":
+	case "result", "put":
 	default:
 		return "", "", false
 	}
