@@ -461,9 +461,12 @@ func (d *DHT) dispatch(src vri.Addr, payload []byte) bool {
 		// it as predecessor where it qualifies; it goes out in full unless
 		// the requester holds exactly these bytes (have == 0: it holds none).
 		d.router.onNotify(src)
-		msg := encodeStabilizeResp(d.router.scratch, reqID, d.router.pred.addr, d.router.succs, d.router.fingerSample(16))
-		if have != 0 && have == bodyHash(msg[stabBodyOff:]) {
+		body, hash := d.router.stabilizeAnswer()
+		var msg []byte
+		if have != 0 && have == hash {
 			msg = encodeReqID(d.router.scratch, mkStabilizeSame, reqID)
+		} else {
+			msg = encodeStabilizeResp(d.router.scratch, reqID, body)
 		}
 		d.rt.Send(src, vri.PortOverlay, msg, nil)
 

@@ -17,7 +17,9 @@ import (
 // of each, and the two hostile counts TestHostileCounts names. Each input
 // goes to a member of a 3-node ring twice — from a ring member's address
 // and from a stranger's — then the ring runs past requestTimeout so every
-// timer the input armed fires, and is stopped.
+// timer the input armed fires, and is stopped. Every node must then count
+// its open finger slots right and serve the stabilise answer a fresh build
+// gives.
 func FuzzOverlayHandleMessage(f *testing.F) {
 	// The fuzzed node's outstanding requests are numbered from here, clear
 	// of the ids ring formation used, so the answer seeds find a request.
@@ -33,7 +35,7 @@ func FuzzOverlayHandleMessage(f *testing.F) {
 	nw := func() *wire.Writer { return wire.NewWriter(64) }
 	obj := Object{Namespace: "ns", Key: "k", Suffix: "s", Data: []byte("payload"), Lifetime: time.Minute}
 	succs := []nodeRef{ref("node-1"), ref("node-2")}
-	full := encodeStabilizeResp(nw(), stabReq, "node-2", succs, []nodeRef{ref("node-1")})
+	full := encodeStabilizeResp(nw(), stabReq, encodeStabilizeBody(nw(), "node-2", succs, []nodeRef{ref("node-1")}))
 	for _, seed := range [][]byte{
 		encodeRouted(nw(), &routedMsg{target: 7, origin: "node-1", hops: 9, inner: riSend, obj: obj}),
 		encodeRouted(nw(), &routedMsg{target: 7, origin: "stranger", hops: 9, inner: riLookup, reqID: 1}),
@@ -109,6 +111,7 @@ func FuzzOverlayHandleMessage(f *testing.F) {
 			if got, want := x.router.open, openSlots(x.router); got != want {
 				t.Fatalf("%s counts %d open finger slots, a recount says %d", x.Addr(), got, want)
 			}
+			servedAnswer(t, x.router, "after the datagram")
 		}
 	})
 }

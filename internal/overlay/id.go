@@ -28,7 +28,12 @@
 //
 // A tick's CPU, like its bytes, follows change rather than state size. A
 // full answer is decoded once, and a "same" re-applies the decoded refs
-// without parsing or hashing; learnPeer hashes a heard address only while
+// without parsing or hashing. The responder keeps the answer body it last
+// built and that body's hash, and rebuilds them only when its predecessor,
+// a successor or a finger has changed: pred and the successor addresses are
+// compared against copies, and the fingers by a generation that setFinger
+// bumps only when a slot's value changes (the fix-finger tick rewrites the
+// same successor every round). learnPeer hashes a heard address only while
 // some finger slot is open (router.open, kept by setFinger, the only writer
 // of the table); the store's sweep walks only once now reaches nextExpiry,
 // a lower bound on every stored expiry. Under churn or continuous expiry

@@ -346,7 +346,7 @@ func TestRetainedBodyIsPerSuccessorAddress(t *testing.T) {
 	// A "same" from S arriving after the retained body was replaced — a
 	// late full answer from a former successor does that — applies nothing.
 	r.stabilize()
-	ghosts, _ := decodeStabilize(encodeStabilizeResp(wire.NewWriter(64), 0, "", []nodeRef{ref("ghost-1"), ref("ghost-2")}, nil)[stabBodyOff:])
+	ghosts, _ := decodeStabilize(encodeStabilizeBody(wire.NewWriter(64), "", []nodeRef{ref("ghost-1"), ref("ghost-2")}, nil))
 	r.stabFrom, r.stab = "ghost-0", ghosts
 	before := succAddrs(x)
 	x.handleMessage(s.addr, encodeReqID(wire.NewWriter(16), mkStabilizeSame, r.reqSeq))

@@ -16,7 +16,9 @@ import (
 // answer BODY — everything after reqID: predecessor, successor list,
 // finger sample — the requester received from that address, 0 when it
 // holds none. The responder first takes the request as the requester's
-// notify, then builds its body as always and hashes it.
+// notify, then takes its current body and that body's hash: the ones it
+// last built, rebuilt only when its predecessor, a successor or a finger
+// changed since (router.stabilizeAnswer).
 //
 //   - Steady state, 17 + 9 bytes: the hashes agree and the answer is
 //     mkStabilizeSame{reqID}. The requester re-applies the answer it
@@ -247,10 +249,10 @@ func encodeStabilizeReq(w *wire.Writer, reqID, have uint64) []byte {
 // stabBodyOff is where a stabilise answer's body starts: after kind and reqID.
 const stabBodyOff = 9
 
-func encodeStabilizeResp(w *wire.Writer, reqID uint64, pred vri.Addr, succs, fingers []nodeRef) []byte {
+// encodeStabilizeBody encodes a stabilise answer body: predecessor,
+// successor list, finger sample.
+func encodeStabilizeBody(w *wire.Writer, pred vri.Addr, succs, fingers []nodeRef) []byte {
 	w.Reset()
-	w.U8(mkStabilizeResp)
-	w.U64(reqID)
 	w.String(string(pred))
 	w.U16(uint16(len(succs)))
 	for _, s := range succs {
@@ -260,6 +262,16 @@ func encodeStabilizeResp(w *wire.Writer, reqID uint64, pred vri.Addr, succs, fin
 	for _, f := range fingers {
 		w.String(string(f.addr))
 	}
+	return w.Bytes()
+}
+
+// encodeStabilizeResp frames a body encodeStabilizeBody built as the full
+// answer to request reqID.
+func encodeStabilizeResp(w *wire.Writer, reqID uint64, body []byte) []byte {
+	w.Reset()
+	w.U8(mkStabilizeResp)
+	w.U64(reqID)
+	w.Raw(body)
 	return w.Bytes()
 }
 

@@ -66,8 +66,7 @@ type router struct {
 	pred    nodeRef
 	succs   []nodeRef // succs[0] is the immediate successor; never empty once started
 	fingers [64]nodeRef
-	open    int       // slots learnPeer could fill, kept by setFinger
-	sample  []nodeRef // fingerSample's result, reused
+	open    int // slots learnPeer could fill, kept by setFinger
 	nextFix int
 	// predHeard is when the current predecessor was last heard from.
 	predHeard time.Time
@@ -76,6 +75,12 @@ type router struct {
 	// re-applies. Not checkpointed — a restored node sends have = 0.
 	stab     stabAnswer
 	stabFrom vri.Addr
+	// answer is the stabilise answer this node last built as a responder.
+	answer builtAnswer
+	// fingerGen counts finger-table changes: setFinger bumps it only when
+	// a slot's value changes, which is what keeps answer valid across the
+	// fix-finger tick's rewrites of the same value.
+	fingerGen uint64
 
 	// deliver is invoked when this node is the owner of a routed
 	// message's target.
@@ -476,8 +481,12 @@ func (r *router) slotOpen(f nodeRef) bool {
 }
 
 // setFinger is the only writer of r.fingers; it keeps r.open counting the
-// open slots.
+// open slots and r.fingerGen counting the changes.
 func (r *router) setFinger(i int, n nodeRef) {
+	if r.fingers[i] == n {
+		return
+	}
+	r.fingerGen++
 	if r.slotOpen(r.fingers[i]) {
 		r.open--
 	}
@@ -548,11 +557,56 @@ func (r *router) onNotify(addr vri.Addr) {
 	}
 }
 
+// builtAnswer is a stabilise answer body with its hash and the inputs it
+// was built from: the predecessor's address, a copy of the successor
+// addresses and the finger generation. The body depends on nothing else.
+type builtAnswer struct {
+	w     *wire.Writer // holds the body; nil until the first build
+	hash  uint64
+	pred  vri.Addr
+	succs []vri.Addr
+	fgen  uint64
+}
+
+// stabilizeAnswer returns this node's stabilise answer body and its hash.
+// They are rebuilt only when the predecessor, a successor or a finger has
+// changed since the last build; a converged ring answers every round from
+// the same bytes. The body is the router's own, valid until the next call.
+func (r *router) stabilizeAnswer() (body []byte, hash uint64) {
+	a := &r.answer
+	if a.w != nil && a.fgen == r.fingerGen && a.pred == r.pred.addr && sameAddrs(a.succs, r.succs) {
+		return a.w.Bytes(), a.hash
+	}
+	if a.w == nil {
+		a.w = wire.NewWriter(256)
+	}
+	body = encodeStabilizeBody(a.w, r.pred.addr, r.succs, r.fingerSample(16))
+	a.hash = bodyHash(body)
+	a.pred, a.fgen = r.pred.addr, r.fingerGen
+	a.succs = a.succs[:0]
+	for _, s := range r.succs {
+		a.succs = append(a.succs, s.addr)
+	}
+	return body, a.hash
+}
+
+// sameAddrs reports whether refs holds exactly the addresses addrs, in order.
+func sameAddrs(addrs []vri.Addr, refs []nodeRef) bool {
+	if len(addrs) != len(refs) {
+		return false
+	}
+	for i, a := range addrs {
+		if refs[i].addr != a {
+			return false
+		}
+	}
+	return true
+}
+
 // fingerSample returns the valid fingers (deduplicated) for stabilization
-// gossip, capped to keep maintenance messages small. The slice is the
-// router's own, overwritten by the next call.
+// gossip, capped to keep maintenance messages small.
 func (r *router) fingerSample(max int) []nodeRef {
-	out := r.sample[:0]
+	var out []nodeRef
 	for _, f := range r.fingers {
 		if r.slotOpen(f) || holds(out, f) {
 			continue
@@ -562,7 +616,6 @@ func (r *router) fingerSample(max int) []nodeRef {
 			break
 		}
 	}
-	r.sample = out
 	return out
 }
 

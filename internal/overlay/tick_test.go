@@ -291,7 +291,7 @@ func TestSameAnswerRefillsDroppedFinger(t *testing.T) {
 		r := x.router
 		s := dhts[at(t, dhts, x.Successor())].router
 		// The successor's body as it stands is the one x retained.
-		body := encodeStabilizeResp(wire.NewWriter(256), 0, s.pred.addr, s.succs, s.fingerSample(16))[stabBodyOff:]
+		body := encodeStabilizeBody(wire.NewWriter(256), s.pred.addr, s.succs, s.fingerSample(16))
 		if r.stabFrom != s.self.addr || bodyHash(body) != r.stab.hash {
 			t.Fatalf("%s does not hold its successor's current answer", x.Addr())
 		}
@@ -339,4 +339,161 @@ func TestSameAnswerRefillsDroppedFinger(t *testing.T) {
 		return
 	}
 	t.Fatal("no node's successor gossips a peer that fills its own distance slot")
+}
+
+// servedAnswer checks that the stabilise answer r serves, from what it last
+// built, equals one built from scratch, and returns a copy of it.
+func servedAnswer(t *testing.T, r *router, what string) []byte {
+	t.Helper()
+	body, hash := r.stabilizeAnswer()
+	want := encodeStabilizeBody(wire.NewWriter(256), r.pred.addr, r.succs, r.fingerSample(16))
+	if !bytes.Equal(body, want) || hash != bodyHash(want) {
+		t.Fatalf("%s: %s serves a stale stabilise answer:\ngot  %q (hash %x)\nwant %q (hash %x)", what, r.self.addr, body, hash, want, bodyHash(want))
+	}
+	return append([]byte(nil), body...)
+}
+
+// TestStabilizeAnswerMatchesFreshBuild: the answer a responder serves from
+// its last build equals a fresh build after every change of its inputs —
+// at every barrier while a 16-node ring forms, then after each directed
+// change below on one of its nodes, and across a checkpoint restore. A
+// directed change that must move the answer does, one that must not
+// doesn't, and a fix-finger tick that rewrites a finger's value leaves the
+// finger generation alone.
+func TestStabilizeAnswerMatchesFreshBuild(t *testing.T) {
+	env := sim.NewEnv(sim.Options{Seed: 44})
+	var dhts []*DHT
+	barriers := func(what string, d time.Duration) {
+		t.Helper()
+		for end := env.Now().Add(d); env.Now().Before(end); {
+			env.Run(100 * time.Millisecond)
+			for _, x := range dhts {
+				servedAnswer(t, x.router, what)
+			}
+		}
+	}
+	for i, nd := range env.SpawnN("node", 16) {
+		d := New(nd, Config{})
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		dhts = append(dhts, d)
+		if i > 0 {
+			d.Join(dhts[0].Addr(), nil)
+		}
+		barriers("joining", 2*time.Second)
+	}
+	barriers("converging", 20*time.Second)
+	verifyRing(t, dhts)
+
+	// A finger slot the fix-finger tick fills by a routed lookup whose
+	// owner learnPeer would place in another slot, so only the lookup's
+	// answer can refill it.
+	var x *DHT
+	far := -1
+	for _, d := range dhts {
+		r := d.router
+		for i := len(r.fingers) - 1; i >= 0 && far < 0; i-- {
+			f, target := r.fingers[i], ID(uint64(r.self.id)+1<<uint(i))
+			if f.valid() && !Between(target, r.self.id, r.successor().id) && bits.Len64(Distance(r.self.id, f.id))-1 != i {
+				x, far = d, i
+			}
+		}
+	}
+	if x == nil {
+		t.Fatal("no node has a far finger outside its own distance slot")
+	}
+	r := x.router
+	const either, moves, stays = 0, 1, 2
+	step := func(what string, want int, change func()) {
+		t.Helper()
+		before := servedAnswer(t, r, what+", before")
+		change()
+		moved := !bytes.Equal(before, servedAnswer(t, r, what))
+		if want == moves && !moved || want == stays && moved {
+			t.Fatalf("%s: the answer moved = %v", what, moved)
+		}
+	}
+	owner := r.fingers[far]
+	step("a far finger emptied", either, func() { r.setFinger(far, nodeRef{}) })
+	step("the far finger filled by a lookup", either, func() {
+		r.nextFix = far
+		r.fixNextFinger()
+		x.handleMessage(r.successor().addr, encodeLookupResp(wire.NewWriter(64), r.reqSeq, owner.addr, owner.id))
+		if r.fingers[far] != owner {
+			t.Fatalf("slot %d holds %v after the lookup answered %v", far, r.fingers[far], owner)
+		}
+	})
+	step("finger 0 emptied", either, func() { r.setFinger(0, nodeRef{}) })
+	step("finger 0 set by fix-finger's local rule", either, func() {
+		r.nextFix = 0
+		r.fixNextFinger()
+	})
+	gen := r.fingerGen
+	step("finger 0 rewritten with its value", stays, func() {
+		r.nextFix = 0
+		r.fixNextFinger()
+	})
+	if r.fingerGen != gen {
+		t.Fatalf("rewriting a finger with its own value moved the finger generation %d -> %d", gen, r.fingerGen)
+	}
+
+	// A gossiped peer in its own distance slot, in no successor list entry.
+	var g nodeRef
+	for i := len(r.fingers) - 1; i >= 0 && !g.valid(); i-- {
+		if f := r.fingers[i]; f.valid() && bits.Len64(Distance(r.self.id, f.id))-1 == i && !holds(r.succs, f) && f.addr != r.pred.addr {
+			g = f
+		}
+	}
+	if !g.valid() {
+		t.Fatal("no finger outside the successor list sits in its own distance slot")
+	}
+	step("a finger dropped", moves, func() { r.dropPeer(g.addr) })
+	step("the finger learned back", moves, func() { r.learnPeer(g.addr) })
+
+	var closer vri.Addr
+	for k := 0; closer == ""; k++ {
+		if a := vri.Addr(fmt.Sprint("pred-", k)); BetweenOpen(HashNodeAddr(a), r.pred.id, r.self.id) {
+			closer = a
+		}
+	}
+	step("a closer predecessor notifies", moves, func() { r.onNotify(closer) })
+	step("the same predecessor notifies again", stays, func() { r.onNotify(closer) })
+
+	step("the retained answer applied", either, func() { r.applyStabilize(&r.stab) })
+	step("the retained answer applied again", stays, func() { r.applyStabilize(&r.stab) })
+	var between vri.Addr
+	for k := 0; between == ""; k++ {
+		if a := vri.Addr(fmt.Sprint("succ-", k)); BetweenOpen(HashNodeAddr(a), r.self.id, r.successor().id) {
+			between = a
+		}
+	}
+	// The successor's predecessor is closer than the successor, and its full
+	// list follows: one more than the list holds, so trimSuccs cuts it.
+	full := append([]nodeRef(nil), dhts[at(t, dhts, r.successor().addr)].router.succs...)
+	if len(full) != successorListLen {
+		t.Fatalf("the successor holds %d successors, want a full list of %d", len(full), successorListLen)
+	}
+	changed, _ := decodeStabilize(encodeStabilizeBody(wire.NewWriter(256), between, full, nil))
+	step("a changed answer overflows the successor list", moves, func() {
+		r.applyStabilize(&changed)
+		if len(r.succs) != successorListLen || r.successor().addr != between {
+			t.Fatalf("successors %v after the overflow, want %s first and %d in all", succAddrs(x), between, successorListLen)
+		}
+	})
+	step("a successor dropped", moves, func() { r.dropPeer(r.succs[1].addr) })
+
+	blob := checkpointDHT(t, x)
+	renv := sim.NewEnv(sim.Options{Seed: 9})
+	renv.SetNow(env.Now())
+	restored := New(renv.Spawn(string(x.Addr())), Config{})
+	if err := restored.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r = restored.router
+	step("restored from a checkpoint", moves, func() {
+		if err := restored.Restore(wire.NewReader(blob)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -22,8 +22,9 @@ import (
 //     the sender's own events, so the draws stay in per-node streams
 //     and workers=0 and workers=K produce identical retry schedules;
 //   - every retry and every exhaustion increments a NodeStats counter
-//     (SendRetries/SendExhausted), so silent loss is impossible by
-//     construction.
+//     (SendRetries/SendExhausted), and so does a failed rehash put dropped
+//     because its chain closed (PutsAbandoned), so silent loss is
+//     impossible by construction.
 
 const (
 	// sendRetryLimit is how many times a nacked send is retried after

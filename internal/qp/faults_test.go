@@ -260,6 +260,44 @@ opgraph g disseminate broadcast {
 	}
 }
 
+// TestRehashPutAbandonedAtCloseCounted: a failed rehash put whose query
+// has ended by the time it would be retried is dropped, and counted in
+// PutsAbandoned rather than lost without a trace. The isolated node's one
+// put goes out at its first flush and nacks when its lookup times out,
+// about ten seconds later. With an 8 s query the chain has closed before
+// that nack arrives; with a 15.1 s query the nack schedules a retry and
+// the chain closes before the retry timer fires.
+func TestRehashPutAbandonedAtCloseCounted(t *testing.T) {
+	for _, tc := range []struct {
+		timeout string
+		retries uint64
+	}{{"8s", 0}, {"15100ms", 1}} {
+		env, nodes := cluster(t, 66, 6)
+		nodes[2].PublishLocal("fw", tuple.New("fw").Set("src", tuple.String("alpha")), time.Hour)
+		q := ufl.MustParse(`
+query putabandon timeout ` + tc.timeout + `
+opgraph g disseminate broadcast {
+    scan = Scan(table='fw')
+    agg  = GroupBy(keys='src', aggs='count(*) as cnt', flushevery='5s')
+    put  = Put(ns='putabandon.partial', key='src')
+    agg <- scan
+    put <- agg
+}
+`)
+		if err := nodes[0].Submit(q, "", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		env.Run(time.Second)
+		env.SetPartition([]vri.Addr{nodes[2].Addr()})
+		env.Run(30 * time.Second)
+		st := nodes[2].Stats()
+		if st.PutsAbandoned != 1 || st.SendRetries != tc.retries || st.SendExhausted != 0 {
+			t.Errorf("%s query: abandoned=%d retries=%d exhausted=%d, want 1, %d and 0",
+				tc.timeout, st.PutsAbandoned, st.SendRetries, st.SendExhausted, tc.retries)
+		}
+	}
+}
+
 // TestCompletenessFullAnswer: on a healthy ring every admitting node
 // contributes, so Completeness reports exactly 1 once the query is
 // done — including for queries riding a SHARED operator chain, whose

@@ -188,22 +188,29 @@ func (p *putOp) PushBatch(_ exec.Tag, b *tuple.Batch) {
 // (backoff.go): lookups time out under routing churn and a lost partial
 // silently corrupts downstream aggregates, so the exchange retries like
 // any soft-state publisher — bounded, jittered from the node's rng, and
-// counted in NodeStats so exhaustion is visible.
+// counted in NodeStats so exhaustion is visible. A failed put whose chain
+// has closed by the time it would be retried is dropped and counted as
+// abandoned (PutsAbandoned).
 func (p *putOp) putWithRetry(key string, data []byte, attempt int) {
 	n := p.c.n
 	n.dht.Put(p.ns, key, n.uniquifier(), data, p.c.rq.timeout, func(ok bool) {
-		if ok || p.c.closed {
+		switch {
+		case ok:
 			return
-		}
-		if attempt >= sendRetryLimit {
+		case p.c.closed:
+			n.putsAbandoned++
+			return
+		case attempt >= sendRetryLimit:
 			n.sendExhausted++
 			return
 		}
 		n.sendRetries++
 		n.rt.Schedule(n.retryDelay(attempt), func() {
-			if !p.c.closed {
-				p.putWithRetry(key, data, attempt+1)
+			if p.c.closed {
+				n.putsAbandoned++
+				return
 			}
+			p.putWithRetry(key, data, attempt+1)
 		})
 	})
 }

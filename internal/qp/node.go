@@ -184,6 +184,7 @@ type Node struct {
 	clientQuotaRejects uint64 // refusals under MaxGraphsPerClient
 	sendRetries        uint64 // nack-driven retransmissions (backoff.go)
 	sendExhausted      uint64 // payloads abandoned after the retry budget
+	putsAbandoned      uint64 // failed rehash puts dropped because their chain closed
 	// malformedFrames counts what failed to decode here: stored objects
 	// dropped by catch-up LocalScans and query-port datagrams, result
 	// messages included (the newData-path twin lives in the overlay
@@ -410,6 +411,10 @@ type NodeStats struct {
 	// the retry budget (backoff.go).
 	SendRetries   uint64
 	SendExhausted uint64
+	// PutsAbandoned counts rehash puts whose chain closed while a failed
+	// put awaited its retry: the put is dropped, not retried, and counted
+	// here (not in SendExhausted, which the scenario reports print).
+	PutsAbandoned uint64
 	// PendingSends is the number of result sends currently holding
 	// retry state (awaiting a transport ack or a retry timer). Nonzero
 	// after teardown plus the ack/backoff grace is a leaked retry.
@@ -480,6 +485,7 @@ func (n *Node) Stats() NodeStats {
 		TrackedClients:      len(n.clientLive),
 		SendRetries:         n.sendRetries,
 		SendExhausted:       n.sendExhausted,
+		PutsAbandoned:       n.putsAbandoned,
 		PendingSends:        n.pendingSends,
 		Trees:               len(n.trees.trees),
 		TreeRepairs:         n.trees.repairs,

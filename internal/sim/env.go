@@ -65,8 +65,12 @@ const (
 // retained past dispatch except through a timerHandle, which carries the
 // generation it was issued for and goes inert once the event recycles.
 type event struct {
-	node      *Node // nil for environment-level events
-	kind      eventKind
+	node *Node // nil for environment-level events
+	kind eventKind
+	// cancelled marks an event that will not dispatch from a queue: set by
+	// Cancel while the event is queued, and by the pop that dispatches it,
+	// so a timer cancelling itself inside its own callback changes nothing
+	// and is not counted as a dead slot of its shard's heap.
 	cancelled bool
 	ackOK     bool // evAck: the outcome to report
 
@@ -441,9 +445,19 @@ type timerHandle struct {
 // handle's load — the load must not be a data race, and whichever value
 // it observes is a past-this-handle generation, so the match fails and
 // nothing is written.
+//
+// A node timer's event lives in its node's shard heap, which counts the
+// cancelled events it holds and compacts them away once they are more than
+// half of it (shard.cancel). An environment timer stays in Env.queue until
+// its instant.
 func (t timerHandle) Cancel() {
-	if t.ev.gen.Load() == t.gen {
-		t.ev.cancelled = true
+	ev := t.ev
+	if ev.gen.Load() != t.gen || ev.cancelled {
+		return
+	}
+	ev.cancelled = true
+	if n := ev.node; n != nil {
+		n.env.par.shards[n.shard].cancel()
 	}
 }
 

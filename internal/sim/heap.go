@@ -89,7 +89,7 @@ func (q eventHeap) siftDown(i int, s slot) {
 
 // reinit heapifies q in place, used when a batch of pending slots is
 // adopted wholesale (SetWorkers migrating pending events between
-// shards).
+// shards) and when a compaction has removed the cancelled ones.
 func (q eventHeap) reinit() {
 	if len(q) < 2 {
 		return

@@ -64,6 +64,10 @@ type shard struct {
 	// dispatches and the totals of the engine a SetWorkers replaced.
 	events, msgs, bytes uint64
 	lastAt              int64 // virtual ns of the last dispatch
+
+	// dead counts the cancelled events still in heap, never more than
+	// half of it (compactIfMostlyDead).
+	dead int
 }
 
 // newParEngine builds an engine of k empty shards.
@@ -92,10 +96,14 @@ func (e *Env) SetWorkers(k int) {
 	old := e.par
 	p := newParEngine(k, old.lookahead)
 	p.shards[0].events, p.shards[0].msgs, p.shards[0].bytes = e.Stats()
+	// Cancelled events are left behind with the old pools, so every new
+	// shard starts with no dead slot.
 	for _, sh := range old.shards {
 		for _, s := range sh.heap {
-			dst := p.shards[p.shardOf(s.ev.node.id)]
-			dst.heap = append(dst.heap, s)
+			if !s.ev.cancelled {
+				dst := p.shards[p.shardOf(s.ev.node.id)]
+				dst.heap = append(dst.heap, s)
+			}
 		}
 	}
 	for _, sh := range p.shards {
@@ -120,9 +128,11 @@ func (sh *shard) dispatchWindow(e *Env, end int64) {
 		s := sh.heap.pop()
 		top := s.ev
 		if top.cancelled {
+			sh.dead--
 			sh.pool.putEvent(top)
 			continue
 		}
+		sh.compactIfMostlyDead() // one live slot fewer
 		n := top.node
 		if !n.alive {
 			// Discarded in-flight deliveries still owe the sender a
@@ -136,9 +146,50 @@ func (sh *shard) dispatchWindow(e *Env, end int64) {
 		n.now = s.at
 		sh.lastAt = s.at
 		sh.events++
+		top.cancelled = true // no longer queued: a Cancel from its own callback counts nothing
 		e.dispatch(top)
 		sh.pool.putEvent(top)
 	}
+}
+
+// cancel records that one more event in this shard's heap was cancelled.
+// It runs in the context that scheduled the timer: the shard's worker, or
+// the coordinator with every worker parked.
+func (sh *shard) cancel() {
+	sh.dead++
+	sh.compactIfMostlyDead()
+}
+
+// compactIfMostlyDead keeps the heap at most half cancelled: checked
+// whenever a cancel adds a dead slot or a dispatch removes a live one,
+// it removes every cancelled slot at once when they are more than half.
+// Each compaction costs O(heap) and removes more than half of it, one
+// cancel each, so a cancel costs O(1) amortised. A cancelled event never
+// dispatches and counts nowhere, and the heap's order is a strict total
+// order on its keys, so dropping one early changes neither the pop
+// sequence nor any counter.
+func (sh *shard) compactIfMostlyDead() {
+	if 2*sh.dead > len(sh.heap) {
+		sh.compact()
+	}
+}
+
+// compact removes every cancelled slot from the heap, recycles its event
+// (whose generation bump makes the timer handle inert) and re-heapifies
+// the rest.
+func (sh *shard) compact() {
+	q := sh.heap
+	live := q[:0]
+	for _, s := range q {
+		if s.ev.cancelled {
+			sh.pool.putEvent(s.ev)
+		} else {
+			live = append(live, s)
+		}
+	}
+	clear(q[len(live):])
+	live.reinit()
+	sh.heap, sh.dead = live, 0
 }
 
 // mergeInbound moves events addressed to this shard out of every shard's
