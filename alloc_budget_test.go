@@ -275,3 +275,48 @@ func TestAggBatchAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestAggWindowAllocBudget gates aggregation's steady state per window:
+// it runs the BenchmarkGroupByColumnar body at batch=1024/tails=1, where
+// every op is one window on the same GroupBy, over at least 8 consecutive
+// windows, and fails if a window allocates more than one object per group
+// plus the checked-in constant. A flushed window's GroupSet is reset into
+// a pool the next window takes it from, so a group's only allocation is
+// its key string; anything a group builds per window beyond that — a map
+// entry, a key tuple, a state object — trips the gate.
+func TestAggWindowAllocBudget(t *testing.T) {
+	if os.Getenv("PIER_ALLOC_BUDGET") == "" {
+		t.Skip("set PIER_ALLOC_BUDGET=1 to enforce the allocation budget")
+	}
+	raw, err := os.ReadFile("alloc_budget.json")
+	if err != nil {
+		t.Fatalf("reading budget file: %v", err)
+	}
+	var budget struct {
+		OverGroups *int64 `json:"agg_window_allocs_over_groups"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatalf("parsing alloc_budget.json: %v", err)
+	}
+	if budget.OverGroups == nil {
+		t.Fatal("alloc_budget.json carries no agg_window_allocs_over_groups entry")
+	}
+	srcs := map[string]bool{}
+	for _, row := range buildExecBatchTuples() {
+		v, _ := row.Get("src")
+		srcs[v.String()] = true
+	}
+	groups := int64(len(srcs))
+	res := testing.Benchmark(func(b *testing.B) { runGroupByColumnar(b, 1024, 1) })
+	if res.N < 8 {
+		t.Fatalf("ran %d windows, want at least 8 consecutive ones", res.N)
+	}
+	got, limit := res.AllocsPerOp(), groups+*budget.OverGroups
+	t.Logf("%d allocs/window over %d windows of %d groups (budget %d = groups + %d), %d B/window",
+		got, res.N, groups, limit, *budget.OverGroups, res.AllocedBytesPerOp())
+	if got > limit {
+		t.Errorf("%d allocs per window exceed %d groups + %d — a window's groups allocate more than their "+
+			"key strings, so its storage is no longer recycled; if intentional, justify it and raise "+
+			"alloc_budget.json in the same change", got, groups, *budget.OverGroups)
+	}
+}

@@ -73,233 +73,200 @@ func ParseAggKind(name string) (AggKind, bool) {
 // input, making hierarchical computation unattractive (§3.3.4).
 func (k AggKind) Holistic() bool { return k == AggCountDistinct }
 
-// AggState accumulates one group's aggregate.
-type AggState interface {
-	// Add folds in one raw input value. Incompatible values are ignored
-	// (best-effort policy).
-	Add(v tuple.Value)
-	// Merge folds another partial state of the same kind into this one.
-	Merge(other AggState)
-	// Result produces the final value. Empty states yield kind-specific
-	// identity (count 0, sum 0, min/max/avg null).
-	Result() tuple.Value
-	// EncodeTo serializes the partial state for network shipping.
-	EncodeTo(w *wire.Writer)
-}
-
-// NewAggState creates an empty accumulator for kind.
-func NewAggState(kind AggKind) AggState {
-	switch kind {
-	case AggCount:
-		return &countState{}
-	case AggSum:
-		return &sumState{}
-	case AggMin:
-		return &minMaxState{min: true}
-	case AggMax:
-		return &minMaxState{}
-	case AggAvg:
-		return &avgState{}
-	case AggCountDistinct:
-		return &distinctState{seen: make(map[string]struct{})}
-	default:
-		return &countState{}
-	}
-}
-
-// DecodeAggState reads a partial state of the given kind.
-func DecodeAggState(kind AggKind, r *wire.Reader) AggState {
-	s := NewAggState(kind)
-	switch st := s.(type) {
-	case *countState:
-		st.n = r.I64()
-	case *sumState:
-		st.f = r.F64()
-		st.i = r.I64()
-		st.isFloat = r.Bool()
-		st.any = r.Bool()
-	case *minMaxState:
-		st.min = r.Bool()
-		st.any = r.Bool()
-		if st.any {
-			tp := tuple.DecodeFrom(r)
-			if v, ok := tp.Get("v"); ok {
-				st.best = v
-			}
-		}
-	case *avgState:
-		st.sum = r.F64()
-		st.n = r.I64()
-	case *distinctState:
-		n := int(r.U32())
-		for i := 0; i < n && r.Err() == nil; i++ {
-			st.seen[r.String()] = struct{}{}
-		}
-	}
-	return s
-}
-
-type countState struct{ n int64 }
-
-func (s *countState) Add(tuple.Value)         { s.n++ }
-func (s *countState) Merge(o AggState)        { s.n += o.(*countState).n }
-func (s *countState) Result() tuple.Value     { return tuple.Int(s.n) }
-func (s *countState) EncodeTo(w *wire.Writer) { w.I64(s.n) }
-
-type sumState struct {
-	i       int64
+// aggState accumulates one group's aggregate. One value type serves every
+// kind, so a GroupSet keeps its states in one flat slab with no per-state
+// allocation; the kind is the spec's and is passed in, never stored. The
+// fields each kind uses:
+//
+//	count          n
+//	sum            n (integer inputs), f (float inputs, promoted from n
+//	               on the first), isFloat, any
+//	min, max       best, any
+//	avg            f (sum), n (count)
+//	countdistinct  seen (nil until the first input)
+//
+// An unknown kind counts, as count does. The zero aggState is every
+// kind's empty state: count 0, sum 0, min/max/avg null.
+type aggState struct {
+	n       int64
 	f       float64
+	best    tuple.Value
+	seen    map[string]struct{}
 	isFloat bool
 	any     bool
 }
 
-func (s *sumState) Add(v tuple.Value) {
-	if i, ok := v.AsInt(); ok {
-		s.i += i
-		s.any = true
-		return
-	}
-	if f, ok := v.AsFloat(); ok {
-		if !s.isFloat {
-			s.f = float64(s.i)
-			s.isFloat = true
+// add folds in one raw input value. Incompatible values are ignored
+// (best-effort policy).
+func (s *aggState) add(k AggKind, v tuple.Value) {
+	switch k {
+	case AggSum:
+		if i, ok := v.AsInt(); ok {
+			s.n += i
+			s.any = true
+			return
 		}
-		s.f += f
-		s.any = true
-	}
-}
-
-func (s *sumState) Merge(o AggState) {
-	so := o.(*sumState)
-	if !so.any {
-		return
-	}
-	if so.isFloat || s.isFloat {
-		sf, _ := s.Result().AsFloat()
-		of, _ := so.Result().AsFloat()
-		s.isFloat = true
-		s.f = sf + of
-	} else {
-		s.i += so.i
-	}
-	s.any = true
-}
-
-func (s *sumState) Result() tuple.Value {
-	if s.isFloat {
-		return tuple.Float(s.f)
-	}
-	return tuple.Int(s.i)
-}
-
-func (s *sumState) EncodeTo(w *wire.Writer) {
-	w.F64(s.f)
-	w.I64(s.i)
-	w.Bool(s.isFloat)
-	w.Bool(s.any)
-}
-
-type minMaxState struct {
-	min  bool
-	any  bool
-	best tuple.Value
-}
-
-func (s *minMaxState) Add(v tuple.Value) {
-	if v.IsNull() {
-		return
-	}
-	if !s.any {
-		s.best = v
-		s.any = true
-		return
-	}
-	c, ok := tuple.Compare(v, s.best)
-	if !ok {
-		return
-	}
-	if (s.min && c < 0) || (!s.min && c > 0) {
-		s.best = v
-	}
-}
-
-func (s *minMaxState) Merge(o AggState) {
-	so := o.(*minMaxState)
-	if so.any {
-		s.Add(so.best)
-	}
-}
-
-func (s *minMaxState) Result() tuple.Value {
-	if !s.any {
-		return tuple.Null()
-	}
-	return s.best
-}
-
-func (s *minMaxState) EncodeTo(w *wire.Writer) {
-	w.Bool(s.min)
-	w.Bool(s.any)
-	if s.any {
-		// Reuse the tuple codec for the single value.
-		tuple.New("").Set("v", s.best).EncodeTo(w)
-	}
-}
-
-type avgState struct {
-	sum float64
-	n   int64
-}
-
-func (s *avgState) Add(v tuple.Value) {
-	if f, ok := v.AsFloat(); ok {
-		s.sum += f
+		if f, ok := v.AsFloat(); ok {
+			if !s.isFloat {
+				s.f = float64(s.n)
+				s.isFloat = true
+			}
+			s.f += f
+			s.any = true
+		}
+	case AggMin, AggMax:
+		if v.IsNull() {
+			return
+		}
+		if !s.any {
+			s.best, s.any = v, true
+			return
+		}
+		if c, ok := tuple.Compare(v, s.best); ok && ((k == AggMin && c < 0) || (k == AggMax && c > 0)) {
+			s.best = v
+		}
+	case AggAvg:
+		if f, ok := v.AsFloat(); ok {
+			s.f += f
+			s.n++
+		}
+	case AggCountDistinct:
+		if s.seen == nil {
+			s.seen = make(map[string]struct{})
+		}
+		s.seen[v.KeyString()] = struct{}{}
+	default:
 		s.n++
 	}
 }
 
-func (s *avgState) Merge(o AggState) {
-	so := o.(*avgState)
-	s.sum += so.sum
-	s.n += so.n
-}
-
-func (s *avgState) Result() tuple.Value {
-	if s.n == 0 {
-		return tuple.Null()
+// merge folds another partial state of the same kind into this one.
+func (s *aggState) merge(k AggKind, o *aggState) {
+	switch k {
+	case AggSum:
+		if !o.any {
+			return
+		}
+		if o.isFloat || s.isFloat {
+			sf, _ := s.result(k).AsFloat()
+			of, _ := o.result(k).AsFloat()
+			s.isFloat = true
+			s.f = sf + of
+		} else {
+			s.n += o.n
+		}
+		s.any = true
+	case AggMin, AggMax:
+		if o.any {
+			s.add(k, o.best)
+		}
+	case AggAvg:
+		s.f += o.f
+		s.n += o.n
+	case AggCountDistinct:
+		for key := range o.seen {
+			if s.seen == nil {
+				s.seen = make(map[string]struct{}, len(o.seen))
+			}
+			s.seen[key] = struct{}{}
+		}
+	default:
+		s.n += o.n
 	}
-	return tuple.Float(s.sum / float64(s.n))
 }
 
-func (s *avgState) EncodeTo(w *wire.Writer) {
-	w.F64(s.sum)
-	w.I64(s.n)
-}
-
-type distinctState struct {
-	seen map[string]struct{}
-}
-
-func (s *distinctState) Add(v tuple.Value) { s.seen[v.KeyString()] = struct{}{} }
-
-func (s *distinctState) Merge(o AggState) {
-	for k := range o.(*distinctState).seen {
-		s.seen[k] = struct{}{}
+// result produces the final value; an empty state yields the kind's
+// identity (count 0, sum 0, min/max/avg null).
+func (s *aggState) result(k AggKind) tuple.Value {
+	switch k {
+	case AggSum:
+		if s.isFloat {
+			return tuple.Float(s.f)
+		}
+		return tuple.Int(s.n)
+	case AggMin, AggMax:
+		if !s.any {
+			return tuple.Null()
+		}
+		return s.best
+	case AggAvg:
+		if s.n == 0 {
+			return tuple.Null()
+		}
+		return tuple.Float(s.f / float64(s.n))
+	case AggCountDistinct:
+		return tuple.Int(int64(len(s.seen)))
+	default:
+		return tuple.Int(s.n)
 	}
 }
 
-func (s *distinctState) Result() tuple.Value { return tuple.Int(int64(len(s.seen))) }
+// encodeTo serializes the partial state for network shipping.
+func (s *aggState) encodeTo(k AggKind, w *wire.Writer) {
+	switch k {
+	case AggSum:
+		w.F64(s.f)
+		w.I64(s.n)
+		w.Bool(s.isFloat)
+		w.Bool(s.any)
+	case AggMin, AggMax:
+		w.Bool(k == AggMin)
+		w.Bool(s.any)
+		if s.any {
+			// Reuse the tuple codec for the single value.
+			tuple.New("").Set("v", s.best).EncodeTo(w)
+		}
+	case AggAvg:
+		w.F64(s.f)
+		w.I64(s.n)
+	case AggCountDistinct:
+		w.U32(uint32(len(s.seen)))
+		// Sorted so the wire image is canonical: partial-aggregate
+		// messages must be byte-identical run to run for deterministic
+		// replay.
+		keys := make([]string, 0, len(s.seen))
+		for key := range s.seen {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			w.String(key)
+		}
+	default:
+		w.I64(s.n)
+	}
+}
 
-func (s *distinctState) EncodeTo(w *wire.Writer) {
-	w.U32(uint32(len(s.seen)))
-	// Sorted so the wire image is canonical: partial-aggregate messages
-	// must be byte-identical run to run for deterministic replay.
-	keys := make([]string, 0, len(s.seen))
-	for k := range s.seen {
-		keys = append(keys, k)
+// decodeAggState reads a partial state of the given kind.
+func decodeAggState(k AggKind, r *wire.Reader) aggState {
+	var s aggState
+	switch k {
+	case AggSum:
+		s.f = r.F64()
+		s.n = r.I64()
+		s.isFloat = r.Bool()
+		s.any = r.Bool()
+	case AggMin, AggMax:
+		r.Bool() // the min flag: the spec's kind decides
+		s.any = r.Bool()
+		if s.any {
+			if v, ok := tuple.DecodeFrom(r).Get("v"); ok {
+				s.best = v
+			}
+		}
+	case AggAvg:
+		s.f = r.F64()
+		s.n = r.I64()
+	case AggCountDistinct:
+		n := int(r.U32())
+		for i := 0; i < n && r.Err() == nil; i++ {
+			if s.seen == nil {
+				s.seen = make(map[string]struct{})
+			}
+			s.seen[r.String()] = struct{}{}
+		}
+	default:
+		s.n = r.I64()
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		w.String(k)
-	}
+	return s
 }

@@ -83,29 +83,35 @@ func toBatches(rng *rand.Rand, rows []*tuple.Tuple) []*tuple.Batch {
 
 // runBoth drives three freshly built copies of the same operator graph —
 // one a row at a time, two batched — over the same rows and returns the
-// row output and both batched outputs. The batched copies take every
-// batch back to back, the way the table bus hands one batch to every
-// chain on a node, so the second copy finds the batch's group slots
+// row output and both batched outputs. The rows are cut into windows at
+// random points and every copy flushes at each cut, so a GroupBy's later
+// windows run on sets recycled through the pool. The batched copies take
+// every batch back to back, the way the table bus hands one batch to
+// every chain on a node, so the second copy finds the batch's group slots
 // already resolved in the pooled scratch. mk must return the graph's
 // entry Op and a collector wired as its parent.
 func runBoth(rng *rand.Rand, rows []*tuple.Tuple, mk func() (Op, *collect)) (rowOut, batchOut, sharedOut []string) {
 	rowOp, rowC := mk()
-	rowOp.Open(1)
-	for _, t := range rows {
-		push(rowOp, 1, t)
-	}
-	rowOp.Flush(1)
-
 	batchOp, batchC := mk()
 	sharedOp, sharedC := mk()
+	rowOp.Open(1)
 	batchOp.Open(1)
 	sharedOp.Open(1)
-	for _, b := range toBatches(rng, rows) {
-		batchOp.PushBatch(1, b)
-		sharedOp.PushBatch(1, b)
+	for len(rows) > 0 {
+		n := 1 + rng.Intn(len(rows))
+		window := rows[:n]
+		rows = rows[n:]
+		for _, t := range window {
+			push(rowOp, 1, t)
+		}
+		for _, b := range toBatches(rng, window) {
+			batchOp.PushBatch(1, b)
+			sharedOp.PushBatch(1, b)
+		}
+		rowOp.Flush(1)
+		batchOp.Flush(1)
+		sharedOp.Flush(1)
 	}
-	batchOp.Flush(1)
-	sharedOp.Flush(1)
 	return rowC.strings(), batchC.strings(), sharedC.strings()
 }
 

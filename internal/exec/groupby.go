@@ -37,36 +37,118 @@ func (a AggSpec) OutName() string {
 // directly, shipping encoded partials up the aggregation tree and merging
 // them hop by hop.
 //
-// A GroupSet holds only its groups, their order and the epoch stamp.
-// Everything AddBatch works in — column indices, key buffers, slots,
-// accumulators — is per-call scratch from the package pool (see the
-// package doc), taken at the start of the call and returned before it
-// ends, never retained.
+// Groups are rows of flat slabs numbered in creation order, the emission
+// order: the map takes a group's key bytes to its number, each group has
+// its key string, its table and len(Keys) key values, and its aggregate
+// states are len(Aggs) consecutive aggStates. Creating a group allocates
+// only its key string. Reset empties the set and keeps the map's buckets
+// and the slabs' capacity, and GroupBy.Flush hands its window's set to a
+// package pool for the next window, so a window's storage is recycled
+// once it is flushed: nothing downstream may retain it, and Emit,
+// EmitBatch and Encode copy values out into fresh tuples, batches and
+// bytes. Everything AddBatch works in — column indices, key buffers,
+// slots, accumulators — is per-call scratch from the package pool (see
+// the package doc), taken at the start of the call and returned before
+// it ends, never retained.
 type GroupSet struct {
 	Keys []string
 	Aggs []AggSpec
 
-	groups map[string]*groupEntry
-	order  []string // insertion order, for deterministic emission
-	epoch  uint32
+	// names is EmitBatch's schema, nil when an output name collides:
+	// worked out once per spec, shared by every batch emitted.
+	names   []string
+	index   map[string]int32
+	keys    []string      // per group: its key bytes
+	tables  []string      // per group: the table its key columns came from
+	keyVals []tuple.Value // len(Keys) per group
+	keyHas  []bool        // len(Keys) per group: false where a merged partial lacked the column
+	states  []aggState    // len(Aggs) per group
+	// marks stamp a group into the current AddBatch's touched set so slot
+	// resolution is one comparison per repeat row, no map probe.
+	marks []groupMark
+	epoch uint32
 }
 
-type groupEntry struct {
-	key    *tuple.Tuple // the group's key columns
-	states []AggState
-	// epoch/slot stamp the entry into the current AddBatch's touched set
-	// so slot resolution is one comparison per repeat row, no map probe.
+type groupMark struct {
 	epoch uint32
 	slot  int32
 }
 
 // NewGroupSet creates an empty aggregation table.
 func NewGroupSet(keys []string, aggs []AggSpec) *GroupSet {
-	return &GroupSet{Keys: keys, Aggs: aggs, groups: make(map[string]*groupEntry)}
+	return &GroupSet{Keys: keys, Aggs: aggs, names: outNames(keys, aggs), index: make(map[string]int32)}
+}
+
+// outNames is the output schema of a spec — key columns, then one column
+// per aggregate — or nil when two names collide (Emit's set-overwrites
+// semantics cannot be expressed as distinct columns).
+func outNames(keys []string, aggs []AggSpec) []string {
+	names := make([]string, 0, len(keys)+len(aggs))
+	names = append(names, keys...)
+	for _, a := range aggs {
+		names = append(names, a.OutName())
+	}
+	for i := range names {
+		if slices.Contains(names[i+1:], names[i]) {
+			return nil
+		}
+	}
+	return names
 }
 
 // Len returns the number of groups.
-func (g *GroupSet) Len() int { return len(g.groups) }
+func (g *GroupSet) Len() int { return len(g.keys) }
+
+// Reset empties the set for reuse under the same spec, keeping the map's
+// buckets and the slabs' capacity and clearing every value that could
+// pin memory.
+func (g *GroupSet) Reset() {
+	clear(g.index)
+	clear(g.keys)
+	clear(g.tables)
+	clear(g.keyVals)
+	clear(g.states)
+	g.keys, g.tables, g.keyVals, g.keyHas = g.keys[:0], g.tables[:0], g.keyVals[:0], g.keyHas[:0]
+	g.states, g.marks, g.epoch = g.states[:0], g.marks[:0], 0
+}
+
+// newGroup appends a group with empty states under key and returns its
+// number; the caller appends its len(Keys) key values.
+func (g *GroupSet) newGroup(key, table string) int32 {
+	gi := int32(len(g.keys))
+	g.index[key] = gi
+	g.keys = append(g.keys, key)
+	g.tables = append(g.tables, table)
+	g.marks = append(g.marks, groupMark{})
+	g.states = append(g.states, make([]aggState, len(g.Aggs))...)
+	return gi
+}
+
+func (g *GroupSet) appendKey(v tuple.Value, ok bool) {
+	g.keyVals = append(g.keyVals, v)
+	g.keyHas = append(g.keyHas, ok)
+}
+
+// rowGroup returns the group of columnar row i of b, whose key bytes are
+// kb, creating it from the row's key columns on first sight.
+func (g *GroupSet) rowGroup(b *tuple.Batch, i int, keyIdx []int, kb []byte) int32 {
+	if gi, ok := g.index[string(kb)]; ok {
+		return gi
+	}
+	gi := g.newGroup(string(kb), b.Table())
+	for _, ci := range keyIdx {
+		g.appendKey(b.At(i, ci), true)
+	}
+	return gi
+}
+
+// aggCol addresses one aggregate's states across the groups of a slab.
+type aggCol struct {
+	states     []aggState
+	ai, stride int
+}
+
+func (c aggCol) at(gi int32) *aggState { return &c.states[int(gi)*c.stride+c.ai] }
 
 // AddBatch folds a whole batch into the table, returning how many rows
 // were discarded as malformed (missing key column); missing aggregate
@@ -90,21 +172,21 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 				malformed++
 				continue
 			}
-			e := g.lookupOrCreate(kb, func() *tuple.Tuple {
-				keyTuple := tuple.New(t.Table())
+			gi, ok := g.index[string(kb)]
+			if !ok {
+				gi = g.newGroup(string(kb), t.Table())
 				for _, kc := range g.Keys {
-					v, _ := t.Get(kc)
-					keyTuple.Set(kc, v)
+					g.appendKey(t.Get(kc))
 				}
-				return keyTuple
-			})
+			}
 			for ai, a := range g.Aggs {
+				st := aggCol{g.states, ai, len(g.Aggs)}.at(gi)
 				if a.Col == "" {
-					e.states[ai].Add(tuple.Null())
+					st.add(a.Kind, tuple.Null())
 					continue
 				}
 				if v, ok := t.Get(a.Col); ok {
-					e.states[ai].Add(v)
+					st.add(a.Kind, v)
 				}
 			}
 		}
@@ -136,22 +218,13 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 	// hands one batch to every chain on a node), only the distinct keys
 	// are probed. Otherwise keys for the whole batch are built into the
 	// arena; a row whose key bytes equal the previous row's reuses its
-	// entry outright, so runs of equal keys cost one map probe. Key
+	// group outright, so runs of equal keys cost one map probe. Key
 	// columns are resolved by index, so no columnar row can be malformed
 	// past the schema check above.
-	row := 0
-	mkKey := func() *tuple.Tuple {
-		keyTuple := tuple.New(b.Table())
-		for ki, kc := range g.Keys {
-			keyTuple.Set(kc, b.At(row, keyIdx[ki]))
-		}
-		return keyTuple
-	}
 	touched := sc.touched[:0]
 	if sc.memo == b && sc.memoLen == n && slices.Equal(sc.memoIdx, keyIdx) {
 		for _, r := range sc.firsts {
-			row = int(r)
-			touched = append(touched, g.lookupOrCreate(sc.keyArena[sc.keyOffs[r]:sc.keyOffs[r+1]], mkKey))
+			touched = append(touched, g.rowGroup(b, int(r), keyIdx, sc.keyArena[sc.keyOffs[r]:sc.keyOffs[r+1]]))
 		}
 	} else {
 		g.epoch++
@@ -162,22 +235,20 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 			offs = append(offs, int32(len(arena)))
 		}
 		slots, firsts := sc.slots[:0], sc.firsts[:0]
-		var prev *groupEntry
+		var gi int32
 		for i := 0; i < n; i++ {
 			kb := arena[offs[i]:offs[i+1]]
-			e := prev
 			if i == 0 || !bytes.Equal(kb, arena[offs[i-1]:offs[i]]) {
-				row = i
-				e = g.lookupOrCreate(kb, mkKey)
+				gi = g.rowGroup(b, i, keyIdx, kb)
 			}
-			prev = e
-			if e.epoch != g.epoch {
-				e.epoch = g.epoch
-				e.slot = int32(len(touched))
-				touched = append(touched, e)
+			m := &g.marks[gi]
+			if m.epoch != g.epoch {
+				m.epoch = g.epoch
+				m.slot = int32(len(touched))
+				touched = append(touched, gi)
 				firsts = append(firsts, int32(i))
 			}
-			slots = append(slots, e.slot)
+			slots = append(slots, m.slot)
 		}
 		sc.keyArena, sc.keyOffs, sc.slots, sc.firsts = arena, offs, slots, firsts
 		sc.memo, sc.memoLen, sc.memoIdx = b, n, append(sc.memoIdx[:0], keyIdx...)
@@ -187,23 +258,23 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 
 	// Phase 2 — fold each aggregate column with a typed kernel when its
 	// kind is uniform and every touched state is kernel-compatible;
-	// otherwise fall back to the per-row Add sequence over the resolved
+	// otherwise fall back to the per-row add sequence over the resolved
 	// slots (bit-identical by construction: same calls, same row order).
-	for ai := range g.Aggs {
-		a := g.Aggs[ai]
+	for ai, a := range g.Aggs {
 		ci := aggIdx[ai]
 		if a.Col != "" && ci < 0 {
 			continue // missing aggregate input contributes nothing
 		}
-		if foldColumn(&sc.acc, b, a, ai, ci, slots, touched) {
+		col := aggCol{g.states, ai, len(g.Aggs)}
+		if foldColumn(&sc.acc, b, a, ci, slots, touched, col) {
 			continue
 		}
 		for i := range slots {
-			st := touched[slots[i]].states[ai]
+			st := col.at(touched[slots[i]])
 			if a.Col == "" {
-				st.Add(tuple.Null())
+				st.add(a.Kind, tuple.Null())
 			} else {
-				st.Add(b.At(i, ci))
+				st.add(a.Kind, b.At(i, ci))
 			}
 		}
 	}
@@ -214,28 +285,29 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 // reporting false when the column or the existing states are outside the
 // kernels' reach (mixed kinds, holistic aggregates, exotic value kinds)
 // so AddBatch falls back to the per-row path. Accumulators are loaded
-// from the touched states, folded in row order, and stored back, which
-// keeps results bit-identical to per-row AggState.Add — including
-// sumState's int/float promotion and Compare's NaN/mixed-kind ordering.
-func foldColumn(buf *aggScratch, b *tuple.Batch, a AggSpec, ai, ci int, slots []int32, touched []*groupEntry) bool {
+// from the touched groups' states in the slab, folded in row order, and
+// stored back, which keeps results bit-identical to per-row aggState.add
+// — including sum's int/float promotion and Compare's NaN/mixed-kind
+// ordering.
+func foldColumn(buf *aggScratch, b *tuple.Batch, a AggSpec, ci int, slots, touched []int32, col aggCol) bool {
 	nt := len(touched)
 	switch a.Kind {
 	case AggCount:
-		// countState ignores its input, so count(*) and count(col) over a
+		// count ignores its input, so count(*) and count(col) over a
 		// present column both reduce to one increment per row.
 		cnt := grow(buf.i, nt)
 		buf.i = cnt
-		for ti, e := range touched {
-			cnt[ti] = e.states[ai].(*countState).n
+		for ti, gi := range touched {
+			cnt[ti] = col.at(gi).n
 		}
 		b.FoldCountCol(slots, cnt)
-		for ti, e := range touched {
-			e.states[ai].(*countState).n = cnt[ti]
+		for ti, gi := range touched {
+			col.at(gi).n = cnt[ti]
 		}
 		return true
 	case AggSum:
 		if a.Col == "" {
-			return true // Add(Null) never contributes to a sum
+			return true // add(Null) never contributes to a sum
 		}
 		k, ok := b.ColKind(ci)
 		if !ok {
@@ -246,16 +318,16 @@ func foldColumn(buf *aggScratch, b *tuple.Batch, a AggSpec, ai, ci int, slots []
 			acc := grow(buf.i, nt)
 			any := grow(buf.b1, nt)
 			buf.i, buf.b1 = acc, any
-			for ti, e := range touched {
-				st := e.states[ai].(*sumState)
-				acc[ti], any[ti] = st.i, st.any
+			for ti, gi := range touched {
+				st := col.at(gi)
+				acc[ti], any[ti] = st.n, st.any
 			}
 			if !b.FoldSumInt64Col(ci, slots, acc, any) {
 				return false
 			}
-			for ti, e := range touched {
-				st := e.states[ai].(*sumState)
-				st.i, st.any = acc[ti], any[ti]
+			for ti, gi := range touched {
+				st := col.at(gi)
+				st.n, st.any = acc[ti], any[ti]
 			}
 			return true
 		case tuple.KindFloat:
@@ -264,125 +336,104 @@ func foldColumn(buf *aggScratch, b *tuple.Batch, a AggSpec, ai, ci int, slots []
 			isF := grow(buf.b1, nt)
 			any := grow(buf.b2, nt)
 			buf.i, buf.f, buf.b1, buf.b2 = accI, accF, isF, any
-			for ti, e := range touched {
-				st := e.states[ai].(*sumState)
-				accI[ti], accF[ti], isF[ti], any[ti] = st.i, st.f, st.isFloat, st.any
+			for ti, gi := range touched {
+				st := col.at(gi)
+				accI[ti], accF[ti], isF[ti], any[ti] = st.n, st.f, st.isFloat, st.any
 			}
 			if !b.FoldSumFloat64Col(ci, slots, accI, accF, isF, any) {
 				return false
 			}
-			for ti, e := range touched {
-				st := e.states[ai].(*sumState)
+			for ti, gi := range touched {
+				st := col.at(gi)
 				st.f, st.isFloat, st.any = accF[ti], isF[ti], any[ti]
 			}
 			return true
 		default:
 			// Uniform non-numeric column: AsInt and AsFloat both fail, so
-			// every Add would be a no-op.
+			// every add would be a no-op.
 			return true
 		}
 	case AggMin, AggMax:
 		if a.Col == "" {
-			return true // Add(Null) is skipped by min/max
+			return true // add(Null) is skipped by min/max
 		}
 		k, ok := b.ColKind(ci)
 		if !ok {
 			return false
 		}
-		min := a.Kind == AggMin
 		switch k {
 		case tuple.KindNull:
 			return true // a uniform null column never contributes
-		case tuple.KindInt:
-			// A slot whose incumbent is a different kind would compare
-			// through Value.Compare's cross-kind rules; keep those on the
-			// per-row path.
-			for _, e := range touched {
-				st := e.states[ai].(*minMaxState)
-				if st.any && st.best.Kind() != tuple.KindInt {
-					return false
-				}
+		case tuple.KindInt, tuple.KindFloat, tuple.KindString:
+		default:
+			return false // bool/time/bytes: comparable but rare — row path
+		}
+		min := a.Kind == AggMin
+		// A slot whose incumbent is a different kind would compare through
+		// Value.Compare's cross-kind rules; keep those on the per-row path.
+		for _, gi := range touched {
+			if st := col.at(gi); st.any && st.best.Kind() != k {
+				return false
 			}
+		}
+		any := grow(buf.b1, nt)
+		buf.b1 = any
+		for ti, gi := range touched {
+			any[ti] = col.at(gi).any
+		}
+		switch k {
+		case tuple.KindInt:
 			best := grow(buf.i, nt)
-			any := grow(buf.b1, nt)
-			buf.i, buf.b1 = best, any
-			for ti, e := range touched {
-				st := e.states[ai].(*minMaxState)
-				any[ti] = st.any
-				if st.any {
-					best[ti], _ = st.best.AsInt()
-				}
+			buf.i = best
+			for ti, gi := range touched {
+				best[ti], _ = col.at(gi).best.AsInt()
 			}
 			if !b.FoldMinMaxInt64Col(ci, min, slots, best, any) {
 				return false
 			}
-			for ti, e := range touched {
-				st := e.states[ai].(*minMaxState)
+			for ti, gi := range touched {
 				if any[ti] {
+					st := col.at(gi)
 					st.best, st.any = tuple.Int(best[ti]), true
 				}
 			}
 			return true
 		case tuple.KindFloat:
-			for _, e := range touched {
-				st := e.states[ai].(*minMaxState)
-				if st.any && st.best.Kind() != tuple.KindFloat {
-					return false
-				}
-			}
 			best := grow(buf.f, nt)
-			any := grow(buf.b1, nt)
-			buf.f, buf.b1 = best, any
-			for ti, e := range touched {
-				st := e.states[ai].(*minMaxState)
-				any[ti] = st.any
-				if st.any {
-					best[ti], _ = st.best.AsFloat()
-				}
+			buf.f = best
+			for ti, gi := range touched {
+				best[ti], _ = col.at(gi).best.AsFloat()
 			}
 			if !b.FoldMinMaxFloat64Col(ci, min, slots, best, any) {
 				return false
 			}
-			for ti, e := range touched {
-				st := e.states[ai].(*minMaxState)
+			for ti, gi := range touched {
 				if any[ti] {
+					st := col.at(gi)
 					st.best, st.any = tuple.Float(best[ti]), true
 				}
 			}
 			return true
-		case tuple.KindString:
-			for _, e := range touched {
-				st := e.states[ai].(*minMaxState)
-				if st.any && st.best.Kind() != tuple.KindString {
-					return false
-				}
-			}
+		default: // tuple.KindString
 			best := grow(buf.s, nt)
-			any := grow(buf.b1, nt)
-			buf.s, buf.b1 = best, any
-			for ti, e := range touched {
-				st := e.states[ai].(*minMaxState)
-				any[ti] = st.any
-				if st.any {
-					best[ti], _ = st.best.AsString()
-				}
+			buf.s = best
+			for ti, gi := range touched {
+				best[ti], _ = col.at(gi).best.AsString()
 			}
 			if !b.FoldMinMaxStringCol(ci, min, slots, best, any) {
 				return false
 			}
-			for ti, e := range touched {
-				st := e.states[ai].(*minMaxState)
+			for ti, gi := range touched {
 				if any[ti] {
+					st := col.at(gi)
 					st.best, st.any = tuple.String(best[ti]), true
 				}
 			}
 			return true
-		default:
-			return false // bool/time/bytes: comparable but rare — row path
 		}
 	case AggAvg:
 		if a.Col == "" {
-			return true // Add(Null) never contributes to an average
+			return true // add(Null) never contributes to an average
 		}
 		k, ok := b.ColKind(ci)
 		if !ok {
@@ -394,16 +445,16 @@ func foldColumn(buf *aggScratch, b *tuple.Batch, a AggSpec, ai, ci int, slots []
 		sum := grow(buf.f, nt)
 		cnt := grow(buf.i, nt)
 		buf.f, buf.i = sum, cnt
-		for ti, e := range touched {
-			st := e.states[ai].(*avgState)
-			sum[ti], cnt[ti] = st.sum, st.n
+		for ti, gi := range touched {
+			st := col.at(gi)
+			sum[ti], cnt[ti] = st.f, st.n
 		}
 		if !b.FoldAvgCol(ci, slots, sum, cnt) {
 			return false
 		}
-		for ti, e := range touched {
-			st := e.states[ai].(*avgState)
-			st.sum, st.n = sum[ti], cnt[ti]
+		for ti, gi := range touched {
+			st := col.at(gi)
+			st.f, st.n = sum[ti], cnt[ti]
 		}
 		return true
 	default:
@@ -412,34 +463,19 @@ func foldColumn(buf *aggScratch, b *tuple.Batch, a AggSpec, ai, ci int, slots []
 	}
 }
 
-// lookupOrCreate finds the group for a scratch key, materializing the key
-// string and the key tuple only on first sight.
-func (g *GroupSet) lookupOrCreate(kb []byte, mkKey func() *tuple.Tuple) *groupEntry {
-	if e := g.groups[string(kb)]; e != nil {
-		return e
-	}
-	e := &groupEntry{key: mkKey(), states: make([]AggState, len(g.Aggs))}
-	for i, a := range g.Aggs {
-		e.states[i] = NewAggState(a.Kind)
-	}
-	key := string(kb)
-	g.groups[key] = e
-	g.order = append(g.order, key)
-	return e
-}
-
-// Merge folds another GroupSet with the identical spec into this one.
+// Merge folds another GroupSet with the identical spec into this one,
+// copying o's groups: o may be reset or reused afterwards.
 func (g *GroupSet) Merge(o *GroupSet) {
-	for _, key := range o.order {
-		oe := o.groups[key]
-		e := g.groups[key]
-		if e == nil {
-			g.groups[key] = oe
-			g.order = append(g.order, key)
-			continue
+	nk, na := len(g.Keys), len(g.Aggs)
+	for ogi, key := range o.keys {
+		gi, ok := g.index[key]
+		if !ok {
+			gi = g.newGroup(key, o.tables[ogi])
+			g.keyVals = append(g.keyVals, o.keyVals[ogi*nk:(ogi+1)*nk]...)
+			g.keyHas = append(g.keyHas, o.keyHas[ogi*nk:(ogi+1)*nk]...)
 		}
-		for i := range e.states {
-			e.states[i].Merge(oe.states[i])
+		for ai, a := range g.Aggs {
+			g.states[int(gi)*na+ai].merge(a.Kind, &o.states[ogi*na+ai])
 		}
 	}
 }
@@ -447,14 +483,20 @@ func (g *GroupSet) Merge(o *GroupSet) {
 // Encode serializes the whole partial-aggregate table for shipping up an
 // aggregation tree.
 func (g *GroupSet) Encode() []byte {
-	w := wire.NewWriter(64 + 32*len(g.groups))
-	w.U32(uint32(len(g.order)))
-	for _, key := range g.order {
-		e := g.groups[key]
+	w := wire.NewWriter(64 + 32*len(g.keys))
+	w.U32(uint32(len(g.keys)))
+	nk, na := len(g.Keys), len(g.Aggs)
+	for gi, key := range g.keys {
 		w.String(key)
-		e.key.EncodeTo(w)
-		for _, s := range e.states {
-			s.EncodeTo(w)
+		kt := tuple.New(g.tables[gi])
+		for ki, kc := range g.Keys {
+			if g.keyHas[gi*nk+ki] {
+				kt.Set(kc, g.keyVals[gi*nk+ki])
+			}
+		}
+		kt.EncodeTo(w)
+		for ai, a := range g.Aggs {
+			g.states[gi*na+ai].encodeTo(a.Kind, w)
 		}
 	}
 	return w.Bytes()
@@ -466,42 +508,47 @@ func (g *GroupSet) Encode() []byte {
 func (g *GroupSet) MergeEncoded(b []byte) error {
 	r := wire.NewReader(b)
 	n := int(r.U32())
+	na := len(g.Aggs)
+	states := make([]aggState, na)
 	for i := 0; i < n; i++ {
 		key := r.String()
 		keyTuple := tuple.DecodeFrom(r)
-		states := make([]AggState, len(g.Aggs))
-		for j, a := range g.Aggs {
-			states[j] = DecodeAggState(a.Kind, r)
+		for ai, a := range g.Aggs {
+			states[ai] = decodeAggState(a.Kind, r)
 		}
 		if err := r.Err(); err != nil {
 			return err
 		}
-		e := g.groups[key]
-		if e == nil {
-			g.groups[key] = &groupEntry{key: keyTuple, states: states}
-			g.order = append(g.order, key)
+		gi, ok := g.index[key]
+		if !ok {
+			gi = g.newGroup(key, keyTuple.Table())
+			for _, kc := range g.Keys {
+				g.appendKey(keyTuple.Get(kc))
+			}
+			copy(g.states[int(gi)*na:], states)
 			continue
 		}
-		for j := range e.states {
-			e.states[j].Merge(states[j])
+		for ai, a := range g.Aggs {
+			g.states[int(gi)*na+ai].merge(a.Kind, &states[ai])
 		}
 	}
 	return r.Err()
 }
 
-// Emit produces one result tuple per group: the key columns followed by
-// one column per aggregate. Emission follows group-creation order.
+// Emit produces one fresh result tuple per group: the key columns
+// followed by one column per aggregate. Emission follows group-creation
+// order.
 func (g *GroupSet) Emit(table string, fn func(*tuple.Tuple)) {
-	for _, key := range g.order {
-		e := g.groups[key]
+	nk, na := len(g.Keys), len(g.Aggs)
+	for gi := range g.keys {
 		out := tuple.New(table)
-		for _, kc := range g.Keys {
-			if v, ok := e.key.Get(kc); ok {
-				out.Set(kc, v)
+		for ki, kc := range g.Keys {
+			if g.keyHas[gi*nk+ki] {
+				out.Set(kc, g.keyVals[gi*nk+ki])
 			}
 		}
-		for i, a := range g.Aggs {
-			out.Set(a.OutName(), e.states[i].Result())
+		for ai, a := range g.Aggs {
+			out.Set(a.OutName(), g.states[gi*na+ai].result(a.Kind))
 		}
 		fn(out)
 	}
@@ -510,44 +557,30 @@ func (g *GroupSet) Emit(table string, fn func(*tuple.Tuple)) {
 // EmitBatch materializes the whole window as ONE fresh columnar batch —
 // key columns followed by one column per aggregate, rows in
 // group-creation order — carrying exactly the values Emit's per-group
-// tuples would. The batch is handed downstream under the shared
-// read-only ownership contract (see the package comment in op.go), so a
-// single emission can be fanned to any number of consumers. Returns nil
-// when there is nothing to emit or when an output name collides with a
-// key column (Emit's set-overwrites semantics cannot be expressed as
-// distinct columns; callers fall back to Emit).
+// tuples would; a key column a merged partial lacked holds an explicit
+// null. The batch is handed downstream under the shared read-only
+// ownership contract (see the package comment in op.go), so a single
+// emission can be fanned to any number of consumers. Returns nil when
+// there is nothing to emit or when an output name collides with another
+// (callers fall back to Emit).
 func (g *GroupSet) EmitBatch(table string) *tuple.Batch {
-	if len(g.order) == 0 {
+	if len(g.keys) == 0 || g.names == nil {
 		return nil
 	}
-	names := make([]string, 0, len(g.Keys)+len(g.Aggs))
-	names = append(names, g.Keys...)
-	for _, a := range g.Aggs {
-		names = append(names, a.OutName())
-	}
-	for i := range names {
-		for j := i + 1; j < len(names); j++ {
-			if names[i] == names[j] {
-				return nil
-			}
-		}
-	}
-	out := tuple.NewColumnarBatch(table, names, len(g.order))
-	row := make([]tuple.Value, len(names))
-	for _, key := range g.order {
-		e := g.groups[key]
-		for ki, kc := range g.Keys {
-			// Key columns are always present on key tuples built by
-			// AddBatch; a partial decoded off the wire could lack one,
-			// in which case the column holds an explicit null.
-			v, _ := e.key.Get(kc)
-			row[ki] = v
-		}
-		for i := range g.Aggs {
-			row[len(g.Keys)+i] = e.states[i].Result()
+	out := tuple.NewColumnarBatch(table, g.names, len(g.keys))
+	sc := getScratch()
+	row := grow(sc.rowVals, len(g.names))
+	nk, na := len(g.Keys), len(g.Aggs)
+	for gi := range g.keys {
+		copy(row, g.keyVals[gi*nk:(gi+1)*nk])
+		for ai, a := range g.Aggs {
+			row[nk+ai] = g.states[gi*na+ai].result(a.Kind)
 		}
 		out.AppendRow(row)
 	}
+	clear(row)
+	sc.rowVals = row
+	sc.release()
 	return out
 }
 
@@ -575,19 +608,21 @@ func NewGroupBy(keys []string, aggs []AggSpec) *GroupBy {
 // SetChild wires the child for control propagation.
 func (g *GroupBy) SetChild(c Op) { g.Adopt(g, c) }
 
-// PushBatch absorbs a whole batch into the probe's group table.
+// PushBatch absorbs a whole batch into the probe's group table, taking
+// the window's set from the pool on its first batch.
 func (g *GroupBy) PushBatch(tag Tag, b *tuple.Batch) {
 	set := g.sets[tag]
 	if set == nil {
-		set = NewGroupSet(g.Keys, g.Aggs)
+		set = getGroupSet(g.Keys, g.Aggs)
 		g.sets[tag] = set
 	}
 	g.Dropped.Add(set.AddBatch(b))
 }
 
-// Flush emits the accumulated groups downstream and resets the window.
-// The window leaves as one columnar batch so a Demux parent can fan a
-// single emission to every attached query tail.
+// Flush emits the accumulated groups downstream and resets the window,
+// returning its set to the pool. The window leaves as one fresh columnar
+// batch so a Demux parent can fan a single emission to every attached
+// query tail.
 func (g *GroupBy) Flush(tag Tag) {
 	g.In.Flush(tag)
 	set := g.sets[tag]
@@ -600,6 +635,7 @@ func (g *GroupBy) Flush(tag Tag) {
 		set.Emit(g.OutTable, func(t *tuple.Tuple) { g.Emit(tag, tuple.OfTuple(t)) })
 	}
 	delete(g.sets, tag)
+	set.release()
 }
 
 // Close drops all state.

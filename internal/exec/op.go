@@ -33,7 +33,7 @@
 // allocation); a lone row — a TopK rank, a join match, a fetched index
 // entry — crosses an edge as a batch of one (tuple.OfTuple). Every
 // PushBatch keeps a row-backed branch (!b.Columnar(): Pred.Eval,
-// Row(i).AppendKey, AggState.Add in row order) beside its typed-kernel
+// Row(i).AppendKey, aggState.add in row order) beside its typed-kernel
 // branch; the row-backed branch is the semantics reference, and
 // TestBatchVsRowEquivalence and FuzzBatchVsRowEquivalence hold the kernels
 // to it by feeding one copy of an operator row-backed batches of one and
@@ -76,6 +76,13 @@
 // batches are read-only, the same batch pointer, length and key columns
 // mean the same group slots, so a batch fanned to many GroupBys is keyed
 // once.
+//
+// A window's aggregation state is recycled the same way: GroupBy.Flush
+// emits its window, resets the window's GroupSet and puts it in a second
+// pool, where the next window to start takes it, map buckets and slabs
+// and all. Nothing downstream may therefore retain a GroupSet's storage:
+// Emit and EmitBatch copy every value out into fresh tuples and a fresh
+// batch, and between windows a chain holds no GroupSet at all.
 package exec
 
 import (

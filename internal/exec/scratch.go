@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 
 	"pier/internal/tuple"
@@ -24,14 +25,14 @@ type scratch struct {
 	// GroupSet.AddBatch: resolved column indices, every row's key back to
 	// back in keyArena (keyOffs delimits them; the bytes match KeyString,
 	// since partials merge across nodes keyed by them), each row's slot in
-	// touched (the groups the batch hits, first-touch order), and the
-	// typed accumulators of the fold kernels.
+	// touched (the numbers of the groups the batch hits, first-touch
+	// order), and the typed accumulators of the fold kernels.
 	keyIdx   []int
 	aggIdx   []int
 	keyArena []byte
 	keyOffs  []int32
 	slots    []int32
-	touched  []*groupEntry
+	touched  []int32
 	acc      aggScratch
 	// memo is the columnar batch, with memoLen rows grouped on memoIdx,
 	// that keyArena, keyOffs and slots still describe; firsts is the first
@@ -51,15 +52,37 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // release returns the scratch to the pool, dropping the pointers into
 // operator state it collected.
 func (s *scratch) release() {
-	clear(s.touched)
 	clear(s.outs)
 	scratchPool.Put(s)
 }
 
+// groupSetPool holds the GroupSets of flushed windows. GroupBy.Flush
+// resets its window's set and puts it here, and a window's first
+// PushBatch takes one, so a window reuses an earlier one's map buckets
+// and slabs while a chain idle between windows holds none. A pooled set
+// keeps its last spec and that spec's output names: GroupBys of equal
+// specs, however many, work the names out once per set.
+var groupSetPool = sync.Pool{New: func() any { return &GroupSet{index: make(map[string]int32)} }}
+
+func getGroupSet(keys []string, aggs []AggSpec) *GroupSet {
+	g := groupSetPool.Get().(*GroupSet)
+	if g.names == nil || !slices.Equal(g.Keys, keys) || !slices.Equal(g.Aggs, aggs) {
+		g.names = outNames(keys, aggs)
+	}
+	g.Keys, g.Aggs = keys, aggs
+	return g
+}
+
+// release resets the set and returns it to the pool.
+func (g *GroupSet) release() {
+	g.Reset()
+	groupSetPool.Put(g)
+}
+
 // aggScratch is the dense accumulator storage behind the typed fold
 // kernels. Arrays are resized per batch to the touched-group count and
-// fully loaded from the per-group states before each kernel runs, so
-// stale contents never leak between batches or specs.
+// fully loaded from the touched groups' states before each kernel runs,
+// so stale contents never leak between batches or specs.
 type aggScratch struct {
 	i  []int64
 	f  []float64

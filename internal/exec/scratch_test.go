@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"pier/internal/tuple"
 )
@@ -162,6 +165,214 @@ func TestSharedBatchGroupingEqualsFresh(t *testing.T) {
 			defer wg.Done()
 			errs <- sharedBatchRun(seed)
 		}(int64(100 + g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// recycleSpecs are the GroupBys recycleRun interleaves, so one window's
+// set passes through the pool to a GroupBy of another spec: no keys, a
+// string key, an int key whose spec collides (an aggregate named "i", so
+// Flush falls back to Emit), and an int and a string key together.
+var recycleSpecs = []struct {
+	keys []string
+	aggs []AggSpec
+}{
+	{nil, everyAgg("v")},
+	{[]string{"s"}, []AggSpec{
+		{Kind: AggCount, Col: "v"},
+		{Kind: AggSum, Col: "n"},
+		{Kind: AggSum, Col: "f"},
+		{Kind: AggMin, Col: "f"},
+		{Kind: AggMax, Col: "f"},
+		{Kind: AggAvg, Col: "f"},
+		{Kind: AggCountDistinct, Col: "s"},
+	}},
+	{[]string{"i"}, append(everyAgg("v"), AggSpec{Kind: AggCount, As: "i"})},
+	{[]string{"i", "s"}, everyAgg("v")},
+}
+
+func everyAgg(col string) []AggSpec {
+	return []AggSpec{
+		{Kind: AggCount},
+		{Kind: AggSum, Col: col},
+		{Kind: AggMin, Col: col},
+		{Kind: AggMax, Col: col},
+		{Kind: AggAvg, Col: col},
+		{Kind: AggCountDistinct, Col: col},
+	}
+}
+
+// edgeFloats are the values a float fold must carry bit for bit.
+var edgeFloats = []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2.25, math.Inf(1)}
+
+// recycleBatch is n random rows, row-backed or columnar. Column v is all
+// ints, all floats (so sum's int accumulator is promoted by a later
+// batch's kernel) or mixed kinds, nulls and bools among them.
+func recycleBatch(rng *rand.Rand, n int) *tuple.Batch {
+	mode := rng.Intn(3)
+	rows := make([]*tuple.Tuple, n)
+	for r := range rows {
+		k := mode
+		if k == 2 {
+			k = rng.Intn(5)
+		}
+		var v tuple.Value
+		switch k {
+		case 0:
+			v = tuple.Int(rng.Int63n(7) - 3)
+		case 1:
+			v = tuple.Float(edgeFloats[rng.Intn(len(edgeFloats))])
+		case 2:
+			v = tuple.String(fmt.Sprintf("x%d", rng.Intn(3)))
+		case 3:
+			v = tuple.Null()
+		default:
+			v = tuple.Bool(true)
+		}
+		rows[r] = tuple.New("m").
+			Set("s", tuple.String(fmt.Sprintf("k%d", rng.Intn(3)))).
+			Set("i", tuple.Int(rng.Int63n(3))).
+			Set("n", tuple.Int(rng.Int63n(100))).
+			Set("f", tuple.Float(edgeFloats[rng.Intn(len(edgeFloats))])).
+			Set("v", v)
+	}
+	if rng.Intn(2) == 0 {
+		return tuple.FromTuples(rows)
+	}
+	names := rows[0].Columns()
+	b := tuple.NewColumnarBatch("m", names, n)
+	vals := make([]tuple.Value, len(names))
+	for _, t := range rows {
+		for c := range names {
+			_, vals[c] = t.At(c)
+		}
+		b.AppendRow(vals)
+	}
+	return b
+}
+
+// emitted is what g emits, each row in the tuple wire format: EmitBatch's
+// rows, or Emit's tuples when EmitBatch declines (emitOnly forces Emit).
+func emitted(g *GroupSet, emitOnly bool) []string {
+	var out []string
+	if b := g.EmitBatch("groupby"); b != nil && !emitOnly {
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, string(b.Row(i).Encode()))
+		}
+		return out
+	}
+	g.Emit("groupby", func(t *tuple.Tuple) { out = append(out, string(t.Encode())) })
+	return out
+}
+
+// recycleRun runs windows back to back on one GroupBy per recycleSpecs
+// entry, interleaving their batches, and merges a partial grouped on
+// fewer key columns into the two-key GroupBy's window. Each window's
+// Encode bytes and emitted rows must equal those of a fresh GroupSet fed
+// the same batches.
+func recycleRun(seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	gbs := make([]*GroupBy, len(recycleSpecs))
+	outs := make([]*collect, len(recycleSpecs))
+	for i, sp := range recycleSpecs {
+		gbs[i], outs[i] = NewGroupBy(sp.keys, sp.aggs), &collect{}
+		gbs[i].SetParent(outs[i])
+	}
+	two := len(recycleSpecs) - 1
+	for w := 0; w < 6; w++ {
+		fresh := make([]*GroupSet, len(recycleSpecs))
+		for i, sp := range recycleSpecs {
+			fresh[i] = NewGroupSet(sp.keys, sp.aggs)
+		}
+		for step := 0; step < 10; step++ {
+			i := rng.Intn(len(gbs))
+			b := recycleBatch(rng, 1+rng.Intn(12))
+			gbs[i].PushBatch(1, b)
+			fresh[i].AddBatch(b)
+		}
+		if rng.Intn(2) == 0 {
+			part := NewGroupSet(recycleSpecs[two].keys[:1], recycleSpecs[two].aggs)
+			part.AddBatch(recycleBatch(rng, 1+rng.Intn(6)))
+			b := recycleBatch(rng, 1)
+			gbs[two].PushBatch(1, b)
+			fresh[two].AddBatch(b)
+			if err := gbs[two].sets[1].MergeEncoded(part.Encode()); err != nil {
+				return err
+			}
+			if err := fresh[two].MergeEncoded(part.Encode()); err != nil {
+				return err
+			}
+		}
+		for i, gb := range gbs {
+			if set := gb.sets[1]; set != nil {
+				if !bytes.Equal(set.Encode(), fresh[i].Encode()) {
+					return fmt.Errorf("seed %d window %d spec %d: Encode differs from a fresh set's", seed, w, i)
+				}
+				if got, want := emitted(set, true), emitted(fresh[i], true); !slices.Equal(got, want) {
+					return fmt.Errorf("seed %d window %d spec %d: Emit\ngot:  %q\nwant: %q", seed, w, i, got, want)
+				}
+			}
+			gb.Flush(1)
+			var got []string
+			for _, t := range outs[i].tuples {
+				got = append(got, string(t.Encode()))
+			}
+			outs[i].tuples = nil
+			if want := emitted(fresh[i], false); !slices.Equal(got, want) {
+				return fmt.Errorf("seed %d window %d spec %d: flushed\ngot:  %q\nwant: %q", seed, w, i, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+func TestRecycledGroupSetEqualsFresh(t *testing.T) {
+	if size := unsafe.Sizeof(aggState{}); size > 64 {
+		t.Errorf("aggState is %d bytes, more than 64", size)
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		if err := recycleRun(seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A partial whose key tuple lacks a key column: Emit omits the
+	// column, EmitBatch holds an explicit null in it.
+	part := NewGroupSet([]string{"i"}, []AggSpec{{Kind: AggCount}})
+	part.AddBatch(tuple.OfTuple(tuple.New("m").Set("i", tuple.Int(4))))
+	g := getGroupSet([]string{"i", "s"}, part.Aggs)
+	defer g.release()
+	if err := g.MergeEncoded(part.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	g.Emit("o", func(tp *tuple.Tuple) {
+		if _, ok := tp.Get("s"); ok || tp.Len() != 2 {
+			t.Errorf("Emit of a partial lacking s = %v, want no s column", tp)
+		}
+	})
+	b := g.EmitBatch("o")
+	if b == nil || b.Len() != 1 {
+		t.Fatalf("EmitBatch of one partial group = %v", b)
+	}
+	if v, ok := b.Row(0).Get("s"); !ok || !v.IsNull() {
+		t.Errorf("EmitBatch of a partial lacking s = %v, want an explicit null s", b.Row(0))
+	}
+
+	// Goroutines share the pool, never a GroupBy.
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			errs <- recycleRun(seed)
+		}(int64(1000 + i))
 	}
 	wg.Wait()
 	close(errs)

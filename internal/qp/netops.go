@@ -309,13 +309,13 @@ type hierAggOp struct {
 	c       *chain
 	ns      string // rendezvous namespace, unique per query+op
 	rootKey string
-	keys    []string
-	aggs    []exec.AggSpec
 	// sendDelay is when this node ships its local partial; wait is how
 	// long an interior node batches intercepted partials before
 	// forwarding.
 	sendDelay, wait time.Duration
 
+	// local and pending live as long as the operator: each is reset
+	// once its groups have been merged, encoded or emitted.
 	local    *exec.GroupSet // raw tuples folded here
 	pending  *exec.GroupSet // merged partials in transit through this node
 	merged   bool           // local already folded into pending
@@ -339,8 +339,6 @@ func (c *chain) newHierAgg(spec ufl.OpSpec) (*hierAggOp, error) {
 		c:       c,
 		ns:      spec.Arg("ns", c.rq.id+"!"+spec.ID),
 		rootKey: spec.Arg("root", "root"),
-		keys:    keys,
-		aggs:    aggs,
 		local:   exec.NewGroupSet(keys, aggs),
 		pending: exec.NewGroupSet(keys, aggs),
 	}
@@ -404,7 +402,7 @@ func (h *hierAggOp) shipLocal() {
 	}
 	h.merged = true
 	h.pending.Merge(h.local)
-	h.local = exec.NewGroupSet(h.keys, h.aggs)
+	h.local.Reset()
 	h.forward()
 }
 
@@ -429,7 +427,7 @@ func (h *hierAggOp) forward() {
 	}
 	h.Forwarded++
 	h.sendPartial(h.pending.Encode(), 0)
-	h.pending = exec.NewGroupSet(h.keys, h.aggs)
+	h.pending.Reset()
 }
 
 // sendPartial ships one encoded partial toward the root with ack-driven
@@ -466,7 +464,7 @@ func (h *hierAggOp) Flush(tag exec.Tag) {
 	if !h.merged {
 		h.merged = true
 		h.pending.Merge(h.local)
-		h.local = exec.NewGroupSet(h.keys, h.aggs)
+		h.local.Reset()
 	}
 	if h.isRoot() {
 		// The final aggregate leaves as one columnar batch so the
@@ -476,7 +474,7 @@ func (h *hierAggOp) Flush(tag exec.Tag) {
 		} else {
 			h.pending.Emit("hieragg", func(t *tuple.Tuple) { h.Emit(tag, tuple.OfTuple(t)) })
 		}
-		h.pending = exec.NewGroupSet(h.keys, h.aggs)
+		h.pending.Reset()
 		return
 	}
 	h.forward()

@@ -9,15 +9,15 @@ package tuple
 // copies through At.
 //
 // Bit-identity contract: every kernel folds rows in logical row order
-// into per-slot RUNNING accumulators, replicating the corresponding
-// AggState.Add sequence exactly (float addition is not associative, so
+// into per-slot RUNNING accumulators, replicating the per-row aggregate
+// add sequence exactly (float addition is not associative, so
 // partial-then-merge folds are forbidden). Each kernel requires the
 // column kind it is typed for to be uniform across the batch and returns
 // false otherwise, sending the caller to its per-row fallback.
 
 // FoldCountCol counts one row per selected row into counts[slots[i]] —
 // the count(*) / count(col-present-in-schema) kernel. It reads no column
-// storage (countState.Add ignores the value), so it works on any batch.
+// storage (a count ignores the value), so it works on any batch.
 func (b *Batch) FoldCountCol(slots []int32, counts []int64) {
 	for i := range slots {
 		counts[slots[i]]++
@@ -25,8 +25,8 @@ func (b *Batch) FoldCountCol(slots []int32, counts []int64) {
 }
 
 // FoldSumInt64Col folds a uniform int column into acc per slot
-// (sumState's integer accumulator; int inputs add to it regardless of a
-// prior float promotion, exactly like sumState.Add).
+// (a sum's integer accumulator; int inputs add to it regardless of a
+// prior float promotion, exactly like the per-row add).
 func (b *Batch) FoldSumInt64Col(c int, slots []int32, acc []int64, any []bool) bool {
 	if b.names == nil {
 		return false
@@ -46,7 +46,7 @@ func (b *Batch) FoldSumInt64Col(c int, slots []int32, acc []int64, any []bool) b
 
 // FoldSumFloat64Col folds a uniform float column into accF per slot,
 // promoting a slot's integer accumulator exactly once on first touch —
-// the same promotion sumState.Add performs on its first float input.
+// the same promotion a per-row sum performs on its first float input.
 func (b *Batch) FoldSumFloat64Col(c int, slots []int32, accI []int64, accF []float64, isFloat, any []bool) bool {
 	if b.names == nil {
 		return false
@@ -70,7 +70,7 @@ func (b *Batch) FoldSumFloat64Col(c int, slots []int32, accI []int64, accF []flo
 
 // FoldMinMaxInt64Col folds a uniform int column into best per slot.
 // any[s] marks slots whose best is initialized; an uninitialized slot
-// adopts the first value, like minMaxState.Add.
+// adopts the first value, like the per-row min/max add.
 func (b *Batch) FoldMinMaxInt64Col(c int, min bool, slots []int32, best []int64, any []bool) bool {
 	if b.names == nil {
 		return false
@@ -145,7 +145,7 @@ func (b *Batch) FoldMinMaxStringCol(c int, min bool, slots []int32, best []strin
 }
 
 // FoldAvgCol folds a uniform numeric column into sum/cnt per slot
-// (avgState's fields; ints widen to float exactly like AsFloat).
+// (an average's sum and count; ints widen to float exactly like AsFloat).
 func (b *Batch) FoldAvgCol(c int, slots []int32, sum []float64, cnt []int64) bool {
 	if b.names == nil {
 		return false
