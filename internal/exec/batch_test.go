@@ -96,10 +96,10 @@ func schemaRuns(rows []*tuple.Tuple) [][]*tuple.Tuple {
 	return runs
 }
 
-// toBatches partitions rows into batches of random sizes: row-backed,
-// batches of one joined by tuple.Concat — the shape the table bus
-// releases held arrivals in — or one columnar batch per schema run (all
-// must behave identically).
+// toBatches partitions rows into batches of random sizes: batches of one
+// joined by tuple.Concat — the shape the table bus releases held
+// arrivals in — tuple.Runs over the rows, the join's output builder, or
+// one batch per schema run built by hand (all must behave identically).
 func toBatches(rng *rand.Rand, rows []*tuple.Tuple) []*tuple.Batch {
 	var out []*tuple.Batch
 	for len(rows) > 0 {
@@ -108,14 +108,14 @@ func toBatches(rng *rand.Rand, rows []*tuple.Tuple) []*tuple.Batch {
 		rows = rows[n:]
 		switch rng.Intn(3) {
 		case 0:
-			out = append(out, tuple.FromTuples(chunk))
+			out = append(out, tuple.Runs(chunk)...)
 			continue
 		case 1:
 			ones := make([]*tuple.Batch, len(chunk))
 			for i, t := range chunk {
 				ones[i] = tuple.OfTuple(t)
 			}
-			out = append(out, tuple.Concat(ones))
+			out = append(out, tuple.Concat(ones)...)
 			continue
 		}
 		for _, run := range schemaRuns(chunk) {
@@ -246,6 +246,14 @@ var projectCols = []ProjectCol{
 	{Name: "who", E: expr.MustParse("src")},
 }
 
+// collidingCols writes "x" twice: one column, at the first position,
+// holding the score.
+var collidingCols = []ProjectCol{
+	{Name: "x", E: expr.MustParse("severity")},
+	{Name: "who", E: expr.MustParse("src")},
+	{Name: "x", E: expr.MustParse("score")},
+}
+
 var diffGraphs = []diffGraph{
 	selectGraph("select-compiled", "severity > 0 AND mixed >= 2"),
 	// Arithmetic is outside the compiled subset: the per-row Eval.
@@ -254,6 +262,9 @@ var diffGraphs = []diffGraph{
 	{"project",
 		func() (Op, *collect) { return wired(NewProject(projectCols...)) },
 		func() refChain { return refChain{&refProject{projectCols}} }},
+	{"project-name-collision",
+		func() (Op, *collect) { return wired(NewProject(collidingCols...)) },
+		func() refChain { return refChain{&refProject{collidingCols}} }},
 	{"limit",
 		func() (Op, *collect) { return wired(NewLimit(7)) },
 		func() refChain { return refChain{&refLimit{n: 7}} }},

@@ -15,7 +15,7 @@ func TestDemuxFansOutUnderTargetTags(t *testing.T) {
 	d.Attach(9, b)
 
 	push(d, 1, row(1))
-	batch := tuple.FromTuples([]*tuple.Tuple{row(2), row(3)})
+	batch := tuple.Runs([]*tuple.Tuple{row(2), row(3)})[0]
 	d.PushBatch(1, batch)
 
 	for _, tc := range []struct {

@@ -44,9 +44,8 @@ func (a AggSpec) OutName() string {
 // only its key string. Reset empties the set and keeps the map's buckets
 // and the slabs' capacity, and GroupBy.Flush hands its window's set to a
 // package pool for the next window, so a window's storage is recycled
-// once it is flushed: nothing downstream may retain it, and Emit,
-// EmitBatch and Encode copy values out into fresh tuples, batches and
-// bytes. Everything AddBatch works in — column indices, key buffers,
+// once it is flushed: nothing downstream may retain it, and EmitBatch
+// and Encode copy values out into a fresh batch and fresh bytes. Everything AddBatch works in — column indices, key buffers,
 // slots, accumulators — is per-call scratch from the package pool (see
 // the package doc), taken at the start of the call and returned before
 // it ends, never retained.
@@ -54,9 +53,11 @@ type GroupSet struct {
 	Keys []string
 	Aggs []AggSpec
 
-	// names is EmitBatch's schema, nil when an output name collides:
-	// worked out once per spec, shared by every batch emitted.
+	// names is EmitBatch's schema and slots[j] the position of the j'th
+	// written column (keys, then aggregates) in it (outSchema): worked
+	// out once per spec, names shared by every batch emitted.
 	names   []string
+	slots   []int
 	index   map[string]int32
 	keys    []string      // per group: its key bytes
 	tables  []string      // per group: the table its key columns came from
@@ -76,24 +77,36 @@ type groupMark struct {
 
 // NewGroupSet creates an empty aggregation table.
 func NewGroupSet(keys []string, aggs []AggSpec) *GroupSet {
-	return &GroupSet{Keys: keys, Aggs: aggs, names: outNames(keys, aggs), index: make(map[string]int32)}
+	g := &GroupSet{Keys: keys, Aggs: aggs, index: make(map[string]int32)}
+	g.names, g.slots = specSchema(keys, aggs)
+	return g
 }
 
-// outNames is the output schema of a spec — key columns, then one column
-// per aggregate — or nil when two names collide (Emit's set-overwrites
-// semantics cannot be expressed as distinct columns).
-func outNames(keys []string, aggs []AggSpec) []string {
-	names := make([]string, 0, len(keys)+len(aggs))
-	names = append(names, keys...)
+// specSchema is the output schema of a spec: its key columns, then one
+// column per aggregate, folded by outSchema.
+func specSchema(keys []string, aggs []AggSpec) ([]string, []int) {
+	written := slices.Clone(keys)
 	for _, a := range aggs {
-		names = append(names, a.OutName())
+		written = append(written, a.OutName())
 	}
-	for i := range names {
-		if slices.Contains(names[i+1:], names[i]) {
-			return nil
+	return outSchema(written)
+}
+
+// outSchema folds repeated output names the way successive Tuple.Set
+// calls fold them: each name is one column, at its first position, and
+// slots[j] is where the j'th written column lands, so a later write to a
+// name overwrites an earlier one.
+func outSchema(written []string) (names []string, slots []int) {
+	slots = make([]int, len(written))
+	for j, w := range written {
+		at := slices.Index(names, w)
+		if at < 0 {
+			at = len(names)
+			names = append(names, w)
 		}
+		slots[j] = at
 	}
-	return names
+	return names, slots
 }
 
 // Len returns the number of groups.
@@ -129,7 +142,7 @@ func (g *GroupSet) appendKey(v tuple.Value, ok bool) {
 	g.keyHas = append(g.keyHas, ok)
 }
 
-// rowGroup returns the group of columnar row i of b, whose key bytes are
+// rowGroup returns the group of row i of b, whose key bytes are
 // kb, creating it from the row's key columns on first sight.
 func (g *GroupSet) rowGroup(b *tuple.Batch, i int, keyIdx []int, kb []byte) int32 {
 	if gi, ok := g.index[string(kb)]; ok {
@@ -152,10 +165,9 @@ func (c aggCol) at(gi int32) *aggState { return &c.states[int(gi)*c.stride+c.ai]
 
 // AddBatch folds a whole batch into the table, returning how many rows
 // were discarded as malformed (missing key column); missing aggregate
-// inputs simply do not contribute to that aggregate. Keys are built into
-// scratch and the map is read without allocating; for columnar batches
-// every column reference is resolved once up front. The row-backed
-// branch is the semantics reference for the typed kernels.
+// inputs simply do not contribute to that aggregate. Every column
+// reference is resolved once up front, keys are built into scratch and
+// the map is read without allocating.
 func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 	n := b.Len()
 	if n == 0 {
@@ -163,40 +175,11 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 	}
 	sc := getScratch()
 	defer sc.release()
-	if !b.Columnar() {
-		for i := 0; i < n; i++ {
-			t := b.Row(i)
-			kb, ok := t.AppendKey(sc.keyBuf[:0], g.Keys)
-			sc.keyBuf = kb[:0]
-			if !ok {
-				malformed++
-				continue
-			}
-			gi, ok := g.index[string(kb)]
-			if !ok {
-				gi = g.newGroup(string(kb), t.Table())
-				for _, kc := range g.Keys {
-					g.appendKey(t.Get(kc))
-				}
-			}
-			for ai, a := range g.Aggs {
-				st := aggCol{g.states, ai, len(g.Aggs)}.at(gi)
-				if a.Col == "" {
-					st.add(a.Kind, tuple.Null())
-					continue
-				}
-				if v, ok := t.Get(a.Col); ok {
-					st.add(a.Kind, v)
-				}
-			}
-		}
-		return malformed
-	}
 	keyIdx := sc.keyIdx[:0]
 	for _, kc := range g.Keys {
 		ci, ok := b.ColIndex(kc)
 		if !ok {
-			// Key column absent from the uniform schema: every row is
+			// Key column absent from the batch's schema: every row is
 			// malformed.
 			return n
 		}
@@ -219,8 +202,8 @@ func (g *GroupSet) AddBatch(b *tuple.Batch) (malformed int) {
 	// are probed. Otherwise keys for the whole batch are built into the
 	// arena; a row whose key bytes equal the previous row's reuses its
 	// group outright, so runs of equal keys cost one map probe. Key
-	// columns are resolved by index, so no columnar row can be malformed
-	// past the schema check above.
+	// columns are resolved by index, so no row can be malformed past the
+	// schema check above.
 	touched := sc.touched[:0]
 	if sc.memo == b && sc.memoLen == n && slices.Equal(sc.memoIdx, keyIdx) {
 		for _, r := range sc.firsts {
@@ -535,36 +518,16 @@ func (g *GroupSet) MergeEncoded(b []byte) error {
 	return r.Err()
 }
 
-// Emit produces one fresh result tuple per group: the key columns
-// followed by one column per aggregate. Emission follows group-creation
-// order.
-func (g *GroupSet) Emit(table string, fn func(*tuple.Tuple)) {
-	nk, na := len(g.Keys), len(g.Aggs)
-	for gi := range g.keys {
-		out := tuple.New(table)
-		for ki, kc := range g.Keys {
-			if g.keyHas[gi*nk+ki] {
-				out.Set(kc, g.keyVals[gi*nk+ki])
-			}
-		}
-		for ai, a := range g.Aggs {
-			out.Set(a.OutName(), g.states[gi*na+ai].result(a.Kind))
-		}
-		fn(out)
-	}
-}
-
-// EmitBatch materializes the whole window as ONE fresh columnar batch —
-// key columns followed by one column per aggregate, rows in
-// group-creation order — carrying exactly the values Emit's per-group
-// tuples would; a key column a merged partial lacked holds an explicit
-// null. The batch is handed downstream under the shared read-only
-// ownership contract (see the package comment in op.go), so a single
-// emission can be fanned to any number of consumers. Returns nil when
-// there is nothing to emit or when an output name collides with another
-// (callers fall back to Emit).
+// EmitBatch materializes the whole window as ONE fresh batch — key
+// columns followed by one column per aggregate, rows in group-creation
+// order; a key column a merged partial lacked holds an explicit null,
+// and a repeated output name is one column holding the last value
+// written to it (outSchema). The batch is handed downstream under the
+// shared read-only ownership contract (see the package comment in
+// op.go), so a single emission can be fanned to any number of
+// consumers. Returns nil when there is nothing to emit.
 func (g *GroupSet) EmitBatch(table string) *tuple.Batch {
-	if len(g.keys) == 0 || g.names == nil {
+	if len(g.keys) == 0 {
 		return nil
 	}
 	out := tuple.NewColumnarBatch(table, g.names, len(g.keys))
@@ -572,9 +535,11 @@ func (g *GroupSet) EmitBatch(table string) *tuple.Batch {
 	row := grow(sc.rowVals, len(g.names))
 	nk, na := len(g.Keys), len(g.Aggs)
 	for gi := range g.keys {
-		copy(row, g.keyVals[gi*nk:(gi+1)*nk])
+		for ki := range g.Keys {
+			row[g.slots[ki]] = g.keyVals[gi*nk+ki]
+		}
 		for ai, a := range g.Aggs {
-			row[nk+ai] = g.states[gi*na+ai].result(a.Kind)
+			row[g.slots[nk+ai]] = g.states[gi*na+ai].result(a.Kind)
 		}
 		out.AppendRow(row)
 	}
@@ -620,9 +585,8 @@ func (g *GroupBy) PushBatch(tag Tag, b *tuple.Batch) {
 }
 
 // Flush emits the accumulated groups downstream and resets the window,
-// returning its set to the pool. The window leaves as one fresh columnar
-// batch so a Demux parent can fan a single emission to every attached
-// query tail.
+// returning its set to the pool. The window leaves as one fresh batch so
+// a Demux parent can fan a single emission to every attached query tail.
 func (g *GroupBy) Flush(tag Tag) {
 	g.In.Flush(tag)
 	set := g.sets[tag]
@@ -631,8 +595,6 @@ func (g *GroupBy) Flush(tag Tag) {
 	}
 	if b := set.EmitBatch(g.OutTable); b != nil {
 		g.Emit(tag, b)
-	} else {
-		set.Emit(g.OutTable, func(t *tuple.Tuple) { g.Emit(tag, tuple.OfTuple(t)) })
 	}
 	delete(g.sets, tag)
 	set.release()
@@ -678,25 +640,13 @@ func (tk *TopK) SetChild(c Op) { tk.Adopt(tk, c) }
 // were batched, so each row goes through insert on its own.
 func (tk *TopK) PushBatch(tag Tag, b *tuple.Batch) {
 	n := b.Len()
-	if b.Columnar() {
-		ci, ok := b.ColIndex(tk.Col)
-		if !ok {
-			tk.Dropped.Add(n)
-			return
-		}
-		for i := 0; i < n; i++ {
-			tk.insert(tag, b.At(i, ci), b.Row(i))
-		}
+	ci, ok := b.ColIndex(tk.Col)
+	if !ok {
+		tk.Dropped.Add(n)
 		return
 	}
 	for i := 0; i < n; i++ {
-		t := b.Row(i)
-		v, ok := t.Get(tk.Col)
-		if !ok {
-			tk.Dropped.Inc()
-			continue
-		}
-		tk.insert(tag, v, t)
+		tk.insert(tag, b.At(i, ci), b.Row(i))
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // parallelism, §3.3.6); locally the operator just sees two child streams.
 //
 // Join keys are built into a reused scratch buffer (column indices
-// resolved once per columnar batch), row views are stored in pointer
-// buckets so the map read path never allocates, and all join outputs of
-// one input batch leave as a single fresh output batch.
+// resolved once per batch), row views are stored in pointer buckets so
+// the map read path never allocates, and the join outputs of one input
+// batch leave as fresh batches, one per schema run.
 type SymmetricHashJoin struct {
 	Out
 	// LeftKeys/RightKeys are the equijoin columns for each input.
@@ -106,9 +106,11 @@ func (j *SymmetricHashJoin) joinRow(t, match *tuple.Tuple, fromLeft bool) *tuple
 	return tuple.Join(j.OutTable, match, t, j.PrefixCols)
 }
 
-// pushBatch inserts and probes every row of the batch, emitting all join
-// outputs as one batch. Row views materialized at insert are retained in
-// the hash table (allowed by the batch ownership contract).
+// pushBatch inserts and probes every row of the batch, emitting the join
+// outputs as one batch per run of rows with equal schema (tuple.Runs):
+// one batch unless the other side holds rows of several schemas. Row
+// views materialized at insert are retained in the hash table (allowed
+// by the batch ownership contract).
 func (j *SymmetricHashJoin) pushBatch(tag Tag, b *tuple.Batch, right bool) {
 	n := b.Len()
 	if n == 0 {
@@ -116,22 +118,19 @@ func (j *SymmetricHashJoin) pushBatch(tag Tag, b *tuple.Batch, right bool) {
 	}
 	keys, mineT, theirsT := j.sideTables(right)
 	sc := getScratch()
-	var colIdx []int
-	if b.Columnar() {
-		colIdx = sc.keyIdx[:0]
-		for _, c := range keys {
-			ci, ok := b.ColIndex(c)
-			if !ok {
-				// Key column absent from the uniform schema: every row
-				// malformed.
-				sc.release()
-				j.Dropped.Add(n)
-				return
-			}
-			colIdx = append(colIdx, ci)
+	colIdx := sc.keyIdx[:0]
+	for _, c := range keys {
+		ci, ok := b.ColIndex(c)
+		if !ok {
+			// Key column absent from the batch's schema: every row
+			// malformed.
+			sc.release()
+			j.Dropped.Add(n)
+			return
 		}
-		sc.keyIdx = colIdx
+		colIdx = append(colIdx, ci)
 	}
+	sc.keyIdx = colIdx
 	m := mineT[tag]
 	if m == nil {
 		m = make(map[string]*joinBucket)
@@ -140,18 +139,7 @@ func (j *SymmetricHashJoin) pushBatch(tag Tag, b *tuple.Batch, right bool) {
 	theirs := theirsT[tag]
 	outs := sc.outs[:0]
 	for i := 0; i < n; i++ {
-		var kb []byte
-		if b.Columnar() {
-			kb = b.AppendRowKey(sc.keyBuf[:0], i, colIdx)
-		} else {
-			var ok bool
-			kb, ok = b.Row(i).AppendKey(sc.keyBuf[:0], keys)
-			if !ok {
-				sc.keyBuf = kb[:0]
-				j.Dropped.Inc()
-				continue
-			}
-		}
+		kb := b.AppendRowKey(sc.keyBuf[:0], i, colIdx)
 		sc.keyBuf = kb[:0]
 		t := b.Row(i)
 		bkt := m[string(kb)]
@@ -166,14 +154,11 @@ func (j *SymmetricHashJoin) pushBatch(tag Tag, b *tuple.Batch, right bool) {
 			}
 		}
 	}
-	var out *tuple.Batch
-	if len(outs) > 0 {
-		out = tuple.FromTuples(append([]*tuple.Tuple(nil), outs...))
-	}
+	out := tuple.Runs(outs)
 	sc.outs = outs
 	sc.release()
-	if out != nil {
-		j.Emit(tag, out)
+	for _, ob := range out {
+		j.Emit(tag, ob)
 	}
 }
 

@@ -28,18 +28,19 @@
 // # One edge, and the batch ownership contract
 //
 // There is one data edge: a child calls its parent's PushBatch with a
-// *tuple.Batch. Operators process whole batches (column indices resolved
-// once, predicates compiled to vectorized loops, group keys built without
-// allocation); a lone row — a TopK rank, a join match, a fetched index
-// entry — crosses an edge as a batch of one (tuple.OfTuple). Every
-// PushBatch keeps a row-backed branch (!b.Columnar(): Pred.Eval,
-// Row(i).AppendKey, aggState.add in row order) beside its typed-kernel
-// branch; the row-backed branch is the semantics reference, and
-// TestBatchVsRowEquivalence and FuzzBatchVsRowEquivalence hold the kernels
-// to it by feeding one copy of an operator row-backed batches of one and
-// the other a random columnar/row-backed partitioning of the same rows.
-// Rows are unrolled in exactly one place, SinkFunc, the row-oriented
-// client boundary.
+// *tuple.Batch, and a batch has one form — one schema, a row-major value
+// matrix — so no operator branches on representation. Operators process
+// whole batches (column indices resolved once, predicates compiled to
+// vectorized loops, group keys built without allocation); a lone row — a
+// TopK rank, a join match, a fetched index entry — crosses an edge as a
+// batch of one (tuple.OfTuple), and a stream whose schema changes as one
+// batch per schema run (tuple.Runs, tuple.Concat). The semantics oracle
+// is a row-at-a-time reference interpreter kept in test code
+// (reference_test.go: Expr.Eval, Tuple.Get/AppendKey, the scalar
+// aggregate states): TestBatchVsRowEquivalence and
+// FuzzBatchVsRowEquivalence hold every operator graph, fed batches of one
+// or any partitioning of the same rows, to it. Rows are unrolled in
+// exactly one place, SinkFunc, the row-oriented client boundary.
 //
 // A batch handed downstream is governed by the same rules as a shared
 // dispatched tuple (internal/overlay/subs.go):
@@ -72,7 +73,7 @@
 // key buffers, group slots, accumulators, predicate verdicts and row views
 // live in one pooled scratch value (scratch.go): a call takes it from the
 // pool, and returns it before it emits or returns, and never retains it.
-// The scratch also remembers the last columnar batch it grouped; because
+// The scratch also remembers the last batch it grouped; because
 // batches are read-only, the same batch pointer, length and key columns
 // mean the same group slots, so a batch fanned to many GroupBys is keyed
 // once.
@@ -81,8 +82,8 @@
 // emits its window, resets the window's GroupSet and puts it in a second
 // pool, where the next window to start takes it, map buckets and slabs
 // and all. Nothing downstream may therefore retain a GroupSet's storage:
-// Emit and EmitBatch copy every value out into fresh tuples and a fresh
-// batch, and between windows a chain holds no GroupSet at all.
+// EmitBatch copies every value out into a fresh batch, and between
+// windows a chain holds no GroupSet at all.
 package exec
 
 import (

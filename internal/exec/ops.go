@@ -66,11 +66,9 @@ func (i *Input) Close() { i.opened = false }
 // Select filters tuples by a predicate. Tuples for which the predicate is
 // malformed (missing field, type mismatch) are discarded, per §3.3.4.
 //
-// The batch path compiles the predicate once (expr.CompilePred) into a
-// vectorized loop over typed columns; batches outside the compilable
-// subset — or row-backed batches — evaluate row-wise through a scratch
-// view. Either way the output is a selection view over the input batch:
-// the shared input is never mutated.
+// The predicate is compiled once (expr.CompilePred) into a vectorized
+// loop over typed columns. The output is a selection view over the input
+// batch: the shared input is never mutated.
 type Select struct {
 	Base
 	Pred expr.Expr
@@ -79,8 +77,7 @@ type Select struct {
 
 	// compiled is the vectorized predicate, built lazily on the first
 	// batch (Pred must not change after execution starts).
-	compiled     expr.BatchPred
-	compiledInit bool
+	compiled expr.BatchPred
 }
 
 // NewSelect creates a selection with the given predicate.
@@ -97,40 +94,20 @@ func (s *Select) PushBatch(tag Tag, b *tuple.Batch) {
 	if n == 0 {
 		return
 	}
-	if !s.compiledInit {
-		s.compiledInit = true
+	if s.compiled == nil {
 		s.compiled = expr.CompilePred(s.Pred)
 	}
 	sc := getScratch()
 	keep := sc.keep[:0]
-	if s.compiled != nil && b.Columnar() {
-		res := grow(sc.res, 2*n)[:n] // n spare: expr.BatchPred's scratch
-		sc.res = res
-		s.compiled(b, res)
-		for i, r := range res {
-			switch r {
-			case expr.RowPass:
-				keep = append(keep, int32(i))
-			case expr.RowMalformed:
-				s.Dropped.Inc()
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			b.RowInto(i, &sc.row)
-			v, ok := s.Pred.Eval(&sc.row)
-			if !ok {
-				s.Dropped.Inc()
-				continue
-			}
-			bv, ok := v.AsBool()
-			if !ok {
-				s.Dropped.Inc()
-				continue
-			}
-			if bv {
-				keep = append(keep, int32(i))
-			}
+	res := grow(sc.res, 2*n)[:n] // n spare: expr.BatchPred's scratch
+	sc.res = res
+	s.compiled(b, res)
+	for i, r := range res {
+		switch r {
+		case expr.RowPass:
+			keep = append(keep, int32(i))
+		case expr.RowMalformed:
+			s.Dropped.Inc()
 		}
 	}
 	sc.keep = keep
@@ -148,13 +125,16 @@ type ProjectCol struct {
 }
 
 // Project evaluates expressions into a fresh tuple. A tuple for which any
-// projection expression is malformed is discarded.
+// projection expression is malformed is discarded. A repeated output
+// name is one column, at its first position, holding the last value
+// written to it.
 type Project struct {
 	Base
 	Cols    []ProjectCol
 	Dropped Discarded
 
 	names []string // output schema, built once
+	slots []int    // per column: its position in names
 }
 
 // NewProject creates a projection.
@@ -164,48 +144,23 @@ func NewProject(cols ...ProjectCol) *Project { return &Project{Cols: cols} }
 func (p *Project) SetChild(c Op) { p.Adopt(p, c) }
 
 // PushBatch evaluates the projection over a whole batch into one fresh
-// columnar output batch (the projection's schema is uniform by
-// construction), reusing a scratch row view and value row across rows.
+// output batch under the input's table, reusing a scratch row view and
+// value row across rows.
 func (p *Project) PushBatch(tag Tag, b *tuple.Batch) {
 	n := b.Len()
 	if n == 0 {
 		return
 	}
-	if !b.Columnar() {
-		// Row-backed batches may mix table names: each output row keeps
-		// its input row's table.
-		var outs []*tuple.Tuple
-		for i := 0; i < n; i++ {
-			t := b.Row(i)
-			out := tuple.New(t.Table())
-			ok := true
-			for _, c := range p.Cols {
-				v, vok := c.E.Eval(t)
-				if !vok {
-					p.Dropped.Inc()
-					ok = false
-					break
-				}
-				out.Set(c.Name, v)
-			}
-			if ok {
-				outs = append(outs, out)
-			}
-		}
-		if len(outs) > 0 {
-			p.Emit(tag, tuple.FromTuples(outs))
-		}
-		return
-	}
 	if p.names == nil {
-		p.names = make([]string, len(p.Cols))
+		names := make([]string, len(p.Cols))
 		for i, c := range p.Cols {
-			p.names[i] = c.Name
+			names[i] = c.Name
 		}
+		p.names, p.slots = outSchema(names)
 	}
 	out := tuple.NewColumnarBatch(b.Table(), p.names, n)
 	sc := getScratch()
-	row := grow(sc.rowVals, len(p.Cols))
+	row := grow(sc.rowVals, len(p.names))
 	sc.rowVals = row
 	emitted := 0
 rows:
@@ -217,7 +172,7 @@ rows:
 				p.Dropped.Inc()
 				continue rows
 			}
-			row[c] = v
+			row[p.slots[c]] = v
 		}
 		out.AppendRow(row)
 		emitted++

@@ -21,8 +21,8 @@ func (c *collect) PushBatch(tag Tag, b *tuple.Batch) {
 	}
 }
 
-// push hands s one row the way a lone row enters any edge: a row-backed
-// batch of one, which takes each operator's reference branch.
+// push hands s one row the way a lone row enters any edge: a batch of
+// one (tuple.OfTuple).
 func push(s Sink, tag Tag, t *tuple.Tuple) { s.PushBatch(tag, tuple.OfTuple(t)) }
 
 func (c *collect) strings() []string {

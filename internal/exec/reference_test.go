@@ -233,3 +233,22 @@ func (j *refJoin) size(side int) (n int) {
 	}
 	return n
 }
+
+// Emit is the reference form of GroupSet.EmitBatch: one fresh tuple per
+// group, in creation order, built by Set — the key columns (a column a
+// merged partial lacked is omitted), then one column per aggregate.
+func (g *GroupSet) Emit(table string, fn func(*tuple.Tuple)) {
+	nk, na := len(g.Keys), len(g.Aggs)
+	for gi := range g.keys {
+		out := tuple.New(table)
+		for ki, kc := range g.Keys {
+			if g.keyHas[gi*nk+ki] {
+				out.Set(kc, g.keyVals[gi*nk+ki])
+			}
+		}
+		for ai, a := range g.Aggs {
+			out.Set(a.OutName(), g.states[gi*na+ai].result(a.Kind))
+		}
+		fn(out)
+	}
+}

@@ -16,8 +16,8 @@ type scratch struct {
 	// predicate's And/Or scratch), the surviving rows.
 	res  []int8
 	keep []int32
-	// Row-at-a-time evaluation: a row view, a projected value row, a key
-	// buffer, and the join's output rows. Valid only inside the call.
+	// Project's row view and value row (EmitBatch's value row too), and
+	// the join's key buffer and output rows. Valid only inside the call.
 	row     tuple.Tuple
 	rowVals []tuple.Value
 	keyBuf  []byte
@@ -34,7 +34,7 @@ type scratch struct {
 	slots    []int32
 	touched  []int32
 	acc      aggScratch
-	// memo is the columnar batch, with memoLen rows grouped on memoIdx,
+	// memo is the batch, with memoLen rows grouped on memoIdx,
 	// that keyArena, keyOffs and slots still describe; firsts is the first
 	// row of each slot. Batches are read-only and the held pointer keeps
 	// this one alive, so the same (pointer, Len, columns) means the same
@@ -66,8 +66,8 @@ var groupSetPool = sync.Pool{New: func() any { return &GroupSet{index: make(map[
 
 func getGroupSet(keys []string, aggs []AggSpec) *GroupSet {
 	g := groupSetPool.Get().(*GroupSet)
-	if g.names == nil || !slices.Equal(g.Keys, keys) || !slices.Equal(g.Aggs, aggs) {
-		g.names = outNames(keys, aggs)
+	if g.slots == nil || !slices.Equal(g.Keys, keys) || !slices.Equal(g.Aggs, aggs) {
+		g.names, g.slots = specSchema(keys, aggs)
 	}
 	g.Keys, g.Aggs = keys, aggs
 	return g

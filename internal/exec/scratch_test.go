@@ -56,15 +56,16 @@ func (l *groupLog) flush() {
 }
 
 // replay feeds a fresh GroupBy the logged rows, window by window, each
-// push as one row-backed batch (the reference branch), and returns its
-// windows.
+// push as a fresh batch of its rows, and returns its windows.
 func (l *groupLog) replay() [][]string {
 	fresh := newGroupLog(l.keys)
 	for _, rows := range l.fed {
 		if rows == nil {
 			fresh.flush()
 		} else {
-			fresh.push(tuple.FromTuples(rows))
+			for _, b := range tuple.Runs(rows) {
+				fresh.push(b)
+			}
 		}
 	}
 	return fresh.windows
@@ -90,8 +91,8 @@ func columnar(rows []*tuple.Tuple) *tuple.Batch {
 // sharedBatchRun pushes one columnar batch into many GroupBys, the way
 // the table bus releases held arrivals to every gated chain on a node,
 // interleaved with a different batch of the same shape, the same batch
-// grouped on other key columns, selection views of it, row-backed copies
-// of it, and rows appended to it after it was pushed. It reports the
+// grouped on other key columns, selection views of it, fresh copies of
+// it, and rows appended to it after it was pushed. It reports the
 // first GroupBy whose windows differ from a fresh run fed the same rows.
 func sharedBatchRun(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
@@ -123,7 +124,7 @@ func sharedBatchRun(seed int64) error {
 					}
 					l.push(shared.SelectLogical(keep))
 				case 2:
-					l.push(tuple.FromTuples(shared.Tuples(nil)))
+					l.push(tuple.Runs(shared.Tuples(nil))[0])
 				default:
 					l.push(shared)
 					if rng.Intn(4) == 0 {
@@ -211,9 +212,9 @@ func everyAgg(col string) []AggSpec {
 // edgeFloats are the values a float fold must carry bit for bit.
 var edgeFloats = []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2.25, math.Inf(1)}
 
-// recycleBatch is n random rows, row-backed or columnar. Column v is all
-// ints, all floats (so sum's int accumulator is promoted by a later
-// batch's kernel) or mixed kinds, nulls and bools among them.
+// recycleBatch is n random rows, built by tuple.Runs or by hand. Column
+// v is all ints, all floats (so sum's int accumulator is promoted by a
+// later batch's kernel) or mixed kinds, nulls and bools among them.
 func recycleBatch(rng *rand.Rand, n int) *tuple.Batch {
 	mode := rng.Intn(3)
 	rows := make([]*tuple.Tuple, n)
@@ -243,7 +244,7 @@ func recycleBatch(rng *rand.Rand, n int) *tuple.Batch {
 			Set("v", v)
 	}
 	if rng.Intn(2) == 0 {
-		return tuple.FromTuples(rows)
+		return tuple.Runs(rows)[0]
 	}
 	names := rows[0].Columns()
 	b := tuple.NewColumnarBatch("m", names, n)

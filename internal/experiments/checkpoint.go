@@ -35,8 +35,12 @@ import (
 // incompatible layout change — the CI checkpoint cache key embeds it, so
 // stale cached rings are rebuilt instead of misread. Version 2: the qp
 // tree snapshot grew a tree-count prefix (redundant dissemination
-// trees).
-const CheckpointFormatVersion = 2
+// trees). Version 3: stored objects hold only the frames tuple.DecodeFrame
+// still reads (the legacy single-tuple encoding and 'C'); the 'B'
+// row-list frame, which a version-2 checkpoint may hold, is gone, so
+// restore refuses those files instead of counting their objects as
+// malformed.
+const CheckpointFormatVersion = 3
 
 // checkpointMagic guards against feeding an arbitrary file to restore.
 const checkpointMagic = "PIERCKPT"

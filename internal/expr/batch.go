@@ -8,11 +8,12 @@ import (
 
 // Vectorized predicate compilation. CompilePred turns the hot predicate
 // shapes — Col, Const, Cmp, And, Or, Not over them — into a closure that
-// evaluates a whole columnar batch into a per-row tri-state result,
-// resolving each column reference to an index ONCE per batch instead of
-// a name scan per row, and replacing the interface-dispatched Eval tree
-// walk with tight loops. Anything outside that shape (arithmetic,
-// functions) stays on the row-wise Eval fallback in the operators.
+// evaluates a whole batch into a per-row tri-state result, resolving
+// each column reference to an index ONCE per batch instead of a name
+// scan per row, and replacing the interface-dispatched Eval tree walk
+// with tight loops. A node outside that shape (arithmetic, negation,
+// functions) compiles to its own Eval, run a row at a time over row
+// views inside the closure, so every predicate has one batch form.
 //
 // The tri-state per row mirrors the best-effort typing policy: a row can
 // pass, fail, or be malformed (missing column, incomparable kinds) — the
@@ -28,9 +29,9 @@ const (
 	RowMalformed int8 = -1
 )
 
-// BatchPred evaluates a predicate over every selected row of a columnar
-// batch, writing one tri-state per row into out (len out == b.Len()).
-// And and Or evaluate their right side into out's spare capacity,
+// BatchPred evaluates a predicate over every selected row of a batch,
+// writing one tri-state per row into out (len out == b.Len()). And and
+// Or evaluate their right side into out's spare capacity,
 // out[len(out):cap(out)], which a call may overwrite, or into a pooled
 // buffer when that is shorter than len(out): a caller holding a pooled
 // buffer already (exec.Select) leaves len(out) spare and skips the pool.
@@ -38,8 +39,7 @@ const (
 // concurrent use on distinct outs.
 type BatchPred func(b *tuple.Batch, out []int8)
 
-// CompilePred compiles e into a vectorized predicate, or returns nil
-// when e contains a node outside the compilable subset.
+// CompilePred compiles e into a vectorized predicate.
 func CompilePred(e Expr) BatchPred {
 	switch n := e.(type) {
 	case Const:
@@ -73,9 +73,6 @@ func CompilePred(e Expr) BatchPred {
 		return compileCmp(n)
 	case And:
 		l, r := CompilePred(n.L), CompilePred(n.R)
-		if l == nil || r == nil {
-			return nil
-		}
 		return func(b *tuple.Batch, out []int8) {
 			l(b, out)
 			rv, pooled := spare(out)
@@ -90,9 +87,6 @@ func CompilePred(e Expr) BatchPred {
 		}
 	case Or:
 		l, r := CompilePred(n.L), CompilePred(n.R)
-		if l == nil || r == nil {
-			return nil
-		}
 		return func(b *tuple.Batch, out []int8) {
 			l(b, out)
 			rv, pooled := spare(out)
@@ -106,9 +100,6 @@ func CompilePred(e Expr) BatchPred {
 		}
 	case Not:
 		inner := CompilePred(n.E)
-		if inner == nil {
-			return nil
-		}
 		return func(b *tuple.Batch, out []int8) {
 			inner(b, out)
 			for i, v := range out {
@@ -121,21 +112,39 @@ func CompilePred(e Expr) BatchPred {
 			}
 		}
 	default:
-		return nil
+		return evalPred(e)
 	}
 }
 
-// operand loads one side of a comparison for every row. It returns the
-// value and false when the row is malformed for this operand.
-type operand func(b *tuple.Batch, col int, i int) (tuple.Value, bool)
+// rowViews holds the scratch row views evalPred reads through.
+var rowViews = sync.Pool{New: func() any { return new(tuple.Tuple) }}
 
-// compileCmp handles Cmp whose operands are Col or Const.
+// evalPred evaluates e a row at a time through Eval: the BatchPred of a
+// node outside the compiled subset.
+func evalPred(e Expr) BatchPred {
+	return func(b *tuple.Batch, out []int8) {
+		row := rowViews.Get().(*tuple.Tuple)
+		for i := range out {
+			b.RowInto(i, row)
+			if v, ok := e.Eval(row); ok {
+				out[i] = boolCode(v)
+			} else {
+				out[i] = RowMalformed
+			}
+		}
+		*row = tuple.Tuple{}
+		rowViews.Put(row)
+	}
+}
+
+// compileCmp compiles a Cmp whose operands are Col or Const; any other
+// Cmp evaluates a row at a time.
 func compileCmp(c Cmp) BatchPred {
 	op := c.Op
 	lcol, lConst, lok := cmpOperand(c.L)
 	rcol, rConst, rok := cmpOperand(c.R)
 	if !lok || !rok {
-		return nil
+		return evalPred(c)
 	}
 	tbl := cmpTable(op)
 	return func(b *tuple.Batch, out []int8) {

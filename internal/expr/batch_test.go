@@ -111,9 +111,6 @@ func TestCompilePredMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range predCases {
 		bp := CompilePred(tc.e)
-		if bp == nil {
-			t.Fatalf("%s: CompilePred returned nil for compilable shape", tc.name)
-		}
 		for trial := 0; trial < 10; trial++ {
 			b := randPredBatch(rng, 1+rng.Intn(40))
 			out := make([]int8, b.Len())
@@ -197,19 +194,29 @@ func TestCompilePredOnSelection(t *testing.T) {
 	}
 }
 
-// Shapes outside the compilable subset must return nil (operators fall
-// back to row-wise Eval), never a wrong vectorized result.
-func TestCompilePredRejectsUncompilable(t *testing.T) {
+// Shapes outside the compiled subset — alone, under a Cmp, inside an
+// And or a Not — compile to a per-row Eval and agree with it on every
+// row, selected rows included.
+func TestCompilePredEvalsUncompilable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
 	arith := Arith{Op: Add, L: Col{Name: "a"}, R: Const{Val: tuple.Int(1)}}
 	cases := []Expr{
 		arith,
 		Cmp{Op: GT, L: arith, R: Const{Val: tuple.Int(0)}},
 		And{L: Const{Val: tuple.Bool(true)}, R: Cmp{Op: GT, L: arith, R: Col{Name: "b"}}},
 		Not{E: Cmp{Op: EQ, L: arith, R: arith}},
+		Or{L: Col{Name: "flag"}, R: Cmp{Op: LT, L: Neg{E: Col{Name: "b"}}, R: Col{Name: "a"}}},
 	}
 	for i, e := range cases {
-		if CompilePred(e) != nil {
-			t.Errorf("case %d (%s): expected nil BatchPred", i, e)
+		bp := CompilePred(e)
+		b := randPredBatch(rng, 40)
+		b = b.SelectLogical([]int32{0, 2, 3, 5, 8, 13, 21, 34})
+		out := make([]int8, b.Len())
+		bp(b, out)
+		for r := range out {
+			if want := evalCode(e, b.Row(r)); out[r] != want {
+				t.Errorf("case %d (%s) row %d: compiled=%d eval=%d", i, e, r, out[r], want)
+			}
 		}
 	}
 }

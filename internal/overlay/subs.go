@@ -21,8 +21,10 @@ import (
 //     contract rests on.
 //   - Decode-once batch handoff: an arriving object's payload is decoded
 //     into a *tuple.Batch at most once per arrival (tuple.DecodeFrame
-//     accepts multi-row frames and legacy single-tuple encodings alike),
-//     and the SAME batch is handed to every batch subscriber — there are
+//     accepts a multi-row 'C' frame and the legacy single-tuple encoding,
+//     which decodes to a batch of one that aliases the decoded tuple; a
+//     payload in neither form is counted as malformed), and the SAME
+//     batch is handed to every batch subscriber — there are
 //     raw subscribers and batch subscribers, no per-row ones; a consumer
 //     that wants rows unrolls the batch itself. The handoff is read-only
 //     by contract (see below); per-subscriber decoding made the dispatch

@@ -29,7 +29,9 @@ import (
 // nothing it is fed leaves the chain before that GroupBy flushes. A share
 // with TWO or more live gated attachments appends each arrival once to
 // held, and a release hands the held arrivals to every gated attachment
-// as ONE batch (tuple.Concat); ungated attachments are fed at once. A
+// as ONE push per schema run (tuple.Concat: one push unless the held
+// arrivals change table or columns); ungated attachments are fed at
+// once. A
 // release happens when a flush reaches a gated input (exec.Input.OnFlush;
 // GroupBy.Flush forwards down before it emits), before a gated attachment
 // joins (it sees only later arrivals), when the share drops below two
@@ -42,7 +44,8 @@ import (
 // (ungated == 0) has nothing to feed at once, so an arrival there is one
 // append to held: dispatch skips the walk over its attachments, which
 // would skip every one. chainFeeds counts arrivals delivered per chain
-// however they were batched; chainPushes counts PushBatch calls.
+// however they were batched; chainPushes counts PushBatch calls, so a
+// release costs each gated chain one push per schema run.
 //
 // Handoff contract: batches crossing the bus are SHARED and READ-ONLY
 // (see the registry contract in internal/overlay/subs.go and the batch
@@ -168,7 +171,7 @@ func (sh *busShare) dispatch(o overlay.Object, b *tuple.Batch) {
 	if !hold || sh.ungated > 0 {
 		sh.targets.Each(func(tg *busTarget) {
 			if !tg.c.closed && !(hold && tg.gated) {
-				sh.feed(tg, fb, 1)
+				sh.feed(tg, 1, fb)
 			}
 		})
 	}
@@ -177,28 +180,30 @@ func (sh *busShare) dispatch(o overlay.Object, b *tuple.Batch) {
 	}
 }
 
-// release hands the held arrivals, as one batch, to each live gated
-// attachment in attachment order.
+// release hands the held arrivals, one batch per schema run, to each
+// live gated attachment in attachment order.
 func (sh *busShare) release() {
 	if len(sh.held) == 0 {
 		return
 	}
-	b, arrivals := tuple.Concat(sh.held), len(sh.held)
+	bs, arrivals := tuple.Concat(sh.held), len(sh.held)
 	clear(sh.held)
 	sh.held, sh.heldRows = sh.held[:0], 0
 	sh.targets.Each(func(tg *busTarget) {
 		if tg.gated && !tg.c.closed {
-			sh.feed(tg, b, arrivals)
+			sh.feed(tg, arrivals, bs...)
 		}
 	})
 }
 
-// feed pushes b, carrying the given number of arrivals, into one chain.
-func (sh *busShare) feed(tg *busTarget, b *tuple.Batch, arrivals int) {
+// feed pushes bs, carrying the given number of arrivals, into one chain.
+func (sh *busShare) feed(tg *busTarget, arrivals int, bs ...*tuple.Batch) {
 	n := sh.bus.n
 	n.chainFeeds += uint64(arrivals)
-	n.chainPushes++
-	tg.in.PushBatch(tg.tag, b)
+	for _, b := range bs {
+		n.chainPushes++
+		tg.in.PushBatch(tg.tag, b)
+	}
 }
 
 func (sh *busShare) remove(t *busTarget) {

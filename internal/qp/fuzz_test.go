@@ -125,7 +125,12 @@ func TestMalformedQueryMessagesCounted(t *testing.T) {
 		check(fmt.Sprintf("seed %d cut in half", i), seed[:len(seed)/2], 1)
 	}
 	check("unknown kind", []byte{0xee, 1, 2, 3}, 1)
+	check("zero-column frame declaring 2^28 rows", resultMessage("f", zeroColumnFrame), 1)
 }
+
+// zeroColumnFrame is a 'C' frame with no columns declaring 2^28 rows in
+// no bytes: refused, since every row costs at least one byte.
+var zeroColumnFrame = []byte{0xff, 'C', 0, 0, 0, 0, 0, 0, 0x10, 0, 0, 0}
 
 // FuzzHandleMessage: a PIER node executes opgraphs and accepts results
 // sent by strangers, so whatever arrives on the query port must neither
@@ -148,6 +153,8 @@ func FuzzHandleMessage(f *testing.F) {
 	f.Add([]byte{qmResultMulti, 0xff, 0xff})
 	f.Add(multi[:8])
 	f.Add(multi[:len(multi)-3])
+	// A 12-byte frame declaring 2^28 zero-column rows.
+	f.Add(resultMessage("f", zeroColumnFrame))
 	// Counts and sizes that outrun the bytes carrying them.
 	f.Add(frame(qmDisseminateBatch, func(w *wire.Writer) { w.Bytes32([]byte{ufl.BatchCodecVersion, 0xff, 0xff}) }))
 	f.Add(disseminateWith(plan, 3, "BloomBuild", map[string]string{"ns": "f.bf", "key": "src", "expected": "2000000000"}))

@@ -136,34 +136,22 @@ func (p *putOp) PushBatch(_ exec.Tag, b *tuple.Batch) {
 		p.putWithRetry(p.fixedKey, w.Bytes(), 0)
 		return
 	}
-	var colIdx []int
-	if b.Columnar() {
-		colIdx = make([]int, len(p.keyCols))
-		for i, c := range p.keyCols {
-			ci, ok := b.ColIndex(c)
-			if !ok {
-				// Partitioning column absent from the uniform schema:
-				// every row lacks it.
-				p.Dropped.Add(n)
-				return
-			}
-			colIdx[i] = ci
+	colIdx := make([]int, len(p.keyCols))
+	for i, c := range p.keyCols {
+		ci, ok := b.ColIndex(c)
+		if !ok {
+			// Partitioning column absent from the batch's schema: every
+			// row lacks it.
+			p.Dropped.Add(n)
+			return
 		}
+		colIdx[i] = ci
 	}
 	groups := make(map[string][]int32)
 	var order []string
 	var keyBuf []byte
 	for i := 0; i < n; i++ {
-		if colIdx != nil {
-			keyBuf = b.AppendRowKey(keyBuf[:0], i, colIdx)
-		} else {
-			kb, ok := b.Row(i).AppendKey(keyBuf[:0], p.keyCols)
-			keyBuf = kb
-			if !ok {
-				p.Dropped.Inc()
-				continue
-			}
-		}
+		keyBuf = b.AppendRowKey(keyBuf[:0], i, colIdx)
 		if rows, seen := groups[string(keyBuf)]; seen {
 			groups[string(keyBuf)] = append(rows, int32(i))
 		} else {
@@ -467,12 +455,10 @@ func (h *hierAggOp) Flush(tag exec.Tag) {
 		h.local.Reset()
 	}
 	if h.isRoot() {
-		// The final aggregate leaves as one columnar batch so the
-		// downstream result path ships one frame per destination.
+		// The final aggregate leaves as one batch so the downstream
+		// result path ships one frame per destination.
 		if b := h.pending.EmitBatch("hieragg"); b != nil {
 			h.Emit(tag, b)
-		} else {
-			h.pending.Emit("hieragg", func(t *tuple.Tuple) { h.Emit(tag, tuple.OfTuple(t)) })
 		}
 		h.pending.Reset()
 		return

@@ -28,9 +28,6 @@ func (b *Batch) FoldCountCol(slots []int32, counts []int64) {
 // (a sum's integer accumulator; int inputs add to it regardless of a
 // prior float promotion, exactly like the per-row add).
 func (b *Batch) FoldSumInt64Col(c int, slots []int32, acc []int64, any []bool) bool {
-	if b.names == nil {
-		return false
-	}
 	if k, ok := b.ColKind(c); !ok || k != KindInt {
 		return false
 	}
@@ -48,9 +45,6 @@ func (b *Batch) FoldSumInt64Col(c int, slots []int32, acc []int64, any []bool) b
 // promoting a slot's integer accumulator exactly once on first touch —
 // the same promotion a per-row sum performs on its first float input.
 func (b *Batch) FoldSumFloat64Col(c int, slots []int32, accI []int64, accF []float64, isFloat, any []bool) bool {
-	if b.names == nil {
-		return false
-	}
 	if k, ok := b.ColKind(c); !ok || k != KindFloat {
 		return false
 	}
@@ -72,9 +66,6 @@ func (b *Batch) FoldSumFloat64Col(c int, slots []int32, accI []int64, accF []flo
 // any[s] marks slots whose best is initialized; an uninitialized slot
 // adopts the first value, like the per-row min/max add.
 func (b *Batch) FoldMinMaxInt64Col(c int, min bool, slots []int32, best []int64, any []bool) bool {
-	if b.names == nil {
-		return false
-	}
 	if k, ok := b.ColKind(c); !ok || k != KindInt {
 		return false
 	}
@@ -98,9 +89,6 @@ func (b *Batch) FoldMinMaxInt64Col(c int, min bool, slots []int32, best []int64,
 // cmpOrdered returns 0 for NaN comparisons, so a NaN never displaces the
 // incumbent and a NaN incumbent is never displaced — Compare's ordering.
 func (b *Batch) FoldMinMaxFloat64Col(c int, min bool, slots []int32, best []float64, any []bool) bool {
-	if b.names == nil {
-		return false
-	}
 	if k, ok := b.ColKind(c); !ok || k != KindFloat {
 		return false
 	}
@@ -122,9 +110,6 @@ func (b *Batch) FoldMinMaxFloat64Col(c int, min bool, slots []int32, best []floa
 
 // FoldMinMaxStringCol is FoldMinMaxInt64Col for a uniform string column.
 func (b *Batch) FoldMinMaxStringCol(c int, min bool, slots []int32, best []string, any []bool) bool {
-	if b.names == nil {
-		return false
-	}
 	if k, ok := b.ColKind(c); !ok || k != KindString {
 		return false
 	}
@@ -147,9 +132,6 @@ func (b *Batch) FoldMinMaxStringCol(c int, min bool, slots []int32, best []strin
 // FoldAvgCol folds a uniform numeric column into sum/cnt per slot
 // (an average's sum and count; ints widen to float exactly like AsFloat).
 func (b *Batch) FoldAvgCol(c int, slots []int32, sum []float64, cnt []int64) bool {
-	if b.names == nil {
-		return false
-	}
 	k, ok := b.ColKind(c)
 	if !ok || (k != KindInt && k != KindFloat) {
 		return false

@@ -12,16 +12,13 @@ import (
 // per-tuple costs (column lookup by name, predicate tree walks, map-key
 // construction) amortize to per-batch costs.
 //
-// A batch has two storage modes:
-//
-//   - Columnar: every row shares one schema (table name + column names).
-//     Values live in a row-major matrix with per-column kind summaries,
-//     so vectorized consumers resolve a column index ONCE per batch and
-//     then read values by position. Row views materialize lazily and
-//     alias the matrix (zero copy).
-//   - Row-backed: an ordered list of self-describing tuples with
-//     arbitrary, possibly heterogeneous schemas. The fallback for mixed
-//     streams and for wrapping single tuples (OfTuple).
+// A batch has one representation: a table name, column names shared by
+// every row, and a row-major value matrix with per-column kind
+// summaries, so consumers resolve a column index ONCE per batch and then
+// read values by position. Row views materialize lazily and alias the
+// matrix (zero copy). A stream whose schema changes is a sequence of
+// batches, one per run of rows with equal table and column names (Runs,
+// Concat); a lone tuple is a batch of one that aliases it (OfTuple).
 //
 // Ownership contract (the batch extension of the shared-tuple rules in
 // internal/overlay/subs.go): a *Batch handed to another component is
@@ -36,13 +33,12 @@ import (
 // corrupting shared storage.
 type Batch struct {
 	table string
-	// names/kinds/vals: columnar mode. vals is row-major with stride
-	// len(names); kinds[c] is the column's uniform kind or kindMixed.
+	// vals is row-major with stride len(names). kinds[c] is column c's
+	// uniform kind or kindMixed; it is nil in a batch of one row
+	// (OfTuple), whose column kinds are its values' kinds.
 	names []string
 	kinds []Kind
 	vals  []Value
-	// rows: row-backed mode (names == nil).
-	rows []*Tuple
 	// n is the physical row count; sel, when non-nil, restricts the
 	// batch to the listed physical rows, in order.
 	n   int
@@ -54,8 +50,8 @@ type Batch struct {
 // appears on the wire.
 const kindMixed Kind = 0xff
 
-// NewColumnarBatch creates an empty columnar batch for the given uniform
-// schema. The names slice is retained and must not change afterwards.
+// NewColumnarBatch creates an empty batch for the given schema. The
+// names slice is retained and must not change afterwards.
 func NewColumnarBatch(table string, names []string, capRows int) *Batch {
 	b := &Batch{table: table, names: names, kinds: make([]Kind, len(names))}
 	if capRows > 0 {
@@ -67,14 +63,14 @@ func NewColumnarBatch(table string, names []string, capRows int) *Batch {
 	return b
 }
 
-// AppendRow copies one row of values (aligned with Names) into a
-// columnar batch and folds the value kinds into the column summaries.
-// The caller may reuse vals. Panics on a row-backed batch or a length
-// mismatch — batch construction is internal engine code, not a
-// best-effort boundary.
+// AppendRow copies one row of values (aligned with Names) into a batch
+// made by NewColumnarBatch and folds the value kinds into the column
+// summaries. The caller may reuse vals. Panics on a length mismatch —
+// batch construction is internal engine code, not a best-effort
+// boundary.
 func (b *Batch) AppendRow(vals []Value) {
-	if b.names == nil || len(vals) != len(b.names) {
-		panic("tuple: AppendRow on non-columnar batch or wrong arity")
+	if len(vals) != len(b.names) {
+		panic("tuple: AppendRow with the wrong arity")
 	}
 	for c, v := range vals {
 		if b.n == 0 {
@@ -87,66 +83,61 @@ func (b *Batch) AppendRow(vals []Value) {
 	b.n++
 }
 
-// FromTuples wraps rows as a row-backed batch. The slice is retained.
-// The batch's Table is the rows' common table name, or "" when mixed.
-func FromTuples(rows []*Tuple) *Batch {
-	b := &Batch{rows: rows, n: len(rows)}
-	for i, t := range rows {
-		if i == 0 {
-			b.table = t.table
-		} else if b.table != t.table {
-			b.table = ""
-			break
-		}
-	}
-	return b
-}
-
-// OfTuple wraps one tuple as a 1-row batch — the compatibility shim
-// behind every converted operator's single-tuple Push.
+// OfTuple wraps one tuple as a batch of one row that aliases its names
+// and values: how a lone row — a TopK rank, a join match, a decoded
+// legacy frame — crosses an edge.
 func OfTuple(t *Tuple) *Batch {
-	return &Batch{table: t.table, rows: []*Tuple{t}, n: 1}
+	return &Batch{table: t.table, names: t.names, vals: t.vals[:len(t.vals):len(t.vals)], n: 1}
 }
 
-// Concat joins the selected rows of bs, in order, into one fresh batch.
-// When every row carries one table and one column list (compared name by
-// name) the result is columnar, its kinds folded per column exactly as
-// AppendRow folds them; any other mix is row-backed (FromTuples). A
-// single input is returned as is. The inputs are not modified.
-func Concat(bs []*Batch) *Batch {
+// Runs builds rows into fresh batches, one per run of consecutive rows
+// with equal table and column names, in order. The rows' name slices are
+// retained.
+func Runs(rows []*Tuple) []*Batch {
+	var rs runs
+	for i, t := range rows {
+		rs.add(t, len(rows)-i)
+	}
+	return rs
+}
+
+// Concat joins the selected rows of bs, in order, into fresh batches,
+// one per schema run as Runs cuts them: one batch when every row carries
+// one table and one column list, its kinds folded per column exactly as
+// AppendRow folds them. A single input is returned as is. The inputs are
+// not modified.
+func Concat(bs []*Batch) []*Batch {
 	if len(bs) == 1 {
-		return bs[0]
+		return []*Batch{bs[0]}
 	}
-	var table string
-	var names []string
-	var row Tuple
-	total, uniform := 0, true
+	left := 0
 	for _, b := range bs {
-		for i := 0; i < b.Len() && uniform; i++ {
-			b.RowInto(i, &row)
-			if total+i == 0 {
-				table, names = row.table, row.names
-			} else {
-				uniform = row.table == table && slices.Equal(row.names, names)
-			}
-		}
-		total += b.Len()
+		left += b.Len()
 	}
-	if !uniform || len(names) == 0 {
-		rows := make([]*Tuple, 0, total)
-		for _, b := range bs {
-			rows = b.Tuples(rows)
-		}
-		return FromTuples(rows)
-	}
-	out := NewColumnarBatch(table, names, total)
+	var rs runs
+	var row Tuple
 	for _, b := range bs {
 		for i, n := 0, b.Len(); i < n; i++ {
 			b.RowInto(i, &row)
-			out.AppendRow(row.vals)
+			rs.add(&row, left)
+			left--
 		}
 	}
-	return out
+	return rs
+}
+
+// runs is the builder behind Runs and Concat.
+type runs []*Batch
+
+// add appends t's values to the last batch, first starting a batch with
+// room for capRows rows when t's schema differs from it.
+func (rs *runs) add(t *Tuple, capRows int) {
+	last := len(*rs) - 1
+	if last < 0 || (*rs)[last].table != t.table || !slices.Equal((*rs)[last].names, t.names) {
+		*rs = append(*rs, NewColumnarBatch(t.table, t.names, capRows))
+		last++
+	}
+	(*rs)[last].AppendRow(t.vals)
 }
 
 // Len returns the number of selected rows.
@@ -157,18 +148,14 @@ func (b *Batch) Len() int {
 	return b.n
 }
 
-// Table returns the rows' common self-described table name, or "" when a
-// row-backed batch mixes tables.
+// Table returns the rows' self-described table name.
 func (b *Batch) Table() string { return b.table }
 
-// Names returns the uniform column names of a columnar batch, or nil for
-// a row-backed batch. Callers must not modify the slice.
+// Names returns the rows' column names. Callers must not modify the
+// slice.
 func (b *Batch) Names() []string { return b.names }
 
-// Columnar reports whether the batch has a uniform column layout.
-func (b *Batch) Columnar() bool { return b.names != nil }
-
-// ColIndex resolves a column name to its index in a columnar batch.
+// ColIndex resolves a column name to its index.
 func (b *Batch) ColIndex(name string) (int, bool) {
 	for i, n := range b.names {
 		if n == name {
@@ -181,6 +168,9 @@ func (b *Batch) ColIndex(name string) (int, bool) {
 // ColKind returns the column's uniform value kind. ok is false when the
 // column mixes kinds across rows (consumers fall back to generic paths).
 func (b *Batch) ColKind(c int) (Kind, bool) {
+	if b.kinds == nil {
+		return b.vals[c].kind, true
+	}
 	k := b.kinds[c]
 	return k, k != kindMixed
 }
@@ -193,38 +183,25 @@ func (b *Batch) phys(i int) int {
 	return i
 }
 
-// At returns the value at logical row i, column c of a columnar batch.
+// At returns the value at logical row i, column c.
 func (b *Batch) At(i, c int) Value {
 	return b.vals[b.phys(i)*len(b.names)+c]
 }
 
-// Row returns logical row i as a tuple. Row-backed batches return the
-// stored tuple; columnar batches materialize a view that aliases the
-// shared storage (one small allocation, no value copies). Views are
-// immutable under the batch contract and safe to retain.
+// Row returns logical row i as a tuple: a view that aliases the shared
+// storage (one small allocation, no value copies). Views are immutable
+// under the batch contract and safe to retain.
 func (b *Batch) Row(i int) *Tuple {
-	p := b.phys(i)
-	if b.rows != nil {
-		return b.rows[p]
-	}
-	s := len(b.names)
-	return &Tuple{
-		table: b.table,
-		names: b.names[:s:s],
-		vals:  b.vals[p*s : (p+1)*s : (p+1)*s],
-	}
+	t := new(Tuple)
+	b.RowInto(i, t)
+	return t
 }
 
 // RowInto points a scratch tuple at logical row i without allocating.
 // The scratch is valid until the next RowInto and must not escape the
 // caller (hand Row(i) downstream instead) or be mutated.
 func (b *Batch) RowInto(i int, t *Tuple) {
-	p := b.phys(i)
-	if b.rows != nil {
-		*t = *b.rows[p]
-		return
-	}
-	s := len(b.names)
+	p, s := b.phys(i), len(b.names)
 	t.table = b.table
 	t.names = b.names[:s:s]
 	t.vals = b.vals[p*s : (p+1)*s : (p+1)*s]
@@ -270,47 +247,27 @@ func (b *Batch) Prefix(k int) *Batch {
 	return &nb
 }
 
-// FilterTable derives the view of rows whose self-described table name
-// matches only. It returns b unchanged when every row matches (the
-// uniform fast path), nil when none do, and a selection otherwise.
+// FilterTable returns b when its rows' table name is only (or only is
+// empty), else nil.
 func (b *Batch) FilterTable(only string) *Batch {
 	if only == "" || b.table == only {
 		return b
 	}
-	if b.names != nil || b.table != "" {
-		// Uniform table name that does not match.
-		return nil
-	}
-	var keep []int32
-	for i, n := 0, b.Len(); i < n; i++ {
-		if b.rows[b.phys(i)].table == only {
-			keep = append(keep, int32(i))
-		}
-	}
-	if keep == nil {
-		return nil
-	}
-	if len(keep) == b.Len() {
-		return b
-	}
-	return b.SelectLogical(keep)
+	return nil
 }
 
 // CmpKernel compares two operands — column index li/ri, or constant
 // lc/rc when the index is negative — across every logical row of a
-// columnar batch, writing tbl[cmp+1] into out (tbl is indexed by
+// batch, writing tbl[cmp+1] into out (tbl is indexed by
 // Compare's -1/0/+1 outcome). It runs only when both operand kinds are
 // uniform across the batch and covered by a typed loop: int/int
 // compares as ints, any other numeric mix as floats, string/string as
 // strings — exactly Compare's ordering, including its NaN behavior.
-// Returns false otherwise (row-backed batch, mixed-kind column,
-// uncovered kind pair) so the caller falls back to per-row Compare.
+// Returns false otherwise (mixed-kind column, uncovered kind pair) so
+// the caller falls back to per-row Compare.
 // The typed loops read value fields directly from the shared storage,
 // skipping the per-row Value copies that dominate the generic path.
 func (b *Batch) CmpKernel(li int, lc Value, ri int, rc Value, tbl *[3]int8, out []int8) bool {
-	if b.names == nil {
-		return false
-	}
 	lk, lok := b.operandKind(li, lc)
 	rk, rok := b.operandKind(ri, rc)
 	if !lok || !rok {
@@ -386,8 +343,8 @@ func (b *Batch) operandKind(col int, c Value) (Kind, bool) {
 
 // AppendRowKey appends the canonical DHT key of logical row i over the
 // pre-resolved column indices (see Tuple.KeyString for the format). It
-// is the zero-allocation twin of KeyString for columnar batches: the
-// caller owns dst and typically reuses it across rows.
+// is the zero-allocation twin of KeyString: the caller owns dst and
+// typically reuses it across rows.
 func (b *Batch) AppendRowKey(dst []byte, i int, cols []int) []byte {
 	p := b.phys(i) * len(b.names)
 	for j, c := range cols {
@@ -401,61 +358,41 @@ func (b *Batch) AppendRowKey(dst []byte, i int, cols []int) []byte {
 
 // EncodeRowTo appends logical row i in the single-tuple wire format.
 func (b *Batch) EncodeRowTo(i int, w *wire.Writer) {
-	p := b.phys(i)
-	if b.rows != nil {
-		b.rows[p].EncodeTo(w)
-		return
-	}
 	w.String(b.table)
 	w.U16(uint16(len(b.names)))
-	base := p * len(b.names)
+	base := b.phys(i) * len(b.names)
 	for c, name := range b.names {
 		w.String(name)
 		b.vals[base+c].encodeTo(w)
 	}
 }
 
-// Frame format. A frame is the payload of one published DHT object and
-// decodes to one batch. Every legacy single-tuple encoding begins with
-// the U32 length of the table name, so its first byte is 0x00 for any
-// sane name; 0xff therefore marks the start of a multi-row frame:
+// Frame format. A frame is the payload of one published DHT object or
+// result message and decodes to one batch. Every legacy single-tuple
+// encoding begins with the U32 length of the table name, so its first
+// byte is 0x00 for any sane name; 0xff therefore marks a multi-row
+// frame, whose schema a batch shares across its rows and which is
+// encoded once:
 //
-//	0xff 'C' table ncols names nrows (kind payload)*ncols per row
-//	0xff 'B' count tuple-encoding*count
+//	0xff 'C' table ncols names nrows row*nrows
 //
-// 'C' carries a uniform-schema batch with the schema encoded ONCE (the
-// common case: one producer operator emits one schema); 'B' carries
-// arbitrary rows. DecodeFrame accepts all three forms, so stored
-// objects, checkpoints, and mixed-version traffic keep decoding.
+// A row is (kind payload)*ncols, or one 0x00 byte when ncols is 0, so
+// every row costs at least one input byte. DecodeFrame accepts the
+// legacy encoding and 'C'; any other kind byte is refused, among them
+// 'B', the row-list frame that only a version-2 checkpoint can hold.
 const (
 	frameMagic    = 0xff
 	frameColumnar = 'C'
-	frameRows     = 'B'
 )
 
-// EncodeRowsTo appends a frame holding the listed logical rows (all
-// selected rows when idx is nil). Columnar batches emit the 'C' form;
-// row-backed batches emit 'B'.
+// EncodeRowsTo appends a 'C' frame holding the listed logical rows (all
+// selected rows when idx is nil).
 func (b *Batch) EncodeRowsTo(w *wire.Writer, idx []int32) {
 	n := len(idx)
 	if idx == nil {
 		n = b.Len()
 	}
-	row := func(j int) int {
-		if idx != nil {
-			return int(idx[j])
-		}
-		return j
-	}
 	w.U8(frameMagic)
-	if b.names == nil {
-		w.U8(frameRows)
-		w.U32(uint32(n))
-		for j := 0; j < n; j++ {
-			b.rows[b.phys(row(j))].EncodeTo(w)
-		}
-		return
-	}
 	w.U8(frameColumnar)
 	w.String(b.table)
 	w.U16(uint16(len(b.names)))
@@ -465,24 +402,34 @@ func (b *Batch) EncodeRowsTo(w *wire.Writer, idx []int32) {
 	w.U32(uint32(n))
 	s := len(b.names)
 	for j := 0; j < n; j++ {
-		base := b.phys(row(j)) * s
+		i := j
+		if idx != nil {
+			i = int(idx[j])
+		}
+		if s == 0 {
+			w.U8(0)
+		}
+		base := b.phys(i) * s
 		for c := 0; c < s; c++ {
 			b.vals[base+c].encodeTo(w)
 		}
 	}
 }
 
-// EncodeFrame serializes the batch as one frame.
+// EncodeFrame serializes the batch as one frame. Nothing in the engine
+// encodes a whole batch this way (result and put frames go through
+// EncodeRowsTo and EncodeRowTo); the benchmark's codec replay and the
+// frame tests do.
 func (b *Batch) EncodeFrame() []byte {
 	w := wire.NewWriter(64 + 16*b.Len())
 	b.EncodeRowsTo(w, nil)
 	return w.Bytes()
 }
 
-// DecodeFrame parses one frame — a multi-row 'C'/'B' frame or a legacy
-// single-tuple encoding — into a batch. It is the decode-once entry
-// point of the batch handoff: one call per arriving object, whatever
-// the producer shipped.
+// DecodeFrame parses one frame — a 'C' frame or a legacy single-tuple
+// encoding — into a batch. It is the decode-once entry point of the
+// batch handoff: one call per arriving object, whatever the producer
+// shipped.
 func DecodeFrame(data []byte) (*Batch, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("tuple: empty frame")
@@ -497,52 +444,41 @@ func DecodeFrame(data []byte) (*Batch, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("tuple: truncated frame header")
 	}
+	if data[1] != frameColumnar {
+		return nil, fmt.Errorf("tuple: unknown frame kind 0x%02x", data[1])
+	}
 	r := wire.NewReader(data[2:])
-	switch data[1] {
-	case frameRows:
-		count := int(r.U32())
-		if count > r.Remaining() {
-			return nil, fmt.Errorf("tuple: frame row count %d exceeds input", count)
+	table := r.String()
+	ncols := int(r.U16())
+	names := make([]string, 0, ncols)
+	for c := 0; c < ncols && r.Err() == nil; c++ {
+		names = append(names, r.String())
+	}
+	nrows := int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	// A row costs at least one byte per column, and one byte when there
+	// are none: a count the input cannot carry is refused before anything
+	// is sized by it.
+	if nrows > r.Remaining()/max(ncols, 1) {
+		return nil, fmt.Errorf("tuple: frame row count %d exceeds input", nrows)
+	}
+	b := NewColumnarBatch(table, names, nrows)
+	rowVals := make([]Value, ncols)
+	for i := 0; i < nrows; i++ {
+		if ncols == 0 {
+			r.U8()
 		}
-		rows := make([]*Tuple, 0, count)
-		for i := 0; i < count; i++ {
-			t := DecodeFrom(r)
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			rows = append(rows, t)
+		for c := range rowVals {
+			rowVals[c] = decodeValue(r)
 		}
-		return FromTuples(rows), nil
-	case frameColumnar:
-		table := r.String()
-		ncols := int(r.U16())
-		names := make([]string, 0, ncols)
-		for c := 0; c < ncols && r.Err() == nil; c++ {
-			names = append(names, r.String())
-		}
-		nrows := int(r.U32())
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		// Each value costs at least its kind byte, bounding hostile counts.
-		if ncols > 0 && nrows > r.Remaining()/ncols {
-			return nil, fmt.Errorf("tuple: frame row count %d exceeds input", nrows)
-		}
-		b := NewColumnarBatch(table, names, nrows)
-		rowVals := make([]Value, ncols)
-		for i := 0; i < nrows; i++ {
-			for c := 0; c < ncols; c++ {
-				rowVals[c] = decodeValue(r)
-			}
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			b.AppendRow(rowVals)
-		}
-		return b, nil
-	default:
-		return nil, fmt.Errorf("tuple: unknown frame kind 0x%02x", data[1])
+		b.AppendRow(rowVals)
 	}
+	return b, nil
 }
 
 // encodeTo appends the value's kind byte and payload (the per-column

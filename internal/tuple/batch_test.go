@@ -47,33 +47,43 @@ func TestBatchFrameRoundTripColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeFrame: %v", err)
 	}
-	if !back.Columnar() {
-		t.Fatalf("columnar frame decoded as row-backed")
-	}
 	if back.Table() != "fwlogs" {
 		t.Fatalf("table: got %q", back.Table())
 	}
 	sameRows(t, back, b)
 }
 
+// Heterogeneous rows are one batch, and one frame, per schema run; the
+// frames decode back to the rows in order, a zero-column run included.
 func TestBatchFrameRoundTripRows(t *testing.T) {
 	rows := []*Tuple{
 		mkRow("fwlogs", 5, "a"),
-		mkRow("dnslogs", 2, "b"), // heterogeneous tables force 'B'
+		mkRow("fwlogs", 6, "b"),
+		mkRow("dnslogs", 2, "b"),
 		New("empty"),
+		New("empty"),
+		mkRow("fwlogs", 7, "c"),
 	}
-	b := FromTuples(rows)
-	if b.Table() != "" {
-		t.Fatalf("mixed tables should yield empty common table, got %q", b.Table())
+	bs := Runs(rows)
+	if len(bs) != 4 {
+		t.Fatalf("%d runs, want 4", len(bs))
 	}
-	back, err := DecodeFrame(b.EncodeFrame())
-	if err != nil {
-		t.Fatalf("DecodeFrame: %v", err)
+	var got []string
+	for _, b := range bs {
+		back, err := DecodeFrame(b.EncodeFrame())
+		if err != nil {
+			t.Fatalf("DecodeFrame: %v", err)
+		}
+		sameRows(t, back, b)
+		for i := 0; i < back.Len(); i++ {
+			got = append(got, back.Row(i).String())
+		}
 	}
-	if back.Columnar() {
-		t.Fatalf("row frame decoded as columnar")
+	for i, r := range rows {
+		if got[i] != r.String() {
+			t.Fatalf("row %d: got %s want %s", i, got[i], r)
+		}
 	}
-	sameRows(t, back, b)
 }
 
 func TestBatchFrameRoundTripLegacySingle(t *testing.T) {
@@ -102,18 +112,37 @@ func TestBatchFrameRoundTripSelection(t *testing.T) {
 
 func TestDecodeFrameHostile(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":               nil,
-		"bare magic":          {0xff},
-		"unknown kind":        {0xff, 'Z', 0, 0, 0, 0},
-		"rows count lie":      {0xff, 'B', 0xff, 0xff, 0xff, 0xff},
-		"columnar truncated":  {0xff, 'C', 0, 0, 0, 2, 'n', 's'},
-		"columnar count lie":  append([]byte{0xff, 'C', 0, 0, 0, 1, 'n', 0, 1, 'x'}, 0xff, 0xff, 0xff, 0xff),
-		"legacy garbage name": {0x00, 0x00, 0x00, 0xfe, 'x'},
+		"empty":                nil,
+		"bare magic":           {0xff},
+		"unknown kind":         {0xff, 'Z', 0, 0, 0, 0},
+		"former row-list kind": append([]byte{0xff, 'B', 0, 0, 0, 1}, mkRow("fwlogs", 1, "x").Encode()...),
+		"columnar truncated":   {0xff, 'C', 0, 0, 0, 2, 'n', 's'},
+		"columnar count lie":   append([]byte{0xff, 'C', 0, 0, 0, 1, 'n', 0, 1, 'x'}, 0xff, 0xff, 0xff, 0xff),
+		"legacy garbage name":  {0x00, 0x00, 0x00, 0xfe, 'x'},
 	}
 	for name, data := range cases {
 		if _, err := DecodeFrame(data); err == nil {
 			t.Errorf("%s: expected error, got none", name)
 		}
+	}
+}
+
+// A 'C' frame with no columns still pays one byte per row: a 12-byte
+// frame declaring 2^28 or 2^32-1 rows is refused before anything is
+// sized by the count, and a zero-column batch the writer produces still
+// round-trips.
+func TestDecodeFrameZeroColumnRows(t *testing.T) {
+	for _, rows := range [][4]byte{{0, 0, 0, 0x10}, {0xff, 0xff, 0xff, 0xff}} {
+		data := []byte{0xff, 'C', 0, 0, 0, 0, 0, 0, rows[0], rows[1], rows[2], rows[3]}
+		var err error
+		if allocs := testing.AllocsPerRun(10, func() { _, err = DecodeFrame(data) }); err == nil || allocs > 4 {
+			t.Errorf("%x: err %v after %v allocations, want an error after a few", data, err, allocs)
+		}
+	}
+	b := Runs([]*Tuple{New("e"), New("e"), New("e")})[0]
+	back, err := DecodeFrame(b.EncodeFrame())
+	if err != nil || back.Len() != 3 || back.Table() != "e" {
+		t.Fatalf("zero-column round trip: %v, %v", back, err)
 	}
 }
 
@@ -202,20 +231,9 @@ func TestBatchFilterTable(t *testing.T) {
 	if got := uni.FilterTable("other"); got != nil {
 		t.Fatalf("non-matching uniform filter must return nil, got %v", got)
 	}
-	mixed := FromTuples([]*Tuple{
-		mkRow("a", 1, "x"), mkRow("b", 2, "y"), mkRow("a", 3, "z"),
-	})
-	onlyA := mixed.FilterTable("a")
-	if onlyA == nil || onlyA.Len() != 2 {
-		t.Fatalf("mixed filter: %v", onlyA)
-	}
-	for i := 0; i < onlyA.Len(); i++ {
-		if onlyA.Row(i).Table() != "a" {
-			t.Fatalf("row %d has table %q", i, onlyA.Row(i).Table())
-		}
-	}
-	if mixed.FilterTable("zz") != nil {
-		t.Fatalf("no-match mixed filter must return nil")
+	one := OfTuple(mkRow("a", 1, "x"))
+	if one.FilterTable("a") != one || one.FilterTable("b") != nil {
+		t.Fatalf("a batch of one filters by its tuple's table")
 	}
 }
 
@@ -231,11 +249,19 @@ func TestBatchRowViewAppendSafety(t *testing.T) {
 	}
 }
 
+// OfTuple aliases the tuple's names and values, and each column's kind
+// is its value's.
 func TestOfTupleAndRowInto(t *testing.T) {
 	tt := mkRow("fwlogs", 3, "q")
 	b := OfTuple(tt)
-	if b.Len() != 1 || b.Row(0) != tt {
-		t.Fatalf("OfTuple must wrap the same tuple")
+	if b.Len() != 1 || b.Row(0).String() != tt.String() || &b.Names()[0] != &tt.Columns()[0] {
+		t.Fatalf("OfTuple must alias the tuple")
+	}
+	for c := range tt.Columns() {
+		_, v := tt.At(c)
+		if k, ok := b.ColKind(c); !ok || k != v.Kind() || !Equal(b.At(0, c), v) {
+			t.Fatalf("column %d: kind %v (uniform %v), value %v; want %v", c, k, ok, b.At(0, c), v)
+		}
 	}
 	cb := mkColumnar(t, 4)
 	var scratch Tuple
@@ -283,9 +309,9 @@ func TestBatchFrameRoundTripRandom(t *testing.T) {
 	}
 }
 
-// TestConcat pins the one place held arrivals become a batch: rows in
-// order, columnar exactly when every row shares one table and column
-// list, kinds folded as AppendRow folds them, and row-backed otherwise.
+// TestConcat pins the one place held arrivals become batches: rows in
+// order, one batch per run of rows sharing one table and column list,
+// kinds folded as AppendRow folds them.
 func TestConcat(t *testing.T) {
 	fw := func(sev Value) *Tuple {
 		return New("fwlogs").Set("src", String("h")).Set("dstport", Int(22)).Set("severity", sev)
@@ -305,23 +331,23 @@ func TestConcat(t *testing.T) {
 		return out
 	}
 	cases := []struct {
-		name     string
-		in       []*Batch
-		columnar bool
-		// sevKind is the folded kind of severity (columnar results only);
+		name string
+		in   []*Batch
+		runs int
+		// sevKind is the folded kind of severity (one-run results only);
 		// mixed means ColKind reports !ok.
 		sevKind Kind
 		mixed   bool
 	}{
-		{"batches of one", ones(fw(Int(1)), fw(Int(2)), fw(Int(3))), true, KindInt, false},
-		{"selections", []*Batch{cols.SelectLogical([]int32{1, 3}), cols.Prefix(1), OfTuple(fw(Int(9)))}, true, KindInt, false},
-		{"empty inputs skipped", []*Batch{cols.Prefix(0), OfTuple(fw(Int(9))), FromTuples(nil)}, true, KindInt, false},
-		{"mixed kinds", ones(fw(Int(1)), fw(Float(2.5)), fw(String("hi")), fw(Int(4))), true, 0, true},
-		{"null then int", ones(fw(Null()), fw(Int(4))), true, 0, true},
-		{"missing column", ones(fw(Int(1)), noPort, fw(Int(3))), false, 0, false},
-		{"column order", ones(fw(Int(1)), reordered), false, 0, false},
-		{"table mismatch", ones(fw(Int(1)), other), false, 0, false},
-		{"columnar then mismatch", []*Batch{cols, OfTuple(other)}, false, 0, false},
+		{"batches of one", ones(fw(Int(1)), fw(Int(2)), fw(Int(3))), 1, KindInt, false},
+		{"selections", []*Batch{cols.SelectLogical([]int32{1, 3}), cols.Prefix(1), OfTuple(fw(Int(9)))}, 1, KindInt, false},
+		{"empty inputs skipped", []*Batch{cols.Prefix(0), OfTuple(fw(Int(9))), NewColumnarBatch("alerts", nil, 0)}, 1, KindInt, false},
+		{"mixed kinds", ones(fw(Int(1)), fw(Float(2.5)), fw(String("hi")), fw(Int(4))), 1, 0, true},
+		{"null then int", ones(fw(Null()), fw(Int(4))), 1, 0, true},
+		{"missing column", ones(fw(Int(1)), noPort, fw(Int(3))), 3, 0, false},
+		{"column order", ones(fw(Int(1)), reordered), 2, 0, false},
+		{"table mismatch", ones(fw(Int(1)), other), 2, 0, false},
+		{"columnar then mismatch", []*Batch{cols, OfTuple(other)}, 2, 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -331,21 +357,28 @@ func TestConcat(t *testing.T) {
 					want = append(want, b.Row(i).String())
 				}
 			}
-			got := Concat(tc.in)
-			if got.Len() != len(want) {
-				t.Fatalf("%d rows, want %d", got.Len(), len(want))
-			}
-			for i, w := range want {
-				if s := got.Row(i).String(); s != w {
-					t.Errorf("row %d: %s, want %s", i, s, w)
+			runs := Concat(tc.in)
+			var rows []string
+			for _, b := range runs {
+				for i := 0; i < b.Len(); i++ {
+					rows = append(rows, b.Row(i).String())
 				}
 			}
-			if got.Columnar() != tc.columnar {
-				t.Fatalf("columnar = %v, want %v", got.Columnar(), tc.columnar)
+			if len(rows) != len(want) {
+				t.Fatalf("%d rows, want %d", len(rows), len(want))
 			}
-			if !tc.columnar {
+			for i, w := range want {
+				if rows[i] != w {
+					t.Errorf("row %d: %s, want %s", i, rows[i], w)
+				}
+			}
+			if len(runs) != tc.runs {
+				t.Fatalf("%d runs, want %d", len(runs), tc.runs)
+			}
+			if tc.runs > 1 {
 				return
 			}
+			got := runs[0]
 			ci, _ := got.ColIndex("severity")
 			k, ok := got.ColKind(ci)
 			if ok == tc.mixed || (ok && k != tc.sevKind) {
@@ -358,10 +391,10 @@ func TestConcat(t *testing.T) {
 			}
 		})
 	}
-	if one := OfTuple(noPort); Concat([]*Batch{one}) != one {
+	if one := OfTuple(noPort); Concat([]*Batch{one})[0] != one {
 		t.Errorf("a single input must be returned as is")
 	}
-	if got := Concat(ones(fw(Int(1)), other)); got.Table() != "" {
-		t.Errorf("a table mismatch gave table %q, want the mixed-table \"\"", got.Table())
+	if got := Concat(ones(fw(Int(1)), other)); got[0].Table() != "fwlogs" || got[1].Table() != "alerts" {
+		t.Errorf("a table mismatch gave tables %q and %q", got[0].Table(), got[1].Table())
 	}
 }

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -76,6 +77,54 @@ func FuzzTupleDecodeFrom(f *testing.F) {
 		if err := r.Err(); err != nil &&
 			!errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrOversized) {
 			t.Fatalf("unexpected error class: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeFrame throws hostile frames at the batch decoder: DecodeFrame
+// must never panic, must refuse with an error rather than a nil batch, and
+// must accept no more rows than the frame has bytes. An accepted frame
+// re-encodes (EncodeFrame) to a frame that decodes to the same rows in
+// order, and a legacy frame yields exactly Decode's row.
+func FuzzDecodeFrame(f *testing.F) {
+	mixed := NewColumnarBatch("fwlogs", []string{"src", "severity"}, 3)
+	mixed.AppendRow([]Value{String("h1"), Int(3)})
+	mixed.AppendRow([]Value{String("h2"), Float(2.5)})
+	mixed.AppendRow([]Value{String("h3"), Null()})
+	f.Add(New("fwlogs").Set("src", String("h1")).Set("severity", Int(3)).Encode())
+	f.Add(New("empty").Encode())
+	f.Add(mixed.EncodeFrame())
+	f.Add([]byte{0xff, 'C', 0, 0, 0, 0, 0, 0, 0x10, 0, 0, 0})
+	f.Add(append([]byte{0xff, 'B', 0, 0, 0, 1}, New("t").Set("x", Int(1)).Encode()...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeFrame(data)
+		if err != nil {
+			if b != nil {
+				t.Fatalf("refused frame returned a batch: %v", err)
+			}
+			return
+		}
+		if b.Len() > len(data) {
+			t.Fatalf("%d-byte frame accepted as %d rows", len(data), b.Len())
+		}
+		again, err := DecodeFrame(b.EncodeFrame())
+		if err != nil {
+			t.Fatalf("re-encoded frame refused: %v", err)
+		}
+		if again.Len() != b.Len() {
+			t.Fatalf("re-encoded frame: %d rows, want %d", again.Len(), b.Len())
+		}
+		for i := 0; i < b.Len(); i++ {
+			if x, y := b.Row(i).Encode(), again.Row(i).Encode(); !bytes.Equal(x, y) {
+				t.Fatalf("row %d changed in the round trip:\n first: %s\nsecond: %s", i, b.Row(i), again.Row(i))
+			}
+		}
+		if data[0] != frameMagic {
+			want, err := Decode(data)
+			if err != nil || b.Len() != 1 || !bytes.Equal(b.Row(0).Encode(), want.Encode()) {
+				t.Fatalf("legacy frame gave %v, Decode gave %v (err %v)", b.Row(0), want, err)
+			}
 		}
 	})
 }
