@@ -10,6 +10,7 @@ import (
 
 	"pier/internal/gnutella"
 	"pier/internal/metrics"
+	"pier/internal/overlay"
 	"pier/internal/qp"
 	"pier/internal/sim"
 	"pier/internal/sqlfront"
@@ -620,8 +621,10 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 	var sendRetries, sendExhausted, treeRepairs, treeReinjects, treeRejoins uint64
 	var sh qp.NodeStats // the §3.3.2 sharing counters, summed
 	clientRejects := map[string]uint64{}
+	var dhts []*overlay.DHT
 	for _, a := range r.liveQP() {
 		st := r.addrToQP[a].Stats()
+		dhts = append(dhts, r.addrToQP[a].DHT())
 		liveCount++
 		leakSubs += st.Subscriptions
 		leakGraphs += st.LiveGraphs
@@ -656,6 +659,9 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 	events, msgs, _ := r.env.Stats()
 	fmt.Fprintf(&b, "cluster after teardown: live-nodes=%d malformed-drops=%d leaked-subscriptions=%d leaked-graphs=%d leaked-wheel-slots=%d leaked-subtrees=%d leaked-attachments=%d leaked-clients=%d leaked-pending-sends=%d\n",
 		liveCount, malformed, leakSubs, leakGraphs, leakSlots, leakSubtrees, leakAttach, leakClients, leakPending)
+	// The live nodes' ring as their routing state left it (Chord's
+	// invariants; a partition that never re-merges reads cycles=2).
+	fmt.Fprintf(&b, "ring: %v\n", overlay.CheckRing(dhts))
 	fmt.Fprintf(&b, "reliability: send-retries=%d send-exhausted=%d tree-repairs=%d tree-reinjects=%d tree-rejoins=%d\n",
 		sendRetries, sendExhausted, treeRepairs, treeReinjects, treeRejoins)
 	fmt.Fprintf(&b, "sharing: decodes=%d chain-feeds=%d subtree-builds=%d subtree-hits=%d shared-fanout=%d flush-fires=%d chain-flushes=%d dissem-frames=%d dissem-graphs=%d\n",
