@@ -97,7 +97,9 @@ type aggState struct {
 }
 
 // add folds in one raw input value. Incompatible values are ignored
-// (best-effort policy).
+// (best-effort policy). AddBatch calls it only where no typed kernel
+// applies (mixed-kind columns, holistic aggregates), and merge for
+// min/max partials; the shipped runs take neither path.
 func (s *aggState) add(k AggKind, v tuple.Value) {
 	switch k {
 	case AggSum:

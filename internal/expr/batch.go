@@ -43,20 +43,8 @@ type BatchPred func(b *tuple.Batch, out []int8)
 func CompilePred(e Expr) BatchPred {
 	switch n := e.(type) {
 	case Const:
-		bv, ok := n.Val.AsBool()
-		code := RowMalformed
-		if ok {
-			if bv {
-				code = RowPass
-			} else {
-				code = RowFail
-			}
-		}
-		return func(b *tuple.Batch, out []int8) {
-			for i := range out {
-				out[i] = code
-			}
-		}
+		code := boolCode(n.Val)
+		return func(b *tuple.Batch, out []int8) { fill(out, code) }
 	case Col:
 		name := n.Name
 		return func(b *tuple.Batch, out []int8) {
@@ -119,8 +107,8 @@ func CompilePred(e Expr) BatchPred {
 // rowViews holds the scratch row views evalPred reads through.
 var rowViews = sync.Pool{New: func() any { return new(tuple.Tuple) }}
 
-// evalPred evaluates e a row at a time through Eval: the BatchPred of a
-// node outside the compiled subset.
+// evalPred is the BatchPred of a node outside the compiled subset: e's
+// Eval, a row at a time. No shipped plan's predicate needs it.
 func evalPred(e Expr) BatchPred {
 	return func(b *tuple.Batch, out []int8) {
 		row := rowViews.Get().(*tuple.Tuple)

@@ -20,7 +20,9 @@ import (
 // Expr is a compiled scalar expression.
 type Expr interface {
 	// Eval computes the expression over one tuple. ok=false marks the
-	// tuple malformed with respect to this expression.
+	// tuple malformed with respect to this expression. Project and
+	// predicates outside CompilePred's subset call it; no shipped plan
+	// evaluates a Cmp or a connective this way, so only tests run those.
 	Eval(t *tuple.Tuple) (v tuple.Value, ok bool)
 	// String renders the expression in parseable form.
 	String() string

@@ -27,13 +27,6 @@ func New(table string) *Tuple { return &Tuple{table: table} }
 // Table returns the tuple's self-described table name.
 func (t *Tuple) Table() string { return t.table }
 
-// WithTable returns a shallow copy bound to a different table name,
-// sharing columns. Used when an operator re-labels a dataflow (e.g. a
-// rendezvous namespace).
-func (t *Tuple) WithTable(table string) *Tuple {
-	return &Tuple{table: table, names: t.names, vals: t.vals}
-}
-
 // Set appends or replaces a column. It returns t for chaining while a
 // tuple is being assembled.
 func (t *Tuple) Set(col string, v Value) *Tuple {
@@ -117,22 +110,15 @@ func Join(out string, a, b *Tuple, prefix bool) *Tuple {
 // columns (§3.2.1: "the partitioning key is generated from one or more
 // relational attributes"). ok is false if any column is absent.
 func (t *Tuple) KeyString(cols ...string) (string, bool) {
-	var sb strings.Builder
-	for i, c := range cols {
-		v, ok := t.Get(c)
-		if !ok {
-			return "", false
-		}
-		if i > 0 {
-			sb.WriteByte(0x1f) // unit separator keeps keys injective
-		}
-		sb.WriteString(v.KeyString())
+	key, ok := t.AppendKey(make([]byte, 0, 32), cols)
+	if !ok {
+		return "", false
 	}
-	return sb.String(), true
+	return string(key), true
 }
 
 // AppendKey appends the canonical DHT key over cols to dst, the
-// allocation-free twin of KeyString (callers reuse dst across tuples).
+// allocation-free form of KeyString (callers reuse dst across tuples).
 // ok is false if any column is absent; dst may then hold a partial key
 // and must be re-truncated by the caller.
 func (t *Tuple) AppendKey(dst []byte, cols []string) ([]byte, bool) {
@@ -142,7 +128,7 @@ func (t *Tuple) AppendKey(dst []byte, cols []string) ([]byte, bool) {
 			return dst, false
 		}
 		if i > 0 {
-			dst = append(dst, 0x1f)
+			dst = append(dst, 0x1f) // unit separator keeps keys injective
 		}
 		dst = v.AppendKey(dst)
 	}
