@@ -45,10 +45,11 @@ func (a AggSpec) OutName() string {
 // and the slabs' capacity, and GroupBy.Flush hands its window's set to a
 // package pool for the next window, so a window's storage is recycled
 // once it is flushed: nothing downstream may retain it, and EmitBatch
-// and Encode copy values out into a fresh batch and fresh bytes. Everything AddBatch works in — column indices, key buffers,
-// slots, accumulators — is per-call scratch from the package pool (see
-// the package doc), taken at the start of the call and returned before
-// it ends, never retained.
+// and Encode copy values out into a fresh batch and fresh bytes.
+// Everything AddBatch works in — column indices, key buffers, slots,
+// accumulators — is per-call scratch from the package pool (see the
+// package doc), taken at the start of the call and returned before it
+// ends, never retained.
 type GroupSet struct {
 	Keys []string
 	Aggs []AggSpec

@@ -450,7 +450,7 @@ func DecodeFrame(data []byte) (*Batch, error) {
 	r := wire.NewReader(data[2:])
 	table := r.String()
 	ncols := int(r.U16())
-	names := make([]string, 0, ncols)
+	names := make([]string, 0, min(ncols, r.Remaining()/4)) // a name costs its 4-byte length
 	for c := 0; c < ncols && r.Err() == nil; c++ {
 		names = append(names, r.String())
 	}

@@ -3,6 +3,7 @@ package tuple
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -143,6 +144,24 @@ func TestDecodeFrameZeroColumnRows(t *testing.T) {
 	back, err := DecodeFrame(b.EncodeFrame())
 	if err != nil || back.Len() != 3 || back.Table() != "e" {
 		t.Fatalf("zero-column round trip: %v, %v", back, err)
+	}
+}
+
+// A column count reserves no more names than the input could carry: an
+// 8-byte frame declaring 65535 columns is refused without reserving a
+// megabyte for their names.
+func TestDecodeFrameColumnCountCostsBytes(t *testing.T) {
+	data := []byte{0xff, 'C', 0, 0, 0, 0, 0xff, 0xff}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		if _, err := DecodeFrame(data); err == nil {
+			t.Fatal("a frame with no room for its names decoded")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4096 {
+		t.Errorf("each refused decode allocated %d bytes", per)
 	}
 }
 
