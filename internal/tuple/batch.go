@@ -129,12 +129,17 @@ func Concat(bs []*Batch) []*Batch {
 // runs is the builder behind Runs and Concat.
 type runs []*Batch
 
-// add appends t's values to the last batch, first starting a batch with
-// room for capRows rows when t's schema differs from it.
-func (rs *runs) add(t *Tuple, capRows int) {
+// add appends t's values to the last batch, first starting a batch when
+// t's schema differs from it. The first batch has room for left rows,
+// the rows still to come; later ones grow as they fill, so a stream
+// that changes schema every row costs O(rows), not O(rows²).
+func (rs *runs) add(t *Tuple, left int) {
 	last := len(*rs) - 1
 	if last < 0 || (*rs)[last].table != t.table || !slices.Equal((*rs)[last].names, t.names) {
-		*rs = append(*rs, NewColumnarBatch(t.table, t.names, capRows))
+		if last >= 0 {
+			left = 0
+		}
+		*rs = append(*rs, NewColumnarBatch(t.table, t.names, left))
 		last++
 	}
 	(*rs)[last].AppendRow(t.vals)

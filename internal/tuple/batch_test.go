@@ -328,6 +328,29 @@ func TestBatchFrameRoundTripRandom(t *testing.T) {
 	}
 }
 
+// A stream that changes schema every row costs O(rows) to cut into
+// runs: only the first run is sized for the rows still to come.
+func TestConcatAlternatingSchemasIsLinear(t *testing.T) {
+	x, y := OfTuple(New("t").Set("x", Int(1))), OfTuple(New("t").Set("y", Int(2)))
+	in := make([]*Batch, 2000)
+	for i := range in {
+		in[i] = x
+		if i%2 == 1 {
+			in[i] = y
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runs := Concat(in)
+	runtime.ReadMemStats(&after)
+	if len(runs) != len(in) {
+		t.Fatalf("%d runs, want %d", len(runs), len(in))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("cutting %d alternating rows allocated %d bytes", len(in), got)
+	}
+}
+
 // TestConcat pins the one place held arrivals become batches: rows in
 // order, one batch per run of rows sharing one table and column list,
 // kinds folded as AppendRow folds them.
