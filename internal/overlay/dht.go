@@ -483,12 +483,16 @@ func (d *DHT) dispatch(src vri.Addr, payload []byte) bool {
 			return p.onStab(full, nil)
 		}
 
-	case mkNotify:
+	case mkNotify, mkSuccHint:
 		addr := vri.Addr(r.String())
 		if r.Err() != nil {
 			return false
 		}
-		d.router.onNotify(addr)
+		if kind == mkNotify {
+			d.router.onNotify(addr)
+		} else {
+			d.router.onSuccHint(src, addr)
+		}
 
 	case mkPing:
 		reqID := r.U64()

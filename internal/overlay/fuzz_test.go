@@ -13,7 +13,7 @@ import (
 // FuzzOverlayHandleMessage: the overlay port takes datagrams from anyone,
 // so whatever arrives must neither panic, nor make the node allocate out
 // of proportion to the datagram, nor leave a request pending for ever. The
-// seeds are one well-formed datagram of each of the 13 kinds, truncations
+// seeds are one well-formed datagram of each of the 14 kinds, truncations
 // of each, and the two hostile counts TestHostileCounts names. Each input
 // goes to a member of a 3-node ring twice — from a ring member's address
 // and from a stranger's — then the ring runs past requestTimeout so every
@@ -50,7 +50,9 @@ func FuzzOverlayHandleMessage(f *testing.F) {
 		encodeStabilizeReq(nw(), 1, bodyHash(full[stabBodyOff:])),
 		full,
 		encodeReqID(nw(), mkStabilizeSame, stabReq),
-		encodeNotify(nw(), "node-1"),
+		encodeAddr(nw(), mkNotify, "node-1"),
+		encodeAddr(nw(), mkSuccHint, "node-2"),
+		encodeAddr(nw(), mkSuccHint, "stranger-2"),
 		encodeReqID(nw(), mkPing, 1),
 		encodeReqID(nw(), mkPong, pingReq),
 	} {

@@ -26,6 +26,19 @@
 // timeout; a dead predecessor is cleared when its probe nacks, within
 // 2.25 × CheckPredInterval + the ack timeout. Wire shapes: messages.go.
 //
+// A join converges in round trips, not in a stabilise period. The joiner
+// learns its successor S from its join lookup and notifies it. When S
+// takes the joiner X as its predecessor in place of a valid P, it sends P
+// a hint, mkSuccHint{X}; P acts on it only if it comes from P's current
+// successor and X lies strictly between P and that successor — the test
+// stabilise puts a successor's predecessor to — then puts X at the head of
+// its successor list and notifies X, which makes P X's predecessor in the
+// same exchange. A singleton that a notify turns into a two-node ring
+// notifies its new successor back. A hint only moves a pointer strictly
+// closer, so it cannot leave a ring worse than stabilise would, and a
+// converged ring sends none; joins that overlap before their hints land
+// still leave work for stabilise. No tick or rng draw moved.
+//
 // A tick's CPU, like its bytes, follows change rather than state size. A
 // full answer is decoded once, and a "same" re-applies the decoded refs
 // without parsing or hashing. The responder keeps the answer body it last

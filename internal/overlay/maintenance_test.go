@@ -17,13 +17,13 @@ import (
 // tests here pin what a quiet ring sends, that a change still travels in
 // full, and the two failure-detection paths the cut leans on.
 
-const numKinds = mkStabilizeSame + 1
+const numKinds = mkSuccHint + 1
 
 var kindNames = [numKinds]string{
 	mkRouted: "mkRouted", mkLookupResp: "mkLookupResp", mkGetReq: "mkGetReq", mkGetResp: "mkGetResp",
 	mkPut: "mkPut", mkRenewReq: "mkRenewReq", mkRenewResp: "mkRenewResp",
 	mkStabilizeReq: "mkStabilizeReq", mkStabilizeResp: "mkStabilizeResp", mkNotify: "mkNotify",
-	mkPing: "mkPing", mkPong: "mkPong", mkStabilizeSame: "mkStabilizeSame",
+	mkPing: "mkPing", mkPong: "mkPong", mkStabilizeSame: "mkStabilizeSame", mkSuccHint: "mkSuccHint",
 }
 
 // probe decorates one node's runtime and records what the overlay does
@@ -137,36 +137,42 @@ func succAddrs(d *DHT) []vri.Addr {
 	return out
 }
 
+// nameBetween returns a node name whose identifier falls strictly between
+// a and b.
+func nameBetween(t *testing.T, a, b ID) vri.Addr {
+	t.Helper()
+	for i := 0; i < 1<<16; i++ {
+		if name := vri.Addr(fmt.Sprintf("joiner-%d", i)); BetweenOpen(HashNodeAddr(name), a, b) {
+			return name
+		}
+	}
+	t.Fatalf("no name hashes into (%s, %s)", a, b)
+	return ""
+}
+
 // joinBetween spawns a probed node whose identifier falls strictly between
 // a and b, starts it and joins it through via.
 func joinBetween(t *testing.T, env *sim.Env, a, b ID, via vri.Addr) (*DHT, *probe) {
 	t.Helper()
-	for i := 0; i < 1<<16; i++ {
-		name := fmt.Sprintf("joiner-%d", i)
-		if !BetweenOpen(HashNodeAddr(vri.Addr(name)), a, b) {
-			continue
-		}
-		p := &probe{Runtime: env.Spawn(name)}
-		d := New(p, Config{})
-		if err := d.Start(); err != nil {
-			t.Fatal(err)
-		}
-		d.Join(via, func(err error) {
-			if err != nil {
-				t.Errorf("join %s: %v", name, err)
-			}
-		})
-		return d, p
+	name := nameBetween(t, a, b)
+	p := &probe{Runtime: env.Spawn(string(name))}
+	d := New(p, Config{})
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no name hashes into (%s, %s)", a, b)
-	return nil, nil
+	d.Join(via, func(err error) {
+		if err != nil {
+			t.Errorf("join %s: %v", name, err)
+		}
+	})
+	return d, p
 }
 
 // TestSteadyStateMaintenanceTraffic: a converged, churn-free ring tells
 // itself nothing it already knows. Per stabilise round a node sends a
-// 17-byte request and gets a 9-byte "same"; no notify, no ping, no pong,
-// no full answer; the only lookups are for finger starts that lie beyond
-// the successor.
+// 17-byte request and gets a 9-byte "same"; no notify, no hint, no ping,
+// no pong, no full answer; the only lookups are for finger starts that lie
+// beyond the successor.
 func TestSteadyStateMaintenanceTraffic(t *testing.T) {
 	env := sim.NewEnv(sim.Options{Seed: 3})
 	dhts, probes := probedRing(t, env, 16)
@@ -360,8 +366,9 @@ func TestRetainedBodyIsPerSuccessorAddress(t *testing.T) {
 
 // TestExplicitNotifyOnlyOnSuccessorChange: the stabilise request is the
 // per-round notify, so mkNotify is sent only to a successor just adopted —
-// by a joiner, and by the node whose stabilise answer put the joiner in
-// front of it — and never to the node the request itself went to.
+// by a joiner, and by the node whose successor's hint (or stabilise answer)
+// put the joiner in front of it — and never to the node the request itself
+// went to.
 func TestExplicitNotifyOnlyOnSuccessorChange(t *testing.T) {
 	env := sim.NewEnv(sim.Options{Seed: 22})
 	dhts, probes := probedRing(t, env, 8)
@@ -536,7 +543,8 @@ func rawFrame(kind uint8, reqID uint64, tail ...byte) []byte {
 // TestHostileCounts: an element count is not a licence to reserve memory.
 // A 13-byte mkGetResp claiming 2^24 or 2^32-1 objects (the latter used to
 // ask for ≈320 GB) and a stabilise answer claiming 65535 successors or
-// fingers are refused before anything is allocated, and counted.
+// fingers are refused before anything is allocated, and counted; so is a
+// truncated hint.
 func TestHostileCounts(t *testing.T) {
 	env := sim.NewEnv(sim.Options{Seed: 26})
 	dhts := ring(t, env, 2)
@@ -560,6 +568,7 @@ func TestHostileCounts(t *testing.T) {
 		{"mkGetResp n=0xFFFFFFFF", rawFrame(mkGetResp, getReq(), 0xff, 0xff, 0xff, 0xff)},
 		{"mkStabilizeResp 65535 successors", rawFrame(mkStabilizeResp, stabReq(), 0, 0, 0, 0, 0xff, 0xff)},
 		{"mkStabilizeResp 65535 fingers", rawFrame(mkStabilizeResp, stabReq(), 0, 0, 0, 0, 0, 0, 0xff, 0xff)},
+		{"mkSuccHint truncated", encodeAddr(wire.NewWriter(16), mkSuccHint, peer)[:8]},
 		{"unknown kind", []byte{200}},
 		{"empty", nil},
 	} {

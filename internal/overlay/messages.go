@@ -9,7 +9,7 @@ import (
 )
 
 // Wire protocol for the overlay, carried on vri.PortOverlay. Every
-// datagram starts with a one-byte message kind; there are 13.
+// datagram starts with a one-byte message kind; there are 14.
 //
 // The stabilise exchange has three shapes. In all of them the request is
 // mkStabilizeReq{reqID, have}: have is the FNV-1a-64 of the last full
@@ -31,6 +31,13 @@ import (
 //     restarted node at an old address cannot alias.
 //   - The answer moved the requester's successor: mkNotify follows, to the
 //     new successor, which would otherwise wait a round for its request.
+//
+// A join travels as messages, not as a wait for the next round. A node that
+// takes a closer predecessor X in place of a valid one P sends P
+// mkSuccHint{X}; P adopts X as its successor if the hint comes from P's
+// own successor and X lies strictly between the two, and sends X the
+// mkNotify that makes P its predecessor (router.onSuccHint). A singleton
+// that a notify makes a two-node ring notifies its new successor back.
 //
 // Encoding is allocation-free on the steady state: every encode function
 // takes a caller-owned scratch wire.Writer (the router's, reused for the
@@ -70,6 +77,7 @@ const (
 	mkPing          // liveness probe of a predecessor gone silent
 	mkPong          //
 	mkStabilizeSame // the answer is byte for byte the one the requester holds
+	mkSuccHint      // a successor's note to the node it just stopped taking as its predecessor: here is a closer successor
 )
 
 // Routed inner kinds.
@@ -321,9 +329,11 @@ func readRefs(r *wire.Reader) (refs []nodeRef, ok bool) {
 	return refs, r.Err() == nil
 }
 
-func encodeNotify(w *wire.Writer, addr vri.Addr) []byte {
+// encodeAddr encodes the kinds that are one address and nothing else:
+// mkNotify and mkSuccHint.
+func encodeAddr(w *wire.Writer, kind uint8, addr vri.Addr) []byte {
 	w.Reset()
-	w.U8(mkNotify)
+	w.U8(kind)
 	w.String(string(addr))
 	return w.Bytes()
 }

@@ -192,7 +192,7 @@ func (r *router) join(bootstrap vri.Addr, done func(error)) {
 		}
 		r.succs = append([]nodeRef{owner}, r.succs...)
 		r.trimSuccs()
-		r.sendTo(owner.addr, encodeNotify(r.scratch, r.self.addr), nil)
+		r.sendTo(owner.addr, encodeAddr(r.scratch, mkNotify, r.self.addr), nil)
 		done(nil)
 	}})
 	r.sendTo(bootstrap, encodeRouted(r.scratch, m), func(ok bool) {
@@ -446,7 +446,7 @@ func (r *router) applyStabilize(a *stabAnswer) {
 	r.trimSuccs()
 	// A new successor would wait a round for the request that notifies it.
 	if now := r.successor().addr; now != was {
-		r.sendTo(now, encodeNotify(r.scratch, r.self.addr), nil)
+		r.sendTo(now, encodeAddr(r.scratch, mkNotify, r.self.addr), nil)
 	}
 }
 
@@ -539,7 +539,11 @@ func (r *router) checkPredecessor() {
 }
 
 // onNotify handles a peer's claim to be our predecessor: an mkNotify, or
-// the stabilise request it sends us every round.
+// the stabilise request it sends us every round. A join converges in round
+// trips rather than in a stabilise period: when a closer node X replaces a
+// valid predecessor P, P is sent mkSuccHint{X}, and P's onSuccHint makes X
+// its successor and notifies X. A singleton that adopts the notifier as its
+// successor notifies it back, so the two-node ring is whole at once.
 func (r *router) onNotify(addr vri.Addr) {
 	if addr == r.self.addr {
 		return
@@ -549,12 +553,37 @@ func (r *router) onNotify(addr vri.Addr) {
 		n = ref(addr)
 	}
 	if !r.pred.valid() || BetweenOpen(n.id, r.pred.id, r.self.id) {
+		if old := r.pred; old.valid() {
+			r.sendTo(old.addr, encodeAddr(r.scratch, mkSuccHint, n.addr), nil)
+		}
 		r.pred = n
 	}
 	// A second node learning of the ring: adopt as successor too.
 	if r.successor().addr == r.self.addr {
 		r.succs = []nodeRef{n}
+		r.sendTo(n.addr, encodeAddr(r.scratch, mkNotify, r.self.addr), nil)
 	}
+}
+
+// onSuccHint handles mkSuccHint{addr} from src: src took addr as its
+// predecessor in place of this node. It is acted on only when src is this
+// node's successor and addr lies strictly between the two — the test
+// applyStabilize puts a successor's predecessor to — so a hint only ever
+// moves the successor strictly closer. addr then heads the successor list
+// and is notified, which makes this node its predecessor in the same
+// exchange. A converged ring sends no hints.
+func (r *router) onSuccHint(src, addr vri.Addr) {
+	succ := r.successor()
+	if src != succ.addr || src == r.self.addr {
+		return
+	}
+	x := ref(addr)
+	if !BetweenOpen(x.id, r.self.id, succ.id) {
+		return
+	}
+	r.succs = append([]nodeRef{x}, r.succs...)
+	r.trimSuccs()
+	r.sendTo(x.addr, encodeAddr(r.scratch, mkNotify, r.self.addr), nil)
 }
 
 // builtAnswer is a stabilise answer body with its hash and the inputs it
