@@ -619,12 +619,16 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 	leakSubtrees, leakAttach, leakClients, leakPending, leakHeld := 0, 0, 0, 0, 0
 	var malformed, quotaRejects, rejected, rejectAcks uint64
 	var sendRetries, sendExhausted, treeRepairs, treeReinjects, treeRejoins uint64
+	var misplacedStores, transitDrops uint64
 	var sh qp.NodeStats // the §3.3.2 sharing counters, summed
 	clientRejects := map[string]uint64{}
 	var dhts []*overlay.DHT
 	for _, a := range r.liveQP() {
 		st := r.addrToQP[a].Stats()
-		dhts = append(dhts, r.addrToQP[a].DHT())
+		dht := r.addrToQP[a].DHT()
+		dhts = append(dhts, dht)
+		misplacedStores += dht.MisplacedStores()
+		transitDrops += dht.TransitDrops()
 		liveCount++
 		leakSubs += st.Subscriptions
 		leakGraphs += st.LiveGraphs
@@ -662,8 +666,8 @@ func (r *scenarioRun) evaluate() ScenarioOutcome {
 	// The live nodes' ring as their routing state left it (Chord's
 	// invariants; a partition that never re-merges reads cycles=2).
 	fmt.Fprintf(&b, "ring: %v\n", overlay.CheckRing(dhts))
-	fmt.Fprintf(&b, "reliability: send-retries=%d send-exhausted=%d tree-repairs=%d tree-reinjects=%d tree-rejoins=%d\n",
-		sendRetries, sendExhausted, treeRepairs, treeReinjects, treeRejoins)
+	fmt.Fprintf(&b, "reliability: send-retries=%d send-exhausted=%d tree-repairs=%d tree-reinjects=%d tree-rejoins=%d misplaced-stores=%d transit-drops=%d\n",
+		sendRetries, sendExhausted, treeRepairs, treeReinjects, treeRejoins, misplacedStores, transitDrops)
 	fmt.Fprintf(&b, "sharing: decodes=%d chain-feeds=%d subtree-builds=%d subtree-hits=%d shared-fanout=%d flush-fires=%d chain-flushes=%d dissem-frames=%d dissem-graphs=%d\n",
 		sh.Decodes, sh.ChainFeeds, sh.SubtreeBuilds, sh.SubtreeHits, sh.SharedExecFanout,
 		sh.FlushTimerFires, sh.GraphFlushes, sh.BatchFrames, sh.BatchedGraphs)

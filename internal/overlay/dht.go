@@ -123,6 +123,18 @@ func (d *DHT) RouterStats() (routed, hops uint64) { return d.router.stats() }
 // MalformedMessages reports how many datagrams failed to decode and were dropped.
 func (d *DHT) MalformedMessages() uint64 { return d.router.malformed }
 
+// MisplacedStores reports how many put objects this node stored although,
+// by its own view of the ring, it does not own their key: the lookup that
+// chose it as owner ran on a view the ring has since corrected, or on a
+// stale one. The object stays where it landed; a reader routed to the true
+// owner does not see it.
+func (d *DHT) MisplacedStores() uint64 { return d.router.misplaced }
+
+// TransitDrops reports how many routed messages this node abandoned after
+// its per-hop failover ran out of live candidates — at the origin or in
+// transit. Only an origin learns of the loss (SendTracked's ack).
+func (d *DHT) TransitDrops() uint64 { return d.router.transitDrops }
+
 // FingerCount reports how many distinct long-range routing entries this
 // node currently holds — a convergence diagnostic for deployment
 // harnesses.
@@ -429,6 +441,9 @@ func (d *DHT) dispatch(src vri.Addr, payload []byte) bool {
 		obj := readObject(r)
 		if r.Err() != nil {
 			return false
+		}
+		if !d.router.isOwner(HashName(obj.Namespace, obj.Key)) {
+			d.router.misplaced++
 		}
 		d.storeLocal(obj)
 

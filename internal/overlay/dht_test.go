@@ -8,6 +8,7 @@ import (
 
 	"pier/internal/sim"
 	"pier/internal/vri"
+	"pier/internal/wire"
 )
 
 // ring spins up n DHT nodes in a simulation, joins them through node 0,
@@ -499,5 +500,70 @@ func TestLocalGetVisitsWhatLocalScanVisitsUnderTheKey(t *testing.T) {
 	d.LocalGet("t", "a", func(Object) bool { visits++; return false })
 	if visits != 1 {
 		t.Errorf("LocalGet visited %d objects after fn returned false, want 1", visits)
+	}
+}
+
+// TestMisplacedStoresCountsPutsAtNonOwners: an mkPut that arrives at a node
+// which does not own its key by its own view is stored and counted; one at
+// the owner is only stored, and puts routed over a converged ring land at
+// their owners.
+func TestMisplacedStoresCountsPutsAtNonOwners(t *testing.T) {
+	env := sim.NewEnv(sim.Options{Seed: 27})
+	dhts := ring(t, env, 6)
+	for i := 0; i < 20; i++ {
+		dhts[i%6].Put("t", fmt.Sprintf("key-%d", i), "s", []byte{byte(i)}, time.Minute, nil)
+	}
+	env.Run(5 * time.Second)
+	for _, d := range dhts {
+		if d.MisplacedStores() != 0 {
+			t.Fatalf("%s counts %d misplaced stores on a converged ring", d.Addr(), d.MisplacedStores())
+		}
+	}
+	owner := ownerOf(dhts, "t", "stray")
+	other := dhts[0]
+	if other == owner {
+		other = dhts[1]
+	}
+	put := encodePut(wire.NewWriter(64), Object{Namespace: "t", Key: "stray", Suffix: "s", Data: []byte("x"), Lifetime: time.Minute})
+	owner.dispatch(other.Addr(), put)
+	other.dispatch(owner.Addr(), put)
+	if owner.MisplacedStores() != 0 || other.MisplacedStores() != 1 {
+		t.Errorf("misplaced stores: owner %d, non-owner %d; want 0 and 1", owner.MisplacedStores(), other.MisplacedStores())
+	}
+	if other.LocalCount("t") == 0 {
+		t.Error("a misplaced put was not stored")
+	}
+}
+
+// TestTransitDropsCountsAbandonedMessages: a node whose next three
+// successors die at once routes a send toward the first of them; per-hop
+// failover tries each in turn, runs out of candidates, and abandons the
+// message. The origin's ack reports the loss, and the node counts one
+// transit drop.
+func TestTransitDropsCountsAbandonedMessages(t *testing.T) {
+	env := sim.NewEnv(sim.Options{Seed: 28})
+	dhts := ring(t, env, 8)
+	sorted := append([]*DHT(nil), dhts...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].NodeID() < sorted[j].NodeID() })
+	a, b := sorted[0], sorted[1]
+	key := 0
+	for !Between(HashName("t", fmt.Sprint(key)), a.NodeID(), b.NodeID()) {
+		key++
+	}
+	for _, d := range sorted[1:4] {
+		env.Fail(d.Addr())
+	}
+	acked, ok := false, true
+	a.SendTracked("t", fmt.Sprint(key), "s", []byte("x"), time.Minute, func(delivered bool) { acked, ok = true, delivered }, nil)
+	env.Run(20 * time.Second)
+	if !acked || ok {
+		t.Fatalf("the send was acked=%v delivered=%v, want an ack reporting the loss", acked, ok)
+	}
+	total := uint64(0)
+	for _, d := range dhts {
+		total += d.TransitDrops()
+	}
+	if a.TransitDrops() != 1 || total != 1 {
+		t.Errorf("transit drops: origin %d, ring %d; want 1 and 1", a.TransitDrops(), total)
 	}
 }

@@ -109,6 +109,10 @@ type router struct {
 	hopCount  uint64
 	routed    uint64
 	malformed uint64 // datagrams dropped because they did not decode
+	// misplaced counts mkPut objects stored here although this node does
+	// not own their key by its own view; transitDrops counts routed
+	// messages forward abandoned after failover ran out of candidates.
+	misplaced, transitDrops uint64
 }
 
 type pendingReq struct {
@@ -310,6 +314,7 @@ func (r *router) forward(m *routedMsg, next nodeRef, attempt int) {
 		}
 		r.dropPeer(next.addr)
 		if attempt+1 >= len(r.succs)+1 {
+			r.transitDrops++
 			m.settle(false)
 			return // out of candidates; message lost (soft state recovers)
 		}
@@ -318,6 +323,7 @@ func (r *router) forward(m *routedMsg, next nodeRef, attempt int) {
 			alt = r.successor()
 		}
 		if alt.addr == next.addr {
+			r.transitDrops++
 			m.settle(false)
 			return
 		}
