@@ -32,12 +32,9 @@ import (
 //   - The answer moved the requester's successor: mkNotify follows, to the
 //     new successor, which would otherwise wait a round for its request.
 //
-// A join travels as messages, not as a wait for the next round. A node that
-// takes a closer predecessor X in place of a valid one P sends P
-// mkSuccHint{X}; P adopts X as its successor if the hint comes from P's
-// own successor and X lies strictly between the two, and sends X the
-// mkNotify that makes P its predecessor (router.onSuccHint). A singleton
-// that a notify makes a two-node ring notifies its new successor back.
+// A node that takes a closer predecessor X in place of a valid one P sends P
+// mkSuccHint{X}, and P answers a hint it acts on with mkNotify to X
+// (router.onNotify, router.onSuccHint; the join rule is in the package doc).
 //
 // Encoding is allocation-free on the steady state: every encode function
 // takes a caller-owned scratch wire.Writer (the router's, reused for the

@@ -545,11 +545,10 @@ func (r *router) checkPredecessor() {
 }
 
 // onNotify handles a peer's claim to be our predecessor: an mkNotify, or
-// the stabilise request it sends us every round. A join converges in round
-// trips rather than in a stabilise period: when a closer node X replaces a
-// valid predecessor P, P is sent mkSuccHint{X}, and P's onSuccHint makes X
-// its successor and notifies X. A singleton that adopts the notifier as its
-// successor notifies it back, so the two-node ring is whole at once.
+// the stabilise request it sends us every round. When the notifier replaces
+// a valid predecessor P, P is sent mkSuccHint naming it (onSuccHint), and a
+// singleton that adopts the notifier as its successor notifies it back: a
+// join converges in round trips, not in a stabilise period.
 func (r *router) onNotify(addr vri.Addr) {
 	if addr == r.self.addr {
 		return
