@@ -320,3 +320,58 @@ func TestAggWindowAllocBudget(t *testing.T) {
 			"alloc_budget.json in the same change", got, groups, *budget.OverGroups)
 	}
 }
+
+// TestDissemBatchAllocBudget gates what accepting a dissemination frame
+// costs per graph: it runs the BenchmarkDissemBatch body — frames of 1, 16
+// and 64 same-shape queries, each submitted, accepted and torn down on one
+// node — and fails if allocs/op divided by the frame's graphs exceeds the
+// checked-in budget. Repeated graphs in a frame share one decode, share
+// plan and subtree signature, so a graph costs less in a larger frame; the
+// gate also requires queries=64 to cost no more per graph than queries=1,
+// which a per-entry decode or signature would break.
+func TestDissemBatchAllocBudget(t *testing.T) {
+	if os.Getenv("PIER_ALLOC_BUDGET") == "" {
+		t.Skip("set PIER_ALLOC_BUDGET=1 to enforce the allocation budget")
+	}
+	raw, err := os.ReadFile("alloc_budget.json")
+	if err != nil {
+		t.Fatalf("reading budget file: %v", err)
+	}
+	var budget struct {
+		PerGraph map[string]float64 `json:"dissem_batch_allocs_per_graph"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatalf("parsing alloc_budget.json: %v", err)
+	}
+	if len(budget.PerGraph) == 0 {
+		t.Fatal("alloc_budget.json carries no dissem_batch_allocs_per_graph entries")
+	}
+	if budget.PerGraph["queries=64"] > budget.PerGraph["queries=1"] {
+		t.Fatalf("the queries=64 budget (%.1f) exceeds the queries=1 budget (%.1f): repeats must not pay more per graph",
+			budget.PerGraph["queries=64"], budget.PerGraph["queries=1"])
+	}
+	perGraph := map[string]float64{}
+	for _, queries := range []int{1, 16, 64} {
+		queries := queries
+		key := fmt.Sprintf("queries=%d", queries)
+		limit, ok := budget.PerGraph[key]
+		if !ok {
+			t.Errorf("alloc_budget.json has no dissem-batch budget for %s", key)
+			continue
+		}
+		res := testing.Benchmark(func(b *testing.B) { runDissemBatch(b, queries) })
+		got := float64(res.AllocsPerOp()) / float64(queries)
+		perGraph[key] = got
+		t.Logf("%s: %.1f allocs/graph (budget %.1f), %d allocs/op, %d B/op",
+			key, got, limit, res.AllocsPerOp(), res.AllocedBytesPerOp())
+		if got > limit {
+			t.Errorf("%s: %.1f allocs per accepted graph exceeds the checked-in budget of %.1f — accepting a "+
+				"dissemination frame allocates more per graph; if intentional, justify it and raise "+
+				"alloc_budget.json in the same change", key, got, limit)
+		}
+	}
+	if one, many := perGraph["queries=1"], perGraph["queries=64"]; one > 0 && many > one {
+		t.Errorf("queries=64 allocates %.1f per graph, more than queries=1's %.1f — a frame's repeated graphs "+
+			"are paying for their own decode or signature again", many, one)
+	}
+}

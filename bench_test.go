@@ -707,3 +707,61 @@ opgraph g disseminate broadcast {
 		}
 	}
 }
+
+// BenchmarkDissemBatch measures what one node pays to accept a
+// dissemination frame of Q same-shape queries: one op submits Q queries
+// on a one-node ring, so they ride one tree frame to the node itself, and
+// runs them to teardown. Entries with byte-identical graphs share one
+// decode, one share plan and one subtree signature, so the per-graph cost
+// falls with Q. Gated by TestDissemBatchAllocBudget against the
+// dissem_batch_allocs_per_graph section of alloc_budget.json.
+func BenchmarkDissemBatch(b *testing.B) {
+	for _, queries := range []int{1, 16, 64} {
+		queries := queries
+		b.Run(fmt.Sprintf("queries=%d", queries), func(b *testing.B) {
+			runDissemBatch(b, queries)
+		})
+	}
+}
+
+// runDissemBatch is the frame body shared by the benchmark above and the
+// allocation-budget regression test.
+func runDissemBatch(b *testing.B, queries int) {
+	b.ReportAllocs()
+	env := sim.NewEnv(sim.Options{Seed: 1})
+	n := experiments.BuildCluster(env, 1, "n")[0]
+	env.Run(time.Second)
+	plans := make([]*ufl.Query, queries)
+	for i := range plans {
+		plans[i] = ufl.MustParse(fmt.Sprintf(`
+query dissem%d timeout 200ms
+opgraph g disseminate broadcast {
+    src = NewData(table='fwlogs')
+    sel = Select(pred='severity > 2 AND dstport <= 4000')
+    agg = GroupBy(keys='src', aggs='count(*) as cnt; max(ts) as mx', flushevery='1s')
+    out = Result()
+    sel <- src
+    agg <- sel
+    out <- agg
+}
+`, i))
+	}
+	before := n.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, plan := range plans {
+			if err := n.Submit(plan, "bench", nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		env.Run(3 * time.Second) // past the deadline and the proxy's done grace
+	}
+	b.StopTimer()
+	st := n.Stats()
+	frames, graphs := st.BatchFrames-before.BatchFrames, st.GraphsExecuted-before.GraphsExecuted
+	if frames != uint64(b.N) || graphs != uint64(b.N*queries) || st.SubtreeBuilds-before.SubtreeBuilds != uint64(b.N) ||
+		st.LiveGraphs != 0 {
+		b.Fatalf("%d ops sent %d frames and ran %d graphs on %d chains, want one frame of %d graphs on one chain each: %+v",
+			b.N, frames, graphs, st.SubtreeBuilds-before.SubtreeBuilds, queries, st)
+	}
+}

@@ -69,8 +69,10 @@ func handleMessageSeeds() [][]byte {
 	}
 	dissem := encodeDisseminate("f", fuzzDeadline, "proxy", "c", plan.Graphs[1])
 	window := testWindow()
+	repeated, _ := repeatedBatch()
 	return [][]byte{
 		dissem,
+		repeated,
 		frame(qmDisseminateBatch, func(w *wire.Writer) { w.Bytes32(ufl.EncodeBatch(entries)) }),
 		encodeTreeBroadcast(wire.NewWriter(256), 0, "fwd", "exec", dissem),
 		frame(qmReject, func(w *wire.Writer) { w.String("f") }),
@@ -79,6 +81,24 @@ func handleMessageSeeds() [][]byte {
 		resultMessage("f", window.EncodeFrame()),
 		multiResultMessage(2, []string{"f", "g"}, window.EncodeFrame()),
 	}
+}
+
+// repeatedBatch is a qmDisseminateBatch frame whose entries repeat the
+// plan's graphs (shared, private, shared, shared), so they share decodes,
+// and its truncations at each entry boundary: the body cut after its
+// first k entries while the header still counts four.
+func repeatedBatch() (whole []byte, cuts [][]byte) {
+	plan := fuzzPlan()
+	var entries []ufl.BatchEntry
+	for i, gi := range []int{0, 1, 0, 0} {
+		entries = append(entries, ufl.BatchEntry{QueryID: fmt.Sprintf("r%d", i), Deadline: fuzzDeadline, Proxy: "proxy", Client: "c", Graph: plan.Graphs[gi]})
+	}
+	body := ufl.EncodeBatch(entries)
+	msg := func(b []byte) []byte { return frame(qmDisseminateBatch, func(w *wire.Writer) { w.Bytes32(b) }) }
+	for k := range entries {
+		cuts = append(cuts, msg(body[:len(ufl.EncodeBatch(entries[:k]))]))
+	}
+	return msg(body), cuts
 }
 
 // disseminateWith is the dissemination frame of plan's private graph with
@@ -124,6 +144,10 @@ func TestMalformedQueryMessagesCounted(t *testing.T) {
 		check(fmt.Sprintf("seed %d whole", i), seed, 0)
 		check(fmt.Sprintf("seed %d cut in half", i), seed[:len(seed)/2], 1)
 	}
+	_, cuts := repeatedBatch()
+	for k, cut := range cuts {
+		check(fmt.Sprintf("repeated-graph frame cut after %d entries", k), cut, 1)
+	}
 	check("unknown kind", []byte{0xee, 1, 2, 3}, 1)
 	check("zero-column frame declaring 2^28 rows", resultMessage("f", zeroColumnFrame), 1)
 }
@@ -146,6 +170,10 @@ func FuzzHandleMessage(f *testing.F) {
 		f.Add(seed[:len(seed)-1])
 	}
 	f.Add([]byte{})
+	_, cuts := repeatedBatch()
+	for _, cut := range cuts {
+		f.Add(cut)
+	}
 	// The id-list form of a result: no ids, a count the bytes cannot carry,
 	// cut inside an id, and a good id list over a cut frame.
 	multi := multiResultMessage(2, []string{"f", "g"}, window.EncodeFrame())

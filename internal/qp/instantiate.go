@@ -74,14 +74,14 @@ type liveGraph struct {
 // The private chain builds first, so a build error leaves no freshly
 // cached chain without an attachment behind.
 func (n *Node) instantiate(rq *runningQuery, g ufl.Opgraph) (*liveGraph, error) {
-	tailID, topID, shared := sharePlan(&g)
-	own, err := n.newChain(rq, &g, func(id string) bool { return !shared || id == tailID })
+	p := n.planOf(&g)
+	own, err := n.newChain(rq, &g, func(id string) bool { return !p.shared || id == p.tailID })
 	if err != nil {
 		return nil, err
 	}
 	lg := &liveGraph{specID: g.ID, own: own, feed: own}
-	if shared {
-		if lg.feed, err = n.sharedChain(&g, rq.id, tailID, topID); err != nil {
+	if p.shared {
+		if lg.feed, err = n.sharedChain(&g, rq.id, p); err != nil {
 			return nil, err
 		}
 		lg.att = lg.feed.demux.Attach(own.tag, fanoutSink{n: n, s: own.roots[0]})

@@ -150,11 +150,10 @@ type Node struct {
 	openAt  map[vri.Addr]int
 	fanning int
 
-	// admitBatch, when non-nil, redirects admit acks into a per-proxy
-	// collection instead of sending them one by one: the batch
-	// dissemination handler sets it around its accept loop so all
-	// admits for one frame ride one qmAdmit frame back.
-	admitBatch map[vri.Addr][]string
+	// frame, when non-nil, is the dissemination frame being accepted:
+	// acceptBatch sets it around its accept loop and drops it after, so
+	// nothing in it outlives the frame.
+	frame *frameState
 
 	// tagCounter issues node-local dataflow tags (see instantiate).
 	tagCounter exec.Tag
@@ -190,6 +189,16 @@ type Node struct {
 	// messages included (the newData-path twin lives in the overlay
 	// registry).
 	malformedFrames exec.Discarded
+}
+
+// frameState is what a node keeps while it accepts one dissemination
+// frame.
+type frameState struct {
+	// admits collects admit acks per proxy instead of sending them one by
+	// one, so all admits for the frame ride one qmAdmit frame back.
+	admits map[vri.Addr][]string
+	// plans is the frame's plan memo (subtree.go); nil for a lone entry.
+	plans map[*ufl.OpSpec]*graphPlan
 }
 
 // runningQuery is the executor-side state of one query at this node.
@@ -710,6 +719,35 @@ func (n *Node) acceptGraph(queryID string, deadline time.Time, proxy vri.Addr, c
 	lg.own.open()
 }
 
+// acceptBatch accepts every entry of one dissemination frame. Its admit
+// acks ride one qmAdmit frame per proxy back — the batch-codec economy,
+// in reverse — and entries whose graphs share one decode
+// (ufl.DecodeBatch) share one plan while the frame lasts (graphPlan).
+func (n *Node) acceptBatch(entries []ufl.BatchEntry) {
+	f := &frameState{admits: make(map[vri.Addr][]string)}
+	if len(entries) > 1 {
+		f.plans = make(map[*ufl.OpSpec]*graphPlan)
+	}
+	n.frame = f
+	for i := range entries {
+		e := &entries[i]
+		n.acceptGraph(e.QueryID, e.Deadline, vri.Addr(e.Proxy), e.Client, e.Graph)
+	}
+	n.frame = nil
+	batch := f.admits
+	// Sorted proxy order: map iteration order must not decide the
+	// message sequence (sharded-determinism contract). In practice a
+	// frame has one proxy; the sort is for decoded-frame generality.
+	proxies := make([]vri.Addr, 0, len(batch))
+	for p := range batch {
+		proxies = append(proxies, p)
+	}
+	sort.Slice(proxies, func(i, j int) bool { return proxies[i] < proxies[j] })
+	for _, p := range proxies {
+		n.sendAdmits(p, batch[p])
+	}
+}
+
 // ackAdmit reports to the proxy that this node admitted (at least one
 // opgraph of) the query — one ack per (query, node), the denominator of
 // the proxy's completeness ratio. Inside a batch-dissemination frame the
@@ -717,8 +755,8 @@ func (n *Node) acceptGraph(queryID string, deadline time.Time, proxy vri.Addr, c
 // they ship immediately. The send retries on nack: a silently lost
 // admit would skew every completeness ratio the proxy reports.
 func (n *Node) ackAdmit(queryID string, proxy vri.Addr) {
-	if n.admitBatch != nil {
-		n.admitBatch[proxy] = append(n.admitBatch[proxy], queryID)
+	if n.frame != nil {
+		n.frame.admits[proxy] = append(n.frame.admits[proxy], queryID)
 		return
 	}
 	n.sendAdmits(proxy, []string{queryID})
@@ -1034,26 +1072,7 @@ func (n *Node) dispatchMessage(payload []byte) bool {
 		if r.Err() != nil || err != nil {
 			return false
 		}
-		// Collect this frame's admit acks so they ride one qmAdmit frame
-		// per proxy back — the batch-codec economy, in reverse.
-		n.admitBatch = make(map[vri.Addr][]string)
-		for i := range entries {
-			e := &entries[i]
-			n.acceptGraph(e.QueryID, e.Deadline, vri.Addr(e.Proxy), e.Client, e.Graph)
-		}
-		batch := n.admitBatch
-		n.admitBatch = nil
-		// Sorted proxy order: map iteration order must not decide the
-		// message sequence (sharded-determinism contract). In practice a
-		// frame has one proxy; the sort is for decoded-frame generality.
-		proxies := make([]vri.Addr, 0, len(batch))
-		for p := range batch {
-			proxies = append(proxies, p)
-		}
-		sort.Slice(proxies, func(i, j int) bool { return proxies[i] < proxies[j] })
-		for _, p := range proxies {
-			n.sendAdmits(p, batch[p])
-		}
+		n.acceptBatch(entries)
 
 	case qmReject:
 		queryID := r.String()

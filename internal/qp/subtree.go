@@ -133,18 +133,79 @@ func (c *chain) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	}
 }
 
+// graphPlan is how an opgraph shares: sharePlan's verdict and, once
+// asked for, its top's subtree signature. Inside a dissemination frame
+// the entries whose graphs share one decode (ufl.DecodeBatch) share one
+// plan (frameState.plans, keyed by the decode's first OpSpec), so a frame
+// of Q same-shape queries runs sharePlan and SubtreeSignatures once, not
+// Q times. The memo lives only while the frame is accepted.
+type graphPlan struct {
+	tailID, topID string
+	shared        bool
+
+	// sig is the top's subtree signature under query sigOf, if signed.
+	// The normalizer rewrites query-id occurrences, so sig serves another
+	// query only when the graph mentions neither id (ufl's Mentions);
+	// reusable caches the verdict on sigOf: 0 unknown, 1 no mention, -1
+	// mentioned. A graph mentioning its query id pays a signature per
+	// query, as a graph alone in its frame does.
+	sig      uint64
+	sigOf    string
+	signed   bool
+	reusable int8
+}
+
+// planOf returns g's plan: the frame memo's, when a frame is being
+// accepted, else a fresh one.
+func (n *Node) planOf(g *ufl.Opgraph) *graphPlan {
+	var key *ufl.OpSpec
+	if n.frame != nil && n.frame.plans != nil && len(g.Ops) > 0 {
+		key = &g.Ops[0]
+		if p := n.frame.plans[key]; p != nil {
+			return p
+		}
+	}
+	p := &graphPlan{}
+	p.tailID, p.topID, p.shared = sharePlan(g)
+	if key != nil {
+		n.frame.plans[key] = p
+	}
+	return p
+}
+
+// signature returns the subtree signature of g's top under queryID,
+// signing g only when the memo cannot serve it.
+func (p *graphPlan) signature(g *ufl.Opgraph, queryID string) uint64 {
+	if p.signed {
+		if p.reusable == 0 {
+			p.reusable = 1
+			if g.Mentions(p.sigOf) {
+				p.reusable = -1
+			}
+		}
+		if p.reusable > 0 && !g.Mentions(queryID) {
+			return p.sig
+		}
+	}
+	sig := g.SubtreeSignatures(queryID)[p.topID]
+	if !p.signed || p.reusable < 0 {
+		p.sig, p.sigOf, p.signed, p.reusable = sig, queryID, true, 0
+	}
+	return sig
+}
+
 // sharedChain resolves the operators of g beneath its tail to the chain
 // cached under their structural signature, building and opening it for
 // the first query to ask. sharePlan guarantees the top is the only
 // operator of that chain nobody in it consumes, so it is the sole root,
 // and the demux stands in for the edge to the tail.
-func (n *Node) sharedChain(g *ufl.Opgraph, queryID, tailID, topID string) (*chain, error) {
-	sig := g.SubtreeSignatures(queryID)[topID]
+func (n *Node) sharedChain(g *ufl.Opgraph, queryID string, p *graphPlan) (*chain, error) {
+	sig := p.signature(g, queryID)
 	if c := n.subtrees[sig]; c != nil {
 		n.subtreeHits++
 		return c, nil
 	}
-	c, err := n.newChain(nil, g, func(id string) bool { return id != tailID })
+	c, err := n.newChain(nil, g, func(id string) bool { return id != p.tailID })
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package ufl
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"time"
@@ -75,6 +77,18 @@ func EncodeBatch(entries []BatchEntry) []byte {
 
 // DecodeBatch parses a batch frame, rejecting frames of any other codec
 // version.
+//
+// Entries whose graph bytes are identical share one decode: the first
+// occurrence is decoded, and every later entry with the same bytes gets
+// the same Opgraph (its Ops and Edges slices and Args maps are the first
+// entry's). A frame of Q same-shape queries thus decodes one graph, not
+// Q. The shared graph is read-only: a caller must copy before it writes
+// any part of it. Each entry's graph is first walked without allocating
+// (skipGraph) to find where it ends, so a truncated or oversized frame is
+// refused with the error a plain decode reports. Repeats are found by a
+// hash of the graph's bytes, confirmed by comparing the bytes, so a frame
+// of distinct graphs pays one walk and one hash per graph beyond its
+// decodes and copies no graph's bytes.
 func DecodeBatch(b []byte) ([]BatchEntry, error) {
 	r := wire.NewReader(b)
 	if v := r.U8(); v != BatchCodecVersion {
@@ -85,9 +99,33 @@ func DecodeBatch(b []byte) ([]BatchEntry, error) {
 		return nil, fmt.Errorf("ufl: batch frame claims %d entries in %d bytes", n, r.Remaining())
 	}
 	entries := make([]BatchEntry, 0, n)
+	// first maps the hash of a graph's bytes to the first entry carrying
+	// them; a lone entry has no repeat to find.
+	type firstSpan struct {
+		span  []byte
+		entry int
+	}
+	var first map[uint64]firstSpan
+	if n > 1 {
+		first = make(map[uint64]firstSpan)
+	}
 	for i := 0; i < n && r.Err() == nil; i++ {
 		e := BatchEntry{QueryID: r.String(), Deadline: r.Time(), Proxy: r.String(), Client: r.String()}
-		e.Graph = decodeGraph(r)
+		start := len(b) - r.Remaining()
+		skipGraph(r)
+		if r.Err() != nil {
+			break
+		}
+		span := b[start : len(b)-r.Remaining()]
+		h := maphash.Bytes(spanSeed, span)
+		if f, ok := first[h]; ok && bytes.Equal(f.span, span) {
+			e.Graph = entries[f.entry].Graph
+		} else {
+			e.Graph = decodeGraph(wire.NewReader(span))
+			if first != nil && !ok {
+				first[h] = firstSpan{span, i}
+			}
+		}
 		entries = append(entries, e)
 	}
 	if err := r.Err(); err != nil {
@@ -98,6 +136,11 @@ func DecodeBatch(b []byte) ([]BatchEntry, error) {
 	}
 	return entries, nil
 }
+
+// spanSeed seeds DecodeBatch's hash of graph bytes. The hash only finds
+// candidate repeats, which are confirmed byte for byte, so the seed never
+// decides what a frame decodes to.
+var spanSeed = maphash.MakeSeed()
 
 // EncodeAdmitsTo appends an admission-ack list — the query ids one
 // executor node admitted out of a dissemination frame — to w. It is the
@@ -295,22 +338,54 @@ func (g *Opgraph) SubtreeSignatures(queryID string) map[string]uint64 {
 // normalizer returns the token-anchored query-id normalization Signature
 // documents: the id is replaced only when a value IS the id or starts
 // with it followed by a non-alphanumeric separator, so a short id ("fw")
-// cannot mangle unrelated text ("fwlogs").
+// cannot mangle unrelated text ("fwlogs"). mentions decides which values
+// it rewrites.
 func normalizer(queryID string) func(string) string {
 	return func(s string) string {
-		if queryID == "" || s == "" {
+		if !mentions(queryID, s) {
 			return s
 		}
-		if s == queryID {
-			return "\x00q\x00"
-		}
-		if strings.HasPrefix(s, queryID) && len(s) > len(queryID) {
-			if c := s[len(queryID)]; !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
-				return "\x00q\x00" + s[len(queryID):]
+		return "\x00q\x00" + s[len(queryID):]
+	}
+}
+
+// mentions reports whether normalizer(queryID) rewrites s.
+func mentions(queryID, s string) bool {
+	if queryID == "" || !strings.HasPrefix(s, queryID) {
+		return false
+	}
+	if len(s) == len(queryID) {
+		return true
+	}
+	c := s[len(queryID)]
+	return !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9')
+}
+
+// Mentions reports whether the query-id normalization of Signature and
+// SubtreeSignatures rewrites any string they hash for g under queryID:
+// the dissemination namespace or key, or an argument value (a predicate
+// in its canonical form). When it reports false, g's signatures under
+// queryID are its signatures under "", so a caller holding one graph for
+// several query ids that it mentions none of may sign it once and reuse
+// the result. A predicate argument is canonicalized to be checked, as it
+// is to be hashed. Plans the SQL frontend compiles name their rendezvous
+// namespaces (and graph ids) after their query, so a byte-identical graph
+// never serves two of its queries.
+func (g *Opgraph) Mentions(queryID string) bool {
+	if queryID == "" {
+		return false
+	}
+	if mentions(queryID, g.Dissem.Namespace) || mentions(queryID, g.Dissem.Key) {
+		return true
+	}
+	for _, op := range g.Ops {
+		for k, v := range op.Args {
+			if mentions(queryID, canonArg(k, v)) {
+				return true
 			}
 		}
-		return s
 	}
+	return false
 }
 
 // sigStr folds one string (plus a terminator, so "ab"+"c" differs from
