@@ -143,16 +143,18 @@ type graphPlan struct {
 	tailID, topID string
 	shared        bool
 
-	// sig is the top's subtree signature under query sigOf, if signed.
-	// The normalizer rewrites query-id occurrences, so sig serves another
-	// query only when the graph mentions neither id (ufl's Mentions);
-	// reusable caches the verdict on sigOf: 0 unknown, 1 no mention, -1
-	// mentioned. A graph mentioning its query id pays a signature per
-	// query, as a graph alone in its frame does.
+	// sig is the top's subtree signature under query sigOf, the first to
+	// ask. The normalizer rewrites query-id occurrences, so sig serves
+	// another query only when the graph mentions neither id (ufl's
+	// MentionTest). The test is built, and reusable decided on sigOf, when
+	// a second query asks, so a graph alone in its frame never pays it; a
+	// graph mentioning sigOf or the asking id pays a signature per query,
+	// as a graph alone in its frame does.
 	sig      uint64
 	sigOf    string
 	signed   bool
-	reusable int8
+	reusable bool
+	mentions func(queryID string) bool
 }
 
 // planOf returns g's plan: the frame memo's, when a frame is being
@@ -176,22 +178,18 @@ func (n *Node) planOf(g *ufl.Opgraph) *graphPlan {
 // signature returns the subtree signature of g's top under queryID,
 // signing g only when the memo cannot serve it.
 func (p *graphPlan) signature(g *ufl.Opgraph, queryID string) uint64 {
-	if p.signed {
-		if p.reusable == 0 {
-			p.reusable = 1
-			if g.Mentions(p.sigOf) {
-				p.reusable = -1
-			}
-		}
-		if p.reusable > 0 && !g.Mentions(queryID) {
-			return p.sig
-		}
+	if !p.signed {
+		p.sig, p.sigOf, p.signed = g.SubtreeSignatures(queryID)[p.topID], queryID, true
+		return p.sig
 	}
-	sig := g.SubtreeSignatures(queryID)[p.topID]
-	if !p.signed || p.reusable < 0 {
-		p.sig, p.sigOf, p.signed, p.reusable = sig, queryID, true, 0
+	if p.mentions == nil {
+		p.mentions = g.MentionTest()
+		p.reusable = !p.mentions(p.sigOf)
 	}
-	return sig
+	if p.reusable && !p.mentions(queryID) {
+		return p.sig
+	}
+	return g.SubtreeSignatures(queryID)[p.topID]
 }
 
 // sharedChain resolves the operators of g beneath its tail to the chain

@@ -1,9 +1,7 @@
 package ufl
 
 import (
-	"bytes"
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"strings"
 	"time"
@@ -86,9 +84,8 @@ func EncodeBatch(entries []BatchEntry) []byte {
 // any part of it. Each entry's graph is first walked without allocating
 // (skipGraph) to find where it ends, so a truncated or oversized frame is
 // refused with the error a plain decode reports. Repeats are found by a
-// hash of the graph's bytes, confirmed by comparing the bytes, so a frame
-// of distinct graphs pays one walk and one hash per graph beyond its
-// decodes and copies no graph's bytes.
+// map keyed by the graph's bytes, so a frame of distinct graphs pays, per
+// graph beyond its decode, one walk and one copy of its bytes into a key.
 func DecodeBatch(b []byte) ([]BatchEntry, error) {
 	r := wire.NewReader(b)
 	if v := r.U8(); v != BatchCodecVersion {
@@ -99,15 +96,11 @@ func DecodeBatch(b []byte) ([]BatchEntry, error) {
 		return nil, fmt.Errorf("ufl: batch frame claims %d entries in %d bytes", n, r.Remaining())
 	}
 	entries := make([]BatchEntry, 0, n)
-	// first maps the hash of a graph's bytes to the first entry carrying
-	// them; a lone entry has no repeat to find.
-	type firstSpan struct {
-		span  []byte
-		entry int
-	}
-	var first map[uint64]firstSpan
+	// first maps a graph's bytes to the first entry carrying them; a
+	// lone entry has no repeat to find.
+	var first map[string]int
 	if n > 1 {
-		first = make(map[uint64]firstSpan)
+		first = make(map[string]int)
 	}
 	for i := 0; i < n && r.Err() == nil; i++ {
 		e := BatchEntry{QueryID: r.String(), Deadline: r.Time(), Proxy: r.String(), Client: r.String()}
@@ -117,13 +110,12 @@ func DecodeBatch(b []byte) ([]BatchEntry, error) {
 			break
 		}
 		span := b[start : len(b)-r.Remaining()]
-		h := maphash.Bytes(spanSeed, span)
-		if f, ok := first[h]; ok && bytes.Equal(f.span, span) {
-			e.Graph = entries[f.entry].Graph
+		if j, ok := first[string(span)]; ok {
+			e.Graph = entries[j].Graph
 		} else {
 			e.Graph = decodeGraph(wire.NewReader(span))
-			if first != nil && !ok {
-				first[h] = firstSpan{span, i}
+			if first != nil {
+				first[string(span)] = i
 			}
 		}
 		entries = append(entries, e)
@@ -136,11 +128,6 @@ func DecodeBatch(b []byte) ([]BatchEntry, error) {
 	}
 	return entries, nil
 }
-
-// spanSeed seeds DecodeBatch's hash of graph bytes. The hash only finds
-// candidate repeats, which are confirmed byte for byte, so the seed never
-// decides what a frame decodes to.
-var spanSeed = maphash.MakeSeed()
 
 // EncodeAdmitsTo appends an admission-ack list — the query ids one
 // executor node admitted out of a dissemination frame — to w. It is the
@@ -361,31 +348,32 @@ func mentions(queryID, s string) bool {
 	return !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9')
 }
 
-// Mentions reports whether the query-id normalization of Signature and
-// SubtreeSignatures rewrites any string they hash for g under queryID:
-// the dissemination namespace or key, or an argument value (a predicate
-// in its canonical form). When it reports false, g's signatures under
-// queryID are its signatures under "", so a caller holding one graph for
-// several query ids that it mentions none of may sign it once and reuse
-// the result. A predicate argument is canonicalized to be checked, as it
-// is to be hashed. Plans the SQL frontend compiles name their rendezvous
-// namespaces (and graph ids) after their query, so a byte-identical graph
-// never serves two of its queries.
-func (g *Opgraph) Mentions(queryID string) bool {
-	if queryID == "" {
-		return false
-	}
-	if mentions(queryID, g.Dissem.Namespace) || mentions(queryID, g.Dissem.Key) {
-		return true
-	}
+// MentionTest returns a test reporting whether the query-id
+// normalization of Signature and SubtreeSignatures rewrites any string
+// they hash for g under a query id: the dissemination namespace or key,
+// or an argument value (a predicate in its canonical form). When the test
+// reports false, g's signatures under that id are its signatures under
+// "", so a caller holding one graph for several query ids that it
+// mentions none of may sign it once and reuse the result. The strings are
+// gathered, predicates canonicalized, once, when MentionTest is called;
+// each test is then only prefix checks. Plans the SQL frontend compiles
+// name their rendezvous namespaces (and graph ids) after their query, so a
+// byte-identical graph never serves two of its queries.
+func (g *Opgraph) MentionTest() func(queryID string) bool {
+	hashed := []string{g.Dissem.Namespace, g.Dissem.Key}
 	for _, op := range g.Ops {
 		for k, v := range op.Args {
-			if mentions(queryID, canonArg(k, v)) {
+			hashed = append(hashed, canonArg(k, v))
+		}
+	}
+	return func(queryID string) bool {
+		for _, s := range hashed {
+			if mentions(queryID, s) {
 				return true
 			}
 		}
+		return false
 	}
-	return false
 }
 
 // sigStr folds one string (plus a terminator, so "ab"+"c" differs from

@@ -141,7 +141,7 @@ func TestSkipGraphConsumesWhatDecodeReads(t *testing.T) {
 	}
 }
 
-// TestMentionsDecidesSignatureReuse: when Mentions reports false, a
+// TestMentionsDecidesSignatureReuse: when MentionTest reports false, a
 // graph's signatures under the id are its signatures under ""; when it
 // reports true, they differ. Token anchoring, the dissemination key and a
 // predicate's canonical form are all covered.
@@ -169,13 +169,13 @@ func TestMentionsDecidesSignatureReuse(t *testing.T) {
 		{"unparsed predicate", unparsed, "q7", true},
 	}
 	for _, c := range cases {
-		if got := c.g.Mentions(c.id); got != c.want {
-			t.Errorf("%s: Mentions(%q) = %v, want %v", c.name, c.id, got, c.want)
+		if got := c.g.MentionTest()(c.id); got != c.want {
+			t.Errorf("%s: MentionTest()(%q) = %v, want %v", c.name, c.id, got, c.want)
 		}
 		same := reflect.DeepEqual(c.g.SubtreeSignatures(c.id), c.g.SubtreeSignatures("")) &&
 			c.g.Signature(c.id) == c.g.Signature("")
 		if same == c.want {
-			t.Errorf("%s: Mentions(%q) = %v but signatures under it equal those under \"\": %v", c.name, c.id, c.want, same)
+			t.Errorf("%s: MentionTest()(%q) = %v but signatures under it equal those under \"\": %v", c.name, c.id, c.want, same)
 		}
 	}
 }

@@ -253,25 +253,25 @@ func EncodeGraph(g Opgraph) []byte {
 // skipGraph consumes one encoded opgraph from r without decoding it: it
 // reads exactly the fields decodeGraph reads, in the same order and under
 // the same loop guards, so it stops and fails where decodeGraph would, and
-// it allocates nothing.
+// until it fails it allocates nothing.
 func skipGraph(r *wire.Reader) {
 	for i := 0; i < 4; i++ { // id, dissemination mode, namespace, key
-		r.SkipBytes32()
+		r.Bytes32()
 	}
 	nOps := int(r.U16())
 	for i := 0; i < nOps && r.Err() == nil; i++ {
-		r.SkipBytes32()
-		r.SkipBytes32()
+		r.Bytes32()
+		r.Bytes32()
 		nArgs := int(r.U16())
 		for j := 0; j < nArgs && r.Err() == nil; j++ {
-			r.SkipBytes32()
-			r.SkipBytes32()
+			r.Bytes32()
+			r.Bytes32()
 		}
 	}
 	nEdges := int(r.U16())
 	for i := 0; i < nEdges && r.Err() == nil; i++ {
-		r.SkipBytes32()
-		r.SkipBytes32()
+		r.Bytes32()
+		r.Bytes32()
 		r.U16()
 	}
 }

@@ -67,18 +67,6 @@ func FuzzWireReader(f *testing.F) {
 				t.Fatalf("sticky error mutated to: %v", r.Err())
 			}
 		}
-		// SkipBytes32 consumes and fails exactly as Bytes32 does, a
-		// failed read included.
-		read, skip := NewReader(data), NewReader(data)
-		for i := 0; i < 4; i++ {
-			_ = read.Bytes32()
-			skip.SkipBytes32()
-			if read.Remaining() != skip.Remaining() || (read.Err() == nil) != (skip.Err() == nil) ||
-				read.Err() != nil && read.Err().Error() != skip.Err().Error() {
-				t.Fatalf("string %d: Bytes32 left %d bytes (%v), SkipBytes32 %d (%v)",
-					i, read.Remaining(), read.Err(), skip.Remaining(), skip.Err())
-			}
-		}
 	})
 }
 

@@ -216,18 +216,6 @@ func (r *Reader) Bytes32() []byte {
 	return r.take(int(n))
 }
 
-// SkipBytes32 consumes a 4-byte-length-prefixed byte string without
-// returning it: a walk over a message's layout that only needs to know
-// where it ends. It fails exactly as Bytes32 would.
-func (r *Reader) SkipBytes32() {
-	rest := r.b[r.off:]
-	if r.err != nil || len(rest) < 4 || int64(binary.BigEndian.Uint32(rest)) > int64(len(rest)-4) {
-		r.Bytes32()
-		return
-	}
-	r.off += 4 + int(binary.BigEndian.Uint32(rest))
-}
-
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes32()) }
 
