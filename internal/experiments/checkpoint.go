@@ -39,8 +39,10 @@ import (
 // still reads (the legacy single-tuple encoding and 'C'); the 'B'
 // row-list frame, which a version-2 checkpoint may hold, is gone, so
 // restore refuses those files instead of counting their objects as
-// malformed.
-const CheckpointFormatVersion = 3
+// malformed. Version 4: stored objects are tuples whose values travel in
+// natural width (varint integers, uvarint lengths), which a version-3
+// reader would misparse.
+const CheckpointFormatVersion = 4
 
 // checkpointMagic guards against feeding an arbitrary file to restore.
 const checkpointMagic = "PIERCKPT"

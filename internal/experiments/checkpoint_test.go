@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,6 +195,23 @@ func TestCheckpointRejectsCorruptInput(t *testing.T) {
 		if _, err := RestoreCheckpoint(corrupt, env); err == nil {
 			t.Errorf("%s: restore succeeded on corrupt input", name)
 		}
+	}
+}
+
+// TestCheckpointRefusesVersion3: a checkpoint written before values
+// travelled in natural width holds objects this binary would misread, so
+// restore refuses it by its version field and names both versions.
+func TestCheckpointRefusesVersion3(t *testing.T) {
+	data, err := os.ReadFile(buildAndSave(t, 8, 307))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The version field sits after the magic (4+8).
+	binary.BigEndian.PutUint16(data[12:], 3)
+	_, err = RestoreCheckpoint(data, sim.NewEnv(sim.Options{Seed: 307}))
+	want := fmt.Sprintf("format version 3, this binary reads %d", CheckpointFormatVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore of a version-3 checkpoint: %v, want an error naming %q", err, want)
 	}
 }
 

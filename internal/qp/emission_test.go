@@ -157,11 +157,17 @@ func runEmission(t *testing.T, workers int) map[string]emissionCounts {
 }
 
 // emissionAtParent is runEmission's outcome at f0d1299, the commit before
-// the row edge went: every lone row was one Push there.
+// the row edge went: every lone row was one Push there. The byte fields
+// are those counts with values in natural width, where an int below 64 in
+// magnitude saves 7 of its 8 bytes, one below 8192 saves 6, and a short
+// string's length saves 3 of 4: topk's 10 rows carry one small int
+// (530-10*7), fetchmatches' 3 rows two small ints and a name (282-3*17),
+// bloomjoin's 8 rows three small ints and an sv near 1000 (744-8*27), and
+// its 5 s and 10 r puts save 13 and 14 each (555-5*13-10*14).
 var emissionAtParent = map[string]emissionCounts{
-	"topk":         {Msgs: 10, Bytes: 530, Rows: 8571167773552642522},
-	"fetchmatches": {Msgs: 3, Bytes: 282, Rows: 5173770603659912482},
-	"bloomjoin":    {Msgs: 8, Bytes: 744, Puts: 15, PutBytes: 555, Rows: 1828737987605290435},
+	"topk":         {Msgs: 10, Bytes: 460, Rows: 8571167773552642522},
+	"fetchmatches": {Msgs: 3, Bytes: 231, Rows: 5173770603659912482},
+	"bloomjoin":    {Msgs: 8, Bytes: 528, Puts: 15, PutBytes: 350, Rows: 1828737987605290435},
 }
 
 // TestEmissionBoundariesUnchanged: with PushBatch the only edge, every

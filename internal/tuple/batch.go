@@ -381,10 +381,14 @@ func (b *Batch) EncodeRowTo(i int, w *wire.Writer) {
 //
 //	0xff 'C' table ncols names nrows row*nrows
 //
-// A row is (kind payload)*ncols, or one 0x00 byte when ncols is 0, so
-// every row costs at least one input byte. DecodeFrame accepts the
-// legacy encoding and 'C'; any other kind byte is refused, among them
-// 'B', the row-list frame that only a version-2 checkpoint can hold.
+// The header's lengths and counts are fixed-width (U32 string lengths,
+// U16 ncols, U32 nrows), as in the legacy encoding. A row is
+// (kind payload)*ncols, or one 0x00 byte when ncols is 0, so every row
+// costs at least one input byte; a payload is the value in its natural
+// width (encodeTo), the same bytes the legacy encoding writes after a
+// column's name. DecodeFrame accepts the legacy encoding and 'C'; any
+// other kind byte is refused, among them 'B', the row-list frame that
+// only a version-2 checkpoint can hold.
 const (
 	frameMagic    = 0xff
 	frameColumnar = 'C'
@@ -487,15 +491,19 @@ func DecodeFrame(data []byte) (*Batch, error) {
 }
 
 // encodeTo appends the value's kind byte and payload (the per-column
-// body shared by the tuple and frame codecs).
+// body shared by the tuple and frame codecs), each in its natural width:
+// a bool, int or time as a zigzag varint (one byte for 0 or ±1, nine for
+// a present-day time in nanoseconds), a float as its 8 IEEE-754 bytes, a
+// string or bytes as a uvarint length and the bytes, a null as nothing.
 func (v Value) encodeTo(w *wire.Writer) {
 	w.U8(uint8(v.kind))
 	switch v.kind {
-	case KindNull:
-	case KindBool, KindInt, KindTime, KindFloat:
+	case KindBool, KindInt, KindTime:
+		w.Varint(v.i)
+	case KindFloat:
 		w.I64(v.i)
 	case KindString, KindBytes:
-		w.String(v.s)
+		w.VarString(v.s)
 	}
 }
 
@@ -504,10 +512,12 @@ func (v Value) encodeTo(w *wire.Writer) {
 // failing the tuple (best effort).
 func decodeValue(r *wire.Reader) Value {
 	switch kind := Kind(r.U8()); kind {
-	case KindBool, KindInt, KindTime, KindFloat:
+	case KindBool, KindInt, KindTime:
+		return Value{kind: kind, i: r.Varint()}
+	case KindFloat:
 		return Value{kind: kind, i: r.I64()}
 	case KindString, KindBytes:
-		return Value{kind: kind, s: r.String()}
+		return Value{kind: kind, s: r.VarString()}
 	default:
 		return Null()
 	}

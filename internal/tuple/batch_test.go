@@ -2,9 +2,12 @@ package tuple
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 func mkRow(table string, sev int64, src string) *Tuple {
@@ -162,6 +165,49 @@ func TestDecodeFrameColumnCountCostsBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4096 {
 		t.Errorf("each refused decode allocated %d bytes", per)
+	}
+}
+
+// TestValueEncodedWidths pins each kind's encoded width — kind byte plus
+// payload — and a bit-exact round trip, through the legacy single-tuple
+// encoding and a 'C' frame alike: ints, bools and times are zigzag
+// varints, strings a uvarint length and the bytes, floats their 8 bits.
+func TestValueEncodedWidths(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	cases := []struct {
+		v     Value
+		width int
+	}{
+		{Int(0), 2}, {Int(1), 2}, {Int(-1), 2}, {Int(63), 2}, {Int(-64), 2}, {Int(64), 3},
+		{Int(math.MinInt64), 11}, {Int(math.MaxInt64), 11},
+		{Time(time.Unix(0, 0)), 2},
+		{Time(time.Date(2026, 10, 18, 12, 0, 0, 1, time.UTC)), 10},
+		{Bool(false), 2}, {Bool(true), 2},
+		{String(""), 2}, {String(strings.Repeat("x", 127)), 129}, {String(strings.Repeat("x", 128)), 131},
+		{Float(math.Copysign(0, -1)), 9}, {Float(nan), 9}, {Float(math.Inf(1)), 9}, {Float(math.Inf(-1)), 9},
+	}
+	legacyHeader := len(New("t").Set("v", Null()).Encode()) - 1 // a null is its kind byte alone
+	empty := len(NewColumnarBatch("t", []string{"v"}, 0).EncodeFrame())
+	for _, c := range cases {
+		enc := New("t").Set("v", c.v).Encode()
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%v: %v", c.v, err)
+		}
+		got, _ := back.Get("v")
+		if w := len(enc) - legacyHeader; w != c.width || got != c.v {
+			t.Errorf("legacy %v: width %d, round trip %v; want %d and the same bits", c.v, w, got, c.width)
+		}
+		b := NewColumnarBatch("t", []string{"v"}, 1)
+		b.AppendRow([]Value{c.v})
+		frame := b.EncodeFrame()
+		fb, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatalf("%v: %v", c.v, err)
+		}
+		if w := len(frame) - empty; w != c.width || fb.At(0, 0) != c.v {
+			t.Errorf("frame %v: width %d, round trip %v; want %d and the same bits", c.v, w, fb.At(0, 0), c.width)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package tuple
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"pier/internal/wire"
@@ -27,6 +28,8 @@ func FuzzTupleDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 'h', 'i', 0xff, 0xff}) // huge column count
 	f.Add(good.Encode()[:8])                        // truncated mid-header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})      // oversized table name
+	f.Add(New("ext").Set("lo", Int(math.MinInt64)).Set("hi", Int(math.MaxInt64)).Encode())
+	f.Add(nonMinimalZero(New("t").Set("v", Int(0)).Encode())) // 0 as the varint 0x80 0x00
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tup, err := Decode(data)
@@ -45,6 +48,12 @@ func FuzzTupleDecode(f *testing.F) {
 			t.Fatalf("round trip changed the tuple:\n first: %s\nsecond: %s", tup, again)
 		}
 	})
+}
+
+// nonMinimalZero rewrites an encoding that ends in an int 0 (the one-byte
+// varint 0x00) to end in the two-byte form of the same value, 0x80 0x00.
+func nonMinimalZero(enc []byte) []byte {
+	return append(append(enc[:len(enc)-1:len(enc)-1], 0x80), 0x00)
 }
 
 // FuzzTupleDecodeFrom checks the streaming decoder used for batched
@@ -96,6 +105,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(mixed.EncodeFrame())
 	f.Add([]byte{0xff, 'C', 0, 0, 0, 0, 0, 0, 0x10, 0, 0, 0})
 	f.Add(append([]byte{0xff, 'B', 0, 0, 0, 1}, New("t").Set("x", Int(1)).Encode()...))
+	ext := NewColumnarBatch("ext", []string{"v"}, 2)
+	ext.AppendRow([]Value{Int(math.MinInt64)})
+	ext.AppendRow([]Value{Int(math.MaxInt64)})
+	f.Add(ext.EncodeFrame())
+	zero := NewColumnarBatch("t", []string{"v"}, 1)
+	zero.AppendRow([]Value{Int(0)})
+	f.Add(nonMinimalZero(zero.EncodeFrame()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeFrame(data)

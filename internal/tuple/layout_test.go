@@ -257,12 +257,13 @@ func TestBytesValueOwnsItsPayload(t *testing.T) {
 			t.Errorf("payload %x does not equal its copy", p)
 		}
 	}
-	// Both codecs write a bytes payload exactly as Bytes32 would.
+	// Both codecs write a bytes payload exactly as VarString would: a
+	// one-byte length, then the bytes.
 	w := wire.NewWriter(0)
 	Bytes([]byte{0xff, 0}).encodeTo(w)
 	want := wire.NewWriter(0)
 	want.U8(uint8(KindBytes))
-	want.Bytes32([]byte{0xff, 0})
+	want.VarString("\xff\x00")
 	if string(w.Bytes()) != string(want.Bytes()) {
 		t.Errorf("bytes encode %x, want %x", w.Bytes(), want.Bytes())
 	}

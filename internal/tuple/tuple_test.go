@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"pier/internal/wire"
 )
 
 func TestValueAccessors(t *testing.T) {
@@ -207,8 +209,11 @@ func TestDecodeUnknownKindBecomesNull(t *testing.T) {
 	// than failing the whole tuple.
 	tp := New("t").Set("a", Int(1))
 	enc := tp.Encode()
-	// Corrupt the kind byte of column "a" (last 9 bytes are kind+i64).
-	enc[len(enc)-9] = 0x7f
+	// Corrupt the kind byte of column "a": the encoding ends with its
+	// value, kind byte first.
+	val := wire.NewWriter(0)
+	Int(1).encodeTo(val)
+	enc[len(enc)-val.Len()] = 0x7f
 	got, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -25,12 +26,22 @@ func FuzzWireReader(f *testing.F) {
 	w.Bytes32([]byte("payload"))
 	w.Time(time.Unix(1100000000, 42).UTC())
 	w.Duration(30 * time.Second)
+	fixed := w.Len()
+	w.Varint(-5)
+	w.Uvarint(300)
+	w.VarString("natural")
 	f.Add(w.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // oversized length prefix
 	f.Add([]byte{0, 0, 0, 9, 'a', 'b'})   // prefix beyond input
 	f.Add(w.Bytes()[:w.Len()-3])          // truncated tail
 	f.Add([]byte{0, 0, 0, 0})             // empty string then EOF
+	// The varint fields, reached after well-formed fixed ones.
+	tail := func(b ...byte) []byte { return append(append([]byte(nil), w.Bytes()[:fixed]...), b...) }
+	f.Add(tail(bytes.Repeat([]byte{0x80}, 11)...))              // overlong varint
+	f.Add(tail(append(bytes.Repeat([]byte{0xff}, 9), 0x02)...)) // 10-byte varint past 64 bits
+	f.Add(tail(0x02, 0x01, 0x09, 'a', 'b'))                     // string length past the input
+	f.Add(tail(0x80, 0x00, 0x80, 0x00, 0x00))                   // non-minimal zeros
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
@@ -47,6 +58,9 @@ func FuzzWireReader(f *testing.F) {
 		_ = r.Bytes32()
 		_ = r.Time()
 		_ = r.Duration()
+		_ = r.Varint()
+		_ = r.Uvarint()
+		_ = r.VarString()
 		if r.Remaining() < 0 {
 			t.Fatalf("Remaining() = %d went negative", r.Remaining())
 		}
@@ -63,6 +77,9 @@ func FuzzWireReader(f *testing.F) {
 			if s := r.String(); s != "" {
 				t.Fatalf("read after error returned %q, want empty", s)
 			}
+			if v, s := r.Varint(), r.VarString(); v != 0 || s != "" {
+				t.Fatalf("varint reads after error returned %d, %q", v, s)
+			}
 			if !errors.Is(r.Err(), ErrTruncated) && !errors.Is(r.Err(), ErrOversized) {
 				t.Fatalf("sticky error mutated to: %v", r.Err())
 			}
@@ -75,6 +92,7 @@ func FuzzWireReader(f *testing.F) {
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint8(1), uint64(99), "hello", []byte("world"), int64(-40))
 	f.Add(uint8(0), uint64(0), "", []byte{}, int64(0))
+	f.Add(uint8(0), uint64(1<<63), "", []byte{}, int64(-1<<63))
 	f.Fuzz(func(t *testing.T, u8 uint8, u64 uint64, s string, b []byte, i64 int64) {
 		w := NewWriter(16)
 		w.U8(u8)
@@ -82,6 +100,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		w.String(s)
 		w.Bytes32(b)
 		w.I64(i64)
+		w.Varint(i64)
+		w.Uvarint(u64)
+		w.VarString(s)
 		r := NewReader(w.Bytes())
 		if got := r.U8(); got != u8 {
 			t.Fatalf("U8: %d != %d", got, u8)
@@ -97,6 +118,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		if got := r.I64(); got != i64 {
 			t.Fatalf("I64: %d != %d", got, i64)
+		}
+		if got := r.Varint(); got != i64 {
+			t.Fatalf("Varint: %d != %d", got, i64)
+		}
+		if got := r.Uvarint(); got != u64 {
+			t.Fatalf("Uvarint: %d != %d", got, u64)
+		}
+		if got := r.VarString(); got != s {
+			t.Fatalf("VarString: %q != %q", got, s)
 		}
 		if err := r.Err(); err != nil {
 			t.Fatalf("round trip errored: %v", err)

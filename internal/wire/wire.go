@@ -2,8 +2,12 @@
 // message PIER puts on the network and for stored tuples. PIER's core
 // design centers on low-latency processing of large volumes of network
 // messages (§2.1.1), so the format is a simple length-delimited scheme
-// with no reflection and no allocation beyond the destination buffer:
-// fixed-width big-endian integers and length-prefixed byte strings.
+// with no reflection and no allocation beyond the destination buffer.
+// Headers and protocol fields are fixed-width big-endian integers and
+// 4-byte-length-prefixed byte strings; tuple values travel in their
+// natural width, as zigzag varints and uvarint-length-prefixed strings
+// (the varint form of the Protocol Buffers wire format), so a small
+// integer costs one byte instead of eight.
 //
 // Writer appends values to a growing buffer; Reader consumes them in the
 // same order. Reader is error-sticky: after the first malformed field,
@@ -25,7 +29,8 @@ import (
 var ErrTruncated = errors.New("wire: truncated message")
 
 // ErrOversized is reported when a length prefix exceeds the remaining
-// input, guarding against corrupt or hostile frames.
+// input, or a varint does not fit in 64 bits, guarding against corrupt or
+// hostile frames.
 var ErrOversized = errors.New("wire: length prefix exceeds input")
 
 // Writer accumulates an encoded message. The zero value is ready to use.
@@ -91,6 +96,20 @@ func (w *Writer) Bool(v bool) {
 func (w *Writer) Bytes32(b []byte) {
 	w.U32(uint32(len(b)))
 	w.buf = append(w.buf, b...)
+}
+
+// Uvarint appends v as an unsigned varint: seven bits a byte, low bits
+// first, the high bit set on every byte but the last.
+func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+
+// Varint appends v zigzag-encoded as a Uvarint, so small magnitudes of
+// either sign take one byte.
+func (w *Writer) Varint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
+
+// VarString appends a Uvarint length prefix followed by s.
+func (w *Writer) VarString(s string) {
+	w.Uvarint(uint64(len(s)))
+	w.buf = append(w.buf, s...)
 }
 
 // Raw appends b with no length prefix: a field that runs to the end of
@@ -218,6 +237,54 @@ func (r *Reader) Bytes32() []byte {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes32()) }
+
+// Uvarint reads an unsigned varint. A varint cut off by the end of the
+// input fails as ErrTruncated, one longer than ten bytes or past 64 bits
+// as ErrOversized. Non-minimal encodings (0x80 0x00 for 0) are accepted.
+func (r *Reader) Uvarint() uint64 {
+	if r.err == nil && r.off < len(r.b) && r.b[r.off] < 0x80 {
+		v := r.b[r.off]
+		r.off++
+		return uint64(v)
+	}
+	return r.uvarintSlow()
+}
+
+func (r *Reader) uvarintSlow() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	switch {
+	case n == 0:
+		r.fail(fmt.Errorf("%w: varint at offset %d of %d", ErrTruncated, r.off, len(r.b)))
+		return 0
+	case n < 0:
+		r.fail(fmt.Errorf("%w: varint at offset %d overflows 64 bits", ErrOversized, r.off))
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// Varint reads a zigzag-encoded signed varint.
+func (r *Reader) Varint() int64 {
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// VarString reads a Uvarint-length-prefixed string.
+func (r *Reader) VarString() string {
+	n := r.Uvarint()
+	if r.err != nil {
+		return ""
+	}
+	if n > uint64(r.Remaining()) {
+		r.fail(fmt.Errorf("%w: prefix %d, remaining %d", ErrOversized, n, r.Remaining()))
+		return ""
+	}
+	return string(r.take(int(n)))
+}
 
 // Time reads a nanosecond-precision timestamp.
 func (r *Reader) Time() time.Time {

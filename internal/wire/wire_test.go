@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,6 +85,79 @@ func TestTruncatedReadsAreSticky(t *testing.T) {
 	}
 	if got := r.String(); got != "" {
 		t.Errorf("post-error String = %q, want empty", got)
+	}
+}
+
+// Varints of every width round-trip, and a malformed one fails with its
+// class: cut off by the end as ErrTruncated, past 64 bits or a length
+// past the input as ErrOversized.
+func TestVarintRoundTripAndFailures(t *testing.T) {
+	w := NewWriter(64)
+	ints := []int64{0, 1, -1, 63, -64, 64, -65, math.MinInt64, math.MaxInt64}
+	for _, v := range ints {
+		w.Varint(v)
+	}
+	w.Uvarint(math.MaxUint64)
+	w.VarString(strings.Repeat("s", 200))
+	r := NewReader(w.Bytes())
+	for _, v := range ints {
+		if got := r.Varint(); got != v {
+			t.Errorf("Varint = %d, want %d", got, v)
+		}
+	}
+	if got := r.Uvarint(); got != math.MaxUint64 {
+		t.Errorf("Uvarint = %d", got)
+	}
+	if got := r.VarString(); got != strings.Repeat("s", 200) || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("VarString = %q, err %v, %d left", got, r.Err(), r.Remaining())
+	}
+
+	eleven := bytes.Repeat([]byte{0x80}, 11)
+	overflow := append(bytes.Repeat([]byte{0xff}, 9), 0x02)
+	for name, c := range map[string]struct {
+		data []byte
+		want error
+		read func(*Reader)
+	}{
+		"empty":            {nil, ErrTruncated, func(r *Reader) { r.Uvarint() }},
+		"cut off":          {[]byte{0x80, 0x80}, ErrTruncated, func(r *Reader) { r.Varint() }},
+		"eleven 0x80":      {eleven, ErrOversized, func(r *Reader) { r.Uvarint() }},
+		"10-byte overflow": {overflow, ErrOversized, func(r *Reader) { r.Varint() }},
+		"length past end":  {[]byte{0x09, 'a', 'b'}, ErrOversized, func(r *Reader) { r.VarString() }},
+	} {
+		r := NewReader(c.data)
+		c.read(r)
+		if !errors.Is(r.Err(), c.want) {
+			t.Errorf("%s: err %v, want %v", name, r.Err(), c.want)
+		}
+		if r.Varint() != 0 || r.VarString() != "" || !errors.Is(r.Err(), c.want) {
+			t.Errorf("%s: reads after the error are not zero, or the error moved", name)
+		}
+	}
+	// A non-minimal encoding of 0 decodes as 0.
+	if r := NewReader([]byte{0x80, 0x00}); r.Uvarint() != 0 || r.Err() != nil || r.Remaining() != 0 {
+		t.Errorf("0x80 0x00: err %v, %d left", r.Err(), r.Remaining())
+	}
+}
+
+// Varint reads allocate nothing, and VarString only its string.
+func TestVarintReadsDoNotAllocate(t *testing.T) {
+	ints, str := NewWriter(16), NewWriter(16)
+	ints.Varint(5)
+	ints.Varint(math.MinInt64)
+	str.VarString("payload")
+	if n := testing.AllocsPerRun(100, func() {
+		r := NewReader(ints.Bytes())
+		r.Varint()
+		r.Varint()
+	}); n != 0 {
+		t.Errorf("two Varint reads: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r := NewReader(str.Bytes())
+		_ = r.VarString()
+	}); n > 1 {
+		t.Errorf("VarString: %v allocations, want at most the string", n)
 	}
 }
 
