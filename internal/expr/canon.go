@@ -2,16 +2,16 @@ package expr
 
 import "sort"
 
-// Canonical returns a structurally normalized form of e for SIGNATURE
+// Canonical returns a structurally normalized form of e for SUBTREE KEY
 // purposes: operands of commutative And/Or chains are flattened and
 // sorted by their canonical rendering, and a comparison whose operands
 // are out of that order is flipped around the mirrored operator
 // (a < b ≡ b > a). Two predicates that differ only in commutative
 // operand order or comparison direction thus render to one string, so
-// human-authored orderings hash to the same plan signature and hit the
-// shared-subtree cache (ufl.SubtreeSignatures).
+// human-authored orderings write the same subtree key and hit the
+// shared-subtree cache (ufl.SubtreeKey).
 //
-// The rewrite is used ONLY when computing signatures — executed plans
+// The rewrite is used ONLY when writing keys — executed plans
 // keep their authored shape, so evaluation order (and with it the
 // short-circuit treatment of malformed inputs) is untouched. The
 // adopting query simply runs the cached chain's predicate, exactly as
@@ -101,9 +101,9 @@ func mirror(op CmpOp) CmpOp {
 }
 
 // CanonicalString parses src as a predicate and renders its Canonical
-// form; unparseable input comes back unchanged. This is the signature
-// normalization hook: callers hashing plan arguments pass predicate
-// strings through here so equivalent orderings collide.
+// form; unparseable input comes back unchanged. ufl.SubtreeKey writes
+// every predicate argument through here, so equivalent orderings key
+// alike.
 func CanonicalString(src string) string {
 	e, err := Parse(src)
 	if err != nil {

@@ -93,8 +93,8 @@ type busShare struct {
 }
 
 // busTarget is one attachment to a share: the access method of one chain
-// (instantiate.go). A signature-cached chain's single attachment feeds
-// every query attached to it.
+// (instantiate.go). A shared chain's single attachment feeds every query
+// attached to it.
 type busTarget struct {
 	share   *busShare
 	c       *chain

@@ -155,58 +155,65 @@ func TestFrameOfSameShapeGraphsBuildsOneChain(t *testing.T) {
 	}
 }
 
-// TestFrameSignsQueriesItsGraphMentions: two byte-identical graphs in one
-// frame whose namespace or an argument starts with one entry's query id
-// normalize differently under the two ids, so each query must attach to
-// the chain its own SubtreeSignatures selects, and builds and hits must be
-// those of two separate frames.
+// TestFrameSignsQueriesItsGraphMentions: a graph whose namespace or an
+// argument names query ids is keyed as written. Two entries carrying the
+// byte-identical graph attach to one chain whichever ids they run under,
+// and two entries whose graphs differ only in which id such a value names
+// build two chains — in one frame as in two.
 func TestFrameSignsQueriesItsGraphMentions(t *testing.T) {
-	cases := map[string]func(*ufl.Opgraph){
-		"argument names the first query":  func(g *ufl.Opgraph) { g.Op("agg").Args["out"] = "m0.agg" },
-		"namespace names the first query": func(g *ufl.Opgraph) { g.Dissem.Namespace = "m0.partial" },
-		"argument names the second query": func(g *ufl.Opgraph) { g.Op("agg").Args["out"] = "m1.agg" },
-		"namespace names both queries":    func(g *ufl.Opgraph) { g.Dissem.Namespace = "m1"; g.Op("src").Args["only"] = "m0" },
+	cases := map[string]func(g *ufl.Opgraph, a, b string){
+		"argument names the first query":  func(g *ufl.Opgraph, a, b string) { g.Op("agg").Args["out"] = a + ".agg" },
+		"namespace names the first query": func(g *ufl.Opgraph, a, b string) { g.Dissem.Namespace = a + ".partial" },
+		"argument names the second query": func(g *ufl.Opgraph, a, b string) { g.Op("agg").Args["out"] = b + ".agg" },
+		"namespace names both queries":    func(g *ufl.Opgraph, a, b string) { g.Dissem.Namespace = b; g.Op("src").Args["only"] = a },
 	}
 	for name, edit := range cases {
 		t.Run(name, func(t *testing.T) {
-			base := frameQuery("x", "fw").Graphs[0]
-			edit(&base)
-			entries := make([]ufl.BatchEntry, 2)
-			for i := range entries {
-				entries[i] = ufl.BatchEntry{QueryID: fmt.Sprintf("m%d", i), Deadline: fuzzDeadline, Proxy: "proxy", Client: "c", Graph: base}
+			graph := func(a, b string) ufl.Opgraph {
+				g := frameQuery("x", "fw").Graphs[0]
+				edit(&g, a, b)
+				return g
 			}
-			accept := func(frames [][]ufl.BatchEntry) (builds, hits uint64) {
+			entries := func(graphs ...ufl.Opgraph) []ufl.BatchEntry {
+				out := make([]ufl.BatchEntry, len(graphs))
+				for i, g := range graphs {
+					out[i] = ufl.BatchEntry{QueryID: fmt.Sprintf("m%d", i), Deadline: fuzzDeadline, Proxy: "proxy", Client: "c", Graph: g}
+				}
+				return out
+			}
+			accept := func(frames [][]ufl.BatchEntry) (builds, hits uint64, feeds []*chain) {
 				env, n := soloNode(t, 3)
-				var decoded []ufl.BatchEntry
 				for _, f := range frames {
 					got, err := ufl.DecodeBatch(ufl.EncodeBatch(f))
 					if err != nil {
 						t.Fatal(err)
 					}
 					n.acceptBatch(got)
-					decoded = append(decoded, got...)
-				}
-				for _, e := range decoded {
-					rq := n.running[e.QueryID]
-					if rq == nil || len(rq.graphs) != 1 {
-						t.Fatalf("query %s not running", e.QueryID)
+					for _, e := range got {
+						rq := n.running[e.QueryID]
+						if rq == nil || len(rq.graphs) != 1 {
+							t.Fatalf("query %s not running", e.QueryID)
+						}
+						feed := rq.graphs[0].feed
+						if feed.sig != n.planOf(&e.Graph).key {
+							t.Fatalf("query %s attached to a chain under another key", e.QueryID)
+						}
+						feeds = append(feeds, feed)
 					}
-					want := e.Graph.SubtreeSignatures(e.QueryID)["agg"]
-					if got := rq.graphs[0].feed.sig; got != want {
-						t.Fatalf("query %s attached to chain %x, its own signature selects %x", e.QueryID, got, want)
-					}
-				}
-				if a, b := decoded[0], decoded[1]; a.Graph.SubtreeSignatures(a.QueryID)["agg"] == b.Graph.SubtreeSignatures(b.QueryID)["agg"] {
-					t.Fatal("the two queries sign alike: the case mentions neither id")
 				}
 				st := n.Stats()
 				env.Run(time.Minute)
-				return st.SubtreeBuilds, st.SubtreeHits
+				return st.SubtreeBuilds, st.SubtreeHits, feeds
 			}
-			b1, h1 := accept(oneFrame(entries))
-			b2, h2 := accept(oneEntryFrames(entries))
-			if b1 != b2 || h1 != h2 {
-				t.Fatalf("one frame: %d builds, %d hits; two frames: %d builds, %d hits", b1, h1, b2, h2)
+			same := entries(graph("m0", "m1"), graph("m0", "m1"))
+			differ := entries(graph("m0", "m1"), graph("m1", "m0"))
+			for _, cut := range []func([]ufl.BatchEntry) [][]ufl.BatchEntry{oneFrame, oneEntryFrames} {
+				if builds, hits, feeds := accept(cut(same)); builds != 1 || hits != 1 || feeds[0] != feeds[1] {
+					t.Fatalf("byte-identical graphs: %d builds, %d hits, one chain %v; want 1, 1, true", builds, hits, feeds[0] == feeds[1])
+				}
+				if builds, hits, _ := accept(cut(differ)); builds != 2 || hits != 0 {
+					t.Fatalf("graphs naming different ids: %d builds, %d hits; want 2, 0", builds, hits)
+				}
 			}
 		})
 	}

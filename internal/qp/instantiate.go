@@ -22,14 +22,14 @@ import (
 //
 // Most chains belong to one query and hold its whole opgraph. A
 // share-eligible opgraph (subtree.go) splits in two: everything beneath
-// its tail is a chain cached under its structural signature and fed once
-// per publish for every attached query, and each query keeps a private
-// chain holding just its tail, attached to the cached chain's demux.
+// its tail is a chain cached under its subtree key and fed once per
+// publish for every attached query, and each query keeps a private chain
+// holding just its tail, attached to the cached chain's demux.
 type chain struct {
 	n *Node
-	// rq is the query the operators run for. A signature-cached chain
-	// serves many queries and has none — sharePlan admits only operators
-	// that need no query (buildOp refuses the rest).
+	// rq is the query the operators run for. A shared chain serves many
+	// queries and has none — sharePlan admits only operators that need no
+	// query (buildOp refuses the rest).
 	rq *runningQuery
 
 	// roots are the operators nobody in the chain consumes; probes and
@@ -46,10 +46,11 @@ type chain struct {
 	flushEvery time.Duration
 	wheelEntry *wheelEntry
 
-	// demux and sig are set on signature-cached chains only: the fan-out
-	// to the attached queries' tails, and the chain's key in Node.subtrees.
+	// demux and sig are set on shared chains only: the fan-out to the
+	// attached queries' tails, and the chain's key in Node.subtrees (the
+	// interned SubtreeKey of its top).
 	demux *exec.Demux
-	sig   uint64
+	sig   subtreeKey
 }
 
 // liveGraph is one query's opgraph at this node: whose it is, and the
@@ -63,7 +64,7 @@ type liveGraph struct {
 	// the tail when the rest is shared.
 	own *chain
 	// feed is the chain whose flush emits this graph's window: own, or
-	// the signature-cached chain own's tail is attached to through att.
+	// the shared chain own's tail is attached to through att.
 	feed *chain
 	att  *exec.DemuxTarget
 }
@@ -81,7 +82,7 @@ func (n *Node) instantiate(rq *runningQuery, g ufl.Opgraph) (*liveGraph, error) 
 	}
 	lg := &liveGraph{specID: g.ID, own: own, feed: own}
 	if p.shared {
-		if lg.feed, err = n.sharedChain(&g, rq.id, p); err != nil {
+		if lg.feed, err = n.sharedChain(&g, p); err != nil {
 			return nil, err
 		}
 		lg.att = lg.feed.demux.Attach(own.tag, fanoutSink{n: n, s: own.roots[0]})
@@ -220,8 +221,8 @@ func (c *chain) open() {
 }
 
 // flush forces stateful operators to emit (timeout- or timer-driven,
-// §3.3.2). A signature-cached chain emits through its demux to EVERY
-// attached tail — the shared-window contract (subtree.go).
+// §3.3.2). A shared chain emits through its demux to EVERY attached
+// tail — the shared-window contract (subtree.go).
 func (c *chain) flush() {
 	for _, r := range c.roots {
 		r.Flush(c.tag)
@@ -229,9 +230,9 @@ func (c *chain) flush() {
 }
 
 // close releases the operators, cancels subscriptions and timers, and
-// leaves the flush wheel and the signature cache. A signature-cached
-// chain closes as its demux's OnEmpty, so exactly once, after the last
-// query detached, and outside any in-flight dispatch.
+// leaves the flush wheel and the subtree cache. A shared chain closes as
+// its demux's OnEmpty, so exactly once, after the last query detached,
+// and outside any in-flight dispatch.
 func (c *chain) close() {
 	if c.closed {
 		return
@@ -259,13 +260,12 @@ func (c *chain) close() {
 	c.n.resultFrame.Reset()
 }
 
-// flush emits the graph's window; on a signature-cached feed that is the
+// flush emits the graph's window; on a shared feed that is the
 // window of every query attached to it.
 func (lg *liveGraph) flush() { lg.feed.flush() }
 
 // close returns the graph's admission slot, detaches from the feed (the
-// last detach closes a signature-cached chain) and closes the private
-// chain.
+// last detach closes a shared chain) and closes the private chain.
 func (lg *liveGraph) close() {
 	if lg.own.closed {
 		return

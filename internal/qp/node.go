@@ -110,8 +110,11 @@ type Node struct {
 	// wheel coalesces same-period flush timers onto one timer per node.
 	wheel *flushWheel
 	// subtrees caches the chains queries may share (subtree.go), keyed by
-	// the chain top's structural subtree signature.
-	subtrees map[uint64]*chain
+	// the interned canonical bytes of the chain top's subtree
+	// (ufl.SubtreeKey). The handle compares the whole key, so a hit is an
+	// exact structural match, and equal keys on the nodes of one process
+	// share one copy of the bytes.
+	subtrees map[subtreeKey]*chain
 	// liveGraphs counts opgraphs currently executing — the quantity the
 	// MaxLiveGraphs admission cap bounds.
 	liveGraphs int
@@ -245,7 +248,7 @@ func NewNode(rt vri.Runtime, cfg Config) *Node {
 		dht:         overlay.New(rt, cfg.DHT),
 		running:     make(map[string]*runningQuery),
 		proxied:     make(map[string]*proxyState),
-		subtrees:    make(map[uint64]*chain),
+		subtrees:    make(map[subtreeKey]*chain),
 		clientLive:  make(map[string]int),
 		scratch:     wire.NewWriter(256),
 		resultFrame: wire.NewWriter(256),

@@ -2,6 +2,9 @@ package qp
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,6 +142,71 @@ opgraph g disseminate local {
 		if c == 0 {
 			t.Fatalf("query %d never produced a count row", i)
 		}
+	}
+}
+
+// TestOwnNamespaceQueriesDoNotShareChain: two queries whose chains differ
+// only in the table each names after itself ('<own id>.feed') are two
+// plans, so each builds its own chain and returns only its own table's
+// rows. A key that rewrote the query id out of the table name would
+// attach the second query to the first one's chain, and the second would
+// then return the first one's rows.
+func TestOwnNamespaceQueriesDoNotShareChain(t *testing.T) {
+	env, n := soloNode(t, 53)
+	ids := []string{"qa", "qb"}
+	got := map[string][]string{}
+	for _, id := range ids {
+		id := id
+		q := ufl.MustParse(fmt.Sprintf(`
+query %s timeout 30s
+opgraph g disseminate local {
+    src = NewData(table='%s.feed')
+    sel = Select(pred='v >= 0')
+    out = Result()
+    sel <- src
+    out <- sel
+}
+`, id, id))
+		if err := n.Submit(q, "c", func(r *tuple.Tuple) { got[id] = append(got[id], r.String()) }, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.Run(time.Second)
+	if st := n.Stats(); st.SubtreeBuilds != 2 || st.SubtreeHits != 0 || st.SharedSubtrees != 2 {
+		t.Errorf("own-namespace queries: %d builds, %d hits, %d chains, want 2, 0, 2",
+			st.SubtreeBuilds, st.SubtreeHits, st.SharedSubtrees)
+	}
+	want := map[string][]string{}
+	publish := func(table string, v int64) {
+		r := tuple.New(table).Set("v", tuple.Int(v))
+		want[strings.TrimSuffix(table, ".feed")] = append(want[strings.TrimSuffix(table, ".feed")], r.String())
+		n.PublishLocal(table, r, time.Hour)
+	}
+	publish("qa.feed", 99)
+	for v := int64(0); v < 5; v++ {
+		publish("qb.feed", v)
+	}
+	env.Run(40 * time.Second)
+	for _, id := range ids {
+		sort.Strings(got[id])
+		sort.Strings(want[id])
+		if !reflect.DeepEqual(got[id], want[id]) {
+			t.Errorf("query %s returned %v, want its own table's rows %v", id, got[id], want[id])
+		}
+	}
+}
+
+// TestSharePlanRefusesDuplicateOpIDs: executors do not validate the graphs
+// strangers send, and a subtree key tells ops apart by position, not id,
+// so a graph that declares one op id twice takes the private path.
+func TestSharePlanRefusesDuplicateOpIDs(t *testing.T) {
+	g := frameQuery("d", "fw").Graphs[0]
+	if _, _, ok := sharePlan(&g); !ok {
+		t.Fatal("the frame query is not share-eligible")
+	}
+	g.Ops = append(g.Ops, ufl.OpSpec{ID: "sel", Kind: "Select", Args: map[string]string{"pred": "sev > 8"}})
+	if _, _, ok := sharePlan(&g); ok {
+		t.Fatal("a graph declaring op id \"sel\" twice is share-eligible")
 	}
 }
 

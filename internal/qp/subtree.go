@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package qp
 
 import (
 	"strings"
+	"unique"
 
 	"pier/internal/exec"
 	"pier/internal/tuple"
@@ -19,10 +22,12 @@ import (
 //     NewData-fed chain of deterministic operators. Everything else runs
 //     as one private chain nobody else can attach to.
 //   - sharedChain resolves the operators beneath the tail through a cache
-//     keyed by their structural signature (ufl.SubtreeSignatures: the op
-//     plus everything feeding it, query ids normalized out): the first
-//     query BUILDS and opens the chain, every structurally identical later
-//     query ATTACHES to it.
+//     keyed by the exact canonical bytes of the top's subtree
+//     (ufl.SubtreeKey: the top plus everything feeding it, op ids and
+//     predicate operand order aside, interned by unique.Make): the first
+//     query BUILDS and opens the chain, every later query whose key is
+//     equal ATTACHES to it. Nothing in the key is rewritten per query, so
+//     two queries that read their own tables get two chains.
 //   - The cached chain executes once per publish under its own tag and
 //     ends in an exec.Demux, which fans output to each attached query's
 //     private tail (Result/Put) under that query's own tag — the
@@ -45,9 +50,9 @@ import (
 // window — catch-up Scans and per-query rendezvous (HierAgg, FetchMatches;
 // Put destinations are fine: they're tails) — are excluded by sharePlan.
 
-// shareableOpKinds are the operator kinds that may live inside a
-// signature-cached chain: deterministic, node-local (or bus-fed), and
-// keyed purely by their spec. Excluded on purpose: scan (catch-up replays
+// shareableOpKinds are the operator kinds that may live inside a shared
+// chain: deterministic, node-local (or bus-fed), and keyed purely by
+// their spec. Excluded on purpose: scan (catch-up replays
 // history, which a late attacher must not receive), hieragg (per-query
 // rendezvous namespace and timers), fetchmatches and the bloom operators
 // (per-probe DHT state), and the tails themselves. A kind buildOp does not
@@ -58,12 +63,19 @@ var shareableOpKinds = map[string]bool{
 	"groupby": true, "limit": true, "topk": true, "tee": true,
 }
 
-// sharePlan decides share-eligibility for an opgraph: exactly one tail
-// (Result/Put) consuming exactly one input chain, every chain
-// operator of a shareable kind. It returns the ids of the tail and of the
-// chain's top operator (the tail's single producer).
+// sharePlan decides share-eligibility for an opgraph: unique op ids (a
+// subtree key tells ops apart by position, not id), exactly one tail
+// (Result/Put) consuming exactly one input chain, every chain operator of
+// a shareable kind. It returns the ids of the tail and of the chain's top
+// operator (the tail's single producer).
 func sharePlan(g *ufl.Opgraph) (tailID, topID string, ok bool) {
-	fanOut := make(map[string]int)
+	fanOut := make(map[string]int, len(g.Ops))
+	for _, op := range g.Ops {
+		if _, dup := fanOut[op.ID]; dup {
+			return "", "", false
+		}
+		fanOut[op.ID] = 0
+	}
 	for _, e := range g.Edges {
 		fanOut[e.From]++
 	}
@@ -118,12 +130,12 @@ func (f fanoutSink) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	f.s.PushBatch(tag, b)
 }
 
-// PushBatch makes a signature-cached chain the sink above its own top
-// operator: fan the output to the attached tails through the demux, then,
-// the fan-out unwound, send the result messages the tails opened — one
-// per proxy, not one per tail (Node.forwardResult). A streamed row arrives
-// as a batch of one, so every tail is handed the same batch and the row,
-// too, travels once per proxy.
+// PushBatch makes a shared chain the sink above its own top operator: fan
+// the output to the attached tails through the demux, then, the fan-out
+// unwound, send the result messages the tails opened — one per proxy, not
+// one per tail (Node.forwardResult). A streamed row arrives as a batch of
+// one, so every tail is handed the same batch and the row, too, travels
+// once per proxy.
 func (c *chain) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	n := c.n
 	n.fanning++
@@ -133,73 +145,56 @@ func (c *chain) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	}
 }
 
-// graphPlan is how an opgraph shares: sharePlan's verdict and, once
-// asked for, its top's subtree signature. Inside a dissemination frame
-// the entries whose graphs share one decode (ufl.DecodeBatch) share one
-// plan (frameState.plans, keyed by the decode's first OpSpec), so a frame
-// of Q same-shape queries runs sharePlan and SubtreeSignatures once, not
-// Q times. The memo lives only while the frame is accepted.
+// graphPlan is how an opgraph shares: sharePlan's verdict and, for a
+// shared plan, the interned key of its top's subtree. Inside a
+// dissemination frame the entries whose graphs share one decode
+// (ufl.DecodeBatch) share one plan (frameState.plans, keyed by the
+// decode's first OpSpec), so a frame of Q same-shape queries runs
+// sharePlan and SubtreeKey once, not Q times. The memo lives only while
+// the frame is accepted.
 type graphPlan struct {
 	tailID, topID string
 	shared        bool
-
-	// sig is the top's subtree signature under query sigOf, the first to
-	// ask. The normalizer rewrites query-id occurrences, so sig serves
-	// another query only when the graph mentions neither id (ufl's
-	// MentionTest). The test is built, and reusable decided on sigOf, when
-	// a second query asks, so a graph alone in its frame never pays it; a
-	// graph mentioning sigOf or the asking id pays a signature per query,
-	// as a graph alone in its frame does.
-	sig      uint64
-	sigOf    string
-	signed   bool
-	reusable bool
-	mentions func(queryID string) bool
+	key           subtreeKey
 }
+
+// subtreeKey is a shared chain's identity in Node.subtrees: the interned
+// canonical bytes of its top's subtree (ufl.SubtreeKey). unique.Make keeps
+// one copy of each distinct key per process, so nodes that share a shape
+// share its bytes, and two handles are equal exactly when the whole keys
+// are. Package unique needs go1.23; the module's go line stays 1.22
+// because the benchmark module (go 1.22) builds against it, so this
+// file's build constraint lifts its language version alone.
+type subtreeKey = unique.Handle[string]
 
 // planOf returns g's plan: the frame memo's, when a frame is being
 // accepted, else a fresh one.
 func (n *Node) planOf(g *ufl.Opgraph) *graphPlan {
-	var key *ufl.OpSpec
+	var memo *ufl.OpSpec
 	if n.frame != nil && n.frame.plans != nil && len(g.Ops) > 0 {
-		key = &g.Ops[0]
-		if p := n.frame.plans[key]; p != nil {
+		memo = &g.Ops[0]
+		if p := n.frame.plans[memo]; p != nil {
 			return p
 		}
 	}
 	p := &graphPlan{}
 	p.tailID, p.topID, p.shared = sharePlan(g)
-	if key != nil {
-		n.frame.plans[key] = p
+	if p.shared {
+		p.key = unique.Make(g.SubtreeKey(p.topID))
+	}
+	if memo != nil {
+		n.frame.plans[memo] = p
 	}
 	return p
 }
 
-// signature returns the subtree signature of g's top under queryID,
-// signing g only when the memo cannot serve it.
-func (p *graphPlan) signature(g *ufl.Opgraph, queryID string) uint64 {
-	if !p.signed {
-		p.sig, p.sigOf, p.signed = g.SubtreeSignatures(queryID)[p.topID], queryID, true
-		return p.sig
-	}
-	if p.mentions == nil {
-		p.mentions = g.MentionTest()
-		p.reusable = !p.mentions(p.sigOf)
-	}
-	if p.reusable && !p.mentions(queryID) {
-		return p.sig
-	}
-	return g.SubtreeSignatures(queryID)[p.topID]
-}
-
 // sharedChain resolves the operators of g beneath its tail to the chain
-// cached under their structural signature, building and opening it for
-// the first query to ask. sharePlan guarantees the top is the only
-// operator of that chain nobody in it consumes, so it is the sole root,
-// and the demux stands in for the edge to the tail.
-func (n *Node) sharedChain(g *ufl.Opgraph, queryID string, p *graphPlan) (*chain, error) {
-	sig := p.signature(g, queryID)
-	if c := n.subtrees[sig]; c != nil {
+// cached under their subtree key, building and opening it for the first
+// query to ask. sharePlan guarantees the top is the only operator of that
+// chain nobody in it consumes, so it is the sole root, and the demux
+// stands in for the edge to the tail.
+func (n *Node) sharedChain(g *ufl.Opgraph, p *graphPlan) (*chain, error) {
+	if c := n.subtrees[p.key]; c != nil {
 		n.subtreeHits++
 		return c, nil
 	}
@@ -207,10 +202,10 @@ func (n *Node) sharedChain(g *ufl.Opgraph, queryID string, p *graphPlan) (*chain
 	if err != nil {
 		return nil, err
 	}
-	c.sig, c.demux = sig, &exec.Demux{}
+	c.sig, c.demux = p.key, &exec.Demux{}
 	c.roots[0].SetParent(c)
 	c.demux.OnEmpty(c.close)
-	n.subtrees[sig] = c
+	n.subtrees[p.key] = c
 	n.subtreeBuilds++
 	c.open()
 	return c, nil

@@ -13,8 +13,8 @@ import (
 // period's slot, and a single tick flushes them all in registration order
 // (deterministic under the sharded scheduler, since registration follows
 // the node's event order) — nodes timer events per period, not
-// chains·nodes. A signature-cached chain holds one entry for all the
-// queries attached to it.
+// chains·nodes. A shared chain holds one entry for all the queries
+// attached to it.
 //
 // Slots are soft state like everything else here: when the last chain of
 // a period closes, the slot cancels its timer and disappears

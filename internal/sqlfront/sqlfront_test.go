@@ -250,38 +250,56 @@ func kindsOf(g ufl.Opgraph) map[string]bool {
 	return m
 }
 
-// TestCompiledPlansShareStructuralSignatures: compiling the same SQL text
-// under different query ids yields opgraphs with identical structural
-// signatures — the property the query processor's multi-query sharing
-// (shared newData subscriptions for identical access methods) keys on.
-// The query id leaks into the plan twice (opgraph ids, rendezvous
-// namespaces like "<id>.partial"); ufl.Opgraph.Signature normalizes both.
-func TestCompiledPlansShareStructuralSignatures(t *testing.T) {
+// TestCompiledPlansSignTheirQueryIDs: the SQL frontend names each query's
+// rendezvous namespace after the query ("<id>.partial"), and a signature
+// takes names as written, so the same SQL text compiled under two query
+// ids yields graphs that sign apart — the partial phase through its Put
+// tail, the final phase through its dissemination target and Scan —
+// while compiling it twice under one id signs alike. Beneath the tail
+// the partial phase reads and groups the same data for either query,
+// and its subtree keys alike.
+func TestCompiledPlansSignTheirQueryIDs(t *testing.T) {
 	const sql = "SELECT src, COUNT(*) AS cnt FROM fwlogs GROUP BY src ORDER BY cnt DESC LIMIT 10 TIMEOUT 30s"
-	qa, err := Run("storm-1", sql, Options{})
-	if err != nil {
-		t.Fatal(err)
+	compile := func(id, sql string) *ufl.Query {
+		q, err := Run(id, sql, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
 	}
-	qb, err := Run("storm-2", sql, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	qa, qa2, qb := compile("storm-1", sql), compile("storm-1", sql), compile("storm-2", sql)
 	if len(qa.Graphs) != len(qb.Graphs) || len(qa.Graphs) < 2 {
 		t.Fatalf("plan shapes differ: %d vs %d graphs", len(qa.Graphs), len(qb.Graphs))
 	}
 	for i := range qa.Graphs {
-		sa := qa.Graphs[i].Signature(qa.ID)
-		sb := qb.Graphs[i].Signature(qb.ID)
-		if sa != sb {
-			t.Errorf("graph %d (%s vs %s): signatures differ: %x vs %x",
-				i, qa.Graphs[i].ID, qb.Graphs[i].ID, sa, sb)
+		if qa.Graphs[i].Signature(qa.ID) != qa2.Graphs[i].Signature(qa2.ID) {
+			t.Errorf("graph %d: one SQL text compiled twice under one id signs apart", i)
+		}
+		if qa.Graphs[i].Signature(qa.ID) == qb.Graphs[i].Signature(qb.ID) {
+			t.Errorf("graph %d (%s vs %s): queries rendezvousing in different namespaces sign alike",
+				i, qa.Graphs[i].ID, qb.Graphs[i].ID)
 		}
 	}
-	// A different query must not collide on the scan phase.
-	qc, err := Run("storm-3", "SELECT dst, COUNT(*) AS cnt FROM pkts GROUP BY dst TIMEOUT 30s", Options{})
-	if err != nil {
-		t.Fatal(err)
+	// The partial phase's top is the op feeding its tail.
+	top := func(g ufl.Opgraph) string {
+		consumed := map[string]bool{}
+		for _, e := range g.Edges {
+			consumed[e.From] = true
+		}
+		for _, e := range g.Edges {
+			if !consumed[e.To] {
+				return e.From
+			}
+		}
+		t.Fatalf("graph %s has no tail", g.ID)
+		return ""
 	}
+	pa, pb := qa.Graphs[0], qb.Graphs[0]
+	if pa.SubtreeKey(top(pa)) != pb.SubtreeKey(top(pb)) {
+		t.Error("the partial phase beneath its tail keys apart for two query ids")
+	}
+	// A different query must not collide on the scan phase.
+	qc := compile("storm-3", "SELECT dst, COUNT(*) AS cnt FROM pkts GROUP BY dst TIMEOUT 30s")
 	if qa.Graphs[0].Signature(qa.ID) == qc.Graphs[0].Signature(qc.ID) {
 		t.Error("structurally different plans share a signature")
 	}

@@ -64,47 +64,6 @@ func TestBatchCodecRejectsTruncated(t *testing.T) {
 	}
 }
 
-// TestSignatureStructural: identical structure under renamed op ids and
-// query-id-embedding argument values hashes the same; different structure
-// hashes differently.
-func TestSignatureStructural(t *testing.T) {
-	a := sampleGraph("g1", "fwlogs")
-	b := sampleGraph("zzz", "fwlogs")
-	// Rename every op id; wiring stays isomorphic.
-	b.Ops[0].ID, b.Ops[1].ID, b.Ops[2].ID = "s2", "a2", "o2"
-	b.Edges = []Edge{{From: "s2", To: "a2"}, {From: "a2", To: "o2"}}
-	if a.Signature("") != b.Signature("") {
-		t.Fatal("op renaming changed the structural signature")
-	}
-
-	// Query-id-embedded namespaces normalize away (the sqlfront pattern).
-	qa, qb := sampleGraph("p1", "t"), sampleGraph("p1", "t")
-	qa.Ops[1].Args["ns"] = "query-17.partial"
-	qb.Ops[1].Args["ns"] = "query-99.partial"
-	if qa.Signature("query-17") != qb.Signature("query-99") {
-		t.Fatal("query-id normalization failed")
-	}
-	if qa.Signature("") == qb.Signature("") {
-		t.Fatal("distinct namespaces must differ without normalization")
-	}
-
-	// Structural differences must show.
-	c := sampleGraph("g1", "otherlogs")
-	if a.Signature("") == c.Signature("") {
-		t.Fatal("different scan table, same signature")
-	}
-	d := sampleGraph("g1", "fwlogs")
-	d.Edges = []Edge{{From: "scan", To: "agg"}, {From: "agg", To: "out", Slot: 1}}
-	if a.Signature("") == d.Signature("") {
-		t.Fatal("different slot wiring, same signature")
-	}
-	e := sampleGraph("g1", "fwlogs")
-	e.Dissem = Dissemination{Mode: DissemLocal}
-	if a.Signature("") == e.Signature("") {
-		t.Fatal("different dissemination mode, same signature")
-	}
-}
-
 func TestEncodeBatchRefusesOversizedBatch(t *testing.T) {
 	entries := make([]BatchEntry, MaxBatchEntries+1)
 	defer func() {
@@ -113,131 +72,4 @@ func TestEncodeBatchRefusesOversizedBatch(t *testing.T) {
 		}
 	}()
 	EncodeBatch(entries)
-}
-
-// TestSubtreeSignatures: per-op subtree fingerprints unify across op
-// renames and query ids when (and only when) the entire upstream chain
-// matches structurally.
-func TestSubtreeSignatures(t *testing.T) {
-	a := sampleGraph("g1", "fwlogs")
-	b := sampleGraph("zzz", "fwlogs")
-	b.Ops[0].ID, b.Ops[1].ID, b.Ops[2].ID = "s2", "a2", "o2"
-	b.Edges = []Edge{{From: "s2", To: "a2"}, {From: "a2", To: "o2"}}
-	sa, sb := a.SubtreeSignatures(""), b.SubtreeSignatures("")
-	if sa["scan"] != sb["s2"] || sa["agg"] != sb["a2"] || sa["out"] != sb["o2"] {
-		t.Fatalf("op renaming changed subtree signatures: %v vs %v", sa, sb)
-	}
-
-	// A shared prefix unifies even when the tails differ: the agg subtree
-	// over the same scan hashes the same whether a Result or a Put
-	// consumes it.
-	c := sampleGraph("g1", "fwlogs")
-	c.Ops[2] = OpSpec{ID: "out", Kind: "Put", Args: map[string]string{"table": "sink"}}
-	sc := c.SubtreeSignatures("")
-	if sa["agg"] != sc["agg"] {
-		t.Fatal("differing tail changed an upstream subtree signature")
-	}
-	if sa["out"] == sc["out"] {
-		t.Fatal("Result and Put tails over the same chain must differ")
-	}
-
-	// A differing source propagates all the way down.
-	d := sampleGraph("g1", "otherlogs")
-	sd := d.SubtreeSignatures("")
-	if sa["scan"] == sd["scan"] || sa["agg"] == sd["agg"] || sa["out"] == sd["out"] {
-		t.Fatal("different scan table must change every downstream subtree signature")
-	}
-
-	// Query-id-embedded argument values normalize away, as in Signature.
-	qa, qb := sampleGraph("p1", "t"), sampleGraph("p1", "t")
-	qa.Ops[1].Args["ns"] = "query-17.partial"
-	qb.Ops[1].Args["ns"] = "query-99.partial"
-	if qa.SubtreeSignatures("query-17")["agg"] != qb.SubtreeSignatures("query-99")["agg"] {
-		t.Fatal("query-id normalization failed for subtree signatures")
-	}
-
-	// Dissemination context is part of every subtree's identity.
-	e := sampleGraph("g1", "fwlogs")
-	e.Dissem = Dissemination{Mode: DissemLocal}
-	if a.SubtreeSignatures("")["scan"] == e.SubtreeSignatures("")["scan"] {
-		t.Fatal("dissemination mode must be part of the subtree signature")
-	}
-
-	// Slot wiring matters.
-	f := sampleGraph("g1", "fwlogs")
-	f.Edges = []Edge{{From: "scan", To: "agg", Slot: 1}, {From: "agg", To: "out"}}
-	if a.SubtreeSignatures("")["agg"] == f.SubtreeSignatures("")["agg"] {
-		t.Fatal("different input slot, same subtree signature")
-	}
-
-	// Cycles terminate instead of recursing forever.
-	g := sampleGraph("g1", "fwlogs")
-	g.Edges = append(g.Edges, Edge{From: "out", To: "scan"})
-	_ = g.SubtreeSignatures("")
-}
-
-// TestSignatureCanonicalizesPredicates: predicate arguments that differ
-// only in commutative And/Or operand order or comparison direction hash
-// to one signature — a human-authored "b<2 AND a>1" hits the subtree
-// cache built for "a>1 AND b<2".
-func TestSignatureCanonicalizesPredicates(t *testing.T) {
-	withPred := func(pred string) Opgraph {
-		g := sampleGraph("g", "fwlogs")
-		g.Ops = []OpSpec{
-			g.Ops[0],
-			{ID: "sel", Kind: "Select", Args: map[string]string{"pred": pred}},
-			g.Ops[1],
-			g.Ops[2],
-		}
-		g.Edges = []Edge{{From: "scan", To: "sel"}, {From: "sel", To: "agg"}, {From: "agg", To: "out"}}
-		return g
-	}
-	equiv := [][2]string{
-		{"a > 1 AND b < 2", "b < 2 AND a > 1"},
-		{"a > 1 AND b < 2 AND c = 3", "c = 3 AND b < 2 AND a > 1"},
-		{"a = 1 OR b = 2", "b = 2 OR a = 1"},
-		{"a > 1", "1 < a"},
-		{"a >= 1 AND 2 > b", "b < 2 AND 1 <= a"},
-	}
-	for _, pair := range equiv {
-		x, y := withPred(pair[0]), withPred(pair[1])
-		if x.Signature("") != y.Signature("") {
-			t.Errorf("Signature(%q) != Signature(%q)", pair[0], pair[1])
-		}
-		if x.SubtreeSignatures("")["sel"] != y.SubtreeSignatures("")["sel"] {
-			t.Errorf("subtree signature of %q != %q", pair[0], pair[1])
-		}
-		if x.SubtreeSignatures("")["out"] != y.SubtreeSignatures("")["out"] {
-			t.Errorf("tail subtree signature of %q != %q", pair[0], pair[1])
-		}
-	}
-	// Genuinely different predicates must not unify, parseable or not.
-	for _, pair := range [][2]string{
-		{"a > 1 AND b < 2", "a > 1 AND b < 3"},
-		{"a > 1", "a >= 1"},
-		{"not a pred ((", "also not a pred )("},
-	} {
-		x, y := withPred(pair[0]), withPred(pair[1])
-		if x.Signature("") == y.Signature("") {
-			t.Errorf("Signature(%q) == Signature(%q)", pair[0], pair[1])
-		}
-	}
-}
-
-// TestSignatureNormalizationIsTokenAnchored: a query id that is a
-// substring of unrelated argument text ("fw" inside table 'fwlogs') must
-// not perturb the structural signature.
-func TestSignatureNormalizationIsTokenAnchored(t *testing.T) {
-	a := sampleGraph("g", "fwlogs")
-	b := sampleGraph("g", "fwlogs")
-	if a.Signature("fw") != b.Signature("some-other-id") {
-		t.Fatal("substring query id mangled an unrelated argument value")
-	}
-	// Anchored occurrences still normalize.
-	qa, qb := sampleGraph("g", "t"), sampleGraph("g", "t")
-	qa.Ops[1].Args["ns"] = "fw.partial"
-	qb.Ops[1].Args["ns"] = "q9.partial"
-	if qa.Signature("fw") != qb.Signature("q9") {
-		t.Fatal("anchored query-id prefix failed to normalize")
-	}
 }

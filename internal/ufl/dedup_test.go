@@ -141,45 +141,6 @@ func TestSkipGraphConsumesWhatDecodeReads(t *testing.T) {
 	}
 }
 
-// TestMentionsDecidesSignatureReuse: when MentionTest reports false, a
-// graph's signatures under the id are its signatures under ""; when it
-// reports true, they differ. Token anchoring, the dissemination key and a
-// predicate's canonical form are all covered.
-func TestMentionsDecidesSignatureReuse(t *testing.T) {
-	keyed := sampleGraph("g", "t")
-	keyed.Dissem = Dissemination{Mode: DissemEquality, Namespace: "files", Key: "q7"}
-	pred := sampleGraph("g", "t")
-	pred.Ops[1].Args["pred"] = "q7 > 5" // canonical "(5 < q7)"
-	unparsed := sampleGraph("g", "t")
-	unparsed.Ops[1].Args["pred"] = "q7.x >" // not a predicate: hashed verbatim
-	cases := []struct {
-		name string
-		g    Opgraph
-		id   string
-		want bool
-	}{
-		{"table text", sampleGraph("g", "fwlogs"), "fw", false},
-		{"empty id", sampleGraph("g", "fwlogs"), "", false},
-		{"namespace", dedupGraphs()[2], "q0", true},
-		{"namespace, other id", dedupGraphs()[2], "q1", false},
-		{"dissemination key", keyed, "q7", true},
-		{"key prefix without separator", keyed, "q", false},
-		{"canonical predicate", pred, "(5", true},
-		{"raw predicate prefix", pred, "q7", false},
-		{"unparsed predicate", unparsed, "q7", true},
-	}
-	for _, c := range cases {
-		if got := c.g.MentionTest()(c.id); got != c.want {
-			t.Errorf("%s: MentionTest()(%q) = %v, want %v", c.name, c.id, got, c.want)
-		}
-		same := reflect.DeepEqual(c.g.SubtreeSignatures(c.id), c.g.SubtreeSignatures("")) &&
-			c.g.Signature(c.id) == c.g.Signature("")
-		if same == c.want {
-			t.Errorf("%s: MentionTest()(%q) = %v but signatures under it equal those under \"\": %v", c.name, c.id, c.want, same)
-		}
-	}
-}
-
 // FuzzBatchRoundTrip: for any repeat pattern, DecodeBatch(EncodeBatch(e))
 // deep-equals e, entries choosing the same graph share one decode, and the
 // frame cut anywhere is refused with the entry-by-entry decode's error.

@@ -10,8 +10,10 @@
 // (§3.3.3).
 //
 // The package provides the plan intermediate representation, a compact
-// wire codec (plans travel in dissemination messages), and a parser for
-// the textual syntax:
+// wire codec (plans travel in dissemination messages), subtree keys (the
+// exact canonical bytes of an operator and everything feeding it, under
+// which the query processor shares one chain between queries), and a
+// parser for the textual syntax:
 //
 //	query top10 timeout 30s
 //

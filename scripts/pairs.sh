@@ -3,16 +3,23 @@
 #
 #   scripts/pairs.sh REV WORKLOAD SEED N [SECONDS [OUTDIR]]
 #
-# Exports REV's committed files into OUTDIR/parent with `git archive` (a
-# plain copy: no worktree is registered in the repository) and runs
+# Exports both sides the same way before the first run: REV's committed
+# files into OUTDIR/parent with `git archive`, and the working tree's files
+# (tracked and untracked, less what .gitignore excludes:
+# `git ls-files -co --exclude-standard`) into OUTDIR/change. No worktree is
+# registered in the repository. Each side builds and runs from its own
+# export, so neither runs from the checkout, and editing the working tree
+# while pairs run changes nothing. Then it runs
 #
 #   bash benchmark/run.sh --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0
 #
-# N times there and N times in the working tree, alternating which side
-# goes first from pair to pair. SECONDS defaults to run_seconds of
-# BENCHMARK.json; OUTDIR to a fresh temporary directory, which is kept.
-# Each run's last output line (its JSON result) is kept as
-# OUTDIR/{parent,change}-<i>.json, its standard error as <side>-<i>.log.
+# N times in each export, alternating which side goes first from pair to
+# pair. SECONDS defaults to run_seconds of BENCHMARK.json; OUTDIR to a
+# fresh temporary directory, which is kept. Each run's last output line
+# (its JSON result) is kept as OUTDIR/{parent,change}-<i>.json, its
+# standard error as <side>-<i>.log. A run that fails its reference check
+# (run.sh exits non-zero but prints its result) is kept and counted; a run
+# that prints no result (a build failure) stops the script.
 #
 # Then, per end-to-end metric of BENCHMARK.json, it prints both sides'
 # median and quartiles, the number of pairs the change won, and a verdict
@@ -20,9 +27,12 @@
 # won at least nine pairs in ten and its median beats the parent's by more
 # than the parent's inter-quartile range; `worse` when its median is worse
 # than the parent's by more than the metric's bound. A metric whose two
-# sides are equal on every pair reads `equal`. Failed operations are
-# summed per side. It changes nothing under benchmark/, and exits non-zero
-# when a run does (a failed reference check).
+# sides are equal on every pair reads `equal`. Failed operations and runs
+# that failed a reference check are summed per side. It changes nothing
+# under benchmark/.
+#
+# REV=HEAD on a clean working tree is the A/A control: both exports hold
+# the same files, so every verdict must read `-` or `equal`.
 set -euo pipefail
 if [ $# -lt 4 ]; then
 	echo "usage: scripts/pairs.sh REV WORKLOAD SEED N [SECONDS [OUTDIR]]" >&2
@@ -33,15 +43,22 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 seconds="${5:-$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' BENCHMARK.json)}"
 out="${6:-$(mktemp -d)}"
-mkdir -p "$out/parent"
+mkdir -p "$out/parent" "$out/change"
 git archive "$(git rev-parse --verify "$rev^{commit}")" | tar -x -C "$out/parent"
+# A tracked file deleted from the working tree is still listed; skip it.
+git ls-files -co --exclude-standard -z |
+	while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+	tar --null -T - -cf - | tar -x -C "$out/change"
 
 run() { # side index
-	local dir="$root"
-	[ "$1" = parent ] && dir="$out/parent"
-	bash "$dir/benchmark/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
-		2> "$out/$1-$2.log" | tail -n 1 > "$out/$1-$2.json"
-	echo "pairs: $1 run $2 done" >&2
+	local status=0
+	bash "$out/$1/benchmark/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+		2> "$out/$1-$2.log" | tail -n 1 > "$out/$1-$2.json" || status=$?
+	if [ ! -s "$out/$1-$2.json" ]; then
+		echo "pairs: $1 run $2 printed no result (exit $status); see $out/$1-$2.log" >&2
+		exit 1
+	fi
+	echo "pairs: $1 run $2 done (exit $status)" >&2
 }
 for i in $(seq 1 "$n"); do
 	if [ $((i % 2)) -eq 1 ]; then
