@@ -168,11 +168,12 @@ func TestSignatureCanonicalizesPredicates(t *testing.T) {
 	}
 }
 
-// TestSubtreeKeyWritesQueryIDsVerbatim: wherever a query id appears — the
+// TestMentionsDecidesSignatureReuse: the query ids a graph mentions decide
+// whether it reuses another graph's key. Wherever an id appears — the
 // dissemination namespace or key, an argument value, a predicate, as a
-// whole value or a prefix — two graphs naming two ids key apart, and
-// equal graphs sign alike whatever query id the caller passes.
-func TestSubtreeKeyWritesQueryIDsVerbatim(t *testing.T) {
+// whole value or a prefix — two graphs naming q7 and q8 key apart and
+// sign apart, while two graphs naming the same id key and sign alike.
+func TestMentionsDecidesSignatureReuse(t *testing.T) {
 	cases := map[string]func(g *Opgraph, id string){
 		"namespace": func(g *Opgraph, id string) {
 			g.Dissem = Dissemination{Mode: DissemEquality, Namespace: id + ".partial", Key: "k"}
@@ -188,17 +189,41 @@ func TestSubtreeKeyWritesQueryIDsVerbatim(t *testing.T) {
 		},
 	}
 	for name, edit := range cases {
-		a, b := sampleGraph("g", "t"), sampleGraph("g", "t")
+		a, b, c := sampleGraph("g", "t"), sampleGraph("g", "t"), sampleGraph("g", "t")
 		edit(&a, "q7")
 		edit(&b, "q8")
-		if a.SubtreeKey("out") == b.SubtreeKey("out") {
+		edit(&c, "q7")
+		if a.SubtreeKey("out") == b.SubtreeKey("out") || a.Signature("q7") == b.Signature("q8") {
 			t.Errorf("%s: graphs naming q7 and q8 key alike", name)
 		}
+		if a.SubtreeKey("out") != c.SubtreeKey("out") || a.Signature("q7") != c.Signature("q7") {
+			t.Errorf("%s: two graphs naming q7 key apart", name)
+		}
 	}
+}
+
+// TestSignatureNormalizationIsTokenAnchored: a key normalizes only whole
+// tokens of a graph's text (a kind's case, a parsed predicate's canonical
+// form) and never rewrites a query id out of it: "fw" inside table
+// 'fwlogs' is left alone whatever id the caller passes, 'fw.partial' and
+// 'q9.partial' key apart, and "fw > 5" keys as its canonical "5 < fw".
+func TestSignatureNormalizationIsTokenAnchored(t *testing.T) {
 	a := sampleGraph("g", "fwlogs")
 	b := sampleGraph("g", "fwlogs")
 	if a.SubtreeKey("out") != b.SubtreeKey("out") || a.Signature("fw") != b.Signature("some-other-id") {
 		t.Fatal("equal graphs key apart")
+	}
+	qa, qb := sampleGraph("g", "t"), sampleGraph("g", "t")
+	qa.Ops[1].Args["ns"] = "fw.partial"
+	qb.Ops[1].Args["ns"] = "q9.partial"
+	if qa.SubtreeKey("out") == qb.SubtreeKey("out") || qa.Signature("fw") == qb.Signature("q9") {
+		t.Fatal("a query-id prefix was rewritten out of the key")
+	}
+	pa, pb := sampleGraph("g", "t"), sampleGraph("g", "t")
+	pa.Ops[1].Args["pred"] = "fw > 5"
+	pb.Ops[1].Args["pred"] = "5 < fw"
+	if pa.SubtreeKey("out") != pb.SubtreeKey("out") {
+		t.Fatal("a predicate and its canonical form key apart")
 	}
 }
 
