@@ -4,21 +4,30 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // TestBenchmarkModuleBuilds builds the benchmark (benchmark/, a module of
 // its own that `go test ./...` does not reach) against the working tree,
 // in the environment benchmark/run.sh builds it in: the local toolchain,
-// no module proxy, no VCS stamp, and a build cache, work directory and Go
+// no module proxy, no VCS stamp, and a module cache, work directory and Go
 // configuration of its own. A change that removes or reshapes something
 // the benchmark calls then fails here, not first when the benchmark runs.
+// The build cache is this go command's own: a cache only skips compiling
+// what it has compiled before from the same inputs, so it cannot turn a
+// failing build into a passing one, and a warm build takes a second
+// where a cold one takes tens.
 func TestBenchmarkModuleBuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark module build skipped in -short mode")
 	}
+	gocache, err := exec.Command("go", "env", "GOCACHE").Output()
+	if err != nil {
+		t.Fatalf("go env GOCACHE: %v", err)
+	}
 	dir := t.TempDir()
-	for _, d := range []string{"gocache", "gomod", "gopath", "tmp", "config/go/telemetry"} {
+	for _, d := range []string{"gomod", "gopath", "tmp", "config/go/telemetry"} {
 		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +40,7 @@ func TestBenchmarkModuleBuilds(t *testing.T) {
 	build := exec.Command("go", "build", "-C", "benchmark", "-o", filepath.Join(dir, "pierbench"), ".")
 	build.Env = append(os.Environ(),
 		"GOTOOLCHAIN=local", "GOPROXY=off", "GOFLAGS=-buildvcs=false",
-		"GOCACHE="+filepath.Join(dir, "gocache"), "GOMODCACHE="+filepath.Join(dir, "gomod"),
+		"GOCACHE="+strings.TrimSpace(string(gocache)), "GOMODCACHE="+filepath.Join(dir, "gomod"),
 		"GOPATH="+filepath.Join(dir, "gopath"), "GOTMPDIR="+filepath.Join(dir, "tmp"),
 		"XDG_CONFIG_HOME="+filepath.Join(dir, "config"))
 	if out, err := build.CombinedOutput(); err != nil {

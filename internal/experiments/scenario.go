@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,7 +29,9 @@ import (
 //
 // Decoding is strict: unknown keys, wrong shapes, and malformed values
 // are errors with line numbers, so a typoed assertion can never pass
-// silently.
+// silently. This file decodes what belongs to no workload kind; each
+// `kind:` decodes its own entries and assertions (workloadKind, one
+// scenario_*.go file each, named in the workloadKinds registry).
 
 // ScenarioSpec is a fully decoded scenario file.
 type ScenarioSpec struct {
@@ -53,9 +56,10 @@ type ScenarioSpec struct {
 	// root keys, the paper's §3.3.3 reliability knob.
 	Trees int
 
-	Topology  TopologySpec
-	Network   NetworkSpec
-	Workloads []WorkloadSpec
+	Topology TopologySpec
+	Network  NetworkSpec
+	// Workloads holds one instance per kind named, in registry order.
+	Workloads []workloadKind
 	Events    []EventSpec
 	Assert    AssertSpec
 }
@@ -74,54 +78,61 @@ type NetworkSpec struct {
 	LossRate float64
 }
 
-// WorkloadSpec is one entry of the workload mix.
-type WorkloadSpec struct {
-	// Kind is "continuous-agg", "lookups", "gnutella-flood", "hier-agg"
-	// or "join".
-	Kind string
-
-	// continuous-agg: Queries concurrent continuous counts over the
-	// fwlogs stream (continuousAggPlan), flushing every FlushEvery, fed by
-	// per-node publishers emitting EventsPerNode events drawn from
-	// Sources source IPs over the scenario duration (0 events-per-node
-	// arms no publishers — the entry rides another entry's stream).
-	// Shapes > 1 cycles that many structurally distinct plans across
-	// the queries (distinct shared chains per node); Client labels the
-	// submissions, and Clients > 1 spreads them round-robin over
-	// "<client>-0".."<client>-C-1" identities (quota granularity).
-	// Start > 0 delays submission into the horizon (a mid-run burst).
-	Queries       int
-	Shapes        int
-	Client        string
-	Clients       int
-	FlushEvery    time.Duration
-	EventsPerNode int
-	Sources       int
-
-	// lookups: Count one-shot equality lookups over a pre-published key
-	// table of Keys keys, submitted every Interval starting at Start,
-	// each with its own Timeout. First-result latency is recorded per
-	// lookup (misses count toward completeness and p99).
-	Count    int
-	Start    time.Duration
-	Interval time.Duration
-	Timeout  time.Duration
-	Keys     int
-
-	// gnutella-flood: a flash crowd of Count concurrent flood searches
-	// at time At over co-located Gnutella peers (degree Degree, TTL
-	// TTL) sharing a small catalog.
-	At     time.Duration
-	TTL    int
-	Degree int
-
-	// hier-agg and join: the §3.3.4 ablations. Each seeds a fixed
-	// fixture before the horizon, submits one plan at its start and
-	// counts that plan's traffic over the horizon. Strategy picks the
-	// plan: hier-agg's direct or hierarchical, join's symmetric-hash,
-	// fetch-matches or bloom-rehash (ablationPlans).
-	Strategy string
+// workloadKind is one `kind:` of the workload block, the seam every
+// workload plugs into; the runner names no kind. A scenario holds one
+// instance per kind it names, which decodes every entry of that kind and
+// the assertions the kind owns. A run binds a copy (start), so a spec can
+// run again. Adding a kind is one file and one line in workloadKinds.
+type workloadKind interface {
+	// decode reads one entry, ending with f.done (the strict,
+	// line-numbered unknown-key check); spec's top-level fields are set.
+	decode(f *fields, spec *ScenarioSpec) error
+	// decodeAssert reads the assert keys the kind owns; events are set.
+	decodeAssert(f *fields, spec *ScenarioSpec) error
+	// start binds a copy of the kind to r and seeds its fixture before
+	// the horizon, reporting whether the run must let it settle.
+	start(r *scenarioRun) (bound workloadKind, settle bool)
+	// arm schedules the kind's driver events at the horizon start. A
+	// kind that also has a horizonEnd() method is called when it ends.
+	arm()
+	// recovered marks a recovery point (a partition heal or a respawn)
+	// and returns the result rows the kind holds so far.
+	recovered() int
+	// report writes the kind's report line, passes its assertions to
+	// check, and returns its queries submitted and Done (the runner's
+	// queries-done assertions count them).
+	report(b *strings.Builder, check checkFunc) (submitted, done int)
 }
+
+// checkFunc records one assertion verdict. Verdicts print by rank,
+// whoever owns them: min-result-rows 10, recovered-rows 20,
+// min-queries-done 30, all-queries-done 40, lookup-completeness 50,
+// min-completeness 60, p99-latency-max 70, min-quota-rejects 80,
+// malformed-seen 90, answers 100, no-leaks 110; equal ranks in registry
+// order.
+type checkFunc func(rank int, name string, ok bool, detail string)
+
+// workloadKinds is the registry: each kind, in the order kinds seed, arm
+// and report, with the assert keys it owns (refused when it is absent).
+var workloadKinds = []kindDef{
+	{"continuous-agg", []string{"min-result-rows", "recovered-rows", "min-completeness"}, func() workloadKind { return &continuousAgg{} }},
+	{"lookups", []string{"lookup-completeness", "p99-latency-max"}, func() workloadKind { return &lookups{} }},
+	{"gnutella-flood", nil, func() workloadKind { return &gnutellaFlood{} }},
+	{"hier-agg", []string{"answers"}, func() workloadKind { return &ablation{kind: "hier-agg"} }},
+	{"join", []string{"answers"}, func() workloadKind { return &ablation{kind: "join"} }},
+}
+
+type kindDef struct {
+	name    string
+	asserts []string
+	new     func() workloadKind
+}
+
+// workloadBase holds a bound kind's run and the hooks most kinds skip.
+type workloadBase struct{ r *scenarioRun }
+
+func (workloadBase) decodeAssert(*fields, *ScenarioSpec) error { return nil }
+func (workloadBase) recovered() int                            { return 0 }
 
 // EventSpec is one entry of the timed failure-injection script.
 type EventSpec struct {
@@ -163,30 +174,16 @@ type EventSpec struct {
 	Floods int
 }
 
-// AssertSpec is the assertion block. Pointer fields are only checked
-// when present in the file; booleans only when true.
+// AssertSpec is the assertion block's checks that belong to no workload
+// kind; a kind's own (min-result-rows, answers, ...) live in the kind.
+// Pointer fields are only checked when present in the file; booleans only
+// when true.
 type AssertSpec struct {
-	// MinResultRows: total continuous-agg result rows >= this.
-	MinResultRows *int
-	// RecoveredRows: continuous-agg rows arriving after the LAST
-	// recovery event — a partition heal or a kill's respawn — >= this
-	// (requires a partition event with heal-after, or a kill event with
-	// respawn-after).
-	RecoveredRows *int
-	// MinQueriesDone: at least this many submitted queries (all kinds)
-	// reached Done (bounded result loss under churn).
+	// MinQueriesDone: at least this many submitted queries (of the kinds
+	// that count queries) reached Done (bounded result loss under churn).
 	MinQueriesDone *int
 	// AllQueriesDone: every submitted query reached Done.
 	AllQueriesDone bool
-	// LookupCompleteness: lookup hits / lookups submitted >= this.
-	LookupCompleteness *float64
-	// MinCompleteness: every continuous-agg query that reached Done
-	// reports ResultSet.Completeness() >= this (contributing nodes /
-	// admitted nodes — the query plane's graceful-degradation measure).
-	MinCompleteness *float64
-	// P99LatencyMax: 99th-percentile lookup latency <= this; a p99
-	// falling among misses fails.
-	P99LatencyMax *time.Duration
 	// MinQuotaRejects: per-client quota refusals counted across the
 	// cluster >= this (requires max-graphs-per-client to be set).
 	MinQuotaRejects *int
@@ -197,10 +194,6 @@ type AssertSpec struct {
 	// MalformedSeen: at least one malformed drop was counted (the flood
 	// actually met a query's decode path).
 	MalformedSeen bool
-	// Answers: "exact" requires every hier-agg and join workload's
-	// answer to equal the ground truth its fixture fixes (requires such
-	// a workload).
-	Answers string
 }
 
 // ---------------------------------------------------------------------
@@ -440,61 +433,52 @@ type decodeErr struct {
 
 func (e decodeErr) Error() string { return fmt.Sprintf("line %d: %s", e.line, e.msg) }
 
-func (v *yval) str() (string, error) {
+// scalar parses v's scalar with parse; what names the type in the error.
+func scalar[T any](v *yval, what string, parse func(string) (T, error)) (T, error) {
+	var x T
 	if !v.isScalar {
-		return "", decodeErr{v.line, "expected a scalar value"}
+		return x, decodeErr{v.line, "expected a scalar value"}
 	}
-	return v.scalar, nil
+	x, err := parse(v.scalar)
+	if err != nil {
+		return x, decodeErr{v.line, fmt.Sprintf("%q is not %s", v.scalar, what)}
+	}
+	return x, nil
 }
 
-func (v *yval) asInt() (int, error) {
-	s, err := v.str()
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, decodeErr{v.line, fmt.Sprintf("%q is not an integer", s)}
-	}
-	return n, nil
+func (v *yval) str() (string, error) {
+	return scalar(v, "", func(s string) (string, error) { return s, nil })
 }
+
+func (v *yval) asInt() (int, error) { return scalar(v, "an integer", strconv.Atoi) }
 
 func (v *yval) asFloat() (float64, error) {
-	s, err := v.str()
-	if err != nil {
-		return 0, err
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, decodeErr{v.line, fmt.Sprintf("%q is not a number", s)}
-	}
-	return f, nil
-}
-
-func (v *yval) asBool() (bool, error) {
-	s, err := v.str()
-	if err != nil {
-		return false, err
-	}
-	switch s {
-	case "true", "yes", "on":
-		return true, nil
-	case "false", "no", "off":
-		return false, nil
-	}
-	return false, decodeErr{v.line, fmt.Sprintf("%q is not a boolean", s)}
+	return scalar(v, "a number", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
 }
 
 func (v *yval) asDur() (time.Duration, error) {
-	s, err := v.str()
-	if err != nil {
-		return 0, err
+	return scalar(v, "a duration (want 30s, 250ms, ...)", time.ParseDuration)
+}
+
+func (v *yval) asBool() (bool, error) {
+	return scalar(v, "a boolean", func(s string) (bool, error) {
+		switch s {
+		case "true", "yes", "on":
+			return true, nil
+		case "false", "no", "off":
+			return false, nil
+		}
+		return false, strconv.ErrSyntax
+	})
+}
+
+// asFraction decodes a number in [0, 1].
+func (v *yval) asFraction() (float64, error) {
+	x, err := v.asFloat()
+	if err == nil && (x < 0 || x > 1) {
+		err = decodeErr{v.line, fmt.Sprintf("%v outside [0, 1]", x)}
 	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, decodeErr{v.line, fmt.Sprintf("%q is not a duration (want 30s, 250ms, ...)", s)}
-	}
-	return d, nil
+	return x, err
 }
 
 // fields wraps a map yval for strict decoding: every get marks its key
@@ -530,31 +514,12 @@ func (f *fields) done(what string) error {
 	return nil
 }
 
-// Typed optional-field helpers: each decodes the key if present,
-// otherwise leaves the destination untouched.
-func (f *fields) intField(key string, dst *int) error {
+// field decodes key, if present, into *dst with dec; an absent key leaves
+// *dst untouched (its default). opt decodes it into a fresh pointer, so an
+// absent key stays nil (an assertion left unchecked).
+func field[T any](f *fields, key string, dst *T, dec func(*yval) (T, error)) error {
 	if v := f.get(key); v != nil {
-		n, err := v.asInt()
-		if err != nil {
-			return err
-		}
-		*dst = n
-	}
-	return nil
-}
-
-func (f *fields) int64Field(key string, dst *int64) error {
-	n := int(*dst)
-	if err := f.intField(key, &n); err != nil {
-		return err
-	}
-	*dst = int64(n)
-	return nil
-}
-
-func (f *fields) floatField(key string, dst *float64) error {
-	if v := f.get(key); v != nil {
-		x, err := v.asFloat()
+		x, err := dec(v)
 		if err != nil {
 			return err
 		}
@@ -563,38 +528,23 @@ func (f *fields) floatField(key string, dst *float64) error {
 	return nil
 }
 
+func opt[T any](f *fields, key string, dst **T, dec func(*yval) (T, error)) error {
+	if f.get(key) == nil {
+		return nil
+	}
+	*dst = new(T)
+	return field(f, key, *dst, dec)
+}
+
+func (f *fields) intField(key string, dst *int) error { return field(f, key, dst, (*yval).asInt) }
+func (f *fields) floatField(key string, dst *float64) error {
+	return field(f, key, dst, (*yval).asFloat)
+}
 func (f *fields) durField(key string, dst *time.Duration) error {
-	if v := f.get(key); v != nil {
-		d, err := v.asDur()
-		if err != nil {
-			return err
-		}
-		*dst = d
-	}
-	return nil
+	return field(f, key, dst, (*yval).asDur)
 }
-
-func (f *fields) strField(key string, dst *string) error {
-	if v := f.get(key); v != nil {
-		s, err := v.str()
-		if err != nil {
-			return err
-		}
-		*dst = s
-	}
-	return nil
-}
-
-func (f *fields) boolField(key string, dst *bool) error {
-	if v := f.get(key); v != nil {
-		b, err := v.asBool()
-		if err != nil {
-			return err
-		}
-		*dst = b
-	}
-	return nil
-}
+func (f *fields) strField(key string, dst *string) error { return field(f, key, dst, (*yval).str) }
+func (f *fields) boolField(key string, dst *bool) error  { return field(f, key, dst, (*yval).asBool) }
 
 func firstErr(errs ...error) error {
 	for _, err := range errs {
@@ -618,7 +568,7 @@ func ParseScenario(src string) (ScenarioSpec, error) {
 	}
 	if err := firstErr(
 		f.strField("name", &spec.Name),
-		f.int64Field("seed", &spec.Seed),
+		field(f, "seed", &spec.Seed, func(v *yval) (int64, error) { n, err := v.asInt(); return int64(n), err }),
 		f.intField("nodes", &spec.Nodes),
 		f.durField("duration", &spec.Duration),
 		f.durField("teardown", &spec.Teardown),
@@ -627,43 +577,17 @@ func ParseScenario(src string) (ScenarioSpec, error) {
 	); err != nil {
 		return spec, err
 	}
-	if v := f.get("topology"); v != nil {
-		if spec.Topology, err = decodeTopology(v); err != nil {
-			return spec, err
-		}
-	}
-	if v := f.get("network"); v != nil {
-		if spec.Network, err = decodeNetwork(v); err != nil {
-			return spec, err
-		}
-	}
-	if v := f.get("workload"); v != nil {
-		if v.list == nil {
-			return spec, decodeErr{v.line, "workload must be a list"}
-		}
-		for _, item := range v.list {
-			wl, err := decodeWorkload(item)
-			if err != nil {
+	// The sections decode in this order: a kind's entries read the
+	// top-level fields, and the assertions read the kinds and events.
+	sections := []struct {
+		key    string
+		decode func(*yval, *ScenarioSpec) error
+	}{{"topology", decodeTopology}, {"network", decodeNetwork}, {"workload", decodeWorkloads}, {"events", decodeEvents}, {"assert", decodeAssert}}
+	for _, sec := range sections {
+		if v := f.get(sec.key); v != nil {
+			if err := sec.decode(v, &spec); err != nil {
 				return spec, err
 			}
-			spec.Workloads = append(spec.Workloads, wl)
-		}
-	}
-	if v := f.get("events"); v != nil {
-		if v.list == nil {
-			return spec, decodeErr{v.line, "events must be a list"}
-		}
-		for _, item := range v.list {
-			ev, err := decodeEvent(item)
-			if err != nil {
-				return spec, err
-			}
-			spec.Events = append(spec.Events, ev)
-		}
-	}
-	if v := f.get("assert"); v != nil {
-		if spec.Assert, err = decodeAssert(v); err != nil {
-			return spec, err
 		}
 	}
 	if err := f.done("scenario"); err != nil {
@@ -686,145 +610,92 @@ func ParseScenario(src string) (ScenarioSpec, error) {
 			return spec, fmt.Errorf("event %q at %v falls outside the scenario duration %v", ev.Action, ev.At, spec.Duration)
 		}
 	}
-	if spec.Assert.RecoveredRows != nil {
-		recovers := false
-		for _, ev := range spec.Events {
-			if ev.Action == "partition" && ev.HealAfter > 0 {
-				recovers = true
-			}
-			if ev.Action == "kill" && ev.RespawnAfter > 0 {
-				recovers = true
-			}
-		}
-		if !recovers {
-			return spec, fmt.Errorf("assert recovered-rows requires a partition event with heal-after or a kill event with respawn-after")
-		}
-	}
 	if spec.Assert.MinQuotaRejects != nil && spec.MaxGraphsPerClient <= 0 {
 		return spec, fmt.Errorf("assert min-quota-rejects requires max-graphs-per-client")
-	}
-	fixtures := map[string]int{}
-	for _, wl := range spec.Workloads {
-		if wl.Kind == "continuous-agg" && wl.Start >= spec.Duration {
-			return spec, fmt.Errorf("continuous-agg start %v falls outside the scenario duration %v", wl.Start, spec.Duration)
-		}
-		if ablationPlans[wl.Kind] != nil {
-			if fixtures[wl.Kind]++; fixtures[wl.Kind] > 1 {
-				return spec, fmt.Errorf("at most one %s workload per scenario (its fixture is seeded once)", wl.Kind)
-			}
-		}
-	}
-	if spec.Assert.Answers != "" && len(fixtures) == 0 {
-		return spec, fmt.Errorf("assert answers requires a hier-agg or join workload")
 	}
 	return spec, nil
 }
 
-func decodeTopology(v *yval) (TopologySpec, error) {
-	t := TopologySpec{Kind: "star"}
+func decodeTopology(v *yval, spec *ScenarioSpec) error {
 	f, err := asFields(v, "topology")
 	if err != nil {
-		return t, err
+		return err
 	}
+	t := &spec.Topology
 	if err := firstErr(
 		f.strField("kind", &t.Kind),
 		f.durField("min-access", &t.MinAccess),
 		f.durField("max-access", &t.MaxAccess),
 		f.done("topology"),
 	); err != nil {
-		return t, err
+		return err
 	}
 	if t.Kind != "star" && t.Kind != "transit-stub" {
-		return t, decodeErr{v.line, fmt.Sprintf("unknown topology kind %q (star or transit-stub)", t.Kind)}
+		return decodeErr{v.line, fmt.Sprintf("unknown topology kind %q (star or transit-stub)", t.Kind)}
 	}
-	return t, nil
+	return nil
 }
 
-func decodeNetwork(v *yval) (NetworkSpec, error) {
-	var n NetworkSpec
+func decodeNetwork(v *yval, spec *ScenarioSpec) error {
 	f, err := asFields(v, "network")
 	if err != nil {
-		return n, err
+		return err
 	}
-	if err := firstErr(
-		f.floatField("loss-rate", &n.LossRate),
-		f.done("network"),
-	); err != nil {
-		return n, err
+	n := &spec.Network
+	if err := firstErr(f.floatField("loss-rate", &n.LossRate), f.done("network")); err != nil {
+		return err
 	}
 	if n.LossRate < 0 || n.LossRate >= 1 {
-		return n, decodeErr{v.line, fmt.Sprintf("loss-rate %v outside [0, 1)", n.LossRate)}
+		return decodeErr{v.line, fmt.Sprintf("loss-rate %v outside [0, 1)", n.LossRate)}
 	}
-	return n, nil
+	return nil
 }
 
-func decodeWorkload(v *yval) (WorkloadSpec, error) {
-	var w WorkloadSpec
-	f, err := asFields(v, "workload")
-	if err != nil {
-		return w, err
+// decodeWorkloads hands each workload entry to its kind's instance, made
+// on the kind's first entry, and keeps the instances in registry order.
+func decodeWorkloads(v *yval, spec *ScenarioSpec) error {
+	if v.list == nil {
+		return decodeErr{v.line, "workload must be a list"}
 	}
-	if err := f.strField("kind", &w.Kind); err != nil {
-		return w, err
-	}
-	switch w.Kind {
-	case "continuous-agg":
-		w.Queries, w.FlushEvery, w.EventsPerNode, w.Sources = 8, 5*time.Second, 20, 32
-		w.Shapes, w.Client, w.Clients = 1, "scenario", 1
-		err = firstErr(
-			f.intField("queries", &w.Queries),
-			f.intField("shapes", &w.Shapes),
-			f.strField("client", &w.Client),
-			f.intField("clients", &w.Clients),
-			f.durField("start", &w.Start),
-			f.durField("flush-every", &w.FlushEvery),
-			f.intField("events-per-node", &w.EventsPerNode),
-			f.intField("sources", &w.Sources),
-		)
-		if err == nil && w.Shapes < 1 {
-			err = decodeErr{v.line, "continuous-agg needs shapes >= 1"}
+	kinds := make([]workloadKind, len(workloadKinds))
+	for _, item := range v.list {
+		f, err := asFields(item, "workload")
+		if err != nil {
+			return err
 		}
-	case "lookups":
-		w.Count, w.Start, w.Interval, w.Timeout, w.Keys = 10, 2*time.Second, time.Second, 10*time.Second, 32
-		err = firstErr(
-			f.intField("count", &w.Count),
-			f.durField("start", &w.Start),
-			f.durField("interval", &w.Interval),
-			f.durField("timeout", &w.Timeout),
-			f.intField("keys", &w.Keys),
-		)
-		if err == nil && w.Keys < 1 {
-			// Lookups pick key i*7 mod keys.
-			err = decodeErr{f.v.m["keys"].line, "lookups needs keys >= 1"}
+		var name string
+		if err := f.strField("kind", &name); err != nil {
+			return err
 		}
-	case "gnutella-flood":
-		w.Count, w.At, w.TTL, w.Degree, w.Timeout = 12, 5*time.Second, 3, 3, 10*time.Second
-		err = firstErr(
-			f.intField("count", &w.Count),
-			f.durField("at", &w.At),
-			f.intField("ttl", &w.TTL),
-			f.intField("degree", &w.Degree),
-			f.durField("timeout", &w.Timeout),
-		)
-	case "hier-agg", "join":
-		err = f.strField("strategy", &w.Strategy)
-		if plans := ablationPlans[w.Kind]; err == nil && plans[w.Strategy] == "" {
-			names := make([]string, 0, len(plans))
-			for name := range plans {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			err = decodeErr{v.line, fmt.Sprintf("%s needs strategy %s, got %q", w.Kind, strings.Join(names, "|"), w.Strategy)}
+		i := slices.IndexFunc(workloadKinds, func(d kindDef) bool { return d.name == name })
+		switch {
+		case name == "":
+			return decodeErr{item.line, "workload entry needs a kind"}
+		case i < 0:
+			return decodeErr{item.line, fmt.Sprintf("unknown workload kind %q", name)}
+		case kinds[i] == nil:
+			kinds[i] = workloadKinds[i].new()
 		}
-	case "":
-		return w, decodeErr{v.line, "workload entry needs a kind"}
-	default:
-		return w, decodeErr{v.line, fmt.Sprintf("unknown workload kind %q", w.Kind)}
+		if err := kinds[i].decode(f, spec); err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return w, err
+	spec.Workloads = slices.DeleteFunc(kinds, func(k workloadKind) bool { return k == nil })
+	return nil
+}
+
+func decodeEvents(v *yval, spec *ScenarioSpec) error {
+	if v.list == nil {
+		return decodeErr{v.line, "events must be a list"}
 	}
-	return w, f.done(fmt.Sprintf("workload %s", w.Kind))
+	for _, item := range v.list {
+		ev, err := decodeEvent(item)
+		if err != nil {
+			return err
+		}
+		spec.Events = append(spec.Events, ev)
+	}
+	return nil
 }
 
 func decodeEvent(v *yval) (EventSpec, error) {
@@ -881,63 +752,38 @@ func decodeEvent(v *yval) (EventSpec, error) {
 	return e, f.done(fmt.Sprintf("event %s", e.Action))
 }
 
-func decodeAssert(v *yval) (AssertSpec, error) {
-	var a AssertSpec
+// decodeAssert decodes the assert block: the runner's own keys, then each
+// present kind's. A key that only absent kinds own is refused.
+func decodeAssert(v *yval, spec *ScenarioSpec) error {
 	f, err := asFields(v, "assert")
 	if err != nil {
-		return a, err
+		return err
 	}
-	optInt := func(key string, dst **int) error {
-		if v := f.get(key); v != nil {
-			n, err := v.asInt()
-			if err != nil {
-				return err
-			}
-			*dst = &n
-		}
-		return nil
-	}
+	a := &spec.Assert
 	if err := firstErr(
-		optInt("min-result-rows", &a.MinResultRows),
-		optInt("recovered-rows", &a.RecoveredRows),
-		optInt("min-queries-done", &a.MinQueriesDone),
-		optInt("min-quota-rejects", &a.MinQuotaRejects),
+		opt(f, "min-queries-done", &a.MinQueriesDone, (*yval).asInt),
+		opt(f, "min-quota-rejects", &a.MinQuotaRejects, (*yval).asInt),
 		f.boolField("all-queries-done", &a.AllQueriesDone),
 		f.boolField("no-leaks", &a.NoLeaks),
 		f.boolField("malformed-seen", &a.MalformedSeen),
-		f.strField("answers", &a.Answers),
 	); err != nil {
-		return a, err
+		return err
 	}
-	if a.Answers != "" && a.Answers != "exact" {
-		return a, decodeErr{f.v.m["answers"].line, fmt.Sprintf("answers must be exact, got %q", a.Answers)}
+	for _, k := range spec.Workloads {
+		if err := k.decodeAssert(f, spec); err != nil {
+			return err
+		}
 	}
-	if v := f.get("lookup-completeness"); v != nil {
-		x, err := v.asFloat()
-		if err != nil {
-			return a, err
+	for _, key := range f.v.keys {
+		var owners []string
+		for _, def := range workloadKinds {
+			if !f.used[key] && slices.Contains(def.asserts, key) {
+				owners = append(owners, def.name)
+			}
 		}
-		if x < 0 || x > 1 {
-			return a, decodeErr{v.line, "lookup-completeness outside [0, 1]"}
+		if owners != nil {
+			return decodeErr{f.v.m[key].line, fmt.Sprintf("assert %s requires a %s workload", key, strings.Join(owners, " or "))}
 		}
-		a.LookupCompleteness = &x
 	}
-	if v := f.get("min-completeness"); v != nil {
-		x, err := v.asFloat()
-		if err != nil {
-			return a, err
-		}
-		if x < 0 || x > 1 {
-			return a, decodeErr{v.line, "min-completeness outside [0, 1]"}
-		}
-		a.MinCompleteness = &x
-	}
-	if v := f.get("p99-latency-max"); v != nil {
-		d, err := v.asDur()
-		if err != nil {
-			return a, err
-		}
-		a.P99LatencyMax = &d
-	}
-	return a, f.done("assert")
+	return f.done("assert")
 }

@@ -83,7 +83,7 @@ assert:
 	if spec.Network.LossRate != 0.02 {
 		t.Fatalf("network decoded wrong: %+v", spec.Network)
 	}
-	if len(spec.Workloads) != 3 || spec.Workloads[1].Count != 6 || spec.Workloads[2].TTL != 2 {
+	if len(spec.Workloads) != 3 || spec.Workloads[1].(*lookups).entries[0].count != 6 || spec.Workloads[2].(*gnutellaFlood).ttl != 2 {
 		t.Fatalf("workloads decoded wrong: %+v", spec.Workloads)
 	}
 	if len(spec.Events) != 4 {
@@ -92,9 +92,9 @@ assert:
 	if spec.Events[0].HealAfter != 5*time.Second || spec.Events[2].Loss != 0.5 || spec.Events[3].Floods != 7 {
 		t.Fatalf("event fields decoded wrong: %+v", spec.Events)
 	}
-	a := spec.Assert
-	if a.MinResultRows == nil || *a.MinResultRows != 10 ||
-		a.P99LatencyMax == nil || *a.P99LatencyMax != 4*time.Second ||
+	a, agg, look := spec.Assert, spec.Workloads[0].(*continuousAgg), spec.Workloads[1].(*lookups)
+	if agg.minRows == nil || *agg.minRows != 10 ||
+		look.p99Max == nil || *look.p99Max != 4*time.Second ||
 		!a.NoLeaks || !a.MalformedSeen || !a.AllQueriesDone {
 		t.Fatalf("assert decoded wrong: %+v", a)
 	}

@@ -67,10 +67,7 @@ func (s *proxyService) HandleData(c vri.Conn, data []byte) {
 	case cfQuery:
 		q, err = ufl.Parse(string(data[1:]))
 	case cfPlan:
-		q, err = ufl.Decode(data[1:])
-		if err == nil {
-			err = q.Validate()
-		}
+		q, err = ufl.Decode(data[1:]) // Submit validates it
 	default:
 		return
 	}

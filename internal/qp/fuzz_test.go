@@ -192,6 +192,8 @@ func FuzzHandleMessage(f *testing.F) {
 		f.Add(disseminateWith(plan, 2, kind, nil))
 	}
 	f.Add(disseminateWith(plan, 2, "TopK", map[string]string{"k": "0", "col": "src"}))
+	// A graph with a cycle, which Check refuses before anything is built.
+	f.Add(cyclicFrame("proxy", fuzzDeadline))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, n := fuzzNode(t)

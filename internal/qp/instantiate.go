@@ -76,6 +76,9 @@ type liveGraph struct {
 // cached chain without an attachment behind.
 func (n *Node) instantiate(rq *runningQuery, g ufl.Opgraph) (*liveGraph, error) {
 	p := n.planOf(&g)
+	if p.err != nil {
+		return nil, p.err
+	}
 	own, err := n.newChain(rq, &g, func(id string) bool { return !p.shared || id == p.tailID })
 	if err != nil {
 		return nil, err
@@ -90,11 +93,11 @@ func (n *Node) instantiate(rq *runningQuery, g ufl.Opgraph) (*liveGraph, error) 
 	return lg, nil
 }
 
-// newChain instantiates the operators of g that member selects and wires
-// the edges between them; an edge that leaves the selection is the cut
-// where a demux joins two chains. Tags scope operator state per chain
-// and never leave the node, so the counter is per-node: a package global
-// would be written from every shard worker under the sharded scheduler.
+// newChain instantiates the operators of g, a checked graph (planOf), that
+// member selects and wires the edges between them; an edge that leaves the
+// selection is the cut where a demux joins two chains. Tags scope operator
+// state per chain and never leave the node, so the counter is per-node (a
+// package global would be written from every shard worker when sharded).
 func (n *Node) newChain(rq *runningQuery, g *ufl.Opgraph, member func(opID string) bool) (*chain, error) {
 	n.tagCounter++
 	c := &chain{n: n, rq: rq, tag: n.tagCounter}
@@ -121,16 +124,11 @@ func (n *Node) newChain(rq *runningQuery, g *ufl.Opgraph, member func(opID strin
 
 	// Wire edges: the consumer adopts the producer as a child on the
 	// given input slot. Producers feeding several consumers must be Tee.
-	// Opgraphs arrive from strangers unvalidated, so an edge naming an
-	// operator the graph never declared is an error, not a nil child.
 	var edges []ufl.Edge
 	fanOut := make(map[string]int)
 	for _, e := range g.Edges {
 		if !member(e.From) || !member(e.To) {
 			continue
-		}
-		if ops[e.From] == nil || ops[e.To] == nil {
-			return nil, fmt.Errorf("qp: opgraph %q: edge %s->%s names an undeclared operator", g.ID, e.From, e.To)
 		}
 		edges = append(edges, e)
 		fanOut[e.From]++
@@ -152,19 +150,16 @@ func (n *Node) newChain(rq *runningQuery, g *ufl.Opgraph, member func(opID strin
 			s.gated = windowGated(g, edges, spec.ID)
 		}
 	}
-	if len(c.roots) == 0 {
-		return nil, fmt.Errorf("qp: opgraph %q has no root operator (cycle?)", g.ID)
-	}
 	return c, nil
 }
 
 // windowGated reports whether the access method id is window-gated: its
 // only path up the chain's wired edges reaches a GroupBy through Select
 // and Project alone, so nothing it delivers leaves the chain before that
-// GroupBy flushes (bus.go holds such a chain's arrivals). Each step
-// consumes an edge, so a cycle cannot loop; the walk allocates nothing.
+// GroupBy flushes (bus.go holds such a chain's arrivals). The graph is
+// acyclic (Check), so the walk ends; it allocates nothing.
 func windowGated(g *ufl.Opgraph, edges []ufl.Edge, id string) bool {
-	for range edges {
+	for {
 		next, outs := "", 0
 		for _, e := range edges {
 			if e.From == id {
@@ -183,7 +178,6 @@ func windowGated(g *ufl.Opgraph, edges []ufl.Edge, id string) bool {
 			return false
 		}
 	}
-	return false
 }
 
 // attachChild wires child as an input of parent on the given slot,

@@ -266,10 +266,6 @@ func NewNode(rt vri.Runtime, cfg Config) *Node {
 // disables the cap.
 func (n *Node) SetMaxLiveGraphs(max int) { n.cfg.MaxLiveGraphs = max }
 
-// SetMaxGraphsPerClient adjusts the per-client quota at runtime (same
-// driver-context discipline as SetMaxLiveGraphs). 0 disables it.
-func (n *Node) SetMaxGraphsPerClient(max int) { n.cfg.MaxGraphsPerClient = max }
-
 // Start brings up the overlay, binds the query port, and begins
 // distribution-tree maintenance.
 func (n *Node) Start() error {

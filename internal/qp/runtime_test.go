@@ -196,17 +196,19 @@ opgraph g disseminate local {
 	}
 }
 
-// TestSharePlanRefusesDuplicateOpIDs: executors do not validate the graphs
-// strangers send, and a subtree key tells ops apart by position, not id,
-// so a graph that declares one op id twice takes the private path.
+// TestSharePlanRefusesDuplicateOpIDs: a subtree key tells ops apart by
+// position, not id, so a graph that declares one op id twice must never
+// share. Executors check the graphs strangers send before planning them,
+// so planOf refuses it and sharePlan never sees it.
 func TestSharePlanRefusesDuplicateOpIDs(t *testing.T) {
+	n := &Node{}
 	g := frameQuery("d", "fw").Graphs[0]
-	if _, _, ok := sharePlan(&g); !ok {
-		t.Fatal("the frame query is not share-eligible")
+	if p := n.planOf(&g); p.err != nil || !p.shared {
+		t.Fatalf("the frame query is not share-eligible: %v", p.err)
 	}
 	g.Ops = append(g.Ops, ufl.OpSpec{ID: "sel", Kind: "Select", Args: map[string]string{"pred": "sev > 8"}})
-	if _, _, ok := sharePlan(&g); ok {
-		t.Fatal("a graph declaring op id \"sel\" twice is share-eligible")
+	if p := n.planOf(&g); p.err == nil || p.shared {
+		t.Fatal("a graph declaring op id \"sel\" twice is planned to build")
 	}
 }
 

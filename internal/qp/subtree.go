@@ -63,19 +63,13 @@ var shareableOpKinds = map[string]bool{
 	"groupby": true, "limit": true, "topk": true, "tee": true,
 }
 
-// sharePlan decides share-eligibility for an opgraph: unique op ids (a
-// subtree key tells ops apart by position, not id), exactly one tail
-// (Result/Put) consuming exactly one input chain, every chain operator of
-// a shareable kind. It returns the ids of the tail and of the chain's top
-// operator (the tail's single producer).
+// sharePlan decides share-eligibility for a checked opgraph (Check's
+// unique op ids let a subtree key tell ops apart by position): exactly
+// one tail (Result/Put) consuming exactly one input chain, every chain
+// operator of a shareable kind. It returns the ids of the tail and of
+// the chain's top operator (the tail's single producer).
 func sharePlan(g *ufl.Opgraph) (tailID, topID string, ok bool) {
 	fanOut := make(map[string]int, len(g.Ops))
-	for _, op := range g.Ops {
-		if _, dup := fanOut[op.ID]; dup {
-			return "", "", false
-		}
-		fanOut[op.ID] = 0
-	}
 	for _, e := range g.Edges {
 		fanOut[e.From]++
 	}
@@ -145,14 +139,14 @@ func (c *chain) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	}
 }
 
-// graphPlan is how an opgraph shares: sharePlan's verdict and, for a
-// shared plan, the interned key of its top's subtree. Inside a
-// dissemination frame the entries whose graphs share one decode
+// graphPlan is how an opgraph builds: Check's verdict (err refuses it),
+// sharePlan's and, if shared, the interned key of its top's subtree.
+// Entries of a dissemination frame that share one decode
 // (ufl.DecodeBatch) share one plan (frameState.plans, keyed by the
-// decode's first OpSpec), so a frame of Q same-shape queries runs
-// sharePlan and SubtreeKey once, not Q times. The memo lives only while
-// the frame is accepted.
+// decode's first OpSpec) while the frame is accepted, so a frame of Q
+// same-shape queries runs Check, sharePlan and SubtreeKey once.
 type graphPlan struct {
+	err           error
 	tailID, topID string
 	shared        bool
 	key           subtreeKey
@@ -177,8 +171,10 @@ func (n *Node) planOf(g *ufl.Opgraph) *graphPlan {
 			return p
 		}
 	}
-	p := &graphPlan{}
-	p.tailID, p.topID, p.shared = sharePlan(g)
+	p := &graphPlan{err: g.Check()}
+	if p.err == nil {
+		p.tailID, p.topID, p.shared = sharePlan(g)
+	}
 	if p.shared {
 		p.key = unique.Make(g.SubtreeKey(p.topID))
 	}

@@ -37,10 +37,10 @@ const (
 // input edges in declaration order, each with its slot and then its
 // producer: written in full on its first visit, by its visit number after
 // that. Every op is written once, so the key grows linearly with the
-// graph, however many paths a diamond opens into top, and a cycle
-// (which Validate does not forbid) ends at a visit number. Strings are
-// length-prefixed, so the bytes decode back to exactly one structure.
-// Op ids must be unique (Validate).
+// graph, however many paths a diamond opens into top, and a cycle (which
+// Check forbids) ends at a visit number. Strings are length-prefixed, so
+// the bytes decode back to exactly one structure. Op ids must be unique
+// (Check).
 func (g *Opgraph) SubtreeKey(top string) string {
 	k := newKeyer(g)
 	return string(k.appendKey(make([]byte, 0, 256), top))

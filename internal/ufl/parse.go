@@ -119,21 +119,12 @@ func (p *uflParser) parseOpgraph(header srcLine) (*Opgraph, error) {
 	if len(fields) < 4 || fields[2] != "disseminate" {
 		return nil, p.errf(header, "expected: opgraph <id> disseminate <mode> ... {")
 	}
-	g := &Opgraph{ID: fields[1]}
-	switch fields[3] {
-	case DissemBroadcast, DissemLocal:
-		g.Dissem.Mode = fields[3]
-	case DissemEquality:
-		g.Dissem.Mode = DissemEquality
-		if len(fields) < 5 {
-			return nil, p.errf(header, "equality dissemination needs a namespace")
-		}
+	g := &Opgraph{ID: fields[1], Dissem: Dissemination{Mode: fields[3]}}
+	if g.Dissem.Mode == DissemEquality && len(fields) >= 5 {
 		g.Dissem.Namespace = unquote(fields[4])
 		if len(fields) >= 6 {
 			g.Dissem.Key = unquote(fields[5])
 		}
-	default:
-		return nil, p.errf(header, "unknown dissemination mode %q", fields[3])
 	}
 	if !strings.HasSuffix(header.text, "{") {
 		return nil, p.errf(header, "opgraph header must end with '{'")

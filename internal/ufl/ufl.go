@@ -122,59 +122,81 @@ type Query struct {
 	Graphs  []Opgraph
 }
 
-// Validate checks structural integrity: unique ids, edges referencing
-// declared ops, and at least one operator per opgraph. It deliberately
-// does not check operator kinds or column names — there is no catalog.
+// Validate checks structural integrity: a query id, unique graph ids and
+// every graph's Check. It deliberately does not check operator kinds or
+// column names — there is no catalog.
 func (q *Query) Validate() error {
-	if q.ID == "" {
-		return fmt.Errorf("ufl: query has no id")
+	if q.ID == "" || len(q.Graphs) == 0 {
+		return fmt.Errorf("ufl: query %q has no id or no opgraphs", q.ID)
 	}
-	if len(q.Graphs) == 0 {
-		return fmt.Errorf("ufl: query %q has no opgraphs", q.ID)
-	}
-	graphIDs := make(map[string]bool)
+	graphIDs := make(map[string]bool, len(q.Graphs))
 	for gi := range q.Graphs {
-		g := &q.Graphs[gi]
-		if g.ID == "" {
-			return fmt.Errorf("ufl: query %q: opgraph %d has no id", q.ID, gi)
+		if err := q.Graphs[gi].Check(); err != nil {
+			return err
 		}
-		if graphIDs[g.ID] {
-			return fmt.Errorf("ufl: duplicate opgraph id %q", g.ID)
+		id := q.Graphs[gi].ID
+		if graphIDs[id] {
+			return fmt.Errorf("ufl: duplicate opgraph id %q", id)
 		}
-		graphIDs[g.ID] = true
-		switch g.Dissem.Mode {
-		case DissemBroadcast, DissemLocal:
-		case DissemEquality:
-			if g.Dissem.Namespace == "" {
-				return fmt.Errorf("ufl: opgraph %q: equality dissemination needs a namespace", g.ID)
-			}
-		default:
-			return fmt.Errorf("ufl: opgraph %q: unknown dissemination mode %q", g.ID, g.Dissem.Mode)
+		graphIDs[id] = true
+	}
+	return nil
+}
+
+// Check verifies one opgraph's structure, whether a proxy's own plan or
+// a stranger's frame (§4.1.2): an id, a known dissemination mode, some
+// ops, non-empty unique op ids, edges between declared ops on
+// non-negative slots, and no cycle, which would recurse forever in the
+// operators an executor wires from it.
+func (g *Opgraph) Check() error {
+	switch m := g.Dissem.Mode; {
+	case g.ID == "":
+		return fmt.Errorf("ufl: opgraph has no id")
+	case m != DissemBroadcast && m != DissemLocal && m != DissemEquality:
+		return fmt.Errorf("ufl: opgraph %q: unknown dissemination mode %q", g.ID, m)
+	case m == DissemEquality && g.Dissem.Namespace == "":
+		return fmt.Errorf("ufl: opgraph %q: equality dissemination needs a namespace", g.ID)
+	case len(g.Ops) == 0:
+		return fmt.Errorf("ufl: opgraph %q has no operators", g.ID)
+	}
+	// Kahn's algorithm, O(ops + edges): take ops no untaken op feeds until
+	// none is left; an op never taken sits on a cycle. An op's outgoing
+	// edges are a list threaded through next by edge index.
+	n := len(g.Ops)
+	pos := make(map[string]int, n)
+	buf := make([]int, 3*n+len(g.Edges))
+	indeg, head, ready, next := buf[:n], buf[n:2*n], buf[2*n:2*n:3*n], buf[3*n:]
+	for i, op := range g.Ops {
+		if _, dup := pos[op.ID]; dup || op.ID == "" || op.Kind == "" {
+			return fmt.Errorf("ufl: opgraph %q: operator %q has no kind, no id or a duplicate id", g.ID, op.ID)
 		}
-		if len(g.Ops) == 0 {
-			return fmt.Errorf("ufl: opgraph %q has no operators", g.ID)
+		pos[op.ID] = i
+		head[i] = -1
+	}
+	for ei, e := range g.Edges {
+		from, okFrom := pos[e.From]
+		to, okTo := pos[e.To]
+		if !okFrom || !okTo || e.Slot < 0 {
+			return fmt.Errorf("ufl: opgraph %q: edge %s->%s (slot %d) names an unknown op or a negative slot", g.ID, e.From, e.To, e.Slot)
 		}
-		ids := make(map[string]bool)
-		for _, op := range g.Ops {
-			if op.ID == "" || op.Kind == "" {
-				return fmt.Errorf("ufl: opgraph %q: operator with empty id or kind", g.ID)
-			}
-			if ids[op.ID] {
-				return fmt.Errorf("ufl: opgraph %q: duplicate operator id %q", g.ID, op.ID)
-			}
-			ids[op.ID] = true
+		indeg[to]++
+		next[ei], head[from] = head[from], ei
+	}
+	for i := range indeg {
+		if indeg[i] == 0 {
+			ready = append(ready, i)
 		}
-		for _, e := range g.Edges {
-			if !ids[e.From] {
-				return fmt.Errorf("ufl: opgraph %q: edge from unknown op %q", g.ID, e.From)
-			}
-			if !ids[e.To] {
-				return fmt.Errorf("ufl: opgraph %q: edge to unknown op %q", g.ID, e.To)
-			}
-			if e.Slot < 0 {
-				return fmt.Errorf("ufl: opgraph %q: negative input slot", g.ID)
+	}
+	for k := 0; k < len(ready); k++ {
+		for ei := head[ready[k]]; ei >= 0; ei = next[ei] {
+			to := pos[g.Edges[ei].To]
+			if indeg[to]--; indeg[to] == 0 {
+				ready = append(ready, to)
 			}
 		}
+	}
+	if len(ready) != n {
+		return fmt.Errorf("ufl: opgraph %q has a cycle", g.ID)
 	}
 	return nil
 }
