@@ -575,16 +575,19 @@ func runQueryStorm(b *testing.B, queries int) {
 	nodes := experiments.BuildCluster(env, nodeCount, "n")
 	// Continuous queries whose Select never matches: the measured cost is
 	// pure dispatch (decode-once + Q pushes + predicate eval), with no
-	// result forwarding noise.
+	// result forwarding noise. Each predicate's constant is its own, so no
+	// two queries share a chain.
 	for i := 0; i < queries; i++ {
 		plan := ufl.MustParse(fmt.Sprintf(`
 query storm%d timeout 4h
 opgraph g disseminate broadcast {
     src = NewData(table='fwlogs')
-    sel = Select(pred='severity > 99')
+    sel = Select(pred='severity > %d')
+    out = Result()
     sel <- src
+    out <- sel
 }
-`, i))
+`, i, 99+i))
 		if err := nodes[i%len(nodes)].Submit(plan, "bench", nil, nil); err != nil {
 			b.Fatal(err)
 		}

@@ -224,6 +224,8 @@ func TestCheckpointRequiresQuiescentNodes(t *testing.T) {
 query q timeout 20s
 opgraph g disseminate local {
     scan = Scan(table='t')
+    out  = Result()
+    out <- scan
 }
 `), "test"); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,10 @@
 package qp
 
 import (
-	"fmt"
-	"strconv"
-	"time"
-
 	"pier/internal/bloom"
 	"pier/internal/exec"
 	"pier/internal/overlay"
 	"pier/internal/tuple"
-	"pier/internal/ufl"
 )
 
 // Bloom join support (§3.3.4: "common rewrite strategies such as Bloom
@@ -49,29 +44,6 @@ type bloomBuildOp struct {
 	// Dropped counts tuples lacking the key columns.
 	Dropped exec.Discarded
 	shipped bool
-}
-
-func (c *chain) newBloomBuild(spec ufl.OpSpec) (*bloomBuildOp, error) {
-	ns := spec.Arg("ns", "")
-	keyCols := splitList(spec.Arg("key", ""))
-	if ns == "" || len(keyCols) == 0 {
-		return nil, fmt.Errorf("BloomBuild needs ns= and key=")
-	}
-	// The filter's size follows from expected and fp, and opgraphs arrive
-	// from strangers: 2^20 keys at 1e-6 is under 4 MB, where unbounded
-	// values let one small message ask a node for gigabytes.
-	expected, err := strconv.Atoi(spec.Arg("expected", "1024"))
-	if err != nil || expected <= 0 || expected > 1<<20 {
-		return nil, fmt.Errorf("BloomBuild expected=: integer in [1, 2^20] required")
-	}
-	fp, err := strconv.ParseFloat(spec.Arg("fp", "0.01"), 64)
-	if err != nil || (fp > 0 && fp < 1e-6) {
-		return nil, fmt.Errorf("BloomBuild fp=: want a rate of at least 1e-6")
-	}
-	return &bloomBuildOp{
-		c: c, ns: ns, keyCols: keyCols,
-		filter: bloom.New(expected, fp),
-	}, nil
 }
 
 func (b *bloomBuildOp) SetParent(exec.Sink) {}
@@ -125,25 +97,6 @@ type bloomFilterOp struct {
 type bufTuple struct {
 	tag exec.Tag
 	t   *tuple.Tuple
-}
-
-func (c *chain) newBloomFilter(spec ufl.OpSpec) (*bloomFilterOp, error) {
-	ns := spec.Arg("ns", "")
-	keyCols := splitList(spec.Arg("key", ""))
-	if ns == "" || len(keyCols) == 0 {
-		return nil, fmt.Errorf("BloomFilter needs ns= and key=")
-	}
-	f := &bloomFilterOp{c: c, ns: ns, keyCols: keyCols}
-	delay := spec.Arg("fetchdelay", "")
-	if delay == "" {
-		return nil, fmt.Errorf("BloomFilter needs fetchdelay= (when the build phase has published)")
-	}
-	d, err := time.ParseDuration(delay)
-	if err != nil {
-		return nil, fmt.Errorf("BloomFilter fetchdelay: %w", err)
-	}
-	c.timers = append(c.timers, c.n.rt.Schedule(d, f.fetch))
-	return f, nil
 }
 
 func (f *bloomFilterOp) SetChild(c exec.Op) { f.Adopt(f, c) }

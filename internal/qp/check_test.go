@@ -2,6 +2,7 @@ package qp
 
 import (
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,10 +29,10 @@ func cyclicGraph() ufl.Opgraph {
 	}
 }
 
-// cyclicFrame is the qmDisseminateBatch frame a stranger would send to
-// run cyclicGraph for proxy until deadline.
-func cyclicFrame(proxy vri.Addr, deadline time.Time) []byte {
-	entries := []ufl.BatchEntry{{QueryID: "cyc", Deadline: deadline, Proxy: string(proxy), Client: "c", Graph: cyclicGraph()}}
+// graphFrame is the qmDisseminateBatch frame a stranger would send to run
+// g as query id for proxy until deadline.
+func graphFrame(id string, proxy vri.Addr, deadline time.Time, g ufl.Opgraph) []byte {
+	entries := []ufl.BatchEntry{{QueryID: id, Deadline: deadline, Proxy: string(proxy), Client: "c", Graph: g}}
 	return frame(qmDisseminateBatch, func(w *wire.Writer) { w.Bytes32(ufl.EncodeBatch(entries)) })
 }
 
@@ -47,7 +48,7 @@ func TestCyclicGraphRefused(t *testing.T) {
 	if err := nodes[0].Submit(q, "c", nil, nil); err == nil {
 		t.Error("Submit accepted a cyclic graph")
 	}
-	msg := cyclicFrame(nodes[0].Addr(), env.Now().Add(20*time.Second))
+	msg := graphFrame("cyc", nodes[0].Addr(), env.Now().Add(20*time.Second), cyclicGraph())
 	for _, n := range nodes {
 		n.handleMessage(vri.Addr("stranger"), msg)
 	}
@@ -72,4 +73,29 @@ opgraph g disseminate broadcast {
 	if len(rows) != len(nodes) {
 		t.Fatalf("a valid query after the refusal returned %d rows, want %d", len(rows), len(nodes))
 	}
+}
+
+// chainGraph is a broadcast graph of ops wired by edges, each written
+// "from>to" (slot 0) or "from>to.slot".
+func chainGraph(ops []ufl.OpSpec, edges ...string) ufl.Opgraph {
+	g := ufl.Opgraph{ID: "g", Dissem: ufl.Dissemination{Mode: ufl.DissemBroadcast}, Ops: ops}
+	for _, e := range edges {
+		slot := 0
+		if i := strings.Index(e, "."); i >= 0 {
+			slot = int(e[i+1] - '0')
+			e = e[:i]
+		}
+		from, to, _ := strings.Cut(e, ">")
+		g.Edges = append(g.Edges, ufl.Edge{From: from, To: to, Slot: slot})
+	}
+	return g
+}
+
+// op is an OpSpec whose args are name, value pairs.
+func op(id, kind string, kv ...string) ufl.OpSpec {
+	args := map[string]string{}
+	for i := 0; i+1 < len(kv); i += 2 {
+		args[kv[i]] = kv[i+1]
+	}
+	return ufl.OpSpec{ID: id, Kind: kind, Args: args}
 }

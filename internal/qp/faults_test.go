@@ -142,6 +142,8 @@ func TestMultiTreeBroadcastDedup(t *testing.T) {
 query multitree timeout 10s
 opgraph g disseminate broadcast {
     scan = Scan(table='nothing')
+    out  = Result()
+    out <- scan
 }
 `)
 	if err := nodes[3].Submit(q, "", nil, nil); err != nil {
@@ -185,6 +187,8 @@ func TestTreeRepairAfterInteriorKill(t *testing.T) {
 query repair timeout 10s
 opgraph g disseminate broadcast {
     scan = Scan(table='nothing')
+    out  = Result()
+    out <- scan
 }
 `)
 	if err := nodes[1].Submit(q, "", nil, nil); err != nil {

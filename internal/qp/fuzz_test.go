@@ -118,7 +118,7 @@ func fuzzNode(t *testing.T) (*sim.Env, *Node) {
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	q := ufl.MustParse("query f timeout 30s\nopgraph g disseminate local {\n    src = NewData(table='none')\n}\n")
+	q := ufl.MustParse("query f timeout 30s\nopgraph g disseminate local {\n    src = NewData(table='none')\n    out = Result()\n    out <- src\n}\n")
 	if err := n.Submit(q, "c", func(*tuple.Tuple) {}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,21 @@ func FuzzHandleMessage(f *testing.F) {
 	}
 	f.Add(disseminateWith(plan, 2, "TopK", map[string]string{"k": "0", "col": "src"}))
 	// A graph with a cycle, which Check refuses before anything is built.
-	f.Add(cyclicFrame("proxy", fuzzDeadline))
+	f.Add(graphFrame("cyc", "proxy", fuzzDeadline, cyclicGraph()))
+	// One graph per rule of the operator table: an unknown kind, an unknown
+	// argument, a bad value, a slot beyond the kind's inputs, fan-out from
+	// a Select, an edge out of a sink.
+	scan, sel, out := op("scan", "Scan", "table", "fw"), op("sel", "Select", "pred", "sev > 2"), op("out", "Result")
+	for _, g := range []ufl.Opgraph{
+		chainGraph([]ufl.OpSpec{scan, op("u", "Union"), out}, "scan>u", "u>out"),
+		chainGraph([]ufl.OpSpec{scan, op("sel", "Select", "prd", "sev > 2"), out}, "scan>sel", "sel>out"),
+		chainGraph([]ufl.OpSpec{scan, op("sel", "Select", "pred", "sev >"), out}, "scan>sel", "sel>out"),
+		chainGraph([]ufl.OpSpec{scan, sel, out}, "scan>sel.1", "sel>out"),
+		chainGraph([]ufl.OpSpec{scan, sel, out, op("out2", "Result")}, "scan>sel", "sel>out", "sel>out2"),
+		chainGraph([]ufl.OpSpec{scan, out, sel, op("out2", "Result")}, "scan>out", "out>sel", "sel>out2"),
+	} {
+		f.Add(graphFrame("f", "proxy", fuzzDeadline, g))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, n := fuzzNode(t)

@@ -269,7 +269,7 @@ func TestWindowGatedRule(t *testing.T) {
 		{"join", `
     l = Scan(table='%[1]s')
     r = Scan(table='%[1]s')
-    j = Join(key='k')
+    j = Join(leftkey='k', rightkey='k')
     agg = GroupBy(keys='k', aggs='count(*) as cnt')
     out = Result()
     j.left <- l

@@ -1,13 +1,11 @@
 package qp
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
+	"pier/internal/bloom"
 	"pier/internal/exec"
-	"pier/internal/expr"
 	"pier/internal/ufl"
 	"pier/internal/vri"
 )
@@ -29,7 +27,7 @@ type chain struct {
 	n *Node
 	// rq is the query the operators run for. A shared chain serves many
 	// queries and has none — sharePlan admits only operators that need no
-	// query (buildOp refuses the rest).
+	// query.
 	rq *runningQuery
 
 	// roots are the operators nobody in the chain consumes; probes and
@@ -72,85 +70,58 @@ type liveGraph struct {
 // instantiate builds the local dataflow for an opgraph (§3.3.2: "when a
 // node receives an opgraph it creates an instance of each operator in
 // the graph and establishes the dataflow links between the operators").
-// The private chain builds first, so a build error leaves no freshly
-// cached chain without an attachment behind.
-func (n *Node) instantiate(rq *runningQuery, g ufl.Opgraph) (*liveGraph, error) {
-	p := n.planOf(&g)
-	if p.err != nil {
-		return nil, p.err
-	}
-	own, err := n.newChain(rq, &g, func(id string) bool { return !p.shared || id == p.tailID })
-	if err != nil {
-		return nil, err
-	}
+// p is g's plan, which refused nothing (planOf).
+func (n *Node) instantiate(rq *runningQuery, g *ufl.Opgraph, p *graphPlan) *liveGraph {
+	own := n.newChain(rq, g, p, func(id string) bool { return !p.shared || id == p.tailID })
 	lg := &liveGraph{specID: g.ID, own: own, feed: own}
 	if p.shared {
-		if lg.feed, err = n.sharedChain(&g, p); err != nil {
-			return nil, err
-		}
+		lg.feed = n.sharedChain(g, p)
 		lg.att = lg.feed.demux.Attach(own.tag, fanoutSink{n: n, s: own.roots[0]})
 	}
-	return lg, nil
+	return lg
 }
 
-// newChain instantiates the operators of g, a checked graph (planOf), that
-// member selects and wires the edges between them; an edge that leaves the
-// selection is the cut where a demux joins two chains. Tags scope operator
-// state per chain and never leave the node, so the counter is per-node (a
-// package global would be written from every shard worker when sharded).
-func (n *Node) newChain(rq *runningQuery, g *ufl.Opgraph, member func(opID string) bool) (*chain, error) {
+// newChain instantiates the operators of g that member selects, from the
+// parameters its plan parsed, and wires the edges between them; an edge
+// that leaves the selection is the cut where a demux joins two chains. g
+// passed Check, so every edge fits its consumer's slots. Tags scope
+// operator state per chain and never leave the node, so the counter is
+// per-node (a package global would be written from every shard worker
+// when sharded).
+func (n *Node) newChain(rq *runningQuery, g *ufl.Opgraph, p *graphPlan, member func(opID string) bool) *chain {
 	n.tagCounter++
 	c := &chain{n: n, rq: rq, tag: n.tagCounter}
 	ops := make(map[string]exec.Op)
-	for _, spec := range g.Ops {
+	for i, spec := range g.Ops {
 		if !member(spec.ID) {
 			continue
 		}
-		op, err := c.buildOp(spec, g.Dissem)
-		if err != nil {
-			return nil, fmt.Errorf("qp: opgraph %q op %q: %w", g.ID, spec.ID, err)
-		}
-		ops[spec.ID] = op
-		if fe := spec.Arg("flushevery", ""); fe != "" {
-			d, err := time.ParseDuration(fe)
-			if err != nil {
-				return nil, fmt.Errorf("qp: opgraph %q op %q: bad flushevery: %w", g.ID, spec.ID, err)
-			}
-			if c.flushEvery == 0 || d < c.flushEvery {
-				c.flushEvery = d
-			}
+		prm := &p.params[i]
+		ops[spec.ID] = c.buildOp(spec.ID, prm, g.Dissem)
+		if fe := prm.FlushEvery; fe > 0 && (c.flushEvery == 0 || fe < c.flushEvery) {
+			c.flushEvery = fe
 		}
 	}
-
-	// Wire edges: the consumer adopts the producer as a child on the
-	// given input slot. Producers feeding several consumers must be Tee.
+	// The consumer adopts the producer as a child on the edge's slot.
 	var edges []ufl.Edge
-	fanOut := make(map[string]int)
+	fed := make(map[string]bool)
 	for _, e := range g.Edges {
-		if !member(e.From) || !member(e.To) {
-			continue
-		}
-		edges = append(edges, e)
-		fanOut[e.From]++
-	}
-	for _, e := range edges {
-		if fanOut[e.From] > 1 && !strings.EqualFold(g.Op(e.From).Kind, "tee") {
-			return nil, fmt.Errorf("qp: opgraph %q: op %q feeds %d consumers; insert a Tee", g.ID, e.From, fanOut[e.From])
-		}
-		if err := attachChild(ops[e.To], e.Slot, ops[e.From]); err != nil {
-			return nil, fmt.Errorf("qp: opgraph %q: edge %s->%s: %w", g.ID, e.From, e.To, err)
+		if member(e.From) && member(e.To) {
+			edges = append(edges, e)
+			fed[e.From] = true
+			attachChild(ops[e.To], e.Slot, ops[e.From])
 		}
 	}
 	for _, spec := range g.Ops {
 		op := ops[spec.ID]
-		if op != nil && fanOut[spec.ID] == 0 {
+		if op != nil && !fed[spec.ID] {
 			c.roots = append(c.roots, op)
 		}
 		if s, ok := op.(*scanOp); ok {
 			s.gated = windowGated(g, edges, spec.ID)
 		}
 	}
-	return c, nil
+	return c
 }
 
 // windowGated reports whether the access method id is window-gated: its
@@ -180,25 +151,18 @@ func windowGated(g *ufl.Opgraph, edges []ufl.Edge, id string) bool {
 	}
 }
 
-// attachChild wires child as an input of parent on the given slot,
-// dispatching on the operator's wiring surface.
-func attachChild(parent exec.Op, slot int, child exec.Op) error {
+// attachChild wires child as an input of parent on the given slot, a
+// slot parent's kind has (Check).
+func attachChild(parent exec.Op, slot int, child exec.Op) {
 	switch p := parent.(type) {
 	case *exec.SymmetricHashJoin:
-		switch slot {
-		case 0:
+		if slot == 0 {
 			p.SetLeft(child)
-		case 1:
+		} else {
 			p.SetRight(child)
-		default:
-			return fmt.Errorf("join has slots 0 and 1, got %d", slot)
 		}
-		return nil
 	case interface{ SetChild(exec.Op) }:
 		p.SetChild(child)
-		return nil
-	default:
-		return fmt.Errorf("operator %T accepts no inputs", parent)
 	}
 }
 
@@ -273,224 +237,72 @@ func (lg *liveGraph) close() {
 	lg.own.close()
 }
 
-// buildOp constructs one operator instance from its spec — the single
-// physical-operator menu, which holds exactly the kinds some planner
-// emits. Kind names are case-insensitive. d is how the spec's opgraph was
-// disseminated. An unknown kind or a bad argument is an error, and the
-// node refuses the graph (acceptGraph).
-func (c *chain) buildOp(spec ufl.OpSpec, d ufl.Dissemination) (exec.Op, error) {
-	kind := strings.ToLower(spec.Kind)
-	if c.rq == nil && !shareableOpKinds[kind] {
-		// sharePlan vetted every kind; reaching here is a bug, but
-		// degrade to an error instead of a nil query in an operator.
-		return nil, fmt.Errorf("kind %q not shareable", spec.Kind)
-	}
-	switch kind {
-	case "scan", "newdata":
-		table := spec.Arg("table", spec.Arg("ns", ""))
-		if table == "" {
-			return nil, fmt.Errorf("%s needs table=", spec.Kind)
-		}
+// buildOp constructs op id from its parsed parameters: one case per kind
+// of the operator table (ufl), which holds exactly the kinds some planner
+// emits. d is how the op's opgraph was disseminated. Nothing here fails:
+// the graph's plan refused any shape or argument the table does not allow.
+func (c *chain) buildOp(id string, p *ufl.Params, d ufl.Dissemination) exec.Op {
+	switch p.Kind {
+	case "Scan", "NewData":
 		// An equality-disseminated graph is about (Namespace, Key): it was
 		// routed to that name's owner, so its read of Namespace is that
 		// name's objects — the DHT's get, not an lscan (§3.3.3, Table 2).
 		// Any other table, and an empty key, read the whole partition.
 		key := ""
-		if d.Mode == ufl.DissemEquality && table == d.Namespace {
+		if d.Mode == ufl.DissemEquality && p.Table == d.Namespace {
 			key = d.Key
 		}
-		return newScan(c, table, kind == "scan", spec.Arg("only", ""), key), nil
-
-	case "select":
-		pred, err := expr.Parse(spec.Arg("pred", "true"))
-		if err != nil {
-			return nil, err
+		return newScan(c, p.Table, p.Kind == "Scan", p.Only, key)
+	case "Select":
+		return exec.NewSelect(p.Pred)
+	case "Project":
+		return exec.NewProject(p.Cols...)
+	case "Join":
+		j := exec.NewSymmetricHashJoin(p.LeftKey, p.RightKey)
+		j.OutTable, j.PrefixCols = p.Out, p.Prefix
+		return j
+	case "GroupBy":
+		gb := exec.NewGroupBy(p.Keys, p.Aggs)
+		gb.OutTable = p.Out
+		return gb
+	case "TopK":
+		tk := exec.NewTopK(p.K, p.Col)
+		tk.Ascending = p.Asc
+		return tk
+	case "Limit":
+		return exec.NewLimit(p.N)
+	case "Tee":
+		return exec.NewTee()
+	case "FetchMatches":
+		return &fetchMatchesOp{c: c, ns: p.NS, keyCols: p.Key, outTable: p.Out, prefix: p.Prefix, semiJoin: p.SemiJoin}
+	case "HierAgg":
+		// The rendezvous namespace defaults to one of the query's own, and
+		// the local partial ships at half the query's timeout.
+		h := &hierAggOp{c: c, ns: p.NS, rootKey: p.Root, sendDelay: p.SendDelay, wait: p.Wait,
+			local: exec.NewGroupSet(p.Keys, p.Aggs), pending: exec.NewGroupSet(p.Keys, p.Aggs)}
+		if h.ns == "" {
+			h.ns = c.rq.id + "!" + id
 		}
-		return exec.NewSelect(pred), nil
-
-	case "project":
-		cols, err := parseProjectCols(spec.Arg("cols", ""))
-		if err != nil {
-			return nil, err
+		if h.sendDelay == 0 {
+			h.sendDelay = c.rq.timeout / 2
 		}
-		return exec.NewProject(cols...), nil
-
-	case "join":
-		left := splitList(spec.Arg("leftkey", spec.Arg("key", "")))
-		right := splitList(spec.Arg("rightkey", spec.Arg("key", "")))
-		if len(left) == 0 || len(right) == 0 || len(left) != len(right) {
-			return nil, fmt.Errorf("Join needs matching leftkey= and rightkey=")
-		}
-		j := exec.NewSymmetricHashJoin(left, right)
-		if out := spec.Arg("out", ""); out != "" {
-			j.OutTable = out
-		}
-		if spec.Arg("prefix", "true") == "false" {
-			j.PrefixCols = false
-		}
-		return j, nil
-
-	case "groupby":
-		keys := splitList(spec.Arg("keys", ""))
-		aggs, err := ParseAggSpecs(spec.Arg("aggs", ""))
-		if err != nil {
-			return nil, err
-		}
-		gb := exec.NewGroupBy(keys, aggs)
-		if out := spec.Arg("out", ""); out != "" {
-			gb.OutTable = out
-		}
-		return gb, nil
-
-	case "topk":
-		k, err := strconv.Atoi(spec.Arg("k", "10"))
-		if err != nil || k <= 0 {
-			return nil, fmt.Errorf("TopK needs positive k=")
-		}
-		col := spec.Arg("col", "")
-		if col == "" {
-			return nil, fmt.Errorf("TopK needs col=")
-		}
-		tk := exec.NewTopK(k, col)
-		tk.Ascending = spec.Arg("asc", "") == "true"
-		return tk, nil
-
-	case "limit":
-		limN, err := strconv.Atoi(spec.Arg("n", ""))
-		if err != nil || limN < 0 {
-			return nil, fmt.Errorf("Limit needs n=")
-		}
-		return exec.NewLimit(limN), nil
-
-	case "tee":
-		return exec.NewTee(), nil
-
-	case "fetchmatches":
-		ns := spec.Arg("ns", spec.Arg("table", ""))
-		keyCols := splitList(spec.Arg("key", ""))
-		if ns == "" || len(keyCols) == 0 {
-			return nil, fmt.Errorf("FetchMatches needs ns= and key=")
-		}
-		fm := &fetchMatchesOp{c: c, ns: ns, keyCols: keyCols, outTable: "join", prefix: true}
-		if out := spec.Arg("out", ""); out != "" {
-			fm.outTable = out
-		}
-		if spec.Arg("prefix", "true") == "false" {
-			fm.prefix = false
-		}
-		if spec.Arg("semijoin", "") == "true" {
-			fm.semiJoin = true
-		}
-		return fm, nil
-
-	case "hieragg":
-		return c.newHierAgg(spec)
-
-	case "bloombuild":
-		return c.newBloomBuild(spec)
-
-	case "bloomfilter":
-		return c.newBloomFilter(spec)
-
-	case "put":
-		ns := spec.Arg("ns", "")
-		keyCols := splitList(spec.Arg("key", ""))
-		fixed := spec.Arg("fixedkey", "")
-		if ns == "" || (len(keyCols) == 0 && fixed == "") {
-			return nil, fmt.Errorf("Put needs ns= and key= (or fixedkey=)")
-		}
-		return &putOp{c: c, ns: ns, keyCols: keyCols, fixedKey: fixed}, nil
-
-	case "result":
-		return &resultOp{c: c}, nil
-
-	default:
-		return nil, fmt.Errorf("unknown operator kind %q", spec.Kind)
+		return h
+	case "BloomBuild":
+		return &bloomBuildOp{c: c, ns: p.NS, keyCols: p.Key, filter: bloom.New(p.Expected, p.FP)}
+	case "BloomFilter":
+		// It fetches the published filters when the build phase has
+		// shipped them.
+		f := &bloomFilterOp{c: c, ns: p.NS, keyCols: p.Key}
+		c.timers = append(c.timers, c.n.rt.Schedule(p.FetchDelay, f.fetch))
+		return f
+	case "Put":
+		return &putOp{c: c, ns: p.NS, keyCols: p.Key, fixedKey: p.FixedKey}
+	case "Result":
+		return &resultOp{c: c}
 	}
-}
-
-// splitList parses "a, b, c" into trimmed fields; empty input gives nil.
-func splitList(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// parseProjectCols parses "expr as name; expr as name" (or bare column
-// names separated by commas).
-func parseProjectCols(src string) ([]exec.ProjectCol, error) {
-	src = strings.TrimSpace(src)
-	if src == "" {
-		return nil, fmt.Errorf("Project needs cols=")
-	}
-	var out []exec.ProjectCol
-	sep := ";"
-	if !strings.Contains(src, ";") {
-		sep = ","
-	}
-	for _, part := range strings.Split(src, sep) {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name := part
-		exprSrc := part
-		if i := strings.LastIndex(strings.ToLower(part), " as "); i >= 0 {
-			exprSrc = strings.TrimSpace(part[:i])
-			name = strings.TrimSpace(part[i+4:])
-		}
-		e, err := expr.Parse(exprSrc)
-		if err != nil {
-			return nil, fmt.Errorf("Project col %q: %w", part, err)
-		}
-		out = append(out, exec.ProjectCol{Name: name, E: e})
-	}
-	return out, nil
+	panic("qp: the operator table has a kind buildOp cannot build: " + p.Kind)
 }
 
 // ParseAggSpecs parses "count(*) as cnt; sum(bytes) as total" into
-// aggregate specs. Exported for the SQL frontend.
-func ParseAggSpecs(src string) ([]exec.AggSpec, error) {
-	src = strings.TrimSpace(src)
-	if src == "" {
-		return nil, fmt.Errorf("aggregation needs aggs=")
-	}
-	var out []exec.AggSpec
-	for _, part := range strings.Split(src, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		spec := part
-		as := ""
-		if i := strings.LastIndex(strings.ToLower(part), " as "); i >= 0 {
-			spec = strings.TrimSpace(part[:i])
-			as = strings.TrimSpace(part[i+4:])
-		}
-		open := strings.Index(spec, "(")
-		if open < 0 || !strings.HasSuffix(spec, ")") {
-			return nil, fmt.Errorf("bad aggregate %q: want fn(col) or fn(*)", part)
-		}
-		kind, ok := exec.ParseAggKind(strings.TrimSpace(spec[:open]))
-		if !ok {
-			return nil, fmt.Errorf("unknown aggregate %q", spec[:open])
-		}
-		col := strings.TrimSpace(spec[open+1 : len(spec)-1])
-		if col == "*" {
-			col = ""
-		}
-		out = append(out, exec.AggSpec{Kind: kind, Col: col, As: as})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("aggregation needs at least one aggregate")
-	}
-	return out, nil
-}
+// aggregate specs (ufl.ParseAggSpecs).
+func ParseAggSpecs(src string) ([]exec.AggSpec, error) { return ufl.ParseAggSpecs(src) }

@@ -58,10 +58,12 @@ var lifecycleShapes = []struct {
 			"groupby(k=k0, cnt=1)": 4, "groupby(k=k1, cnt=1)": 4,
 			"lc2(k=k0, v=12)": 1, "lc2(k=k1, v=13)": 1, "lc2(k=k0, v=14)": 1, "lc2(k=k1, v=15)": 1,
 		}},
-	{"tail-less", `
+	{"rowless-sink", `
     src = NewData(table='%s')
     sel = Select(pred='v >= 4', flushevery='3s')
-    sel <- src`, 2, map[string]int{}},
+    bb  = BloomBuild(ns='lc.bf', key='k')
+    sel <- src
+    bb <- sel`, 2, map[string]int{}},
 	{"hieragg", `
     src = Scan(table='%s')
     agg = HierAgg(keys='k', aggs='count(*) as cnt', senddelay='5s', wait='250ms')

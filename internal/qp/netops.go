@@ -1,13 +1,11 @@
 package qp
 
 import (
-	"fmt"
 	"time"
 
 	"pier/internal/exec"
 	"pier/internal/overlay"
 	"pier/internal/tuple"
-	"pier/internal/ufl"
 	"pier/internal/wire"
 )
 
@@ -315,38 +313,6 @@ type hierAggOp struct {
 	Forwarded uint64
 	// Intercepted counts partials merged via upcall.
 	Intercepted uint64
-}
-
-func (c *chain) newHierAgg(spec ufl.OpSpec) (*hierAggOp, error) {
-	keys := splitList(spec.Arg("keys", ""))
-	aggs, err := ParseAggSpecs(spec.Arg("aggs", ""))
-	if err != nil {
-		return nil, err
-	}
-	h := &hierAggOp{
-		c:       c,
-		ns:      spec.Arg("ns", c.rq.id+"!"+spec.ID),
-		rootKey: spec.Arg("root", "root"),
-		local:   exec.NewGroupSet(keys, aggs),
-		pending: exec.NewGroupSet(keys, aggs),
-	}
-	h.sendDelay = c.rq.timeout / 2
-	if v := spec.Arg("senddelay", ""); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, fmt.Errorf("HierAgg senddelay: %w", err)
-		}
-		h.sendDelay = d
-	}
-	h.wait = 250 * time.Millisecond
-	if v := spec.Arg("wait", ""); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, fmt.Errorf("HierAgg wait: %w", err)
-		}
-		h.wait = d
-	}
-	return h, nil
 }
 
 func (h *hierAggOp) SetChild(c exec.Op) { h.Adopt(h, c) }

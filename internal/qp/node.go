@@ -666,8 +666,8 @@ func (n *Node) flushDissemBatch() {
 // MaxGraphsPerClient quota refuses one client's flood while other
 // clients keep executing — both with an explicit reject ack to the
 // proxy, so degradation is bounded and visible instead of collapse. A
-// graph that cannot be built (no catalog vets it before it arrives) is
-// refused the same way.
+// graph its plan refuses (planOf: a shape or an argument the operator
+// table does not allow) is refused the same way.
 func (n *Node) acceptGraph(queryID string, deadline time.Time, proxy vri.Addr, client string, g ufl.Opgraph) {
 	remaining := deadline.Sub(n.rt.Now())
 	if remaining <= 0 {
@@ -689,21 +689,17 @@ func (n *Node) acceptGraph(queryID string, deadline time.Time, proxy vri.Addr, c
 		n.rejectGraph(queryID, proxy)
 		return
 	}
-	fresh := rq == nil
-	if fresh {
+	p := n.planOf(&g)
+	if p.err != nil {
+		n.rejectGraph(queryID, proxy)
+		return
+	}
+	if rq == nil {
 		rq = &runningQuery{id: queryID, proxy: proxy, timeout: remaining}
 		n.running[queryID] = rq
 		rq.timer = n.rt.Schedule(remaining, func() { n.finishQuery(rq) })
 	}
-	lg, err := n.instantiate(rq, g)
-	if err != nil {
-		if fresh { // like the caps above, a refusal leaves no state
-			rq.timer.Cancel()
-			delete(n.running, queryID)
-		}
-		n.rejectGraph(queryID, proxy)
-		return
-	}
+	lg := n.instantiate(rq, &g, p)
 	lg.client = client
 	n.clientGraphOpened(client)
 	rq.graphs = append(rq.graphs, lg)

@@ -9,6 +9,7 @@ import (
 	"pier/internal/sim"
 	"pier/internal/tuple"
 	"pier/internal/ufl"
+	"pier/internal/vri"
 )
 
 // cluster builds an n-node PIER deployment in the simulator and lets the
@@ -81,6 +82,8 @@ func TestBroadcastReachesEveryNode(t *testing.T) {
 query reach timeout 10s
 opgraph g disseminate broadcast {
     scan = Scan(table='nothing')
+    out  = Result()
+    out <- scan
 }
 `)
 	if err := nodes[3].Submit(q, "", nil, nil); err != nil {
@@ -519,7 +522,7 @@ opgraph g disseminate broadcast {
 func TestDuplicateQueryIDRejected(t *testing.T) {
 	env, nodes := cluster(t, 45, 3)
 	_ = env
-	q := ufl.MustParse("query dup timeout 5s\nopgraph g disseminate local {\n  scan = Scan(table='t')\n}\n")
+	q := ufl.MustParse("query dup timeout 5s\nopgraph g disseminate local {\n  scan = Scan(table='t')\n  out = Result()\n  out <- scan\n}\n")
 	if err := nodes[0].Submit(q, "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -549,35 +552,47 @@ opgraph g disseminate broadcast {
 	}
 }
 
-// TestUnbuildableGraphRefused: a graph naming an operator kind buildOp
-// does not know, or one with a bad argument, is refused by every executor
-// through the reject path — counted, acked to the proxy, and leaving no
-// query state behind — instead of being skipped unseen.
+// TestUnbuildableGraphRefused: a graph outside the operator table — an
+// unknown kind or argument, a slot beyond its kind's inputs, fan-out from
+// anything but a Tee, an edge out of a sink, an op that reaches no sink, a
+// value that does not parse or lies out of bounds — is refused by every
+// executor through the reject path: counted, acked to the proxy, nothing
+// built, no row sent and no query state left behind, instead of being
+// built wrong or skipped unseen. Submit refuses all but a bad value, which
+// only executors parse; the rest reach them in a stranger's frame.
 func TestUnbuildableGraphRefused(t *testing.T) {
-	cases := []struct{ name, body string }{
-		{"eddy", `
-    op  = Eddy(preds='a >= 10; b = 0')
-    op <- scan`},
-		{"dupelim", `
-    op  = DupElim(cols='b')
-    op <- scan`},
-		{"union", `
-    two = Scan(table='e')
-    op  = Union()
-    op <- scan
-    op <- two`},
-		{"queue", `
-    op  = Queue(batch='4')
-    op <- scan`},
-		{"send", `
-    op  = Send(ns='x', key='a')
-    op <- scan`},
-		{"topk-k0", `
-    op  = TopK(k=0, col='a')
-    op <- scan`},
-		{"unknown-func", `
-    op  = Select(pred='nosuchfn(a) = 1')
-    op <- scan`},
+	var (
+		scan = op("scan", "Scan", "table", "e")
+		nd   = op("nd", "NewData", "table", "e")
+		sel  = op("sel", "Select", "pred", "a >= 0")
+		out  = op("out", "Result")
+	)
+	through := func(o ufl.OpSpec) ufl.Opgraph { return chainGraph([]ufl.OpSpec{scan, o, out}, "scan>op", "op>out") }
+	cycle := []ufl.OpSpec{nd, sel, out, op("x", "Select"), op("y", "Select")}
+	cases := []struct {
+		name      string
+		g         ufl.Opgraph
+		submitted bool // Check accepts it: the executors refuse its value
+	}{
+		{"eddy", through(op("op", "Eddy", "preds", "a >= 10; b = 0")), false},
+		{"dupelim", through(op("op", "DupElim", "cols", "b")), false},
+		{"union", through(op("op", "Union")), false},
+		{"queue", through(op("op", "Queue", "batch", "4")), false},
+		{"send", through(op("op", "Send", "ns", "x", "key", "a")), false},
+		{"scan-alias", chainGraph([]ufl.OpSpec{op("scan", "Scan", "ns", "e"), out}, "scan>out"), false},
+		{"slot-beyond-arity", chainGraph([]ufl.OpSpec{scan, sel, out}, "scan>sel.1", "sel>out"), false},
+		{"slot-fed-twice", chainGraph([]ufl.OpSpec{scan, nd, sel, out}, "scan>sel", "nd>sel", "sel>out"), false},
+		{"edge-into-scan", chainGraph([]ufl.OpSpec{scan, sel, out}, "scan>sel", "sel>scan", "sel>out"), false},
+		{"fan-out-without-tee", chainGraph([]ufl.OpSpec{scan, sel, out, op("out2", "Result")}, "scan>sel", "sel>out", "sel>out2"), false},
+		{"edge-out-of-sink", chainGraph([]ufl.OpSpec{scan, out, sel, op("out2", "Result")}, "scan>out", "out>sel", "sel>out2"), false},
+		{"dangling-newdata", chainGraph([]ufl.OpSpec{scan, out, nd}, "scan>out"), false},
+		{"tail-less", chainGraph([]ufl.OpSpec{scan, sel}, "scan>sel"), false},
+		{"disconnected-cycle", chainGraph(cycle, "nd>sel", "sel>out", "x>y", "y>x"), false},
+		{"newdata-feeding-cycle", chainGraph(append(cycle, op("nd2", "NewData", "table", "e")), "nd>sel", "sel>out", "x>y", "y>x", "nd2>x"), false},
+		{"topk-k0", through(op("op", "TopK", "k", "0", "col", "a")), true},
+		{"unknown-func", through(op("op", "Select", "pred", "nosuchfn(a) = 1")), true},
+		{"missing-argument", through(op("op", "Limit")), true},
+		{"bloom-past-bound", chainGraph([]ufl.OpSpec{scan, op("bb", "BloomBuild", "ns", "b", "key", "a", "expected", "2000000")}, "scan>bb"), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -586,17 +601,18 @@ func TestUnbuildableGraphRefused(t *testing.T) {
 				nodes[int(i)%len(nodes)].PublishLocal("e", tuple.New("e").
 					Set("a", tuple.Int(i)).Set("b", tuple.Int(i%5)), time.Hour)
 			}
-			q := ufl.MustParse(fmt.Sprintf(`
-query bad timeout 8s
-opgraph g disseminate broadcast {
-    scan = Scan(table='e')%s
-    out  = Result()
-    out <- op
-}
-`, tc.body))
+			q := &ufl.Query{ID: "bad", Timeout: 8 * time.Second, Graphs: []ufl.Opgraph{tc.g}}
 			rs, err := nodes[0].SubmitCollect(q, "c")
-			if err != nil {
+			switch {
+			case tc.submitted && err != nil:
 				t.Fatal(err)
+			case !tc.submitted && err == nil:
+				t.Fatal("Submit accepted a graph outside the operator table")
+			case !tc.submitted:
+				msg := graphFrame(q.ID, nodes[0].Addr(), env.Now().Add(q.Timeout), tc.g)
+				for _, n := range nodes {
+					n.handleMessage(vri.Addr("stranger"), msg)
+				}
 			}
 			env.Run(2 * time.Second)
 			for i, n := range nodes {
@@ -605,20 +621,17 @@ opgraph g disseminate broadcast {
 				}
 			}
 			env.Run(q.Timeout + 10*time.Second)
-			if !rs.Done() {
-				t.Fatal("query did not complete")
+			for i, n := range nodes {
+				if st := n.Stats(); st.GraphsRejected != 1 || st.GraphsExecuted != 0 || st.ResultsSent != 0 || st.LiveGraphs != 0 || st.MalformedDrops != 0 {
+					t.Errorf("node %d: rejected=%d executed=%d results sent=%d live=%d malformed=%d, want 1 0 0 0 0",
+						i, st.GraphsRejected, st.GraphsExecuted, st.ResultsSent, st.LiveGraphs, st.MalformedDrops)
+				}
 			}
-			var rejected, acks uint64
-			live := 0
-			for _, n := range nodes {
-				st := n.Stats()
-				rejected += st.GraphsRejected
-				acks += st.RejectAcks
-				live += st.LiveGraphs
+			if acks := nodes[0].Stats().RejectAcks; acks != 4 {
+				t.Errorf("the proxy heard %d reject acks, want 4", acks)
 			}
-			if rs.Len() != 0 || rs.Rejects() != 4 || rejected != 4 || acks != 4 || live != 0 {
-				t.Errorf("rows=%d rejects=%d GraphsRejected=%d RejectAcks=%d live=%d, want 0 4 4 4 0",
-					rs.Len(), rs.Rejects(), rejected, acks, live)
+			if tc.submitted && (!rs.Done() || rs.Len() != 0 || rs.Rejects() != 4) {
+				t.Errorf("done=%v rows=%d rejects=%d, want true 0 4", rs.Done(), rs.Len(), rs.Rejects())
 			}
 		})
 	}

@@ -41,7 +41,7 @@ func multiResultMessage(count int, ids []string, frame []byte) []byte {
 func TestMalformedResultFramesCounted(t *testing.T) {
 	env, n := soloNode(t, 51)
 	rows := 0
-	q := ufl.MustParse("query mr timeout 10s\nopgraph g disseminate local {\n    src = NewData(table='none')\n}\n")
+	q := ufl.MustParse("query mr timeout 10s\nopgraph g disseminate local {\n    src = NewData(table='none')\n    out = Result()\n    out <- src\n}\n")
 	if err := n.Submit(q, "c", func(*tuple.Tuple) { rows++ }, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestHostileResultIDLists(t *testing.T) {
 	env, n := soloNode(t, 52)
 	got := make(map[string][]*tuple.Tuple)
 	for _, id := range []string{"m1", "m2"} {
-		q := ufl.MustParse("query " + id + " timeout 10s\nopgraph g disseminate local {\n    src = NewData(table='none')\n}\n")
+		q := ufl.MustParse("query " + id + " timeout 10s\nopgraph g disseminate local {\n    src = NewData(table='none')\n    out = Result()\n    out <- src\n}\n")
 		if err := n.Submit(q, "c", func(tp *tuple.Tuple) { got[id] = append(got[id], tp) }, nil); err != nil {
 			t.Fatal(err)
 		}

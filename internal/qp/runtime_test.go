@@ -400,12 +400,16 @@ func TestAdmissionRejectAckCrossesNetwork(t *testing.T) {
 query b1 timeout 20s
 opgraph g disseminate broadcast {
     scan = Scan(table='t')
+    out  = Result()
+    out <- scan
 }
 `)
 	q2 := ufl.MustParse(`
 query b2 timeout 20s
 opgraph g disseminate broadcast {
     scan = Scan(table='t')
+    out  = Result()
+    out <- scan
 }
 `)
 	if err := nodes[0].Submit(q1, "c", nil, nil); err != nil {
@@ -438,6 +442,8 @@ func TestDissemBatchCoalescesSubmissions(t *testing.T) {
 query bb%d timeout 20s
 opgraph g disseminate broadcast {
     scan = Scan(table='t')
+    out  = Result()
+    out <- scan
 }
 `, i))
 		if err := nodes[2].Submit(plan, "c", nil, nil); err != nil {

@@ -3,7 +3,6 @@
 package qp
 
 import (
-	"strings"
 	"unique"
 
 	"pier/internal/exec"
@@ -55,61 +54,36 @@ import (
 // their spec. Excluded on purpose: scan (catch-up replays
 // history, which a late attacher must not receive), hieragg (per-query
 // rendezvous namespace and timers), fetchmatches and the bloom operators
-// (per-probe DHT state), and the tails themselves. A kind buildOp does not
-// know is not shareable either, so its graph takes the private path and
-// fails to build there.
+// (per-probe DHT state), and the tails themselves.
 var shareableOpKinds = map[string]bool{
-	"newdata": true, "select": true, "project": true, "join": true,
-	"groupby": true, "limit": true, "topk": true, "tee": true,
+	"NewData": true, "Select": true, "Project": true, "Join": true,
+	"GroupBy": true, "Limit": true, "TopK": true, "Tee": true,
 }
 
-// sharePlan decides share-eligibility for a checked opgraph (Check's
-// unique op ids let a subtree key tell ops apart by position): exactly
-// one tail (Result/Put) consuming exactly one input chain, every chain
-// operator of a shareable kind. It returns the ids of the tail and of
-// the chain's top operator (the tail's single producer).
-func sharePlan(g *ufl.Opgraph) (tailID, topID string, ok bool) {
-	fanOut := make(map[string]int, len(g.Ops))
-	for _, e := range g.Edges {
-		fanOut[e.From]++
-	}
-	var tail ufl.OpSpec
-	tails := 0
-	for _, op := range g.Ops {
-		if fanOut[op.ID] == 0 {
-			tail = op
-			tails++
-		}
-	}
-	if tails != 1 {
-		return "", "", false
-	}
-	switch strings.ToLower(tail.Kind) {
-	case "result", "put":
-	default:
-		return "", "", false
-	}
-	tailIn := 0
-	for _, e := range g.Edges {
-		if e.To == tail.ID {
-			tailIn++
-			topID = e.From
-		}
-	}
-	// The chain's top must feed the tail alone: a top that also fans
-	// elsewhere would leave the demux replacing only one branch.
-	if tailIn != 1 || fanOut[topID] != 1 {
-		return "", "", false
-	}
-	for _, op := range g.Ops {
-		if op.ID == tail.ID {
-			continue
-		}
-		if !shareableOpKinds[strings.ToLower(op.Kind)] {
+// sharePlan decides share-eligibility for a graph that passed Check, from
+// its ops' parameters ps: exactly one tail (Result/Put), fed, and every
+// other op of a shareable kind. It returns the ids of the tail and of the
+// chain's top (its one producer: Check allows one edge per slot). Every op
+// reaches a sink (Check), so every other op lies in the top's subtree,
+// which the key covers.
+func sharePlan(g *ufl.Opgraph, ps []ufl.Params) (tailID, topID string, ok bool) {
+	for i := range ps {
+		switch kind := ps[i].Kind; {
+		case kind == "Result" || kind == "Put":
+			if tailID != "" {
+				return "", "", false
+			}
+			tailID = g.Ops[i].ID
+		case !shareableOpKinds[kind]:
 			return "", "", false
 		}
 	}
-	return tail.ID, topID, true
+	for _, e := range g.Edges {
+		if e.To == tailID {
+			topID = e.From
+		}
+	}
+	return tailID, topID, topID != ""
 }
 
 // fanoutSink wraps a per-query tail as a demux target, counting shared
@@ -139,14 +113,16 @@ func (c *chain) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	}
 }
 
-// graphPlan is how an opgraph builds: Check's verdict (err refuses it),
-// sharePlan's and, if shared, the interned key of its top's subtree.
-// Entries of a dissemination frame that share one decode
+// graphPlan is how an opgraph builds: the verdict of Check and of its
+// argument parse (err refuses it), every op's parsed parameters in Ops
+// order, sharePlan's verdict and, if shared, the interned key of its top's
+// subtree. Entries of a dissemination frame that share one decode
 // (ufl.DecodeBatch) share one plan (frameState.plans, keyed by the
 // decode's first OpSpec) while the frame is accepted, so a frame of Q
-// same-shape queries runs Check, sharePlan and SubtreeKey once.
+// same-shape queries checks, parses, plans and keys its graph once.
 type graphPlan struct {
 	err           error
+	params        []ufl.Params
 	tailID, topID string
 	shared        bool
 	key           subtreeKey
@@ -173,7 +149,10 @@ func (n *Node) planOf(g *ufl.Opgraph) *graphPlan {
 	}
 	p := &graphPlan{err: g.Check()}
 	if p.err == nil {
-		p.tailID, p.topID, p.shared = sharePlan(g)
+		p.params, p.err = g.Params()
+	}
+	if p.err == nil {
+		p.tailID, p.topID, p.shared = sharePlan(g, p.params)
 	}
 	if p.shared {
 		p.key = unique.Make(g.SubtreeKey(p.topID))
@@ -189,20 +168,17 @@ func (n *Node) planOf(g *ufl.Opgraph) *graphPlan {
 // query to ask. sharePlan guarantees the top is the only operator of that
 // chain nobody in it consumes, so it is the sole root, and the demux
 // stands in for the edge to the tail.
-func (n *Node) sharedChain(g *ufl.Opgraph, p *graphPlan) (*chain, error) {
+func (n *Node) sharedChain(g *ufl.Opgraph, p *graphPlan) *chain {
 	if c := n.subtrees[p.key]; c != nil {
 		n.subtreeHits++
-		return c, nil
+		return c
 	}
-	c, err := n.newChain(nil, g, func(id string) bool { return id != p.tailID })
-	if err != nil {
-		return nil, err
-	}
+	c := n.newChain(nil, g, p, func(id string) bool { return id != p.tailID })
 	c.sig, c.demux = p.key, &exec.Demux{}
 	c.roots[0].SetParent(c)
 	c.demux.OnEmpty(c.close)
 	n.subtrees[p.key] = c
 	n.subtreeBuilds++
 	c.open()
-	return c, nil
+	return c
 }

@@ -136,8 +136,8 @@ func TestCompileTwoPhaseAggregation(t *testing.T) {
 	}
 	// The partial count must be re-aggregated with SUM, not COUNT.
 	final := p2.Op("final")
-	if final == nil || !strings.Contains(final.Arg("aggs", ""), "sum(") {
-		t.Errorf("final aggs = %q", final.Arg("aggs", ""))
+	if final == nil || !strings.Contains(final.Args["aggs"], "sum(") {
+		t.Errorf("final aggs = %q", final.Args["aggs"])
 	}
 	if p2.Op("topk") == nil {
 		t.Error("missing TopK in final phase")
@@ -149,12 +149,12 @@ func TestCompileAvgDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := q.Graphs[0].Op("agg").Arg("aggs", "")
+	p1 := q.Graphs[0].Op("agg").Args["aggs"]
 	if !strings.Contains(p1, "sum(len)") || !strings.Contains(p1, "count(*)") {
 		t.Errorf("avg partials = %q", p1)
 	}
 	proj := q.Graphs[1].Op("proj")
-	if proj == nil || !strings.Contains(proj.Arg("cols", ""), "/") {
+	if proj == nil || !strings.Contains(proj.Args["cols"], "/") {
 		t.Error("avg needs a final division projection")
 	}
 }
@@ -167,7 +167,7 @@ func TestCompileGlobalAggregate(t *testing.T) {
 	if len(q.Graphs) != 2 {
 		t.Fatalf("graphs = %d", len(q.Graphs))
 	}
-	if q.Graphs[0].Op("agg").Arg("keys", "") != "" {
+	if q.Graphs[0].Op("agg").Args["keys"] != "" {
 		t.Error("global aggregate should have empty keys")
 	}
 }
@@ -182,15 +182,15 @@ func TestCompileJoin(t *testing.T) {
 	}
 	jg := q.Graphs[2]
 	j := jg.Op("j")
-	if j.Arg("leftkey", "") != "id" || j.Arg("rightkey", "") != "id" {
+	if j.Args["leftkey"] != "id" || j.Args["rightkey"] != "id" {
 		t.Errorf("join keys = %+v", j.Args)
 	}
 	res := jg.Op("res")
-	if res == nil || !strings.Contains(res.Arg("pred", ""), "r.v > 3") {
+	if res == nil || !strings.Contains(res.Args["pred"], "r.v > 3") {
 		t.Error("residual predicate lost")
 	}
 	// Both rehash phases must use the same namespace.
-	if q.Graphs[0].Op("put").Arg("ns", "") != q.Graphs[1].Op("put").Arg("ns", "") {
+	if q.Graphs[0].Op("put").Args["ns"] != q.Graphs[1].Op("put").Args["ns"] {
 		t.Error("rehash namespaces differ; join partitions will not co-locate")
 	}
 }
@@ -201,7 +201,7 @@ func TestCompileJoinReversedCondition(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := q.Graphs[2].Op("j")
-	if j.Arg("leftkey", "") != "j" || j.Arg("rightkey", "") != "k" {
+	if j.Args["leftkey"] != "j" || j.Args["rightkey"] != "k" {
 		t.Errorf("reversed join keys = %+v", j.Args)
 	}
 }
@@ -349,7 +349,7 @@ func TestEqualityKeyShapes(t *testing.T) {
 		}
 		g := q.Graphs[0]
 		// However it routes, the plan filters on the whole predicate.
-		got, err := expr.Parse(g.Op("where").Arg("pred", ""))
+		got, err := expr.Parse(g.Op("where").Args["pred"])
 		if want, _ := expr.Parse(tc.where); err != nil || got.String() != want.String() {
 			t.Errorf("WHERE %s: Select filters on %v (%v), want %v", tc.where, got, err, want)
 		}

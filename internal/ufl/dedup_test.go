@@ -37,23 +37,26 @@ func decodeBatchOneByOne(b []byte) ([]BatchEntry, error) {
 	return entries, nil
 }
 
-// dedupGraphs are the graphs the repeat-pattern tests draw from: two
-// that differ only in a predicate constant, one whose namespace and
-// argument embed the query id "q0", and one with no arguments or edges.
+// dedupGraphs are the graphs the repeat-pattern tests draw from, each one
+// Check accepts: two that differ only in a predicate constant, one whose
+// namespace and argument embed the query id "q0", and one with no
+// arguments or edges.
 func dedupGraphs() []Opgraph {
 	withPred := func(id, pred string) Opgraph {
 		g := sampleGraph(id, "fwlogs")
-		g.Ops[1].Args["pred"] = pred
+		g.Ops = append(g.Ops, OpSpec{ID: "sel", Kind: "Select", Args: map[string]string{"pred": pred}})
+		g.Edges[0].To = "sel"
+		g.Edges = append(g.Edges, Edge{From: "sel", To: "agg"})
 		return g
 	}
 	mentioning := sampleGraph("g", "t")
 	mentioning.Dissem = Dissemination{Mode: DissemEquality, Namespace: "q0.partial", Key: "k"}
-	mentioning.Ops[1].Args["ns"] = "q0!agg"
+	mentioning.Ops[1].Args["out"] = "q0!agg"
 	return []Opgraph{
 		withPred("g", "sev > 2 AND sev < 9"),
 		withPred("g", "sev > 3 AND sev < 9"),
 		mentioning,
-		{ID: "bare", Dissem: Dissemination{Mode: DissemLocal}, Ops: []OpSpec{{ID: "a", Kind: "Tee", Args: map[string]string{}}}},
+		{ID: "bare", Dissem: Dissemination{Mode: DissemLocal}, Ops: []OpSpec{{ID: "a", Kind: "Result", Args: map[string]string{}}}},
 	}
 }
 

@@ -239,7 +239,7 @@ func diamondLadder(k int) (Opgraph, string) {
 			OpSpec{ID: tee, Kind: "Tee", Args: map[string]string{}},
 			OpSpec{ID: l, Kind: "Select", Args: map[string]string{"pred": "v > 1"}},
 			OpSpec{ID: r, Kind: "Select", Args: map[string]string{"pred": "v < 9"}},
-			OpSpec{ID: join, Kind: "Join", Args: map[string]string{"left": "v", "right": "v"}})
+			OpSpec{ID: join, Kind: "Join", Args: map[string]string{"leftkey": "v", "rightkey": "v"}})
 		g.Edges = append(g.Edges,
 			Edge{From: prev, To: tee},
 			Edge{From: tee, To: l}, Edge{From: tee, To: r},

@@ -31,10 +31,11 @@
 //	    join.right <- recv        # named or numbered input slots
 //	}
 //
-// Operator kinds and their arguments are interpreted by the query
-// processor at instantiation time (package qp); UFL itself only checks
-// structural validity — there is no catalog to check names or types
-// against (§3.3.2).
+// Every op's kind, input slots, fan-out and argument names are checked
+// against the operator table (ops.go) wherever a graph enters, and its
+// argument values are parsed once, by the same table, before the query
+// processor (package qp) builds anything. Columns are not checked: there
+// is no catalog to check their names or types against (§3.3.1).
 package ufl
 
 import (
@@ -72,21 +73,12 @@ type Dissemination struct {
 }
 
 // OpSpec declares one operator instance: an id unique within the opgraph,
-// an operator kind, and kind-specific arguments. Arguments are strings;
-// expressions are parsed at instantiation, consistent with PIER's
-// deferral of type checking (§3.3.1).
+// an operator kind, and the arguments its kind reads (ops.go). Arguments
+// travel as strings; Params parses them.
 type OpSpec struct {
 	ID   string
 	Kind string
 	Args map[string]string
-}
-
-// Arg returns the named argument or def if absent.
-func (o OpSpec) Arg(name, def string) string {
-	if v, ok := o.Args[name]; ok {
-		return v
-	}
-	return def
 }
 
 // Edge is a local dataflow edge: tuples flow From → To, entering To at
@@ -122,9 +114,9 @@ type Query struct {
 	Graphs  []Opgraph
 }
 
-// Validate checks structural integrity: a query id, unique graph ids and
-// every graph's Check. It deliberately does not check operator kinds or
-// column names — there is no catalog.
+// Validate checks a query id, unique graph ids and every graph's Check.
+// It parses no argument value (Params), so a proxy's submit path stays
+// free of the parses its executors run once per distinct graph.
 func (q *Query) Validate() error {
 	if q.ID == "" || len(q.Graphs) == 0 {
 		return fmt.Errorf("ufl: query %q has no id or no opgraphs", q.ID)
@@ -144,10 +136,14 @@ func (q *Query) Validate() error {
 }
 
 // Check verifies one opgraph's structure, whether a proxy's own plan or
-// a stranger's frame (§4.1.2): an id, a known dissemination mode, some
-// ops, non-empty unique op ids, edges between declared ops on
-// non-negative slots, and no cycle, which would recurse forever in the
-// operators an executor wires from it.
+// a stranger's frame (§4.1.2), against the operator table (ops.go): an
+// id, a known dissemination mode, some ops, unique op ids, known kinds
+// reading only their own arguments, edges between declared ops on slots
+// their consumer has, one edge per slot (an operator adopts one child per
+// slot, so a second would be dropped unread), none out of a sink, fan-out
+// only from a Tee, no cycle (an executor would recurse around it forever)
+// and every op on a path to a sink. It checks argument names, not values
+// (Params).
 func (g *Opgraph) Check() error {
 	switch m := g.Dissem.Mode; {
 	case g.ID == "":
@@ -164,11 +160,17 @@ func (g *Opgraph) Check() error {
 	// edges are a list threaded through next by edge index.
 	n := len(g.Ops)
 	pos := make(map[string]int, n)
-	buf := make([]int, 3*n+len(g.Edges))
-	indeg, head, ready, next := buf[:n], buf[n:2*n], buf[2*n:2*n:3*n], buf[3*n:]
+	buf := make([]int, 5*n+len(g.Edges))
+	indeg, head, ready, kind, slots, next := buf[:n], buf[n:2*n], buf[2*n:2*n:3*n], buf[3*n:4*n], buf[4*n:5*n], buf[5*n:]
 	for i, op := range g.Ops {
-		if _, dup := pos[op.ID]; dup || op.ID == "" || op.Kind == "" {
-			return fmt.Errorf("ufl: opgraph %q: operator %q has no kind, no id or a duplicate id", g.ID, op.ID)
+		if _, dup := pos[op.ID]; dup || op.ID == "" {
+			return fmt.Errorf("ufl: opgraph %q: operator %q has no id or a duplicate id", g.ID, op.ID)
+		}
+		if kind[i] = kindOf(op.Kind); kind[i] < 0 {
+			return fmt.Errorf("ufl: opgraph %q: operator %q has unknown kind %q", g.ID, op.ID, op.Kind)
+		}
+		if name := opKinds[kind[i]].unknownArg(op.Args); name != "" {
+			return fmt.Errorf("ufl: opgraph %q: %s %q takes no argument %q", g.ID, opKinds[kind[i]].name, op.ID, name)
 		}
 		pos[op.ID] = i
 		head[i] = -1
@@ -176,10 +178,22 @@ func (g *Opgraph) Check() error {
 	for ei, e := range g.Edges {
 		from, okFrom := pos[e.From]
 		to, okTo := pos[e.To]
-		if !okFrom || !okTo || e.Slot < 0 {
-			return fmt.Errorf("ufl: opgraph %q: edge %s->%s (slot %d) names an unknown op or a negative slot", g.ID, e.From, e.To, e.Slot)
+		if !okFrom || !okTo {
+			return fmt.Errorf("ufl: opgraph %q: edge %s->%s names an unknown op", g.ID, e.From, e.To)
+		}
+		src, dst := &opKinds[kind[from]], &opKinds[kind[to]]
+		switch {
+		case e.Slot < 0 || e.Slot >= dst.inputs:
+			return fmt.Errorf("ufl: opgraph %q: edge %s->%s: %s has %d input slots, not slot %d", g.ID, e.From, e.To, dst.name, dst.inputs, e.Slot)
+		case slots[to]&(1<<e.Slot) != 0:
+			return fmt.Errorf("ufl: opgraph %q: edge %s->%s: slot %d of %s already has an input", g.ID, e.From, e.To, e.Slot, dst.name)
+		case src.sink:
+			return fmt.Errorf("ufl: opgraph %q: edge %s->%s leaves %s, which emits nothing", g.ID, e.From, e.To, src.name)
+		case head[from] >= 0 && !src.fanOut:
+			return fmt.Errorf("ufl: opgraph %q: %s %q feeds more than one consumer; insert a Tee", g.ID, src.name, e.From)
 		}
 		indeg[to]++
+		slots[to] |= 1 << e.Slot
 		next[ei], head[from] = head[from], ei
 	}
 	for i := range indeg {
@@ -197,6 +211,13 @@ func (g *Opgraph) Check() error {
 	}
 	if len(ready) != n {
 		return fmt.Errorf("ufl: opgraph %q has a cycle", g.ID)
+	}
+	// Acyclic, every path from an op ends at an op that feeds nothing, so
+	// every op reaches a sink exactly when each op that feeds nothing is one.
+	for i := range g.Ops {
+		if head[i] < 0 && !opKinds[kind[i]].sink {
+			return fmt.Errorf("ufl: opgraph %q: operator %q reaches no sink", g.ID, g.Ops[i].ID)
+		}
 	}
 	return nil
 }

@@ -52,12 +52,12 @@ func TestParseSampleQuery(t *testing.T) {
 		t.Errorf("g1 ops=%d edges=%d", len(g1.Ops), len(g1.Edges))
 	}
 	scan := g1.Op("scan")
-	if scan == nil || scan.Kind != "Scan" || scan.Arg("table", "") != "fwlogs" {
+	if scan == nil || scan.Kind != "Scan" || scan.Args["table"] != "fwlogs" {
 		t.Errorf("scan = %+v", scan)
 	}
 	sel := g1.Op("sel")
-	if sel.Arg("pred", "") != "severity >= 3" {
-		t.Errorf("pred = %q", sel.Arg("pred", ""))
+	if sel.Args["pred"] != "severity >= 3" {
+		t.Errorf("pred = %q", sel.Args["pred"])
 	}
 }
 
@@ -68,8 +68,10 @@ opgraph g disseminate local {
     a = Scan(table='r')
     b = Scan(table='s')
     j = Join(leftkey='id', rightkey='id')
+    out = Result()
     j.left <- a
     j.right <- b
+    out <- j
 }
 `
 	q, err := Parse(src)
@@ -77,7 +79,7 @@ opgraph g disseminate local {
 		t.Fatal(err)
 	}
 	edges := q.Graphs[0].Edges
-	if len(edges) != 2 {
+	if len(edges) != 3 {
 		t.Fatalf("edges = %d", len(edges))
 	}
 	if edges[0].Slot != 0 || edges[0].From != "a" {
@@ -93,16 +95,23 @@ func TestParseNumberedSlot(t *testing.T) {
 query u timeout 10s
 opgraph g disseminate local {
     a = Scan(table='r')
-    u = Union()
-    u.3 <- a
+    b = Scan(table='s')
+    j = Join(leftkey='id', rightkey='id')
+    out = Result()
+    j.0 <- a
+    j.1 <- b
+    out <- j
 }
 `
 	q, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Graphs[0].Edges[0].Slot != 3 {
-		t.Errorf("slot = %d", q.Graphs[0].Edges[0].Slot)
+	if e := q.Graphs[0].Edges; e[0].Slot != 0 || e[1].Slot != 1 {
+		t.Errorf("slots = %d, %d", e[0].Slot, e[1].Slot)
+	}
+	if _, err := Parse(strings.Replace(src, "j.1 <- b", "j.3 <- b", 1)); err == nil {
+		t.Error("slot 3 of a Join parsed")
 	}
 }
 
@@ -110,7 +119,9 @@ func TestParseEqualityDissemination(t *testing.T) {
 	src := `
 query e timeout 10s
 opgraph g disseminate equality 'files' 'song.mp3' {
-    get = Get(ns='files', key='song.mp3')
+    get = Scan(table='files')
+    out = Result()
+    out <- get
 }
 `
 	q, err := Parse(src)
@@ -127,31 +138,47 @@ func TestParseQuotedArgsWithCommasAndEscapes(t *testing.T) {
 	src := `
 query e timeout 10s
 opgraph g disseminate local {
-    s = Select(pred='name = ''it''''s'' AND x > 1, 5', note='a, b')
+    r = Scan(table='t')
+    s = Select(pred='name = ''it''''s'' AND x > 1, 5')
+    p = Project(cols='a, b')
+    out = Result()
+    s <- r
+    p <- s
+    out <- p
 }
 `
 	q, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := q.Graphs[0].Op("s")
-	if got := op.Arg("note", ""); got != "a, b" {
-		t.Errorf("note = %q", got)
+	if got := q.Graphs[0].Op("p").Args["cols"]; got != "a, b" {
+		t.Errorf("cols = %q", got)
+	}
+	if got := q.Graphs[0].Op("s").Args["pred"]; got != "name = 'it''s' AND x > 1, 5" {
+		t.Errorf("pred = %q", got)
 	}
 }
 
 func TestParseErrors(t *testing.T) {
 	bad := map[string]string{
 		"no id":           "query\n",
-		"unknown mode":    "query q timeout 1s\nopgraph g disseminate flood {\n a = X()\n}\n",
-		"unclosed graph":  "query q timeout 1s\nopgraph g disseminate local {\n a = X()\n",
-		"bad edge slot":   "query q timeout 1s\nopgraph g disseminate local {\n a = X()\n a.zz <- a\n}\n",
-		"edge unknown op": "query q timeout 1s\nopgraph g disseminate local {\n a = X()\n b <- a\n}\n",
+		"unknown mode":    "query q timeout 1s\nopgraph g disseminate flood {\n a = Result()\n}\n",
+		"unclosed graph":  "query q timeout 1s\nopgraph g disseminate local {\n a = Result()\n",
+		"bad edge slot":   "query q timeout 1s\nopgraph g disseminate local {\n a = Result()\n a.zz <- a\n}\n",
+		"edge unknown op": "query q timeout 1s\nopgraph g disseminate local {\n a = Result()\n b <- a\n}\n",
 		"no opgraphs":     "query q timeout 1s\n",
-		"dup op ids":      "query q timeout 1s\nopgraph g disseminate local {\n a = X()\n a = Y()\n}\n",
-		"equality no ns":  "query q timeout 1s\nopgraph g disseminate equality {\n a = X()\n}\n",
+		"dup op ids":      "query q timeout 1s\nopgraph g disseminate local {\n a = Result()\n a = Result()\n}\n",
+		"equality no ns":  "query q timeout 1s\nopgraph g disseminate equality {\n a = Result()\n}\n",
 		"garbage line":    "query q timeout 1s\nopgraph g disseminate local {\n what is this\n}\n",
-		"bad timeout":     "query q timeout banana\nopgraph g disseminate local {\n a = X()\n}\n",
+		"bad timeout":     "query q timeout banana\nopgraph g disseminate local {\n a = Result()\n}\n",
+		"unknown kind":    "query q timeout 1s\nopgraph g disseminate local {\n a = Union()\n}\n",
+		"unknown arg":     "query q timeout 1s\nopgraph g disseminate local {\n a = Result(note='x')\n}\n",
+		"scan ns alias":   "query q timeout 1s\nopgraph g disseminate local {\n s = Scan(ns='t')\n a = Result()\n a <- s\n}\n",
+		"slot past arity": "query q timeout 1s\nopgraph g disseminate local {\n s = Scan(table='t')\n a = Result()\n a.1 <- s\n}\n",
+		"slot fed twice":  "query q timeout 1s\nopgraph g disseminate local {\n s = Scan(table='t')\n n = NewData(table='t')\n a = Result()\n a <- s\n a <- n\n}\n",
+		"fan-out":         "query q timeout 1s\nopgraph g disseminate local {\n s = Scan(table='t')\n a = Result()\n b = Result()\n a <- s\n b <- s\n}\n",
+		"edge from sink":  "query q timeout 1s\nopgraph g disseminate local {\n a = Result()\n b = Result()\n b <- a\n}\n",
+		"reaches no sink": "query q timeout 1s\nopgraph g disseminate local {\n s = Scan(table='t')\n}\n",
 	}
 	for name, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -209,8 +236,8 @@ func TestDecodeGarbage(t *testing.T) {
 
 func TestValidateRejectsDuplicateGraphIDs(t *testing.T) {
 	q := &Query{ID: "q", Graphs: []Opgraph{
-		{ID: "g", Dissem: Dissemination{Mode: DissemLocal}, Ops: []OpSpec{{ID: "a", Kind: "X"}}},
-		{ID: "g", Dissem: Dissemination{Mode: DissemLocal}, Ops: []OpSpec{{ID: "a", Kind: "X"}}},
+		{ID: "g", Dissem: Dissemination{Mode: DissemLocal}, Ops: []OpSpec{{ID: "a", Kind: "Result"}}},
+		{ID: "g", Dissem: Dissemination{Mode: DissemLocal}, Ops: []OpSpec{{ID: "a", Kind: "Result"}}},
 	}}
 	if err := q.Validate(); err == nil {
 		t.Error("duplicate graph ids must fail validation")
