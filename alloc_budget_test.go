@@ -323,12 +323,14 @@ func TestAggWindowAllocBudget(t *testing.T) {
 
 // TestDissemBatchAllocBudget gates what accepting a dissemination frame
 // costs per graph: it runs the BenchmarkDissemBatch body — frames of 1, 16
-// and 64 same-shape queries, each submitted, accepted and torn down on one
-// node — and fails if allocs/op divided by the frame's graphs exceeds the
-// checked-in budget. Repeated graphs in a frame share one decode, share
-// plan and subtree signature, so a graph costs less in a larger frame; the
-// gate also requires queries=64 to cost no more per graph than queries=1,
-// which a per-entry decode or signature would break.
+// and 64 same-shape queries and one of 64 queries with a predicate each,
+// every one submitted, accepted and torn down on one node — and fails if
+// allocs/op divided by the frame's graphs exceeds the checked-in budget.
+// Repeated graphs in a frame share one decode, share plan and subtree key,
+// so a graph costs less in a larger frame; the gate also requires
+// queries=64 to cost no more per graph than queries=1, which a per-entry
+// decode or key would break. The distinct=64 entry gates what a graph that
+// shares nothing pays to be decoded, checked, parsed, keyed and built.
 func TestDissemBatchAllocBudget(t *testing.T) {
 	if os.Getenv("PIER_ALLOC_BUDGET") == "" {
 		t.Skip("set PIER_ALLOC_BUDGET=1 to enforce the allocation budget")
@@ -351,16 +353,16 @@ func TestDissemBatchAllocBudget(t *testing.T) {
 			budget.PerGraph["queries=64"], budget.PerGraph["queries=1"])
 	}
 	perGraph := map[string]float64{}
-	for _, queries := range []int{1, 16, 64} {
-		queries := queries
-		key := fmt.Sprintf("queries=%d", queries)
+	for _, c := range dissemBatchCases {
+		c := c
+		key := c.String()
 		limit, ok := budget.PerGraph[key]
 		if !ok {
 			t.Errorf("alloc_budget.json has no dissem-batch budget for %s", key)
 			continue
 		}
-		res := testing.Benchmark(func(b *testing.B) { runDissemBatch(b, queries) })
-		got := float64(res.AllocsPerOp()) / float64(queries)
+		res := testing.Benchmark(func(b *testing.B) { runDissemBatch(b, c) })
+		got := float64(res.AllocsPerOp()) / float64(c.queries)
 		perGraph[key] = got
 		t.Logf("%s: %.1f allocs/graph (budget %.1f), %d allocs/op, %d B/op",
 			key, got, limit, res.AllocsPerOp(), res.AllocedBytesPerOp())

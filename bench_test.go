@@ -712,42 +712,67 @@ opgraph g disseminate broadcast {
 }
 
 // BenchmarkDissemBatch measures what one node pays to accept a
-// dissemination frame of Q same-shape queries: one op submits Q queries
+// dissemination frame of Q continuous queries: one op submits Q queries
 // on a one-node ring, so they ride one tree frame to the node itself, and
-// runs them to teardown. Entries with byte-identical graphs share one
-// decode, one share plan and one subtree signature, so the per-graph cost
-// falls with Q. Gated by TestDissemBatchAllocBudget against the
-// dissem_batch_allocs_per_graph section of alloc_budget.json.
+// runs them to teardown. At queries=Q the graphs are byte-identical: they
+// share one decode, one share plan and one subtree key, so the per-graph
+// cost falls with Q. At distinct=Q each query has its own predicate, as
+// netmon_mixed's do, so every graph is decoded, checked, parsed, keyed
+// and built on a chain of its own. Gated by TestDissemBatchAllocBudget
+// against the dissem_batch_allocs_per_graph section of alloc_budget.json.
 func BenchmarkDissemBatch(b *testing.B) {
-	for _, queries := range []int{1, 16, 64} {
-		queries := queries
-		b.Run(fmt.Sprintf("queries=%d", queries), func(b *testing.B) {
-			runDissemBatch(b, queries)
-		})
+	for _, c := range dissemBatchCases {
+		c := c
+		b.Run(c.String(), func(b *testing.B) { runDissemBatch(b, c) })
 	}
+}
+
+// dissemBatchCase is one frame of BenchmarkDissemBatch: queries graphs,
+// identical or each with its own predicate.
+type dissemBatchCase struct {
+	queries  int
+	distinct bool
+}
+
+var dissemBatchCases = []dissemBatchCase{{1, false}, {16, false}, {64, false}, {64, true}}
+
+// String names the case as alloc_budget.json keys it.
+func (c dissemBatchCase) String() string {
+	if c.distinct {
+		return fmt.Sprintf("distinct=%d", c.queries)
+	}
+	return fmt.Sprintf("queries=%d", c.queries)
 }
 
 // runDissemBatch is the frame body shared by the benchmark above and the
 // allocation-budget regression test.
-func runDissemBatch(b *testing.B, queries int) {
+func runDissemBatch(b *testing.B, c dissemBatchCase) {
 	b.ReportAllocs()
 	env := sim.NewEnv(sim.Options{Seed: 1})
 	n := experiments.BuildCluster(env, 1, "n")[0]
 	env.Run(time.Second)
-	plans := make([]*ufl.Query, queries)
+	plans := make([]*ufl.Query, c.queries)
+	chains := uint64(1)
+	if c.distinct {
+		chains = uint64(c.queries)
+	}
 	for i := range plans {
+		port := 4000
+		if c.distinct {
+			port += i
+		}
 		plans[i] = ufl.MustParse(fmt.Sprintf(`
 query dissem%d timeout 200ms
 opgraph g disseminate broadcast {
     src = NewData(table='fwlogs')
-    sel = Select(pred='severity > 2 AND dstport <= 4000')
+    sel = Select(pred='severity > 2 AND dstport <= %d')
     agg = GroupBy(keys='src', aggs='count(*) as cnt; max(ts) as mx', flushevery='1s')
     out = Result()
     sel <- src
     agg <- sel
     out <- agg
 }
-`, i))
+`, i, port))
 	}
 	before := n.Stats()
 	b.ResetTimer()
@@ -762,9 +787,9 @@ opgraph g disseminate broadcast {
 	b.StopTimer()
 	st := n.Stats()
 	frames, graphs := st.BatchFrames-before.BatchFrames, st.GraphsExecuted-before.GraphsExecuted
-	if frames != uint64(b.N) || graphs != uint64(b.N*queries) || st.SubtreeBuilds-before.SubtreeBuilds != uint64(b.N) ||
+	if frames != uint64(b.N) || graphs != uint64(b.N*c.queries) || st.SubtreeBuilds-before.SubtreeBuilds != uint64(b.N)*chains ||
 		st.LiveGraphs != 0 {
-		b.Fatalf("%d ops sent %d frames and ran %d graphs on %d chains, want one frame of %d graphs on one chain each: %+v",
-			b.N, frames, graphs, st.SubtreeBuilds-before.SubtreeBuilds, queries, st)
+		b.Fatalf("%d ops sent %d frames and ran %d graphs on %d chains, want one frame of %d graphs on %d chains each: %+v",
+			b.N, frames, graphs, st.SubtreeBuilds-before.SubtreeBuilds, c.queries, chains, st)
 	}
 }

@@ -1,87 +1,129 @@
 package expr
 
-import "sort"
+import (
+	"bytes"
+	"slices"
+	"strconv"
+	"strings"
+)
 
-// Canonical returns a structurally normalized form of e for SUBTREE KEY
-// purposes: operands of commutative And/Or chains are flattened and
-// sorted by their canonical rendering, and a comparison whose operands
-// are out of that order is flipped around the mirrored operator
-// (a < b ≡ b > a). Two predicates that differ only in commutative
-// operand order or comparison direction thus render to one string, so
-// human-authored orderings write the same subtree key and hit the
-// shared-subtree cache (ufl.SubtreeKey).
-//
-// The rewrite is used ONLY when writing keys — executed plans
-// keep their authored shape, so evaluation order (and with it the
-// short-circuit treatment of malformed inputs) is untouched. The
-// adopting query simply runs the cached chain's predicate, exactly as
-// subtree sharing already implies.
-func Canonical(e Expr) Expr {
+// AppendCanonical appends the canonical form of e to b: the form subtree
+// keys hold (ufl.SubtreeKey), so predicates that differ only in the
+// operand order of a commutative And/Or or in the direction of a
+// comparison key alike and share one chain. A chain of one of those
+// operators is flattened, its operands stably sorted by their canonical
+// bytes and reassembled left-deep, the shape the parser gives a AND b AND
+// c; a comparison whose left side renders after its right is flipped
+// around the mirrored operator (a < b ≡ b > a). Arithmetic stays
+// ordered: "+" also concatenates strings, and reordering changes which
+// operand a division by zero or type failure is found on. Executed plans
+// keep their authored shape. It is one pass: each operand is rendered
+// once, in place, and sorted or flipped by comparing its bytes.
+func AppendCanonical(b []byte, e Expr) []byte { return render(b, e, true) }
+
+// CanonicalString parses src as a predicate and renders its canonical
+// form (AppendCanonical); unparsable input comes back unchanged.
+func CanonicalString(src string) string {
+	e, err := Parse(src)
+	if err != nil {
+		return src
+	}
+	return string(AppendCanonical(nil, e))
+}
+
+// render appends e to b as its String writes it, or with canon set in its
+// canonical form. Either form parses back to e.
+func render(b []byte, e Expr, canon bool) []byte {
 	switch v := e.(type) {
-	case And:
-		ops := flattenCanon(e, true, nil)
-		return rebuild(ops, true)
-	case Or:
-		ops := flattenCanon(e, false, nil)
-		return rebuild(ops, false)
-	case Not:
-		return Not{E: Canonical(v.E)}
+	case Const:
+		if s, ok := v.Val.AsString(); ok {
+			return append(append(append(b, '\''), strings.ReplaceAll(s, "'", "''")...), '\'')
+		} else if i, ok := v.Val.AsInt(); ok {
+			return strconv.AppendInt(b, i, 10)
+		}
+		return append(b, v.Val.String()...)
 	case Cmp:
-		l, r := Canonical(v.L), Canonical(v.R)
-		if l.String() > r.String() {
-			return Cmp{Op: mirror(v.Op), L: r, R: l}
+		start, op := len(b)+1, v.Op.String()
+		b = render(append(b, '('), v.L, canon)
+		mid, right := len(b), len(b)+len(op)+2
+		if b = render(append(append(append(b, ' '), op...), ' '), v.R, canon); canon && bytes.Compare(b[start:mid], b[right:]) > 0 {
+			// (L op R) becomes (R mirror(op) L): reverse the span, then
+			// each of its three parts back.
+			span, nr := b[start:], len(b)-right
+			slices.Reverse(span)
+			slices.Reverse(span[:nr])
+			slices.Reverse(span[nr+right-mid:])
+			copy(span[nr+1:], mirror(v.Op).String())
 		}
-		return Cmp{Op: v.Op, L: l, R: r}
+		return append(b, ')')
+	case And:
+		return renderBool(b, e, v.L, "AND", v.R, canon)
+	case Or:
+		return renderBool(b, e, v.L, "OR", v.R, canon)
+	case Not:
+		return append(render(append(b, "(NOT "...), v.E, canon), ')')
 	case Arith:
-		// Arithmetic is left alone: Add/Mul commute over numbers but "+"
-		// also concatenates strings, and reordering changes which operand
-		// a div-by-zero or type failure is discovered on.
-		return Arith{Op: v.Op, L: Canonical(v.L), R: Canonical(v.R)}
+		return renderInfix(b, v.L, v.Op.String(), v.R, canon)
 	case Neg:
-		return Neg{E: Canonical(v.E)}
+		return append(render(append(b, "(-"...), v.E, canon), ')')
 	case Func:
-		args := make([]Expr, len(v.Args))
+		b = append(append(b, v.Name...), '(')
 		for i, a := range v.Args {
-			args[i] = Canonical(a)
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = render(b, a, canon)
 		}
-		return Func{Name: v.Name, Args: args}
-	default:
-		return e
+		return append(b, ')')
 	}
+	return append(b, e.String()...)
 }
 
-// flattenCanon collects the canonicalized leaves of a same-operator
-// And/Or chain (conj selects which) into ops.
-func flattenCanon(e Expr, conj bool, ops []Expr) []Expr {
-	if conj {
-		if a, ok := e.(And); ok {
-			ops = flattenCanon(a.L, conj, ops)
-			return flattenCanon(a.R, conj, ops)
-		}
-	} else {
-		if o, ok := e.(Or); ok {
-			ops = flattenCanon(o.L, conj, ops)
-			return flattenCanon(o.R, conj, ops)
-		}
-	}
-	return append(ops, Canonical(e))
+func renderInfix(b []byte, l Expr, op string, r Expr, canon bool) []byte {
+	b = append(append(append(render(append(b, '('), l, canon), ' '), op...), ' ')
+	return append(render(b, r, canon), ')')
 }
 
-// rebuild sorts the chain's operands by rendering and reassembles them
-// left-deep — the same shape the parser produces for a AND b AND c.
-func rebuild(ops []Expr, conj bool) Expr {
-	sort.SliceStable(ops, func(i, j int) bool {
-		return ops[i].String() < ops[j].String()
-	})
-	e := ops[0]
-	for _, o := range ops[1:] {
-		if conj {
-			e = And{L: e, R: o}
+// renderBool appends the And or Or e, whose sides are l and r. In the
+// canonical form its chain's operands, flattened through nested nodes of
+// e's own type, are rendered one after another, stably sorted by those
+// bytes and written again left-deep. A short chain's stack of nodes still
+// to visit, and its operands' spans, stay in arrays.
+func renderBool(b []byte, e, l Expr, op string, r Expr, canon bool) []byte {
+	if !canon {
+		return renderInfix(b, l, op, r, false)
+	}
+	var stackBuf [8]Expr
+	var spansBuf [8][2]int
+	_, conj := e.(And)
+	start, stack, spans := len(b), append(stackBuf[:0], r, l), spansBuf[:0]
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if a, ok := x.(And); ok && conj {
+			stack = append(stack, a.R, a.L)
+		} else if o, ok := x.(Or); ok && !conj {
+			stack = append(stack, o.R, o.L)
 		} else {
-			e = Or{L: e, R: o}
+			from := len(b)
+			b = render(b, x, true)
+			spans = append(spans, [2]int{from, len(b)})
 		}
 	}
-	return e
+	slices.SortStableFunc(spans, func(x, y [2]int) int { return bytes.Compare(b[x[0]:x[1]], b[y[0]:y[1]]) })
+	out := len(b)
+	for range spans[1:] {
+		b = append(b, '(')
+	}
+	for i, s := range spans {
+		if i > 0 {
+			b = append(append(append(b, ' '), op...), ' ')
+		}
+		if b = append(b, b[s[0]:s[1]]...); i > 0 {
+			b = append(b, ')')
+		}
+	}
+	return b[:start+copy(b[start:], b[out:])]
 }
 
 // mirror returns the operator that preserves a comparison's meaning when
@@ -98,16 +140,4 @@ func mirror(op CmpOp) CmpOp {
 		return LE
 	}
 	return op // EQ and NE are symmetric
-}
-
-// CanonicalString parses src as a predicate and renders its Canonical
-// form; unparseable input comes back unchanged. ufl.SubtreeKey writes
-// every predicate argument through here, so equivalent orderings key
-// alike.
-func CanonicalString(src string) string {
-	e, err := Parse(src)
-	if err != nil {
-		return src
-	}
-	return Canonical(e).String()
 }

@@ -11,7 +11,6 @@
 package expr
 
 import (
-	"fmt"
 	"strings"
 
 	"pier/internal/tuple"
@@ -44,12 +43,7 @@ type Const struct{ Val tuple.Value }
 func (c Const) Eval(*tuple.Tuple) (tuple.Value, bool) { return c.Val, true }
 
 // String renders the literal.
-func (c Const) String() string {
-	if s, ok := c.Val.AsString(); ok {
-		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
-	}
-	return c.Val.String()
-}
+func (c Const) String() string { return string(render(nil, c, false)) }
 
 // CmpOp is a comparison operator.
 type CmpOp uint8
@@ -121,9 +115,7 @@ func (c Cmp) Eval(t *tuple.Tuple) (tuple.Value, bool) {
 	return tuple.Bool(b), true
 }
 
-func (c Cmp) String() string {
-	return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R)
-}
+func (c Cmp) String() string { return string(render(nil, c, false)) }
 
 // And is boolean conjunction with short-circuiting.
 type And struct{ L, R Expr }
@@ -153,7 +145,7 @@ func (a And) Eval(t *tuple.Tuple) (tuple.Value, bool) {
 	return tuple.Bool(rb), true
 }
 
-func (a And) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
+func (a And) String() string { return string(render(nil, a, false)) }
 
 // Or is boolean disjunction with short-circuiting.
 type Or struct{ L, R Expr }
@@ -182,7 +174,7 @@ func (o Or) Eval(t *tuple.Tuple) (tuple.Value, bool) {
 	return tuple.Bool(rb), true
 }
 
-func (o Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
+func (o Or) String() string { return string(render(nil, o, false)) }
 
 // Not is boolean negation.
 type Not struct{ E Expr }
@@ -200,7 +192,7 @@ func (n Not) Eval(t *tuple.Tuple) (tuple.Value, bool) {
 	return tuple.Bool(!b), true
 }
 
-func (n Not) String() string { return fmt.Sprintf("(NOT %s)", n.E) }
+func (n Not) String() string { return string(render(nil, n, false)) }
 
 // ArithOp is an arithmetic operator.
 type ArithOp uint8
@@ -300,9 +292,7 @@ func (a Arith) Eval(t *tuple.Tuple) (tuple.Value, bool) {
 	return tuple.Value{}, false
 }
 
-func (a Arith) String() string {
-	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
-}
+func (a Arith) String() string { return string(render(nil, a, false)) }
 
 // Neg is unary numeric negation.
 type Neg struct{ E Expr }
@@ -322,7 +312,7 @@ func (n Neg) Eval(t *tuple.Tuple) (tuple.Value, bool) {
 	return tuple.Value{}, false
 }
 
-func (n Neg) String() string { return fmt.Sprintf("(-%s)", n.E) }
+func (n Neg) String() string { return string(render(nil, n, false)) }
 
 // Func applies a built-in scalar function to argument expressions.
 type Func struct {
@@ -349,13 +339,7 @@ func (f Func) Eval(t *tuple.Tuple) (tuple.Value, bool) {
 	return fn(args)
 }
 
-func (f Func) String() string {
-	parts := make([]string, len(f.Args))
-	for i, a := range f.Args {
-		parts[i] = a.String()
-	}
-	return fmt.Sprintf("%s(%s)", f.Name, strings.Join(parts, ", "))
-}
+func (f Func) String() string { return string(render(nil, f, false)) }
 
 // ScalarFunc is the signature of a built-in scalar function.
 type ScalarFunc func(args []tuple.Value) (tuple.Value, bool)

@@ -69,7 +69,8 @@ type token struct {
 }
 
 func lex(src string) ([]token, error) {
-	var toks []token
+	// Tokens are rarely closer than one in three bytes ("a > 1").
+	toks := make([]token, 0, 2+len(src)/3)
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -80,6 +81,15 @@ func lex(src string) ([]token, error) {
 			j := i
 			for j < len(src) && (src[j] >= '0' && src[j] <= '9' || src[j] == '.') {
 				j++
+			}
+			// An exponent, as String writes very large and very small floats.
+			if k := j + 1; k < len(src) && (src[j] == 'e' || src[j] == 'E') {
+				if src[k] == '+' || src[k] == '-' {
+					k++
+				}
+				for ; k < len(src) && src[k] >= '0' && src[k] <= '9'; k++ {
+					j = k + 1
+				}
 			}
 			toks = append(toks, token{tokNumber, src[i:j], i})
 			i = j
@@ -120,7 +130,7 @@ func lex(src string) ([]token, error) {
 				}
 			}
 			if strings.ContainsRune("=<>+-*/%(),", rune(c)) {
-				toks = append(toks, token{tokOp, string(c), i})
+				toks = append(toks, token{tokOp, src[i : i+1], i})
 				i++
 				goto next
 			}
@@ -305,7 +315,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	t := p.next()
 	switch t.kind {
 	case tokNumber:
-		if strings.Contains(t.text, ".") {
+		if strings.ContainsAny(t.text, ".eE") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
 				return nil, fmt.Errorf("expr: bad number %q at %d", t.text, t.pos)

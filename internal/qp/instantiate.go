@@ -1,7 +1,6 @@
 package qp
 
 import (
-	"strings"
 	"time"
 
 	"pier/internal/bloom"
@@ -91,60 +90,63 @@ func (n *Node) instantiate(rq *runningQuery, g *ufl.Opgraph, p *graphPlan) *live
 func (n *Node) newChain(rq *runningQuery, g *ufl.Opgraph, p *graphPlan, member func(opID string) bool) *chain {
 	n.tagCounter++
 	c := &chain{n: n, rq: rq, tag: n.tagCounter}
-	ops := make(map[string]exec.Op)
+	// ops holds the built operators by position in g.Ops and fed marks
+	// the ones an edge inside the chain leaves; a small graph's stay on
+	// the stack.
+	var opsBuf [8]exec.Op
+	var fedBuf [8]bool
+	ops := append(opsBuf[:0], make([]exec.Op, len(g.Ops))...)
+	fed := append(fedBuf[:0], make([]bool, len(g.Ops))...)
 	for i, spec := range g.Ops {
 		if !member(spec.ID) {
 			continue
 		}
 		prm := &p.params[i]
-		ops[spec.ID] = c.buildOp(spec.ID, prm, g.Dissem)
+		ops[i] = c.buildOp(spec.ID, prm, g.Dissem)
 		if fe := prm.FlushEvery; fe > 0 && (c.flushEvery == 0 || fe < c.flushEvery) {
 			c.flushEvery = fe
 		}
 	}
 	// The consumer adopts the producer as a child on the edge's slot.
-	var edges []ufl.Edge
-	fed := make(map[string]bool)
-	for _, e := range g.Edges {
-		if member(e.From) && member(e.To) {
-			edges = append(edges, e)
-			fed[e.From] = true
-			attachChild(ops[e.To], e.Slot, ops[e.From])
+	for ei, e := range p.ends {
+		if ops[e[0]] != nil && ops[e[1]] != nil {
+			fed[e[0]] = true
+			attachChild(ops[e[1]], g.Edges[ei].Slot, ops[e[0]])
 		}
 	}
-	for _, spec := range g.Ops {
-		op := ops[spec.ID]
-		if op != nil && !fed[spec.ID] {
+	for i, op := range ops {
+		if op != nil && !fed[i] {
 			c.roots = append(c.roots, op)
 		}
 		if s, ok := op.(*scanOp); ok {
-			s.gated = windowGated(g, edges, spec.ID)
+			s.gated = windowGated(p, ops, i)
 		}
 	}
 	return c
 }
 
-// windowGated reports whether the access method id is window-gated: its
-// only path up the chain's wired edges reaches a GroupBy through Select
-// and Project alone, so nothing it delivers leaves the chain before that
+// windowGated reports whether the access method at position i of ops, the
+// chain's operators by position in the graph, is window-gated: its only
+// path up the chain's wired edges reaches a GroupBy through Select and
+// Project alone, so nothing it delivers leaves the chain before that
 // GroupBy flushes (bus.go holds such a chain's arrivals). The graph is
 // acyclic (Check), so the walk ends; it allocates nothing.
-func windowGated(g *ufl.Opgraph, edges []ufl.Edge, id string) bool {
+func windowGated(p *graphPlan, ops []exec.Op, i int) bool {
 	for {
-		next, outs := "", 0
-		for _, e := range edges {
-			if e.From == id {
-				next, outs = e.To, outs+1
+		next, outs := 0, 0
+		for _, e := range p.ends {
+			if e[0] == i && ops[e[1]] != nil {
+				next, outs = e[1], outs+1
 			}
 		}
 		if outs != 1 {
 			return false
 		}
-		switch kind := g.Op(next).Kind; {
-		case strings.EqualFold(kind, "groupby"):
+		switch p.params[next].Kind {
+		case "GroupBy":
 			return true
-		case strings.EqualFold(kind, "select"), strings.EqualFold(kind, "project"):
-			id = next
+		case "Select", "Project":
+			i = next
 		default:
 			return false
 		}
@@ -248,38 +250,43 @@ func (c *chain) buildOp(id string, p *ufl.Params, d ufl.Dissemination) exec.Op {
 		// routed to that name's owner, so its read of Namespace is that
 		// name's objects — the DHT's get, not an lscan (§3.3.3, Table 2).
 		// Any other table, and an empty key, read the whole partition.
-		key := ""
-		if d.Mode == ufl.DissemEquality && p.Table == d.Namespace {
+		a, key := p.Args.(*ufl.SourceArgs), ""
+		if d.Mode == ufl.DissemEquality && a.Table == d.Namespace {
 			key = d.Key
 		}
-		return newScan(c, p.Table, p.Kind == "Scan", p.Only, key)
+		return newScan(c, a.Table, p.Kind == "Scan", a.Only, key)
 	case "Select":
-		return exec.NewSelect(p.Pred)
+		return exec.NewSelect(p.Args.(*ufl.SelectArgs).Pred)
 	case "Project":
-		return exec.NewProject(p.Cols...)
+		return exec.NewProject(p.Args.(*ufl.ProjectArgs).Cols...)
 	case "Join":
-		j := exec.NewSymmetricHashJoin(p.LeftKey, p.RightKey)
-		j.OutTable, j.PrefixCols = p.Out, p.Prefix
+		a := p.Args.(*ufl.KeyedArgs)
+		j := exec.NewSymmetricHashJoin(a.LeftKey, a.RightKey)
+		j.OutTable, j.PrefixCols = a.Out, a.Prefix
 		return j
 	case "GroupBy":
-		gb := exec.NewGroupBy(p.Keys, p.Aggs)
-		gb.OutTable = p.Out
+		a := p.Args.(*ufl.AggArgs)
+		gb := exec.NewGroupBy(a.Keys, a.Aggs)
+		gb.OutTable = a.Out
 		return gb
 	case "TopK":
-		tk := exec.NewTopK(p.K, p.Col)
-		tk.Ascending = p.Asc
+		a := p.Args.(*ufl.TopKArgs)
+		tk := exec.NewTopK(a.K, a.Col)
+		tk.Ascending = a.Asc
 		return tk
 	case "Limit":
-		return exec.NewLimit(p.N)
+		return exec.NewLimit(p.Args.(*ufl.LimitArgs).N)
 	case "Tee":
 		return exec.NewTee()
 	case "FetchMatches":
-		return &fetchMatchesOp{c: c, ns: p.NS, keyCols: p.Key, outTable: p.Out, prefix: p.Prefix, semiJoin: p.SemiJoin}
+		a := p.Args.(*ufl.KeyedArgs)
+		return &fetchMatchesOp{c: c, ns: a.NS, keyCols: a.Key, outTable: a.Out, prefix: a.Prefix, semiJoin: a.SemiJoin}
 	case "HierAgg":
 		// The rendezvous namespace defaults to one of the query's own, and
 		// the local partial ships at half the query's timeout.
-		h := &hierAggOp{c: c, ns: p.NS, rootKey: p.Root, sendDelay: p.SendDelay, wait: p.Wait,
-			local: exec.NewGroupSet(p.Keys, p.Aggs), pending: exec.NewGroupSet(p.Keys, p.Aggs)}
+		a := p.Args.(*ufl.AggArgs)
+		h := &hierAggOp{c: c, ns: a.NS, rootKey: a.Root, sendDelay: a.SendDelay, wait: a.Wait,
+			local: exec.NewGroupSet(a.Keys, a.Aggs), pending: exec.NewGroupSet(a.Keys, a.Aggs)}
 		if h.ns == "" {
 			h.ns = c.rq.id + "!" + id
 		}
@@ -288,15 +295,18 @@ func (c *chain) buildOp(id string, p *ufl.Params, d ufl.Dissemination) exec.Op {
 		}
 		return h
 	case "BloomBuild":
-		return &bloomBuildOp{c: c, ns: p.NS, keyCols: p.Key, filter: bloom.New(p.Expected, p.FP)}
+		a := p.Args.(*ufl.KeyedArgs)
+		return &bloomBuildOp{c: c, ns: a.NS, keyCols: a.Key, filter: bloom.New(a.Expected, a.FP)}
 	case "BloomFilter":
 		// It fetches the published filters when the build phase has
 		// shipped them.
-		f := &bloomFilterOp{c: c, ns: p.NS, keyCols: p.Key}
-		c.timers = append(c.timers, c.n.rt.Schedule(p.FetchDelay, f.fetch))
+		a := p.Args.(*ufl.KeyedArgs)
+		f := &bloomFilterOp{c: c, ns: a.NS, keyCols: a.Key}
+		c.timers = append(c.timers, c.n.rt.Schedule(a.FetchDelay, f.fetch))
 		return f
 	case "Put":
-		return &putOp{c: c, ns: p.NS, keyCols: p.Key, fixedKey: p.FixedKey}
+		a := p.Args.(*ufl.KeyedArgs)
+		return &putOp{c: c, ns: a.NS, keyCols: a.Key, fixedKey: a.FixedKey}
 	case "Result":
 		return &resultOp{c: c}
 	}

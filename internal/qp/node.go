@@ -115,6 +115,8 @@ type Node struct {
 	// exact structural match, and equal keys on the nodes of one process
 	// share one copy of the bytes.
 	subtrees map[subtreeKey]*chain
+	// keyBuf is the scratch planOf writes a key into before interning it.
+	keyBuf []byte
 	// liveGraphs counts opgraphs currently executing — the quantity the
 	// MaxLiveGraphs admission cap bounds.
 	liveGraphs int

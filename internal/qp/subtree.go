@@ -114,15 +114,17 @@ func (c *chain) PushBatch(tag exec.Tag, b *tuple.Batch) {
 }
 
 // graphPlan is how an opgraph builds: the verdict of Check and of its
-// argument parse (err refuses it), every op's parsed parameters in Ops
-// order, sharePlan's verdict and, if shared, the interned key of its top's
-// subtree. Entries of a dissemination frame that share one decode
-// (ufl.DecodeBatch) share one plan (frameState.plans, keyed by the
-// decode's first OpSpec) while the frame is accepted, so a frame of Q
-// same-shape queries checks, parses, plans and keys its graph once.
+// argument parse (err refuses it), the positions of its edges' ends
+// (ufl.CheckEnds), every op's parsed parameters in Ops order, sharePlan's
+// verdict and, if shared, the interned key of its top's subtree. Entries
+// of a dissemination frame that share one decode (ufl.DecodeBatch) share
+// one plan (frameState.plans, keyed by the decode's first OpSpec) while
+// the frame is accepted, so a frame of Q same-shape queries checks,
+// parses, plans and keys its graph once.
 type graphPlan struct {
 	err           error
 	params        []ufl.Params
+	ends          [][2]int
 	tailID, topID string
 	shared        bool
 	key           subtreeKey
@@ -147,15 +149,16 @@ func (n *Node) planOf(g *ufl.Opgraph) *graphPlan {
 			return p
 		}
 	}
-	p := &graphPlan{err: g.Check()}
-	if p.err == nil {
+	p := &graphPlan{}
+	if p.ends, p.err = g.CheckEnds(); p.err == nil {
 		p.params, p.err = g.Params()
 	}
 	if p.err == nil {
 		p.tailID, p.topID, p.shared = sharePlan(g, p.params)
 	}
 	if p.shared {
-		p.key = unique.Make(g.SubtreeKey(p.topID))
+		n.keyBuf = g.AppendSubtreeKey(n.keyBuf[:0], p.topID, p.params, p.ends)
+		p.key = unique.Make(string(n.keyBuf))
 	}
 	if memo != nil {
 		n.frame.plans[memo] = p

@@ -365,3 +365,37 @@ func TestEqualityKeyShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestProjectedCallWithCommasPlans: a projected column that calls a
+// two-argument function compiles to a Project every executor's argument
+// parse accepts, one column per SELECT item named by its alias, whether
+// or not a comma sits inside the call or a quoted string.
+func TestProjectedCallWithCommasPlans(t *testing.T) {
+	for sql, want := range map[string]string{
+		"SELECT contains(name, 'x') AS c FROM t":                     "c",
+		"SELECT contains(name, 'x,y') AS c, lower(name) AS l FROM t": "c l",
+		"SELECT coalesce(a, b, 'q;r') AS v FROM t WHERE a = 1":       "v",
+	} {
+		q, err := Run("q", sql, Options{})
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		var got []string
+		for _, g := range q.Graphs {
+			ps, err := g.Params()
+			if err != nil {
+				t.Fatalf("%q: %v", sql, err)
+			}
+			for _, p := range ps {
+				if a, ok := p.Args.(*ufl.ProjectArgs); ok {
+					for _, c := range a.Cols {
+						got = append(got, c.Name)
+					}
+				}
+			}
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%q projects %q, want %q", sql, got, want)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package ufl
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"time"
 
 	"pier/internal/wire"
@@ -81,8 +83,9 @@ func EncodeBatch(entries []BatchEntry) []byte {
 // any part of it. Each entry's graph is first walked without allocating
 // (skipGraph) to find where it ends, so a truncated or oversized frame is
 // refused with the error a plain decode reports. Repeats are found by a
-// map keyed by the graph's bytes, so a frame of distinct graphs pays, per
-// graph beyond its decode, one walk and one copy of its bytes into a key.
+// hash of the graph's bytes and confirmed by comparing them, so equal
+// bytes share and unequal bytes never do, and a frame of distinct graphs
+// pays, per graph beyond its decode, one walk and one hash.
 func DecodeBatch(b []byte) ([]BatchEntry, error) {
 	r := wire.NewReader(b)
 	if v := r.U8(); v != BatchCodecVersion {
@@ -93,11 +96,12 @@ func DecodeBatch(b []byte) ([]BatchEntry, error) {
 		return nil, fmt.Errorf("ufl: batch frame claims %d entries in %d bytes", n, r.Remaining())
 	}
 	entries := make([]BatchEntry, 0, n)
-	// first maps a graph's bytes to the first entry carrying them; a
-	// lone entry has no repeat to find.
-	var first map[string]int
+	// first maps the hash of a graph's bytes to the first entry carrying
+	// such bytes and where they lie; a lone entry has no repeat to find.
+	type seen struct{ entry, start, end int }
+	var first map[uint64]seen
 	if n > 1 {
-		first = make(map[string]int)
+		first = make(map[uint64]seen)
 	}
 	for i := 0; i < n && r.Err() == nil; i++ {
 		e := BatchEntry{QueryID: r.String(), Deadline: r.Time(), Proxy: r.String(), Client: r.String()}
@@ -107,12 +111,13 @@ func DecodeBatch(b []byte) ([]BatchEntry, error) {
 			break
 		}
 		span := b[start : len(b)-r.Remaining()]
-		if j, ok := first[string(span)]; ok {
-			e.Graph = entries[j].Graph
+		h := maphash.Bytes(graphSeed, span)
+		if s, ok := first[h]; ok && bytes.Equal(b[s.start:s.end], span) {
+			e.Graph = entries[s.entry].Graph
 		} else {
 			e.Graph = decodeGraph(wire.NewReader(span))
-			if first != nil {
-				first[string(span)] = i
+			if first != nil && !ok {
+				first[h] = seen{i, start, start + len(span)}
 			}
 		}
 		entries = append(entries, e)
@@ -125,6 +130,9 @@ func DecodeBatch(b []byte) ([]BatchEntry, error) {
 	}
 	return entries, nil
 }
+
+// graphSeed seeds the hash DecodeBatch finds repeated graphs by.
+var graphSeed = maphash.MakeSeed()
 
 // EncodeAdmitsTo appends an admission-ack list — the query ids one
 // executor node admitted out of a dissemination frame — to w. It is the

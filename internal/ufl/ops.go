@@ -27,7 +27,7 @@ type opKind struct {
 	fanOut bool   // may feed more than one consumer
 	params []param
 	// check holds the rules between arguments, applied once all parse.
-	check func(*Params) error
+	check func(args any) error
 }
 
 // param is one argument of a kind. An absent or empty argument takes def,
@@ -39,80 +39,105 @@ type param struct {
 	set  func(p *Params, v string) error
 }
 
-// Params is one op's arguments, parsed: Kind is the table's spelling of
-// the op's kind, and each other field holds the argument its name spells
-// in lower case, zero where the kind reads none. HierAgg's empty NS and
-// zero SendDelay are the query processor's to fill.
+// Params is one op's arguments, parsed and sized to its kind: Kind is the
+// table's spelling of the op's kind, FlushEvery its flushevery= (every
+// kind reads it), and Args points at the kind's own arguments, of the type
+// below that names the kind (nil for Tee and Result). Each field holds the
+// argument its name spells in lower case, zero where the kind reads none.
 type Params struct {
-	Kind                                      string
-	Table, Only, Out, Col, NS, Root, FixedKey string
-	Prefix, Asc, SemiJoin                     bool
-	K, N, Expected                            int
-	FP                                        float64
-	Pred                                      expr.Expr
-	Cols                                      []exec.ProjectCol
-	LeftKey, RightKey, Keys, Key              []string
-	Aggs                                      []exec.AggSpec
-	FlushEvery, SendDelay, Wait, FetchDelay   time.Duration
+	Kind       string
+	FlushEvery time.Duration
+	Args       any
 }
+
+// The Params.Args of each kind. HierAgg's empty NS and zero SendDelay are
+// the query processor's to fill.
+type (
+	SourceArgs  struct{ Table, Only string } // Scan, NewData
+	SelectArgs  struct{ Pred expr.Expr }
+	ProjectArgs struct{ Cols []exec.ProjectCol }
+	LimitArgs   struct{ N int }
+	TopKArgs    struct {
+		K   int
+		Col string
+		Asc bool
+	}
+	AggArgs struct { // GroupBy, HierAgg
+		Keys            []string
+		Aggs            []exec.AggSpec
+		Out, NS, Root   string
+		SendDelay, Wait time.Duration
+	}
+	KeyedArgs struct { // Join, FetchMatches, BloomBuild, BloomFilter, Put
+		LeftKey, RightKey, Key []string
+		Out, NS, FixedKey      string
+		Prefix, SemiJoin       bool
+		Expected               int
+		FP                     float64
+		FetchDelay             time.Duration
+	}
+)
 
 var opKinds = []opKind{
 	{name: "Scan", params: scanParams},
 	{name: "NewData", params: scanParams},
 	{name: "Select", inputs: 1, params: []param{
-		arg("pred", "true", expr.Parse, func(p *Params) *expr.Expr { return &p.Pred }),
+		arg("pred", "true", expr.Parse, func(a *SelectArgs) *expr.Expr { return &a.Pred }),
 	}},
 	{name: "Project", inputs: 1, params: []param{
-		need(arg("cols", "", parseProjectCols, func(p *Params) *[]exec.ProjectCol { return &p.Cols })),
+		need(arg("cols", "", parseProjectCols, func(a *ProjectArgs) *[]exec.ProjectCol { return &a.Cols })),
 	}},
 	{name: "Join", inputs: 2, params: []param{
-		need(arg("leftkey", "", columns, func(p *Params) *[]string { return &p.LeftKey })),
-		need(arg("rightkey", "", columns, func(p *Params) *[]string { return &p.RightKey })),
-		out("join"), prefix,
-	}, check: func(p *Params) error {
-		if len(p.LeftKey) != len(p.RightKey) {
-			return fmt.Errorf("leftkey= and rightkey= name %d and %d columns", len(p.LeftKey), len(p.RightKey))
+		need(arg("leftkey", "", columns, func(a *KeyedArgs) *[]string { return &a.LeftKey })),
+		need(arg("rightkey", "", columns, func(a *KeyedArgs) *[]string { return &a.RightKey })),
+		out, prefix,
+	}, check: func(args any) error {
+		if a := args.(*KeyedArgs); len(a.LeftKey) != len(a.RightKey) {
+			return fmt.Errorf("leftkey= and rightkey= name %d and %d columns", len(a.LeftKey), len(a.RightKey))
 		}
 		return nil
 	}},
-	{name: "GroupBy", inputs: 1, params: []param{groupKeys, aggs, out("groupby")}},
+	{name: "GroupBy", inputs: 1, params: []param{
+		groupKeys, aggs, arg("out", "groupby", text, func(a *AggArgs) *string { return &a.Out }),
+	}},
 	{name: "TopK", inputs: 1, params: []param{
-		arg("k", "10", within(strconv.Atoi, 1, math.MaxInt), func(p *Params) *int { return &p.K }),
-		need(arg("col", "", text, func(p *Params) *string { return &p.Col })),
-		arg("asc", "false", strconv.ParseBool, func(p *Params) *bool { return &p.Asc }),
+		arg("k", "10", within(strconv.Atoi, 1, math.MaxInt), func(a *TopKArgs) *int { return &a.K }),
+		need(arg("col", "", text, func(a *TopKArgs) *string { return &a.Col })),
+		arg("asc", "false", strconv.ParseBool, func(a *TopKArgs) *bool { return &a.Asc }),
 	}},
 	{name: "Limit", inputs: 1, params: []param{
-		need(arg("n", "", within(strconv.Atoi, 0, math.MaxInt), func(p *Params) *int { return &p.N })),
+		need(arg("n", "", within(strconv.Atoi, 0, math.MaxInt), func(a *LimitArgs) *int { return &a.N })),
 	}},
 	{name: "Tee", inputs: 1, fanOut: true},
 	{name: "FetchMatches", inputs: 1, params: []param{
-		need(ns), need(keyCols), out("join"), prefix,
-		arg("semijoin", "false", strconv.ParseBool, func(p *Params) *bool { return &p.SemiJoin }),
+		need(ns), need(keyCols), out, prefix,
+		arg("semijoin", "false", strconv.ParseBool, func(a *KeyedArgs) *bool { return &a.SemiJoin }),
 	}},
 	{name: "HierAgg", inputs: 1, params: []param{
-		groupKeys, aggs, ns,
-		arg("root", "root", text, func(p *Params) *string { return &p.Root }),
-		arg("senddelay", "", within(time.ParseDuration, 1, math.MaxInt64), func(p *Params) *time.Duration { return &p.SendDelay }),
-		arg("wait", "250ms", within(time.ParseDuration, 0, math.MaxInt64), func(p *Params) *time.Duration { return &p.Wait }),
+		groupKeys, aggs,
+		arg("ns", "", text, func(a *AggArgs) *string { return &a.NS }),
+		arg("root", "root", text, func(a *AggArgs) *string { return &a.Root }),
+		arg("senddelay", "", within(time.ParseDuration, 1, math.MaxInt64), func(a *AggArgs) *time.Duration { return &a.SendDelay }),
+		arg("wait", "250ms", within(time.ParseDuration, 0, math.MaxInt64), func(a *AggArgs) *time.Duration { return &a.Wait }),
 	}},
 	// The filter's size follows from expected and fp: 2^20 keys at 1e-6
 	// is under 4 MB, where unbounded values let one small message ask a
 	// node for gigabytes.
 	{name: "BloomBuild", inputs: 1, sink: true, params: []param{
 		need(ns), need(keyCols),
-		arg("expected", "1024", within(strconv.Atoi, 1, 1<<20), func(p *Params) *int { return &p.Expected }),
-		arg("fp", "0.01", within(parseFloat, 1e-6, math.MaxFloat64), func(p *Params) *float64 { return &p.FP }),
+		arg("expected", "1024", within(strconv.Atoi, 1, 1<<20), func(a *KeyedArgs) *int { return &a.Expected }),
+		arg("fp", "0.01", within(parseFloat, 1e-6, math.MaxFloat64), func(a *KeyedArgs) *float64 { return &a.FP }),
 	}},
 	{name: "BloomFilter", inputs: 1, params: []param{
 		need(ns), need(keyCols),
-		need(arg("fetchdelay", "", within(time.ParseDuration, 0, math.MaxInt64), func(p *Params) *time.Duration { return &p.FetchDelay })),
+		need(arg("fetchdelay", "", within(time.ParseDuration, 0, math.MaxInt64), func(a *KeyedArgs) *time.Duration { return &a.FetchDelay })),
 	}},
 	{name: "Put", inputs: 1, sink: true, params: []param{
 		need(ns),
-		arg("key", "", splitList, func(p *Params) *[]string { return &p.Key }),
-		arg("fixedkey", "", text, func(p *Params) *string { return &p.FixedKey }),
-	}, check: func(p *Params) error {
-		if len(p.Key) == 0 && p.FixedKey == "" {
+		arg("key", "", splitList, func(a *KeyedArgs) *[]string { return &a.Key }),
+		arg("fixedkey", "", text, func(a *KeyedArgs) *string { return &a.FixedKey }),
+	}, check: func(args any) error {
+		if a := args.(*KeyedArgs); len(a.Key) == 0 && a.FixedKey == "" {
 			return fmt.Errorf("needs key= or fixedkey=")
 		}
 		return nil
@@ -120,28 +145,36 @@ var opKinds = []opKind{
 	{name: "Result", inputs: 1, sink: true},
 }
 
-// Parameters several kinds share. Every kind accepts flushevery.
+// Parameters several kinds share. Every kind accepts flushevery, the one
+// argument Params holds itself.
 var (
-	flushEvery = arg("flushevery", "", within(time.ParseDuration, 0, math.MaxInt64), func(p *Params) *time.Duration { return &p.FlushEvery })
+	flushEvery = param{name: "flushevery", set: func(p *Params, v string) (err error) {
+		p.FlushEvery, err = within(time.ParseDuration, 0, math.MaxInt64)(v)
+		return err
+	}}
 	scanParams = []param{
-		need(arg("table", "", text, func(p *Params) *string { return &p.Table })),
-		arg("only", "", text, func(p *Params) *string { return &p.Only }),
+		need(arg("table", "", text, func(a *SourceArgs) *string { return &a.Table })),
+		arg("only", "", text, func(a *SourceArgs) *string { return &a.Only }),
 	}
-	ns        = arg("ns", "", text, func(p *Params) *string { return &p.NS })
-	keyCols   = arg("key", "", columns, func(p *Params) *[]string { return &p.Key })
-	groupKeys = arg("keys", "", splitList, func(p *Params) *[]string { return &p.Keys })
-	aggs      = need(arg("aggs", "", ParseAggSpecs, func(p *Params) *[]exec.AggSpec { return &p.Aggs }))
-	prefix    = arg("prefix", "true", strconv.ParseBool, func(p *Params) *bool { return &p.Prefix })
+	ns        = arg("ns", "", text, func(a *KeyedArgs) *string { return &a.NS })
+	keyCols   = arg("key", "", columns, func(a *KeyedArgs) *[]string { return &a.Key })
+	out       = arg("out", "join", text, func(a *KeyedArgs) *string { return &a.Out })
+	prefix    = arg("prefix", "true", strconv.ParseBool, func(a *KeyedArgs) *bool { return &a.Prefix })
+	groupKeys = arg("keys", "", splitList, func(a *AggArgs) *[]string { return &a.Keys })
+	aggs      = need(arg("aggs", "", ParseAggSpecs, func(a *AggArgs) *[]exec.AggSpec { return &a.Aggs }))
 )
 
-func out(def string) param {
-	return arg("out", def, text, func(p *Params) *string { return &p.Out })
-}
-
-// arg is the parameter name whose value parse reads into field.
-func arg[T any](name, def string, parse func(string) (T, error), field func(*Params) *T) param {
+// arg is the parameter name whose value parse reads into field of the
+// op's Args, made on the kind's first argument: every kind that reads
+// arguments needs one or defaults one.
+func arg[S, T any](name, def string, parse func(string) (T, error), field func(*S) *T) param {
 	return param{name: name, def: def, set: func(p *Params, v string) (err error) {
-		*field(p), err = parse(v)
+		a, _ := p.Args.(*S)
+		if a == nil {
+			a = new(S)
+			p.Args = a
+		}
+		*field(a), err = parse(v)
 		return err
 	}}
 }
@@ -214,7 +247,7 @@ func (g *Opgraph) Params() ([]Params, error) {
 			err = ps[i].parse(row.params[j], op.Args)
 		}
 		if err == nil && row.check != nil {
-			err = row.check(&ps[i])
+			err = row.check(ps[i].Args)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("ufl: opgraph %q op %q: %s %w", g.ID, op.ID, row.name, err)
@@ -275,15 +308,16 @@ func splitList(s string) (out []string, _ error) {
 	return out, nil
 }
 
-// parseProjectCols parses "expr as name; expr as name" (or bare column
-// names separated by commas).
+// parseProjectCols parses "expr as name; expr as name" (or columns
+// separated by commas). Only a separator outside brackets and quotes
+// splits, so one column may call a function of several arguments.
 func parseProjectCols(src string) ([]exec.ProjectCol, error) {
 	var out []exec.ProjectCol
-	sep := ";"
-	if !strings.Contains(src, ";") {
-		sep = ","
+	parts, _ := splitOutside(src, ';')
+	if len(parts) == 1 {
+		parts, _ = splitOutside(src, ',')
 	}
-	for _, part := range strings.Split(src, sep) {
+	for _, part := range parts {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue

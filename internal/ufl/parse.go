@@ -204,33 +204,10 @@ func parseOpDecl(l srcLine) (OpSpec, error) {
 // parseArgs splits "a=1, b='x, y'" respecting single quotes.
 func parseArgs(src string) (map[string]string, error) {
 	args := make(map[string]string)
-	var parts []string
-	depth := 0
-	inQuote := false
-	start := 0
-	for i := 0; i < len(src); i++ {
-		switch src[i] {
-		case '\'':
-			inQuote = !inQuote
-		case '(', '[':
-			if !inQuote {
-				depth++
-			}
-		case ')', ']':
-			if !inQuote {
-				depth--
-			}
-		case ',':
-			if !inQuote && depth == 0 {
-				parts = append(parts, src[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if inQuote {
+	parts, closed := splitOutside(src, ',')
+	if !closed {
 		return nil, fmt.Errorf("unterminated quote in arguments")
 	}
-	parts = append(parts, src[start:])
 	for _, part := range parts {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -248,6 +225,27 @@ func parseArgs(src string) (map[string]string, error) {
 		args[k] = v
 	}
 	return args, nil
+}
+
+// splitOutside splits src at each sep outside brackets and quotes (a
+// doubled quote inside one toggles twice); closed is false if a quote is
+// left open.
+func splitOutside(src string, sep byte) (parts []string, closed bool) {
+	depth, quoted, from := 0, false, 0
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; {
+		case c == '\'':
+			quoted = !quoted
+		case quoted:
+		case c == '(' || c == '[':
+			depth++
+		case c == ')' || c == ']':
+			depth--
+		case c == sep && depth == 0:
+			parts, from = append(parts, src[from:i]), i+1
+		}
+	}
+	return append(parts, src[from:]), !quoted
 }
 
 func unquote(s string) string {

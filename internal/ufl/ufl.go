@@ -40,6 +40,7 @@ package ufl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -145,52 +146,61 @@ func (q *Query) Validate() error {
 // and every op on a path to a sink. It checks argument names, not values
 // (Params).
 func (g *Opgraph) Check() error {
+	var buf [16][2]int // a small graph's edge ends stay on the stack
+	_, err := g.check(buf[:0])
+	return err
+}
+
+// CheckEnds is Check, returning for a graph it accepts the positions in
+// Ops of each edge's producer and consumer.
+func (g *Opgraph) CheckEnds() ([][2]int, error) { return g.check(nil) }
+
+// check is Check, appending the edges' ends to dst.
+func (g *Opgraph) check(dst [][2]int) ([][2]int, error) {
 	switch m := g.Dissem.Mode; {
 	case g.ID == "":
-		return fmt.Errorf("ufl: opgraph has no id")
+		return nil, fmt.Errorf("ufl: opgraph has no id")
 	case m != DissemBroadcast && m != DissemLocal && m != DissemEquality:
-		return fmt.Errorf("ufl: opgraph %q: unknown dissemination mode %q", g.ID, m)
+		return nil, fmt.Errorf("ufl: opgraph %q: unknown dissemination mode %q", g.ID, m)
 	case m == DissemEquality && g.Dissem.Namespace == "":
-		return fmt.Errorf("ufl: opgraph %q: equality dissemination needs a namespace", g.ID)
+		return nil, fmt.Errorf("ufl: opgraph %q: equality dissemination needs a namespace", g.ID)
 	case len(g.Ops) == 0:
-		return fmt.Errorf("ufl: opgraph %q has no operators", g.ID)
+		return nil, fmt.Errorf("ufl: opgraph %q has no operators", g.ID)
 	}
 	// Kahn's algorithm, O(ops + edges): take ops no untaken op feeds until
 	// none is left; an op never taken sits on a cycle. An op's outgoing
 	// edges are a list threaded through next by edge index.
 	n := len(g.Ops)
-	pos := make(map[string]int, n)
+	ends, dup := g.ends(dst)
 	buf := make([]int, 5*n+len(g.Edges))
 	indeg, head, ready, kind, slots, next := buf[:n], buf[n:2*n], buf[2*n:2*n:3*n], buf[3*n:4*n], buf[4*n:5*n], buf[5*n:]
 	for i, op := range g.Ops {
-		if _, dup := pos[op.ID]; dup || op.ID == "" {
-			return fmt.Errorf("ufl: opgraph %q: operator %q has no id or a duplicate id", g.ID, op.ID)
+		if op.ID == "" || i == dup {
+			return nil, fmt.Errorf("ufl: opgraph %q: operator %q has no id or a duplicate id", g.ID, op.ID)
 		}
 		if kind[i] = kindOf(op.Kind); kind[i] < 0 {
-			return fmt.Errorf("ufl: opgraph %q: operator %q has unknown kind %q", g.ID, op.ID, op.Kind)
+			return nil, fmt.Errorf("ufl: opgraph %q: operator %q has unknown kind %q", g.ID, op.ID, op.Kind)
 		}
 		if name := opKinds[kind[i]].unknownArg(op.Args); name != "" {
-			return fmt.Errorf("ufl: opgraph %q: %s %q takes no argument %q", g.ID, opKinds[kind[i]].name, op.ID, name)
+			return nil, fmt.Errorf("ufl: opgraph %q: %s %q takes no argument %q", g.ID, opKinds[kind[i]].name, op.ID, name)
 		}
-		pos[op.ID] = i
 		head[i] = -1
 	}
 	for ei, e := range g.Edges {
-		from, okFrom := pos[e.From]
-		to, okTo := pos[e.To]
-		if !okFrom || !okTo {
-			return fmt.Errorf("ufl: opgraph %q: edge %s->%s names an unknown op", g.ID, e.From, e.To)
+		from, to := ends[ei][0], ends[ei][1]
+		if from < 0 || to < 0 {
+			return nil, fmt.Errorf("ufl: opgraph %q: edge %s->%s names an unknown op", g.ID, e.From, e.To)
 		}
 		src, dst := &opKinds[kind[from]], &opKinds[kind[to]]
 		switch {
 		case e.Slot < 0 || e.Slot >= dst.inputs:
-			return fmt.Errorf("ufl: opgraph %q: edge %s->%s: %s has %d input slots, not slot %d", g.ID, e.From, e.To, dst.name, dst.inputs, e.Slot)
+			return nil, fmt.Errorf("ufl: opgraph %q: edge %s->%s: %s has %d input slots, not slot %d", g.ID, e.From, e.To, dst.name, dst.inputs, e.Slot)
 		case slots[to]&(1<<e.Slot) != 0:
-			return fmt.Errorf("ufl: opgraph %q: edge %s->%s: slot %d of %s already has an input", g.ID, e.From, e.To, e.Slot, dst.name)
+			return nil, fmt.Errorf("ufl: opgraph %q: edge %s->%s: slot %d of %s already has an input", g.ID, e.From, e.To, e.Slot, dst.name)
 		case src.sink:
-			return fmt.Errorf("ufl: opgraph %q: edge %s->%s leaves %s, which emits nothing", g.ID, e.From, e.To, src.name)
+			return nil, fmt.Errorf("ufl: opgraph %q: edge %s->%s leaves %s, which emits nothing", g.ID, e.From, e.To, src.name)
 		case head[from] >= 0 && !src.fanOut:
-			return fmt.Errorf("ufl: opgraph %q: %s %q feeds more than one consumer; insert a Tee", g.ID, src.name, e.From)
+			return nil, fmt.Errorf("ufl: opgraph %q: %s %q feeds more than one consumer; insert a Tee", g.ID, src.name, e.From)
 		}
 		indeg[to]++
 		slots[to] |= 1 << e.Slot
@@ -203,23 +213,49 @@ func (g *Opgraph) Check() error {
 	}
 	for k := 0; k < len(ready); k++ {
 		for ei := head[ready[k]]; ei >= 0; ei = next[ei] {
-			to := pos[g.Edges[ei].To]
+			to := ends[ei][1]
 			if indeg[to]--; indeg[to] == 0 {
 				ready = append(ready, to)
 			}
 		}
 	}
 	if len(ready) != n {
-		return fmt.Errorf("ufl: opgraph %q has a cycle", g.ID)
+		return nil, fmt.Errorf("ufl: opgraph %q has a cycle", g.ID)
 	}
 	// Acyclic, every path from an op ends at an op that feeds nothing, so
 	// every op reaches a sink exactly when each op that feeds nothing is one.
 	for i := range g.Ops {
 		if head[i] < 0 && !opKinds[kind[i]].sink {
-			return fmt.Errorf("ufl: opgraph %q: operator %q reaches no sink", g.ID, g.Ops[i].ID)
+			return nil, fmt.Errorf("ufl: opgraph %q: operator %q reaches no sink", g.ID, g.Ops[i].ID)
 		}
 	}
-	return nil
+	return ends, nil
+}
+
+// ends appends to dst the positions in Ops of each edge's producer and
+// consumer (-1 for an op the graph does not declare; a repeated id names
+// its first op), and returns the position of the first op whose id an
+// earlier op has, or -1.
+func (g *Opgraph) ends(dst [][2]int) (ends [][2]int, dup int) {
+	at, dup := make(map[string]int, len(g.Ops)), -1
+	for i, op := range g.Ops {
+		if _, seen := at[op.ID]; !seen {
+			at[op.ID] = i
+		} else if dup < 0 {
+			dup = i
+		}
+	}
+	pos := func(id string) int {
+		if i, ok := at[id]; ok {
+			return i
+		}
+		return -1
+	}
+	ends = slices.Grow(dst, len(g.Edges))
+	for _, e := range g.Edges {
+		ends = append(ends, [2]int{pos(e.From), pos(e.To)})
+	}
+	return ends, dup
 }
 
 // Encode serializes the query for dissemination.
@@ -327,6 +363,7 @@ func decodeGraph(r *wire.Reader) Opgraph {
 	g.Dissem.Namespace = r.String()
 	g.Dissem.Key = r.String()
 	nOps := int(r.U16())
+	g.Ops = reserve(g.Ops, nOps, r)
 	for i := 0; i < nOps && r.Err() == nil; i++ {
 		op := OpSpec{ID: r.String(), Kind: r.String(), Args: map[string]string{}}
 		nArgs := int(r.U16())
@@ -337,8 +374,17 @@ func decodeGraph(r *wire.Reader) Opgraph {
 		g.Ops = append(g.Ops, op)
 	}
 	nEdges := int(r.U16())
+	g.Edges = reserve(g.Edges, nEdges, r)
 	for i := 0; i < nEdges && r.Err() == nil; i++ {
 		g.Edges = append(g.Edges, Edge{From: r.String(), To: r.String(), Slot: int(r.U16())})
 	}
 	return g
+}
+
+// reserve makes room for n ops or edges, at most one per ten bytes left.
+func reserve[T any](s []T, n int, r *wire.Reader) []T {
+	if n == 0 {
+		return s
+	}
+	return make([]T, 0, min(n, r.Remaining()/10))
 }
